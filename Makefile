@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test lint lint-fix fmt bench-smoke
+.PHONY: build test lint lint-fix fmt bench-smoke bench-test
 
 build:
 	$(GO) build ./...
@@ -28,3 +28,9 @@ fmt:
 
 bench-smoke:
 	$(GO) test -run xxx -bench . -benchtime 1x .
+
+# bench-test runs the benchmark module's own tests (unit tests, the smoke
+# pass held to BENCHMARK.json, the seed-1 golden). bench/ is a separate
+# module, so `go test ./...` at the root does not descend into it.
+bench-test:
+	cd bench && $(GO) test ./...

@@ -118,7 +118,7 @@ func BroadcastChain(net *netsim.ClusterNet, label string, chain []int, bytes int
 	}
 	sizes := chunkSizes(bytes, chunks)
 	hops := len(chain) - 1
-	res := &Result{DoneAt: map[int]netsim.OpID{}}
+	res := &Result{DoneAt: make(map[int]netsim.OpID, hops), Ops: make([]netsim.OpID, 0, chunks*hops)}
 	// prev[j] is the op of the previous chunk on hop j (pipeline ordering);
 	// upstream is the op delivering the current chunk to chain[j].
 	prev := make([]netsim.OpID, hops)

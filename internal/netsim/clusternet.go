@@ -23,6 +23,8 @@ import (
 // or map lookup happens on the hot path. Reset rewinds the bound Sim and
 // invalidates the interned handles in one step, letting a pooled ClusterNet
 // replay arbitrarily many schedules on the same topology allocation-free.
+// Rebind does the same across topologies: the Sim and its arenas stay, only
+// the intern table (a few slots per device and NIC) is rebuilt.
 type ClusterNet struct {
 	Sim *Sim
 	// Topo is the topology transfers are timed and resourced against.
@@ -93,6 +95,22 @@ func NewClusterNet(t mesh.Topology) *ClusterNet {
 func (n *ClusterNet) Reset() {
 	n.Sim.Reset()
 	n.ids.gen++
+}
+
+// Rebind points the net at a topology and rewinds it for the next schedule.
+// On the topology it is already bound to this is Reset; on another one the
+// Sim is rewound just the same — every arena keeps its capacity — and only
+// the intern table is rebuilt, since resource names and slot counts belong
+// to the topology. Handles and OnNIC views from before the call are
+// invalid either way.
+func (n *ClusterNet) Rebind(t mesh.Topology) {
+	if mesh.SameTopology(n.Topo, t) {
+		n.Reset()
+		return
+	}
+	n.Sim.Reset()
+	n.Topo = t
+	n.ids = newResourceTable(t)
 }
 
 // resource-name patterns for intern; kept as an enum (not closures) so the

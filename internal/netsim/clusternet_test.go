@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"alpacomm/internal/mesh"
@@ -275,5 +276,64 @@ func TestMultiNICParallelism(t *testing.T) {
 	// Modulo wrap: OnNIC(3) on a 2-NIC host is NIC 1.
 	if n.OnNIC(3).HostSend(0) != n.OnNIC(1).HostSend(0) {
 		t.Error("OnNIC should wrap modulo NIC count")
+	}
+}
+
+// rebindSchedule issues cross-host and intra-host transfers over every NIC
+// the topology has on host 0, so the interned names cover devices, plain
+// NIC directions and ":nicK" ones.
+func rebindSchedule(t *testing.T, n *ClusterNet) (float64, []Event) {
+	t.Helper()
+	last := n.Topo.NumDevices() - 1
+	for k := 0; k < n.Topo.NICCount(0); k++ {
+		if _, err := n.OnNIC(k).Transfer(Plain("x"), 0, last, 100, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := n.Transfer(Plain("i"), 0, 1, 100, 9); err != nil {
+		t.Fatal(err)
+	}
+	mk, err := n.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mk, n.Sim.Events()
+}
+
+// TestRebindMatchesFreshNet: one net rebound from topology to topology —
+// multi-NIC before single-NIC, so a kept ":nicK" name would show — times
+// and names every schedule as a fresh net does, and keeps its Sim and the
+// Sim's arenas throughout.
+func TestRebindMatchesFreshNet(t *testing.T) {
+	hetero, err := mesh.NewHeteroCluster([]mesh.HostSpec{
+		{Devices: 2, IntraBandwidth: 100, NICBandwidth: 10, NICs: 4},
+		{Devices: 4, IntraBandwidth: 50, NICBandwidth: 5, NICs: 1},
+	}, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topos := []mesh.Topology{testCluster(3).WithNICs(2), testCluster(3), hetero, testCluster(2), testCluster(2)}
+	n := NewClusterNet(topos[0])
+	sim := n.Sim
+	// Grow the arenas well past what the schedules below need.
+	for i := 0; i < 500; i++ {
+		n.MustTransfer(Plain("warm"), 0, 2, 1, i)
+	}
+	ops, res, deps := cap(sim.ops), cap(sim.resArena), cap(sim.depArena)
+	for round := 0; round < 2; round++ {
+		for i, topo := range topos {
+			n.Rebind(topo)
+			if n.Sim != sim || cap(sim.ops) != ops || cap(sim.resArena) != res || cap(sim.depArena) != deps {
+				t.Fatalf("round %d topology %d: Rebind replaced the Sim or its arenas", round, i)
+			}
+			if sim.NumOps() != 0 || sim.NumResources() != 0 {
+				t.Fatalf("round %d topology %d: Rebind left %d ops, %d resources", round, i, sim.NumOps(), sim.NumResources())
+			}
+			gotMk, gotEv := rebindSchedule(t, n)
+			wantMk, wantEv := rebindSchedule(t, NewClusterNet(topo))
+			if gotMk != wantMk || !reflect.DeepEqual(gotEv, wantEv) {
+				t.Fatalf("round %d topology %d: rebound net scheduled\n%v %+v\nfresh net\n%v %+v", round, i, gotMk, gotEv, wantMk, wantEv)
+			}
+		}
 	}
 }

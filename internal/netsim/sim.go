@@ -20,7 +20,8 @@
 // rendered only when Events or an error message needs them. Reset rewinds
 // the arenas without freeing, so one Sim can replay many schedules —
 // autotune grid cells, serving-cache misses — with near-zero steady-state
-// allocation.
+// allocation. The arenas belong to the Sim, not to a topology:
+// ClusterNet.Rebind carries them from one topology to the next.
 package netsim
 
 import (

@@ -2,6 +2,7 @@ package resharding
 
 import (
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -93,26 +94,44 @@ type errString string
 
 func (e errString) Error() string { return string(e) }
 
-// TestPlanBuilderRebindsAcrossTopologies holds one builder and alternates
-// plans from different topologies and strategies through it: the builder
-// must rebuild its net on a topology change and rewind it on a match,
-// always reproducing the fresh-simulation result.
-func TestPlanBuilderRebindsAcrossTopologies(t *testing.T) {
-	b := NewPlanBuilder()
-	topos := []mesh.Topology{
-		microCluster(4),
+// rebindLap is the traffic a pooled builder meets in serving: every plan on
+// another topology than the one before it (p3, dgx-a100, mixed, their
+// strategies rotated by shift), then a multi-NIC broadcast — OnNIC views,
+// ":nicK" resource names — right before the same hosts with one NIC each.
+func rebindLap(t *testing.T, shift int) []*Plan {
+	t.Helper()
+	strategies := []Strategy{SendRecv, Broadcast, Alpa}
+	var lap []*Plan
+	for i, topo := range []mesh.Topology{
+		mesh.AWSP3Cluster(4),
 		mesh.DGXA100Cluster(2),
 		mesh.MixedP3DGXCluster(2, 2, 2),
+		microCluster(4).WithNICs(2),
+		microCluster(4),
+	} {
+		strategy := Broadcast
+		if i < len(strategies) {
+			strategy = strategies[(shift+i)%len(strategies)]
+		}
+		plan, err := NewPlan(builderTask(t, topo, 0, 8), Options{Strategy: strategy, Scheduler: SchedGreedyLoad, Chunks: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lap = append(lap, plan)
 	}
-	strategies := []Strategy{SendRecv, Broadcast, Alpa}
+	return lap
+}
+
+// TestPlanBuilderRebindsAcrossTopologies holds one builder and runs laps of
+// plans from different topologies and strategies through it: the builder
+// rewinds its net on a match and rebinds it — same Sim, new intern table —
+// on a topology change, always reproducing a fresh builder's result field
+// for field.
+func TestPlanBuilderRebindsAcrossTopologies(t *testing.T) {
+	b := NewPlanBuilder()
 	for round := 0; round < 3; round++ {
-		for ti, topo := range topos {
-			task := builderTask(t, topo, 0, 8)
-			opts := Options{Strategy: strategies[(round+ti)%len(strategies)], Scheduler: SchedGreedyLoad, Chunks: 4}
-			plan, err := NewPlan(task, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
+		lap := rebindLap(t, round)
+		for _, plan := range lap {
 			want, err := plan.SimulateWith(NewPlanBuilder())
 			if err != nil {
 				t.Fatal(err)
@@ -123,6 +142,74 @@ func TestPlanBuilderRebindsAcrossTopologies(t *testing.T) {
 			}
 			assertSameSim(t, plan.String(), got, want)
 		}
+		// The same plan twice in a row takes the rewind path.
+		again, err := lap[len(lap)-1].SimulateWith(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := lap[len(lap)-1].SimulateWith(NewPlanBuilder())
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameSim(t, "repeat", again, want)
+	}
+}
+
+// allocatedBytes returns the fewest bytes one call of f allocated over a few
+// calls; the minimum discards a call the runtime's own allocations crept
+// into.
+func allocatedBytes(f func()) uint64 {
+	least := ^uint64(0)
+	var before, after runtime.MemStats
+	for i := 0; i < 5; i++ {
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		if d := after.TotalAlloc - before.TotalAlloc; d < least {
+			least = d
+		}
+	}
+	return least
+}
+
+// TestPlanBuilderKeepsArenasAcrossTopologies: once a builder has seen the
+// lap, running it again — every bind a topology change — allocates what
+// replaying each plan on its own topology allocates (the result and the
+// strategy builders' bookkeeping, which no arena holds) plus, per rebind,
+// an intern table and the names of the resources the plan touches: a fixed
+// handful of small objects, where a builder that dropped its Sim regrew
+// 20-440 KB of op arenas for these plans. Skipped under the race detector,
+// whose instrumentation inflates allocation accounting.
+func TestPlanBuilderKeepsArenasAcrossTopologies(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is inflated under the race detector")
+	}
+	const rebindAllocs, rebindBytes = 256, 8 << 10
+	b := NewPlanBuilder()
+	lap := rebindLap(t, 0)
+	simulate := func(p *Plan) {
+		if _, err := p.simulateWith(b, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runLap := func() {
+		for _, p := range lap {
+			simulate(p)
+		}
+	}
+	runLap()
+	var replayAllocs float64
+	var replayBytes uint64
+	for _, p := range lap {
+		simulate(p)
+		replayAllocs += testing.AllocsPerRun(10, func() { simulate(p) })
+		replayBytes += allocatedBytes(func() { simulate(p) })
+	}
+	if got, max := testing.AllocsPerRun(10, runLap), replayAllocs+float64(len(lap)*rebindAllocs); got > max {
+		t.Errorf("a lap of %d rebinds allocates %.0f objects, %.0f when nothing rebinds: more than %d per rebind", len(lap), got, replayAllocs, rebindAllocs)
+	}
+	if got, max := allocatedBytes(runLap), replayBytes+uint64(len(lap)*rebindBytes); got > max {
+		t.Errorf("a lap of %d rebinds allocates %d B, %d B when nothing rebinds: more than %d B per rebind", len(lap), got, replayBytes, rebindBytes)
 	}
 }
 

@@ -25,13 +25,14 @@ type SimResult struct {
 }
 
 // PlanBuilder is a reusable simulation context: a ClusterNet whose op and
-// resource arenas are rewound (not freed) between plans, plus the scratch
-// state of Eq. 3 exclusivity chaining. One builder simulates any number of
-// plans sequentially with near-zero steady-state allocation; it is not safe
-// for concurrent use. Plan.Simulate draws builders from an internal
-// sync.Pool, so autotune workers and serving-cache misses replay warm
-// arenas automatically; embedders that simulate many plans on one
-// goroutine can hold a builder explicitly via AcquirePlanBuilder.
+// resource arenas are rewound (not freed) between plans — plans on other
+// topologies included — plus the scratch state of Eq. 3 exclusivity
+// chaining. One builder simulates any number of plans sequentially with
+// near-zero steady-state allocation; it is not safe for concurrent use.
+// Plan.Simulate draws builders from an internal sync.Pool, so autotune
+// workers and serving-cache misses replay warm arenas automatically;
+// embedders that simulate many plans on one goroutine can hold a builder
+// explicitly via AcquirePlanBuilder.
 type PlanBuilder struct {
 	net *netsim.ClusterNet
 	// lastSend[h] / lastRecv[h] hold the completion ops of the previous
@@ -72,13 +73,14 @@ func (b *PlanBuilder) Release() {
 	planBuilderPool.Put(b)
 }
 
-// bind points the builder's net at the topology, reusing the existing
-// arenas when the topology is unchanged and rebuilding them otherwise.
+// bind points the builder's net at the topology and rewinds it. The op and
+// resource arenas are kept whether or not the topology changed; a change
+// costs only a new resource intern table (ClusterNet.Rebind).
 func (b *PlanBuilder) bind(topo mesh.Topology) *netsim.ClusterNet {
-	if b.net != nil && mesh.SameTopology(b.net.Topo, topo) {
-		b.net.Reset()
-	} else {
+	if b.net == nil {
 		b.net = netsim.NewClusterNet(topo)
+	} else {
+		b.net.Rebind(topo)
 	}
 	clear(b.lastSend)
 	clear(b.lastRecv)

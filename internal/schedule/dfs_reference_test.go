@@ -173,29 +173,23 @@ func TestDFSMatchesReferenceUnderBudget(t *testing.T) {
 	}
 }
 
-// bruteForceOptimal exhaustively enumerates every launch order and sender
-// assignment — no pruning, no symmetry breaking, no budget — and returns
-// the smallest achievable makespan. Only viable for tiny instances; it is
-// the ground truth the budgeted searches are checked against.
-func bruteForceOptimal(t *testing.T, tasks []Task) float64 {
+// forEachSchedule calls visit with the makespan of every launch order and
+// sender assignment of the tasks — no pruning, no symmetry breaking, no
+// budget. Only viable for tiny instances.
+func forEachSchedule(t *testing.T, tasks []Task, visit func(span float64)) {
 	t.Helper()
 	n := len(tasks)
 	used := make([]bool, n)
 	order := make([]int, 0, n)
 	sender := make(map[int]int, n)
-	best := math.Inf(1)
 	var walk func(depth int)
 	walk = func(depth int) {
 		if depth == n {
-			ids := make([]int, n)
-			copy(ids, order)
-			span, err := Makespan(tasks, Plan{Sender: sender, Order: ids})
+			span, err := Makespan(tasks, Plan{Sender: sender, Order: order})
 			if err != nil {
-				t.Fatalf("brute force built an invalid plan: %v", err)
+				t.Fatalf("enumeration built an invalid plan: %v", err)
 			}
-			if span < best {
-				best = span
-			}
+			visit(span)
 			return
 		}
 		for i := 0; i < n; i++ {
@@ -214,6 +208,18 @@ func bruteForceOptimal(t *testing.T, tasks []Task) float64 {
 		}
 	}
 	walk(0)
+}
+
+// bruteForceOptimal returns the smallest makespan any schedule achieves:
+// the ground truth the budgeted searches are checked against.
+func bruteForceOptimal(t *testing.T, tasks []Task) float64 {
+	t.Helper()
+	best := math.Inf(1)
+	forEachSchedule(t, tasks, func(span float64) {
+		if span < best {
+			best = span
+		}
+	})
 	return best
 }
 

@@ -124,29 +124,105 @@ func Makespan(tasks []Task, p Plan) (float64, error) {
 	return makespan, nil
 }
 
-// LowerBound returns a makespan lower bound independent of the plan: the
-// longest single task, and the heaviest receiver host's total incoming
-// work.
-func LowerBound(tasks []Task) float64 {
-	lb := 0.0
-	recvLoad := map[int]float64{}
-	for _, t := range tasks {
-		if t.Duration > lb {
-			lb = t.Duration
+// recvLoad is one receiver host's incoming work: the tasks that list the
+// host all occupy its receive side (Eq. 3), so they run back to back and
+// their durations add up to a floor under every schedule's makespan.
+type recvLoad struct {
+	host int
+	// sum adds the durations in task order, starting from zero.
+	sum   float64
+	tasks int
+	// first is the first duration added; uniform reports whether every
+	// later one is bit-equal to it.
+	first   float64
+	uniform bool
+}
+
+// receiverLoads returns the longest single duration and the load of every
+// receiver host, hosts in order of first appearance. A task that lists a
+// host twice counts once. Hosts are matched by scanning: a problem names a
+// handful of them, which a scan beats a map on.
+func receiverLoads(tasks []Task) (longest float64, loads []recvLoad) {
+	for i := range tasks {
+		t := &tasks[i]
+		if t.Duration > longest {
+			longest = t.Duration
 		}
-		seen := map[int]bool{}
-		for _, r := range t.ReceiverHosts {
-			if seen[r] {
-				continue
+	receivers:
+		for j, r := range t.ReceiverHosts {
+			for _, prev := range t.ReceiverHosts[:j] {
+				if prev == r {
+					continue receivers
+				}
 			}
-			seen[r] = true
-			recvLoad[r] += t.Duration
+			for k := range loads {
+				if l := &loads[k]; l.host == r {
+					l.sum += t.Duration
+					l.tasks++
+					l.uniform = l.uniform && t.Duration == l.first
+					continue receivers
+				}
+			}
+			loads = append(loads, recvLoad{host: r, sum: t.Duration, tasks: 1, first: t.Duration, uniform: true})
 		}
 	}
-	for _, v := range recvLoad {
-		if v > lb {
-			lb = v
+	return longest, loads
+}
+
+// LowerBound returns a makespan lower bound independent of the plan: the
+// longest single task, and the heaviest receiver host's total incoming
+// work. It bounds the makespan over the reals; a schedule evaluated in
+// floating point can land an ulp under it (see provenBound).
+func LowerBound(tasks []Task) float64 {
+	lb, loads := receiverLoads(tasks)
+	for i := range loads {
+		if loads[i].sum > lb {
+			lb = loads[i].sum
 		}
+	}
+	return lb
+}
+
+// provenBound is LowerBound made sound for the floating-point arithmetic
+// Makespan and the DFS perform: no valid plan of the tasks evaluates to a
+// makespan below it, so a plan that meets it is optimal and a search that
+// only adopts strictly smaller makespans can change nothing.
+//
+// The tasks on one receiver host finish no earlier than the chain
+// fl(fl(d1+d2)+d3)... taken in their launch order, because each starts at
+// or after its predecessor's finish and fl(a+d) is monotone in a. Which
+// value that chain has depends on the order: with durations like 1+k/7
+// one order can sum an ulp below another, and the DFS adopts it. So the
+// host's sum counts as is only when every duration on the host is
+// bit-equal — then all orders perform the same additions and the task-order
+// sum is the chain. Otherwise it is shrunk by more than the rounding its
+// additions can accumulate: any order's chain and our own sum are each
+// within a factor (1±2^-53)^(k-1) of the real sum, so they differ by less
+// than the factor 1-k*2^-51 applied here (its own rounding included). The
+// longest single task needs no correction: a task that starts at a >= 0
+// finishes at fl(a+d) >= d.
+//
+// Durations that are negative or NaN, or that overflow, void the argument;
+// the bound is then 0, which only a makespan of 0 meets.
+func provenBound(tasks []Task) float64 {
+	for i := range tasks {
+		if !(tasks[i].Duration >= 0) {
+			return 0
+		}
+	}
+	lb, loads := receiverLoads(tasks)
+	for i := range loads {
+		l := &loads[i]
+		b := l.sum
+		if !l.uniform {
+			b *= 1 - float64(l.tasks)*0x1p-51
+		}
+		if b > lb {
+			lb = b
+		}
+	}
+	if math.IsInf(lb, 1) {
+		return 0
 	}
 	return lb
 }
@@ -233,11 +309,20 @@ func GreedyEnsemble(tasks []Task) Plan {
 }
 
 // DFSPruning searches jointly over sender assignments and launch orders
-// with depth-first search, pruning branches whose lower bound (current
-// makespan, or any host's committed send load plus unavoidable future
-// load) meets the best complete schedule found. The search stops at the
-// time budget and returns the best plan seen; with a generous budget and
-// few tasks (the paper reports < 20) the result is optimal.
+// with depth-first search, seeded with the LPT plan and pruning every
+// branch whose partial makespan already meets the best complete schedule
+// found (span >= bestSpan; there is no look-ahead on future load). The
+// search stops at the time budget and returns the best plan seen; with a
+// generous budget and few tasks (the paper reports < 20) the result is
+// optimal.
+//
+// It also stops the moment its incumbent is proven optimal: when the LPT
+// (or warm) seed, or a schedule adopted mid-search, meets provenBound. The
+// incumbent is only ever replaced by a strictly smaller makespan and no
+// schedule evaluates below that bound, so the rest of the search could not
+// change the answer. The bound is sound for the search's own floating-point
+// sums, not merely over the reals — see provenBound for why plain
+// LowerBound would not do.
 func DFSPruning(tasks []Task, budget time.Duration) Plan {
 	return dfsPruning(tasks, budget, 0, nil, nil)
 }
@@ -333,15 +418,30 @@ func sameTaskShape(a, b *Task) bool {
 	return true
 }
 
+// hostIndex renumbers the host ids a problem mentions to 0..len-1, in
+// order of first appearance, by scanning (see receiverLoads).
+type hostIndex []int
+
+func (h *hostIndex) dense(host int) int {
+	for i, v := range *h {
+		if v == host {
+			return i
+		}
+	}
+	*h = append(*h, host)
+	return len(*h) - 1
+}
+
 // dfsPruning runs the search under a wall-clock budget (maxNodes == 0) or a
 // node budget (maxNodes > 0; the clock is then ignored), polling stop (when
-// non-nil) every StopStride nodes. All scratch state is allocated once up
-// front: the per-node symmetry set is a stamp array over precomputed task
-// classes and the rollback stack is one flat per-depth buffer, so the
-// search allocates only when it improves on the incumbent plan. A non-nil
-// warm plan seeds best/bestSpan when it is valid and beats the LPT
-// baseline; seeding only tightens the bound, so every node a seeded search
-// visits, the unseeded search visits too.
+// non-nil) every StopStride nodes, and ends early once the incumbent meets
+// provenBound. All scratch state is allocated once up front: host state is
+// two flat slices over densely renumbered hosts, the per-node symmetry set
+// is a stamp array over precomputed task classes and the rollback stack is
+// one flat per-depth buffer, so the search allocates only when it improves
+// on the incumbent plan. A non-nil warm plan seeds best/bestSpan when it is
+// valid and beats the LPT baseline; seeding only tightens the bound, so
+// every node a seeded search visits, the unseeded search visits too.
 //
 //alpacomm:hotpath
 func dfsPruning(tasks []Task, budget time.Duration, maxNodes int, stop func() bool, warm *Plan) Plan {
@@ -361,13 +461,38 @@ func dfsPruning(tasks []Task, budget time.Duration, maxNodes int, stop func() bo
 			best, bestSpan = clonePlan(*warm), ws
 		}
 	}
+	bound := provenBound(tasks)
+	if bestSpan <= bound {
+		return best
+	}
 
 	n := len(tasks)
 	used := make([]bool, n)
 	order := make([]int, 0, n)
 	sender := make([]int, n) // sender[i] is task i's committed sender host
-	sendFree := map[int]float64{}
-	recvFree := map[int]float64{}
+	// hostsOf[hostOff[i]:hostOff[i+1]] are task i's hosts renumbered, its
+	// candidate senders first and then its receivers, each in task order.
+	var hosts hostIndex
+	hostOff := make([]int, n+1)
+	maxRecv := 0
+	for i := range tasks {
+		hostOff[i+1] = hostOff[i] + len(tasks[i].SenderHosts) + len(tasks[i].ReceiverHosts)
+		if len(tasks[i].ReceiverHosts) > maxRecv {
+			maxRecv = len(tasks[i].ReceiverHosts)
+		}
+	}
+	hostsOf := make([]int, 0, hostOff[n])
+	for i := range tasks {
+		for _, h := range tasks[i].SenderHosts {
+			hostsOf = append(hostsOf, hosts.dense(h))
+		}
+		for _, h := range tasks[i].ReceiverHosts {
+			hostsOf = append(hostsOf, hosts.dense(h))
+		}
+	}
+	// A host's send and receive sides are separate resources (full duplex).
+	free := make([]float64, 2*len(hosts))
+	sendFree, recvFree := free[:len(hosts)], free[len(hosts):]
 	classOf, classes := symmetryClasses(tasks)
 	// triedStamp[depth*classes+class] marks classes already tried at the
 	// node currently active at that depth. Rows are per-depth so a node's
@@ -375,36 +500,31 @@ func dfsPruning(tasks []Task, budget time.Duration, maxNodes int, stop func() bo
 	// deeper rows), and stamping with the node's unique visit number makes
 	// re-entering a depth reset its row for free.
 	triedStamp := make([]int, n*classes)
-	maxRecv := 0
-	for i := range tasks {
-		if len(tasks[i].ReceiverHosts) > maxRecv {
-			maxRecv = len(tasks[i].ReceiverHosts)
-		}
-	}
 	// recvSave[depth*maxRecv:] holds the pre-commit receiver frees of the
 	// branch taken at that depth.
 	recvSave := make([]float64, n*maxRecv)
 
-	var expired bool
+	// done ends the search: budget spent, stop fired, or optimum proven.
+	var done bool
 	checkCount := 0
 
 	var dfs func(depth int, span float64)
 	dfs = func(depth int, span float64) { //alpacomm:allow hotalloc recursive search closure, allocated once per search not per node
-		if expired {
+		if done {
 			return
 		}
 		checkCount++
 		if maxNodes > 0 {
 			if checkCount > maxNodes {
-				expired = true
+				done = true
 				return
 			}
 		} else if checkCount%1024 == 0 && time.Now().After(deadline) { //alpacomm:nondet-ok same opt-in wall-clock mode as the deadline above
-			expired = true
+			done = true
 			return
 		}
 		if stop != nil && checkCount%StopStride == 0 && stop() {
-			expired = true
+			done = true
 			return
 		}
 		if span >= bestSpan {
@@ -417,6 +537,7 @@ func dfsPruning(tasks []Task, budget time.Duration, maxNodes int, stop func() bo
 				cp.Sender[tasks[i].ID] = sender[i]
 			}
 			best = cp
+			done = bestSpan <= bound
 			return
 		}
 		// Symmetry breaking: among unscheduled tasks with identical
@@ -432,9 +553,11 @@ func dfsPruning(tasks []Task, budget time.Duration, maxNodes int, stop func() bo
 				continue
 			}
 			tried[classOf[i]] = stamp
-			for _, s := range t.SenderHosts {
+			senders := hostsOf[hostOff[i] : hostOff[i]+len(t.SenderHosts)]
+			receivers := hostsOf[hostOff[i]+len(t.SenderHosts) : hostOff[i+1]]
+			for k, s := range senders {
 				start := sendFree[s]
-				for _, r := range t.ReceiverHosts {
+				for _, r := range receivers {
 					if recvFree[r] > start {
 						start = recvFree[r]
 					}
@@ -450,23 +573,23 @@ func dfsPruning(tasks []Task, budget time.Duration, maxNodes int, stop func() bo
 				// Commit.
 				used[i] = true
 				order = append(order, t.ID)
-				sender[i] = s
+				sender[i] = t.SenderHosts[k]
 				oldSend := sendFree[s]
-				oldRecv := recvSave[depth*maxRecv : depth*maxRecv+len(t.ReceiverHosts)]
+				oldRecv := recvSave[depth*maxRecv : depth*maxRecv+len(receivers)]
 				sendFree[s] = finish
-				for j, r := range t.ReceiverHosts {
+				for j, r := range receivers {
 					oldRecv[j] = recvFree[r]
 					recvFree[r] = finish
 				}
 				dfs(depth+1, newSpan)
 				// Roll back.
 				sendFree[s] = oldSend
-				for j, r := range t.ReceiverHosts {
+				for j, r := range receivers {
 					recvFree[r] = oldRecv[j]
 				}
 				order = order[:len(order)-1]
 				used[i] = false
-				if expired {
+				if done {
 					return
 				}
 			}

@@ -338,7 +338,9 @@ const (
 	MaxChunks = 4096
 	// MaxTrials bounds the randomized-greedy trial count.
 	MaxTrials = 10000
-	// MaxDFSNodes bounds the deterministic DFS budget (default 50k).
+	// MaxDFSNodes bounds the deterministic DFS budget a request may ask
+	// for; a request that names none gets
+	// resharding.DefaultAutotuneDFSNodes.
 	MaxDFSNodes = 10_000_000
 )
 
