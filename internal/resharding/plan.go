@@ -59,7 +59,7 @@ func NewPlanContext(ctx context.Context, task *sharding.Task, opts Options) (*Pl
 	case SchedDegraded:
 		hostPlan = schedule.GreedyEnsemble(hostTasks)
 	case SchedEnsemble:
-		rng := rand.New(rand.NewSource(opts.Seed))
+		rng := ensembleRand(opts.Seed)
 		stop := func() bool { return ctx.Err() != nil }
 		if opts.DFSNodes > 0 {
 			hostPlan = schedule.EnsembleNodesStop(hostTasks, opts.DFSNodes, opts.Trials, rng, stop)
@@ -90,6 +90,32 @@ func NewPlanContext(ctx context.Context, task *sharding.Task, opts Options) (*Pl
 		HostPlan:  hostPlan,
 		HostTasks: hostTasks,
 	}, nil
+}
+
+// lazySource draws the stream of rand.NewSource(seed), which it builds on
+// the first draw: seeding fills a 607-word state, and an ensemble that ends
+// at Naive or LoadBalanceOnly never draws.
+type lazySource struct {
+	seed int64
+	src  rand.Source64
+}
+
+func (s *lazySource) seeded() rand.Source64 {
+	if s.src == nil {
+		s.src = rand.NewSource(s.seed).(rand.Source64)
+	}
+	return s.src
+}
+
+func (s *lazySource) Int63() int64   { return s.seeded().Int63() }
+func (s *lazySource) Uint64() uint64 { return s.seeded().Uint64() }
+
+func (s *lazySource) Seed(seed int64) { s.seed, s.src = seed, nil }
+
+// ensembleRand is the generator handed to the ensemble scheduler: draw for
+// draw rand.New(rand.NewSource(seed)).
+func ensembleRand(seed int64) *rand.Rand {
+	return rand.New(&lazySource{seed: seed})
 }
 
 // buildHostTasks builds the host-level Eq. 1-3 instance of a resharding.

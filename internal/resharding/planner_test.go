@@ -2,19 +2,26 @@ package resharding
 
 import (
 	"context"
+	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"alpacomm/internal/mesh"
+	"alpacomm/internal/schedule"
 	"alpacomm/internal/sharding"
 	"alpacomm/internal/tensor"
 )
 
-// slowTask builds a 16-unit resharding whose ensemble DFS consumes its
-// whole node budget (measured: ~100ns/node), so a large budget makes
-// planning take long enough to be interrupted mid-search.
+// slowTask builds a resharding whose ensemble DFS consumes its whole node
+// budget (measured: ~100ns/node), so a large budget makes planning take long
+// enough to be interrupted mid-search. Nothing may end the ensemble early:
+// every unit can be sent from either source host, so the closed-form
+// candidates leave a gap to the bound (checked below), and 62 rows split
+// unevenly over four devices, so the bottleneck receiver host carries two
+// different durations and no schedule the search finds is ever proven
+// optimal.
 func slowTask(t *testing.T) *sharding.Task {
 	t.Helper()
 	c := mesh.AWSP3Cluster(4)
@@ -26,13 +33,34 @@ func slowTask(t *testing.T) *sharding.Task {
 	if err != nil {
 		t.Fatal(err)
 	}
-	task, err := sharding.NewTask(tensor.MustShape(64, 96), tensor.Float32,
-		src, sharding.MustParse("S01R"), dst, sharding.MustParse("RS0"))
+	task, err := sharding.NewTask(tensor.MustShape(62, 96), tensor.Float32,
+		src, sharding.MustParse("RS1"), dst, sharding.MustParse("S1S0"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(task.Units); n < 10 || n > 20 {
-		t.Fatalf("slowTask has %d units; need 10..20 so the ensemble DFS engages and burns its budget", n)
+	opts := Options{Seed: 1}.WithDefaults()
+	hostTasks := buildHostTasks(task, opts)
+	if n := len(hostTasks); n > 20 {
+		t.Fatalf("slowTask has %d units; the ensemble runs its DFS on at most 20", n)
+	}
+	bound := schedule.LowerBound(hostTasks)
+	for name, p := range map[string]schedule.Plan{
+		"Naive":            schedule.Naive(hostTasks),
+		"LoadBalanceOnly":  schedule.LoadBalanceOnly(hostTasks),
+		"GreedyRandomized": schedule.GreedyRandomized(hostTasks, opts.Trials, rand.New(rand.NewSource(opts.Seed))),
+	} {
+		span, err := schedule.Makespan(hostTasks, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if span <= bound {
+			t.Fatalf("slowTask: %s meets the lower bound (%g <= %g), so the ensemble would end before its DFS", name, span, bound)
+		}
+	}
+	polls := 0
+	schedule.EnsembleNodesStop(hostTasks, 4*schedule.StopStride, opts.Trials, rand.New(rand.NewSource(opts.Seed)), func() bool { polls++; return false })
+	if polls == 0 {
+		t.Fatal("slowTask: the ensemble DFS ended before its first stop poll; it must run until its budget or a cancellation")
 	}
 	return task
 }

@@ -3,7 +3,6 @@ package resharding
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
 	"alpacomm/internal/schedule"
 	"alpacomm/internal/sharding"
@@ -250,7 +249,7 @@ func WarmReplanContext(ctx context.Context, task *sharding.Task, opts Options, f
 		}
 	}
 	info.DFSNodes = warmBudget(opts.DFSNodes, count, len(hostTasks))
-	rng := rand.New(rand.NewSource(opts.Seed))
+	rng := ensembleRand(opts.Seed)
 	stop := func() bool { return ctx.Err() != nil }
 	hostPlan := schedule.EnsembleWarmStart(pinned, info.DFSNodes, opts.Trials, rng, incHostPlan, stop)
 	if err := ctx.Err(); err != nil {

@@ -98,8 +98,8 @@ func referenceDFSNodes(tasks []Task, maxNodes int) Plan {
 				}
 				dfs(depth+1, newSpan)
 				sendFree[s] = oldSend
-				for j, r := range t.ReceiverHosts {
-					recvFree[r] = oldRecv[j]
+				for j := len(t.ReceiverHosts) - 1; j >= 0; j-- {
+					recvFree[t.ReceiverHosts[j]] = oldRecv[j]
 				}
 				delete(sender, t.ID)
 				order = order[:len(order)-1]
@@ -361,18 +361,30 @@ func referenceEnsembleNodes(tasks []Task, dfsNodes, trials int, rng *rand.Rand) 
 // just its DFS component — against the reference implementation, both
 // uncancelled under various node budgets and cancelled mid-search (the
 // stop fires inside the DFS; the closed-form components always finish).
-// The randomized component consumes its rng identically on both sides,
-// so plans must be byte-identical.
+// The reference builds every candidate and ranks them afterwards; the
+// production loop stops building at the first proven one, which must not
+// show: plans are byte-identical on random instances and on families made
+// to leave the loop at each of its exits (ensembleFamilies).
 func TestEnsembleNodesStopMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(1234))
-	for trial := 0; trial < 40; trial++ {
-		tasks := randomDFSInstance(rng)
-		seed := int64(trial)*7919 + 1
-		for _, budget := range []int{1, 50, 2000, 50000} {
-			got := EnsembleNodesStop(tasks, budget, 16, rand.New(rand.NewSource(seed)), nil)
-			want := referenceEnsembleNodes(tasks, budget, 16, rand.New(rand.NewSource(seed)))
-			if !reflect.DeepEqual(got.Order, want.Order) || !reflect.DeepEqual(got.Sender, want.Sender) {
-				t.Fatalf("trial %d budget %d: ensemble diverged from reference\n got: %+v\nwant: %+v", trial, budget, got, want)
+	gens := []func(*rand.Rand) []Task{randomDFSInstance}
+	for _, fam := range ensembleFamilies {
+		gens = append(gens, fam.gen)
+	}
+	for g, gen := range gens {
+		rng := rand.New(rand.NewSource(int64(1234 + g)))
+		trials := 40
+		if g > 0 {
+			trials = 8 // a family's instances differ in size and duration only
+		}
+		for trial := 0; trial < trials; trial++ {
+			tasks := gen(rng)
+			seed := int64(trial)*7919 + 1
+			for _, budget := range []int{1, 50, 2000, 50000} {
+				got := EnsembleNodesStop(tasks, budget, 16, rand.New(rand.NewSource(seed)), nil)
+				want := referenceEnsembleNodes(tasks, budget, 16, rand.New(rand.NewSource(seed)))
+				if !reflect.DeepEqual(got.Order, want.Order) || !reflect.DeepEqual(got.Sender, want.Sender) {
+					t.Fatalf("generator %d trial %d budget %d: ensemble diverged from reference\n got: %+v\nwant: %+v", g, trial, budget, got, want)
+				}
 			}
 		}
 	}

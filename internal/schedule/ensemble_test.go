@@ -1,0 +1,313 @@
+package schedule
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// Where the candidate loop ends: the first candidate whose offer leaves the
+// incumbent at provenBound, or exitNone when the cheap candidates all miss it
+// and the DFS (which may still prove its own incumbent) has to run.
+const (
+	exitNaive  = "Naive"
+	exitLPT    = "LoadBalanceOnly"
+	exitGreedy = "GreedyRandomized"
+	exitNone   = "none"
+)
+
+// ensembleExit works out the exit from the definitions, building every cheap
+// candidate eagerly.
+func ensembleExit(t *testing.T, tasks []Task, trials int, seed int64) string {
+	t.Helper()
+	pb := provenBound(tasks)
+	switch {
+	case mustMakespan(t, tasks, Naive(tasks)) <= pb:
+		return exitNaive
+	case mustMakespan(t, tasks, LoadBalanceOnly(tasks)) <= pb:
+		return exitLPT
+	case mustMakespan(t, tasks, GreedyRandomized(tasks, trials, rand.New(rand.NewSource(seed)))) <= pb:
+		return exitGreedy
+	}
+	return exitNone
+}
+
+// receiverOnlyBound is provenBound without the forced-sender loads: every
+// task is given a second candidate sender no other task names.
+func receiverOnlyBound(tasks []Task) float64 {
+	free := make([]Task, len(tasks))
+	for i, tk := range tasks {
+		tk.SenderHosts = append(append([]int(nil), tk.SenderHosts...), 1000+i)
+		free[i] = tk
+	}
+	return provenBound(free)
+}
+
+// ensembleFamily generates instances that all leave the candidate loop at
+// one exit.
+type ensembleFamily struct {
+	name string
+	exit string
+	// senderBound: the exit is proven by a forced-sender load alone — the
+	// receiver loads stay below every schedule.
+	senderBound bool
+	gen         func(rng *rand.Rand) []Task
+}
+
+var ensembleFamilies = []ensembleFamily{
+	{
+		// Everything lands on one receiver host with one duration: any order
+		// is optimal and the host's sum is exact.
+		name: "one receiver", exit: exitNaive,
+		gen: func(rng *rand.Rand) []Task {
+			d := float64(1+rng.Intn(40)) / 7
+			tasks := make([]Task, 2+rng.Intn(8))
+			for i := range tasks {
+				senders := []int{rng.Intn(3)}
+				if rng.Intn(2) == 0 {
+					senders = append(senders, rng.Intn(3))
+				}
+				tasks[i] = Task{ID: i, SenderHosts: senders, ReceiverHosts: []int{9}, Duration: d}
+			}
+			return tasks
+		},
+	},
+	{
+		// Two receiver hosts alternate and both senders are candidates
+		// everywhere: Naive sends it all from host 0 and takes twice the
+		// bound, LPT alternates the senders and meets it.
+		name: "alternating receivers", exit: exitLPT,
+		gen: func(rng *rand.Rand) []Task {
+			d := float64(1 + rng.Intn(9))
+			tasks := make([]Task, 2*(2+rng.Intn(4)))
+			for i := range tasks {
+				tasks[i] = Task{ID: i, SenderHosts: []int{0, 1}, ReceiverHosts: []int{10 + i%2}, Duration: d}
+			}
+			return tasks
+		},
+	},
+	{
+		// The four sender-receiver pairings of two forced senders and two
+		// receivers, in an ID order that makes neighbours collide: Naive and
+		// LPT (the same plan here) leave a gap, while batches of two
+		// non-conflicting tasks fill both hosts all the time.
+		name: "colliding pairs", exit: exitGreedy,
+		gen: func(rng *rand.Rand) []Task {
+			d := float64(1+rng.Intn(40)) / 7
+			tasks := make([]Task, 4*(2+rng.Intn(3)))
+			for i := range tasks {
+				tasks[i] = Task{ID: i, SenderHosts: []int{i / 2 % 2}, ReceiverHosts: []int{2 + i%2}, Duration: d}
+			}
+			return tasks
+		},
+	},
+	{
+		// One host must send everything, each task to a receiver of its own:
+		// the send side serializes them and no receiver load says so.
+		name: "one forced sender", exit: exitNaive, senderBound: true,
+		gen: func(rng *rand.Rand) []Task {
+			d := float64(1+rng.Intn(40)) / 7
+			tasks := make([]Task, 2+rng.Intn(8))
+			for i := range tasks {
+				senders := []int{4}
+				if rng.Intn(2) == 0 {
+					senders = []int{4, 4}
+				}
+				tasks[i] = Task{ID: i, SenderHosts: senders, ReceiverHosts: []int{10 + i}, Duration: d}
+			}
+			return tasks
+		},
+	},
+	{
+		// The same with sevenths durations: the load is no longer exact, the
+		// shrunk bound sits below every schedule and nothing is proven.
+		name: "one forced sender, unequal durations", exit: exitNone,
+		gen: func(rng *rand.Rand) []Task {
+			tasks := make([]Task, 3+rng.Intn(5))
+			for i := range tasks {
+				tasks[i] = Task{ID: i, SenderHosts: []int{4}, ReceiverHosts: []int{10 + i}, Duration: 1 + float64(i+1)/7}
+			}
+			return tasks
+		},
+	},
+	{name: "hard", exit: exitNone, gen: hardDFSInstance},
+}
+
+// TestEnsembleFamiliesExitWhereIntended holds each family to its exit and
+// the candidate loop to its laziness: nothing is built after the exit — the
+// DFS is not called, and an exit before the trials leaves the rng where a
+// fresh source starts.
+func TestEnsembleFamiliesExitWhereIntended(t *testing.T) {
+	const trials = 16
+	for _, fam := range ensembleFamilies {
+		rng := rand.New(rand.NewSource(77))
+		for trial := 0; trial < 12; trial++ {
+			tasks := fam.gen(rng)
+			seed := int64(trial)*31 + 5
+			if got := ensembleExit(t, tasks, trials, seed); got != fam.exit {
+				t.Fatalf("%s trial %d: candidate loop exits at %s, family is meant for %s\ntasks: %+v", fam.name, trial, got, fam.exit, tasks)
+			}
+			if fam.senderBound {
+				if naive, rb := mustMakespan(t, tasks, Naive(tasks)), receiverOnlyBound(tasks); naive <= rb {
+					t.Fatalf("%s trial %d: receiver loads alone (%v) already prove Naive (%v)", fam.name, trial, rb, naive)
+				}
+			}
+			searches := 0
+			dfs := func(tk []Task) Plan { searches++; return DFSPruningNodes(tk, 2000) }
+			src := rand.New(rand.NewSource(seed))
+			got := ensemble(tasks, dfs, trials, src)
+			if want := referenceEnsembleNodes(tasks, 2000, trials, rand.New(rand.NewSource(seed))); !samePlan(got, want) {
+				t.Fatalf("%s trial %d: ensemble diverged from reference\n got: %+v\nwant: %+v", fam.name, trial, got, want)
+			}
+			wantSearches := 0
+			if fam.exit == exitNone {
+				wantSearches = 1
+			}
+			if searches != wantSearches {
+				t.Fatalf("%s trial %d: DFS ran %d times on an instance that exits at %s", fam.name, trial, searches, fam.exit)
+			}
+			if fam.exit == exitNaive || fam.exit == exitLPT {
+				if next, fresh := src.Int63(), rand.New(rand.NewSource(seed)).Int63(); next != fresh {
+					t.Fatalf("%s trial %d: rng was drawn from before an exit at %s", fam.name, trial, fam.exit)
+				}
+			}
+		}
+	}
+}
+
+// rankEagerly is what the candidate loop replaced: the smallest makespan
+// among candidates that were all built beforehand, ties to the earlier,
+// invalid ones skipped.
+func rankEagerly(tasks []Task, candidates []Plan) Plan {
+	best := candidates[0]
+	bestSpan := math.Inf(1)
+	for _, c := range candidates {
+		span, err := Makespan(tasks, c)
+		if err != nil {
+			continue
+		}
+		if span < bestSpan {
+			best, bestSpan = c, span
+		}
+	}
+	return best
+}
+
+// referenceEnsembleWarm is the eager warm ensemble: every candidate built,
+// the warm-started DFS among them and the incumbent appended last.
+func referenceEnsembleWarm(tasks []Task, dfsNodes, trials int, rng *rand.Rand, incumbent Plan) Plan {
+	candidates := []Plan{Naive(tasks), LoadBalanceOnly(tasks), GreedyRandomized(tasks, trials, rng)}
+	if len(tasks) <= 20 {
+		candidates = append(candidates, DFSPruningWarmStart(tasks, dfsNodes, incumbent, nil))
+	}
+	return rankEagerly(tasks, append(candidates, incumbent))
+}
+
+// TestEnsembleWarmStartMatchesEagerReference: the warm ensemble returns what
+// building every candidate and ranking them would, whichever exit the
+// instance takes and whether the incumbent is worse than the cheap
+// candidates, better than all of them, or invalid.
+func TestEnsembleWarmStartMatchesEagerReference(t *testing.T) {
+	const trials = 8
+	gens := []func(*rand.Rand) []Task{
+		func(rng *rand.Rand) []Task { return randomProblem(rng, 3+rng.Intn(8), 2+rng.Intn(4)) },
+		func(rng *rand.Rand) []Task { return randomProblem(rng, 21+rng.Intn(6), 4) }, // too large for the DFS
+	}
+	for _, fam := range ensembleFamilies {
+		gens = append(gens, fam.gen)
+	}
+	for g, gen := range gens {
+		rng := rand.New(rand.NewSource(int64(900 + g)))
+		for trial := 0; trial < 8; trial++ {
+			tasks := gen(rng)
+			seed := int64(trial)*53 + 3
+			incumbents := map[string]Plan{
+				"naive":   Naive(tasks),
+				"greedy":  GreedyLoad(tasks),
+				"invalid": {},
+			}
+			if len(tasks) <= 10 {
+				incumbents["searched"] = DFSPruningNodes(tasks, 200000)
+			}
+			for name, inc := range incumbents {
+				for _, budget := range []int{1, 50, 2000} {
+					got := EnsembleWarmStart(tasks, budget, trials, rand.New(rand.NewSource(seed)), inc, nil)
+					want := referenceEnsembleWarm(tasks, budget, trials, rand.New(rand.NewSource(seed)), inc)
+					if !samePlan(got, want) {
+						t.Fatalf("generator %d trial %d incumbent %s budget %d: warm ensemble diverged from the eager reference\n got: %+v\nwant: %+v",
+							g, trial, name, budget, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestGreedyEnsembleMatchesEagerRanking: the search-free ensemble goes
+// through the same candidate loop and must return what ranking all three of
+// its candidates would.
+func TestGreedyEnsembleMatchesEagerRanking(t *testing.T) {
+	for _, fam := range ensembleFamilies {
+		rng := rand.New(rand.NewSource(41))
+		for trial := 0; trial < 12; trial++ {
+			tasks := fam.gen(rng)
+			want := rankEagerly(tasks, []Plan{Naive(tasks), LoadBalanceOnly(tasks), GreedyLoad(tasks)})
+			if got := GreedyEnsemble(tasks); !samePlan(got, want) {
+				t.Fatalf("%s trial %d: GreedyEnsemble diverged from the eager ranking\n got: %+v\nwant: %+v", fam.name, trial, got, want)
+			}
+		}
+	}
+}
+
+// TestEnsembleKeepsEarlierCandidateOnTie pins the adoption rule the exit
+// rests on. Three integer durations on one receiver: every order sums to
+// exactly 6, so all candidates tie, and the durations differ, so the shrunk
+// bound proves none of them — the loop runs to its end and must still return
+// its first candidate.
+func TestEnsembleKeepsEarlierCandidateOnTie(t *testing.T) {
+	tasks := []Task{
+		{ID: 0, SenderHosts: []int{0}, ReceiverHosts: []int{5}, Duration: 1},
+		{ID: 1, SenderHosts: []int{1}, ReceiverHosts: []int{5}, Duration: 3},
+		{ID: 2, SenderHosts: []int{2}, ReceiverHosts: []int{5}, Duration: 2},
+	}
+	naive, lpt := Naive(tasks), LoadBalanceOnly(tasks)
+	if samePlan(naive, lpt) || mustMakespan(t, tasks, naive) != mustMakespan(t, tasks, lpt) {
+		t.Fatal("instance no longer has Naive and LPT tie as different plans")
+	}
+	if exit := ensembleExit(t, tasks, 4, 1); exit != exitNone {
+		t.Fatalf("candidate loop exits at %s; the tie must be decided by the adoption rule, not the exit", exit)
+	}
+	if got := EnsembleNodes(tasks, 1000, 4, rand.New(rand.NewSource(1))); !samePlan(got, naive) {
+		t.Fatalf("Ensemble tie broke toward a later candidate: %+v", got)
+	}
+	if got := EnsembleWarmStart(tasks, 1000, 4, rand.New(rand.NewSource(1)), lpt, nil); !samePlan(got, naive) {
+		t.Fatalf("EnsembleWarmStart tie broke toward a later candidate: %+v", got)
+	}
+	if got := GreedyEnsemble(tasks); !samePlan(got, naive) {
+		t.Fatalf("GreedyEnsemble tie broke toward a later candidate: %+v", got)
+	}
+}
+
+// TestDFSRestoresDuplicateReceiver: a task that lists a receiver host twice
+// saved the host's free time twice — the pre-commit value, then the value it
+// had just written. Restoring in save order left the second in place, and
+// every span the search computed afterwards was inflated; on this instance it
+// then missed the optimum by 4.
+func TestDFSRestoresDuplicateReceiver(t *testing.T) {
+	tasks := []Task{
+		{ID: 0, SenderHosts: []int{1, 0}, ReceiverHosts: []int{5, 7}, Duration: 4},
+		{ID: 1, SenderHosts: []int{1, 0}, ReceiverHosts: []int{6, 7}, Duration: 5},
+		{ID: 2, SenderHosts: []int{1}, ReceiverHosts: []int{5, 5, 6}, Duration: 5},
+		{ID: 3, SenderHosts: []int{1}, ReceiverHosts: []int{5}, Duration: 4},
+	}
+	want := bruteForceOptimal(t, tasks)
+	for name, p := range map[string]Plan{
+		"DFSPruningNodes":   DFSPruningNodes(tasks, 1<<20),
+		"referenceDFSNodes": referenceDFSNodes(tasks, 1<<20),
+		"EnsembleNodes":     EnsembleNodes(tasks, 1<<20, 4, rand.New(rand.NewSource(1))),
+	} {
+		if got := mustMakespan(t, tasks, p); got != want {
+			t.Errorf("%s: makespan %v, brute-force optimum %v", name, got, want)
+		}
+	}
+}

@@ -71,15 +71,45 @@ func seventhsInstance(rng *rand.Rand) []Task {
 	return tasks
 }
 
+// forcedSenderInstance generates an enumerable instance whose send sides are
+// the bottleneck: most tasks can be sent from one host only (listed once or
+// twice), a few have a choice, and receivers are spread thin. Durations are
+// one value (the exact branch of the bound) or sevenths.
+func forcedSenderInstance(rng *rand.Rand) []Task {
+	uniform := rng.Intn(2) == 0
+	d := float64(1+rng.Intn(40)) / 7
+	tasks := make([]Task, 2+rng.Intn(5))
+	for i := range tasks {
+		if !uniform {
+			d = float64(1+rng.Intn(97)) / 7
+		}
+		s := rng.Intn(2)
+		senders := []int{s}
+		switch rng.Intn(5) {
+		case 0:
+			senders = []int{s, s}
+		case 1:
+			senders = []int{s, 1 - s}
+		}
+		tasks[i] = Task{ID: i, SenderHosts: senders, ReceiverHosts: []int{10 + rng.Intn(6)}, Duration: d}
+	}
+	return tasks
+}
+
 // TestProvenBoundBelowEverySchedule is the soundness property the early
-// exit rests on: provenBound never exceeds the makespan of any schedule,
+// exits rest on: provenBound never exceeds the makespan of any schedule,
 // evaluated in the same floating-point arithmetic. It also holds the bound
-// to within rounding of LowerBound, so it cannot pass by being useless.
+// to within rounding of LowerBound, so it cannot pass by being useless, and
+// checks that both of its branches and both kinds of serial load — receiver
+// hosts and forced senders — decide the bound often enough to be covered.
 func TestProvenBoundBelowEverySchedule(t *testing.T) {
 	rng := rand.New(rand.NewSource(2718))
-	exact := 0
-	for trial := 0; trial < 120; trial++ {
+	exact, bySenderExact, bySenderShrunk := 0, 0, 0
+	for trial := 0; trial < 240; trial++ {
 		tasks := seventhsInstance(rng)
+		if trial%2 == 1 {
+			tasks = forcedSenderInstance(rng)
+		}
 		pb, lb := provenBound(tasks), LowerBound(tasks)
 		if pb > lb || pb < lb*(1-1e-12) {
 			t.Fatalf("trial %d: provenBound %v not within rounding below LowerBound %v", trial, pb, lb)
@@ -87,28 +117,64 @@ func TestProvenBoundBelowEverySchedule(t *testing.T) {
 		if pb == lb {
 			exact++
 		}
+		if pb > receiverOnlyBound(tasks) {
+			if pb == lb {
+				bySenderExact++
+			} else {
+				bySenderShrunk++
+			}
+		}
 		forEachSchedule(t, tasks, func(span float64) {
 			if span < pb {
 				t.Fatalf("trial %d: a schedule evaluates to %v, below provenBound %v\ntasks: %+v", trial, span, pb, tasks)
 			}
 		})
 	}
-	if exact < 10 {
-		t.Fatalf("only %d of 120 instances took the exact branch of the bound", exact)
+	if exact < 20 {
+		t.Fatalf("only %d of 240 instances took the exact branch of the bound", exact)
+	}
+	if bySenderExact < 10 || bySenderShrunk < 10 {
+		t.Fatalf("a forced-sender load decided the bound on %d exact and %d shrunk instances; want 10 of each", bySenderExact, bySenderShrunk)
 	}
 }
 
+// TestForcedSenderChainSumsBelowLowerBound is the send-side twin of
+// TestDFSOneUlpBelowLowerBound: three tasks one host must send, to three
+// different receivers, whose durations sum an ulp lower in one launch order
+// than in task order. Only the shrink keeps provenBound under that schedule.
+func TestForcedSenderChainSumsBelowLowerBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 2000; trial++ {
+		tasks := make([]Task, 3)
+		for i := range tasks {
+			tasks[i] = Task{ID: i, SenderHosts: []int{0}, ReceiverHosts: []int{10 + i}, Duration: float64(1+rng.Intn(97)) / 7}
+		}
+		lb, lowest := LowerBound(tasks), math.Inf(1)
+		forEachSchedule(t, tasks, func(span float64) { lowest = math.Min(lowest, span) })
+		if lowest < lb {
+			if pb := provenBound(tasks); pb > lowest {
+				t.Fatalf("provenBound %v exceeds a schedule's makespan %v (LowerBound %v)\ntasks: %+v", pb, lowest, lb, tasks)
+			}
+			return
+		}
+	}
+	t.Fatal("no instance in 2000 had a launch order summing below LowerBound; the generator no longer shows the case")
+}
+
 // TestProvenBoundRejectsUnsoundInputs: durations the soundness argument
-// does not cover must not produce a bound a real makespan could meet.
+// does not cover must not produce a bound a real makespan could meet,
+// whether they meet on a receiver host or only on a forced sender.
 func TestProvenBoundRejectsUnsoundInputs(t *testing.T) {
 	for name, d := range map[string]float64{"negative": -1, "NaN": math.NaN(), "+Inf": math.Inf(1), "overflow": math.MaxFloat64} {
-		tasks := []Task{
-			{ID: 0, SenderHosts: []int{0}, ReceiverHosts: []int{1}, Duration: 2},
-			{ID: 1, SenderHosts: []int{0}, ReceiverHosts: []int{1}, Duration: d},
-			{ID: 2, SenderHosts: []int{0}, ReceiverHosts: []int{1}, Duration: d},
-		}
-		if pb := provenBound(tasks); pb != 0 {
-			t.Errorf("%s duration: provenBound = %v, want 0", name, pb)
+		for where, receivers := range map[string][3]int{"shared receiver": {1, 1, 1}, "forced sender only": {1, 2, 3}} {
+			tasks := []Task{
+				{ID: 0, SenderHosts: []int{0}, ReceiverHosts: []int{receivers[0]}, Duration: 2},
+				{ID: 1, SenderHosts: []int{0}, ReceiverHosts: []int{receivers[1]}, Duration: d},
+				{ID: 2, SenderHosts: []int{0}, ReceiverHosts: []int{receivers[2]}, Duration: d},
+			}
+			if pb := provenBound(tasks); pb != 0 {
+				t.Errorf("%s duration, %s: provenBound = %v, want 0", name, where, pb)
+			}
 		}
 	}
 }

@@ -8,9 +8,20 @@
 // Four algorithms are provided, mirroring the paper: Naive (lowest-index
 // sender, arbitrary order), LoadBalanceOnly (classic LPT greedy on Eq. 4),
 // DFSPruning (budgeted exhaustive search), and GreedyRandomized (iterative
-// maximal non-conflicting batches). Ensemble runs all and keeps the best,
-// which is AlpaComm's configuration ("we run both algorithms and choose
-// the better result", §5.3.1).
+// maximal non-conflicting batches). Ensemble returns the best of them, which
+// is AlpaComm's configuration ("we run both algorithms and choose the
+// better result", §5.3.1).
+//
+// The ensemble does not build what cannot win. Every schedule serializes the
+// tasks of one receiver host, and the tasks only one host can send, so the
+// heaviest such load is a floor under every makespan (LowerBound; provenBound
+// is the same floor made safe against floating-point rounding). Candidates
+// are built in a fixed order, cheapest first, a later one replaces the
+// incumbent only when strictly better, and nothing evaluates below the
+// floor — so once a candidate reaches it, the candidates after it (the
+// randomized trials and their rng draws, the search) are skipped, and so is
+// the rest of a search that reaches it midway. The plan returned is the one
+// building and ranking everything would return, bit for bit.
 package schedule
 
 import (
@@ -124,11 +135,16 @@ func Makespan(tasks []Task, p Plan) (float64, error) {
 	return makespan, nil
 }
 
-// recvLoad is one receiver host's incoming work: the tasks that list the
-// host all occupy its receive side (Eq. 3), so they run back to back and
-// their durations add up to a floor under every schedule's makespan.
-type recvLoad struct {
+// serialLoad is the work one side of one host must run back to back: a
+// receiver host's receive side is occupied by every task that lists it
+// (Eq. 3), and a host's send side by every task that has no other candidate
+// sender. Either way the durations add up to a floor under every schedule's
+// makespan.
+type serialLoad struct {
 	host int
+	// send is the host's send side; its receive side is a separate resource
+	// (full duplex) with a load of its own.
+	send bool
 	// sum adds the durations in task order, starting from zero.
 	sum   float64
 	tasks int
@@ -138,15 +154,50 @@ type recvLoad struct {
 	uniform bool
 }
 
-// receiverLoads returns the longest single duration and the load of every
-// receiver host, hosts in order of first appearance. A task that lists a
-// host twice counts once. Hosts are matched by scanning: a problem names a
-// handful of them, which a scan beats a map on.
-func receiverLoads(tasks []Task) (longest float64, loads []recvLoad) {
+// forcedSender reports the host a task must send from: the one host its
+// candidate list names, however many times it names it.
+func forcedSender(t *Task) (host int, ok bool) {
+	if len(t.SenderHosts) == 0 {
+		return 0, false
+	}
+	for _, s := range t.SenderHosts[1:] {
+		if s != t.SenderHosts[0] {
+			return 0, false
+		}
+	}
+	return t.SenderHosts[0], true
+}
+
+// heaviestLoad returns the larger of the longest single duration and the
+// heaviest serial load: one load per receiver host and one per host that
+// some task is forced to send from. A task that lists a receiver host twice
+// counts once. Tasks with a choice of sender load no send side — the floor
+// must hold whichever they pick. With shrink, a load whose durations are not
+// all bit-equal counts for less than its sum (see provenBound). Hosts are
+// matched by scanning: a problem names a handful of them, which a scan beats
+// a map on, and the loads of up to 16 fit on the stack.
+func heaviestLoad(tasks []Task, shrink bool) float64 {
+	var buf [16]serialLoad
+	loads := buf[:0]
+	add := func(host int, send bool, d float64) {
+		for k := range loads {
+			if l := &loads[k]; l.host == host && l.send == send {
+				l.sum += d
+				l.tasks++
+				l.uniform = l.uniform && d == l.first
+				return
+			}
+		}
+		loads = append(loads, serialLoad{host: host, send: send, sum: d, tasks: 1, first: d, uniform: true})
+	}
+	var heaviest float64
 	for i := range tasks {
 		t := &tasks[i]
-		if t.Duration > longest {
-			longest = t.Duration
+		if t.Duration > heaviest {
+			heaviest = t.Duration
+		}
+		if s, ok := forcedSender(t); ok {
+			add(s, true, t.Duration)
 		}
 	receivers:
 		for j, r := range t.ReceiverHosts {
@@ -155,32 +206,29 @@ func receiverLoads(tasks []Task) (longest float64, loads []recvLoad) {
 					continue receivers
 				}
 			}
-			for k := range loads {
-				if l := &loads[k]; l.host == r {
-					l.sum += t.Duration
-					l.tasks++
-					l.uniform = l.uniform && t.Duration == l.first
-					continue receivers
-				}
-			}
-			loads = append(loads, recvLoad{host: r, sum: t.Duration, tasks: 1, first: t.Duration, uniform: true})
+			add(r, false, t.Duration)
 		}
 	}
-	return longest, loads
+	for i := range loads {
+		l := &loads[i]
+		b := l.sum
+		if shrink && !l.uniform {
+			b *= 1 - float64(l.tasks)*0x1p-51
+		}
+		if b > heaviest {
+			heaviest = b
+		}
+	}
+	return heaviest
 }
 
 // LowerBound returns a makespan lower bound independent of the plan: the
-// longest single task, and the heaviest receiver host's total incoming
-// work. It bounds the makespan over the reals; a schedule evaluated in
+// longest single task, and the heaviest serial load — a receiver host's
+// total incoming work, or the total of the tasks that can only be sent from
+// one host. It bounds the makespan over the reals; a schedule evaluated in
 // floating point can land an ulp under it (see provenBound).
 func LowerBound(tasks []Task) float64 {
-	lb, loads := receiverLoads(tasks)
-	for i := range loads {
-		if loads[i].sum > lb {
-			lb = loads[i].sum
-		}
-	}
-	return lb
+	return heaviestLoad(tasks, false)
 }
 
 // provenBound is LowerBound made sound for the floating-point arithmetic
@@ -188,12 +236,14 @@ func LowerBound(tasks []Task) float64 {
 // makespan below it, so a plan that meets it is optimal and a search that
 // only adopts strictly smaller makespans can change nothing.
 //
-// The tasks on one receiver host finish no earlier than the chain
-// fl(fl(d1+d2)+d3)... taken in their launch order, because each starts at
-// or after its predecessor's finish and fl(a+d) is monotone in a. Which
-// value that chain has depends on the order: with durations like 1+k/7
-// one order can sum an ulp below another, and the DFS adopts it. So the
-// host's sum counts as is only when every duration on the host is
+// The tasks of one serial load finish no earlier than the chain
+// fl(fl(d1+d2)+d3)... taken in their launch order: each starts at or after
+// the time its host's side came free (recvFree[r] for a receiver, sendFree[s]
+// for a forced sender), which is at or after its predecessor's finish, and
+// fl(a+d) is monotone in a. Tasks that merely chose the same sender only push
+// that time later. Which value the chain has depends on the order: with
+// durations like 1+k/7 one order can sum an ulp below another, and the DFS
+// adopts it. So a load's sum counts as is only when every duration in it is
 // bit-equal — then all orders perform the same additions and the task-order
 // sum is the chain. Otherwise it is shrunk by more than the rounding its
 // additions can accumulate: any order's chain and our own sum are each
@@ -210,17 +260,7 @@ func provenBound(tasks []Task) float64 {
 			return 0
 		}
 	}
-	lb, loads := receiverLoads(tasks)
-	for i := range loads {
-		l := &loads[i]
-		b := l.sum
-		if !l.uniform {
-			b *= 1 - float64(l.tasks)*0x1p-51
-		}
-		if b > lb {
-			lb = b
-		}
-	}
+	lb := heaviestLoad(tasks, true)
 	if math.IsInf(lb, 1) {
 		return 0
 	}
@@ -299,13 +339,17 @@ func GreedyLoad(tasks []Task) Plan {
 }
 
 // GreedyEnsemble is the search-free companion of Ensemble: the best of
-// Naive, LoadBalanceOnly and GreedyLoad by list-scheduled makespan. No
-// DFS, no randomized trials, no RNG — O(n log n) and deterministic
-// without a seed. This is the plan quality an overloaded server can
-// afford while defending its latency SLO: the admission controller's
-// degraded mode plans with it instead of the ensemble DFS.
+// Naive, LoadBalanceOnly and GreedyLoad by list-scheduled makespan, ties
+// going to the earlier, each built only while the ones before it are not
+// proven optimal (see incumbent.offer). No DFS, no randomized trials, no RNG
+// — O(n log n) and deterministic without a seed. This is the plan quality
+// an overloaded server can afford while defending its latency SLO: the
+// admission controller's degraded mode plans with it instead of the
+// ensemble DFS.
 func GreedyEnsemble(tasks []Task) Plan {
-	return bestOf(tasks, []Plan{Naive(tasks), LoadBalanceOnly(tasks), GreedyLoad(tasks)})
+	in := newIncumbent(tasks)
+	_ = in.proven || in.offer(LoadBalanceOnly(tasks)) || in.offer(GreedyLoad(tasks))
+	return in.best
 }
 
 // DFSPruning searches jointly over sender assignments and launch orders
@@ -419,7 +463,7 @@ func sameTaskShape(a, b *Task) bool {
 }
 
 // hostIndex renumbers the host ids a problem mentions to 0..len-1, in
-// order of first appearance, by scanning (see receiverLoads).
+// order of first appearance, by scanning (see heaviestLoad).
 type hostIndex []int
 
 func (h *hostIndex) dense(host int) int {
@@ -582,10 +626,11 @@ func dfsPruning(tasks []Task, budget time.Duration, maxNodes int, stop func() bo
 					recvFree[r] = finish
 				}
 				dfs(depth+1, newSpan)
-				// Roll back.
+				// Roll back, last write first: a task may list a receiver
+				// twice, and only its first save holds the pre-commit value.
 				sendFree[s] = oldSend
-				for j, r := range receivers {
-					recvFree[r] = oldRecv[j]
+				for j := len(receivers) - 1; j >= 0; j-- {
+					recvFree[receivers[j]] = oldRecv[j]
 				}
 				order = order[:len(order)-1]
 				used[i] = false
@@ -696,9 +741,13 @@ func GreedyRandomized(tasks []Task, trials int, rng *rand.Rand) Plan {
 	return p
 }
 
-// Ensemble runs Naive, LoadBalanceOnly, GreedyRandomized and (for small
-// problems) DFSPruning, and returns the plan with the smallest makespan.
-// This is AlpaComm's production configuration.
+// Ensemble is AlpaComm's production configuration ("we run both algorithms
+// and choose the better result", §5.3.1): the plan with the smallest
+// makespan among Naive, LoadBalanceOnly, GreedyRandomized and (for small
+// problems) DFSPruning, ties going to the earlier of them. The candidates
+// are built one at a time and the rest are skipped once one is proven
+// optimal (see ensemble), so rng is drawn from only when neither Naive nor
+// LoadBalanceOnly meets the bound.
 func Ensemble(tasks []Task, dfsBudget time.Duration, trials int, rng *rand.Rand) Plan {
 	return EnsembleStop(tasks, dfsBudget, trials, rng, nil)
 }
@@ -720,67 +769,82 @@ func EnsembleNodes(tasks []Task, dfsNodes, trials int, rng *rand.Rand) Plan {
 // EnsembleNodesStop is EnsembleNodes with a cooperative abort threaded into
 // its DFS component: stop is polled between node-budget slices, and a true
 // return makes the DFS yield its incumbent early (the cheap closed-form
-// components always run to completion). With stop nil — or never firing —
-// the plan is bit-identical to EnsembleNodes.
+// components are never interrupted). With stop nil — or never firing — the
+// plan is bit-identical to EnsembleNodes.
 func EnsembleNodesStop(tasks []Task, dfsNodes, trials int, rng *rand.Rand, stop func() bool) Plan {
 	return ensemble(tasks, func(t []Task) Plan { return DFSPruningNodesStop(t, dfsNodes, stop) }, trials, rng)
 }
 
 // EnsembleWarmStart is EnsembleNodesStop with an incumbent plan threaded
 // through: the DFS component runs warm-started (DFSPruningWarmStart) and
-// the incumbent itself joins the candidate set as the final entry — so the
-// returned plan's host-level makespan is never worse than the incumbent's,
-// even on problems too large for the DFS to run. Ties break toward the
-// earlier candidate, exactly as in the cold ensemble: an incumbent that
-// merely matches the cold winner never displaces it, which keeps warm
-// replans bit-identical to cold ones whenever the incumbent adds no new
-// information. An invalid incumbent is ignored entirely, making the call
-// bit-identical to EnsembleNodesStop.
+// the incumbent itself is the final candidate — so the returned plan's
+// host-level makespan is never worse than the incumbent's, even on problems
+// too large for the DFS to run. Ties break toward the earlier candidate,
+// exactly as in the cold ensemble: an incumbent that merely matches the
+// cold winner never displaces it, which keeps warm replans bit-identical to
+// cold ones whenever the incumbent adds no new information. An invalid
+// incumbent is ignored entirely, making the call bit-identical to
+// EnsembleNodesStop.
 func EnsembleWarmStart(tasks []Task, dfsNodes, trials int, rng *rand.Rand, incumbent Plan, stop func() bool) Plan {
-	warm := &incumbent
 	if _, err := Makespan(tasks, incumbent); err != nil {
-		warm = nil
+		return EnsembleNodesStop(tasks, dfsNodes, trials, rng, stop)
 	}
-	dfs := func(t []Task) Plan {
-		if warm == nil {
-			return DFSPruningNodesStop(t, dfsNodes, stop)
-		}
-		return DFSPruningWarmStart(t, dfsNodes, *warm, stop)
-	}
-	if warm == nil {
-		return ensemble(tasks, dfs, trials, rng)
-	}
-	return ensemble(tasks, dfs, trials, rng, *warm)
+	dfs := func(t []Task) Plan { return DFSPruningWarmStart(t, dfsNodes, incumbent, stop) }
+	return ensemble(tasks, dfs, trials, rng, incumbent)
 }
 
-// ensemble picks the best of the closed-form candidates, the DFS (on small
-// problems) and any extra candidates appended after them; invalid extras
-// are skipped by the makespan evaluation.
+// ensemble offers Naive, the other closed-form candidates, the DFS (on small
+// problems) and any extra candidates after them to one incumbent, in that
+// order, and returns the incumbent; invalid extras are skipped by the
+// makespan evaluation. Each candidate is built only if everything before it
+// left the optimum unproven — building them all and ranking afterwards
+// returns the same plan (see incumbent.offer), at the cost of the trials, the
+// search and the rng draws behind a schedule that could not lose.
 func ensemble(tasks []Task, dfs func([]Task) Plan, trials int, rng *rand.Rand, extra ...Plan) Plan {
-	candidates := []Plan{Naive(tasks), LoadBalanceOnly(tasks), GreedyRandomized(tasks, trials, rng)}
+	in := newIncumbent(tasks)
 	// DFS explodes combinatorially; the paper reports it fails beyond ~20
 	// unit tasks, so only attempt it below that scale.
-	if len(tasks) <= 20 {
-		candidates = append(candidates, dfs(tasks))
+	if in.proven ||
+		in.offer(LoadBalanceOnly(tasks)) ||
+		in.offer(GreedyRandomized(tasks, trials, rng)) ||
+		(len(tasks) <= 20 && in.offer(dfs(tasks))) {
+		return in.best
 	}
-	candidates = append(candidates, extra...)
-	return bestOf(tasks, candidates)
+	for _, c := range extra {
+		in.offer(c)
+	}
+	return in.best
 }
 
-// bestOf returns the candidate with the smallest list-scheduled makespan,
-// ties breaking toward the earlier candidate; invalid candidates are
-// skipped by the makespan evaluation.
-func bestOf(tasks []Task, candidates []Plan) Plan {
-	best := candidates[0]
-	bestSpan := math.Inf(1)
-	for _, c := range candidates {
-		span, err := Makespan(tasks, c)
-		if err != nil {
-			continue
-		}
-		if span < bestSpan {
-			best, bestSpan = c, span
-		}
+// incumbent is the best candidate offered so far, and whether it is proven
+// optimal.
+type incumbent struct {
+	tasks  []Task
+	bound  float64 // provenBound(tasks)
+	best   Plan
+	span   float64
+	proven bool
+}
+
+// newIncumbent starts from Naive, every ensemble's first candidate, which
+// stands — even if the tasks admit no valid plan — until a valid candidate
+// beats it.
+func newIncumbent(tasks []Task) incumbent {
+	naive := Naive(tasks)
+	in := incumbent{tasks: tasks, bound: provenBound(tasks), best: naive, span: math.Inf(1)}
+	in.offer(naive)
+	return in
+}
+
+// offer adopts c when its list-scheduled makespan is strictly smaller than
+// the incumbent's — a tie keeps the earlier candidate, an invalid c is
+// skipped — and reports whether the incumbent now meets provenBound. No
+// valid plan evaluates below that bound, so once it is met no later
+// candidate can be strictly smaller: offering the rest would change nothing.
+func (in *incumbent) offer(c Plan) (proven bool) {
+	if span, err := Makespan(in.tasks, c); err == nil && span < in.span {
+		in.best, in.span = c, span
+		in.proven = span <= in.bound
 	}
-	return best
+	return in.proven
 }
