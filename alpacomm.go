@@ -34,8 +34,9 @@
 // object owning the topology, caches and defaults, whose Plan / Simulate /
 // Autotune / PlanBoundaries methods all take a context.Context and honor
 // it end to end (grid searches abort between DFS node-budget slices,
-// coalesced cache waits are cancellable). The free functions PlanReshard,
-// AutotuneReshard and the hand-wired ReshardCache remain as wrappers.
+// coalesced cache waits are cancellable). PlanReshardContext,
+// AutotuneReshardContext and a hand-wired ReshardCache are the same
+// operations without a session.
 package alpacomm
 
 import (
@@ -268,17 +269,11 @@ type (
 	ReshardCacheStats = resharding.CacheStats
 )
 
-// AutotuneReshard searches the strategy x scheduler grid concurrently for
-// the fastest plan of one resharding task; deterministic under a fixed
-// seed regardless of worker count.
-//
-// Deprecated: use Planner.Autotune (or AutotuneReshardContext) so a
-// deadline or disconnect can abort the search.
-var AutotuneReshard = resharding.Autotune
-
-// AutotuneReshardContext is AutotuneReshard with cooperative cancellation:
-// the context is checked between candidates and polled inside each
-// candidate's DFS between node-budget slices.
+// AutotuneReshardContext searches the strategy x scheduler grid
+// concurrently for the fastest plan of one resharding task; deterministic
+// under a fixed seed regardless of worker count. The context is checked
+// between candidates and polled inside each candidate's DFS between
+// node-budget slices, so a deadline or disconnect aborts the search.
 var AutotuneReshardContext = resharding.AutotuneContext
 
 // DefaultAutotuneGrid returns the full strategy x scheduler candidate grid.
@@ -325,7 +320,7 @@ type (
 	ServiceTopologyRef = service.TopologyRef
 	// ServiceEndpoint is one side of a served resharding.
 	ServiceEndpoint = service.Endpoint
-	// ServiceStats is the /v1/stats payload.
+	// ServiceStats is the /v2/stats payload.
 	ServiceStats = service.StatsResponse
 )
 
@@ -342,8 +337,7 @@ var NewPlanClient = service.NewClient
 type PlanClientOption = service.ClientOption
 
 // WithBinaryWire makes a plan client negotiate the binary wire format
-// (PlanWireContentType) on /v2 responses; safe against servers that only
-// speak JSON.
+// (PlanWireContentType); safe against servers that only speak JSON.
 var WithBinaryWire = service.WithBinary
 
 // PlanWireContentType is the media type of the binary plan wire format.

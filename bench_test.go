@@ -15,6 +15,7 @@
 package alpacomm_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -242,7 +243,7 @@ func Benchmark8BoundaryCached(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cache := alpacomm.NewReshardCache()
 		for s := 0; s < 8; s++ {
-			if _, err := cache.Simulate(boundaryTask(b, cluster, s), boundaryOpts); err != nil {
+			if _, err := cache.SimulateContext(context.Background(), boundaryTask(b, cluster, s), boundaryOpts); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -257,7 +258,7 @@ func Benchmark8BoundaryAutotuneCached(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cache := alpacomm.NewReshardCache()
 		for s := 0; s < 8; s++ {
-			if _, err := alpacomm.AutotuneReshard(boundaryTask(b, cluster, s), alpacomm.AutotuneOptions{
+			if _, err := alpacomm.AutotuneReshardContext(context.Background(), boundaryTask(b, cluster, s), alpacomm.AutotuneOptions{
 				Base:  boundaryOpts,
 				Cache: cache,
 			}); err != nil {

@@ -7,22 +7,22 @@
 // Gates:
 //
 //   - served_cache_hit / served_cache_hit_binary: allocs/op must stay at
-//     or below the absolute ceiling (-max-hit-allocs, default 50). The
+//     or below the absolute ceiling (maxHitAllocs, 50). The
 //     hit path is pre-serialized end to end; any new allocation is a leak
 //     into the hot path, not noise.
 //   - served_cache_miss: allocs/op must not exceed the committed baseline
-//     by more than the relative slack (-miss-slack, default 20%).
+//     by more than the relative slack (missSlack, 20%).
 //
 // With -cluster it instead gates a distributed-tier artifact written by
 // `loadgen -cluster` (BENCH_cluster.json):
 //
-//   - speedup_8x_vs_1 must reach -min-cluster-speedup (default 6): the
+//   - speedup_8x_vs_1 must reach minClusterSpeedup (6): the
 //     8-node tier must absorb the cache-miss load a single node thrashes
 //     on.
 //   - byte_identical must be true: every node serves the same bytes.
 //   - singleflight_computations must be exactly 1: a tier-wide cold herd
 //     costs one DFS.
-//   - warm_restart_hit_rate must reach -min-warm-hit-rate (default 0.95).
+//   - warm_restart_hit_rate must reach minWarmHitRate (0.95).
 //
 // With -churn it gates a warm-replan artifact written by
 // `microbench -churn` (BENCH_churn.json):
@@ -31,7 +31,7 @@
 //     makespan — warm replanning never serves a worse plan than a cold
 //     search would;
 //   - every link-down replan row's warm path must run at no less than
-//     -min-warm-speedup (default 0.67) times the speed of the cold replan:
+//     minWarmSpeedup (0.67) times the speed of the cold replan:
 //     an identity replan does no search, so it may never cost noticeably
 //     more than planning afresh. It is not asked to be several times
 //     faster: a cold replan whose first candidate schedule is proven
@@ -49,8 +49,8 @@
 //   - every mix (poisson, bursty, diurnal) must have a controller-on and
 //     a controller-off row;
 //   - controller-on rows must hold the corrected p99 within the budget,
-//     keep the offered-vs-achieved gap at or below -max-slo-gap (default
-//     0.65), and show the controller actually engaged;
+//     keep the offered-vs-achieved gap at or below maxSLOGap (0.65), and
+//     show the controller actually engaged;
 //   - controller-off rows must blow through the same budget — proof the
 //     offered load saturates the modeled server and the controller, not
 //     slack capacity, holds the SLO;
@@ -77,31 +77,35 @@ import (
 	"alpacomm/internal/harness"
 )
 
+// The gates' thresholds; the package comment says what each one guards.
+const (
+	maxHitAllocs      = 50   // allocs/op ceiling for served cache hits
+	missSlack         = 0.20 // relative allocs/op growth allowed on served_cache_miss
+	minClusterSpeedup = 6.0  // 8-node vs 1-node throughput ratio
+	minWarmHitRate    = 0.95 // warm-restart hit rate
+	minWarmSpeedup    = 0.67 // warm vs cold replan speed; below 1 leaves room for timer noise
+	maxSLOGap         = 0.65 // offered-vs-achieved gap of a controller-on row
+)
+
 func main() {
 	baselinePath := flag.String("baseline", "BENCH_netsim.json", "committed baseline artifact")
 	currentPath := flag.String("current", "", "freshly measured artifact to gate (required)")
-	maxHitAllocs := flag.Int64("max-hit-allocs", 50, "absolute allocs/op ceiling for served cache hits")
-	missSlack := flag.Float64("miss-slack", 0.20, "allowed relative allocs/op growth for served_cache_miss vs baseline")
 	cluster := flag.Bool("cluster", false, "gate a distributed-tier artifact (loadgen -cluster) instead of the netsim one")
-	minSpeedup := flag.Float64("min-cluster-speedup", 6, "minimum 8-node vs 1-node throughput ratio (-cluster)")
-	minWarmHit := flag.Float64("min-warm-hit-rate", 0.95, "minimum warm-restart hit rate (-cluster)")
 	churn := flag.Bool("churn", false, "gate a warm-replan artifact (microbench -churn) instead of the netsim one")
-	minWarmSpeedup := flag.Float64("min-warm-speedup", 0.67, "minimum warm vs cold replan speed ratio on link-down rows (-churn); below 1 leaves room for timer noise")
 	slo := flag.Bool("slo", false, "gate open-loop rows (loadgen -open-sim) in a service artifact instead of the netsim one")
-	maxSLOGap := flag.Float64("max-slo-gap", 0.65, "maximum offered-vs-achieved gap fraction for controller-on rows (-slo)")
 	flag.Parse()
 	if *currentPath == "" {
 		fmt.Fprintln(os.Stderr, "benchgate: -current is required")
 		os.Exit(2)
 	}
 	if *cluster {
-		os.Exit(gateCluster(*currentPath, *minSpeedup, *minWarmHit))
+		os.Exit(gateCluster(*currentPath))
 	}
 	if *churn {
-		os.Exit(gateChurn(*currentPath, *minWarmSpeedup))
+		os.Exit(gateChurn(*currentPath))
 	}
 	if *slo {
-		os.Exit(gateSLO(*baselinePath, *currentPath, *maxSLOGap))
+		os.Exit(gateSLO(*baselinePath, *currentPath))
 	}
 
 	baseline, err := readRows(*baselinePath)
@@ -131,9 +135,9 @@ func main() {
 			report(false, "%s: missing from %s", name, *currentPath)
 			continue
 		}
-		report(row.AllocsPerOp <= *maxHitAllocs,
+		report(row.AllocsPerOp <= maxHitAllocs,
 			"%s: %d allocs/op (ceiling %d), %.0f ns/op",
-			name, row.AllocsPerOp, *maxHitAllocs, row.NsPerOp)
+			name, row.AllocsPerOp, maxHitAllocs, row.NsPerOp)
 	}
 
 	const miss = "served_cache_miss"
@@ -145,7 +149,7 @@ func main() {
 	case !baseOK:
 		report(false, "%s: missing from baseline %s", miss, *baselinePath)
 	default:
-		limit := int64(float64(base.AllocsPerOp) * (1 + *missSlack))
+		limit := int64(float64(base.AllocsPerOp) * (1 + missSlack))
 		report(cur.AllocsPerOp <= limit,
 			"%s: %d allocs/op (baseline %d, limit %d), %.0f ns/op",
 			miss, cur.AllocsPerOp, base.AllocsPerOp, limit, cur.NsPerOp)
@@ -168,7 +172,7 @@ type clusterArtifact struct {
 
 // gateCluster checks a distributed-tier artifact and returns the exit
 // status.
-func gateCluster(path string, minSpeedup, minWarmHit float64) int {
+func gateCluster(path string) int {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
@@ -188,13 +192,13 @@ func gateCluster(path string, minSpeedup, minWarmHit float64) int {
 		}
 		fmt.Printf("%s %s\n", status, fmt.Sprintf(format, args...))
 	}
-	report(a.Speedup8xVs1 >= minSpeedup,
-		"speedup_8x_vs_1: %.1fx (floor %.1fx)", a.Speedup8xVs1, minSpeedup)
+	report(a.Speedup8xVs1 >= minClusterSpeedup,
+		"speedup_8x_vs_1: %.1fx (floor %.1fx)", a.Speedup8xVs1, minClusterSpeedup)
 	report(a.ByteIdentical, "byte_identical: %v", a.ByteIdentical)
 	report(a.SingleflightComputations == 1,
 		"singleflight_computations: %d (want exactly 1)", a.SingleflightComputations)
-	report(a.WarmRestartHitRate >= minWarmHit,
-		"warm_restart_hit_rate: %.3f (floor %.3f)", a.WarmRestartHitRate, minWarmHit)
+	report(a.WarmRestartHitRate >= minWarmHitRate,
+		"warm_restart_hit_rate: %.3f (floor %.3f)", a.WarmRestartHitRate, minWarmHitRate)
 	if failed {
 		fmt.Println("benchgate: cluster gate failed — see FAIL rows above")
 		return 1
@@ -205,7 +209,7 @@ func gateCluster(path string, minSpeedup, minWarmHit float64) int {
 
 // gateChurn checks a warm-replan artifact (microbench -churn) and returns
 // the exit status.
-func gateChurn(path string, minWarmSpeedup float64) int {
+func gateChurn(path string) int {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
@@ -333,7 +337,7 @@ func readOpenLoop(path string) ([]json.RawMessage, []sloRow, error) {
 
 // gateSLO checks the open-loop rows of a service artifact against the
 // committed baseline and returns the exit status.
-func gateSLO(baselinePath, currentPath string, maxGap float64) int {
+func gateSLO(baselinePath, currentPath string) int {
 	curRaw, cur, err := readOpenLoop(currentPath)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
@@ -367,8 +371,8 @@ func gateSLO(baselinePath, currentPath string, maxGap float64) int {
 		}
 		report(ctl.BudgetMs > 0 && ctl.CorrectedP99Ms <= ctl.BudgetMs,
 			"%s: corrected p99 %.2fms within %.0fms budget", mix, ctl.CorrectedP99Ms, ctl.BudgetMs)
-		report(ctl.GapFraction <= maxGap,
-			"%s: offered-vs-achieved gap %.3f (ceiling %.3f)", mix, ctl.GapFraction, maxGap)
+		report(ctl.GapFraction <= maxSLOGap,
+			"%s: offered-vs-achieved gap %.3f (ceiling %.3f)", mix, ctl.GapFraction, maxSLOGap)
 		report(ctl.Degraded > 0 || ctl.Shed > 0,
 			"%s: controller engaged (degraded %d, shed %d)", mix, ctl.Degraded, ctl.Shed)
 		// Without the controller the same offered load must violate the

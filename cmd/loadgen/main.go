@@ -20,11 +20,11 @@
 // all stage boundaries of a pipeline job at once, and its latency
 // percentiles are recorded alongside the single-request mix. With -verify
 // (or -smoke) every batch item is also checked byte-identical to the same
-// boundary served individually by /v1/plan.
+// boundary served individually by /v2/plan.
 //
 // -wire binary negotiates the binary wire format (see the service
-// package's wire.go) on every /v2 response, after first proving one
-// response decodes identically over both formats.
+// package's wire.go) on every response, after first proving one response
+// decodes identically over both formats.
 //
 // -churn appends a continuous-churn phase after the main load: a
 // deterministic fault/heal timeline (-churn-scenario, default "flap")
@@ -227,7 +227,7 @@ func main() {
 	requests := flag.Int("requests", 100, "requests per client (count mode)")
 	duration := flag.Duration("duration", 0, "run for a fixed duration instead of a fixed count")
 	seed := flag.Int64("seed", 1, "request-mix seed (the mix is deterministic per seed)")
-	autotuneFrac := flag.Float64("autotune-fraction", 0.05, "fraction of requests sent to /v1/autotune")
+	autotuneFrac := flag.Float64("autotune-fraction", 0.05, "fraction of requests sent to /v2/autotune")
 	batch := flag.Bool("batch", false, "add /v2/plan:batch pipeline-job requests to the mix and report their latency percentiles")
 	batchFrac := flag.Float64("batch-fraction", 0.15, "fraction of requests sent to /v2/plan:batch when -batch is set")
 	faults := flag.Bool("faults", false, "add degraded-topology churn to the mix: /v2/plan requests carrying fault overlays alongside their healthy twins")
@@ -242,7 +242,7 @@ func main() {
 	verify := flag.Bool("verify", false, "verify served plans byte-identical to the direct resharding path")
 	smoke := flag.Bool("smoke", false, "self-contained CI smoke: in-process server, fixed load, verification")
 	smokeCapacity := flag.Int("smoke-cache-capacity", 64, "in-process server LRU capacity in -smoke mode")
-	wire := flag.String("wire", "json", "wire format for /v2 responses: json or binary (binary also cross-checks one response against the JSON path)")
+	wire := flag.String("wire", "json", "wire format for responses: json or binary (binary also cross-checks one response against the JSON path)")
 	clusterMode := flag.Bool("cluster", false, "run the distributed-tier benchmark: in-process 1/2/4/8-node tiers, byte-identity + cross-node singleflight checks, warm-restart hit rate (writes BENCH_cluster.json)")
 	clusterWindow := flag.Duration("cluster-measure", 3*time.Second, "measured window per node count in -cluster mode")
 	open := flag.Bool("open", false, "open-loop mode: distribution-driven agents dispatch /v2/plan on a fixed schedule and report coordinated-omission-corrected percentiles")
@@ -473,10 +473,10 @@ func main() {
 		}
 		if len(batches) > 0 {
 			if n := verifyBatches(ctx, client, batches); n > 0 {
-				fmt.Printf("VERIFY FAILED: %d batch item(s) diverged from /v1/plan\n", n)
+				fmt.Printf("VERIFY FAILED: %d batch item(s) diverged from /v2/plan\n", n)
 				failed = true
 			} else {
-				fmt.Println("verify: /v2/plan:batch items byte-identical to per-boundary /v1/plan")
+				fmt.Println("verify: /v2/plan:batch items byte-identical to per-boundary /v2/plan")
 			}
 		}
 		if len(overlays) > 0 {
@@ -593,46 +593,17 @@ func runClient(ctx context.Context, client *alpacomm.PlanClient, mix []template,
 			}
 			continue
 		}
+		var t template
+		var overlay *service.FaultsRef
+		autotune := false
 		if len(cfg.overlays) > 0 && cfg.rng.Float64() < cfg.faultsFrac {
 			// Degraded-topology churn: the same template the healthy mix
 			// plans, with a fault overlay — exercising replan-on-degrade
 			// and the healthy/degraded cache partition under load.
-			t := planTemplates[cfg.rng.Intn(len(planTemplates))]
-			ov := cfg.overlays[cfg.rng.Intn(len(cfg.overlays))]
+			t = planTemplates[cfg.rng.Intn(len(planTemplates))]
+			overlay = cfg.overlays[cfg.rng.Intn(len(cfg.overlays))]
 			out.faultAttempts++
-			begin := time.Now()
-			resp, err := client.PlanV2(ctx, &alpacomm.PlanServiceRequest{
-				Topology: t.topology, Shape: t.shape, DType: t.dtype,
-				Src: t.src, Dst: t.dst,
-				Options: service.PlanOptions{Seed: 1 + int64(cfg.rng.Intn(cfg.spread))},
-				Faults:  ov,
-			})
-			switch e := err.(type) {
-			case nil:
-				out.ok++
-				out.faultOK++
-				out.latencies = append(out.latencies, time.Since(begin).Seconds())
-				if resp.Coalesced {
-					out.coalesced++
-				}
-			case *service.OverloadedError:
-				out.rejected++
-				backoff := e.RetryAfter
-				if backoff > 50*time.Millisecond {
-					backoff = 50 * time.Millisecond
-				}
-				time.Sleep(backoff)
-			default:
-				out.errs++
-				if out.firstErr == "" {
-					out.firstErr = err.Error()
-				}
-			}
-			continue
-		}
-		var t template
-		autotune := len(autoTemplates) > 0 && cfg.rng.Float64() < cfg.autotuneFrac
-		if autotune {
+		} else if autotune = len(autoTemplates) > 0 && cfg.rng.Float64() < cfg.autotuneFrac; autotune {
 			t = autoTemplates[cfg.rng.Intn(len(autoTemplates))]
 		} else {
 			t = planTemplates[cfg.rng.Intn(len(planTemplates))]
@@ -643,7 +614,7 @@ func runClient(ctx context.Context, client *alpacomm.PlanClient, mix []template,
 		var coalesced bool
 		if autotune {
 			var resp *alpacomm.AutotuneServiceResponse
-			resp, err = client.Autotune(ctx, &alpacomm.AutotuneServiceRequest{
+			resp, err = client.AutotuneV2(ctx, &alpacomm.AutotuneServiceRequest{
 				Topology: t.topology, Shape: t.shape, DType: t.dtype,
 				Src: t.src, Dst: t.dst, Options: opts,
 			})
@@ -652,9 +623,9 @@ func runClient(ctx context.Context, client *alpacomm.PlanClient, mix []template,
 			}
 		} else {
 			var resp *alpacomm.PlanServiceResponse
-			resp, err = client.Plan(ctx, &alpacomm.PlanServiceRequest{
+			resp, err = client.PlanV2(ctx, &alpacomm.PlanServiceRequest{
 				Topology: t.topology, Shape: t.shape, DType: t.dtype,
-				Src: t.src, Dst: t.dst, Options: opts,
+				Src: t.src, Dst: t.dst, Options: opts, Faults: overlay,
 			})
 			if err == nil {
 				coalesced = resp.Coalesced
@@ -663,6 +634,9 @@ func runClient(ctx context.Context, client *alpacomm.PlanClient, mix []template,
 		switch e := err.(type) {
 		case nil:
 			out.ok++
+			if overlay != nil {
+				out.faultOK++
+			}
 			out.latencies = append(out.latencies, time.Since(begin).Seconds())
 			if coalesced {
 				out.coalesced++
@@ -685,10 +659,6 @@ func runClient(ctx context.Context, client *alpacomm.PlanClient, mix []template,
 	}
 }
 
-// verifyPlans replays each plan template once and compares the served plan
-// against resharding.NewPlan computed locally with the service's
-// normalized options: senders, launch order, makespan, ops — byte for
-// byte. Returns the number of diverging templates.
 // verifyWireParity serves one template over both wire formats and fails
 // the run unless the decoded responses are identical — the quick parity
 // proof -wire=binary runs before trusting the binary path under load.
@@ -714,6 +684,10 @@ func verifyWireParity(ctx context.Context, base string, binClient *alpacomm.Plan
 	fmt.Println("loadgen: wire parity verified (json == binary)")
 }
 
+// verifyPlans replays each plan template once and compares the served plan
+// against resharding.NewPlan computed locally with the service's
+// normalized options: senders, launch order, makespan, ops — byte for
+// byte. Returns the number of diverging templates.
 func verifyPlans(ctx context.Context, client *alpacomm.PlanClient, mix []template) int {
 	reg := alpacomm.DefaultTopologyRegistry()
 	bad := 0
@@ -721,7 +695,7 @@ func verifyPlans(ctx context.Context, client *alpacomm.PlanClient, mix []templat
 		if t.autotune {
 			continue
 		}
-		resp, err := client.Plan(ctx, &alpacomm.PlanServiceRequest{
+		resp, err := client.PlanV2(ctx, &alpacomm.PlanServiceRequest{
 			Topology: t.topology, Shape: t.shape, DType: t.dtype,
 			Src: t.src, Dst: t.dst, Options: service.PlanOptions{Seed: 1},
 		})
@@ -757,7 +731,7 @@ func verifyPlans(ctx context.Context, client *alpacomm.PlanClient, mix []templat
 }
 
 // verifyBatches replays each batch template once and compares every item
-// against the same boundary served individually by /v1/plan: senders,
+// against the same boundary served individually by /v2/plan: senders,
 // order, makespan, ops — byte for byte. It also checks the batch reported
 // at most one equivalence class per distinct cache key. Returns the number
 // of diverging items.
@@ -785,7 +759,7 @@ func verifyBatches(ctx context.Context, client *alpacomm.PlanClient, batches []b
 				continue
 			}
 			keys[item.Plan.Key] = true
-			single, err := client.Plan(ctx, &alpacomm.PlanServiceRequest{
+			single, err := client.PlanV2(ctx, &alpacomm.PlanServiceRequest{
 				Topology: bt.req.Topology,
 				Shape:    bt.req.Items[i].Shape,
 				DType:    bt.req.Items[i].DType,
@@ -794,19 +768,19 @@ func verifyBatches(ctx context.Context, client *alpacomm.PlanClient, batches []b
 				Options:  bt.req.Items[i].Options,
 			})
 			if err != nil {
-				fmt.Printf("verify %s item %d: /v1/plan: %v\n", bt.name, i, err)
+				fmt.Printf("verify %s item %d: /v2/plan: %v\n", bt.name, i, err)
 				bad++
 				continue
 			}
 			switch {
 			case !reflect.DeepEqual(item.Plan.Senders, single.Senders):
-				fmt.Printf("verify %s item %d: senders differ: batch %v, v1 %v\n", bt.name, i, item.Plan.Senders, single.Senders)
+				fmt.Printf("verify %s item %d: senders differ: batch %v, single %v\n", bt.name, i, item.Plan.Senders, single.Senders)
 				bad++
 			case !reflect.DeepEqual(item.Plan.Order, single.Order):
-				fmt.Printf("verify %s item %d: order differs: batch %v, v1 %v\n", bt.name, i, item.Plan.Order, single.Order)
+				fmt.Printf("verify %s item %d: order differs: batch %v, single %v\n", bt.name, i, item.Plan.Order, single.Order)
 				bad++
 			case item.Plan.MakespanSeconds != single.MakespanSeconds || item.Plan.NumOps != single.NumOps:
-				fmt.Printf("verify %s item %d: timing differs: batch (%.9g, %d ops), v1 (%.9g, %d ops)\n",
+				fmt.Printf("verify %s item %d: timing differs: batch (%.9g, %d ops), single (%.9g, %d ops)\n",
 					bt.name, i, item.Plan.MakespanSeconds, item.Plan.NumOps, single.MakespanSeconds, single.NumOps)
 				bad++
 			}

@@ -9,7 +9,7 @@
 // Usage:
 //
 //	microbench [-fig 5a|5b|6|all] [-scale N] [-netsim BENCH_netsim.json]
-//	           [-degraded BENCH_degraded.json] [-churn BENCH_churn.json]
+//	           [-degraded BENCH_degraded.ci.json] [-churn BENCH_churn.json]
 //
 // scale divides the message size (1 for the paper's full 1-2 GB tensors).
 // With -netsim, -degraded and/or -churn the figure benchmarks are skipped

@@ -2,7 +2,7 @@
 // plans, simulates and autotunes cross-mesh reshardings against named
 // hardware topologies, with request coalescing, a bounded LRU plan cache
 // and per-endpoint admission control (see internal/service). With
-// -slo-p99 the /v2 endpoints additionally run SLO-aware admission: when
+// -slo-p99 /v2/plan additionally runs SLO-aware admission: when
 // the sliding-window p99 approaches the budget the server degrades
 // planning to a greedy single-pass schedule (flagged in the response),
 // and past the budget it sheds with a structured overloaded error and
@@ -11,20 +11,21 @@
 // Example:
 //
 //	planserver -addr :8100 -cache-capacity 4096 &
-//	curl -s localhost:8100/v1/plan -d '{
+//	curl -s localhost:8100/v2/plan -d '{
 //	  "topology": {"name": "p3", "hosts": 2},
 //	  "shape": [1024, 1024],
 //	  "src": {"mesh": "2x2@0", "spec": "S01R"},
 //	  "dst": {"mesh": "2x2@4", "spec": "S0R"},
 //	  "options": {"seed": 1}
 //	}'
-//	curl -s localhost:8100/v1/stats
+//	curl -s localhost:8100/v2/stats
 //
-// The /v2 API (same payloads, structured error envelope, X-Timeout-Ms
-// deadline propagation) adds /v2/plan, /v2/autotune, /v2/plan:batch —
-// the latter plans every stage boundary of a pipeline job in one request
-// — and /v2/stats. Every /v2 response is also available as a compact
-// binary frame: send "Accept: application/x-alpacomm-plan".
+// The API is /v2/plan, /v2/autotune, /v2/plan:batch — which plans every
+// stage boundary of a pipeline job in one request — and /v2/stats. Errors
+// are a structured envelope, the X-Timeout-Ms header propagates a
+// deadline, and every plan, autotune, batch and error response is also
+// available as a compact binary frame: send
+// "Accept: application/x-alpacomm-plan".
 //
 // Cluster mode (-node-id + -peers) makes N planservers one logical plan
 // cache: a consistent-hash ring routes each canonical cache key to an
@@ -80,13 +81,13 @@ func main() {
 	addr := flag.String("addr", ":8100", "listen address")
 	capacity := flag.Int("cache-capacity", alpacomm.DefaultPlanCacheCapacity,
 		"plan cache LRU capacity (0 = unbounded)")
-	planWorkers := flag.Int("plan-workers", 0, "/v1/plan worker pool size (0 = GOMAXPROCS)")
-	planQueue := flag.Int("plan-queue", 0, "/v1/plan wait-queue depth (0 = 4x workers)")
-	autotuneWorkers := flag.Int("autotune-workers", 0, "/v1/autotune worker pool size (0 = GOMAXPROCS/2)")
-	autotuneQueue := flag.Int("autotune-queue", 0, "/v1/autotune wait-queue depth (0 = 2x workers)")
+	planWorkers := flag.Int("plan-workers", 0, "plan worker pool size, shared by /v2/plan and /v2/plan:batch (0 = GOMAXPROCS)")
+	planQueue := flag.Int("plan-queue", 0, "plan wait-queue depth (0 = 4x workers)")
+	autotuneWorkers := flag.Int("autotune-workers", 0, "/v2/autotune worker pool size (0 = GOMAXPROCS/2)")
+	autotuneQueue := flag.Int("autotune-queue", 0, "/v2/autotune wait-queue depth (0 = 2x workers)")
 	retryAfter := flag.Duration("retry-after", time.Second, "backoff hint on 429 responses")
 	sloP99 := flag.Duration("slo-p99", 0,
-		"corrected p99 latency budget for SLO-aware /v2 admission (0 = fixed worker-pool gate only)")
+		"corrected p99 latency budget for SLO-aware /v2/plan admission (0 = fixed worker-pool gate only)")
 	nodeID := flag.String("node-id", "", "cluster node identity (empty = standalone)")
 	peersFlag := flag.String("peers", "", "cluster peers as id=url,id=url")
 	selfAddr := flag.String("self", "", "this node's advertised base URL for peer announcements")
@@ -132,11 +133,11 @@ func main() {
 		handler = node.Handler()
 	}
 
-	fmt.Printf("planserver: listening on %s (APIs: /v1, /v2 incl. /v2/plan:batch)\n", *addr)
+	fmt.Printf("planserver: listening on %s (API: /v2/plan, /v2/autotune, /v2/plan:batch, /v2/stats)\n", *addr)
 	fmt.Printf("planserver: topologies: %s\n", strings.Join(reg.Names(), ", "))
 	fmt.Printf("planserver: cache capacity %d, retry-after %v\n", *capacity, *retryAfter)
 	if *sloP99 > 0 {
-		fmt.Printf("planserver: SLO admission on /v2: p99 budget %v (degrade, then shed)\n", *sloP99)
+		fmt.Printf("planserver: SLO admission on /v2/plan: p99 budget %v (degrade, then shed)\n", *sloP99)
 	}
 
 	// ctx ends on the first SIGINT/SIGTERM and starts the graceful path;

@@ -16,10 +16,10 @@ import (
 // The degraded-topology scenario pack: the same stage boundary planned
 // healthy and under every named fault scenario on the three topology
 // presets, reporting how much each degradation costs. This is the
-// benchmark artifact (BENCH_degraded.json in CI) that makes replan-on-
-// degrade observable: a regression that stops re-planning — or lets
-// degraded plans leak into the healthy cache partition — shows up as a
-// zero delta or a shared key.
+// benchmark artifact (BENCH_degraded.ci.json: CI uploads it, nothing
+// commits or gates it) that makes replan-on-degrade observable: a
+// regression that stops re-planning — or lets degraded plans leak into the
+// healthy cache partition — shows up as a zero delta or a shared key.
 
 // DegradedScenarioRow is one (preset, scenario) outcome.
 type DegradedScenarioRow struct {
@@ -210,7 +210,7 @@ func RenderDegradedRows(rows []DegradedScenarioRow) string {
 }
 
 // WriteDegradedJSON writes the pack rows as a JSON array (the
-// BENCH_degraded.json artifact format).
+// BENCH_degraded.ci.json artifact format).
 func WriteDegradedJSON(path string, rows []DegradedScenarioRow) error {
 	data, err := json.MarshalIndent(rows, "", "  ")
 	if err != nil {

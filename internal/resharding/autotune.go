@@ -91,8 +91,9 @@ func deriveSeed(base int64, i int) int64 {
 	return base ^ (int64(i+1) * -0x61c8864680b583eb)
 }
 
-// Autotune searches the strategy x scheduler grid for the fastest plan of
-// one resharding task, fanning candidates out over a bounded worker pool.
+// AutotuneContext searches the strategy x scheduler grid for the fastest
+// plan of one resharding task, fanning candidates out over a bounded worker
+// pool.
 //
 // The search is deterministic under a fixed Base.Seed: every candidate
 // plans with its own derived RNG and a node-budgeted DFS, candidates are
@@ -100,18 +101,12 @@ func deriveSeed(base int64, i int) int64 {
 // position) — so the result does not depend on the worker count or on
 // scheduling order.
 //
-// Deprecated: use AutotuneContext (or a Planner session) so a queued or
-// running grid search can be aborted by a deadline or disconnect.
-func Autotune(task *sharding.Task, opts AutotuneOptions) (*AutotuneResult, error) {
-	return AutotuneContext(context.Background(), task, opts)
-}
-
-// AutotuneContext is Autotune with cooperative cancellation: the context
-// is checked between candidates (a worker never starts a new grid cell
-// once it fires) and polled inside each candidate's DFS between
-// node-budget slices, so cancellation returns ctx.Err() within one slice's
-// worth of work with every worker goroutine joined. A context that never
-// fires yields a result bit-identical to Autotune's.
+// Cancellation is cooperative: the context is checked between candidates
+// (a worker never starts a new grid cell once it fires) and polled inside
+// each candidate's DFS between node-budget slices, so cancellation returns
+// ctx.Err() within one slice's worth of work with every worker goroutine
+// joined. Whether and when the context would fire never changes a
+// completed result.
 func AutotuneContext(ctx context.Context, task *sharding.Task, opts AutotuneOptions) (*AutotuneResult, error) {
 	cands := opts.Candidates
 	if cands == nil {
@@ -120,7 +115,7 @@ func AutotuneContext(ctx context.Context, task *sharding.Task, opts AutotuneOpti
 	if len(cands) == 0 {
 		return nil, fmt.Errorf("resharding: autotune needs at least one candidate")
 	}
-	base := opts.Base.withDefaults()
+	base := opts.Base.WithDefaults()
 	if base.DFSNodes == 0 {
 		base.DFSNodes = DefaultAutotuneDFSNodes
 	}

@@ -1,6 +1,7 @@
 package resharding
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -44,7 +45,7 @@ func TestAutotuneDeterministic(t *testing.T) {
 	var first *AutotuneResult
 	for _, workers := range []int{1, 2, 7, 16} {
 		task := autotuneTask(t, c, 0, 4)
-		res, err := Autotune(task, AutotuneOptions{
+		res, err := AutotuneContext(context.Background(), task, AutotuneOptions{
 			Base:    Options{Seed: 42},
 			Workers: workers,
 		})
@@ -77,7 +78,7 @@ func TestAutotuneDeterministic(t *testing.T) {
 // ties must resolve to the earliest grid position.
 func TestAutotuneWinnerIsMinimum(t *testing.T) {
 	c := microCluster(2)
-	res, err := Autotune(autotuneTask(t, c, 0, 4), AutotuneOptions{Base: Options{Seed: 1}})
+	res, err := AutotuneContext(context.Background(), autotuneTask(t, c, 0, 4), AutotuneOptions{Base: Options{Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestAutotuneCustomGrid(t *testing.T) {
 		{Strategy: SendRecv, Scheduler: SchedNaive},
 		{Strategy: Broadcast, Scheduler: SchedEnsemble},
 	}
-	res, err := Autotune(autotuneTask(t, c, 0, 4), AutotuneOptions{
+	res, err := AutotuneContext(context.Background(), autotuneTask(t, c, 0, 4), AutotuneOptions{
 		Base:       Options{Seed: 1},
 		Candidates: grid,
 	})
@@ -121,7 +122,7 @@ func TestAutotuneCustomGrid(t *testing.T) {
 	if res.BestIndex != 1 {
 		t.Errorf("best = %v, want broadcast+ensemble", res.Trials[res.BestIndex].Candidate)
 	}
-	if _, err := Autotune(autotuneTask(t, c, 0, 4), AutotuneOptions{Candidates: []AutotuneCandidate{}}); err == nil {
+	if _, err := AutotuneContext(context.Background(), autotuneTask(t, c, 0, 4), AutotuneOptions{Candidates: []AutotuneCandidate{}}); err == nil {
 		t.Error("empty candidate grid should fail")
 	}
 }
@@ -133,7 +134,7 @@ func TestAutotuneSharedCache(t *testing.T) {
 	cache := NewPlanCache()
 	gridSize := len(DefaultAutotuneGrid())
 
-	r1, err := Autotune(autotuneTask(t, c, 0, 4), AutotuneOptions{Base: Options{Seed: 9}, Cache: cache})
+	r1, err := AutotuneContext(context.Background(), autotuneTask(t, c, 0, 4), AutotuneOptions{Base: Options{Seed: 9}, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +144,7 @@ func TestAutotuneSharedCache(t *testing.T) {
 	}
 
 	// Hosts 2->3 instead of 0->1: structurally identical, translated.
-	r2, err := Autotune(autotuneTask(t, c, 8, 12), AutotuneOptions{Base: Options{Seed: 9}, Cache: cache})
+	r2, err := AutotuneContext(context.Background(), autotuneTask(t, c, 8, 12), AutotuneOptions{Base: Options{Seed: 9}, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package resharding
 
 import (
+	"context"
 	"reflect"
 	"runtime"
 	"sync"
@@ -220,11 +221,11 @@ func TestPlanBuilderKeepsArenasAcrossTopologies(t *testing.T) {
 func TestAutotuneReusesArenas(t *testing.T) {
 	task := builderTask(t, microCluster(4), 0, 8)
 	base := Options{Seed: 7, Chunks: 4}
-	seq, err := Autotune(task, AutotuneOptions{Base: base, Workers: 1})
+	seq, err := AutotuneContext(context.Background(), task, AutotuneOptions{Base: base, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Autotune(task, AutotuneOptions{Base: base, Workers: 8})
+	par, err := AutotuneContext(context.Background(), task, AutotuneOptions{Base: base, Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

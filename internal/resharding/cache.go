@@ -181,50 +181,25 @@ func (c *PlanCache) Stats() CacheStats {
 	}
 }
 
-// Simulate returns the simulated execution of the task under the options,
-// planning it only if no structurally identical resharding has been planned
-// before.
-//
-// Deprecated: use SimulateContext (or a Planner session) so heavy searches
-// and coalesced waits stay cancellable.
-func (c *PlanCache) Simulate(task *sharding.Task, opts Options) (*SimResult, error) {
-	return c.SimulateContext(context.Background(), task, opts)
-}
-
-// SimulateContext is Simulate with cooperative cancellation; see
-// PlanAndSimulateContext.
+// SimulateContext returns the simulated execution of the task under the
+// options, planning it only if no structurally identical resharding has
+// been planned before; see PlanAndSimulateContext for cancellation.
 func (c *PlanCache) SimulateContext(ctx context.Context, task *sharding.Task, opts Options) (*SimResult, error) {
 	_, sim, err := c.PlanAndSimulateContext(ctx, task, opts)
 	return sim, err
 }
 
-// PlanAndSimulate returns the cached plan and simulation for the task,
-// computing and storing them on first use. See the type comment for what
-// the cached plan means on a translated hit.
-//
-// Deprecated: use PlanAndSimulateContext (or a Planner session) so heavy
-// searches and coalesced waits stay cancellable.
-func (c *PlanCache) PlanAndSimulate(task *sharding.Task, opts Options) (*Plan, *SimResult, error) {
-	return c.PlanAndSimulateContext(context.Background(), task, opts)
-}
-
 // PlanAndSimulateContext returns the cached plan and simulation for the
-// task, computing and storing them on first use. The first caller of a key
+// task, computing and storing them on first use (see the type comment for
+// what the cached plan means on a translated hit). The first caller of a key
 // (the leader) plans under its own context — a cancelled leader records
 // ctx.Err(), which the errored-entry path then forgets like any transient
 // failure. Later callers coalesce onto the in-flight computation and wait
 // cancellably: a waiter whose context ends returns ctx.Err() at once,
 // without disturbing the entry the leader will complete for everyone else.
 func (c *PlanCache) PlanAndSimulateContext(ctx context.Context, task *sharding.Task, opts Options) (*Plan, *SimResult, error) {
-	opts = opts.withDefaults()
+	opts = opts.WithDefaults()
 	return c.PlanAndSimulateKeyedContext(ctx, CacheKey(task, opts), task, opts)
-}
-
-// PlanAndSimulateKeyed is PlanAndSimulateKeyedContext without a context.
-//
-// Deprecated: use PlanAndSimulateKeyedContext (or a Planner session).
-func (c *PlanCache) PlanAndSimulateKeyed(key string, task *sharding.Task, opts Options) (*Plan, *SimResult, error) {
-	return c.PlanAndSimulateKeyedContext(context.Background(), key, task, opts)
 }
 
 // PlanAndSimulateKeyedContext is PlanAndSimulateContext for callers that

@@ -1,6 +1,7 @@
 package resharding
 
 import (
+	"context"
 	"testing"
 )
 
@@ -16,7 +17,7 @@ func TestCacheTraceFreeSimulation(t *testing.T) {
 	if full.SimulatesNoTrace() {
 		t.Fatal("new cache must default to full traces")
 	}
-	fullSim, err := full.Simulate(task, opts)
+	fullSim, err := full.SimulateContext(context.Background(), task, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +30,7 @@ func TestCacheTraceFreeSimulation(t *testing.T) {
 	if !lean.SimulatesNoTrace() {
 		t.Fatal("SetSimulateNoTrace(true) not observed")
 	}
-	leanSim, err := lean.Simulate(autotuneTask(t, c, 0, 4), opts)
+	leanSim, err := lean.SimulateContext(context.Background(), autotuneTask(t, c, 0, 4), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestCacheAttachment(t *testing.T) {
 		t.Error("LookupKeyedAttachment hit an empty cache")
 	}
 
-	plan, sim, err := cache.PlanAndSimulateKeyed(key, task, opts)
+	plan, sim, err := cache.PlanAndSimulateKeyedContext(context.Background(), key, task, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestCacheAttachmentEvicted(t *testing.T) {
 
 	taskA := autotuneTask(t, c, 0, 4)
 	keyA := CacheKey(taskA, opts.WithDefaults())
-	if _, _, err := cache.PlanAndSimulateKeyed(keyA, taskA, opts); err != nil {
+	if _, _, err := cache.PlanAndSimulateKeyedContext(context.Background(), keyA, taskA, opts); err != nil {
 		t.Fatal(err)
 	}
 	if !cache.Attach(keyA, "a") {
@@ -112,7 +113,7 @@ func TestCacheAttachmentEvicted(t *testing.T) {
 	optsB := opts
 	optsB.Seed = 2
 	keyB := CacheKey(taskA, optsB.WithDefaults())
-	if _, _, err := cache.PlanAndSimulateKeyed(keyB, autotuneTask(t, c, 0, 4), optsB); err != nil {
+	if _, _, err := cache.PlanAndSimulateKeyedContext(context.Background(), keyB, autotuneTask(t, c, 0, 4), optsB); err != nil {
 		t.Fatal(err)
 	}
 

@@ -1,6 +1,7 @@
 package resharding
 
 import (
+	"context"
 	"testing"
 )
 
@@ -15,7 +16,7 @@ func TestCacheInstall(t *testing.T) {
 
 	// Source of truth: compute once in a donor cache.
 	donor := NewPlanCache()
-	plan, sim, err := donor.PlanAndSimulateKeyed(key, task, opts)
+	plan, sim, err := donor.PlanAndSimulateKeyedContext(context.Background(), key, task, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func TestCacheInstall(t *testing.T) {
 		t.Errorf("lookup of installed entry must hit: %+v", st)
 	}
 	// The planner path also sees it as a hit: no recomputation.
-	if _, _, err := cache.PlanAndSimulateKeyed(key, task, opts); err != nil {
+	if _, _, err := cache.PlanAndSimulateKeyedContext(context.Background(), key, task, opts); err != nil {
 		t.Fatal(err)
 	}
 	if st := cache.Stats(); st.Misses != 0 {
@@ -61,7 +62,7 @@ func TestCacheInstallRespectsCapacity(t *testing.T) {
 	for i := 0; i < 2*capacity; i++ {
 		opts := Options{Strategy: Broadcast, Scheduler: SchedEnsemble, Seed: int64(i + 1)}
 		key := CacheKey(task, opts)
-		plan, sim, err := donor.PlanAndSimulateKeyed(key, task, opts)
+		plan, sim, err := donor.PlanAndSimulateKeyedContext(context.Background(), key, task, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +95,7 @@ func TestCacheExport(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		opts := Options{Strategy: Broadcast, Scheduler: SchedEnsemble, Seed: int64(i + 1)}
 		key := CacheKey(task, opts)
-		if _, _, err := cache.PlanAndSimulateKeyed(key, task, opts); err != nil {
+		if _, _, err := cache.PlanAndSimulateKeyedContext(context.Background(), key, task, opts); err != nil {
 			t.Fatal(err)
 		}
 		keys = append(keys, key)
@@ -129,7 +130,7 @@ func TestCacheExport(t *testing.T) {
 	ub := NewPlanCache()
 	for i := 0; i < 3; i++ {
 		opts := Options{Strategy: Broadcast, Scheduler: SchedEnsemble, Seed: int64(i + 1)}
-		if _, _, err := ub.PlanAndSimulateKeyed(CacheKey(task, opts), task, opts); err != nil {
+		if _, _, err := ub.PlanAndSimulateKeyedContext(context.Background(), CacheKey(task, opts), task, opts); err != nil {
 			t.Fatal(err)
 		}
 	}

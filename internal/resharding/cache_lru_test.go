@@ -1,6 +1,7 @@
 package resharding
 
 import (
+	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -27,7 +28,7 @@ func TestLRUCacheBoundAndEviction(t *testing.T) {
 
 	// Fill to twice the capacity with distinct keys.
 	for i := 0; i < 2*capacity; i++ {
-		if _, err := cache.Simulate(task, optsWithSeed(int64(i+1))); err != nil {
+		if _, err := cache.SimulateContext(context.Background(), task, optsWithSeed(int64(i+1))); err != nil {
 			t.Fatal(err)
 		}
 		if st := cache.Stats(); st.Entries > capacity {
@@ -46,13 +47,13 @@ func TestLRUCacheBoundAndEviction(t *testing.T) {
 	}
 
 	// The most recent keys are resident; the oldest were evicted.
-	if _, err := cache.Simulate(task, optsWithSeed(int64(2*capacity))); err != nil {
+	if _, err := cache.SimulateContext(context.Background(), task, optsWithSeed(int64(2*capacity))); err != nil {
 		t.Fatal(err)
 	}
 	if st := cache.Stats(); st.Hits != 1 {
 		t.Errorf("most recent key must hit: %+v", st)
 	}
-	if _, err := cache.Simulate(task, optsWithSeed(1)); err != nil {
+	if _, err := cache.SimulateContext(context.Background(), task, optsWithSeed(1)); err != nil {
 		t.Fatal(err)
 	}
 	if st := cache.Stats(); st.Misses != 2*capacity+1 {
@@ -66,25 +67,25 @@ func TestLRUCacheRecencyOrder(t *testing.T) {
 	cache := NewLRUPlanCache(2)
 
 	for _, seed := range []int64{1, 2} {
-		if _, err := cache.Simulate(task, optsWithSeed(seed)); err != nil {
+		if _, err := cache.SimulateContext(context.Background(), task, optsWithSeed(seed)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Touch 1 so 2 becomes the LRU victim of the next insert.
-	if _, err := cache.Simulate(task, optsWithSeed(1)); err != nil {
+	if _, err := cache.SimulateContext(context.Background(), task, optsWithSeed(1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cache.Simulate(task, optsWithSeed(3)); err != nil {
+	if _, err := cache.SimulateContext(context.Background(), task, optsWithSeed(3)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cache.Simulate(task, optsWithSeed(1)); err != nil {
+	if _, err := cache.SimulateContext(context.Background(), task, optsWithSeed(1)); err != nil {
 		t.Fatal(err)
 	}
 	st := cache.Stats()
 	if st.Hits != 2 {
 		t.Errorf("touched key must survive the eviction: %+v", st)
 	}
-	if _, err := cache.Simulate(task, optsWithSeed(2)); err != nil {
+	if _, err := cache.SimulateContext(context.Background(), task, optsWithSeed(2)); err != nil {
 		t.Fatal(err)
 	}
 	if st := cache.Stats(); st.Hits != 2 || st.Misses != 4 {
@@ -123,7 +124,7 @@ func TestCacheDropsErroredEntries(t *testing.T) {
 	for _, cache := range []*PlanCache{NewPlanCache(), NewLRUPlanCache(8)} {
 		task := failingTask(t, 8)
 		opts := optsWithSeed(1)
-		if _, _, err := cache.PlanAndSimulate(task, opts); err == nil {
+		if _, _, err := cache.PlanAndSimulateContext(context.Background(), task, opts); err == nil {
 			t.Fatal("planning across mismatched topologies must fail")
 		}
 		st := cache.Stats()
@@ -135,7 +136,7 @@ func TestCacheDropsErroredEntries(t *testing.T) {
 		}
 		// The retry misses again (no poisoned hit) and still reports the
 		// error.
-		if _, _, err := cache.PlanAndSimulate(task, opts); err == nil {
+		if _, _, err := cache.PlanAndSimulateContext(context.Background(), task, opts); err == nil {
 			t.Fatal("retry must re-plan and fail again")
 		}
 		st = cache.Stats()
@@ -167,7 +168,7 @@ func TestCacheConcurrentExactCounts(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			plan, sim, err := cache.PlanAndSimulate(tasks[i], opts)
+			plan, sim, err := cache.PlanAndSimulateContext(context.Background(), tasks[i], opts)
 			if err != nil {
 				t.Error(err)
 				return
@@ -215,7 +216,7 @@ func TestLRUCacheConcurrentDistinctKeys(t *testing.T) {
 				// Overlapping key ranges across workers: some coalesce,
 				// some evict each other.
 				seed := int64(1 + (w*perWorker+i)%(3*capacity))
-				if _, err := cache.Simulate(task, optsWithSeed(seed)); err != nil {
+				if _, err := cache.SimulateContext(context.Background(), task, optsWithSeed(seed)); err != nil {
 					t.Error(err)
 					return
 				}

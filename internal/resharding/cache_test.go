@@ -1,6 +1,7 @@
 package resharding
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -15,7 +16,7 @@ func TestCacheHitMissSemantics(t *testing.T) {
 	opts := Options{Strategy: Broadcast, Scheduler: SchedEnsemble, Seed: 1}
 
 	task := autotuneTask(t, c, 0, 4)
-	r1, err := cache.Simulate(task, opts)
+	r1, err := cache.SimulateContext(context.Background(), task, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +25,7 @@ func TestCacheHitMissSemantics(t *testing.T) {
 	}
 
 	// The identical problem hits, and returns the same simulation.
-	r2, err := cache.Simulate(autotuneTask(t, c, 0, 4), opts)
+	r2, err := cache.SimulateContext(context.Background(), autotuneTask(t, c, 0, 4), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func TestCacheHitMissSemantics(t *testing.T) {
 		{Strategy: Broadcast, Scheduler: SchedEnsemble, Seed: 2},
 		{Strategy: Broadcast, Scheduler: SchedEnsemble, Seed: 1, Chunks: 8},
 	} {
-		if _, err := cache.Simulate(autotuneTask(t, c, 0, 4), other); err != nil {
+		if _, err := cache.SimulateContext(context.Background(), autotuneTask(t, c, 0, 4), other); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -67,10 +68,10 @@ func TestCacheTranslationInvariance(t *testing.T) {
 	}
 
 	cache := NewPlanCache()
-	if _, err := cache.Simulate(first, opts); err != nil {
+	if _, err := cache.SimulateContext(context.Background(), first, opts); err != nil {
 		t.Fatal(err)
 	}
-	cached, err := cache.Simulate(translated, opts)
+	cached, err := cache.SimulateContext(context.Background(), translated, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +171,7 @@ func TestCacheConcurrentSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := cache.Simulate(tasks[i], opts)
+			res, err := cache.SimulateContext(context.Background(), tasks[i], opts)
 			if err != nil {
 				t.Error(err)
 				return

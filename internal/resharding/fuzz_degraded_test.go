@@ -149,7 +149,7 @@ func FuzzDegradedPlan(f *testing.F) {
 		opts := Options{
 			Strategy: Broadcast, Scheduler: SchedEnsemble,
 			Seed: faultSeed, DFSNodes: 2000, Trials: 8, Chunks: 4,
-		}.withDefaults()
+		}.WithDefaults()
 
 		degTask, err := task.OnTopology(ft)
 		if err != nil {

@@ -179,5 +179,3 @@ func (o Options) WithDefaults() Options {
 	}
 	return o
 }
-
-func (o Options) withDefaults() Options { return o.WithDefaults() }

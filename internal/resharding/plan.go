@@ -41,7 +41,7 @@ func NewPlanContext(ctx context.Context, task *sharding.Task, opts Options) (*Pl
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	opts = opts.withDefaults()
+	opts = opts.WithDefaults()
 	if !mesh.SameTopology(task.Src.Mesh.Topo, task.Dst.Mesh.Topo) {
 		return nil, fmt.Errorf("resharding: source and destination meshes must share a topology")
 	}

@@ -222,7 +222,7 @@ func (p *Planner) ResolveOptions(opts Options) Options {
 	if opts == (Options{}) {
 		opts = p.defaults
 	}
-	return opts.withDefaults()
+	return opts.WithDefaults()
 }
 
 // resolve applies ResolveOptions and validates the task against the

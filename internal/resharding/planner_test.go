@@ -66,7 +66,7 @@ func slowTask(t *testing.T) *sharding.Task {
 }
 
 // TestPlannerMatchesFreeFunctions: a session plan and autotune result are
-// byte-identical to the deprecated free-function path.
+// byte-identical to the sessionless NewPlan / AutotuneContext path.
 func TestPlannerMatchesFreeFunctions(t *testing.T) {
 	c := microCluster(2)
 	task := autotuneTask(t, c, 0, 4)
@@ -98,7 +98,7 @@ func TestPlannerMatchesFreeFunctions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	directRes, err := Autotune(autotuneTask(t, c, 0, 4), AutotuneOptions{Base: Options{Seed: 42, DFSNodes: DefaultAutotuneDFSNodes}})
+	directRes, err := AutotuneContext(context.Background(), autotuneTask(t, c, 0, 4), AutotuneOptions{Base: Options{Seed: 42, DFSNodes: DefaultAutotuneDFSNodes}})
 	if err != nil {
 		t.Fatal(err)
 	}

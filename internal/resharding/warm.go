@@ -143,7 +143,7 @@ func sameHostTask(a, b *schedule.Task) bool {
 // sender hosts or receiver hosts. Units outside the impacted set can keep
 // their incumbent senders: nothing the scheduler scores about them moved.
 func ImpactedUnits(fromTask, toTask *sharding.Task, opts Options) ([]bool, int, error) {
-	opts = opts.withDefaults()
+	opts = opts.WithDefaults()
 	if len(fromTask.Units) != len(toTask.Units) {
 		return nil, 0, fmt.Errorf("resharding: impacted units: decompositions differ (%d vs %d units)",
 			len(fromTask.Units), len(toTask.Units))
@@ -174,7 +174,7 @@ func ImpactedUnits(fromTask, toTask *sharding.Task, opts Options) ([]bool, int, 
 // non-ensemble scheduler falls back to a cold NewPlanContext with
 // Mode == WarmCold; the result is then bit-identical to cold planning.
 func WarmReplanContext(ctx context.Context, task *sharding.Task, opts Options, fromTask *sharding.Task, incumbent *Plan) (*Plan, *SimResult, WarmInfo, error) {
-	opts = opts.withDefaults()
+	opts = opts.WithDefaults()
 	info := WarmInfo{Mode: WarmCold, TotalUnits: len(task.Units)}
 	cold := func() (*Plan, *SimResult, WarmInfo, error) {
 		plan, err := NewPlanContext(ctx, task, opts)

@@ -23,8 +23,8 @@ func (e *OverloadedError) Error() string {
 }
 
 // APIError is a non-429 error response from the server. Code and
-// Retryable are filled from the structured envelope on /v2 responses and
-// empty on /v1 ones.
+// Retryable come from the structured envelope; they stay empty only when
+// the body was not one (an intermediary's error page, say).
 type APIError struct {
 	StatusCode int
 	Message    string
@@ -45,8 +45,7 @@ func (e *APIError) Error() string {
 type Client struct {
 	base string
 	hc   *http.Client
-	// binary negotiates the binary wire format on /v2 responses; see
-	// WithBinary.
+	// binary negotiates the binary wire format; see WithBinary.
 	binary bool
 	// peer, when non-empty, stamps every request with PeerHeader so the
 	// receiving tier node resolves it locally instead of re-routing; see
@@ -58,12 +57,12 @@ type Client struct {
 type ClientOption func(*Client)
 
 // WithBinary makes the client negotiate the binary wire format
-// (ContentTypeBinary) on every /v2 request via the Accept header. The
-// server answers /v2 responses — including error envelopes — as binary
-// frames, which the client decodes into the same response structs the
-// JSON path fills; /v1 requests are unaffected. Servers that predate the
-// binary format ignore the Accept header and keep answering JSON, which
-// the client still decodes, so the option is safe against old servers.
+// (ContentTypeBinary) on every request via the Accept header. The server
+// answers — error envelopes included — with binary frames, which the
+// client decodes into the same response structs the JSON path fills.
+// Servers that predate the binary format ignore the Accept header and keep
+// answering JSON, which the client still decodes, so the option is safe
+// against old servers.
 func WithBinary() ClientOption {
 	return func(c *Client) { c.binary = true }
 }
@@ -93,27 +92,8 @@ func NewClient(baseURL string, httpClient *http.Client, opts ...ClientOption) *C
 	return c
 }
 
-// Plan requests one resharding plan.
-func (c *Client) Plan(ctx context.Context, req *PlanRequest) (*PlanResponse, error) {
-	var resp PlanResponse
-	if err := c.post(ctx, "/v1/plan", req, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
-}
-
-// Autotune requests a strategy x scheduler grid search.
-func (c *Client) Autotune(ctx context.Context, req *AutotuneRequest) (*AutotuneResponse, error) {
-	var resp AutotuneResponse
-	if err := c.post(ctx, "/v1/autotune", req, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
-}
-
-// PlanV2 requests one resharding plan over /v2: same plan payload as
-// Plan, structured error envelope, and — when ctx carries a deadline —
-// the remaining budget propagated to the server via X-Timeout-Ms so the
+// PlanV2 requests one resharding plan. When ctx carries a deadline, the
+// remaining budget is propagated to the server via X-Timeout-Ms so the
 // server-side queue wait and search are bounded by it too.
 func (c *Client) PlanV2(ctx context.Context, req *PlanRequest) (*PlanResponse, error) {
 	var resp PlanResponse
@@ -123,8 +103,8 @@ func (c *Client) PlanV2(ctx context.Context, req *PlanRequest) (*PlanResponse, e
 	return &resp, nil
 }
 
-// AutotuneV2 requests a grid search over /v2; a ctx deadline aborts the
-// queued or running search server-side.
+// AutotuneV2 requests a strategy x scheduler grid search; a ctx deadline
+// aborts the queued or running search server-side.
 func (c *Client) AutotuneV2(ctx context.Context, req *AutotuneRequest) (*AutotuneResponse, error) {
 	var resp AutotuneResponse
 	if err := c.post(ctx, "/v2/autotune", req, &resp); err != nil {
@@ -145,7 +125,7 @@ func (c *Client) PlanBatch(ctx context.Context, req *BatchPlanRequest) (*BatchPl
 
 // Stats fetches the server's cache and admission counters.
 func (c *Client) Stats(ctx context.Context) (*StatsResponse, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/stats", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v2/stats", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -172,14 +152,12 @@ func (c *Client) post(ctx context.Context, path string, payload, out interface{}
 	if c.peer != "" {
 		req.Header.Set(PeerHeader, c.peer)
 	}
-	if strings.HasPrefix(path, "/v2/") {
-		if c.binary {
-			req.Header.Set("Accept", ContentTypeBinary)
-		}
-		if deadline, ok := ctx.Deadline(); ok {
-			if ms := time.Until(deadline).Milliseconds(); ms > 0 {
-				req.Header.Set(TimeoutHeader, strconv.FormatInt(ms, 10))
-			}
+	if c.binary {
+		req.Header.Set("Accept", ContentTypeBinary)
+	}
+	if deadline, ok := ctx.Deadline(); ok {
+		if ms := time.Until(deadline).Milliseconds(); ms > 0 {
+			req.Header.Set(TimeoutHeader, strconv.FormatInt(ms, 10))
 		}
 	}
 	return c.roundTrip(req, out)
@@ -213,21 +191,9 @@ func (c *Client) roundTrip(req *http.Request, out interface{}) error {
 			}
 			return apiErr
 		}
-		// /v2 errors are a structured envelope, /v1 errors a flat string;
-		// the envelope decodes first so its code and retryability survive.
-		var raw json.RawMessage
-		if err := json.NewDecoder(resp.Body).Decode(&struct {
-			Error *json.RawMessage `json:"error"`
-		}{&raw}); err == nil && len(raw) > 0 {
-			var ve V2Error
-			if err := json.Unmarshal(raw, &ve); err == nil && ve.Code != "" {
-				apiErr.Message, apiErr.Code, apiErr.Retryable = ve.Message, ve.Code, ve.Retryable
-			} else {
-				var msg string
-				if err := json.Unmarshal(raw, &msg); err == nil && msg != "" {
-					apiErr.Message = msg
-				}
-			}
+		var env V2ErrorEnvelope
+		if err := json.NewDecoder(resp.Body).Decode(&env); err == nil && env.Error.Code != "" {
+			apiErr.Message, apiErr.Code, apiErr.Retryable = env.Error.Message, env.Error.Code, env.Error.Retryable
 		}
 		return apiErr
 	}

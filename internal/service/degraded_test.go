@@ -277,17 +277,3 @@ func TestDegradedBinaryFlag(t *testing.T) {
 			respBin.Key, respJSON.Key, respBin.Scheduler, respJSON.Scheduler)
 	}
 }
-
-// TestV1UnaffectedByAdmission pins the blast radius: the controller only
-// guards /v2/plan; the v1 endpoint plans at full quality regardless.
-func TestV1UnaffectedByAdmission(t *testing.T) {
-	client, ctl, _, _ := newSLOTestServer(t, slowSLOConfig())
-	forceMode(t, ctl, AdmitDegraded, 8*time.Second)
-	resp, err := client.Plan(context.Background(), testReq(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Degraded {
-		t.Fatal("v1 response marked degraded")
-	}
-}

@@ -143,30 +143,6 @@ func TestV2MalformedFaults(t *testing.T) {
 	}
 }
 
-// TestV1RejectsFaults: the /v1 endpoints refuse a faults block outright
-// instead of silently planning healthy.
-func TestV1RejectsFaults(t *testing.T) {
-	s := New(Config{})
-	ts := httptest.NewServer(s)
-	t.Cleanup(ts.Close)
-
-	status, body := postRaw(t, ts.URL, "/v1/plan", faultyReq(3, stragglerFaults))
-	if status != http.StatusBadRequest || !strings.Contains(string(body), "/v2") {
-		t.Errorf("/v1/plan with faults: status %d body %s, want 400 pointing at /v2", status, body)
-	}
-	areq := &AutotuneRequest{
-		Topology: TopologyRef{Name: "p3", Hosts: 2},
-		Shape:    []int{64, 96},
-		Src:      Endpoint{Mesh: "2x2@0", Spec: "S01R"},
-		Dst:      Endpoint{Mesh: "2x2@4", Spec: "S0R"},
-		Faults:   stragglerFaults,
-	}
-	status, body = postRaw(t, ts.URL, "/v1/autotune", areq)
-	if status != http.StatusBadRequest || !strings.Contains(string(body), "/v2") {
-		t.Errorf("/v1/autotune with faults: status %d body %s, want 400 pointing at /v2", status, body)
-	}
-}
-
 // TestV2BatchWithFaults: a degraded batch plans every boundary against
 // the overlay, partitions from the healthy batch, and still collapses
 // congruent items to one class.

@@ -39,15 +39,14 @@ type HostFaultRef struct {
 	IntraScale float64 `json:"intra_scale,omitempty"`
 }
 
-// FaultsRef is the optional degradation overlay of a /v2 request: a named
+// FaultsRef is the optional degradation overlay of a request: a named
 // scenario from the registry ("link-down", "brownout", "straggler"),
 // explicit link and host faults, or both (the scenario's faults come
 // first; duplicates are rejected). The topology the request planned
 // against becomes mesh.Faulted over the named preset, so the response's
 // cache key — and the server's plan cache — partition degraded plans
 // away from healthy ones. An entirely empty block degrades nothing.
-// Malformed fault specs fail with code invalid_argument. Only the /v2
-// endpoints accept a faults block.
+// Malformed fault specs fail with code invalid_argument.
 type FaultsRef struct {
 	Scenario string         `json:"scenario,omitempty"`
 	Links    []LinkFaultRef `json:"links,omitempty"`
@@ -93,7 +92,7 @@ type PlanRequest struct {
 	Src     Endpoint    `json:"src"`
 	Dst     Endpoint    `json:"dst"`
 	Options PlanOptions `json:"options"`
-	// Faults overlays a degradation on the topology; /v2 only.
+	// Faults overlays a degradation on the topology.
 	Faults *FaultsRef `json:"faults,omitempty"`
 }
 
@@ -144,7 +143,7 @@ type AutotuneRequest struct {
 	// Workers bounds the per-request autotune concurrency; 0 = GOMAXPROCS.
 	// The winner is identical for every worker count.
 	Workers int `json:"workers,omitempty"`
-	// Faults overlays a degradation on the topology; /v2 only.
+	// Faults overlays a degradation on the topology.
 	Faults *FaultsRef `json:"faults,omitempty"`
 }
 
@@ -195,8 +194,8 @@ type EndpointStats struct {
 	InFlight int64 `json:"in_flight"`
 }
 
-// StatsResponse is the /v1/stats payload. Cache is the plan cache shared
-// by /v1/plan, /v2/plan and /v2/plan:batch; AutotuneCache is the separate
+// StatsResponse is the /v2/stats payload. Cache is the plan cache shared
+// by /v2/plan and /v2/plan:batch; AutotuneCache is the separate
 // cache holding grid-search candidate plans; Batch counts /v2/plan:batch
 // requests (one request may carry many items).
 type StatsResponse struct {

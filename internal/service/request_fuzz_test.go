@@ -1,0 +1,86 @@
+package service
+
+import (
+	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"testing"
+
+	"alpacomm/internal/resharding"
+)
+
+// Effort caps of FuzzPlanRequestV2: a body that decodes to a request asking
+// for more than this is skipped, so the fuzzer spends its time on the
+// request grammar, not on one legitimately heavy search.
+const (
+	// What a request naming no budget gets; the server bound is 200x that.
+	fuzzMaxDFSNodes = resharding.DefaultAutotuneDFSNodes
+	fuzzMaxTrials   = 64
+	fuzzMaxChunks   = 64
+	fuzzMaxHosts    = 8
+)
+
+// FuzzPlanRequestV2 posts arbitrary bytes to /v2/plan on an in-process
+// server. The invariants: the handler never panics, the status is one a
+// deadline-free request can produce (200, 400, 422, 429), a 200 body is a
+// PlanResponse with one sender per unit, and every other body is a
+// V2ErrorEnvelope with a code a client can branch on.
+func FuzzPlanRequestV2(f *testing.F) {
+	marshal := func(v interface{}) []byte {
+		b, err := json.Marshal(v)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
+	}
+	f.Add(marshal(testReq(1)))
+	f.Add(marshal(faultyReq(2, stragglerFaults)))
+	full := testReq(3)
+	full.Options.Quality = "full"
+	full.Options.Strategy, full.Options.Scheduler = "broadcast", "ensemble"
+	full.DType = "fp16"
+	f.Add(marshal(full))
+	f.Add([]byte(`{"topology":{"name":"mixed","hosts":3,"oversubscription":1.5},"shape":[8,8],` +
+		`"src":{"mesh":"1x4@0","spec":"RS1"},"dst":{"mesh":"2x2@4","spec":"S0S1"},"options":{"dfs_nodes":50}}`))
+	f.Add([]byte(`{"topology":{"name":"p3","hosts":2},"shape":[4,4],"preset":"p3"}`))
+	f.Add([]byte(`{"topology":{"name":"p3","hosts":2},"shape":[-1,0],"src":{"mesh":"2x2","spec":"Q"}}`))
+	f.Add([]byte(`{"topology":`))
+	f.Add([]byte(`[]`))
+	f.Add([]byte{})
+
+	s := New(Config{Cache: resharding.NewLRUPlanCache(64)})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var probe PlanRequest
+		if json.Unmarshal(data, &probe) == nil {
+			o := probe.Options
+			if o.DFSNodes > fuzzMaxDFSNodes || o.Trials > fuzzMaxTrials ||
+				o.Chunks > fuzzMaxChunks || probe.Topology.Hosts > fuzzMaxHosts {
+				t.Skip("request asks for more effort than the fuzz caps allow")
+			}
+		}
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v2/plan", bytes.NewReader(data)))
+		body := rec.Body.Bytes()
+		switch rec.Code {
+		case http.StatusOK:
+			var resp PlanResponse
+			if err := json.Unmarshal(body, &resp); err != nil {
+				t.Fatalf("200 body is not a PlanResponse: %v\n%s", err, body)
+			}
+			if resp.NumUnits == 0 || len(resp.Senders) != resp.NumUnits || resp.Key == "" {
+				t.Fatalf("200 body is not a complete plan: %s", body)
+			}
+		case http.StatusBadRequest, http.StatusUnprocessableEntity, http.StatusTooManyRequests:
+			var env V2ErrorEnvelope
+			if err := json.Unmarshal(body, &env); err != nil {
+				t.Fatalf("%d body is not a V2ErrorEnvelope: %v\n%s", rec.Code, err, body)
+			}
+			if env.Error.Code == "" {
+				t.Fatalf("%d envelope without a code: %s", rec.Code, body)
+			}
+		default:
+			t.Fatalf("status %d outside {200, 400, 422, 429}: %s", rec.Code, body)
+		}
+	})
+}

@@ -29,22 +29,21 @@
 //
 // Endpoints:
 //
-//	POST /v1/plan       — plan and simulate one resharding (PlanRequest).
-//	POST /v1/autotune   — strategy x scheduler grid search (AutotuneRequest).
-//	GET  /v1/stats      — cache, coalescing and admission counters.
-//	POST /v2/plan       — /v1/plan semantics, v2 error envelope + deadline.
-//	POST /v2/autotune   — /v1/autotune semantics, v2 envelope + deadline.
+//	POST /v2/plan       — plan and simulate one resharding (PlanRequest).
+//	POST /v2/autotune   — strategy x scheduler grid search (AutotuneRequest).
 //	POST /v2/plan:batch — plan every stage boundary of a pipeline job in
 //	                      one request (BatchPlanRequest); congruent
 //	                      boundaries cost one planner computation total.
+//	GET  /v2/stats      — cache, coalescing and admission counters.
 //
 // Every handler is an adapter over one resharding.Planner session, so the
-// caches, coalescing and cancellation behavior are identical no matter
-// which API version a client speaks: /v1 keeps its original flat error
-// body, /v2 adds a structured machine-readable error envelope (see V2Error)
-// and deadline propagation via the X-Timeout-Ms header. A client that
-// disconnects — or whose propagated deadline fires — while its request is
-// queued or mid-search aborts the work instead of riding it out.
+// caches, coalescing and cancellation behavior are identical across
+// endpoints. Every non-2xx response carries the structured machine-readable
+// error envelope (see V2Error), plan, autotune, batch and error responses
+// are also available in the binary wire format (see wire.go), and the
+// X-Timeout-Ms header propagates the client's deadline. A client that disconnects — or whose propagated
+// deadline fires — while its request is queued or mid-search aborts the
+// work instead of riding it out.
 //
 // Topologies are named, not transmitted: requests reference presets of a
 // mesh.Registry ("p3", "dgx-a100", "mixed") plus host count and fabric
@@ -55,9 +54,7 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"log"
 	"net/http"
 	"runtime"
@@ -85,22 +82,23 @@ type Config struct {
 	// DefaultCacheCapacity entries. Pass resharding.NewPlanCache() for an
 	// unbounded cache, or share one cache between servers.
 	Cache *resharding.PlanCache
-	// AutotuneCache memoizes the per-candidate plans of /v1/autotune grid
+	// AutotuneCache memoizes the per-candidate plans of /v2/autotune grid
 	// searches. It is separate from Cache so an autotune burst (~20
-	// entries per request, keyed with derived seeds that /v1/plan lookups
+	// entries per request, keyed with derived seeds that /v2/plan lookups
 	// never match) cannot evict the hot plan working set. Nil means a new
 	// cache with Cache's capacity.
 	AutotuneCache *resharding.PlanCache
-	// PlanWorkers bounds concurrent /v1/plan computations; 0 = GOMAXPROCS.
+	// PlanWorkers bounds concurrent plan computations (/v2/plan and
+	// /v2/plan:batch share the pool); 0 = GOMAXPROCS.
 	PlanWorkers int
-	// PlanQueue is the /v1/plan wait-queue depth beyond the workers;
+	// PlanQueue is the plan pool's wait-queue depth beyond the workers;
 	// 0 = 4x PlanWorkers. Overflow is rejected with 429.
 	PlanQueue int
-	// AutotuneWorkers bounds concurrent /v1/autotune grid searches;
+	// AutotuneWorkers bounds concurrent /v2/autotune grid searches;
 	// 0 = max(1, GOMAXPROCS/2). Each search fans its candidates out over
 	// its own internal pool, so one slot already uses multiple cores.
 	AutotuneWorkers int
-	// AutotuneQueue is the /v1/autotune wait-queue depth; 0 = 2x workers.
+	// AutotuneQueue is the /v2/autotune wait-queue depth; 0 = 2x workers.
 	AutotuneQueue int
 	// RetryAfter is the backoff hint attached to 429 responses;
 	// 0 = 1 second.
@@ -116,7 +114,7 @@ type Config struct {
 // http.Handler ready to mount on any mux or listener.
 type Server struct {
 	reg *mesh.Registry
-	// planner is the session every API version plans through: it owns the
+	// planner is the session every endpoint plans through: it owns the
 	// plan cache, the autotune candidate cache and the context plumbing.
 	planner       *resharding.Planner
 	cache         *resharding.PlanCache
@@ -214,9 +212,6 @@ func New(cfg Config) *Server {
 	if cfg.SLO != nil && cfg.SLO.P99Budget > 0 {
 		s.slo = NewSLOController(cfg.SLO.withDefaults(cfg.PlanWorkers, cfg.PlanQueue), nil)
 	}
-	s.mux.HandleFunc("/v1/plan", s.handlePlan)
-	s.mux.HandleFunc("/v1/autotune", s.handleAutotune)
-	s.mux.HandleFunc("/v1/stats", s.handleStats)
 	s.mux.HandleFunc("/v2/plan", s.handlePlanV2)
 	s.mux.HandleFunc("/v2/autotune", s.handleAutotuneV2)
 	s.mux.HandleFunc("/v2/plan:batch", s.handlePlanBatch)
@@ -231,7 +226,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // it with an in-process planner).
 func (s *Server) Cache() *resharding.PlanCache { return s.cache }
 
-// AutotuneCache exposes the separate cache backing /v1/autotune grid
+// AutotuneCache exposes the separate cache backing /v2/autotune grid
 // searches.
 func (s *Server) AutotuneCache() *resharding.PlanCache { return s.autotuneCache }
 
@@ -259,10 +254,6 @@ var errSLOShed = errors.New("service: shedding load to protect the p99 SLO budge
 // responses it affected: "degraded" on a response planned at degraded
 // quality, "shed" on a 429 it produced. Absent on full-quality responses.
 const AdmissionHeader = "X-Alpacomm-Admission"
-
-// errFaultsNeedV2 rejects a faults block on a /v1 endpoint: degraded
-// planning is a /v2 feature (structured errors can name the bad fault).
-var errFaultsNeedV2 = errors.New("faults block requires the /v2 API (use /v2/plan, /v2/autotune or /v2/plan:batch)")
 
 // admission is one endpoint's worker pool: a caller first takes a queue
 // token (failing fast when the queue is full — the backpressure signal)
@@ -374,14 +365,6 @@ func (tc *topologyCache) get(reg *mesh.Registry, ref TopologyRef) (mesh.Topology
 // maxBodyBytes bounds request bodies; plan requests are tiny.
 const maxBodyBytes = 1 << 20
 
-// newBodyDecoder wraps a request body with the size bound and strict
-// field checking every endpoint shares.
-func newBodyDecoder(w http.ResponseWriter, r *http.Request) *json.Decoder {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	return dec
-}
-
 // planned is one computed (plan, simulation) pair shared by every caller
 // of a canonical key, plus the pre-serialized wire bodies built at fill
 // time (nil only when serialization was impossible; callers then fall
@@ -414,7 +397,7 @@ type planned struct {
 // kept any bad peer plan out of the cache.
 //
 // A non-nil fromTask (with its key fromKey) names the same boundary on the
-// overlay being replanned away from — for a degraded /v2 request, its
+// overlay being replanned away from — for a degraded request, its
 // fault-free twin. A cold miss then warm-starts from the cached plan under
 // fromKey instead of searching from scratch (Planner.PlanKeyedWarm);
 // fromTask nil plans cold exactly as before.
@@ -491,36 +474,6 @@ func (s *Server) cachedPlan(cacheKey string, opts resharding.Options) (*planned,
 // (see PeerHeader); such requests always resolve locally.
 func isPeerRequest(r *http.Request) bool { return r.Header.Get(PeerHeader) != "" }
 
-func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
-	s.planC.requests.Add(1)
-	var req PlanRequest
-	if !s.decode(w, r, &req, &s.planC) {
-		return
-	}
-	if req.Faults != nil {
-		s.fail(w, &s.planC, http.StatusBadRequest, errFaultsNeedV2)
-		return
-	}
-	task, opts, cacheKey, err := s.parseTask(r.Context(),
-		req.Topology, nil, req.Shape, req.DType, req.Src, req.Dst, req.Options)
-	if err != nil {
-		s.failParse(w, &s.planC, err)
-		return
-	}
-
-	s.planC.inFlight.Add(1)
-	defer s.planC.inFlight.Add(-1)
-	p, shared, err := s.computePlan(r.Context(), cacheKey, task, opts, &req, isPeerRequest(r), "", nil)
-	if err != nil {
-		s.failCompute(w, &s.planC, err)
-		return
-	}
-	if shared {
-		s.planC.coalesced.Add(1)
-	}
-	s.servePlan(w, &s.planC, p, task, opts, cacheKey, shared, false)
-}
-
 // servePlan writes one plan response from the entry's pre-serialized
 // bodies: a pooled buffer, the fill-time bytes, and at most the coalesced
 // flag and the translated sender section patched — no marshaling. The
@@ -573,7 +526,7 @@ func writeBinary(w http.ResponseWriter, status int, frame []byte) {
 }
 
 // wantsBinary reports whether the request negotiated the binary response
-// format; only the /v2 handlers consult it.
+// format.
 func wantsBinary(r *http.Request) bool {
 	return strings.Contains(r.Header.Get("Accept"), ContentTypeBinary)
 }
@@ -660,45 +613,11 @@ func (s *Server) computeAutotune(ctx context.Context, cacheKey string, task *sha
 	return v.(*AutotuneResponse), shared, nil
 }
 
-func (s *Server) handleAutotune(w http.ResponseWriter, r *http.Request) {
-	s.autotuneC.requests.Add(1)
-	var req AutotuneRequest
-	if !s.decode(w, r, &req, &s.autotuneC) {
-		return
-	}
-	if req.Workers < 0 {
-		s.fail(w, &s.autotuneC, http.StatusBadRequest, fmt.Errorf("negative workers"))
-		return
-	}
-	if req.Faults != nil {
-		s.fail(w, &s.autotuneC, http.StatusBadRequest, errFaultsNeedV2)
-		return
-	}
-	task, opts, cacheKey, err := s.parseTask(r.Context(),
-		req.Topology, nil, req.Shape, req.DType, req.Src, req.Dst, req.Options)
-	if err != nil {
-		s.failParse(w, &s.autotuneC, err)
-		return
-	}
-
-	s.autotuneC.inFlight.Add(1)
-	defer s.autotuneC.inFlight.Add(-1)
-	v, shared, err := s.computeAutotune(r.Context(), cacheKey, task, opts, req.Workers)
-	if err != nil {
-		s.failCompute(w, &s.autotuneC, err)
-		return
-	}
-	resp := *v
-	resp.Coalesced = shared
-	if shared {
-		s.autotuneC.coalesced.Add(1)
-	}
-	s.ok(w, &s.autotuneC, resp)
-}
-
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use GET"))
+		s.writeV2Error(w, http.StatusMethodNotAllowed, V2Error{
+			Code: CodeMethodNotAllowed, Message: "use GET",
+		}, wantsBinary(r))
 		return
 	}
 	resp := StatsResponse{
@@ -766,54 +685,6 @@ func (s *Server) parseTask(ctx context.Context,
 	return task, opts, key, nil
 }
 
-// failParse writes a parseTask failure in the v1 envelope: bad requests
-// are 400, everything else (intake overflow, context ends) goes through
-// the retryable compute path.
-func (s *Server) failParse(w http.ResponseWriter, c *endpointCounters, err error) {
-	var bad *badRequestError
-	if errors.As(err, &bad) {
-		s.fail(w, c, http.StatusBadRequest, bad.err)
-		return
-	}
-	s.failCompute(w, c, err)
-}
-
-// decode reads a POST JSON body into dst; on failure it writes the error
-// response and returns false.
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst interface{}, c *endpointCounters) bool {
-	if r.Method != http.MethodPost {
-		s.fail(w, c, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
-		return false
-	}
-	if err := newBodyDecoder(w, r).Decode(dst); err != nil {
-		s.fail(w, c, http.StatusBadRequest, fmt.Errorf("bad request body: %v", err))
-		return false
-	}
-	return true
-}
-
-// failCompute maps a computation error to its HTTP status: admission
-// overflow becomes 429 + Retry-After (for every coalesced waiter of the
-// rejected flight), and so does a context cancellation — when a flight
-// leader disconnects while queued, its live coalesced waiters hold valid
-// requests that were never attempted, so they get a retryable status, not
-// an error class. Everything else is 422 (the request parsed but cannot
-// be planned).
-func (s *Server) failCompute(w http.ResponseWriter, c *endpointCounters, err error) {
-	if errors.Is(err, errOverloaded) || errors.Is(err, errSLOShed) || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		c.rejected.Add(1)
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.retryAfter)))
-		writeError(w, http.StatusTooManyRequests, err)
-		return
-	}
-	s.fail(w, c, http.StatusUnprocessableEntity, err)
-}
-
-func (s *Server) fail(w http.ResponseWriter, c *endpointCounters, status int, err error) {
-	c.errors.Add(1)
-	writeError(w, status, err)
-}
-
 func (s *Server) ok(w http.ResponseWriter, c *endpointCounters, payload interface{}) {
 	c.ok.Add(1)
 	writeJSON(w, http.StatusOK, payload)
@@ -834,19 +705,14 @@ func wireCacheStats(cs resharding.CacheStats) CacheStats {
 	}
 }
 
-// errorBody is the JSON error envelope.
-type errorBody struct {
-	Error string `json:"error"`
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, errorBody{Error: err.Error()})
-}
-
 // encodeFailureLog rate-limits the encode-failure log line: a payload that
 // cannot encode is a programming bug hit on every affected request, and
 // one line is enough to surface it.
 var encodeFailureLog sync.Once
+
+// encodeFailureBody is the 500 written when a response cannot be encoded: a
+// literal V2ErrorEnvelope, since the encoder is what just failed.
+const encodeFailureBody = `{"error":{"code":"` + CodeInternal + `","message":"response encoding failed"}}` + "\n"
 
 // writeJSON encodes the payload into a pooled buffer first and only then
 // touches the ResponseWriter. Encoding a response type can only fail on a
@@ -863,7 +729,7 @@ func writeJSON(w http.ResponseWriter, status int, payload interface{}) {
 		})
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusInternalServerError)
-		_, _ = w.Write([]byte(`{"error":"response encoding failed"}` + "\n"))
+		_, _ = w.Write([]byte(encodeFailureBody))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -65,7 +65,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *Client) {
 // is byte-identical to resharding.NewPlan on the same task and options.
 func TestPlanMatchesDirectPath(t *testing.T) {
 	_, client := newTestServer(t, Config{})
-	resp, err := client.Plan(context.Background(), testReq(3))
+	resp, err := client.PlanV2(context.Background(), testReq(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,11 +119,11 @@ func TestPlanTranslatedHitRemapsDevices(t *testing.T) {
 		}
 	}
 	// Populate the cache with the boundary on hosts 0-1...
-	if _, err := client.Plan(ctx, mk("2x2@0", "2x2@4")); err != nil {
+	if _, err := client.PlanV2(ctx, mk("2x2@0", "2x2@4")); err != nil {
 		t.Fatal(err)
 	}
 	// ...then request the congruent boundary on hosts 2-3.
-	resp, err := client.Plan(ctx, mk("2x2@8", "2x2@12"))
+	resp, err := client.PlanV2(ctx, mk("2x2@8", "2x2@12"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestPlanCoalescing(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			resp, err := client.Plan(context.Background(), testReq(1))
+			resp, err := client.PlanV2(context.Background(), testReq(1))
 			if err != nil {
 				t.Error(err)
 				return
@@ -234,7 +234,7 @@ func TestBackpressure429(t *testing.T) {
 	for i := 0; i < cap(s.plan.queue); i++ {
 		s.plan.queue <- struct{}{}
 	}
-	_, err := client.Plan(context.Background(), testReq(1))
+	_, err := client.PlanV2(context.Background(), testReq(1))
 	var over *OverloadedError
 	if !errors.As(err, &over) {
 		t.Fatalf("want OverloadedError, got %v", err)
@@ -254,7 +254,7 @@ func TestBackpressure429(t *testing.T) {
 	for i := 0; i < cap(s.plan.queue); i++ {
 		<-s.plan.queue
 	}
-	if _, err := client.Plan(context.Background(), testReq(1)); err != nil {
+	if _, err := client.PlanV2(context.Background(), testReq(1)); err != nil {
 		t.Fatalf("after drain: %v", err)
 	}
 }
@@ -266,7 +266,7 @@ func TestServedLRUBound(t *testing.T) {
 	const capacity = 4
 	s, client := newTestServer(t, Config{Cache: resharding.NewLRUPlanCache(capacity)})
 	for seed := int64(1); seed <= 5*capacity; seed++ {
-		if _, err := client.Plan(context.Background(), testReq(seed)); err != nil {
+		if _, err := client.PlanV2(context.Background(), testReq(seed)); err != nil {
 			t.Fatal(err)
 		}
 		if st := s.Cache().Stats(); st.Entries > capacity {
@@ -287,10 +287,10 @@ func TestServedLRUBound(t *testing.T) {
 }
 
 // TestAutotuneMatchesDirectPath: the served grid search returns the same
-// winner and trials as resharding.Autotune.
+// winner and trials as resharding.AutotuneContext.
 func TestAutotuneMatchesDirectPath(t *testing.T) {
 	_, client := newTestServer(t, Config{})
-	resp, err := client.Autotune(context.Background(), &AutotuneRequest{
+	resp, err := client.AutotuneV2(context.Background(), &AutotuneRequest{
 		Topology: TopologyRef{Name: "p3", Hosts: 2},
 		Shape:    []int{64, 96},
 		Src:      Endpoint{Mesh: "2x2@0", Spec: "S01R"},
@@ -302,7 +302,7 @@ func TestAutotuneMatchesDirectPath(t *testing.T) {
 	}
 
 	task, opts := directTask(t, 1)
-	direct, err := resharding.Autotune(task, resharding.AutotuneOptions{Base: opts})
+	direct, err := resharding.AutotuneContext(context.Background(), task, resharding.AutotuneOptions{Base: opts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +355,7 @@ func TestRequestValidation(t *testing.T) {
 			Src: Endpoint{Mesh: "2x2@0", Spec: "S01R"}, Dst: Endpoint{Mesh: "2x2@0", Spec: "S0R"}}},
 	}
 	for _, tc := range cases {
-		_, err := client.Plan(ctx, tc.req)
+		_, err := client.PlanV2(ctx, tc.req)
 		var apiErr *APIError
 		if !errors.As(err, &apiErr) || apiErr.StatusCode != 400 {
 			t.Errorf("%s: want 400, got %v", tc.name, err)
@@ -381,7 +381,7 @@ func TestIntakeBackpressure(t *testing.T) {
 	for i := 0; i < cap(s.intake.queue); i++ {
 		s.intake.queue <- struct{}{}
 	}
-	_, err := client.Plan(context.Background(), testReq(1))
+	_, err := client.PlanV2(context.Background(), testReq(1))
 	var over *OverloadedError
 	if !errors.As(err, &over) {
 		t.Fatalf("want OverloadedError from the intake gate, got %v", err)
@@ -389,7 +389,7 @@ func TestIntakeBackpressure(t *testing.T) {
 	for i := 0; i < cap(s.intake.queue); i++ {
 		<-s.intake.queue
 	}
-	if _, err := client.Plan(context.Background(), testReq(1)); err != nil {
+	if _, err := client.PlanV2(context.Background(), testReq(1)); err != nil {
 		t.Fatalf("after drain: %v", err)
 	}
 }
@@ -476,13 +476,13 @@ func BenchmarkServedPlanCached(b *testing.B) {
 	defer ts.Close()
 	client := NewClient(ts.URL, nil)
 	req := testReq(1)
-	if _, err := client.Plan(context.Background(), req); err != nil {
+	if _, err := client.PlanV2(context.Background(), req); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, err := client.Plan(context.Background(), req); err != nil {
+			if _, err := client.PlanV2(context.Background(), req); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -498,7 +498,7 @@ func BenchmarkServedPlanDistinct(b *testing.B) {
 	client := NewClient(ts.URL, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := client.Plan(context.Background(), testReq(int64(i+1))); err != nil {
+		if _, err := client.PlanV2(context.Background(), testReq(int64(i+1))); err != nil {
 			b.Fatal(err)
 		}
 	}

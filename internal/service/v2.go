@@ -14,11 +14,11 @@ import (
 	"alpacomm/internal/sharding"
 )
 
-// The /v2 API serves the same planner session as /v1 with three additions:
+// What this file holds of the /v2 API:
 //
 //   - a structured, machine-readable error envelope ({"error": {code,
-//     message, retryable, retry_after_seconds}}) instead of /v1's flat
-//     string, so clients branch on codes rather than parsing prose;
+//     message, retryable, retry_after_seconds}}), so clients branch on
+//     codes rather than parsing prose;
 //
 //   - deadline propagation: the X-Timeout-Ms request header bounds the
 //     server-side work (queue wait, coalesced wait, grid search) with a
@@ -55,6 +55,8 @@ const (
 	CodeCanceled = "canceled"
 	// CodeMethodNotAllowed: wrong HTTP method (405).
 	CodeMethodNotAllowed = "method_not_allowed"
+	// CodeInternal: the server could not encode its own response (500).
+	CodeInternal = "internal"
 )
 
 // V2Error is the structured error payload of every non-2xx /v2 response,
@@ -136,8 +138,8 @@ func v2Ctx(r *http.Request) (context.Context, context.CancelFunc, error) {
 // the request's own context: a context error that the request's ctx did
 // NOT produce was inherited from a coalesced flight whose leader
 // disconnected or timed out — this request holds a valid problem that was
-// never attempted, so it gets a retryable "overloaded" (as /v1 does), not
-// a deadline/cancel code that would lie about its own budget.
+// never attempted, so it gets a retryable "overloaded", not a
+// deadline/cancel code that would lie about its own budget.
 func (s *Server) v2Error(ctx context.Context, err error) (int, V2Error) {
 	var bad *badRequestError
 	ctxErr := errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)
@@ -162,9 +164,8 @@ func (s *Server) v2Error(ctx context.Context, err error) (int, V2Error) {
 }
 
 // failV2 writes the envelope — JSON or, when the request negotiated it,
-// the binary error frame — and bumps the endpoint counters the same way
-// the /v1 writers do: 429/deadline/cancel count as rejected, the rest as
-// errors.
+// the binary error frame — and bumps the endpoint counters:
+// 429/deadline/cancel count as rejected, the rest as errors.
 func (s *Server) failV2(ctx context.Context, w http.ResponseWriter, c *endpointCounters, err error, bin bool) {
 	status, ve := s.v2Error(ctx, err)
 	if ve.Retryable {
@@ -191,7 +192,8 @@ func (s *Server) writeV2Error(w http.ResponseWriter, status int, ve V2Error, bin
 	putBuf(buf)
 }
 
-// decodeV2 is decode with the v2 envelope on failure.
+// decodeV2 reads a POST JSON body into dst — size-bounded, unknown fields
+// rejected; on failure it writes the error envelope and returns false.
 func (s *Server) decodeV2(w http.ResponseWriter, r *http.Request, dst interface{}, c *endpointCounters, bin bool) bool {
 	if r.Method != http.MethodPost {
 		c.errors.Add(1)
@@ -200,7 +202,8 @@ func (s *Server) decodeV2(w http.ResponseWriter, r *http.Request, dst interface{
 		}, bin)
 		return false
 	}
-	dec := newBodyDecoder(w, r)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
 		s.failV2(r.Context(), w, c, &badRequestError{fmt.Errorf("bad request body: %v", err)}, bin)
 		return false
@@ -208,9 +211,8 @@ func (s *Server) decodeV2(w http.ResponseWriter, r *http.Request, dst interface{
 	return true
 }
 
-// handlePlanV2 is /v1/plan over the same planner session with the v2
-// envelope and deadline propagation; the plan payload is byte-identical to
-// /v1's for the same request.
+// handlePlanV2 plans and simulates one resharding through the shared
+// planner session, under the propagated deadline and SLO admission.
 func (s *Server) handlePlanV2(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	s.planC.requests.Add(1)
@@ -330,9 +332,8 @@ func degradeOptions(o resharding.Options) resharding.Options {
 	return d.WithDefaults()
 }
 
-// handleAutotuneV2 is /v1/autotune with the v2 envelope and deadline
-// propagation — so a deadline (or disconnect) aborts a queued or running
-// grid search.
+// handleAutotuneV2 runs one strategy x scheduler grid search; a
+// propagated deadline (or disconnect) aborts it queued or running.
 func (s *Server) handleAutotuneV2(w http.ResponseWriter, r *http.Request) {
 	s.autotuneC.requests.Add(1)
 	bin := wantsBinary(r)
@@ -392,7 +393,7 @@ type batchItem struct {
 // handlePlanBatch plans all boundaries of a pipeline job in one request.
 // Items are parsed under one intake token, grouped by canonical cache key,
 // and each distinct class is planned once through the shared session —
-// exactly the computation N individual /v1/plan calls would coalesce to,
+// exactly the computation N individual /v2/plan calls would coalesce to,
 // without the N round trips.
 func (s *Server) handlePlanBatch(w http.ResponseWriter, r *http.Request) {
 	s.batchC.requests.Add(1)

@@ -32,57 +32,33 @@ func postRaw(t *testing.T, url, path string, payload interface{}) (int, []byte) 
 	return resp.StatusCode, buf.Bytes()
 }
 
-// TestV1V2PlanParity pins the satellite requirement: the same request on
-// /v1/plan and /v2/plan returns a byte-identical plan payload.
-func TestV1V2PlanParity(t *testing.T) {
+// TestRetiredV1Routes: the /v1 generation is gone — its three routes
+// answer 404 from the mux, before any handler or endpoint counter.
+func TestRetiredV1Routes(t *testing.T) {
 	s := New(Config{})
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
 
-	req := testReq(3)
-	st1, body1 := postRaw(t, ts.URL, "/v1/plan", req)
-	st2, body2 := postRaw(t, ts.URL, "/v2/plan", req)
-	if st1 != http.StatusOK || st2 != http.StatusOK {
-		t.Fatalf("status v1=%d v2=%d, body1=%s body2=%s", st1, st2, body1, body2)
+	for _, path := range []string{"/v1/plan", "/v1/autotune"} {
+		if st, body := postRaw(t, ts.URL, path, testReq(3)); st != http.StatusNotFound {
+			t.Errorf("POST %s: status %d body %s, want 404", path, st, body)
+		}
 	}
-	// /v2 serves the identical payload struct; only Coalesced may differ
-	// (the second call can hit the cache warmed by the first), so compare
-	// the decoded plans field by field.
-	var r1, r2 PlanResponse
-	if err := json.Unmarshal(body1, &r1); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(body2, &r2); err != nil {
-		t.Fatal(err)
-	}
-	r1.Coalesced, r2.Coalesced = false, false
-	if !reflect.DeepEqual(r1, r2) {
-		t.Errorf("v1 and v2 plans differ:\nv1: %+v\nv2: %+v", r1, r2)
-	}
-}
-
-// TestV1V2AutotuneParity: the grid-search winner and trial table agree
-// across versions.
-func TestV1V2AutotuneParity(t *testing.T) {
-	_, client := newTestServer(t, Config{})
-	req := &AutotuneRequest{
-		Topology: TopologyRef{Name: "p3", Hosts: 2},
-		Shape:    []int{64, 96},
-		Src:      Endpoint{Mesh: "2x2@0", Spec: "S01R"},
-		Dst:      Endpoint{Mesh: "2x2@4", Spec: "S0R"},
-		Options:  PlanOptions{Seed: 5},
-	}
-	r1, err := client.Autotune(context.Background(), req)
+	resp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := client.AutotuneV2(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /v1/stats: status %d, want 404", resp.StatusCode)
 	}
-	r1.Coalesced, r2.Coalesced = false, false
-	if !reflect.DeepEqual(r1, r2) {
-		t.Errorf("v1 and v2 autotune differ:\nv1: %+v\nv2: %+v", r1, r2)
+	for name, c := range map[string]*endpointCounters{"plan": &s.planC, "autotune": &s.autotuneC, "batch": &s.batchC} {
+		if got := c.snapshot(); got != (EndpointStats{}) {
+			t.Errorf("%s counters moved on a retired route: %+v", name, got)
+		}
+	}
+	if st := s.Cache().Stats(); st.Hits+st.Misses != 0 {
+		t.Errorf("a retired route reached the plan cache: %+v", st)
 	}
 }
 
@@ -106,9 +82,10 @@ func gptBoundaryBatch(pp int) *BatchPlanRequest {
 }
 
 // TestBatchMatchesSequentialV1 pins the acceptance criterion: every
-// /v2/plan:batch item is byte-identical to the same boundary planned via
-// /v1/plan, while the batch costs at most one planner computation per
-// congruent-boundary equivalence class.
+// /v2/plan:batch item is byte-identical to the same boundary planned on
+// its own via /v2/plan, while the batch costs at most one planner
+// computation per congruent-boundary equivalence class. (The name predates
+// the retirement of /v1, which the sequential side used to call.)
 func TestBatchMatchesSequentialV1(t *testing.T) {
 	s, client := newTestServer(t, Config{})
 	const pp = 8
@@ -133,7 +110,7 @@ func TestBatchMatchesSequentialV1(t *testing.T) {
 		if item.Error != nil {
 			t.Fatalf("item %d: %+v", i, item.Error)
 		}
-		single, err := client.Plan(context.Background(), &PlanRequest{
+		single, err := client.PlanV2(context.Background(), &PlanRequest{
 			Topology: req.Topology,
 			Shape:    req.Items[i].Shape,
 			DType:    req.Items[i].DType,
@@ -142,12 +119,12 @@ func TestBatchMatchesSequentialV1(t *testing.T) {
 			Options:  req.Items[i].Options,
 		})
 		if err != nil {
-			t.Fatalf("sequential /v1/plan %d: %v", i, err)
+			t.Fatalf("sequential /v2/plan %d: %v", i, err)
 		}
 		got, want := *item.Plan, *single
 		got.Coalesced, want.Coalesced = false, false
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("item %d diverges from /v1/plan:\nbatch: %+v\nv1:    %+v", i, got, want)
+			t.Errorf("item %d diverges from /v2/plan:\nbatch:  %+v\nsingle: %+v", i, got, want)
 		}
 	}
 
@@ -233,6 +210,50 @@ func TestV2ErrorEnvelope(t *testing.T) {
 	}
 	if env.Error.Retryable {
 		t.Error("invalid_argument must not be retryable")
+	}
+}
+
+// TestStatsMethodNotAllowedEnvelope: a non-GET on /v2/stats answers with
+// the structured envelope like every other /v2 endpoint, not a flat string.
+func TestStatsMethodNotAllowedEnvelope(t *testing.T) {
+	s := New(Config{})
+	ts := httptest.NewServer(s)
+	t.Cleanup(ts.Close)
+
+	st, body := postRaw(t, ts.URL, "/v2/stats", struct{}{})
+	var env V2ErrorEnvelope
+	if err := json.Unmarshal(body, &env); err != nil {
+		t.Fatalf("POST /v2/stats body %s is not a V2ErrorEnvelope: %v", body, err)
+	}
+	if st != http.StatusMethodNotAllowed || env.Error.Code != CodeMethodNotAllowed || env.Error.Message == "" {
+		t.Errorf("POST /v2/stats: status %d envelope %+v", st, env.Error)
+	}
+}
+
+// TestEncodeFailureEnvelope: a payload that cannot be encoded becomes a 500
+// whose body is a well-formed V2ErrorEnvelope, and the client surfaces its
+// code and message.
+func TestEncodeFailureEnvelope(t *testing.T) {
+	unencodable := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, map[string]interface{}{"bad": make(chan int)})
+	})
+	rec := httptest.NewRecorder()
+	unencodable.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v2/stats", nil))
+	var env V2ErrorEnvelope
+	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+		t.Fatalf("500 body %s is not a V2ErrorEnvelope: %v", rec.Body.Bytes(), err)
+	}
+	if rec.Code != http.StatusInternalServerError || env.Error.Code != CodeInternal || env.Error.Message == "" || env.Error.Retryable {
+		t.Errorf("encode failure: status %d envelope %+v", rec.Code, env.Error)
+	}
+
+	ts := httptest.NewServer(unencodable)
+	t.Cleanup(ts.Close)
+	_, err := NewClient(ts.URL, nil).Stats(context.Background())
+	var apiErr *APIError
+	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusInternalServerError ||
+		apiErr.Code != CodeInternal || apiErr.Message != env.Error.Message {
+		t.Errorf("client saw %v, want a 500 APIError carrying %+v", err, env.Error)
 	}
 }
 

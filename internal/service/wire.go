@@ -6,12 +6,12 @@ import (
 	"math"
 )
 
-// The binary wire format. /v2 responses are negotiated via the Accept
-// header: a request accepting ContentTypeBinary receives a length-prefixed
+// The binary wire format. Responses are negotiated via the Accept header:
+// a request accepting ContentTypeBinary receives a length-prefixed
 // little-endian frame instead of JSON, carrying exactly the fields of the
 // JSON payload — including the structured error envelope — so the two
-// formats decode to identical values. JSON remains the default; /v1 is
-// JSON-only.
+// formats decode to identical values. JSON remains the default, and
+// /v2/stats is JSON-only.
 //
 // Every frame is magic "APB1", a kind byte, then the kind's body:
 //

@@ -17,9 +17,7 @@ import (
 // it out.
 //
 // Construct with NewPlanner and the With* options; a zero-config session
-// owns private unbounded caches. The deprecated free functions
-// (PlanReshard + Plan.Simulate, AutotuneReshard, ReshardCache hand-wiring)
-// remain as thin wrappers for one release; new code should hold a session:
+// owns private unbounded caches:
 //
 //	planner := alpacomm.NewPlanner(
 //		alpacomm.WithTopology(cluster),
@@ -129,25 +127,4 @@ func (p *Planner) PlanBoundaries(ctx context.Context, job *TrainingJob) ([]Bound
 		out = append(out, BoundaryPlan{Boundary: bt.Boundary, Tensor: bt.Name, Key: key, Plan: plan, Sim: sim})
 	}
 	return out, nil
-}
-
-// session returns the job's planning session: the caller-owned one when
-// set, otherwise a private session assembled from the job's legacy
-// Cache/Autotune fields (kept for one release).
-func (j *TrainingJob) session() *Planner {
-	if j.Planner != nil {
-		return j.Planner
-	}
-	opts := []PlannerOption{
-		WithTopology(j.Cluster),
-		WithDefaultPlanOptions(j.Reshard),
-		WithParallelism(j.AutotuneWorkers),
-	}
-	if j.Cache != nil {
-		// Legacy sharing semantics: the caller's cache held both served
-		// plans and autotune candidate plans (their derived-seed keys never
-		// collide).
-		opts = append(opts, WithCache(j.Cache), WithAutotuneCache(j.Cache))
-	}
-	return NewPlanner(opts...)
 }

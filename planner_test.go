@@ -11,7 +11,7 @@ import (
 // TestPlannerSessionTrainingJob: a caller-owned session drives a training
 // job, its cache collapses the 7 congruent boundaries to one computation,
 // and a second job sharing the session runs entirely from memory —
-// matching the legacy Cache-field behavior bit for bit.
+// matching a job left to its private session bit for bit.
 func TestPlannerSessionTrainingJob(t *testing.T) {
 	session := alpacomm.NewPlanner(alpacomm.WithTopology(alpacomm.AWSP3Cluster(8)))
 	job := deepGPTJob(t)
@@ -25,14 +25,13 @@ func TestPlannerSessionTrainingJob(t *testing.T) {
 		t.Errorf("session cache stats %+v, want 1 entry / 1 miss / 6 hits", st)
 	}
 
-	legacy := deepGPTJob(t)
-	legacy.Cache = alpacomm.NewReshardCache()
-	rep2, err := legacy.Run()
+	private := deepGPTJob(t)
+	rep2, err := private.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep1.IterationTime != rep2.IterationTime {
-		t.Errorf("session-run iteration %g != legacy-cache run %g", rep1.IterationTime, rep2.IterationTime)
+		t.Errorf("session-run iteration %g != private-session run %g", rep1.IterationTime, rep2.IterationTime)
 	}
 
 	// Second job on the shared session: all hits, identical result.

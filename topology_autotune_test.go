@@ -104,7 +104,7 @@ func TestDeepPipelineCachedBoundariesMatchFresh(t *testing.T) {
 func TestSharedCacheAcrossRuns(t *testing.T) {
 	cache := alpacomm.NewReshardCache()
 	job := deepGPTJob(t)
-	job.Cache = cache
+	job.Planner = alpacomm.NewPlanner(alpacomm.WithCache(cache), alpacomm.WithAutotuneCache(cache))
 	rep1, err := job.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +178,7 @@ func TestTrainingJobAutotune(t *testing.T) {
 	cache := alpacomm.NewReshardCache()
 	job := deepGPTJob(t)
 	job.Autotune = true
-	job.Cache = cache
+	job.Planner = alpacomm.NewPlanner(alpacomm.WithCache(cache), alpacomm.WithAutotuneCache(cache))
 	rep1, err := job.Run()
 	if err != nil {
 		t.Fatal(err)

@@ -35,27 +35,18 @@ type TrainingJob struct {
 	// Planner is the planning session every boundary plans through: its
 	// caches collapse congruent boundaries (and, when shared across jobs,
 	// congruent jobs) to one computation, and its context plumbing makes
-	// RunContext cancellable mid-search. Nil means the job assembles a
-	// private session from the legacy Cache/Autotune* fields below.
+	// RunContext cancellable mid-search. Structurally identical stage
+	// boundaries (the common case: every GPT boundary reshards the same
+	// tensor between congruent meshes) plan once and share the timing. Nil
+	// means each run plans through a private session pinned to Cluster;
+	// share one session (or one cache: NewPlanner(WithCache(c),
+	// WithAutotuneCache(c))) across jobs to also reuse plans between runs
+	// on congruent topologies.
 	Planner *Planner
-	// Cache memoizes boundary resharding plans. Structurally identical
-	// stage boundaries (the common case: every GPT boundary reshards the
-	// same tensor between congruent meshes) plan once and share the timing.
-	// Nil means Run uses a private per-run cache; share one cache across
-	// jobs to also reuse plans between runs on congruent topologies.
-	//
-	// Deprecated: set Planner (e.g. NewPlanner(WithCache(c))) instead;
-	// ignored when Planner is non-nil.
-	Cache *ReshardCache
 	// Autotune searches the full strategy x scheduler grid per distinct
 	// boundary (deterministically, in parallel) instead of using Reshard's
 	// fixed Strategy/Scheduler.
 	Autotune bool
-	// AutotuneWorkers bounds the autotuner's concurrency (0 = GOMAXPROCS).
-	//
-	// Deprecated: set Planner (e.g. NewPlanner(WithParallelism(n)))
-	// instead; ignored when Planner is non-nil.
-	AutotuneWorkers int
 }
 
 // TrainingReport is the outcome of one simulated training iteration.
@@ -188,7 +179,10 @@ func (j *TrainingJob) RunContext(ctx context.Context) (*TrainingReport, error) {
 
 	// Per-boundary communication from simulated resharding plans. The
 	// backward gradient has the same shape; reuse the forward time.
-	planner := j.session()
+	planner := j.Planner
+	if planner == nil {
+		planner = NewPlanner(WithTopology(j.Cluster), WithDefaultPlanOptions(j.Reshard))
+	}
 	comm := make([]float64, pc.PP-1)
 	for s := 0; s < pc.PP-1; s++ {
 		c, err := j.boundaryCommTime(ctx, planner, meshes, s)
