@@ -7,7 +7,9 @@ GO ?= go
 build:
 	$(GO) build ./...
 
-test:
+# test reaches both modules: bench/ is its own, so the root `go test ./...`
+# does not descend into it.
+test: bench-test
 	$(GO) test ./...
 
 # lint runs the repo's own invariant suite (see internal/analysis and the
@@ -30,7 +32,6 @@ bench-smoke:
 	$(GO) test -run xxx -bench . -benchtime 1x .
 
 # bench-test runs the benchmark module's own tests (unit tests, the smoke
-# pass held to BENCHMARK.json, the seed-1 golden). bench/ is a separate
-# module, so `go test ./...` at the root does not descend into it.
+# pass held to BENCHMARK.json, the seed-1 golden).
 bench-test:
 	cd bench && $(GO) test ./...

@@ -364,7 +364,7 @@ type (
 const PlanAdmissionHeader = service.AdmissionHeader
 
 // Open-loop load modeling (internal/loadmodel): seeded arrival processes
-// for distribution-driven load generation (cmd/loadgen -open/-open-sim).
+// for distribution-driven load generation (cmd/loadgen -arrivals/-open-sim).
 type (
 	// ArrivalProcess emits successive interarrival gaps.
 	ArrivalProcess = loadmodel.Process

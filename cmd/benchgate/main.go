@@ -19,10 +19,13 @@
 //   - speedup_8x_vs_1 must reach minClusterSpeedup (6): the
 //     8-node tier must absorb the cache-miss load a single node thrashes
 //     on.
-//   - byte_identical must be true: every node serves the same bytes.
-//   - singleflight_computations must be exactly 1: a tier-wide cold herd
-//     costs one DFS.
-//   - warm_restart_hit_rate must reach minWarmHitRate (0.95).
+//
+// The tier's three correctness contracts are held by go tests, not by
+// this gate: every node serves the same bytes
+// (TestTierByteIdenticalAcrossNodes, TestGoldenClusterByteIdentity); a
+// tier-wide cold herd costs one computation
+// (TestTierCrossNodeSingleflight); a warm restart recomputes nothing
+// (TestSnapshotRoundTrip, TestGoldenClusterSnapshotRoundTrip).
 //
 // With -churn it gates a warm-replan artifact written by
 // `microbench -churn` (BENCH_churn.json):
@@ -82,7 +85,6 @@ const (
 	maxHitAllocs      = 50   // allocs/op ceiling for served cache hits
 	missSlack         = 0.20 // relative allocs/op growth allowed on served_cache_miss
 	minClusterSpeedup = 6.0  // 8-node vs 1-node throughput ratio
-	minWarmHitRate    = 0.95 // warm-restart hit rate
 	minWarmSpeedup    = 0.67 // warm vs cold replan speed; below 1 leaves room for timer noise
 	maxSLOGap         = 0.65 // offered-vs-achieved gap of a controller-on row
 )
@@ -164,10 +166,7 @@ func main() {
 
 // clusterArtifact mirrors the gated subset of loadgen's BENCH_cluster.json.
 type clusterArtifact struct {
-	Speedup8xVs1             float64 `json:"speedup_8x_vs_1"`
-	ByteIdentical            bool    `json:"byte_identical"`
-	SingleflightComputations int     `json:"singleflight_computations"`
-	WarmRestartHitRate       float64 `json:"warm_restart_hit_rate"`
+	Speedup8xVs1 float64 `json:"speedup_8x_vs_1"`
 }
 
 // gateCluster checks a distributed-tier artifact and returns the exit
@@ -194,11 +193,6 @@ func gateCluster(path string) int {
 	}
 	report(a.Speedup8xVs1 >= minClusterSpeedup,
 		"speedup_8x_vs_1: %.1fx (floor %.1fx)", a.Speedup8xVs1, minClusterSpeedup)
-	report(a.ByteIdentical, "byte_identical: %v", a.ByteIdentical)
-	report(a.SingleflightComputations == 1,
-		"singleflight_computations: %d (want exactly 1)", a.SingleflightComputations)
-	report(a.WarmRestartHitRate >= minWarmHitRate,
-		"warm_restart_hit_rate: %.3f (floor %.3f)", a.WarmRestartHitRate, minWarmHitRate)
 	if failed {
 		fmt.Println("benchgate: cluster gate failed — see FAIL rows above")
 		return 1

@@ -1,4 +1,4 @@
-// Churn mode (-churn): drive a deterministic fault/heal timeline through
+// Churn phase (-churn): drive a deterministic fault/heal timeline through
 // /v2/plan under concurrent load and verify the server serves the churn
 // warm — every degraded step warmed from the cached healthy twin, every
 // revisited overlay (heal-back, flap) from the cache, no step cold.
@@ -7,8 +7,7 @@ package main
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
+	"math/rand"
 	"time"
 
 	alpacomm "alpacomm"
@@ -17,15 +16,19 @@ import (
 	"alpacomm/internal/service"
 )
 
+// The churn phase's shape. Constants, not flags: each had one value in use.
+const (
+	churnPeriod  = 150 * time.Millisecond // wall time each timeline step stays active
+	churnClients = 8
+	churnPasses  = 2 // >1 exercises heal-back cache hits
+)
+
 // churnResult is the churn phase's tally plus the server's replan-counter
 // delta over the phase.
 type churnResult struct {
 	scenario string
 	steps    int
-	passes   int
-	ok       int
-	rejected int
-	errs     int
+	classTally
 	firstErr string
 	// delta is ReplanStats(after) - ReplanStats(before): only fills the
 	// churn phase itself caused.
@@ -64,13 +67,13 @@ func faultsRefOf(fs mesh.FaultSet) *service.FaultsRef {
 	return ref
 }
 
-// runChurnPhase walks a churn timeline against the server: a stepper
-// advances the active overlay every period while workers replan the churn
-// boundary closed-loop with whatever overlay is active. The timeline runs
-// `passes` times so heal-backs and flap revisits exercise the cache, and
-// the healthy boundary is planned once up front so the very first
-// degraded step already has an incumbent to warm from.
-func runChurnPhase(ctx context.Context, client *alpacomm.PlanClient, scenario string, period time.Duration, workers, passes int) (*churnResult, error) {
+// runChurnPhase walks a churn timeline against the server: closed-loop
+// agents replan the churn boundary with whatever overlay the clock says is
+// active — step k of the timeline holds for churnPeriod, then step k+1.
+// The timeline runs churnPasses times so heal-backs and flap revisits
+// exercise the cache, and the healthy boundary is planned once up front so
+// the very first degraded step already has an incumbent to warm from.
+func runChurnPhase(ctx context.Context, client *alpacomm.PlanClient, scenario string, seed uint64) (*churnResult, error) {
 	reg := alpacomm.DefaultTopologyRegistry()
 	tmpl := churnTemplate()
 	topo, err := reg.Build(tmpl.topology.Name, alpacomm.TopologyParams{Hosts: tmpl.topology.Hosts})
@@ -90,16 +93,17 @@ func runChurnPhase(ctx context.Context, client *alpacomm.PlanClient, scenario st
 		}
 		tl = parsed
 	}
-	res := &churnResult{scenario: scenario, steps: len(tl.Steps), passes: passes}
+	fmt.Printf("loadgen: churn phase: scenario %q, %d agents, %v per step, %d pass(es)\n",
+		scenario, churnClients, churnPeriod, churnPasses)
+	steps := make([]*service.PlanRequest, len(tl.Steps))
+	for i, step := range tl.Steps {
+		steps[i] = tmpl.planRequest(1, faultsRefOf(step.Faults))
+	}
 
 	// The healthy incumbent: one warm-up plan so step 0 warms instead of
 	// going cold, mirroring a real deployment where the healthy plan was
 	// serving before the fault arrived.
-	if _, err := client.PlanV2(ctx, &alpacomm.PlanServiceRequest{
-		Topology: tmpl.topology, Shape: tmpl.shape, DType: tmpl.dtype,
-		Src: tmpl.src, Dst: tmpl.dst,
-		Options: service.PlanOptions{Seed: 1},
-	}); err != nil {
+	if _, err := client.PlanV2(ctx, tmpl.planRequest(1, nil)); err != nil {
 		return nil, fmt.Errorf("healthy warm-up: %v", err)
 	}
 	before, err := client.Stats(ctx)
@@ -107,79 +111,31 @@ func runChurnPhase(ctx context.Context, client *alpacomm.PlanClient, scenario st
 		return nil, err
 	}
 
-	// The stepper owns the active overlay; workers load it per request.
-	var active atomic.Value // *service.FaultsRef (nil wrapped below)
-	type box struct{ ref *service.FaultsRef }
-	active.Store(box{nil})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for p := 0; p < passes; p++ {
-			for _, step := range tl.Steps {
-				active.Store(box{faultsRefOf(step.Faults)})
-				time.Sleep(period)
-			}
-		}
-	}()
-
-	stats := make([]clientStats, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(out *clientStats) {
-			defer wg.Done()
-			for {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				_, err := client.PlanV2(ctx, &alpacomm.PlanServiceRequest{
-					Topology: tmpl.topology, Shape: tmpl.shape, DType: tmpl.dtype,
-					Src: tmpl.src, Dst: tmpl.dst,
-					Options: service.PlanOptions{Seed: 1},
-					Faults:  active.Load().(box).ref,
-				})
-				switch e := err.(type) {
-				case nil:
-					out.ok++
-				case *service.OverloadedError:
-					out.rejected++
-					backoff := e.RetryAfter
-					if backoff > 50*time.Millisecond {
-						backoff = 50 * time.Millisecond
-					}
-					time.Sleep(backoff)
-				default:
-					out.errs++
-					if out.firstErr == "" {
-						out.firstErr = err.Error()
-					}
-				}
-			}
-		}(&stats[w])
-	}
-	wg.Wait()
-	for _, s := range stats {
-		res.ok += s.ok
-		res.rejected += s.rejected
-		res.errs += s.errs
-		if res.firstErr == "" {
-			res.firstErr = s.firstErr
-		}
-	}
+	start := time.Now()
+	all, _ := drive{
+		agents:   churnClients,
+		seed:     seed,
+		arrivals: closedArrivals,
+		next: func(int, *rand.Rand) op {
+			return planOp(classPlan, client, steps[int(time.Since(start)/churnPeriod)%len(steps)])
+		},
+		horizon: time.Duration(churnPasses*len(steps)) * churnPeriod,
+	}.run(ctx)
 
 	after, err := client.Stats(ctx)
 	if err != nil {
 		return nil, err
 	}
-	res.delta = resharding.ReplanStats{
-		CacheHits:    after.Replan.CacheHits - before.Replan.CacheHits,
-		WarmIdentity: after.Replan.WarmIdentity - before.Replan.WarmIdentity,
-		WarmSearch:   after.Replan.WarmSearch - before.Replan.WarmSearch,
-		WarmRejected: after.Replan.WarmRejected - before.Replan.WarmRejected,
-		WarmInvalid:  after.Replan.WarmInvalid - before.Replan.WarmInvalid,
-		Cold:         after.Replan.Cold - before.Replan.Cold,
-	}
-	return res, nil
+	return &churnResult{
+		scenario: scenario, steps: len(steps),
+		classTally: all.sum(), firstErr: all.firstErr,
+		delta: resharding.ReplanStats{
+			CacheHits:    after.Replan.CacheHits - before.Replan.CacheHits,
+			WarmIdentity: after.Replan.WarmIdentity - before.Replan.WarmIdentity,
+			WarmSearch:   after.Replan.WarmSearch - before.Replan.WarmSearch,
+			WarmRejected: after.Replan.WarmRejected - before.Replan.WarmRejected,
+			WarmInvalid:  after.Replan.WarmInvalid - before.Replan.WarmInvalid,
+			Cold:         after.Replan.Cold - before.Replan.Cold,
+		},
+	}, nil
 }

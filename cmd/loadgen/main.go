@@ -1,45 +1,49 @@
-// Command loadgen is a closed-loop, multi-client load generator for the
-// plan server (cmd/planserver): each client issues plan/autotune requests
-// back-to-back from a deterministic request mix over shapes, sharding
-// specs and hardware topologies, and the run reports throughput, latency
-// percentiles (p50/p95/p99), coalescing and backpressure counts.
+// Command loadgen is the load generator for the plan server
+// (cmd/planserver). It has one loop (drive.go): N agents, each with a
+// seeded arrival process and a seeded request stream, issue a request
+// whenever one falls due, and every run reports throughput, coalescing and
+// backpressure counts, and latency percentiles measured two ways — from
+// the time the request fell due and from dispatch. A run is three values:
 //
-// Modes:
+//   - where a request goes and what it asks: the deterministic mix of
+//     plan/autotune requests over shapes, sharding specs and topologies
+//     (-batch adds /v2/plan:batch pipeline jobs, -faults fault overlays on
+//     the same boundaries, -spread multiplies the distinct cache keys);
+//     after it, with -churn, one boundary replanned while a fault/heal
+//     timeline advances (churn.go); with -cluster, a working set routed
+//     by owner affinity over 1/2/4/8-node tiers (cluster.go);
 //
-//	loadgen -addr http://host:8100 -clients 64 -requests 100
-//	loadgen -smoke -json BENCH_service.json
-//	loadgen -smoke -batch -json BENCH_service.json
-//	loadgen -cluster -json BENCH_cluster.json
+//   - when the next request is due: -arrivals closed (the default: at the
+//     previous completion, honouring Retry-After) or poisson | bursty |
+//     diurnal at -rate requests per second over all -clients, fixed
+//     before the first request and never waiting for the server;
 //
-// -smoke starts an in-process server on a loopback port, runs a fixed
-// closed-loop load, verifies that served plans are byte-identical to the
-// direct resharding path and that the LRU cache respected its capacity,
-// and writes the benchmark JSON — the CI perf gate.
+//   - when to stop: -requests per agent, or -duration.
 //
-// -batch adds /v2/plan:batch traffic to the mix: each batch request plans
-// all stage boundaries of a pipeline job at once, and its latency
-// percentiles are recorded alongside the single-request mix. With -verify
-// (or -smoke) every batch item is also checked byte-identical to the same
-// boundary served individually by /v2/plan.
+//     loadgen -addr http://host:8100 -clients 64 -requests 100
+//     loadgen -smoke -batch -faults -churn -json BENCH_service.ci.json
+//     loadgen -smoke -arrivals bursty -rate 1200 -clients 60 -duration 2s
+//     loadgen -cluster -json BENCH_cluster.ci.json
+//
+// -smoke starts an in-process server on a loopback port (with the SLO
+// admission controller on under open arrivals), verifies that served
+// plans are byte-identical to the direct resharding path — with -batch,
+// every batch item against the same boundary served by /v2/plan; with
+// -faults, the fault-overlay contract — and that the LRU cache respected
+// its capacity, and fails on any request error. Under -churn it also
+// fails unless every degraded step was served warm. A report is written
+// only where -json names a path.
 //
 // -wire binary negotiates the binary wire format (see the service
 // package's wire.go) on every response, after first proving one response
 // decodes identically over both formats.
 //
-// -churn appends a continuous-churn phase after the main load: a
-// deterministic fault/heal timeline (-churn-scenario, default "flap")
-// advances every -churn-period while closed-loop clients replan one
-// boundary through /v2/plan with whatever overlay is active. The phase
-// measures the server's replan counters and, under -smoke, fails unless
-// every degraded step was served warm (no cold fills) — see churn.go.
-//
-// -cluster benchmarks the distributed plan-serving tier instead: see
-// cluster.go.
+// -open-sim is not a load run: it replays the open arrival processes
+// through a deterministic model of the serve path (open.go).
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -47,11 +51,10 @@ import (
 	"net/http"
 	"os"
 	"reflect"
-	"sort"
-	"sync"
 	"time"
 
 	alpacomm "alpacomm"
+	"alpacomm/internal/loadmodel"
 	"alpacomm/internal/mesh"
 	"alpacomm/internal/resharding"
 	"alpacomm/internal/service"
@@ -64,6 +67,18 @@ func fail(format string, args ...interface{}) {
 	os.Exit(1)
 }
 
+// The shape of the mix and of the -smoke server. Constants, not flags:
+// each had one value in use.
+const (
+	autotuneFraction   = 0.05 // of plan requests, sent to /v2/autotune
+	batchFraction      = 0.15 // of requests, sent to /v2/plan:batch under -batch
+	faultsFraction     = 0.2  // of plan requests carrying an overlay under -faults
+	smokeCacheCapacity = 64   // in-process server LRU capacity
+	// sloBudget is the p99 budget of the -smoke server's admission
+	// controller (open arrivals only) and of the -open-sim rows.
+	sloBudget = 25 * time.Millisecond
+)
+
 // template is one request shape of the deterministic mix.
 type template struct {
 	name     string
@@ -72,6 +87,16 @@ type template struct {
 	shape    []int
 	dtype    string
 	src, dst service.Endpoint
+}
+
+// planRequest is the template's /v2/plan request under the given option
+// seed and fault overlay (nil = healthy).
+func (t template) planRequest(seed int64, overlay *service.FaultsRef) *service.PlanRequest {
+	return &service.PlanRequest{
+		Topology: t.topology, Shape: t.shape, DType: t.dtype,
+		Src: t.src, Dst: t.dst,
+		Options: service.PlanOptions{Seed: seed}, Faults: overlay,
+	}
 }
 
 // requestMix returns the fixed slate the generator draws from: a spread of
@@ -150,20 +175,6 @@ func batchMix() []batchTemplate {
 	}
 }
 
-// clientStats is one worker's tally, merged after the run.
-type clientStats struct {
-	ok, rejected, errs int
-	coalesced          int
-	latencies          []float64 // seconds, successful requests only
-	batchAttempts      int
-	batchOK            int
-	batchItems         int
-	batchLatencies     []float64 // seconds, successful batch requests only
-	faultAttempts      int
-	faultOK            int
-	firstErr           string
-}
-
 // report is the benchmark JSON (BENCH_service.json in CI).
 type report struct {
 	Clients         int     `json:"clients"`
@@ -176,12 +187,19 @@ type report struct {
 	// ThroughputRPS counts served (200) responses only; rejected and
 	// errored requests are excluded so overload cannot inflate the figure.
 	ThroughputRPS float64 `json:"throughput_rps"`
-	// OfferedRPS is the closed-loop offered load including rejections.
-	OfferedRPS       float64 `json:"offered_rps"`
-	LatencyP50Millis float64 `json:"latency_p50_ms"`
-	LatencyP95Millis float64 `json:"latency_p95_ms"`
-	LatencyP99Millis float64 `json:"latency_p99_ms"`
-	LatencyMaxMillis float64 `json:"latency_max_ms"`
+	// OfferedRPS is the offered load including rejections.
+	OfferedRPS float64 `json:"offered_rps"`
+	// Latency* measure from dispatch, DueLatency* from the time the
+	// request fell due (coordinated omission corrected). Under closed
+	// arrivals a request is due the moment its agent is free, so the two
+	// are equal.
+	Arrivals            string  `json:"arrivals,omitempty"`
+	LatencyP50Millis    float64 `json:"latency_p50_ms"`
+	LatencyP95Millis    float64 `json:"latency_p95_ms"`
+	LatencyP99Millis    float64 `json:"latency_p99_ms"`
+	LatencyMaxMillis    float64 `json:"latency_max_ms"`
+	DueLatencyP50Millis float64 `json:"due_latency_p50_ms,omitempty"`
+	DueLatencyP99Millis float64 `json:"due_latency_p99_ms,omitempty"`
 	// Batch fields cover the /v2/plan:batch slice of the mix (-batch);
 	// zero when batch traffic is disabled. One batch request plans a whole
 	// pipeline job, so its latency is reported separately from the
@@ -207,11 +225,12 @@ type report struct {
 	ChurnRequests int                     `json:"churn_requests,omitempty"`
 	ChurnOK       int                     `json:"churn_ok,omitempty"`
 	ChurnReplan   *resharding.ReplanStats `json:"churn_replan,omitempty"`
-	// OpenLoop rows cover the open-loop distribution-driven mode (-open /
-	// -open-sim): per arrival mix, coordinated-omission-corrected
-	// percentiles and the offered-vs-achieved gap, with and without the
-	// SLO admission controller. Simulated rows are byte-identical across
-	// reruns with the same seed.
+	// OpenLoop rows cover open arrivals: per arrival mix,
+	// coordinated-omission-corrected percentiles and the offered-vs-achieved
+	// gap. A live run under open arrivals writes its one row; -open-sim
+	// writes the simulated matrix, with and without the SLO admission
+	// controller, byte-identical across reruns with the same seed; a run
+	// under closed arrivals carries the rows already in the file forward.
 	OpenLoop        []openLoopRow `json:"open_loop,omitempty"`
 	CacheHits       int           `json:"cache_hits"`
 	CacheMisses     int           `json:"cache_misses"`
@@ -223,86 +242,72 @@ type report struct {
 
 func main() {
 	addr := flag.String("addr", "http://127.0.0.1:8100", "plan server base URL")
-	clients := flag.Int("clients", 64, "concurrent closed-loop clients")
-	requests := flag.Int("requests", 100, "requests per client (count mode)")
+	clients := flag.Int("clients", 64, "concurrent agents, one connection each")
+	requests := flag.Int("requests", 100, "requests per agent (count mode)")
 	duration := flag.Duration("duration", 0, "run for a fixed duration instead of a fixed count")
-	seed := flag.Int64("seed", 1, "request-mix seed (the mix is deterministic per seed)")
-	autotuneFrac := flag.Float64("autotune-fraction", 0.05, "fraction of requests sent to /v2/autotune")
+	seed := flag.Int64("seed", 1, "run seed: agent i's arrivals and requests are a function of (seed, i) alone")
+	arrivals := flag.String("arrivals", "closed", "arrival process: closed (next request due at the previous completion) or poisson, bursty, diurnal (open: scheduled at -rate, never waiting for the server)")
+	rate := flag.Float64("rate", 1000, "total offered arrival rate over all agents, requests per second (open arrivals)")
 	batch := flag.Bool("batch", false, "add /v2/plan:batch pipeline-job requests to the mix and report their latency percentiles")
-	batchFrac := flag.Float64("batch-fraction", 0.15, "fraction of requests sent to /v2/plan:batch when -batch is set")
 	faults := flag.Bool("faults", false, "add degraded-topology churn to the mix: /v2/plan requests carrying fault overlays alongside their healthy twins")
-	faultsFrac := flag.Float64("faults-fraction", 0.2, "fraction of plan requests carrying a fault overlay when -faults is set")
 	churnMode := flag.Bool("churn", false, "after the main load, walk a fault/heal timeline through /v2/plan and verify the server replans warm (no cold fills)")
 	churnScenario := flag.String("churn-scenario", mesh.ChurnFlap, "churn timeline: a registry scenario (flap, cascade, brownout-recovery) or an inline spec like \"@0 link:0-1:down | @500ms\"")
-	churnPeriod := flag.Duration("churn-period", 150*time.Millisecond, "wall time each timeline step stays active in -churn mode")
-	churnWorkers := flag.Int("churn-clients", 8, "concurrent closed-loop clients during the churn phase")
-	churnPasses := flag.Int("churn-passes", 2, "times the churn timeline repeats (>1 exercises heal-back cache hits)")
 	spread := flag.Int("spread", 1, "distinct Options.Seed values per template (>1 multiplies distinct cache keys, exercising LRU eviction)")
 	jsonPath := flag.String("json", "", "write the benchmark report JSON to this file")
 	verify := flag.Bool("verify", false, "verify served plans byte-identical to the direct resharding path")
-	smoke := flag.Bool("smoke", false, "self-contained CI smoke: in-process server, fixed load, verification")
-	smokeCapacity := flag.Int("smoke-cache-capacity", 64, "in-process server LRU capacity in -smoke mode")
+	smoke := flag.Bool("smoke", false, "self-contained CI smoke: in-process server, verification, fail on any request error")
 	wire := flag.String("wire", "json", "wire format for responses: json or binary (binary also cross-checks one response against the JSON path)")
-	clusterMode := flag.Bool("cluster", false, "run the distributed-tier benchmark: in-process 1/2/4/8-node tiers, byte-identity + cross-node singleflight checks, warm-restart hit rate (writes BENCH_cluster.json)")
-	clusterWindow := flag.Duration("cluster-measure", 3*time.Second, "measured window per node count in -cluster mode")
-	open := flag.Bool("open", false, "open-loop mode: distribution-driven agents dispatch /v2/plan on a fixed schedule and report coordinated-omission-corrected percentiles")
-	openSim := flag.Bool("open-sim", false, "deterministic open-loop simulation: replay the arrival schedule through a serve-path model with the real SLO controller on a simulated clock (byte-identical BENCH rows per seed)")
-	openMix := flag.String("open-mix", "poisson,bursty,diurnal", "comma-separated arrival mixes for open-loop modes (-open uses the first)")
-	openRate := flag.Float64("open-rate", 40000, "total offered arrival rate (requests per second) in open-loop modes")
-	openAgents := flag.Int("open-agents", 1600, "open-loop agents (each owns one connection and a derived-seed arrival stream)")
-	openDur := flag.Duration("open-duration", 2*time.Second, "open-loop schedule horizon")
-	sloBudget := flag.Duration("slo-budget", 25*time.Millisecond, "p99 budget for the SLO admission controller (-open-sim rows; -open -smoke server)")
+	clusterMode := flag.Bool("cluster", false, "run the distributed-tier scaling benchmark instead: in-process 1/2/4/8-node tiers, 8-vs-1 throughput")
+	openSim := flag.Bool("open-sim", false, "deterministic open-loop simulation: replay the open arrival processes through a serve-path model with the real SLO controller on a simulated clock (byte-identical BENCH rows per seed)")
 	flag.Parse()
 	if *spread < 1 {
 		*spread = 1
 	}
 	if *clusterMode {
-		runClusterBench(*jsonPath, *clusterWindow)
+		runClusterBench(*jsonPath, uint64(*seed))
 		return
 	}
 	if *openSim {
-		runOpenSimMode(*jsonPath, parseMixes(*openMix), *openRate, *openAgents, *openDur, uint64(*seed), *sloBudget)
+		runOpenSimMode(*jsonPath, uint64(*seed))
 		return
+	}
+	if buildProcess(*arrivals, 1, 0) == nil {
+		fail("unknown -arrivals %q (want closed, poisson, bursty or diurnal)", *arrivals)
+	}
+	open := *arrivals != "closed"
+	if open && *rate <= 0 {
+		fail("-arrivals %s needs a positive -rate", *arrivals)
+	}
+	if *clients < 1 {
+		fail("-clients must be at least 1")
 	}
 
 	base := *addr
-	var srv *alpacomm.PlanServer
 	if *smoke {
 		cfg := alpacomm.PlanServerConfig{
-			Cache:     alpacomm.NewLRUReshardCache(*smokeCapacity),
+			Cache:     alpacomm.NewLRUReshardCache(smokeCacheCapacity),
 			PlanQueue: 256,
 		}
-		if *open {
-			// Open-loop smoke exists to exercise the admission controller
-			// under distribution-driven load.
-			cfg.SLO = &service.SLOConfig{P99Budget: *sloBudget}
+		if open {
+			// Open arrivals exist to exercise the admission controller; a
+			// closed loop throttles itself and never needs it.
+			cfg.SLO = &service.SLOConfig{P99Budget: sloBudget}
+		} else {
+			// A controller that has just degraded or shed may rightly answer
+			// a cold verification request degraded or not at all, so only
+			// the controller-less smoke verifies by default.
+			*verify = true
 		}
-		srv = alpacomm.NewPlanServer(cfg)
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			fail("listen: %v", err)
 		}
 		defer ln.Close()
-		go func() { _ = (&http.Server{Handler: srv}).Serve(ln) }()
+		go func() { _ = (&http.Server{Handler: alpacomm.NewPlanServer(cfg)}).Serve(ln) }()
 		base = "http://" + ln.Addr().String()
-		*verify = true
-		// Open-loop live rows are wall-clock measurements; never merge
-		// them into the committed deterministic report by default.
-		if *jsonPath == "" && !*open {
-			*jsonPath = "BENCH_service.json"
-		}
-		fmt.Printf("loadgen: smoke server on %s (cache capacity %d)\n", base, *smokeCapacity)
+		fmt.Printf("loadgen: smoke server on %s (cache capacity %d)\n", base, smokeCacheCapacity)
 	}
 
-	mix := requestMix()
-	batches := []batchTemplate(nil)
-	if *batch {
-		batches = batchMix()
-	}
-	overlays := []*service.FaultsRef(nil)
-	if *faults {
-		overlays = faultMix()
-	}
 	var clientOpts []alpacomm.PlanClientOption
 	switch *wire {
 	case "json":
@@ -314,116 +319,92 @@ func main() {
 	client := alpacomm.NewPlanClient(base, nil, clientOpts...)
 	ctx := context.Background()
 
+	stream := &mixStream{client: client, spread: *spread}
+	for _, t := range requestMix() {
+		if t.autotune {
+			stream.autotunes = append(stream.autotunes, t)
+		} else {
+			stream.plans = append(stream.plans, t)
+		}
+	}
+	if *batch {
+		stream.batches = batchMix()
+	}
+	if *faults {
+		stream.overlays = faultMix()
+	}
+
 	if *wire == "binary" {
 		// One cross-format sanity check before the load: the same request
 		// served over JSON and binary must decode identically.
-		verifyWireParity(ctx, base, client, mix[0])
+		verifyWireParity(ctx, base, client, stream.plans[0])
 	}
 
-	if *open {
-		mixName := parseMixes(*openMix)[0]
-		fmt.Printf("loadgen: open loop: %s mix, %d agents, %.0f offered rps for %v against %s\n",
-			mixName, *openAgents, *openRate, *openDur, base)
-		row := runOpenLive(ctx, client, mixName, *openRate, *openAgents, *openDur, uint64(*seed), *sloBudget)
-		if *jsonPath != "" {
-			mergeOpenRows(*jsonPath, []openLoopRow{row})
-			fmt.Printf("open-loop row merged into %s\n", *jsonPath)
-		}
-		return
+	before, err := client.Stats(ctx)
+	if err != nil {
+		fail("stats: %v", err)
 	}
-
-	deadline := time.Time{}
+	load := drive{
+		agents: *clients,
+		seed:   uint64(*seed),
+		arrivals: func(s uint64) loadmodel.Process {
+			return buildProcess(*arrivals, *rate/float64(*clients), s)
+		},
+		next:     stream.next,
+		requests: *requests,
+		horizon:  *duration,
+	}
 	if *duration > 0 {
-		deadline = time.Now().Add(*duration)
+		load.requests = 0
 	}
-
-	fmt.Printf("loadgen: %d clients, mix of %d templates (spread %d), target %s\n",
-		*clients, len(mix), *spread, base)
-	start := time.Now()
-	stats := make([]clientStats, *clients)
-	var wg sync.WaitGroup
-	for c := 0; c < *clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			runClient(ctx, client, mix, &stats[c], clientConfig{
-				rng:          rand.New(rand.NewSource(*seed ^ int64(c+1)*-0x61c8864680b583eb)),
-				requests:     *requests,
-				deadline:     deadline,
-				autotuneFrac: *autotuneFrac,
-				batches:      batches,
-				batchFrac:    *batchFrac,
-				overlays:     overlays,
-				faultsFrac:   *faultsFrac,
-				spread:       *spread,
-			})
-		}(c)
+	schedule := "closed arrivals"
+	if open {
+		schedule = fmt.Sprintf("%s arrivals at %.0f rps", *arrivals, *rate)
 	}
-	wg.Wait()
-	elapsed := time.Since(start).Seconds()
+	fmt.Printf("loadgen: %d agents, %s, mix of %d templates (spread %d), target %s\n",
+		*clients, schedule, len(requestMix()), *spread, base)
+	all, elapsed := load.run(ctx)
 
 	var churn *churnResult
 	if *churnMode {
-		fmt.Printf("loadgen: churn phase: scenario %q, %d clients, %v per step, %d pass(es)\n",
-			*churnScenario, *churnWorkers, *churnPeriod, *churnPasses)
-		var err error
-		churn, err = runChurnPhase(ctx, client, *churnScenario, *churnPeriod, *churnWorkers, *churnPasses)
-		if err != nil {
+		if churn, err = runChurnPhase(ctx, client, *churnScenario, uint64(*seed)); err != nil {
 			fail("churn phase: %v", err)
 		}
 	}
-
-	// Merge.
-	var all clientStats
-	for _, s := range stats {
-		all.ok += s.ok
-		all.rejected += s.rejected
-		all.errs += s.errs
-		all.coalesced += s.coalesced
-		all.latencies = append(all.latencies, s.latencies...)
-		all.batchAttempts += s.batchAttempts
-		all.batchOK += s.batchOK
-		all.batchItems += s.batchItems
-		all.batchLatencies = append(all.batchLatencies, s.batchLatencies...)
-		all.faultAttempts += s.faultAttempts
-		all.faultOK += s.faultOK
-		if all.firstErr == "" {
-			all.firstErr = s.firstErr
-		}
-	}
-	sort.Float64s(all.latencies)
-	sort.Float64s(all.batchLatencies)
-	total := all.ok + all.rejected + all.errs + all.batchOK
 
 	sstats, err := client.Stats(ctx)
 	if err != nil {
 		fail("stats: %v", err)
 	}
 
+	every, single, batches := all.sum(), all.sum(classPlan, classFault), all.sum(classBatch)
 	rep := report{
-		Clients:          *clients,
-		Requests:         total,
-		OK:               all.ok,
-		Rejected:         all.rejected,
-		Errors:           all.errs,
-		Coalesced:        all.coalesced,
-		DurationSeconds:  elapsed,
-		ThroughputRPS:    float64(all.ok) / elapsed,
-		OfferedRPS:       float64(total) / elapsed,
-		LatencyP50Millis: percentileMillis(all.latencies, 50),
-		LatencyP95Millis: percentileMillis(all.latencies, 95),
-		LatencyP99Millis: percentileMillis(all.latencies, 99),
-		LatencyMaxMillis: percentileMillis(all.latencies, 100),
+		Clients:             *clients,
+		Requests:            every.attempts,
+		OK:                  single.ok,
+		Rejected:            every.rejected,
+		Errors:              every.errs,
+		Coalesced:           single.coalesced,
+		DurationSeconds:     elapsed.Seconds(),
+		ThroughputRPS:       float64(single.ok) / elapsed.Seconds(),
+		OfferedRPS:          float64(every.attempts) / elapsed.Seconds(),
+		Arrivals:            *arrivals,
+		LatencyP50Millis:    percentileMillis(single.dispatch, 50),
+		LatencyP95Millis:    percentileMillis(single.dispatch, 95),
+		LatencyP99Millis:    percentileMillis(single.dispatch, 99),
+		LatencyMaxMillis:    percentileMillis(single.dispatch, 100),
+		DueLatencyP50Millis: percentileMillis(single.due, 50),
+		DueLatencyP99Millis: percentileMillis(single.due, 99),
 
-		BatchRequests:         all.batchAttempts,
-		BatchOK:               all.batchOK,
-		BatchItems:            all.batchItems,
-		BatchLatencyP50Millis: percentileMillis(all.batchLatencies, 50),
-		BatchLatencyP95Millis: percentileMillis(all.batchLatencies, 95),
-		BatchLatencyP99Millis: percentileMillis(all.batchLatencies, 99),
-		BatchLatencyMaxMillis: percentileMillis(all.batchLatencies, 100),
-		FaultRequests:         all.faultAttempts,
-		FaultOK:               all.faultOK,
+		BatchRequests:         batches.attempts,
+		BatchOK:               batches.ok,
+		BatchItems:            batches.items,
+		BatchLatencyP50Millis: percentileMillis(batches.dispatch, 50),
+		BatchLatencyP95Millis: percentileMillis(batches.dispatch, 95),
+		BatchLatencyP99Millis: percentileMillis(batches.dispatch, 99),
+		BatchLatencyMaxMillis: percentileMillis(batches.dispatch, 100),
+		FaultRequests:         all.by[classFault].attempts,
+		FaultOK:               all.by[classFault].ok,
 		CacheHits:             sstats.Cache.Hits,
 		CacheMisses:           sstats.Cache.Misses,
 		CacheEntries:          sstats.Cache.Entries,
@@ -434,53 +415,51 @@ func main() {
 	if churn != nil {
 		rep.ChurnScenario = churn.scenario
 		rep.ChurnSteps = churn.steps
-		rep.ChurnPasses = churn.passes
-		rep.ChurnRequests = churn.ok + churn.rejected + churn.errs
+		rep.ChurnPasses = churnPasses
+		rep.ChurnRequests = churn.attempts
 		rep.ChurnOK = churn.ok
 		rep.ChurnReplan = &churn.delta
 	}
 	printReport(rep)
+	if open {
+		window := *duration
+		if window == 0 {
+			window = elapsed
+		}
+		row := liveOpenRow(*arrivals, *clients, uint64(*seed), every, window, elapsed, before.Admission, sstats.Admission)
+		printOpenRow(row)
+		rep.OpenLoop = []openLoopRow{row}
+	}
 	if all.firstErr != "" {
 		fmt.Printf("first error: %s\n", all.firstErr)
 	}
 
 	if *jsonPath != "" {
-		// Closed-loop and open-loop runs share the artifact: carry any
-		// committed open_loop rows forward, mirroring mergeOpenRows.
-		if prev, err := os.ReadFile(*jsonPath); err == nil {
-			var old report
-			if json.Unmarshal(prev, &old) == nil {
-				rep.OpenLoop = old.OpenLoop
-			}
+		if !open {
+			rep.OpenLoop = readReport(*jsonPath).OpenLoop
 		}
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fail("marshal report: %v", err)
-		}
-		if err := os.WriteFile(*jsonPath, append(data, '\n'), 0o644); err != nil {
-			fail("write report: %v", err)
-		}
+		writeReport(*jsonPath, rep)
 		fmt.Printf("report written to %s\n", *jsonPath)
 	}
 
 	failed := false
 	if *verify {
-		if n := verifyPlans(ctx, client, mix); n > 0 {
+		if n := verifyPlans(ctx, client, stream.plans); n > 0 {
 			fmt.Printf("VERIFY FAILED: %d template(s) diverged from the direct resharding path\n", n)
 			failed = true
 		} else {
 			fmt.Println("verify: served plans byte-identical to the direct resharding path")
 		}
-		if len(batches) > 0 {
-			if n := verifyBatches(ctx, client, batches); n > 0 {
+		if *batch {
+			if n := verifyBatches(ctx, client, stream.batches); n > 0 {
 				fmt.Printf("VERIFY FAILED: %d batch item(s) diverged from /v2/plan\n", n)
 				failed = true
 			} else {
 				fmt.Println("verify: /v2/plan:batch items byte-identical to per-boundary /v2/plan")
 			}
 		}
-		if len(overlays) > 0 {
-			if n := verifyFaults(ctx, client, mix, overlays); n > 0 {
+		if *faults {
+			if n := verifyFaults(ctx, client, stream.plans, stream.overlays); n > 0 {
 				fmt.Printf("VERIFY FAILED: %d degraded request(s) violated the fault-overlay contract\n", n)
 				failed = true
 			} else {
@@ -488,11 +467,11 @@ func main() {
 			}
 		}
 	}
-	if *smoke && len(batches) > 0 && all.batchOK == 0 {
+	if *smoke && *batch && batches.ok == 0 {
 		fmt.Println("SMOKE FAILED: no /v2/plan:batch request succeeded")
 		failed = true
 	}
-	if *smoke && len(overlays) > 0 && all.faultOK == 0 {
+	if *smoke && *faults && rep.FaultOK == 0 {
 		fmt.Println("SMOKE FAILED: no degraded-topology request succeeded")
 		failed = true
 	}
@@ -529,8 +508,8 @@ func main() {
 		failed = true
 	}
 	if *smoke {
-		if all.errs > 0 {
-			fmt.Printf("SMOKE FAILED: %d request errors\n", all.errs)
+		if every.errs > 0 || every.ok == 0 {
+			fmt.Printf("SMOKE FAILED: %d request errors, %d served\n", every.errs, every.ok)
 			failed = true
 		}
 		if rep.CacheHits+int(rep.ServerCoalesced) == 0 {
@@ -543,131 +522,60 @@ func main() {
 	}
 }
 
-type clientConfig struct {
-	rng          *rand.Rand
-	requests     int
-	deadline     time.Time
-	autotuneFrac float64
-	batches      []batchTemplate
-	batchFrac    float64
-	overlays     []*service.FaultsRef
-	faultsFrac   float64
-	spread       int
+// mixStream is the request stream of a load run: what an agent asks next,
+// drawn from the agent's own RNG.
+type mixStream struct {
+	client           *alpacomm.PlanClient
+	plans, autotunes []template
+	batches          []batchTemplate      // empty without -batch
+	overlays         []*service.FaultsRef // empty without -faults
+	spread           int
 }
 
-// runClient is one closed-loop worker: next request starts when the
-// previous response lands.
-func runClient(ctx context.Context, client *alpacomm.PlanClient, mix []template, out *clientStats, cfg clientConfig) {
-	planTemplates := make([]template, 0, len(mix))
-	autoTemplates := make([]template, 0, len(mix))
-	for _, t := range mix {
-		if t.autotune {
-			autoTemplates = append(autoTemplates, t)
-		} else {
-			planTemplates = append(planTemplates, t)
-		}
+func (m *mixStream) next(_ int, rng *rand.Rand) op {
+	if len(m.batches) > 0 && rng.Float64() < batchFraction {
+		bt := m.batches[rng.Intn(len(m.batches))]
+		return op{class: classBatch, do: func(ctx context.Context) (reply, error) {
+			resp, err := m.client.PlanBatch(ctx, &bt.req)
+			if err != nil {
+				return reply{}, err
+			}
+			return reply{items: len(resp.Items)}, nil
+		}}
 	}
-	for i := 0; cfg.deadline.IsZero() && i < cfg.requests || !cfg.deadline.IsZero() && time.Now().Before(cfg.deadline); i++ {
-		if len(cfg.batches) > 0 && cfg.rng.Float64() < cfg.batchFrac {
-			bt := cfg.batches[cfg.rng.Intn(len(cfg.batches))]
-			out.batchAttempts++
-			begin := time.Now()
-			resp, err := client.PlanBatch(ctx, &bt.req)
-			switch e := err.(type) {
-			case nil:
-				out.batchOK++
-				out.batchItems += len(resp.Items)
-				out.batchLatencies = append(out.batchLatencies, time.Since(begin).Seconds())
-			case *service.OverloadedError:
-				out.rejected++
-				backoff := e.RetryAfter
-				if backoff > 50*time.Millisecond {
-					backoff = 50 * time.Millisecond
-				}
-				time.Sleep(backoff)
-			default:
-				out.errs++
-				if out.firstErr == "" {
-					out.firstErr = err.Error()
-				}
-			}
-			continue
-		}
-		var t template
-		var overlay *service.FaultsRef
-		autotune := false
-		if len(cfg.overlays) > 0 && cfg.rng.Float64() < cfg.faultsFrac {
-			// Degraded-topology churn: the same template the healthy mix
-			// plans, with a fault overlay — exercising replan-on-degrade
-			// and the healthy/degraded cache partition under load.
-			t = planTemplates[cfg.rng.Intn(len(planTemplates))]
-			overlay = cfg.overlays[cfg.rng.Intn(len(cfg.overlays))]
-			out.faultAttempts++
-		} else if autotune = len(autoTemplates) > 0 && cfg.rng.Float64() < cfg.autotuneFrac; autotune {
-			t = autoTemplates[cfg.rng.Intn(len(autoTemplates))]
-		} else {
-			t = planTemplates[cfg.rng.Intn(len(planTemplates))]
-		}
-		opts := service.PlanOptions{Seed: 1 + int64(cfg.rng.Intn(cfg.spread))}
-		begin := time.Now()
-		var err error
-		var coalesced bool
-		if autotune {
-			var resp *alpacomm.AutotuneServiceResponse
-			resp, err = client.AutotuneV2(ctx, &alpacomm.AutotuneServiceRequest{
-				Topology: t.topology, Shape: t.shape, DType: t.dtype,
-				Src: t.src, Dst: t.dst, Options: opts,
-			})
-			if err == nil {
-				coalesced = resp.Coalesced
-			}
-		} else {
-			var resp *alpacomm.PlanServiceResponse
-			resp, err = client.PlanV2(ctx, &alpacomm.PlanServiceRequest{
-				Topology: t.topology, Shape: t.shape, DType: t.dtype,
-				Src: t.src, Dst: t.dst, Options: opts, Faults: overlay,
-			})
-			if err == nil {
-				coalesced = resp.Coalesced
-			}
-		}
-		switch e := err.(type) {
-		case nil:
-			out.ok++
-			if overlay != nil {
-				out.faultOK++
-			}
-			out.latencies = append(out.latencies, time.Since(begin).Seconds())
-			if coalesced {
-				out.coalesced++
-			}
-		case *service.OverloadedError:
-			out.rejected++
-			// Honor the backoff hint, capped so a closed loop keeps
-			// exercising the admission path.
-			backoff := e.RetryAfter
-			if backoff > 50*time.Millisecond {
-				backoff = 50 * time.Millisecond
-			}
-			time.Sleep(backoff)
-		default:
-			out.errs++
-			if out.firstErr == "" {
-				out.firstErr = err.Error()
-			}
-		}
+	if len(m.overlays) > 0 && rng.Float64() < faultsFraction {
+		// Degraded-topology churn: the same template the healthy mix
+		// plans, with a fault overlay — exercising replan-on-degrade
+		// and the healthy/degraded cache partition under load.
+		t := m.plans[rng.Intn(len(m.plans))]
+		overlay := m.overlays[rng.Intn(len(m.overlays))]
+		return planOp(classFault, m.client, t.planRequest(m.optionSeed(rng), overlay))
 	}
+	if len(m.autotunes) > 0 && rng.Float64() < autotuneFraction {
+		t := m.autotunes[rng.Intn(len(m.autotunes))]
+		req := &alpacomm.AutotuneServiceRequest{
+			Topology: t.topology, Shape: t.shape, DType: t.dtype,
+			Src: t.src, Dst: t.dst, Options: service.PlanOptions{Seed: m.optionSeed(rng)},
+		}
+		return op{class: classPlan, do: func(ctx context.Context) (reply, error) {
+			resp, err := m.client.AutotuneV2(ctx, req)
+			if err != nil {
+				return reply{}, err
+			}
+			return reply{coalesced: resp.Coalesced}, nil
+		}}
+	}
+	t := m.plans[rng.Intn(len(m.plans))]
+	return planOp(classPlan, m.client, t.planRequest(m.optionSeed(rng), nil))
 }
+
+func (m *mixStream) optionSeed(rng *rand.Rand) int64 { return 1 + int64(rng.Intn(m.spread)) }
 
 // verifyWireParity serves one template over both wire formats and fails
 // the run unless the decoded responses are identical — the quick parity
 // proof -wire=binary runs before trusting the binary path under load.
 func verifyWireParity(ctx context.Context, base string, binClient *alpacomm.PlanClient, t template) {
-	req := &alpacomm.PlanServiceRequest{
-		Topology: t.topology, Shape: t.shape, DType: t.dtype,
-		Src: t.src, Dst: t.dst,
-		Options: service.PlanOptions{Seed: 1},
-	}
+	req := t.planRequest(1, nil)
 	jsonResp, err := alpacomm.NewPlanClient(base, nil).PlanV2(ctx, req)
 	if err != nil {
 		fail("wire parity (json): %v", err)
@@ -688,17 +596,11 @@ func verifyWireParity(ctx context.Context, base string, binClient *alpacomm.Plan
 // against resharding.NewPlan computed locally with the service's
 // normalized options: senders, launch order, makespan, ops — byte for
 // byte. Returns the number of diverging templates.
-func verifyPlans(ctx context.Context, client *alpacomm.PlanClient, mix []template) int {
+func verifyPlans(ctx context.Context, client *alpacomm.PlanClient, plans []template) int {
 	reg := alpacomm.DefaultTopologyRegistry()
 	bad := 0
-	for _, t := range mix {
-		if t.autotune {
-			continue
-		}
-		resp, err := client.PlanV2(ctx, &alpacomm.PlanServiceRequest{
-			Topology: t.topology, Shape: t.shape, DType: t.dtype,
-			Src: t.src, Dst: t.dst, Options: service.PlanOptions{Seed: 1},
-		})
+	for _, t := range plans {
+		resp, err := client.PlanV2(ctx, t.planRequest(1, nil))
 		if err != nil {
 			fmt.Printf("verify %s: request: %v\n", t.name, err)
 			bad++
@@ -806,27 +708,17 @@ func verifyBatches(ctx context.Context, client *alpacomm.PlanClient, batches []b
 // degrades the involved hardware by at least 2x (the plan-for-plan
 // guarantee is fuzz-tested in internal/resharding). Returns the number
 // of violations.
-func verifyFaults(ctx context.Context, client *alpacomm.PlanClient, mix []template, overlays []*service.FaultsRef) int {
+func verifyFaults(ctx context.Context, client *alpacomm.PlanClient, plans []template, overlays []*service.FaultsRef) int {
 	bad := 0
-	for _, t := range mix {
-		if t.autotune {
-			continue
-		}
-		healthy, err := client.PlanV2(ctx, &alpacomm.PlanServiceRequest{
-			Topology: t.topology, Shape: t.shape, DType: t.dtype,
-			Src: t.src, Dst: t.dst, Options: service.PlanOptions{Seed: 1},
-		})
+	for _, t := range plans {
+		healthy, err := client.PlanV2(ctx, t.planRequest(1, nil))
 		if err != nil {
 			fmt.Printf("verify %s: healthy request: %v\n", t.name, err)
 			bad++
 			continue
 		}
 		for oi, ov := range overlays {
-			req := &alpacomm.PlanServiceRequest{
-				Topology: t.topology, Shape: t.shape, DType: t.dtype,
-				Src: t.src, Dst: t.dst, Options: service.PlanOptions{Seed: 1},
-				Faults: ov,
-			}
+			req := t.planRequest(1, ov)
 			degraded, err := client.PlanV2(ctx, req)
 			if err != nil {
 				fmt.Printf("verify %s overlay %d: %v\n", t.name, oi, err)
@@ -903,29 +795,14 @@ func directPlan(reg *alpacomm.TopologyRegistry, t template) (*alpacomm.ReshardPl
 	return plan, sim, nil
 }
 
-// percentileMillis returns the p-th percentile (nearest-rank) in
-// milliseconds of an ascending latency slice in seconds.
-func percentileMillis(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(p/100*float64(len(sorted))+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx] * 1e3
-}
-
 func printReport(r report) {
-	fmt.Printf("\n%d requests in %.2fs — %.0f served req/s, %.0f offered (%d clients)\n",
-		r.Requests, r.DurationSeconds, r.ThroughputRPS, r.OfferedRPS, r.Clients)
+	fmt.Printf("\n%d requests in %.2fs — %.0f served req/s, %.0f offered (%d agents, %s arrivals)\n",
+		r.Requests, r.DurationSeconds, r.ThroughputRPS, r.OfferedRPS, r.Clients, r.Arrivals)
 	fmt.Printf("  ok %d, rejected(429) %d, errors %d, coalesced %d\n",
 		r.OK, r.Rejected, r.Errors, r.Coalesced)
-	fmt.Printf("  latency p50 %.3fms  p95 %.3fms  p99 %.3fms  max %.3fms\n",
+	fmt.Printf("  latency from dispatch p50 %.3fms  p95 %.3fms  p99 %.3fms  max %.3fms\n",
 		r.LatencyP50Millis, r.LatencyP95Millis, r.LatencyP99Millis, r.LatencyMaxMillis)
+	fmt.Printf("  latency from due time p50 %.3fms  p99 %.3fms\n", r.DueLatencyP50Millis, r.DueLatencyP99Millis)
 	if r.BatchRequests > 0 {
 		fmt.Printf("  batch: %d requests (%d ok, %d items planned)\n", r.BatchRequests, r.BatchOK, r.BatchItems)
 		fmt.Printf("  batch latency p50 %.3fms  p95 %.3fms  p99 %.3fms  max %.3fms\n",

@@ -1,40 +1,32 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
 	"sort"
-	"strings"
-	"sync"
 	"time"
 
-	alpacomm "alpacomm"
 	"alpacomm/internal/loadmodel"
 	"alpacomm/internal/service"
 )
 
-// Open-loop load generation. The closed loop in main.go sends the next
-// request when the previous response lands, so a slow server throttles
-// its own load and the measured percentiles flatter it — coordinated
-// omission. The open loop fixes the schedule first: every request gets an
-// intended start time drawn from a seeded arrival process
+// Open-loop rows and the deterministic open-loop model. The closed loop
+// sends the next request when the previous response lands, so a slow
+// server throttles its own load and the measured percentiles flatter it —
+// coordinated omission. Open arrivals fix the schedule first: every
+// request gets an intended start time drawn from a seeded arrival process
 // (internal/loadmodel), agents dispatch on that schedule no matter how
 // the server is doing, and latency is measured from the intended start.
 //
-// Two modes share the machinery:
-//
-//   - -open drives a real server over HTTP: many lightweight agents, one
-//     connection each, dispatching /v2/plan requests on their private
-//     arrival streams (per-agent derived seeds make the fleet shardable).
-//   - -open-sim replays the same arrival streams through a discrete-event
-//     model of the serve path — fixed worker pool, FIFO queue, cache-hit
-//     fraction, and the *real* service.SLOController on a simulated
-//     clock. No wall time, no goroutines: the run is a pure function of
-//     its seed, so the BENCH rows are byte-identical across reruns and CI
-//     can gate on them exactly.
+// Live, that is the one loop in drive.go under -arrivals
+// poisson|bursty|diurnal. -open-sim replays the same arrival streams
+// through a discrete-event model of the serve path instead — fixed worker
+// pool, FIFO queue, cache-hit fraction, and the *real*
+// service.SLOController on a simulated clock. No wall time, no
+// goroutines: the run is a pure function of its seed, so the BENCH rows
+// are byte-identical across reruns and CI can gate on them exactly.
 
 // openLoopRow is one open-loop measurement in BENCH_service.json.
 type openLoopRow struct {
@@ -68,28 +60,61 @@ type openLoopRow struct {
 	Recoveries int64 `json:"recoveries,omitempty"`
 }
 
-// buildProcess maps a mix name to its arrival process at the given
-// per-agent rate.
-func buildProcess(mix string, rate float64, seed uint64) loadmodel.Process {
-	switch mix {
-	case "poisson":
-		return loadmodel.NewPoisson(rate, seed)
-	case "bursty":
-		return loadmodel.StandardBursty(rate, seed)
-	case "diurnal":
-		return loadmodel.StandardDiurnal(rate, seed)
-	default:
-		fail("unknown -open-mix %q (want poisson, bursty or diurnal)", mix)
-		return nil
+// setLatencies fills the six percentile columns from the two ascending
+// series (seconds).
+func (r *openLoopRow) setLatencies(due, dispatch []float64) {
+	r.CorrectedP50Ms = percentileMillis(due, 50)
+	r.CorrectedP99Ms = percentileMillis(due, 99)
+	r.CorrectedP999Ms = percentileMillis(due, 99.9)
+	r.NaiveP50Ms = percentileMillis(dispatch, 50)
+	r.NaiveP99Ms = percentileMillis(dispatch, 99)
+	r.NaiveP999Ms = percentileMillis(dispatch, 99.9)
+}
+
+// liveOpenRow is the open_loop row of a live run under open arrivals:
+// offered over the schedule window against served over the wall time (the
+// window itself when the last arrival finished inside it), and
+// the server's own account of its controller — the /v2/stats admission
+// block before and after the run, nil when the server runs none.
+func liveOpenRow(mix string, agents int, seed uint64, all classTally, window, elapsed time.Duration, before, after *service.AdmissionStats) openLoopRow {
+	row := openLoopRow{
+		Mix:         mix,
+		Agents:      agents,
+		Seed:        seed,
+		Offered:     all.attempts,
+		OfferedRPS:  float64(all.attempts) / window.Seconds(),
+		AchievedRPS: float64(all.ok) / max(elapsed, window).Seconds(),
+		Served:      all.ok,
+		Shed:        all.rejected,
+		Degraded:    all.degraded,
 	}
+	row.setLatencies(all.due, all.dispatch)
+	if row.OfferedRPS > 0 {
+		row.GapFraction = 1 - row.AchievedRPS/row.OfferedRPS
+	}
+	if after != nil {
+		row.SLO = true
+		row.BudgetMs = after.BudgetMs
+		row.Degrades, row.Sheds, row.Recoveries = after.Degrades, after.Sheds, after.Recoveries
+		if before != nil {
+			row.Degrades -= before.Degrades
+			row.Sheds -= before.Sheds
+			row.Recoveries -= before.Recoveries
+		}
+	}
+	return row
 }
 
 // ---------------------------------------------------------------------------
 // Deterministic simulation (-open-sim)
 
-// Simulated serve-path costs. Constants, not flags: they parameterize the
-// committed BENCH rows, so changing them means regenerating the baseline.
+// The simulated matrix and serve-path costs. Constants, not flags: they
+// parameterize the committed BENCH rows, so changing them means
+// regenerating the baseline.
 const (
+	simRate         = 40000 // total offered arrivals per second
+	simAgents       = 1600
+	simHorizon      = 2 * time.Second
 	simWorkers      = 8
 	simFullCost     = 8 * time.Millisecond   // full-quality planning (DFS)
 	simDegradedCost = 300 * time.Microsecond // greedy-degraded planning
@@ -231,24 +256,19 @@ func runOpenSim(p simParams) openLoopRow {
 	sort.Float64s(s.naive)
 	horizonSec := p.horizon.Seconds()
 	row := openLoopRow{
-		Mix:             p.mix,
-		SLO:             p.budget > 0,
-		Agents:          p.agents,
-		Seed:            p.seed,
-		Offered:         offered,
-		OfferedRPS:      float64(offered) / horizonSec,
-		AchievedRPS:     float64(s.servedInHorizon) / horizonSec,
-		Served:          s.served,
-		Shed:            s.shed,
-		Degraded:        s.degraded,
-		BudgetMs:        float64(p.budget) / float64(time.Millisecond),
-		CorrectedP50Ms:  percentileMillis(s.corrected, 50),
-		CorrectedP99Ms:  percentileMillis(s.corrected, 99),
-		CorrectedP999Ms: percentileMillis(s.corrected, 99.9),
-		NaiveP50Ms:      percentileMillis(s.naive, 50),
-		NaiveP99Ms:      percentileMillis(s.naive, 99),
-		NaiveP999Ms:     percentileMillis(s.naive, 99.9),
+		Mix:         p.mix,
+		SLO:         p.budget > 0,
+		Agents:      p.agents,
+		Seed:        p.seed,
+		Offered:     offered,
+		OfferedRPS:  float64(offered) / horizonSec,
+		AchievedRPS: float64(s.servedInHorizon) / horizonSec,
+		Served:      s.served,
+		Shed:        s.shed,
+		Degraded:    s.degraded,
+		BudgetMs:    float64(p.budget) / float64(time.Millisecond),
 	}
+	row.setLatencies(s.corrected, s.naive)
 	if row.OfferedRPS > 0 {
 		row.GapFraction = 1 - row.AchievedRPS/row.OfferedRPS
 	}
@@ -397,34 +417,42 @@ func completionLess(a, b simComplete) bool {
 }
 
 // runOpenSimMode runs the full simulated matrix — every mix, with and
-// without the controller — and merges the rows into the report JSON.
-func runOpenSimMode(jsonPath string, mixes []string, rate float64, agents int, horizon time.Duration, seed uint64, budget time.Duration) {
+// without the controller — and merges the rows into the report JSON,
+// preserving every load-run field already there.
+func runOpenSimMode(jsonPath string, seed uint64) {
 	var rows []openLoopRow
-	for _, mix := range mixes {
-		for _, b := range []time.Duration{budget, 0} {
-			p := simParams{mix: mix, rate: rate, agents: agents, horizon: horizon, seed: seed, budget: b}
+	for _, mix := range []string{"poisson", "bursty", "diurnal"} {
+		for _, b := range []time.Duration{sloBudget, 0} {
+			p := simParams{mix: mix, rate: simRate, agents: simAgents, horizon: simHorizon, seed: seed, budget: b}
 			row := runOpenSim(p)
 			rows = append(rows, row)
 			printOpenRow(row)
 		}
 	}
 	if jsonPath != "" {
-		mergeOpenRows(jsonPath, rows)
+		rep := readReport(jsonPath)
+		rep.OpenLoop = rows
+		writeReport(jsonPath, rep)
 		fmt.Printf("open-loop rows merged into %s\n", jsonPath)
 	}
 }
 
-// mergeOpenRows rewrites the report file with the open_loop section
-// replaced, preserving every closed-loop field already there. The report
-// struct is the file's only writer, so the round-trip is lossless.
-func mergeOpenRows(path string, rows []openLoopRow) {
+// readReport loads the report at path; a missing file is an empty report.
+// Load runs and -open-sim share the artifact, so each starts from what the
+// other wrote. The report struct is the file's only writer, so the
+// round-trip is lossless.
+func readReport(path string) report {
 	var rep report
 	if data, err := os.ReadFile(path); err == nil {
 		if err := json.Unmarshal(data, &rep); err != nil {
-			fail("merge %s: %v", path, err)
+			fail("read %s: %v", path, err)
 		}
 	}
-	rep.OpenLoop = rows
+	return rep
+}
+
+// writeReport writes rep (a report or a clusterReport) as indented JSON.
+func writeReport(path string, rep any) {
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		fail("marshal report: %v", err)
@@ -448,146 +476,4 @@ func printOpenRow(r openLoopRow) {
 	if r.SLO {
 		fmt.Printf("  controller: %d degrades, %d sheds, %d recoveries\n", r.Degrades, r.Sheds, r.Recoveries)
 	}
-}
-
-// ---------------------------------------------------------------------------
-// Live open loop (-open)
-
-// openAgentStats is one live agent's tally.
-type openAgentStats struct {
-	served, shed, errs, degraded int
-	corrected, naive             []float64
-	firstErr                     string
-}
-
-// runOpenLive drives a real server with open-loop agents: each agent owns
-// one connection and a private arrival stream, dispatches on schedule (or
-// as soon as its connection frees, for arrivals whose intended start has
-// passed), and measures latency from the intended start.
-func runOpenLive(ctx context.Context, client *alpacomm.PlanClient, mix string, rate float64, agents int, horizon time.Duration, seed uint64, budget time.Duration) openLoopRow {
-	templates := make([]template, 0)
-	for _, t := range requestMix() {
-		if !t.autotune {
-			templates = append(templates, t)
-		}
-	}
-	perAgent := rate / float64(agents)
-	stats := make([]openAgentStats, agents)
-	offsets := make([][]time.Duration, agents)
-	offered := 0
-	for a := 0; a < agents; a++ {
-		proc := buildProcess(mix, perAgent, loadmodel.DeriveSeed(seed, a))
-		offsets[a] = loadmodel.Offsets(proc, horizon)
-		offered += len(offsets[a])
-	}
-
-	start := time.Now()
-	var wg sync.WaitGroup
-	for a := 0; a < agents; a++ {
-		wg.Add(1)
-		go func(a int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(loadmodel.DeriveSeed(seed+1, a))))
-			out := &stats[a]
-			for _, off := range offsets[a] {
-				intended := start.Add(off)
-				if d := time.Until(intended); d > 0 {
-					time.Sleep(d)
-				}
-				t := templates[rng.Intn(len(templates))]
-				dispatched := time.Now()
-				resp, err := client.PlanV2(ctx, &alpacomm.PlanServiceRequest{
-					Topology: t.topology, Shape: t.shape, DType: t.dtype,
-					Src: t.src, Dst: t.dst,
-					Options: service.PlanOptions{Seed: 1 + int64(rng.Intn(8))},
-				})
-				now := time.Now()
-				switch err.(type) {
-				case nil:
-					out.served++
-					if resp.Degraded {
-						out.degraded++
-					}
-					out.corrected = append(out.corrected, now.Sub(intended).Seconds())
-					out.naive = append(out.naive, now.Sub(dispatched).Seconds())
-				case *service.OverloadedError:
-					// Open loop: no backoff, the schedule is the schedule.
-					out.shed++
-				default:
-					out.errs++
-					if out.firstErr == "" {
-						out.firstErr = err.Error()
-					}
-				}
-			}
-		}(a)
-	}
-	wg.Wait()
-	elapsed := time.Since(start).Seconds()
-
-	var all openAgentStats
-	for _, s := range stats {
-		all.served += s.served
-		all.shed += s.shed
-		all.errs += s.errs
-		all.degraded += s.degraded
-		all.corrected = append(all.corrected, s.corrected...)
-		all.naive = append(all.naive, s.naive...)
-		if all.firstErr == "" {
-			all.firstErr = s.firstErr
-		}
-	}
-	sort.Float64s(all.corrected)
-	sort.Float64s(all.naive)
-	row := openLoopRow{
-		Mix:             mix,
-		SLO:             true,
-		Agents:          agents,
-		Seed:            seed,
-		Offered:         offered,
-		OfferedRPS:      float64(offered) / horizon.Seconds(),
-		AchievedRPS:     float64(all.served) / elapsed,
-		Served:          all.served,
-		Shed:            all.shed,
-		Degraded:        all.degraded,
-		BudgetMs:        float64(budget) / float64(time.Millisecond),
-		CorrectedP50Ms:  percentileMillis(all.corrected, 50),
-		CorrectedP99Ms:  percentileMillis(all.corrected, 99),
-		CorrectedP999Ms: percentileMillis(all.corrected, 99.9),
-		NaiveP50Ms:      percentileMillis(all.naive, 50),
-		NaiveP99Ms:      percentileMillis(all.naive, 99),
-		NaiveP999Ms:     percentileMillis(all.naive, 99.9),
-	}
-	if row.OfferedRPS > 0 {
-		row.GapFraction = 1 - row.AchievedRPS/row.OfferedRPS
-	}
-	if all.errs > 0 {
-		fmt.Printf("open-loop: %d request errors (first: %s)\n", all.errs, all.firstErr)
-	}
-	printOpenRow(row)
-	if all.errs > 0 || all.served == 0 {
-		fail("open-loop live run failed: %d errors, %d served", all.errs, all.served)
-	}
-	return row
-}
-
-// parseMixes splits the -open-mix list and validates every entry.
-func parseMixes(s string) []string {
-	var out []string
-	for _, m := range strings.Split(s, ",") {
-		m = strings.TrimSpace(m)
-		if m == "" {
-			continue
-		}
-		switch m {
-		case "poisson", "bursty", "diurnal":
-			out = append(out, m)
-		default:
-			fail("unknown mix %q in -open-mix (want poisson, bursty or diurnal)", m)
-		}
-	}
-	if len(out) == 0 {
-		fail("-open-mix selects no mixes")
-	}
-	return out
 }

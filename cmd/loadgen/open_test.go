@@ -95,12 +95,3 @@ func TestOpenSimSLOHoldsBudget(t *testing.T) {
 		}
 	}
 }
-
-// TestParseMixes pins the flag parsing.
-func TestParseMixes(t *testing.T) {
-	got := parseMixes("poisson, bursty,diurnal")
-	want := []string{"poisson", "bursty", "diurnal"}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("parseMixes = %v, want %v", got, want)
-	}
-}

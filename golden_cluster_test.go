@@ -164,4 +164,15 @@ func TestGoldenClusterSnapshotRoundTrip(t *testing.T) {
 			}
 		}
 	}
+	// Every fixture was served from every restored node, so any planner
+	// computation anywhere in the tier would show as a cache miss.
+	for ni, ts := range coldServers {
+		st, err := alpacomm.NewPlanClient(ts.URL, nil).Stats(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Cache.Misses != 0 {
+			t.Fatalf("restored node %d recomputed %d plan(s) during the replay, want 0", ni, st.Cache.Misses)
+		}
+	}
 }

@@ -1,7 +1,7 @@
-// Package loadmodel generates the arrival processes behind the open-loop
-// load generator: seeded, deterministic request schedules drawn from a
+// Package loadmodel generates the arrival processes behind the load
+// generator: seeded, deterministic request schedules drawn from a
 // Poisson process, a bursty (Markov-modulated) process or a diurnal rate
-// curve.
+// curve — and Closed, the closed loop expressed as one more process.
 //
 // Open-loop means the schedule is fixed before the first request is sent:
 // every request has an *intended* start time drawn from the process, and
@@ -58,6 +58,16 @@ func Offsets(p Process, horizon time.Duration) []time.Duration {
 func newRand(seed uint64) *rand.Rand {
 	return rand.New(rand.NewSource(int64(seed)))
 }
+
+// Closed is the closed loop as an arrival process: the next request falls
+// due the moment the previous one completes, so the gap is always zero
+// and the schedule is anchored to completions instead of the clock. A
+// driver tells it from the open processes by type and, for a Closed
+// agent only, measures the gap from the previous completion and honours
+// the server's backoff hints. Offsets never terminates on it.
+type Closed struct{}
+
+func (Closed) Next() time.Duration { return 0 }
 
 // expGap draws one exponential interarrival at the given rate (arrivals
 // per second).

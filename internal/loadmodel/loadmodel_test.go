@@ -153,3 +153,27 @@ func TestDeriveSeedStableAcrossProcesses(t *testing.T) {
 		}
 	}
 }
+
+// TestClosedIsAnArrivalProcess pins what the load loop relies on: Closed
+// is a Process whose gap is always zero, and it alone asserts as Closed —
+// that assertion is how a driver knows to anchor the schedule to
+// completions and to honour backoff hints.
+func TestClosedIsAnArrivalProcess(t *testing.T) {
+	var p Process = Closed{}
+	for i := 0; i < 3; i++ {
+		if gap := p.Next(); gap != 0 {
+			t.Fatalf("Closed.Next() = %v, want 0", gap)
+		}
+	}
+	if _, ok := p.(Closed); !ok {
+		t.Fatal("Closed held as a Process must assert back to Closed")
+	}
+	for _, open := range []Process{NewPoisson(10, 1), StandardBursty(10, 1), StandardDiurnal(10, 1)} {
+		if _, ok := open.(Closed); ok {
+			t.Fatalf("%T asserts as Closed", open)
+		}
+		if gap := open.Next(); gap <= 0 {
+			t.Fatalf("%T.Next() = %v: an open process schedules ahead of the clock", open, gap)
+		}
+	}
+}

@@ -236,10 +236,6 @@ func (s *Server) AutotuneCache() *resharding.PlanCache { return s.autotuneCache 
 // synthetic clock here; production servers configure Config.SLO instead.
 func (s *Server) SetSLOController(c *SLOController) { s.slo = c }
 
-// SLOController returns the server's admission controller, nil when SLO
-// admission is disabled.
-func (s *Server) SLOController() *SLOController { return s.slo }
-
 // defaultPlanWorkers is the plan-pool width when Config leaves it unset.
 func defaultPlanWorkers() int { return runtime.GOMAXPROCS(0) }
 

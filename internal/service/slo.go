@@ -15,8 +15,8 @@ import (
 //
 // The controller is a three-state machine with hysteresis:
 //
-//	full ──p99 ≥ DegradeAt·budget──▶ degraded ──p99 ≥ ShedAt·budget──▶ shed
-//	  ◀──p99 < RecoverAt·budget──       ◀──p99 < DegradeAt·budget──
+//	full ──p99 ≥ sloDegradeAt·budget──▶ degraded ──p99 ≥ sloShedAt·budget──▶ shed
+//	  ◀──p99 < sloRecoverAt·budget──       ◀──p99 < sloDegradeAt·budget──
 //	       (after Dwell)                     (after Dwell)
 //
 //   - degraded: /v2/plan misses are planned with the search-free
@@ -52,16 +52,6 @@ type SLOConfig struct {
 	// MinSamples is the minimum window population before latency thresholds
 	// act (queue-depth thresholds always act); default 32.
 	MinSamples int
-	// DegradeAt escalates full→degraded when p99 ≥ DegradeAt·P99Budget;
-	// default 0.75.
-	DegradeAt float64
-	// ShedAt escalates degraded→shed when p99 ≥ ShedAt·P99Budget;
-	// default 1.0.
-	ShedAt float64
-	// RecoverAt de-escalates degraded→full when p99 < RecoverAt·P99Budget
-	// (after Dwell); default 0.5. The gap between RecoverAt and DegradeAt
-	// is the hysteresis band.
-	RecoverAt float64
 	// Dwell is the minimum residence time in a state before de-escalating;
 	// default 500ms.
 	Dwell time.Duration
@@ -84,15 +74,6 @@ func (c SLOConfig) withDefaults(planWorkers, planQueue int) SLOConfig {
 	}
 	if c.MinSamples <= 0 {
 		c.MinSamples = 32
-	}
-	if c.DegradeAt <= 0 {
-		c.DegradeAt = 0.75
-	}
-	if c.ShedAt <= 0 {
-		c.ShedAt = 1.0
-	}
-	if c.RecoverAt <= 0 {
-		c.RecoverAt = 0.5
 	}
 	if c.Dwell <= 0 {
 		c.Dwell = 500 * time.Millisecond
@@ -164,6 +145,17 @@ type AdmissionStats struct {
 // maxSLOSamples bounds the latency ring: at high rates the window is
 // effectively "the last 4096 responses", which is plenty for a p99.
 const maxSLOSamples = 4096
+
+// The latency thresholds, as fractions of P99Budget: full→degraded at
+// sloDegradeAt, degraded→shed at sloShedAt, degraded→full below
+// sloRecoverAt (after Dwell). The gap between sloRecoverAt and
+// sloDegradeAt is the hysteresis band. Constants, not knobs: no caller
+// ever set them, and ROADMAP 3(c) is to fit them from live traces.
+const (
+	sloDegradeAt = 0.75
+	sloShedAt    = 1.0
+	sloRecoverAt = 0.5
+)
 
 // maxSLOTransitions bounds the transition log kept for stats.
 const maxSLOTransitions = 64
@@ -283,13 +275,6 @@ func (c *SLOController) Snapshot() AdmissionStats {
 	}
 }
 
-// Transitions returns the recent transition log, oldest first.
-func (c *SLOController) Transitions() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]string(nil), c.transitions...)
-}
-
 // evaluate advances the state machine. Escalations act on the spot (one
 // level per evaluation); de-escalations require Dwell of residence plus a
 // p99 safely inside the next state's band — the hysteresis that keeps an
@@ -300,9 +285,9 @@ func (c *SLOController) evaluate(now time.Time, depth int) {
 		c.lastEval = now
 		c.evaluated = true
 	}
-	degradeUp := scaleDuration(c.cfg.P99Budget, c.cfg.DegradeAt)
-	shedUp := scaleDuration(c.cfg.P99Budget, c.cfg.ShedAt)
-	recoverDown := scaleDuration(c.cfg.P99Budget, c.cfg.RecoverAt)
+	degradeUp := scaleDuration(c.cfg.P99Budget, sloDegradeAt)
+	shedUp := scaleDuration(c.cfg.P99Budget, sloShedAt)
+	recoverDown := scaleDuration(c.cfg.P99Budget, sloRecoverAt)
 	latencyKnown := c.windowN >= c.cfg.MinSamples
 	dwelt := now.Sub(c.lastTransition) >= c.cfg.Dwell
 	switch c.mode {

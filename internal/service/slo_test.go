@@ -103,7 +103,7 @@ func TestSLOTransitionSequence(t *testing.T) {
 		"shed→degraded@200ms",
 		"degraded→full@350ms",
 	}
-	if got := ctl.Transitions(); !reflect.DeepEqual(got, want) {
+	if got := ctl.Snapshot().Transitions; !reflect.DeepEqual(got, want) {
 		t.Fatalf("transition log = %v, want %v", got, want)
 	}
 	st := ctl.Snapshot()
@@ -114,7 +114,7 @@ func TestSLOTransitionSequence(t *testing.T) {
 
 // TestSLOHysteresisNoFlap pins the hysteresis band: a p99 hovering just
 // below the degrade threshold never degrades, one at the threshold
-// degrades exactly once, and a p99 inside the (RecoverAt, DegradeAt) band
+// degrades exactly once, and a p99 inside the (sloRecoverAt, sloDegradeAt) band
 // holds the degraded state through many evaluations — no flapping.
 func TestSLOHysteresisNoFlap(t *testing.T) {
 	cfg := testSLOConfig()
@@ -157,8 +157,8 @@ func TestSLOHysteresisNoFlap(t *testing.T) {
 		t.Fatalf("mode = %v below recovery threshold, want full", mode)
 	}
 
-	if got := len(ctl.Transitions()); got != 2 {
-		t.Fatalf("transitions = %v, want exactly degrade + recover", ctl.Transitions())
+	if got := len(ctl.Snapshot().Transitions); got != 2 {
+		t.Fatalf("transitions = %v, want exactly degrade + recover", ctl.Snapshot().Transitions)
 	}
 }
 
