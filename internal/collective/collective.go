@@ -4,9 +4,12 @@
 //
 // Each builder registers transfer ops with a ClusterNet and returns, per
 // participating device, the op that completes that device's part — so
-// primitives compose into larger schedules through dependencies. Builders
-// name ops with lazy netsim.Label tuples over one shared prefix, so no
-// per-op string is formatted unless a trace is rendered.
+// primitives compose into larger schedules through dependencies. The
+// broadcast chain, the one primitive on the serving path, is regular enough
+// to say that with two integers (BroadcastChain, ChainDone); the others
+// return a Result. Builders name ops with lazy netsim.Label tuples over one
+// shared prefix, so no per-op string is formatted unless a trace is
+// rendered.
 package collective
 
 import (
@@ -22,8 +25,6 @@ type Result struct {
 	// device holds its final data. Devices that needed no transfer are
 	// absent.
 	DoneAt map[int]netsim.OpID
-	// Ops lists every op the primitive registered, for accounting.
-	Ops []netsim.OpID
 }
 
 // AllDone returns every completion op, for use as a dependency set.
@@ -93,74 +94,37 @@ func P2P(net *netsim.ClusterNet, label string, src, dst int, bytes int64, seq in
 	if err != nil {
 		return nil, err
 	}
-	return &Result{DoneAt: map[int]netsim.OpID{dst: id}, Ops: []netsim.OpID{id}}, nil
+	return &Result{DoneAt: map[int]netsim.OpID{dst: id}}, nil
 }
 
 // BroadcastChain registers the paper's pipelined broadcast (§3.1, Fig. 3d):
 // the message travels the chain hop by hop in `chunks` pipelined pieces, so
 // every device both receives and forwards at full bandwidth. chain[0] is
-// the sender; deps gate the sender's first chunk.
+// the sender; deps gate the sender's chunks.
 //
 // With hop time t and K chunks the chain completes in ≈ t + (hops·t)/K,
 // which approaches the single-copy lower bound t for large K.
-func BroadcastChain(net *netsim.ClusterNet, label string, chain []int, bytes int64, chunks, seq int, deps ...netsim.OpID) (*Result, error) {
-	if len(chain) < 2 {
-		return nil, fmt.Errorf("collective: broadcast chain needs >= 2 devices, got %d", len(chain))
-	}
-	if err := validateDevices(net.Topo, chain); err != nil {
-		return nil, err
-	}
+//
+// The broadcast is a regular K x hops lattice, emitted in one piece by
+// netsim.ClusterNet.PipelinedChain, so it is described by two numbers rather
+// than a Result: the id of its first op and the chunk count k actually used
+// (1 for a message of fewer bytes than chunks). Chunk i crosses hop j in op
+// first + i·hops + j; see ChainDone for the completion ops.
+func BroadcastChain(net *netsim.ClusterNet, label string, chain []int, bytes int64, chunks, seq int, deps ...netsim.OpID) (first netsim.OpID, k int, err error) {
 	if chunks < 1 {
-		return nil, fmt.Errorf("collective: chunk count %d < 1", chunks)
+		return 0, 0, fmt.Errorf("collective: chunk count %d < 1", chunks)
 	}
 	if bytes < int64(chunks) {
 		chunks = 1 // tiny message: no point pipelining
 	}
-	sizes := chunkSizes(bytes, chunks)
-	hops := len(chain) - 1
-	res := &Result{DoneAt: make(map[int]netsim.OpID, hops), Ops: make([]netsim.OpID, 0, chunks*hops)}
-	// prev[j] is the op of the previous chunk on hop j (pipeline ordering);
-	// upstream is the op delivering the current chunk to chain[j].
-	prev := make([]netsim.OpID, hops)
-	havePrev := false
-	var depBuf []netsim.OpID // reused per op; AddOp copies into its arena
-	for i := 0; i < chunks; i++ {
-		var upstream netsim.OpID
-		haveUp := false
-		for j := 0; j < hops; j++ {
-			d := depBuf[:0]
-			if haveUp {
-				d = append(d, upstream) // chunk i arrived at chain[j]
-			} else {
-				d = append(d, deps...) // sender readiness
-			}
-			if havePrev {
-				d = append(d, prev[j]) // chunk i-1 left this hop
-			}
-			depBuf = d
-			// The first chunk pays the route's latency; later chunks are
-			// streamed on the established route.
-			xfer := net.Transfer
-			if i > 0 {
-				xfer = net.StreamTransfer
-			}
-			lbl := netsim.Label{Prefix: label, Kind: netsim.LabelChunkHop, A: int32(i), B: int32(j)}
-			id, err := xfer(lbl, chain[j], chain[j+1], sizes[i], seq, d...)
-			if err != nil {
-				return nil, err
-			}
-			res.Ops = append(res.Ops, id)
-			prev[j] = id
-			upstream = id
-			haveUp = true
-		}
-		havePrev = true
-	}
-	// Each device is done when the final chunk arrives.
-	for j := 0; j < hops; j++ {
-		res.DoneAt[chain[j+1]] = prev[j]
-	}
-	return res, nil
+	first, err = net.PipelinedChain(label, chain, bytes, chunks, seq, deps)
+	return first, chunks, err
+}
+
+// ChainDone returns the op after which chain[j+1] holds the whole message of
+// a BroadcastChain over hops = len(chain)-1 hops: the last chunk's arrival.
+func ChainDone(first netsim.OpID, k, hops, j int) netsim.OpID {
+	return first + netsim.OpID((k-1)*hops+j)
 }
 
 // RingAllGather registers an NCCL-style ring all-gather over the devices:
@@ -218,7 +182,6 @@ func ringRounds(net *netsim.ClusterNet, label string, devices []int, totalBytes 
 			if err != nil {
 				return nil, err
 			}
-			res.Ops = append(res.Ops, id)
 			ops[r][i] = id
 		}
 	}
@@ -252,7 +215,6 @@ func AllToAll(net *netsim.ClusterNet, label string, devices []int, bytesPerPair 
 			if err != nil {
 				return nil, err
 			}
-			res.Ops = append(res.Ops, id)
 			incoming[dst] = append(incoming[dst], id)
 		}
 	}

@@ -131,7 +131,7 @@ func TestBroadcastLatency(t *testing.T) {
 		net := netsim.NewClusterNet(c)
 		chain := BroadcastOrder(c, 0, fig3Receivers(c))
 		const k = 100
-		if _, err := BroadcastChain(net, "bc", chain, fig3Bytes, k, 0); err != nil {
+		if _, _, err := BroadcastChain(net, "bc", chain, fig3Bytes, k, 0); err != nil {
 			t.Fatal(err)
 		}
 		mk, err := net.Run()
@@ -166,7 +166,7 @@ func TestBroadcastBeatsAlternatives(t *testing.T) {
 	})
 	tBC := run(func(net *netsim.ClusterNet, c *mesh.Cluster) {
 		chain := BroadcastOrder(c, 0, fig3Receivers(c))
-		if _, err := BroadcastChain(net, "bc", chain, fig3Bytes, 100, 0); err != nil {
+		if _, _, err := BroadcastChain(net, "bc", chain, fig3Bytes, 100, 0); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -181,17 +181,48 @@ func TestBroadcastBeatsAlternatives(t *testing.T) {
 func TestBroadcastChainValidation(t *testing.T) {
 	c := fig3Cluster(2, 2)
 	net := netsim.NewClusterNet(c)
-	if _, err := BroadcastChain(net, "bc", []int{0}, 100, 4, 0); err == nil {
+	if _, _, err := BroadcastChain(net, "bc", []int{0}, 100, 4, 0); err == nil {
 		t.Error("single-device chain should fail")
 	}
-	if _, err := BroadcastChain(net, "bc", []int{0, 0}, 100, 4, 0); err == nil {
+	if _, _, err := BroadcastChain(net, "bc", []int{0, 0}, 100, 4, 0); err == nil {
 		t.Error("duplicate devices should fail")
 	}
-	if _, err := BroadcastChain(net, "bc", []int{0, 2}, 100, 0, 0); err == nil {
+	if _, _, err := BroadcastChain(net, "bc", []int{0, 2}, 100, 0, 0); err == nil {
 		t.Error("zero chunks should fail")
 	}
-	if _, err := BroadcastChain(net, "bc", []int{0, 99}, 100, 4, 0); err == nil {
+	if _, _, err := BroadcastChain(net, "bc", []int{0, 99}, 100, 4, 0); err == nil {
 		t.Error("invalid device should fail")
+	}
+	// The other per-chain checks: a repeat further down the chain, a device
+	// below zero, a negative size, deps naming ops that do not exist.
+	if _, _, err := BroadcastChain(net, "bc", []int{0, 2, 3, 2}, 100, 4, 0); err == nil {
+		t.Error("a device listed twice should fail")
+	}
+	if _, _, err := BroadcastChain(net, "bc", []int{0, -1}, 100, 4, 0); err == nil {
+		t.Error("negative device should fail")
+	}
+	if _, _, err := BroadcastChain(net, "bc", []int{0, 2}, -1, 4, 0); err == nil {
+		t.Error("negative size should fail")
+	}
+	if _, _, err := BroadcastChain(net, "bc", []int{0, 2}, 100, 4, 0, 0); err == nil {
+		t.Error("a dependency on an op not yet added should fail")
+	}
+	if _, _, err := BroadcastChain(net, "bc", []int{0, 2}, 100, 4, 0, -1); err == nil {
+		t.Error("a negative dependency should fail")
+	}
+	if n := net.Sim.NumOps(); n != 0 {
+		t.Errorf("refused chains left %d ops behind", n)
+	}
+	// A refusal costs nothing: the net still takes a valid chain, and
+	// refuses everything once it has run.
+	if _, _, err := BroadcastChain(net, "bc", []int{0, 2}, 100, 4, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := net.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := BroadcastChain(net, "bc", []int{1, 3}, 100, 4, 0); err == nil {
+		t.Error("a chain added after Run should fail")
 	}
 }
 
@@ -199,29 +230,30 @@ func TestBroadcastTinyMessage(t *testing.T) {
 	// Requesting more chunks than bytes collapses to one chunk.
 	c := fig3Cluster(2, 2)
 	net := netsim.NewClusterNet(c)
-	res, err := BroadcastChain(net, "bc", []int{0, 2, 3}, 3, 100, 0)
+	_, k, err := BroadcastChain(net, "bc", []int{0, 2, 3}, 3, 100, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Ops) != 2 {
-		t.Errorf("tiny message should use 1 chunk x 2 hops, got %d ops", len(res.Ops))
+	if k != 1 || net.Sim.NumOps() != 2 {
+		t.Errorf("tiny message should use 1 chunk x 2 hops, got %d chunks, %d ops", k, net.Sim.NumOps())
 	}
 }
 
 func TestBroadcastDoneAt(t *testing.T) {
 	c := fig3Cluster(3, 1)
 	net := netsim.NewClusterNet(c)
-	res, err := BroadcastChain(net, "bc", []int{0, 1, 2}, fig3Bytes, 10, 0)
+	first, k, err := BroadcastChain(net, "bc", []int{0, 1, 2}, fig3Bytes, 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	net.Run()
 	// Device 1 (mid-chain) finishes before device 2 (end of chain).
-	if !(net.Sim.OpFinish(res.DoneAt[1]) < net.Sim.OpFinish(res.DoneAt[2])) {
+	mid, tail := ChainDone(first, k, 2, 0), ChainDone(first, k, 2, 1)
+	if !(net.Sim.OpFinish(mid) < net.Sim.OpFinish(tail)) {
 		t.Error("mid-chain device should finish before the chain tail")
 	}
-	if len(res.AllDone()) != 2 {
-		t.Errorf("AllDone = %v", res.AllDone())
+	if k != 10 || int(tail) != net.Sim.NumOps()-1 || net.Sim.OpLabel(tail) != "bc/c9/h1" {
+		t.Errorf("chain tail is done at op %d (%s) of %d", tail, net.Sim.OpLabel(tail), net.Sim.NumOps())
 	}
 }
 
@@ -296,8 +328,8 @@ func TestAllToAll(t *testing.T) {
 	if math.Abs(mk-3) > 1e-9 {
 		t.Errorf("all-to-all makespan = %v, want 3", mk)
 	}
-	if len(res.Ops) != 12 {
-		t.Errorf("ops = %d, want 12", len(res.Ops))
+	if n := net.Sim.NumOps(); n != 12+4 {
+		t.Errorf("ops = %d, want 12 sends and 4 joins", n)
 	}
 	if len(res.DoneAt) != 4 {
 		t.Errorf("DoneAt covers %d devices", len(res.DoneAt))

@@ -1,6 +1,8 @@
 package collective
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"alpacomm/internal/mesh"
@@ -12,36 +14,33 @@ import (
 // consecutively in ascending host order — so every receiving host's NIC
 // receives exactly one copy of the message.
 func BroadcastOrder(c mesh.Topology, sender int, receivers []int) []int {
-	byHost := map[int][]int{}
-	for _, d := range receivers {
-		h := c.HostOf(d)
-		byHost[h] = append(byHost[h], d)
-	}
-	var hosts []int
-	for h := range byHost {
-		hosts = append(hosts, h)
-	}
-	sort.Ints(hosts)
+	return AppendBroadcastOrder(make([]int, 0, 1+len(receivers)), c, sender, receivers)
+}
+
+// AppendBroadcastOrder appends BroadcastOrder's chain to dst, allocating
+// nothing when dst has room.
+//
+//alpacomm:hotpath
+func AppendBroadcastOrder(dst []int, c mesh.Topology, sender int, receivers []int) []int {
+	dst = append(dst, sender)
+	at := len(dst)
+	dst = append(dst, receivers...)
 	senderHost := c.HostOf(sender)
-	// Sender's host first, then the rest in ascending order.
-	ordered := make([]int, 0, len(hosts))
-	for _, h := range hosts {
-		if h == senderHost {
-			ordered = append(ordered, h)
+	//alpacomm:allow hotalloc the comparator does not outlive SortFunc, so it stays on the stack
+	slices.SortFunc(dst[at:], func(a, b int) int {
+		ha, hb := c.HostOf(a), c.HostOf(b)
+		if ha != hb {
+			if ha == senderHost {
+				return -1
+			}
+			if hb == senderHost {
+				return 1
+			}
+			return cmp.Compare(ha, hb)
 		}
-	}
-	for _, h := range hosts {
-		if h != senderHost {
-			ordered = append(ordered, h)
-		}
-	}
-	chain := []int{sender}
-	for _, h := range ordered {
-		devs := byHost[h]
-		sort.Ints(devs)
-		chain = append(chain, devs...)
-	}
-	return chain
+		return cmp.Compare(a, b)
+	})
+	return dst
 }
 
 // RingOrder arranges devices into a ring that crosses host boundaries as

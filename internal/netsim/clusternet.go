@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"alpacomm/internal/mesh"
@@ -23,8 +24,9 @@ import (
 // or map lookup happens on the hot path. Reset rewinds the bound Sim and
 // invalidates the interned handles in one step, letting a pooled ClusterNet
 // replay arbitrarily many schedules on the same topology allocation-free.
-// Rebind does the same across topologies: the Sim and its arenas stay, only
-// the intern table (a few slots per device and NIC) is rebuilt.
+// Rebind does the same across topologies: the Sim and its arenas stay, and
+// so does the intern table wherever its slot names still apply — device
+// slots always, NIC slots when the per-host NIC counts match.
 type ClusterNet struct {
 	Sim *Sim
 	// Topo is the topology transfers are timed and resourced against.
@@ -48,7 +50,8 @@ type resSlot struct {
 
 // resourceTable holds the lazily interned per-device and per-NIC resource
 // handles. gen is bumped by Reset; slots from older generations re-register
-// on next use.
+// on next use. It also carries PipelinedChain's scratch, so that every OnNIC
+// view shares it.
 type resourceTable struct {
 	gen      uint32
 	devSend  []resSlot
@@ -56,23 +59,50 @@ type resourceTable struct {
 	hostOff  []int32 // hostOff[h] is host h's first slot; len hosts+1
 	hostSend []resSlot
 	hostRecv []resSlot
+
+	// mark[d] == stamp while the chain being validated already lists device
+	// d; hops is the chain's resolved edges.
+	mark  []uint32
+	stamp uint32
+	hops  []hop
 }
 
 func newResourceTable(t mesh.Topology) *resourceTable {
-	hosts := t.HostCount()
-	tab := &resourceTable{
-		gen:     1,
-		devSend: make([]resSlot, t.NumDevices()),
-		devRecv: make([]resSlot, t.NumDevices()),
-		hostOff: make([]int32, hosts+1),
+	tab := &resourceTable{}
+	tab.bind(t)
+	return tab
+}
+
+// bind sizes the table for a topology and opens a new generation. Slot names
+// outlive a change of topology where they cannot differ: "dev<d>:send|recv"
+// depends on nothing but the device index, so the device slots only ever
+// grow, and a NIC slot's name is fixed by its host, its NIC index and its
+// host's NIC count, so the NIC slots are rebuilt only when the per-host NIC
+// counts (hostOff) differ.
+func (tab *resourceTable) bind(t mesh.Topology) {
+	tab.gen++
+	if n := t.NumDevices(); n > len(tab.devSend) {
+		tab.devSend = append(tab.devSend, make([]resSlot, n-len(tab.devSend))...)
+		tab.devRecv = append(tab.devRecv, make([]resSlot, n-len(tab.devRecv))...)
+		tab.mark = append(tab.mark, make([]uint32, n-len(tab.mark))...)
 	}
+	hosts := t.HostCount()
+	same := len(tab.hostOff) == hosts+1
+	off := int32(0)
+	for h := 0; h < hosts && same; h++ {
+		off += int32(t.NICCount(h))
+		same = tab.hostOff[h+1] == off
+	}
+	if same {
+		return
+	}
+	tab.hostOff = make([]int32, hosts+1)
 	for h := 0; h < hosts; h++ {
 		tab.hostOff[h+1] = tab.hostOff[h] + int32(t.NICCount(h))
 	}
 	nicSlots := tab.hostOff[hosts]
 	tab.hostSend = make([]resSlot, nicSlots)
 	tab.hostRecv = make([]resSlot, nicSlots)
-	return tab
 }
 
 // OnNIC returns a view of the net whose cross-host transfers use the k-th
@@ -99,9 +129,9 @@ func (n *ClusterNet) Reset() {
 
 // Rebind points the net at a topology and rewinds it for the next schedule.
 // On the topology it is already bound to this is Reset; on another one the
-// Sim is rewound just the same — every arena keeps its capacity — and only
-// the intern table is rebuilt, since resource names and slot counts belong
-// to the topology. Handles and OnNIC views from before the call are
+// Sim is rewound just the same — every arena keeps its capacity — and the
+// intern table keeps every slot whose name the new topology shares (see
+// resourceTable.bind). Handles and OnNIC views from before the call are
 // invalid either way.
 func (n *ClusterNet) Rebind(t mesh.Topology) {
 	if mesh.SameTopology(n.Topo, t) {
@@ -110,7 +140,7 @@ func (n *ClusterNet) Rebind(t mesh.Topology) {
 	}
 	n.Sim.Reset()
 	n.Topo = t
-	n.ids = newResourceTable(t)
+	n.ids.bind(t)
 }
 
 // resource-name patterns for intern; kept as an enum (not closures) so the
@@ -192,16 +222,34 @@ func (n *ClusterNet) HostRecv(host int) ResourceID {
 	return n.intern(&n.ids.hostRecv[n.ids.hostOff[host]+int32(k)], nameHostRecv, host, k, nics)
 }
 
+// route returns the latency and bandwidth transfers from a device on host hs
+// to one on host hd are timed with.
+func (n *ClusterNet) route(hs, hd int) (lat, bw float64) {
+	t := n.Topo
+	if hs == hd {
+		return t.IntraLatency(hs), t.IntraBandwidth(hs)
+	}
+	return t.InterLatency(hs, hd), t.InterBandwidth(hs, hd)
+}
+
+// hopBetween resolves the edge src -> dst (on hosts hs, hd): the resources a
+// transfer over it occupies, send side interned first, and its route.
+func (n *ClusterNet) hopBetween(src, hs, dst, hd int) hop {
+	var h hop
+	h.lat, h.bw = n.route(hs, hd)
+	if hs == hd {
+		h.res[0], h.res[1] = n.DeviceSend(src), n.DeviceRecv(dst)
+	} else {
+		h.res[0], h.res[1] = n.HostSend(hs), n.HostRecv(hd)
+	}
+	return h
+}
+
 // TransferTime returns the modelled duration of one point-to-point transfer
 // of the given size between two devices (latency + bytes/bandwidth).
 func (n *ClusterNet) TransferTime(src, dst int, bytes int64) float64 {
-	t := n.Topo
-	if t.SameHost(src, dst) {
-		h := t.HostOf(src)
-		return t.IntraLatency(h) + float64(bytes)/t.IntraBandwidth(h)
-	}
-	hs, hd := t.HostOf(src), t.HostOf(dst)
-	return t.InterLatency(hs, hd) + float64(bytes)/t.InterBandwidth(hs, hd)
+	lat, bw := n.route(n.Topo.HostOf(src), n.Topo.HostOf(dst))
+	return lat + float64(bytes)/bw
 }
 
 // Transfer registers a point-to-point transfer op between two devices and
@@ -224,7 +272,7 @@ func (n *ClusterNet) transfer(label Label, src, dst int, bytes int64, seq int, w
 		// Guard before interning: resolving resources for a post-Run
 		// transfer would otherwise try to register into the completed
 		// schedule. Matches AddOp's error path.
-		return 0, fmt.Errorf("netsim: cannot add ops after Run")
+		return 0, errAfterRun
 	}
 	t := n.Topo
 	if !t.ValidDevice(src) || !t.ValidDevice(dst) {
@@ -236,21 +284,75 @@ func (n *ClusterNet) transfer(label Label, src, dst int, bytes int64, seq int, w
 	if bytes < 0 {
 		return 0, fmt.Errorf("netsim: transfer %q has negative size %d", label.String(), bytes)
 	}
-	var res [2]ResourceID
-	dur := n.TransferTime(src, dst, bytes)
+	h := n.hopBetween(src, t.HostOf(src), dst, t.HostOf(dst))
+	dur := h.lat + float64(bytes)/h.bw
 	if !withLatency {
-		if t.SameHost(src, dst) {
-			dur -= t.IntraLatency(t.HostOf(src))
-		} else {
-			dur -= t.InterLatency(t.HostOf(src), t.HostOf(dst))
+		dur -= h.lat
+	}
+	return n.Sim.AddOp(label, dur, seq, h.res[:], deps...)
+}
+
+// PipelinedChain registers a message of the given size travelling the device
+// chain hop by hop in `chunks` pipelined pieces — the op lattice of the
+// paper's §3.1 broadcast — and returns the id of its first op. Op (i, j),
+// chunk i crossing hop j (chain[j] -> chain[j+1]), has id
+// first + i*hops + j, label "<prefix>/c<i>/h<j>" and the duration
+// Transfer (i = 0) or StreamTransfer (i > 0) would give chunk i on that hop;
+// chain[j+1] holds the whole message once op first + (chunks-1)*hops + j
+// finishes. deps gate the sender's chunks.
+//
+// Everything a chain of Transfer calls checks per op is checked here once
+// per chain — the schedule has not run, the devices are valid and distinct
+// (so no hop is a self-transfer), the size is not negative, deps name
+// earlier ops — and the resources and the (latency, bandwidth) of each hop
+// are resolved once per hop instead of once per chunk.
+//
+//alpacomm:hotpath
+func (n *ClusterNet) PipelinedChain(prefix string, chain []int, bytes int64, chunks, seq int, deps []OpID) (OpID, error) {
+	if n.Sim.ran {
+		return 0, errAfterRun
+	}
+	if len(chain) < 2 {
+		return 0, fmt.Errorf("netsim: chain %q needs >= 2 devices, got %d", prefix, len(chain))
+	}
+	if chunks < 1 {
+		return 0, fmt.Errorf("netsim: chain %q has chunk count %d < 1", prefix, chunks)
+	}
+	if bytes < 0 {
+		return 0, fmt.Errorf("netsim: chain %q has negative size %d", prefix, bytes)
+	}
+	if bytes > math.MaxInt64/int64(chunks) {
+		return 0, fmt.Errorf("netsim: chain %q: %d bytes in %d chunks overflow the chunk boundaries", prefix, bytes, chunks)
+	}
+	t, tab := n.Topo, n.ids
+	tab.stamp++
+	if tab.stamp == 0 { // wrapped: forget the marks of 2^32 chains ago
+		clear(tab.mark)
+		tab.stamp = 1
+	}
+	for _, d := range chain {
+		if !t.ValidDevice(d) || d >= len(tab.mark) {
+			return 0, fmt.Errorf("netsim: chain %q lists invalid device %d", prefix, d)
+		}
+		if tab.mark[d] == tab.stamp {
+			return 0, fmt.Errorf("netsim: chain %q lists device %d twice", prefix, d)
+		}
+		tab.mark[d] = tab.stamp
+	}
+	for _, d := range deps {
+		if d < 0 || int(d) >= len(n.Sim.ops) {
+			return 0, fmt.Errorf("netsim: chain %q depends on unknown op %d", prefix, d)
 		}
 	}
-	if t.SameHost(src, dst) {
-		res[0], res[1] = n.DeviceSend(src), n.DeviceRecv(dst)
-	} else {
-		res[0], res[1] = n.HostSend(t.HostOf(src)), n.HostRecv(t.HostOf(dst))
+	hops := tab.hops[:0]
+	src, hs := chain[0], t.HostOf(chain[0])
+	for _, dst := range chain[1:] {
+		hd := t.HostOf(dst)
+		hops = append(hops, n.hopBetween(src, hs, dst, hd))
+		src, hs = dst, hd
 	}
-	return n.Sim.AddOp(label, dur, seq, res[:], deps...)
+	tab.hops = hops
+	return n.Sim.addLattice(prefix, hops, bytes, chunks, seq, deps)
 }
 
 // MustTransfer is Transfer that panics on error.

@@ -337,3 +337,125 @@ func TestRebindMatchesFreshNet(t *testing.T) {
 		}
 	}
 }
+
+// TestRebindKeepsInternTable: the intern table survives a change of topology
+// wherever its names still hold. Device slots are never rebuilt — they grow
+// for a larger cluster and keep their rendered names — and the NIC slots are
+// rebuilt only when the per-host NIC counts differ.
+func TestRebindKeepsInternTable(t *testing.T) {
+	small := testCluster(3)
+	slower, err := mesh.NewCluster(3, 2, 50, 5, 1e-6, 2e-6) // same layout, other speeds
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := testCluster(3).WithNICs(2)
+	large := testCluster(5)
+
+	n := NewClusterNet(small)
+	chain := []int{0, 1, 2, 5}
+	build := func() {
+		t.Helper()
+		if _, err := n.PipelinedChain("c", chain, 1000, 4, 0, nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := n.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	build()
+	tab := n.ids
+	dev0, nic0 := &tab.devSend[0], &tab.hostSend[0]
+	if dev0.name != "dev0:send" || nic0.name != "host0:send" {
+		t.Fatalf("interned names %q, %q", dev0.name, nic0.name)
+	}
+
+	n.Rebind(slower)
+	if n.ids != tab || &tab.devSend[0] != dev0 || &tab.hostSend[0] != nic0 {
+		t.Fatal("Rebind onto the same NIC layout rebuilt the intern table")
+	}
+	if dev0.gen == tab.gen || dev0.name != "dev0:send" || nic0.name != "host0:send" {
+		t.Fatalf("Rebind must invalidate handles (gen %d vs %d) and keep names (%q, %q)", dev0.gen, tab.gen, dev0.name, nic0.name)
+	}
+	build()
+
+	n.Rebind(wide)
+	if &tab.devSend[0] != dev0 || dev0.name != "dev0:send" {
+		t.Fatal("Rebind onto another NIC layout rebuilt the device slots")
+	}
+	if len(tab.hostSend) != 6 || tab.hostSend[0].name != "" {
+		t.Fatalf("Rebind onto 2 NICs per host kept %d stale NIC slots (first named %q)", len(tab.hostSend), tab.hostSend[0].name)
+	}
+	build()
+	if got := tab.hostSend[0].name; got != "host0:send:nic0" {
+		t.Fatalf("multi-NIC slot named %q", got)
+	}
+
+	n.Rebind(large)
+	if len(tab.devSend) != large.NumDevices() || len(tab.mark) != large.NumDevices() || tab.devSend[0].name != "dev0:send" {
+		t.Fatalf("Rebind onto a larger cluster: %d device slots, %d marks, first named %q", len(tab.devSend), len(tab.mark), tab.devSend[0].name)
+	}
+	chain = []int{9, 0, 8}
+	build()
+	n.Rebind(small)
+	if len(tab.devSend) != large.NumDevices() {
+		t.Fatal("Rebind onto a smaller cluster shrank the device slots")
+	}
+	if _, err := n.PipelinedChain("c", []int{0, 9}, 1000, 1, 0, nil); err == nil {
+		t.Fatal("a device of the previous, larger topology must be refused")
+	}
+}
+
+// TestArenaOverflowIsRefused: ops address the arenas through int32 windows,
+// so a reservation that would pass math.MaxInt32 entries — a lattice of too
+// many chunks x hops or dependency edges, or any reserve on top of what is
+// registered — fails before anything is allocated or registered,
+// instead of wrapping.
+func TestArenaOverflowIsRefused(t *testing.T) {
+	n := NewClusterNet(testCluster(3))
+	first := n.MustTransfer(Plain("a"), 0, 2, 10, 0)
+	deps := []OpID{first, first, first}
+	for name, tc := range map[string]struct {
+		chunks int
+		deps   []OpID
+	}{
+		"chunks x hops": {1 << 30, nil},
+		"lattice deps":  {1 << 29, nil},
+		"caller deps":   {1 << 29, deps},
+	} {
+		if _, err := n.PipelinedChain("big", []int{0, 2, 4, 1}, 1<<32, tc.chunks, 0, tc.deps); err == nil {
+			t.Errorf("%s: a lattice past int32 must be refused", name)
+		}
+	}
+	if err := n.Sim.reserve(math.MaxInt32, 0, 0); err == nil {
+		t.Error("reserve past int32 ops must fail")
+	}
+	if err := n.Sim.reserve(0, math.MaxInt32-1, 0); err == nil {
+		t.Error("reserve past int32 resource entries must fail")
+	}
+	if err := n.Sim.reserve(0, 0, -1); err == nil {
+		t.Error("a negative reservation must fail")
+	}
+	if n.Sim.NumOps() != 1 || cap(n.Sim.ops) > 1024 {
+		t.Errorf("refusals left %d ops and an op arena of %d", n.Sim.NumOps(), cap(n.Sim.ops))
+	}
+	if _, err := n.PipelinedChain("ok", []int{0, 2, 4, 1}, 1<<32, 8, 1, deps); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// BenchmarkPipelinedChain registers and runs a 16-chunk broadcast over five
+// devices on three hosts, on a net rewound between iterations.
+func BenchmarkPipelinedChain(b *testing.B) {
+	n := NewClusterNet(mesh.AWSP3Cluster(3))
+	chain := []int{0, 4, 5, 8, 9}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		n.Reset()
+		if _, err := n.PipelinedChain("u0/bc", chain, 64<<20, 16, 0, nil); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := n.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -21,11 +21,16 @@
 // the arenas without freeing, so one Sim can replay many schedules —
 // autotune grid cells, serving-cache misses — with near-zero steady-state
 // allocation. The arenas belong to the Sim, not to a topology:
-// ClusterNet.Rebind carries them from one topology to the next.
+// ClusterNet.Rebind carries them from one topology to the next. Regular op
+// graphs skip AddOp altogether: ClusterNet.PipelinedChain reserves a whole
+// chunks x hops lattice in the arenas and fills it in place.
 package netsim
 
 import (
+	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strconv"
 )
@@ -234,7 +239,7 @@ func (s *Sim) ResourceState(id ResourceID) Resource { return s.resources[id] }
 // into the Sim's arenas, so callers may reuse their buffers.
 func (s *Sim) AddOp(label Label, duration float64, seq int, resources []ResourceID, deps ...OpID) (OpID, error) {
 	if s.ran {
-		return 0, fmt.Errorf("netsim: cannot add ops after Run")
+		return 0, errAfterRun
 	}
 	if duration < 0 {
 		return 0, fmt.Errorf("netsim: op %q has negative duration %g", label.String(), duration)
@@ -249,6 +254,9 @@ func (s *Sim) AddOp(label Label, duration float64, seq int, resources []Resource
 		if r < 0 || int(r) >= len(s.resources) {
 			return 0, fmt.Errorf("netsim: op %q occupies unknown resource %d", label.String(), r)
 		}
+	}
+	if err := s.reserve(1, len(resources), len(deps)); err != nil {
+		return 0, err
 	}
 	resOff := int32(len(s.resArena))
 	s.resArena = append(s.resArena, resources...)
@@ -280,6 +288,118 @@ func (s *Sim) MustAddOp(label Label, duration float64, seq int, resources []Reso
 		panic(err)
 	}
 	return id
+}
+
+var errAfterRun = errors.New("netsim: cannot add ops after Run")
+
+// reserve makes room for that many more ops, resource-list entries and
+// dependency entries, so that registering them reallocates nothing. Ops
+// address the arenas through int32 windows; reserve fails, instead of letting
+// a window wrap, when an arena would pass math.MaxInt32 entries.
+func (s *Sim) reserve(ops, resources, deps int) error {
+	if ops < 0 || resources < 0 || deps < 0 ||
+		ops > math.MaxInt32-len(s.ops) || resources > math.MaxInt32-len(s.resArena) || deps > math.MaxInt32-len(s.depArena) {
+		return fmt.Errorf("netsim: %d ops, %d resource entries and %d dependencies on top of %d/%d/%d overflow the int32 arenas",
+			ops, resources, deps, len(s.ops), len(s.resArena), len(s.depArena))
+	}
+	s.ops = slices.Grow(s.ops, ops)
+	s.resArena = slices.Grow(s.resArena, resources)
+	s.depArena = slices.Grow(s.depArena, deps)
+	return nil
+}
+
+// hop is one edge of a transfer chain, resolved once per chain: the two
+// resources every chunk crossing it occupies, and the route's latency and
+// bandwidth.
+type hop struct {
+	res     [2]ResourceID
+	lat, bw float64
+}
+
+// addLattice registers the chunks x len(hops) ops of a pipelined chain
+// (ClusterNet.PipelinedChain) and returns the id of the first. The lattice is
+// completely regular, so it is reserved in the arenas once and filled in
+// place: op (i, j) — chunk i crossing hop j — has id first + i*len(hops) + j,
+// depends on op id-1 (the chunk reaching this hop; on hop 0 the caller's deps
+// instead) and, past the first chunk, on op id-len(hops) (chunk i-1 leaving
+// this hop), and occupies the hop's two resources. The caller has validated
+// deps and hops; a negative duration is refused as AddOp refuses it, leaving
+// nothing registered.
+//
+//alpacomm:hotpath
+func (s *Sim) addLattice(prefix string, hops []hop, bytes int64, chunks, seq int, deps []OpID) (OpID, error) {
+	nh := len(hops)
+	if chunks > math.MaxInt32/nh {
+		return 0, fmt.Errorf("netsim: chain %q: %d chunks x %d hops overflow the int32 op arena", prefix, chunks, nh)
+	}
+	nOps := chunks * nh
+	// Hop 0 lists the caller's deps, every later hop its upstream op; all
+	// chunks but the first add the previous chunk on the same hop.
+	nDeps := int64(chunks)*int64(len(deps)+nh-1) + int64(chunks-1)*int64(nh)
+	if nDeps > math.MaxInt32 {
+		return 0, fmt.Errorf("netsim: chain %q: %d dependencies overflow the int32 dependency arena", prefix, nDeps)
+	}
+	if err := s.reserve(nOps, 2*nOps, int(nDeps)); err != nil {
+		return 0, err
+	}
+	first, resOff, depOff := len(s.ops), len(s.resArena), len(s.depArena)
+	s.ops = s.ops[:first+nOps]
+	s.resArena = s.resArena[:resOff+2*nOps]
+	s.depArena = s.depArena[:depOff+int(nDeps)]
+	ops, res, da := s.ops, s.resArena, s.depArena
+
+	id, r, d := first, resOff, depOff
+	negative := -1
+	k, sent := int64(chunks), int64(0)
+	for i := 0; i < chunks; i++ {
+		// Near-even split on floor boundaries: chunk i is bytes
+		// [i*bytes/k, (i+1)*bytes/k).
+		end := int64(i+1) * bytes / k
+		size := float64(end - sent)
+		sent = end
+		for j := range hops {
+			h := &hops[j]
+			// The first chunk pays the route's latency; later chunks stream
+			// on the established route. Spelled as Transfer and
+			// StreamTransfer spell it, so every duration is the same float.
+			dur := h.lat + size/h.bw
+			if i > 0 {
+				dur -= h.lat
+			}
+			if dur < 0 && negative < 0 {
+				negative = id
+			}
+			dep := d
+			if j == 0 {
+				d += copy(da[d:], deps)
+			} else {
+				da[d] = OpID(id - 1)
+				d++
+			}
+			if i > 0 {
+				da[d] = OpID(id - nh)
+				d++
+			}
+			res[r], res[r+1] = h.res[0], h.res[1]
+			// Field by field: the slot is recycled, and a composite literal
+			// would be built aside and copied in.
+			o := &ops[id]
+			o.label = Label{Prefix: prefix, Kind: LabelChunkHop, A: int32(i), B: int32(j)}
+			o.duration, o.seq = dur, seq
+			o.resOff, o.resN = int32(r), 2
+			o.depOff, o.depN = int32(dep), int32(d-dep)
+			o.ndeps, o.readyTime, o.start, o.finish = 0, 0, 0, 0
+			r += 2
+			id++
+		}
+	}
+	if negative >= 0 {
+		o := &ops[negative]
+		err := fmt.Errorf("netsim: op %q has negative duration %g", o.label.String(), o.duration)
+		s.ops, s.resArena, s.depArena = s.ops[:first], s.resArena[:resOff], s.depArena[:depOff]
+		return 0, err
+	}
+	return OpID(first), nil
 }
 
 // resIDs returns an op's resource handles.

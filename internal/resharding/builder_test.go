@@ -175,17 +175,18 @@ func allocatedBytes(f func()) uint64 {
 
 // TestPlanBuilderKeepsArenasAcrossTopologies: once a builder has seen the
 // lap, running it again — every bind a topology change — allocates what
-// replaying each plan on its own topology allocates (the result and the
-// strategy builders' bookkeeping, which no arena holds) plus, per rebind,
-// an intern table and the names of the resources the plan touches: a fixed
-// handful of small objects, where a builder that dropped its Sim regrew
-// 20-440 KB of op arenas for these plans. Skipped under the race detector,
-// whose instrumentation inflates allocation accounting.
+// replaying each plan on its own topology allocates (the result, and for the
+// baseline strategies their builders' bookkeeping, which no arena holds)
+// plus, per rebind, the two fingerprints SameTopology compares and, where the
+// per-host NIC counts changed, the NIC slots and the names of those the plan
+// touches: a few dozen small objects, where a builder that dropped its Sim
+// regrew 20-440 KB of op arenas for these plans. Skipped under the race
+// detector, whose instrumentation inflates allocation accounting.
 func TestPlanBuilderKeepsArenasAcrossTopologies(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is inflated under the race detector")
 	}
-	const rebindAllocs, rebindBytes = 256, 8 << 10
+	const rebindAllocs, rebindBytes = 64, 2 << 10
 	b := NewPlanBuilder()
 	lap := rebindLap(t, 0)
 	simulate := func(p *Plan) {
@@ -236,4 +237,140 @@ func TestAutotuneReusesArenas(t *testing.T) {
 		t.Fatal("trial table differs between worker counts")
 	}
 	assertSameSim(t, "autotune best", par.BestSim, seq.BestSim)
+}
+
+// TestSimulateNoTraceAllocatesOnlyTheResult: on a held builder that has seen
+// the plan once, simulating a 16-unit broadcast plan trace-free allocates the
+// SimResult and nothing else — no Result map, completion-op slice, chain,
+// label or per-NIC net view per unit — on single-NIC, 8-NIC and mixed
+// fabrics alike.
+func TestSimulateNoTraceAllocatesOnlyTheResult(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is inflated under the race detector")
+	}
+	for _, tc := range []struct {
+		topo               mesh.Topology
+		srcFirst, dstFirst int
+	}{
+		{mesh.AWSP3Cluster(4), 0, 8},
+		{mesh.DGXA100Cluster(2), 0, 8},
+		// Stages straddling the p3 and dgx-a100 tiers: some chains ride one
+		// NIC, some eight.
+		{mesh.MixedP3DGXCluster(2, 2, 2), 4, 12},
+	} {
+		topo := tc.topo
+		src, err := topo.Slice([]int{2, 4}, tc.srcFirst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst, err := topo.Slice([]int{2, 4}, tc.dstFirst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Eight row blocks by two column blocks, each needed by the four
+		// devices of one destination mesh row.
+		task, err := sharding.NewTask(tensor.MustShape(64, 96<<10), tensor.Float32,
+			src, sharding.MustParse("S01R"), dst, sharding.MustParse("RS0"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(task.Units) != 16 {
+			t.Fatalf("%v: %d unit tasks, want 16", topo, len(task.Units))
+		}
+		plan, err := NewPlan(task, Options{Strategy: Broadcast, Scheduler: SchedGreedyLoad, Chunks: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := NewPlanBuilder()
+		var ops int
+		simulate := func() {
+			sim, err := plan.simulateWith(b, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ops = sim.NumOps
+		}
+		simulate()
+		if ops < 16*8*4 {
+			t.Fatalf("%v: %d ops, want at least 16 units x 8 chunks x 4 hops", topo, ops)
+		}
+		if allocs := testing.AllocsPerRun(20, simulate); allocs != 1 {
+			t.Errorf("%v: simulating %d ops on a warm builder allocates %.0f objects, want the SimResult alone", topo, ops, allocs)
+		}
+	}
+}
+
+// TestTinyUnitsWithManyChunksStayTiny: a chunk count far above a unit's byte
+// count collapses to one chunk per chain (BroadcastChain), and a fresh
+// builder's arenas must follow the ops actually registered, not the count the
+// options asked for — 64 units x 4 hops x 4096 chunks would be a million ops.
+func TestTinyUnitsWithManyChunksStayTiny(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is inflated under the race detector")
+	}
+	topo := mesh.AWSP3Cluster(4)
+	src, err := topo.Slice([]int{2, 4}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst, err := topo.Slice([]int{2, 4}, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	task, err := sharding.NewTask(tensor.MustShape(8, 8), tensor.Float32,
+		src, sharding.MustParse("S01R"), dst, sharding.MustParse("RS0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	simulate := func(chunks int) *SimResult {
+		plan, err := NewPlan(task, Options{Strategy: Broadcast, Scheduler: SchedGreedyLoad, Chunks: chunks})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim, err := plan.simulateWith(NewPlanBuilder(), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sim
+	}
+	one, many := simulate(1), simulate(4096)
+	if many.NumOps != one.NumOps || many.Makespan != one.Makespan {
+		t.Fatalf("4096 chunks: %d ops, makespan %v; 1 chunk: %d ops, makespan %v", many.NumOps, many.Makespan, one.NumOps, one.Makespan)
+	}
+	const perOp = 1 << 10
+	if got, max := allocatedBytes(func() { simulate(4096) }), uint64(many.NumOps*perOp); got > max {
+		t.Errorf("a fresh builder allocates %d B for %d ops: more than %d B per op", got, many.NumOps, perOp)
+	}
+}
+
+// TestSimulateRefusesStrayDevices: Plan and SenderOf are exported, so a
+// hand-built plan can name a device the cluster does not have; the per-host
+// windows must refuse it with an error, not index past their end.
+func TestSimulateRefusesStrayDevices(t *testing.T) {
+	topo := microCluster(4)
+	plan, err := NewPlan(builderTask(t, topo, 0, 8), Options{Strategy: Broadcast, Scheduler: SchedGreedyLoad, Chunks: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx := plan.Order[0]
+	sender := plan.SenderOf[idx]
+	for _, stray := range []int{-1, topo.NumDevices(), 1 << 20} {
+		plan.SenderOf[idx] = stray
+		if _, err := plan.Simulate(); err == nil {
+			t.Errorf("sender %d: simulated without an error", stray)
+		}
+	}
+	plan.SenderOf[idx] = sender
+	receivers := plan.Task.Units[idx].Receivers
+	kept := receivers[0]
+	for _, stray := range []int{-1, topo.NumDevices(), 1 << 20} {
+		receivers[0] = stray
+		if _, err := plan.Simulate(); err == nil {
+			t.Errorf("receiver %d: simulated without an error", stray)
+		}
+	}
+	receivers[0] = kept
+	if _, err := plan.Simulate(); err != nil {
+		t.Fatalf("restored plan: %v", err)
+	}
 }

@@ -5,8 +5,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
-	"strings"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -440,61 +441,109 @@ func (c *PlanCache) forget(e *cacheEntry) {
 // involved host, both specs, the per-host hardware fingerprints and
 // pairwise fabric properties of the involved hosts, and every option that
 // influences planning or simulation.
+//
+// The key is computed on every lookup — the cache-hit fast path — and is the
+// identity ring routing, snapshots and peer fills agree on, so it is
+// rendered with strconv appends into one buffer, byte for byte what the fmt
+// verbs it replaced (%v, %d, %g) produced; referenceCacheKey in the tests is
+// that renderer.
 func CacheKey(task *sharding.Task, opts Options) string {
 	topo := task.Src.Mesh.Topo
-	hosts := involvedHosts(topo, task)
+	var hostArr, firstArr [16]int
+	hosts := involvedHosts(hostArr[:0], topo, task)
 	base := hosts[0]
-	// Memoize each host's first device index: DevicesOnHost allocates, and
-	// the key is computed on every lookup — the cache-hit fast path.
-	firstDev := make(map[int]int, len(hosts))
+	// firstDev[i] is the first device index of hosts[i].
+	firstDev := firstArr[:0]
 	for _, h := range hosts {
-		firstDev[h] = topo.DevicesOnHost(h)[0]
+		firstDev = append(firstDev, topo.DevicesOnHost(h)[0])
 	}
 
-	var b strings.Builder
-	fmt.Fprintf(&b, "t=%v/%v;", task.Global, task.DType)
-	writeMesh(&b, "s", topo, task.Src, base, firstDev)
-	writeMesh(&b, "d", topo, task.Dst, base, firstDev)
+	var arr [512]byte
+	b := append(arr[:0], "t=("...)
+	b = appendInts(b, task.Global, ',')
+	b = append(b, ")/"...)
+	b = append(b, task.DType.String()...)
+	b = append(b, ';')
+	b = appendMesh(b, "s=", topo, task.Src, hosts, firstDev)
+	b = appendMesh(b, "d=", topo, task.Dst, hosts, firstDev)
 	for _, h := range hosts {
-		fmt.Fprintf(&b, "h%d[%s];", h-base, mesh.HostFingerprint(topo, h))
+		b = append(b, 'h')
+		b = strconv.AppendInt(b, int64(h-base), 10)
+		b = append(b, '[')
+		b = append(b, mesh.HostFingerprint(topo, h)...)
+		b = append(b, "];"...)
 	}
 	for _, a := range hosts {
 		for _, r := range hosts {
 			if a == r {
 				continue
 			}
-			fmt.Fprintf(&b, "x%d-%d:%g/%g;", a-base, r-base, topo.InterBandwidth(a, r), topo.InterLatency(a, r))
+			b = append(b, 'x')
+			b = strconv.AppendInt(b, int64(a-base), 10)
+			b = append(b, '-')
+			b = strconv.AppendInt(b, int64(r-base), 10)
+			b = append(b, ':')
+			b = strconv.AppendFloat(b, topo.InterBandwidth(a, r), 'g', -1, 64)
+			b = append(b, '/')
+			b = strconv.AppendFloat(b, topo.InterLatency(a, r), 'g', -1, 64)
+			b = append(b, ';')
 		}
 	}
-	fmt.Fprintf(&b, "o=%d/%d/%d/%d/%d/%d/%d", opts.Strategy, opts.Scheduler,
-		opts.Chunks, int64(opts.DFSBudget), opts.DFSNodes, opts.Trials, opts.Seed)
-	return b.String()
-}
-
-// writeMesh renders one placement: mesh shape, spec, and each device as
-// (host - base, offset within host).
-func writeMesh(b *strings.Builder, tag string, topo mesh.Topology, p *sharding.Placement, base int, firstDev map[int]int) {
-	fmt.Fprintf(b, "%s=%v/%s@", tag, p.Mesh.Shape, p.Spec)
-	for _, d := range p.Mesh.Devices {
-		h := topo.HostOf(d)
-		fmt.Fprintf(b, "%d.%d,", h-base, d-firstDev[h])
+	b = append(b, "o="...)
+	for i, v := range [...]int64{int64(opts.Strategy), int64(opts.Scheduler), int64(opts.Chunks),
+		int64(opts.DFSBudget), int64(opts.DFSNodes), int64(opts.Trials), opts.Seed} {
+		if i > 0 {
+			b = append(b, '/')
+		}
+		b = strconv.AppendInt(b, v, 10)
 	}
-	b.WriteByte(';')
+	return string(b)
 }
 
-// involvedHosts returns the sorted union of hosts the two meshes span.
-func involvedHosts(topo mesh.Topology, task *sharding.Task) []int {
-	seen := map[int]bool{}
-	var hosts []int
-	for _, m := range []*mesh.Mesh{task.Src.Mesh, task.Dst.Mesh} {
+// appendInts appends the integers in decimal, sep between them.
+func appendInts(b []byte, xs []int, sep byte) []byte {
+	for i, x := range xs {
+		if i > 0 {
+			b = append(b, sep)
+		}
+		b = strconv.AppendInt(b, int64(x), 10)
+	}
+	return b
+}
+
+// appendMesh renders one placement: mesh shape, spec, and each device as
+// (host - base, offset within host), where base is hosts[0].
+func appendMesh(b []byte, tag string, topo mesh.Topology, p *sharding.Placement, hosts, firstDev []int) []byte {
+	b = append(b, tag...)
+	b = append(b, '[')
+	b = appendInts(b, p.Mesh.Shape, ' ')
+	b = append(b, "]/"...)
+	b = p.Spec.AppendTo(b)
+	b = append(b, '@')
+	at := 0 // consecutive devices mostly share a host
+	for _, d := range p.Mesh.Devices {
+		if h := topo.HostOf(d); hosts[at] != h {
+			at, _ = slices.BinarySearch(hosts, h)
+		}
+		b = strconv.AppendInt(b, int64(hosts[at]-hosts[0]), 10)
+		b = append(b, '.')
+		b = strconv.AppendInt(b, int64(d-firstDev[at]), 10)
+		b = append(b, ',')
+	}
+	return append(b, ';')
+}
+
+// involvedHosts appends the sorted union of hosts the two meshes span. A
+// mesh's devices arrive in host runs, so skipping repeats of the host just
+// appended leaves about one entry per host and mesh for the sort to merge.
+func involvedHosts(hosts []int, topo mesh.Topology, task *sharding.Task) []int {
+	for _, m := range [...]*mesh.Mesh{task.Src.Mesh, task.Dst.Mesh} {
 		for _, d := range m.Devices {
-			h := topo.HostOf(d)
-			if !seen[h] {
-				seen[h] = true
+			if h := topo.HostOf(d); len(hosts) == 0 || hosts[len(hosts)-1] != h {
 				hosts = append(hosts, h)
 			}
 		}
 	}
-	sort.Ints(hosts)
-	return hosts
+	slices.Sort(hosts)
+	return slices.Compact(hosts)
 }

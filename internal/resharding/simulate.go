@@ -2,6 +2,7 @@ package resharding
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"sync"
 
@@ -35,30 +36,68 @@ type SimResult struct {
 // explicitly via AcquirePlanBuilder.
 type PlanBuilder struct {
 	net *netsim.ClusterNet
-	// lastSend[h] / lastRecv[h] hold the completion ops of the previous
-	// unit task that occupied host h's send / receive side (Eq. 3).
-	lastSend map[int][]netsim.OpID
-	lastRecv map[int][]netsim.OpID
-	deps     []netsim.OpID
-	// labels memoizes the "u<idx>" unit labels so repeated simulations on
-	// a pooled builder stop re-rendering the same strings.
-	labels []string
+	// done is the arena of completion ops, one run per unit task built so
+	// far; lastSend[h] / lastRecv[h] are the runs of the previous unit task
+	// that occupied host h's send / receive side (Eq. 3).
+	done     []netsim.OpID
+	lastSend []doneRun
+	lastRecv []doneRun
+	// Scratch of the unit task being built: its Eq. 3 dependencies, its
+	// receiver hosts and its broadcast chain.
+	deps  []netsim.OpID
+	hosts []int
+	chain []int
+	// labels memoizes the op-label prefixes of each unit index, so repeated
+	// simulations on a pooled builder stop re-rendering the same strings.
+	// Bounded by the largest unit and NIC counts the builder has seen.
+	labels []unitLabels
 }
 
-// unitLabel returns the memoized label for unit idx.
-func (b *PlanBuilder) unitLabel(idx int) string {
+// doneRun is a window of PlanBuilder.done.
+type doneRun struct{ off, n int32 }
+
+// unitLabels are the label prefixes of one unit index: "u<i>", the
+// broadcast's "u<i>/bc" and, per NIC lane k, "u<i>/bc.nic<k>".
+type unitLabels struct {
+	unit, bc string
+	nic      []string
+}
+
+// unitLabels returns the memoized label prefixes for unit idx.
+func (b *PlanBuilder) unitLabels(idx int) *unitLabels {
 	for idx >= len(b.labels) {
-		b.labels = append(b.labels, "u"+strconv.Itoa(len(b.labels)))
+		unit := "u" + strconv.Itoa(len(b.labels))
+		b.labels = append(b.labels, unitLabels{unit: unit, bc: unit + "/bc"})
 	}
-	return b.labels[idx]
+	return &b.labels[idx]
+}
+
+// nicLabel returns the memoized "u<i>/bc.nic<k>".
+func (l *unitLabels) nicLabel(k int) string {
+	for k >= len(l.nic) {
+		l.nic = append(l.nic, l.bc+".nic"+strconv.Itoa(len(l.nic)))
+	}
+	return l.nic[k]
+}
+
+// run returns the completion ops a window names.
+func (b *PlanBuilder) run(w doneRun) []netsim.OpID { return b.done[w.off : w.off+w.n] }
+
+// closeRun returns the window of the completion ops appended to b.done since
+// it held `from` entries. Windows are int32 pairs; a plan whose completion
+// ops outgrow them is refused rather than wrapped.
+//
+//alpacomm:hotpath
+func (b *PlanBuilder) closeRun(from int) (doneRun, error) {
+	if len(b.done) > math.MaxInt32 {
+		return doneRun{}, fmt.Errorf("resharding: %d completion ops overflow the int32 windows", len(b.done))
+	}
+	return doneRun{off: int32(from), n: int32(len(b.done) - from)}, nil
 }
 
 // NewPlanBuilder returns an empty builder.
 func NewPlanBuilder() *PlanBuilder {
-	return &PlanBuilder{
-		lastSend: map[int][]netsim.OpID{},
-		lastRecv: map[int][]netsim.OpID{},
-	}
+	return &PlanBuilder{}
 }
 
 var planBuilderPool = sync.Pool{New: func() interface{} { return NewPlanBuilder() }}
@@ -74,16 +113,18 @@ func (b *PlanBuilder) Release() {
 }
 
 // bind points the builder's net at the topology and rewinds it. The op and
-// resource arenas are kept whether or not the topology changed; a change
-// costs only a new resource intern table (ClusterNet.Rebind).
+// resource arenas are kept whether or not the topology changed
+// (ClusterNet.Rebind).
 func (b *PlanBuilder) bind(topo mesh.Topology) *netsim.ClusterNet {
 	if b.net == nil {
 		b.net = netsim.NewClusterNet(topo)
 	} else {
 		b.net.Rebind(topo)
 	}
-	clear(b.lastSend)
-	clear(b.lastRecv)
+	b.done = b.done[:0]
+	hosts := topo.HostCount()
+	b.lastSend = append(b.lastSend[:0], make([]doneRun, hosts)...)
+	b.lastRecv = append(b.lastRecv[:0], make([]doneRun, hosts)...)
 	return b.net
 }
 
@@ -120,20 +161,35 @@ func (p *Plan) simulateWith(b *PlanBuilder, trace bool) (*SimResult, error) {
 	cluster := p.Task.Src.Mesh.Topo
 	net := b.bind(cluster)
 	for pos, idx := range p.Order {
-		u := p.Task.Units[idx]
+		u := &p.Task.Units[idx]
 		sender, ok := p.SenderOf[idx]
 		if !ok {
 			return nil, fmt.Errorf("resharding: no sender assigned for unit %d", idx)
 		}
+		// The per-host windows are indexed by host, so a hand-built plan's
+		// stray device is refused here rather than by the emitter below.
+		if !cluster.ValidDevice(sender) {
+			return nil, fmt.Errorf("resharding: unit %d: invalid sender device %d", idx, sender)
+		}
 		senderHost := cluster.HostOf(sender)
-		recvHosts := p.Task.ReceiverHosts(u)
-		deps := b.deps[:0]
-		deps = append(deps, b.lastSend[senderHost]...)
+		// Receivers are sorted and hosts own ascending device runs, so
+		// dropping consecutive repeats leaves Task.ReceiverHosts' list.
+		recvHosts := b.hosts[:0]
+		for _, d := range u.Receivers {
+			if !cluster.ValidDevice(d) {
+				return nil, fmt.Errorf("resharding: unit %d: invalid receiver device %d", idx, d)
+			}
+			if h := cluster.HostOf(d); len(recvHosts) == 0 || recvHosts[len(recvHosts)-1] != h {
+				recvHosts = append(recvHosts, h)
+			}
+		}
+		b.hosts = recvHosts
+		deps := append(b.deps[:0], b.run(b.lastSend[senderHost])...)
 		for _, h := range recvHosts {
-			deps = append(deps, b.lastRecv[h]...)
+			deps = append(deps, b.run(b.lastRecv[h])...)
 		}
 		b.deps = deps
-		done, err := buildUnitOps(net, p.Opts, b.unitLabel(idx), sender, u.Receivers,
+		done, err := b.buildUnitOps(p.Opts, idx, sender, u.Receivers,
 			u.Slice.NumElements(), u.Bytes(p.Task.DType), pos, deps)
 		if err != nil {
 			return nil, fmt.Errorf("resharding: unit %d: %v", idx, err)

@@ -1,7 +1,9 @@
 package resharding
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"alpacomm/internal/collective"
@@ -10,8 +12,26 @@ import (
 )
 
 // buildUnitOps registers the communication ops of one unit task under the
-// plan's strategy and returns the completion ops (one per receiver-side
-// endpoint), used to chain Eq. 3 exclusivity between unit tasks.
+// plan's strategy and returns the run of b.done holding its completion ops
+// (one per receiver-side endpoint), used to chain Eq. 3 exclusivity between
+// unit tasks.
+//
+//alpacomm:hotpath
+func (b *PlanBuilder) buildUnitOps(opts Options, idx, sender int, receivers []int, elements, bytes int64, seq int, deps []netsim.OpID) (doneRun, error) {
+	if opts.Strategy == Broadcast {
+		return b.buildBroadcast(opts, idx, sender, receivers, bytes, seq, deps)
+	}
+	done, err := buildUnitOps(b.net, opts, b.unitLabels(idx).unit, sender, receivers, elements, bytes, seq, deps)
+	if err != nil {
+		return doneRun{}, err
+	}
+	from := len(b.done)
+	b.done = append(b.done, done...)
+	return b.closeRun(from)
+}
+
+// buildUnitOps is every strategy but Broadcast — the baselines and
+// ablations, which return their completion ops in a slice of their own.
 func buildUnitOps(net *netsim.ClusterNet, opts Options, label string, sender int, receivers []int, elements, bytes int64, seq int, deps []netsim.OpID) ([]netsim.OpID, error) {
 	switch opts.Strategy {
 	case SendRecv:
@@ -20,8 +40,6 @@ func buildUnitOps(net *netsim.ClusterNet, opts Options, label string, sender int
 		return buildLocalAllGather(net, label, sender, receivers, bytes, seq, deps)
 	case GlobalAllGather:
 		return buildGlobalAllGather(net, label, sender, receivers, bytes, seq, deps, false)
-	case Broadcast:
-		return buildBroadcast(net, opts, label, sender, receivers, bytes, seq, deps)
 	case Alpa:
 		return buildAlpa(net, label, sender, receivers, elements, bytes, seq, deps)
 	case Signal:
@@ -117,35 +135,48 @@ func buildGlobalAllGather(net *netsim.ClusterNet, label string, sender int, rece
 // buildBroadcast: the paper's pipelined broadcast chain (Fig. 3d). On
 // clusters with several NICs per host, the unit task is divided into one
 // sub-task per NIC (the §3.1 future-work extension): each part travels its
-// own chain over a distinct NIC, multiplying cross-host bandwidth.
-func buildBroadcast(net *netsim.ClusterNet, opts Options, label string, sender int, receivers []int, bytes int64, seq int, deps []netsim.OpID) ([]netsim.OpID, error) {
-	chain := collective.BroadcastOrder(net.Topo, sender, receivers)
+// own chain — a lane — over a distinct NIC, multiplying cross-host bandwidth.
+// The completion ops — each lane's last chunk arriving at each receiver — are
+// listed lane by lane, ascending by device within a lane.
+//
+//alpacomm:hotpath
+func (b *PlanBuilder) buildBroadcast(opts Options, idx, sender int, receivers []int, bytes int64, seq int, deps []netsim.OpID) (doneRun, error) {
+	net, labels := b.net, b.unitLabels(idx)
 	chunks := opts.Chunks
 	if chunks <= 0 {
 		chunks = collective.DefaultChunks(bytes)
 	}
-	nics := chainNICs(net.Topo, chain)
-	if nics == 1 || bytes < int64(nics) {
-		res, err := collective.BroadcastChain(net, label+"/bc", chain, bytes, chunks, seq, deps...)
-		if err != nil {
-			return nil, err
+	lanes := chainNICs(net.Topo, sender, receivers)
+	if lanes == 1 || bytes < int64(lanes) {
+		lanes = 1
+	} else {
+		chunks = (chunks + lanes - 1) / lanes
+	}
+	b.chain = collective.AppendBroadcastOrder(b.chain[:0], net.Topo, sender, receivers)
+	chain, hops := b.chain, len(receivers)
+	from := len(b.done)
+	for k := 0; k < lanes; k++ {
+		view, label, part := net, labels.bc, bytes
+		if lanes > 1 {
+			view, label = net.OnNIC(k), labels.nicLabel(k)
+			part = int64(k+1)*bytes/int64(lanes) - int64(k)*bytes/int64(lanes)
 		}
-		return res.AllDone(), nil
-	}
-	parts := splitBytes(bytes, nics)
-	perNICChunks := (chunks + nics - 1) / nics
-	if perNICChunks < 1 {
-		perNICChunks = 1
-	}
-	var done []netsim.OpID
-	for k, part := range parts {
-		res, err := collective.BroadcastChain(net.OnNIC(k), fmt.Sprintf("%s/bc.nic%d", label, k), chain, part, perNICChunks, seq, deps...)
+		first, used, err := collective.BroadcastChain(view, label, chain, part, chunks, seq, deps...)
 		if err != nil {
-			return nil, err
+			b.done = b.done[:from]
+			return doneRun{}, err
 		}
-		done = append(done, res.AllDone()...)
+		last := collective.ChainDone(first, used, hops, 0) // chain[j+1] is done at last+j
+		at := len(b.done)
+		for j := 0; j < hops; j++ {
+			b.done = append(b.done, last+netsim.OpID(j))
+		}
+		//alpacomm:allow hotalloc the comparator does not outlive SortFunc, so it stays on the stack
+		slices.SortFunc(b.done[at:], func(x, y netsim.OpID) int {
+			return cmp.Compare(chain[x-last+1], chain[y-last+1])
+		})
 	}
-	return done, nil
+	return b.closeRun(from)
 }
 
 // buildAlpa models the Alpa/Megatron-LM all-gather baseline: per-host
@@ -172,17 +203,15 @@ func buildAlpa(net *netsim.ClusterNet, label string, sender int, receivers []int
 // chainNICs returns the number of NICs a broadcast chain can stripe over:
 // the smallest NIC count among the hosts on the chain, so every part of a
 // split unit task has a dedicated NIC on every hop.
-func chainNICs(t mesh.Topology, chain []int) int {
-	nics := 0
-	seen := map[int]bool{}
-	for _, d := range chain {
-		h := t.HostOf(d)
-		if seen[h] {
-			continue
-		}
-		seen[h] = true
-		if n := t.NICCount(h); nics == 0 || n < nics {
-			nics = n
+func chainNICs(t mesh.Topology, sender int, receivers []int) int {
+	host := t.HostOf(sender)
+	nics := t.NICCount(host)
+	for _, d := range receivers {
+		if h := t.HostOf(d); h != host {
+			host = h
+			if n := t.NICCount(h); n < nics {
+				nics = n
+			}
 		}
 	}
 	if nics < 1 {

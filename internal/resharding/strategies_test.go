@@ -13,6 +13,12 @@ func strategyNet(hosts int) *netsim.ClusterNet {
 	return netsim.NewClusterNet(microCluster(hosts))
 }
 
+// builderOn wraps a fresh net in a builder, for driving one unit task's
+// builder method directly.
+func builderOn(net *netsim.ClusterNet) *PlanBuilder {
+	return &PlanBuilder{net: net}
+}
+
 func TestBuildSendRecvOpsPerReceiver(t *testing.T) {
 	net := strategyNet(2)
 	done, err := buildSendRecv(net, "u", 0, []int{4, 5, 6}, 1000, 0, nil)
@@ -82,7 +88,7 @@ func TestBroadcastBeatsAlpaAcrossHosts(t *testing.T) {
 		return err
 	})
 	bc := run(func(net *netsim.ClusterNet) error {
-		_, err := buildBroadcast(net, Options{Chunks: 64}, "u", 0, recvs, 4000, 0, nil)
+		_, err := builderOn(net).buildBroadcast(Options{Chunks: 64}, 0, 0, recvs, 4000, 0, nil)
 		return err
 	})
 	if bc*1.5 > alpa {
@@ -170,7 +176,7 @@ func TestMultiNICBroadcastHalvesTime(t *testing.T) {
 	run := func(nics int) float64 {
 		c := microCluster(2).WithNICs(nics)
 		net := netsim.NewClusterNet(c)
-		_, err := buildBroadcast(net, Options{Chunks: 64}, "u", 0, []int{4, 5, 6, 7}, 64000, 0, nil)
+		_, err := builderOn(net).buildBroadcast(Options{Chunks: 64}, 0, 0, []int{4, 5, 6, 7}, 64000, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

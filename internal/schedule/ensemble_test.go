@@ -153,7 +153,7 @@ func TestEnsembleFamiliesExitWhereIntended(t *testing.T) {
 				}
 			}
 			searches := 0
-			dfs := func(tk []Task) Plan { searches++; return DFSPruningNodes(tk, 2000) }
+			dfs := func(tk []Task, lpt lptSeed) Plan { searches++; return dfsPruning(tk, 0, 2000, nil, nil, &lpt) }
 			src := rand.New(rand.NewSource(seed))
 			got := ensemble(tasks, dfs, trials, src)
 			if want := referenceEnsembleNodes(tasks, 2000, trials, rand.New(rand.NewSource(seed))); !samePlan(got, want) {
@@ -308,6 +308,28 @@ func TestDFSRestoresDuplicateReceiver(t *testing.T) {
 	} {
 		if got := mustMakespan(t, tasks, p); got != want {
 			t.Errorf("%s: makespan %v, brute-force optimum %v", name, got, want)
+		}
+	}
+}
+
+// TestDFSFromEnsembleSeedMatchesOwnSeed: the search started from the LPT
+// plan, makespan and bound its caller already holds is the search that
+// computes them itself — same plan at every node budget, so the same visit
+// order.
+func TestDFSFromEnsembleSeedMatchesOwnSeed(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 20; trial++ {
+		tasks := hardDFSInstance(rng)
+		seed := lptSeed{plan: LoadBalanceOnly(tasks), bound: provenBound(tasks)}
+		seed.span, seed.err = Makespan(tasks, seed.plan)
+		warm := GreedyLoad(tasks)
+		for _, budget := range []int{1, 13, 500, 20000} {
+			if got, want := dfsPruning(tasks, 0, budget, nil, nil, &seed), dfsPruning(tasks, 0, budget, nil, nil, nil); !samePlan(got, want) {
+				t.Fatalf("trial %d budget %d: seeded search returned %+v, unseeded %+v", trial, budget, got, want)
+			}
+			if got, want := dfsPruning(tasks, 0, budget, nil, &warm, &seed), dfsPruning(tasks, 0, budget, nil, &warm, nil); !samePlan(got, want) {
+				t.Fatalf("trial %d budget %d: seeded warm search returned %+v, unseeded %+v", trial, budget, got, want)
+			}
 		}
 	}
 }

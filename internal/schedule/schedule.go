@@ -368,7 +368,7 @@ func GreedyEnsemble(tasks []Task) Plan {
 // sums, not merely over the reals — see provenBound for why plain
 // LowerBound would not do.
 func DFSPruning(tasks []Task, budget time.Duration) Plan {
-	return dfsPruning(tasks, budget, 0, nil, nil)
+	return dfsPruning(tasks, budget, 0, nil, nil, nil)
 }
 
 // DFSPruningNodes is DFSPruning with a deterministic budget: the search
@@ -389,10 +389,7 @@ func DFSPruningNodes(tasks []Task, maxNodes int) Plan {
 // at the host level than the incumbent. An invalid incumbent is ignored,
 // making the call bit-identical to DFSPruningNodesStop.
 func DFSPruningWarmStart(tasks []Task, maxNodes int, incumbent Plan, stop func() bool) Plan {
-	if maxNodes < 1 {
-		maxNodes = 1
-	}
-	return dfsPruning(tasks, 0, maxNodes, stop, &incumbent)
+	return dfsPruning(tasks, 0, max(maxNodes, 1), stop, &incumbent, nil)
 }
 
 // clonePlan deep-copies a plan so a warm seed never aliases the caller's
@@ -417,10 +414,7 @@ const StopStride = 2048
 // When stop never fires the result is bit-identical to DFSPruningNodes —
 // polling does not perturb the exploration order.
 func DFSPruningNodesStop(tasks []Task, maxNodes int, stop func() bool) Plan {
-	if maxNodes < 1 {
-		maxNodes = 1
-	}
-	return dfsPruning(tasks, 0, maxNodes, stop, nil)
+	return dfsPruning(tasks, 0, max(maxNodes, 1), stop, nil, nil)
 }
 
 // symmetryClasses assigns each task the index of the first task with
@@ -476,6 +470,15 @@ func (h *hostIndex) dense(host int) int {
 	return len(*h) - 1
 }
 
+// lptSeed is what every search starts from — the LPT plan, its makespan and
+// provenBound — as a caller that has already computed them hands them over.
+type lptSeed struct {
+	plan  Plan
+	span  float64
+	err   error // of the makespan evaluation
+	bound float64
+}
+
 // dfsPruning runs the search under a wall-clock budget (maxNodes == 0) or a
 // node budget (maxNodes > 0; the clock is then ignored), polling stop (when
 // non-nil) every StopStride nodes, and ends early once the incumbent meets
@@ -485,27 +488,31 @@ func (h *hostIndex) dense(host int) int {
 // one flat per-depth buffer, so the search allocates only when it improves
 // on the incumbent plan. A non-nil warm plan seeds best/bestSpan when it is
 // valid and beats the LPT baseline; seeding only tightens the bound, so
-// every node a seeded search visits, the unseeded search visits too.
+// every node a seeded search visits, the unseeded search visits too. A
+// non-nil lpt is the caller's copy of the baseline (the ensemble has built
+// and evaluated it by the time it searches) and spares recomputing it.
 //
 //alpacomm:hotpath
-func dfsPruning(tasks []Task, budget time.Duration, maxNodes int, stop func() bool, warm *Plan) Plan {
+func dfsPruning(tasks []Task, budget time.Duration, maxNodes int, stop func() bool, warm *Plan, lpt *lptSeed) Plan {
 	if len(tasks) == 0 {
 		return Plan{Sender: map[int]int{}}
 	}
 	deadline := time.Now().Add(budget) //alpacomm:nondet-ok wall-clock budget is the documented non-reproducible mode; DFSNodes is the deterministic one
 
 	// Seed with the LPT plan so pruning has a baseline.
-	best := LoadBalanceOnly(tasks)
-	bestSpan, err := Makespan(tasks, best)
-	if err != nil {
-		panic(err) // unreachable: LoadBalanceOnly plans are valid
+	if lpt == nil {
+		lpt = &lptSeed{plan: LoadBalanceOnly(tasks), bound: provenBound(tasks)}
+		lpt.span, lpt.err = Makespan(tasks, lpt.plan)
 	}
+	if lpt.err != nil {
+		panic(lpt.err) // unreachable: LoadBalanceOnly plans are valid
+	}
+	best, bestSpan, bound := lpt.plan, lpt.span, lpt.bound
 	if warm != nil {
 		if ws, werr := Makespan(tasks, *warm); werr == nil && ws < bestSpan {
 			best, bestSpan = clonePlan(*warm), ws
 		}
 	}
-	bound := provenBound(tasks)
 	if bestSpan <= bound {
 		return best
 	}
@@ -757,7 +764,7 @@ func Ensemble(tasks []Task, dfsBudget time.Duration, trials int, rng *rand.Rand)
 // alongside the deadline check, and a true return makes the DFS yield its
 // incumbent early.
 func EnsembleStop(tasks []Task, dfsBudget time.Duration, trials int, rng *rand.Rand, stop func() bool) Plan {
-	return ensemble(tasks, func(t []Task) Plan { return dfsPruning(t, dfsBudget, 0, stop, nil) }, trials, rng)
+	return ensemble(tasks, func(t []Task, lpt lptSeed) Plan { return dfsPruning(t, dfsBudget, 0, stop, nil, &lpt) }, trials, rng)
 }
 
 // EnsembleNodes is Ensemble with the deterministic node-budgeted DFS, for
@@ -772,7 +779,7 @@ func EnsembleNodes(tasks []Task, dfsNodes, trials int, rng *rand.Rand) Plan {
 // components are never interrupted). With stop nil — or never firing — the
 // plan is bit-identical to EnsembleNodes.
 func EnsembleNodesStop(tasks []Task, dfsNodes, trials int, rng *rand.Rand, stop func() bool) Plan {
-	return ensemble(tasks, func(t []Task) Plan { return DFSPruningNodesStop(t, dfsNodes, stop) }, trials, rng)
+	return ensemble(tasks, func(t []Task, lpt lptSeed) Plan { return dfsPruning(t, 0, max(dfsNodes, 1), stop, nil, &lpt) }, trials, rng)
 }
 
 // EnsembleWarmStart is EnsembleNodesStop with an incumbent plan threaded
@@ -789,7 +796,7 @@ func EnsembleWarmStart(tasks []Task, dfsNodes, trials int, rng *rand.Rand, incum
 	if _, err := Makespan(tasks, incumbent); err != nil {
 		return EnsembleNodesStop(tasks, dfsNodes, trials, rng, stop)
 	}
-	dfs := func(t []Task) Plan { return DFSPruningWarmStart(t, dfsNodes, incumbent, stop) }
+	dfs := func(t []Task, lpt lptSeed) Plan { return dfsPruning(t, 0, max(dfsNodes, 1), stop, &incumbent, &lpt) }
 	return ensemble(tasks, dfs, trials, rng, incumbent)
 }
 
@@ -800,14 +807,19 @@ func EnsembleWarmStart(tasks []Task, dfsNodes, trials int, rng *rand.Rand, incum
 // left the optimum unproven — building them all and ranking afterwards
 // returns the same plan (see incumbent.offer), at the cost of the trials, the
 // search and the rng draws behind a schedule that could not lose.
-func ensemble(tasks []Task, dfs func([]Task) Plan, trials int, rng *rand.Rand, extra ...Plan) Plan {
+func ensemble(tasks []Task, dfs func([]Task, lptSeed) Plan, trials int, rng *rand.Rand, extra ...Plan) Plan {
 	in := newIncumbent(tasks)
+	if in.proven {
+		return in.best
+	}
+	// The DFS starts from LPT too, and from the same bound: hand it both.
+	lpt := lptSeed{plan: LoadBalanceOnly(tasks), bound: in.bound}
+	lpt.span, lpt.err = Makespan(tasks, lpt.plan)
 	// DFS explodes combinatorially; the paper reports it fails beyond ~20
 	// unit tasks, so only attempt it below that scale.
-	if in.proven ||
-		in.offer(LoadBalanceOnly(tasks)) ||
+	if in.offerEvaluated(lpt.plan, lpt.span, lpt.err) ||
 		in.offer(GreedyRandomized(tasks, trials, rng)) ||
-		(len(tasks) <= 20 && in.offer(dfs(tasks))) {
+		(len(tasks) <= 20 && in.offer(dfs(tasks, lpt))) {
 		return in.best
 	}
 	for _, c := range extra {
@@ -842,7 +854,14 @@ func newIncumbent(tasks []Task) incumbent {
 // valid plan evaluates below that bound, so once it is met no later
 // candidate can be strictly smaller: offering the rest would change nothing.
 func (in *incumbent) offer(c Plan) (proven bool) {
-	if span, err := Makespan(in.tasks, c); err == nil && span < in.span {
+	span, err := Makespan(in.tasks, c)
+	return in.offerEvaluated(c, span, err)
+}
+
+// offerEvaluated is offer for a candidate whose makespan evaluation the
+// caller holds.
+func (in *incumbent) offerEvaluated(c Plan, span float64, err error) (proven bool) {
+	if err == nil && span < in.span {
 		in.best, in.span = c, span
 		in.proven = span <= in.bound
 	}

@@ -6,7 +6,7 @@ package sharding
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
 	"alpacomm/internal/mesh"
 	"alpacomm/internal/tensor"
@@ -136,19 +136,21 @@ func MustParse(str string) Spec {
 }
 
 // String renders the spec in the paper's notation.
-func (s Spec) String() string {
-	var b strings.Builder
+func (s Spec) String() string { return string(s.AppendTo(nil)) }
+
+// AppendTo appends the spec in the paper's notation (String's text) to b.
+func (s Spec) AppendTo(b []byte) []byte {
 	for _, d := range s.Dims {
 		if d.Replicated() {
-			b.WriteByte('R')
+			b = append(b, 'R')
 			continue
 		}
-		b.WriteByte('S')
+		b = append(b, 'S')
 		for _, a := range d.MeshAxes {
-			fmt.Fprintf(&b, "%d", a)
+			b = strconv.AppendInt(b, int64(a), 10)
 		}
 	}
-	return b.String()
+	return b
 }
 
 // Equal reports whether two specs are identical.
