@@ -364,7 +364,7 @@ type (
 const PlanAdmissionHeader = service.AdmissionHeader
 
 // Open-loop load modeling (internal/loadmodel): seeded arrival processes
-// for distribution-driven load generation (cmd/loadgen -arrivals/-open-sim).
+// for distribution-driven load generation (cmd/loadgen -arrivals).
 type (
 	// ArrivalProcess emits successive interarrival gaps.
 	ArrivalProcess = loadmodel.Process

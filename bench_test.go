@@ -269,7 +269,7 @@ func Benchmark8BoundaryAutotuneCached(b *testing.B) {
 }
 
 // BenchmarkNetsim measures the discrete-event engine on a contention-heavy
-// op graph (the workload shared with the netsim_replay artifact row),
+// op graph (the workload shared with bench/'s netsim.replay_us),
 // rebuilding the net cold every iteration.
 func BenchmarkNetsim(b *testing.B) {
 	b.ReportAllocs()

@@ -3,8 +3,8 @@
 // overflows any single node's plan cache, and measures how aggregate
 // throughput scales as the tier absorbs the cache-miss load — one node
 // thrashes its LRU and pays a full DFS per miss, eight nodes keep the
-// whole working set resident and serve hits or one-hop proxied hits.
-// Results land in BENCH_cluster.json; cmd/benchgate gates the speedup.
+// whole working set resident and serve hits or one-hop proxied hits. The
+// run fails itself below minClusterSpeedup.
 //
 // The tier's correctness contracts are go tests, not part of this run:
 // byte-identical plans from every node (TestTierByteIdenticalAcrossNodes,
@@ -44,7 +44,7 @@ type clusterRunReport struct {
 	ProxyFallbacks int64 `json:"proxy_fallbacks"`
 }
 
-// clusterReport is BENCH_cluster.json.
+// clusterReport is the -cluster run's -json report.
 type clusterReport struct {
 	NodeCounts           []int              `json:"node_counts"`
 	PerNodeCacheCapacity int                `json:"per_node_cache_capacity"`
@@ -192,6 +192,9 @@ const (
 	clusterWorkingSet = 160
 	clusterClients    = 8
 	clusterWindow     = 3 * time.Second // measured window per node count
+	// minClusterSpeedup is the floor on 8-node over 1-node throughput: the
+	// 8-node tier must absorb the cache-miss load a single node thrashes on.
+	minClusterSpeedup = 6.0
 )
 
 // runScaling measures one node count: warm every key once (one agent,
@@ -271,11 +274,13 @@ func runClusterBench(jsonPath string, seed uint64) {
 		rep.Runs = append(rep.Runs, run)
 	}
 	rep.Speedup8xVs1 = rep.Runs[len(rep.Runs)-1].ThroughputRPS / rep.Runs[0].ThroughputRPS
-	fmt.Printf("cluster: 8-node vs 1-node speedup: %.1fx\n", rep.Speedup8xVs1)
+	fmt.Printf("cluster: 8-node vs 1-node speedup: %.1fx (floor %.1fx)\n", rep.Speedup8xVs1, minClusterSpeedup)
 
-	if jsonPath == "" {
-		return
+	if jsonPath != "" {
+		writeReport(jsonPath, rep)
+		fmt.Printf("report written to %s\n", jsonPath)
 	}
-	writeReport(jsonPath, rep)
-	fmt.Printf("report written to %s\n", jsonPath)
+	if rep.Speedup8xVs1 < minClusterSpeedup {
+		fail("cluster: 8-node vs 1-node speedup %.1fx is below the %.1fx floor", rep.Speedup8xVs1, minClusterSpeedup)
+	}
 }

@@ -38,12 +38,13 @@
 // package's wire.go) on every response, after first proving one response
 // decodes identically over both formats.
 //
-// -open-sim is not a load run: it replays the open arrival processes
-// through a deterministic model of the serve path (open.go).
+// -cluster exits non-zero unless the 8-node tier reaches
+// minClusterSpeedup times the single node's throughput (cluster.go).
 package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -75,7 +76,7 @@ const (
 	faultsFraction     = 0.2  // of plan requests carrying an overlay under -faults
 	smokeCacheCapacity = 64   // in-process server LRU capacity
 	// sloBudget is the p99 budget of the -smoke server's admission
-	// controller (open arrivals only) and of the -open-sim rows.
+	// controller (open arrivals only).
 	sloBudget = 25 * time.Millisecond
 )
 
@@ -175,7 +176,7 @@ func batchMix() []batchTemplate {
 	}
 }
 
-// report is the benchmark JSON (BENCH_service.json in CI).
+// report is the -json run report.
 type report struct {
 	Clients         int     `json:"clients"`
 	Requests        int     `json:"requests"`
@@ -227,10 +228,7 @@ type report struct {
 	ChurnReplan   *resharding.ReplanStats `json:"churn_replan,omitempty"`
 	// OpenLoop rows cover open arrivals: per arrival mix,
 	// coordinated-omission-corrected percentiles and the offered-vs-achieved
-	// gap. A live run under open arrivals writes its one row; -open-sim
-	// writes the simulated matrix, with and without the SLO admission
-	// controller, byte-identical across reruns with the same seed; a run
-	// under closed arrivals carries the rows already in the file forward.
+	// gap. A live run under open arrivals writes its one row.
 	OpenLoop        []openLoopRow `json:"open_loop,omitempty"`
 	CacheHits       int           `json:"cache_hits"`
 	CacheMisses     int           `json:"cache_misses"`
@@ -258,17 +256,12 @@ func main() {
 	smoke := flag.Bool("smoke", false, "self-contained CI smoke: in-process server, verification, fail on any request error")
 	wire := flag.String("wire", "json", "wire format for responses: json or binary (binary also cross-checks one response against the JSON path)")
 	clusterMode := flag.Bool("cluster", false, "run the distributed-tier scaling benchmark instead: in-process 1/2/4/8-node tiers, 8-vs-1 throughput")
-	openSim := flag.Bool("open-sim", false, "deterministic open-loop simulation: replay the open arrival processes through a serve-path model with the real SLO controller on a simulated clock (byte-identical BENCH rows per seed)")
 	flag.Parse()
 	if *spread < 1 {
 		*spread = 1
 	}
 	if *clusterMode {
 		runClusterBench(*jsonPath, uint64(*seed))
-		return
-	}
-	if *openSim {
-		runOpenSimMode(*jsonPath, uint64(*seed))
 		return
 	}
 	if buildProcess(*arrivals, 1, 0) == nil {
@@ -435,9 +428,6 @@ func main() {
 	}
 
 	if *jsonPath != "" {
-		if !open {
-			rep.OpenLoop = readReport(*jsonPath).OpenLoop
-		}
 		writeReport(*jsonPath, rep)
 		fmt.Printf("report written to %s\n", *jsonPath)
 	}
@@ -793,6 +783,17 @@ func directPlan(reg *alpacomm.TopologyRegistry, t template) (*alpacomm.ReshardPl
 		return nil, nil, err
 	}
 	return plan, sim, nil
+}
+
+// writeReport writes rep (a report or a clusterReport) as indented JSON.
+func writeReport(path string, rep any) {
+	data, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		fail("marshal report: %v", err)
+	}
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		fail("write report: %v", err)
+	}
 }
 
 func printReport(r report) {

@@ -1,24 +1,17 @@
 // Command microbench regenerates the paper's communication
 // microbenchmarks: Fig. 5a/5b (single sender to multi-GPU receivers) and
-// Fig. 6 (the nine Table 2 multi-device resharding cases). It also
-// measures the netsim core's hot paths (plan build, autotune grid cell,
-// served cache miss, served cache hit in both wire formats, arena replay)
-// and records ns/op + allocs/op to a JSON artifact — the baseline
-// cmd/benchgate gates CI against.
+// Fig. 6 (the nine Table 2 multi-device resharding cases).
 //
 // Usage:
 //
-//	microbench [-fig 5a|5b|6|all] [-scale N] [-netsim BENCH_netsim.json]
-//	           [-degraded BENCH_degraded.ci.json] [-churn BENCH_churn.json]
+//	microbench [-fig 5a|5b|6|all] [-scale N] [-json rows.json]
+//	           [-degraded BENCH_degraded.ci.json]
 //
 // scale divides the message size (1 for the paper's full 1-2 GB tensors).
-// With -netsim, -degraded and/or -churn the figure benchmarks are skipped
-// unless -fig is given explicitly. -degraded runs the degraded-topology
-// scenario pack: the golden boundary planned healthy and under every named
-// fault scenario on p3/dgx-a100/mixed, reporting makespan deltas. -churn
-// runs the warm-replan benchmark: warm vs cold replan latency and plan
-// quality per (preset, fault scenario), plus every registry churn timeline
-// replayed through a planner session.
+// With -degraded the figure benchmarks are skipped unless -fig is given
+// explicitly: it runs the degraded-topology scenario pack — the golden
+// boundary planned healthy and under every named fault scenario on
+// p3/dgx-a100/mixed, reporting makespan deltas.
 package main
 
 import (
@@ -32,31 +25,13 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "", "which figure to run: 5a, 5b, 6, or all (default all, or none with -netsim/-degraded)")
+	fig := flag.String("fig", "", "which figure to run: 5a, 5b, 6, or all (default all, or none with -degraded)")
 	scale := flag.Int("scale", 1, "divide message sizes by this factor for faster runs")
 	jsonOut := flag.String("json", "", "also record all rows to this JSON file (artifact format)")
-	netsimOut := flag.String("netsim", "", "measure netsim core hot paths (ns/op + allocs/op) and write them to this JSON file")
 	degradedOut := flag.String("degraded", "", "run the degraded-topology scenario pack and write it to this JSON file")
-	churnOut := flag.String("churn", "", "run the warm-replan churn benchmark and write it to this JSON file")
 	flag.Parse()
 
-	ranAux := false
-	if *netsimOut != "" {
-		ranAux = true
-		rows, err := harness.NetsimBench()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "microbench: netsim bench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(harness.RenderNetsimBenchRows(rows))
-		fmt.Println()
-		if err := harness.WriteNetsimBenchJSON(*netsimOut, rows); err != nil {
-			fmt.Fprintf(os.Stderr, "microbench: %v\n", err)
-			os.Exit(1)
-		}
-	}
 	if *degradedOut != "" {
-		ranAux = true
 		rows, err := harness.DegradedScenarioPack(context.Background())
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "microbench: degraded scenario pack: %v\n", err)
@@ -68,23 +43,9 @@ func main() {
 			fmt.Fprintf(os.Stderr, "microbench: %v\n", err)
 			os.Exit(1)
 		}
-	}
-	if *churnOut != "" {
-		ranAux = true
-		report, err := harness.ChurnBench(context.Background())
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "microbench: churn bench: %v\n", err)
-			os.Exit(1)
+		if *fig == "" {
+			return
 		}
-		fmt.Print(harness.RenderChurnReport(report))
-		fmt.Println()
-		if err := harness.WriteChurnJSON(*churnOut, report); err != nil {
-			fmt.Fprintf(os.Stderr, "microbench: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if ranAux && *fig == "" {
-		return
 	}
 	if *fig == "" {
 		*fig = "all"

@@ -9,8 +9,9 @@ import (
 
 // HotAlloc enforces the zero-alloc discipline inside functions annotated
 // //alpacomm:hotpath — the cache-hit serve path, Simulate*, the DFS inner
-// loops and the wire encode/decode routines whose allocation counts are
-// gated by cmd/benchgate. Inside a hot function it flags:
+// loops and the wire encode/decode routines whose allocation counts the
+// AllocsPerRun tests pin (service.TestServedHitAllocations and those in
+// resharding/builder_test.go). Inside a hot function it flags:
 //
 //   - fmt formatting calls (Sprintf and friends; Errorf is exempt — error
 //     construction marks a cold exit);

@@ -1,257 +1,9 @@
 package harness
 
-import (
-	"bytes"
-	"context"
-	"encoding/json"
-	"fmt"
-	"io"
-	"net/http"
-	"os"
-	"strings"
-	"testing"
-
-	"alpacomm/internal/mesh"
-	"alpacomm/internal/netsim"
-	"alpacomm/internal/resharding"
-	"alpacomm/internal/service"
-	"alpacomm/internal/sharding"
-	"alpacomm/internal/tensor"
-)
-
-// NetsimBenchRow is one measured hot path of the allocation-free netsim
-// core, in the artifact's JSON format (BENCH_netsim.json in CI).
-type NetsimBenchRow struct {
-	// Name identifies the workload ("plan_build", "autotune_cell",
-	// "served_cache_miss", "served_cache_hit", "served_cache_hit_binary",
-	// "netsim_replay").
-	Name string `json:"name"`
-	// NsPerOp is wall time per operation.
-	NsPerOp float64 `json:"ns_per_op"`
-	// AllocsPerOp is heap allocations per operation (testing.Benchmark's
-	// ReportAllocs accounting).
-	AllocsPerOp int64 `json:"allocs_per_op"`
-	// BytesPerOp is heap bytes per operation.
-	BytesPerOp int64 `json:"bytes_per_op"`
-	// Iterations is the measured iteration count.
-	Iterations int `json:"iterations"`
-}
-
-// netsimBenchTask builds the Fig. 6-sized planning problem the netsim
-// benchmarks share: (2,4) -> (2,4) meshes on a 4-host p3 cluster,
-// RS01R -> S01RR over a (1024,1024,64) fp32 tensor.
-func netsimBenchTask() (*sharding.Task, error) {
-	cluster := mesh.AWSP3Cluster(4)
-	src, err := cluster.Slice([]int{2, 4}, 0)
-	if err != nil {
-		return nil, err
-	}
-	dst, err := cluster.Slice([]int{2, 4}, 8)
-	if err != nil {
-		return nil, err
-	}
-	return sharding.NewTask(tensor.MustShape(1024, 1024, 64), tensor.Float32,
-		src, sharding.MustParse("RS01R"), dst, sharding.MustParse("S01RR"))
-}
-
-// netsimBenchOpts is the deterministic planning configuration (node-budgeted
-// DFS, fixed seed) every netsim benchmark row uses.
-var netsimBenchOpts = resharding.Options{
-	Strategy:  resharding.Broadcast,
-	Scheduler: resharding.SchedEnsemble,
-	Seed:      1,
-	DFSNodes:  resharding.DefaultAutotuneDFSNodes,
-	Chunks:    64,
-}
-
-// NetsimBench measures the netsim/planner hot paths with
-// testing.Benchmark and reports ns/op + allocs/op per workload:
-//
-//   - plan_build: task decomposition + ensemble scheduling (no simulation);
-//   - autotune_cell: one strategy x scheduler grid cell — plan + chunk-level
-//     simulation, the unit of work an Autotune sweep fans out;
-//   - served_cache_miss: the plan service's cold path — canonical cache key,
-//     plan, simulate (trace-free, as the serving daemon does) through a
-//     bounded LRU PlanCache;
-//   - served_cache_hit / served_cache_hit_binary: the plan service's hot
-//     path measured through the real HTTP handler — request decode, parse
-//     memo, keyed cache lookup, pre-serialized response write — in each
-//     wire format;
-//   - netsim_replay: the raw discrete-event engine replaying a 1000-transfer
-//     schedule on one reused arena (ClusterNet.Reset between runs).
-func NetsimBench() ([]NetsimBenchRow, error) {
-	task, err := netsimBenchTask()
-	if err != nil {
-		return nil, err
-	}
-	var rows []NetsimBenchRow
-	record := func(name string, r testing.BenchmarkResult) {
-		rows = append(rows, NetsimBenchRow{
-			Name:        name,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			Iterations:  r.N,
-		})
-	}
-	var benchErr error
-	fail := func(b *testing.B, err error) {
-		benchErr = err
-		b.FailNow()
-	}
-
-	record("plan_build", testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			t, err := netsimBenchTask()
-			if err != nil {
-				fail(b, err)
-			}
-			if _, err := resharding.NewPlan(t, netsimBenchOpts); err != nil {
-				fail(b, err)
-			}
-		}
-	}))
-	if benchErr != nil {
-		return nil, benchErr
-	}
-
-	record("autotune_cell", testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			plan, err := resharding.NewPlanContext(context.Background(), task, netsimBenchOpts)
-			if err != nil {
-				fail(b, err)
-			}
-			// Autotune trials compare timings only (the winner alone gets a
-			// full trace), so a grid cell simulates trace-free.
-			if _, err := plan.SimulateNoTrace(); err != nil {
-				fail(b, err)
-			}
-		}
-	}))
-	if benchErr != nil {
-		return nil, benchErr
-	}
-
-	record("served_cache_miss", testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		ctx := context.Background()
-		for i := 0; i < b.N; i++ {
-			// A fresh session per iteration keeps every lookup on the miss
-			// path, as a cold key is on the serving daemon — measuring the
-			// full served cold cost including the ctx-aware coalescing.
-			// Trace-free simulation matches the serving configuration:
-			// responses carry timings, never event traces.
-			planner := resharding.NewPlanner(resharding.WithLRUCache(4), resharding.WithTraceFreeSim())
-			if _, _, err := planner.Plan(ctx, task, netsimBenchOpts); err != nil {
-				fail(b, err)
-			}
-		}
-	}))
-	if benchErr != nil {
-		return nil, benchErr
-	}
-
-	for _, wire := range []struct {
-		name   string
-		accept string
-	}{
-		{"served_cache_hit", ""},
-		{"served_cache_hit_binary", service.ContentTypeBinary},
-	} {
-		record(wire.name, testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			srv := service.New(service.Config{})
-			body, err := json.Marshal(servedBenchRequest())
-			if err != nil {
-				fail(b, err)
-			}
-			rd := bytes.NewReader(body)
-			req, err := http.NewRequest(http.MethodPost, "/v2/plan", replayBody{rd})
-			if err != nil {
-				fail(b, err)
-			}
-			req.Header.Set("Content-Type", "application/json")
-			if wire.accept != "" {
-				req.Header.Set("Accept", wire.accept)
-			}
-			w := &discardResponseWriter{h: http.Header{}}
-			// One warm request fills the cache, the parse memo and the
-			// pre-serialized bodies; everything after is the hot hit path.
-			srv.ServeHTTP(w, req)
-			if w.status != http.StatusOK {
-				fail(b, fmt.Errorf("warm request: status %d", w.status))
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := rd.Seek(0, io.SeekStart); err != nil {
-					fail(b, err)
-				}
-				w.status = 0
-				srv.ServeHTTP(w, req)
-				if w.status != http.StatusOK {
-					fail(b, fmt.Errorf("status %d", w.status))
-				}
-			}
-		}))
-		if benchErr != nil {
-			return nil, benchErr
-		}
-	}
-
-	record("netsim_replay", testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		net := netsim.NewClusterNet(mesh.AWSP3Cluster(4))
-		for i := 0; i < b.N; i++ {
-			net.Reset()
-			if err := NetsimReplayTransfers(net); err != nil {
-				fail(b, err)
-			}
-			if _, err := net.Run(); err != nil {
-				fail(b, err)
-			}
-		}
-	}))
-	if benchErr != nil {
-		return nil, benchErr
-	}
-	return rows, nil
-}
-
-// servedBenchRequest is the wire form of netsimBenchTask + netsimBenchOpts:
-// empty strategy/scheduler mean the service defaults (broadcast +
-// ensemble) and a zero dfs_nodes is forced to the deterministic budget, so
-// the served plan is the same plan the direct rows build.
-func servedBenchRequest() service.PlanRequest {
-	return service.PlanRequest{
-		Topology: service.TopologyRef{Name: "p3", Hosts: 4},
-		Shape:    []int{1024, 1024, 64},
-		Src:      service.Endpoint{Mesh: "2x4@0", Spec: "RS01R"},
-		Dst:      service.Endpoint{Mesh: "2x4@8", Spec: "S01RR"},
-		Options:  service.PlanOptions{Seed: 1, Chunks: 64},
-	}
-}
-
-// replayBody is a rewindable request body: the benchmark seeks it back to
-// the start between iterations instead of allocating a fresh reader.
-type replayBody struct{ *bytes.Reader }
-
-func (replayBody) Close() error { return nil }
-
-// discardResponseWriter records the status and drops the body, so the
-// served benchmarks measure the handler, not a network stack.
-type discardResponseWriter struct {
-	h      http.Header
-	status int
-}
-
-func (d *discardResponseWriter) Header() http.Header         { return d.h }
-func (d *discardResponseWriter) WriteHeader(s int)           { d.status = s }
-func (d *discardResponseWriter) Write(p []byte) (int, error) { return len(p), nil }
+import "alpacomm/internal/netsim"
 
 // NetsimReplayTransfers issues the engine-contention workload shared by
-// the repository's BenchmarkNetsim and the netsim_replay artifact row:
+// the repository's BenchmarkNetsim and bench/'s netsim.replay_us metric:
 // 1000 cross-host transfers contending for the 8 NIC directions of a
 // 4-host p3 cluster (the net must be over a 16-device topology).
 func NetsimReplayTransfers(net *netsim.ClusterNet) error {
@@ -267,26 +19,4 @@ func NetsimReplayTransfers(net *netsim.ClusterNet) error {
 		}
 	}
 	return nil
-}
-
-// WriteNetsimBenchJSON writes netsim benchmark rows as a JSON array, the
-// artifact format uploaded next to BENCH_service.json.
-func WriteNetsimBenchJSON(path string, rows []NetsimBenchRow) error {
-	data, err := json.MarshalIndent(rows, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// RenderNetsimBenchRows formats netsim benchmark rows as a fixed-width
-// table.
-func RenderNetsimBenchRows(rows []NetsimBenchRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "netsim core hot paths\n")
-	fmt.Fprintf(&b, "%-20s %14s %12s %12s %8s\n", "workload", "ns/op", "allocs/op", "B/op", "iters")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-20s %14.0f %12d %12d %8d\n", r.Name, r.NsPerOp, r.AllocsPerOp, r.BytesPerOp, r.Iterations)
-	}
-	return b.String()
 }

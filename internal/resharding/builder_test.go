@@ -12,9 +12,9 @@ import (
 	"alpacomm/internal/tensor"
 )
 
-// builderTask builds a multi-host resharding with several unit tasks, the
-// shape the pooled builder replays.
-func builderTask(t *testing.T, c mesh.Topology, srcFirst, dstFirst int) *sharding.Task {
+// stageBoundary builds the (2,4) -> (2,4) RS01R -> S01RR stage boundary —
+// several unit tasks across hosts — over a tensor of the given shape.
+func stageBoundary(t *testing.T, c mesh.Topology, srcFirst, dstFirst int, dims ...int) *sharding.Task {
 	t.Helper()
 	src, err := c.Slice([]int{2, 4}, srcFirst)
 	if err != nil {
@@ -24,12 +24,18 @@ func builderTask(t *testing.T, c mesh.Topology, srcFirst, dstFirst int) *shardin
 	if err != nil {
 		t.Fatal(err)
 	}
-	task, err := sharding.NewTask(tensor.MustShape(64, 64, 8), tensor.Float32,
+	task, err := sharding.NewTask(tensor.MustShape(dims...), tensor.Float32,
 		src, sharding.MustParse("RS01R"), dst, sharding.MustParse("S01RR"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return task
+}
+
+// builderTask is the stage boundary at the size the pooled builder replays.
+func builderTask(t *testing.T, c mesh.Topology, srcFirst, dstFirst int) *sharding.Task {
+	t.Helper()
+	return stageBoundary(t, c, srcFirst, dstFirst, 64, 64, 8)
 }
 
 func assertSameSim(t *testing.T, name string, got, want *SimResult) {
@@ -340,6 +346,33 @@ func TestTinyUnitsWithManyChunksStayTiny(t *testing.T) {
 	const perOp = 1 << 10
 	if got, max := allocatedBytes(func() { simulate(4096) }), uint64(many.NumOps*perOp); got > max {
 		t.Errorf("a fresh builder allocates %d B for %d ops: more than %d B per op", got, many.NumOps, perOp)
+	}
+}
+
+// TestServedMissAllocations holds the plan service's cold path — canonical
+// cache key, plan, trace-free simulation through a bounded LRU session — to
+// a fixed allocation ceiling on the Fig. 6-sized boundary (64 units, 64
+// chunks) at the serving node budget. A fresh session per call keeps every
+// lookup a miss, as a cold key is on the serving daemon. The ceiling is 20%
+// above the 458 recorded when it was set; bench/'s
+// service.miss_allocs_per_op tracks the live figure.
+func TestServedMissAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is inflated under the race detector")
+	}
+	const maxMissAllocs = 549
+	task := stageBoundary(t, mesh.AWSP3Cluster(4), 0, 8, 1024, 1024, 64)
+	opts := packOpts
+	opts.Chunks = 64
+	ctx := context.Background()
+	miss := func() {
+		if _, _, err := NewPlanner(WithLRUCache(4), WithTraceFreeSim()).Plan(ctx, task, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	miss()
+	if allocs := testing.AllocsPerRun(10, miss); allocs > maxMissAllocs {
+		t.Errorf("a served cache miss allocates %.0f objects, ceiling %d", allocs, maxMissAllocs)
 	}
 }
 

@@ -2,10 +2,13 @@ package resharding
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"testing"
+	"time"
 
 	"alpacomm/internal/mesh"
+	"alpacomm/internal/sharding"
 )
 
 // planEqual reports whether two plans choose the same senders in the same
@@ -56,79 +59,173 @@ func TestReplanEmptyDeltaReturnsCachedPlan(t *testing.T) {
 	}
 }
 
+// packPresets are the three registry presets of the degraded scenario pack
+// (internal/harness), host counts chosen so every fault and churn scenario
+// is valid on each (link-down needs a detour host).
+type packPreset struct {
+	name string
+	topo mesh.Topology
+}
+
+func packPresets() []packPreset {
+	return []packPreset{
+		{"p3", mesh.AWSP3Cluster(4)},
+		{"dgx-a100", mesh.DGXA100Cluster(3)},
+		{"mixed", mesh.MixedP3DGXCluster(2, 2, 2)},
+	}
+}
+
+// packBoundary is that pack's golden stage boundary on topo, and packOpts
+// its deterministic configuration at the serving node budget
+// (DefaultAutotuneDFSNodes, what a served request with zero dfs_nodes is
+// forced to): the cold side of a warm-vs-cold comparison must pay what the
+// serving daemon's cold path pays.
+func packBoundary(t *testing.T, topo mesh.Topology) *sharding.Task {
+	t.Helper()
+	return stageBoundary(t, topo, 0, 8, 128, 128, 8)
+}
+
+var packOpts = Options{Strategy: Broadcast, Scheduler: SchedEnsemble, Seed: 1, DFSNodes: DefaultAutotuneDFSNodes, Chunks: 8}
+
+// minWarmSpeedup is the floor on cold-over-warm replan time for a link-down
+// fault: an identity replan does no search, so it may never cost noticeably
+// more than planning afresh. It is not asked to be several times faster: a
+// cold replan whose first candidate schedule is proven optimal skips the
+// search too, and then both cost about the same. Below 1 leaves room for
+// timer noise.
+const minWarmSpeedup = 0.67
+
+// fastest returns the shortest of n timed calls of f.
+func fastest(n int, f func()) time.Duration {
+	best := time.Duration(math.MaxInt64)
+	for i := 0; i < n; i++ {
+		start := time.Now()
+		f()
+		if d := time.Since(start); d < best {
+			best = d
+		}
+	}
+	return best
+}
+
 // TestWarmReplanMatchesColdOnFaultScenarios runs every registry fault
-// scenario as one warm replan step and checks the warm contract against a
-// cold search on the same degraded task: link-only overlays (which never
-// change the host-level instance) must reproduce the cold plan exactly in
-// identity mode with no simulation; host overlays must re-simulate no
+// scenario as one warm replan step — on a small p3 boundary at a test
+// budget and on the pack boundary on every preset at the serving budget —
+// and checks the warm contract against a cold search on the same degraded
+// task: link-only overlays (which never change the host-level instance)
+// must replan in identity mode, reproducing the cold plan exactly with no
+// search and no simulation, and a link-down replan must not be slower than
+// the cold one beyond minWarmSpeedup; host overlays must re-simulate no
 // worse than the rebound incumbent (the acceptance rule).
 func TestWarmReplanMatchesColdOnFaultScenarios(t *testing.T) {
-	reg := mesh.DefaultRegistry()
-	topo := mesh.AWSP3Cluster(4)
-	task := degradedBoundary(t, topo)
-	ctx := context.Background()
-
-	healthy, err := NewPlanContext(ctx, task, degradedTestOpts)
-	if err != nil {
-		t.Fatal(err)
+	type input struct {
+		name string
+		topo mesh.Topology
+		task *sharding.Task
+		opts Options
+		// timed inputs also hold the link-down replan to minWarmSpeedup; the
+		// small boundary plans in under 2µs either way, too short to compare.
+		timed bool
 	}
-	for _, scenario := range reg.FaultScenarioNames() {
-		fs, err := reg.BuildFaultScenario(scenario, topo)
+	p3 := mesh.AWSP3Cluster(4)
+	inputs := []input{{"p3-small", p3, degradedBoundary(t, p3), degradedTestOpts, false}}
+	for _, p := range packPresets() {
+		inputs = append(inputs, input{p.name, p.topo, packBoundary(t, p.topo), packOpts, true})
+	}
+	reg := mesh.DefaultRegistry()
+	ctx := context.Background()
+	for _, in := range inputs {
+		task, opts := in.task, in.opts
+		healthy, err := NewPlanContext(ctx, task, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		degTask, err := task.OnTopology(mesh.MustFaulted(topo, fs))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cold, err := NewPlanContext(ctx, degTask, degradedTestOpts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		coldSim, err := cold.SimulateNoTrace()
-		if err != nil {
-			t.Fatal(err)
-		}
-		warm, warmSim, info, err := WarmReplanContext(ctx, degTask, degradedTestOpts, task, healthy)
-		if err != nil {
-			t.Fatal(err)
-		}
-		switch info.Mode {
-		case WarmIdentity:
-			if info.ImpactedUnits != 0 {
-				t.Errorf("%s: identity mode with %d impacted units", scenario, info.ImpactedUnits)
+		for _, scenario := range reg.FaultScenarioNames() {
+			name := in.name + "/" + scenario
+			fs, err := reg.BuildFaultScenario(scenario, in.topo)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
 			}
-			if warmSim != nil {
-				t.Errorf("%s: identity mode returned a simulation; the contract is nil", scenario)
-			}
-			if !planEqual(warm, cold) {
-				t.Errorf("%s: identity-mode warm plan differs from the cold plan", scenario)
-			}
-		case WarmSearch, WarmIncumbent:
-			if info.ImpactedUnits == 0 {
-				t.Errorf("%s: search ran with no impacted units", scenario)
-			}
-			if warmSim == nil {
-				t.Fatalf("%s: search mode returned no acceptance simulation", scenario)
-			}
-			if warmSim.Makespan > info.IncumbentMakespan {
-				t.Errorf("%s: warm makespan %.9f worse than rebound incumbent %.9f",
-					scenario, warmSim.Makespan, info.IncumbentMakespan)
-			}
-		default:
-			t.Errorf("%s: unexpected warm mode %q", scenario, info.Mode)
-		}
-		// Universal: whatever mode served the step, the warm plan must never
-		// be worse than what the cold search found.
-		sim := warmSim
-		if sim == nil {
-			if sim, err = warm.SimulateNoTrace(); err != nil {
+			degTask, err := task.OnTopology(mesh.MustFaulted(in.topo, fs))
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		if sim.Makespan > coldSim.Makespan+1e-12 {
-			t.Errorf("%s: warm makespan %.9f worse than cold %.9f (mode %s)",
-				scenario, sim.Makespan, coldSim.Makespan, info.Mode)
+			cold, err := NewPlanContext(ctx, degTask, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			coldSim, err := cold.SimulateNoTrace()
+			if err != nil {
+				t.Fatal(err)
+			}
+			warm, warmSim, info, err := WarmReplanContext(ctx, degTask, opts, task, healthy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(fs.Hosts) == 0 && info.Mode != WarmIdentity {
+				t.Errorf("%s: a link-only overlay replanned in %s mode, want %s", name, info.Mode, WarmIdentity)
+			}
+			switch info.Mode {
+			case WarmIdentity:
+				if info.ImpactedUnits != 0 || info.DFSNodes != 0 {
+					t.Errorf("%s: identity mode with %d impacted units and a %d-node search", name, info.ImpactedUnits, info.DFSNodes)
+				}
+				if warmSim != nil {
+					t.Errorf("%s: identity mode returned a simulation; the contract is nil", name)
+				}
+				if !planEqual(warm, cold) {
+					t.Errorf("%s: identity-mode warm plan differs from the cold plan", name)
+				}
+			case WarmSearch, WarmIncumbent:
+				if info.ImpactedUnits == 0 {
+					t.Errorf("%s: search ran with no impacted units", name)
+				}
+				if warmSim == nil {
+					t.Fatalf("%s: search mode returned no acceptance simulation", name)
+				}
+				if warmSim.Makespan > info.IncumbentMakespan {
+					t.Errorf("%s: warm makespan %.9f worse than rebound incumbent %.9f",
+						name, warmSim.Makespan, info.IncumbentMakespan)
+				}
+			default:
+				t.Errorf("%s: unexpected warm mode %q", name, info.Mode)
+			}
+			// Universal: whatever mode served the step, the warm plan must never
+			// be worse than what the cold search found.
+			sim := warmSim
+			if sim == nil {
+				if sim, err = warm.SimulateNoTrace(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if sim.Makespan > coldSim.Makespan {
+				t.Errorf("%s: warm makespan %.9f worse than cold %.9f (mode %s)",
+					name, sim.Makespan, coldSim.Makespan, info.Mode)
+			}
+
+			// The one wall-clock check: alternating best-of-8 rounds, so a
+			// slow stretch of the box lands on both sides.
+			if !in.timed || scenario != mesh.FaultLinkDown || raceEnabled || testing.Short() {
+				continue
+			}
+			coldBest, warmBest := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+			for round := 0; round < 4; round++ {
+				coldBest = min(coldBest, fastest(8, func() {
+					if _, err := NewPlanContext(ctx, degTask, opts); err != nil {
+						t.Fatal(err)
+					}
+				}))
+				warmBest = min(warmBest, fastest(8, func() {
+					if _, _, _, err := WarmReplanContext(ctx, degTask, opts, task, healthy); err != nil {
+						t.Fatal(err)
+					}
+				}))
+			}
+			speedup := float64(coldBest) / float64(warmBest)
+			t.Logf("%s: warm replan at %.2fx the speed of cold (%v vs %v)", name, speedup, warmBest, coldBest)
+			if speedup < minWarmSpeedup {
+				t.Errorf("%s: warm replan at %.2fx the speed of cold, floor %.2fx", name, speedup, minWarmSpeedup)
+			}
 		}
 	}
 }
@@ -266,5 +363,54 @@ func TestReplanStatsAcrossChurnTimeline(t *testing.T) {
 	}
 	if s := cold.ReplanStats(); s.Cold != 1 || s.WarmIdentity != 0 {
 		t.Errorf("fresh session: %+v, want exactly one cold replan", s)
+	}
+}
+
+// TestReplanStatsAcrossRegistryTimelines replays every registry churn
+// scenario on every pack preset through a Planner session, each step a
+// ReplanDegradedFrom(previous overlay -> this overlay) exactly as the
+// serving path does, and holds the accounting above on all of them: every
+// step is served by exactly one counter, none cold (the healthy plan is
+// cached before the first fault arrives), at least one from the cache (the
+// heal-back), and — every registry timeline ends healed — the last step's
+// makespan is the healthy one, so a preset's timelines all agree on it.
+func TestReplanStatsAcrossRegistryTimelines(t *testing.T) {
+	reg := mesh.DefaultRegistry()
+	ctx := context.Background()
+	for _, preset := range packPresets() {
+		task := packBoundary(t, preset.topo)
+		for _, scenario := range reg.ChurnScenarioNames() {
+			name := preset.name + "/" + scenario
+			tl, err := reg.BuildChurnScenario(scenario, preset.topo)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			p := NewPlanner(WithTopology(preset.topo), WithTraceFreeSim())
+			_, healthy, err := p.Plan(ctx, task, packOpts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var last *SimResult
+			prev := mesh.FaultSet{}
+			for i, step := range tl.Steps {
+				if _, last, err = p.ReplanDegradedFrom(ctx, task, packOpts, prev, step.Faults); err != nil {
+					t.Fatalf("%s: step %d: %v", name, i, err)
+				}
+				prev = step.Faults
+			}
+			s := p.ReplanStats()
+			if served := s.CacheHits + s.WarmIdentity + s.WarmSearch + s.WarmRejected + s.WarmInvalid + s.Cold; served != int64(len(tl.Steps)) {
+				t.Errorf("%s: counters %+v sum to %d, want %d (one per timeline step)", name, s, served, len(tl.Steps))
+			}
+			if s.CacheHits < 1 {
+				t.Errorf("%s: no cache hits; the heal-back must hit", name)
+			}
+			if s.Cold != 0 {
+				t.Errorf("%s: %d cold replans; every step has an incumbent", name, s.Cold)
+			}
+			if last == nil || last.Makespan != healthy.Makespan {
+				t.Errorf("%s: timeline ended at %+v, want the healthy makespan %.9f", name, last, healthy.Makespan)
+			}
+		}
 	}
 }

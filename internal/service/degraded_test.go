@@ -38,7 +38,7 @@ func newSLOTestServer(t *testing.T, cfg SLOConfig) (*Client, *SLOController, *fa
 	s := New(Config{})
 	clk := newFakeClock()
 	ctl := NewSLOController(cfg, clk.now)
-	s.SetSLOController(ctl)
+	s.slo = ctl
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
 	return NewClient(ts.URL, nil), ctl, clk, ts.URL
@@ -253,7 +253,7 @@ func TestDegradedBinaryFlag(t *testing.T) {
 	s := New(Config{})
 	clk := newFakeClock()
 	ctl := NewSLOController(slowSLOConfig(), clk.now)
-	s.SetSLOController(ctl)
+	s.slo = ctl
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
 	jsonClient := NewClient(ts.URL, nil)

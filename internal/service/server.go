@@ -230,12 +230,6 @@ func (s *Server) Cache() *resharding.PlanCache { return s.cache }
 // searches.
 func (s *Server) AutotuneCache() *resharding.PlanCache { return s.autotuneCache }
 
-// SetSLOController replaces the server's admission controller; nil
-// disables SLO admission. Call before serving traffic. Deterministic
-// tests and the loadgen simulator inject a controller built on a
-// synthetic clock here; production servers configure Config.SLO instead.
-func (s *Server) SetSLOController(c *SLOController) { s.slo = c }
-
 // defaultPlanWorkers is the plan-pool width when Config leaves it unset.
 func defaultPlanWorkers() int { return runtime.GOMAXPROCS(0) }
 

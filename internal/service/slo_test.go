@@ -13,8 +13,7 @@ import (
 // only possible because the controller's decisions are a pure function of
 // (config, samples, clock).
 
-// fakeClock is the injected clock of the deterministic tests (and of the
-// loadgen simulator).
+// fakeClock is the injected clock of the deterministic tests.
 type fakeClock struct {
 	mu sync.Mutex
 	t  time.Time

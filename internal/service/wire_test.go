@@ -325,14 +325,18 @@ func TestBinaryErrorEnvelope(t *testing.T) {
 	}
 }
 
-// TestServedHitAllocations pins the zero-alloc serve path: a cache hit
-// through the real handler stays under 50 allocations in both wire
-// formats. Skipped under the race detector, whose instrumentation inflates
+// TestServedHitAllocations pins the pre-serialized serve path: a cache hit
+// through the real handler makes at most maxHitAllocs allocations in both
+// wire formats (this request measures 20; 21 is the figure ROADMAP item 2
+// holds instrumentation to), nearly all of it request parsing; any new
+// allocation is a leak into the hot path, not noise.
+// Skipped under the race detector, whose instrumentation inflates
 // allocation counts.
 func TestServedHitAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is inflated under the race detector")
 	}
+	const maxHitAllocs = 21
 	for _, tc := range []struct {
 		name   string
 		accept string
@@ -373,8 +377,8 @@ func TestServedHitAllocations(t *testing.T) {
 					t.Fatalf("status %d", w.status)
 				}
 			})
-			if allocs > 50 {
-				t.Errorf("served cache hit: %.0f allocs/op, want <= 50", allocs)
+			if allocs > maxHitAllocs {
+				t.Errorf("served cache hit: %.0f allocs/op, want <= %d", allocs, maxHitAllocs)
 			}
 		})
 	}
