@@ -133,7 +133,6 @@ func runChurnPhase(ctx context.Context, client *alpacomm.PlanClient, scenario st
 			CacheHits:    after.Replan.CacheHits - before.Replan.CacheHits,
 			WarmIdentity: after.Replan.WarmIdentity - before.Replan.WarmIdentity,
 			WarmSearch:   after.Replan.WarmSearch - before.Replan.WarmSearch,
-			WarmRejected: after.Replan.WarmRejected - before.Replan.WarmRejected,
 			WarmInvalid:  after.Replan.WarmInvalid - before.Replan.WarmInvalid,
 			Cold:         after.Replan.Cold - before.Replan.Cold,
 		},

@@ -477,7 +477,7 @@ func main() {
 			fmt.Printf("SMOKE FAILED: %d churn-phase request errors (first: %s)\n", churn.errs, churn.firstErr)
 			failed = true
 		}
-		warm := churn.delta.WarmIdentity + churn.delta.WarmSearch + churn.delta.WarmRejected
+		warm := churn.delta.WarmIdentity + churn.delta.WarmSearch
 		if *smoke && warm == 0 {
 			fmt.Println("SMOKE FAILED: churn phase produced no warm replans")
 			failed = true
@@ -816,8 +816,8 @@ func printReport(r report) {
 		fmt.Printf("  churn timeline %q: %d steps x %d passes, %d requests (%d ok)\n",
 			r.ChurnScenario, r.ChurnSteps, r.ChurnPasses, r.ChurnRequests, r.ChurnOK)
 		d := r.ChurnReplan
-		fmt.Printf("  churn replans: %d cache hits, %d warm identity, %d warm search, %d warm rejected, %d invalid, %d cold\n",
-			d.CacheHits, d.WarmIdentity, d.WarmSearch, d.WarmRejected, d.WarmInvalid, d.Cold)
+		fmt.Printf("  churn replans: %d cache hits, %d warm identity, %d warm search, %d invalid, %d cold\n",
+			d.CacheHits, d.WarmIdentity, d.WarmSearch, d.WarmInvalid, d.Cold)
 	}
 	fmt.Printf("  server cache: %d hits, %d misses, %d entries (capacity %d), %d evictions\n",
 		r.CacheHits, r.CacheMisses, r.CacheEntries, r.CacheCapacity, r.CacheEvictions)

@@ -214,12 +214,10 @@ func (c *PlanCache) PlanAndSimulateKeyedContext(ctx context.Context, key string,
 }
 
 // PlanFill computes a cache entry's plan in place of the default cold
-// NewPlanContext — e.g. a warm replan seeded from another overlay's
-// incumbent. It may return a trace-free simulation alongside the plan; a
-// nil simulation makes the cache simulate the plan itself, in the cache's
-// configured trace mode. A fill must produce a plan for the exact
-// (task, opts) it was keyed under.
-type PlanFill func(ctx context.Context) (*Plan, *SimResult, error)
+// NewPlanContext — e.g. a replan that reuses another overlay's incumbent.
+// The cache simulates the plan itself, in its configured trace mode. A fill
+// must produce a plan for the exact (task, opts) it was keyed under.
+type PlanFill func(ctx context.Context) (*Plan, error)
 
 // PlanAndSimulateKeyedFillContext is PlanAndSimulateKeyedContext with a
 // caller-supplied fill for the leader path: when the key misses, fill
@@ -285,16 +283,11 @@ func (c *PlanCache) planAndSimulateOnce(ctx context.Context, key string, task *s
 			}
 		}()
 		if fill != nil {
-			e.plan, e.sim, e.err = fill(ctx)
-			// A trace-free fill simulation only satisfies a trace-free
-			// cache; a full-trace cache re-simulates the filled plan.
-			if e.err == nil && e.sim != nil && !c.noTrace.Load() {
-				e.sim = nil
-			}
+			e.plan, e.err = fill(ctx)
 		} else {
 			e.plan, e.err = NewPlanContext(ctx, task, opts)
 		}
-		if e.err == nil && e.sim == nil {
+		if e.err == nil {
 			if c.noTrace.Load() {
 				e.sim, e.err = e.plan.SimulateNoTrace()
 			} else {

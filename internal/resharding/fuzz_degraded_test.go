@@ -1,6 +1,7 @@
 package resharding
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -31,6 +32,8 @@ import (
 //     per-transfer durations).
 //  4. Identity — the empty overlay leaves the canonical cache key
 //     byte-identical to the unwrapped topology's.
+//  5. Purity — a replan holding the healthy plan (WarmReplanContext)
+//     returns the cold plan of the degraded task, in every mode.
 //
 // Run the seeded corpus with `go test`; explore with
 // `go test -fuzz FuzzDegradedPlan -fuzztime 10s ./internal/resharding`.
@@ -206,6 +209,21 @@ func FuzzDegradedPlan(f *testing.F) {
 		}
 		if CacheKey(idTask, opts) != CacheKey(task, opts) {
 			t.Fatal("empty overlay changed the canonical cache key")
+		}
+
+		// 5. Purity: a replan that holds the healthy plan returns the cold
+		// plan of the degraded task, whatever mode it takes.
+		healthy, err := NewPlan(task, opts)
+		if err != nil {
+			t.Fatalf("healthy plan: %v", err)
+		}
+		replan, _, info, err := WarmReplanContext(context.Background(), degTask, opts, task, healthy)
+		if err != nil {
+			t.Fatalf("replan: %v (faults %q)", err, fs.Canonical())
+		}
+		if !planEqual(replan, plan) {
+			t.Fatalf("%s-mode replan differs from the cold plan (topo %v, faults %q)\n got: %v %v\nwant: %v %v",
+				info.Mode, topo, fs.Canonical(), replan.Order, replan.SenderOf, plan.Order, plan.SenderOf)
 		}
 	})
 }

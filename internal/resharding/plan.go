@@ -46,8 +46,12 @@ func NewPlanContext(ctx context.Context, task *sharding.Task, opts Options) (*Pl
 		return nil, fmt.Errorf("resharding: source and destination meshes must share a topology")
 	}
 
-	hostTasks := buildHostTasks(task, opts)
+	return planHostTasks(ctx, task, opts, buildHostTasks(task, opts))
+}
 
+// planHostTasks schedules the host-level instance of (task, opts) — what
+// buildHostTasks returned for them — and resolves device senders.
+func planHostTasks(ctx context.Context, task *sharding.Task, opts Options, hostTasks []schedule.Task) (*Plan, error) {
 	var hostPlan schedule.Plan
 	switch opts.Scheduler {
 	case SchedNaive:

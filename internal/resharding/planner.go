@@ -44,29 +44,30 @@ type Planner struct {
 
 // ReplanStats reports how a session's replan-on-churn steps were served:
 // target-key cache hits (including empty fault deltas and heals back to an
-// overlay already planned), each warm mode of WarmReplanContext, and cold
-// replans that found no incumbent to warm from.
+// overlay already planned), each mode of WarmReplanContext, and cold
+// replans that found no incumbent. Whatever the mode, the plan served is the
+// cold plan of its key.
 type ReplanStats struct {
 	// CacheHits is replan steps whose target overlay was already cached.
 	CacheHits int64 `json:"cache_hits"`
-	// WarmIdentity is warm replans that proved the host-level instance
-	// unchanged and returned the rebound incumbent without searching.
+	// WarmIdentity is replans that proved the host-level instance unchanged
+	// and returned the rebound incumbent without searching.
 	WarmIdentity int64 `json:"warm_identity"`
-	// WarmSearch is warm replans served by the pinned warm-started search.
+	// WarmSearch is replans whose host-level instance changed, so the cold
+	// ensemble planned it.
 	WarmSearch int64 `json:"warm_search"`
-	// WarmRejected is warm searches whose plan re-simulated worse than the
-	// rebound incumbent, which was served instead (the acceptance rule).
+	// WarmRejected is never incremented; it stays because bench/ reads it.
 	WarmRejected int64 `json:"warm_rejected"`
-	// WarmInvalid is warm attempts whose incumbent rebound as invalid,
+	// WarmInvalid is identity replans whose incumbent rebound as invalid,
 	// falling back to a cold plan.
 	WarmInvalid int64 `json:"warm_invalid"`
-	// Cold is replan steps with no cached incumbent to warm from.
+	// Cold is replan steps with no cached incumbent.
 	Cold int64 `json:"cold"`
 }
 
 // replanCounters is the atomic backing store of ReplanStats.
 type replanCounters struct {
-	hits, identity, search, rejected, invalid, cold atomic.Int64
+	hits, identity, search, invalid, cold atomic.Int64
 }
 
 func (c *replanCounters) note(info WarmInfo) {
@@ -75,8 +76,6 @@ func (c *replanCounters) note(info WarmInfo) {
 		c.identity.Add(1)
 	case WarmSearch:
 		c.search.Add(1)
-	case WarmIncumbent:
-		c.rejected.Add(1)
 	default:
 		c.invalid.Add(1)
 	}
@@ -88,7 +87,6 @@ func (p *Planner) ReplanStats() ReplanStats {
 		CacheHits:    p.replans.hits.Load(),
 		WarmIdentity: p.replans.identity.Load(),
 		WarmSearch:   p.replans.search.Load(),
-		WarmRejected: p.replans.rejected.Load(),
 		WarmInvalid:  p.replans.invalid.Load(),
 		Cold:         p.replans.cold.Load(),
 	}
@@ -287,21 +285,22 @@ func (p *Planner) Plan(ctx context.Context, task *sharding.Task, opts Options) (
 // given fault set applies instead of any session-wide WithFaults overlay;
 // an empty fault set degrades nothing and is byte-identical to Plan.
 //
-// Replanning is warm when the session already holds the healthy plan:
+// The session's healthy plan, when cached, is the replan's incumbent:
 // ReplanDegraded is ReplanDegradedFrom with an empty "from" overlay.
 func (p *Planner) ReplanDegraded(ctx context.Context, task *sharding.Task, opts Options, fs mesh.FaultSet) (*Plan, *SimResult, error) {
 	return p.ReplanDegradedFrom(ctx, task, opts, mesh.FaultSet{}, fs)
 }
 
 // ReplanDegradedFrom is the churn-timeline step: re-plan the boundary onto
-// overlay "to", warm-started from the session's cached plan for overlay
-// "from" (typically the timeline's previous step). When the target
-// overlay's plan is already cached it is returned as-is — so an empty
-// fault delta costs one lookup and returns the cached plan byte-identical,
-// with no search at all. On a miss with a cached "from"-incumbent, the
-// fill runs WarmReplanContext (impact diff, pinned warm-started DFS,
-// re-simulation acceptance); without one it plans cold. Either way the
-// result lands in the session cache under the target overlay's own key.
+// overlay "to", given the session's cached plan for overlay "from"
+// (typically the timeline's previous step). When the target overlay's plan
+// is already cached it is returned as-is — so an empty fault delta costs
+// one lookup and returns the cached plan byte-identical, with no search at
+// all. On a miss with a cached "from"-incumbent, the fill runs
+// WarmReplanContext (impact diff: reuse the incumbent when nothing the
+// scheduler scores moved, otherwise the cold ensemble); without one it
+// plans cold. Either way the result is the cold plan of the target
+// overlay's key and lands in the session cache under it.
 func (p *Planner) ReplanDegradedFrom(ctx context.Context, task *sharding.Task, opts Options, from, to mesh.FaultSet) (*Plan, *SimResult, error) {
 	opts, err := p.resolve(task, opts)
 	if err != nil {
@@ -327,12 +326,12 @@ func (p *Planner) replanKeyed(ctx context.Context, key string, task *sharding.Ta
 	}
 	if fromKey != key {
 		if incumbent, _, ok := p.cache.LookupKeyed(fromKey); ok {
-			return p.cache.PlanAndSimulateKeyedFillContext(ctx, key, task, opts, func(ctx context.Context) (*Plan, *SimResult, error) {
-				plan, sim, info, err := WarmReplanContext(ctx, task, opts, fromTask, incumbent)
+			return p.cache.PlanAndSimulateKeyedFillContext(ctx, key, task, opts, func(ctx context.Context) (*Plan, error) {
+				plan, _, info, err := WarmReplanContext(ctx, task, opts, fromTask, incumbent)
 				if err == nil {
 					p.replans.note(info)
 				}
-				return plan, sim, err
+				return plan, err
 			})
 		}
 	}
@@ -376,8 +375,8 @@ func (p *Planner) PlanKeyed(ctx context.Context, key string, task *sharding.Task
 // PlanKeyedWarm is PlanKeyed for a degraded request whose healthy twin the
 // caller also holds: fromKey/fromTask name the same boundary on the
 // overlay being replanned away from (for serving, the fault-free parse of
-// the request). A cached plan under fromKey warm-starts the fill exactly
-// as ReplanDegradedFrom does; otherwise the call degenerates to PlanKeyed.
+// the request). A cached plan under fromKey is the fill's incumbent exactly
+// as in ReplanDegradedFrom; otherwise the call degenerates to PlanKeyed.
 // Sessions with their own WithFaults overlay fall back to PlanKeyed — the
 // session overlay already owns the keying there.
 func (p *Planner) PlanKeyedWarm(ctx context.Context, key string, task *sharding.Task, opts Options, fromKey string, fromTask *sharding.Task) (*Plan, *SimResult, error) {

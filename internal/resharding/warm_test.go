@@ -109,14 +109,13 @@ func fastest(n int, f func()) time.Duration {
 }
 
 // TestWarmReplanMatchesColdOnFaultScenarios runs every registry fault
-// scenario as one warm replan step — on a small p3 boundary at a test
-// budget and on the pack boundary on every preset at the serving budget —
-// and checks the warm contract against a cold search on the same degraded
-// task: link-only overlays (which never change the host-level instance)
-// must replan in identity mode, reproducing the cold plan exactly with no
-// search and no simulation, and a link-down replan must not be slower than
-// the cold one beyond minWarmSpeedup; host overlays must re-simulate no
-// worse than the rebound incumbent (the acceptance rule).
+// scenario as one replan step — on a small p3 boundary at a test budget and
+// on the pack boundary on every preset at the serving budget — and holds the
+// replan to the cold plan of the same degraded task in every mode, with no
+// simulation returned. Link-only overlays (which never change the host-level
+// instance) must replan in identity mode, host overlays that move a unit in
+// search mode, and a link-down replan must not be slower than the cold one
+// beyond minWarmSpeedup.
 func TestWarmReplanMatchesColdOnFaultScenarios(t *testing.T) {
 	type input struct {
 		name string
@@ -154,53 +153,30 @@ func TestWarmReplanMatchesColdOnFaultScenarios(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			coldSim, err := cold.SimulateNoTrace()
-			if err != nil {
-				t.Fatal(err)
-			}
 			warm, warmSim, info, err := WarmReplanContext(ctx, degTask, opts, task, healthy)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if !planEqual(warm, cold) {
+				t.Errorf("%s: %s-mode replan differs from the cold plan", name, info.Mode)
+			}
+			if warmSim != nil {
+				t.Errorf("%s: %s mode returned a simulation; the contract is nil", name, info.Mode)
 			}
 			if len(fs.Hosts) == 0 && info.Mode != WarmIdentity {
 				t.Errorf("%s: a link-only overlay replanned in %s mode, want %s", name, info.Mode, WarmIdentity)
 			}
 			switch info.Mode {
 			case WarmIdentity:
-				if info.ImpactedUnits != 0 || info.DFSNodes != 0 {
-					t.Errorf("%s: identity mode with %d impacted units and a %d-node search", name, info.ImpactedUnits, info.DFSNodes)
+				if info.ImpactedUnits != 0 {
+					t.Errorf("%s: identity mode with %d impacted units", name, info.ImpactedUnits)
 				}
-				if warmSim != nil {
-					t.Errorf("%s: identity mode returned a simulation; the contract is nil", name)
-				}
-				if !planEqual(warm, cold) {
-					t.Errorf("%s: identity-mode warm plan differs from the cold plan", name)
-				}
-			case WarmSearch, WarmIncumbent:
+			case WarmSearch:
 				if info.ImpactedUnits == 0 {
-					t.Errorf("%s: search ran with no impacted units", name)
-				}
-				if warmSim == nil {
-					t.Fatalf("%s: search mode returned no acceptance simulation", name)
-				}
-				if warmSim.Makespan > info.IncumbentMakespan {
-					t.Errorf("%s: warm makespan %.9f worse than rebound incumbent %.9f",
-						name, warmSim.Makespan, info.IncumbentMakespan)
+					t.Errorf("%s: search mode with no impacted units", name)
 				}
 			default:
 				t.Errorf("%s: unexpected warm mode %q", name, info.Mode)
-			}
-			// Universal: whatever mode served the step, the warm plan must never
-			// be worse than what the cold search found.
-			sim := warmSim
-			if sim == nil {
-				if sim, err = warm.SimulateNoTrace(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if sim.Makespan > coldSim.Makespan {
-				t.Errorf("%s: warm makespan %.9f worse than cold %.9f (mode %s)",
-					name, sim.Makespan, coldSim.Makespan, info.Mode)
 			}
 
 			// The one wall-clock check: alternating best-of-8 rounds, so a
@@ -336,8 +312,8 @@ func TestReplanStatsAcrossChurnTimeline(t *testing.T) {
 	if down2 != down1 {
 		t.Error("flap revisit did not hit the link-down overlay's cache entry")
 	}
-	// @3 a straggler instead: the host instance changes, so a warm search
-	// (or the rebound incumbent, per the acceptance rule) serves the step.
+	// @3 a straggler instead: the host instance changes, so the cold
+	// ensemble serves the step, counted as a search.
 	if _, _, err := p.ReplanDegradedFrom(ctx, task, degradedTestOpts, mesh.FaultSet{}, straggler); err != nil {
 		t.Fatal(err)
 	}
@@ -345,8 +321,8 @@ func TestReplanStatsAcrossChurnTimeline(t *testing.T) {
 	if s.CacheHits != 2 {
 		t.Errorf("cache hits = %d, want 2 (heal-back + flap revisit)", s.CacheHits)
 	}
-	if s.WarmSearch+s.WarmRejected != 1 {
-		t.Errorf("warm search+rejected = %d, want 1 (the straggler step)", s.WarmSearch+s.WarmRejected)
+	if s.WarmSearch != 1 || s.WarmRejected != 0 {
+		t.Errorf("warm search = %d, rejected = %d, want 1 (the straggler step) and 0", s.WarmSearch, s.WarmRejected)
 	}
 	if s.Cold != 0 {
 		t.Errorf("cold replans = %d, want 0 (every step had an incumbent)", s.Cold)

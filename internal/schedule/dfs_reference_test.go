@@ -163,7 +163,7 @@ func TestDFSMatchesReferenceUnderBudget(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		tasks := randomDFSInstance(rng)
 		for _, budget := range []int{1, 7, 50, 400, 20000} {
-			got := DFSPruningNodes(tasks, budget)
+			got := DFSPruningNodesStop(tasks, budget, nil)
 			want := referenceDFSNodes(tasks, budget)
 			if !reflect.DeepEqual(got.Order, want.Order) || !reflect.DeepEqual(got.Sender, want.Sender) {
 				t.Fatalf("trial %d budget %d: plan diverged from reference\n got: %+v\nwant: %+v\ntasks: %+v",
@@ -321,7 +321,7 @@ func TestDFSCancellationMatchesNodeBudget(t *testing.T) {
 			cancelled := DFSPruningNodesStop(tasks, 1<<30, stopAfter(m))
 			budget := m*StopStride - 1
 			wantRef := referenceDFSNodes(tasks, budget)
-			wantOpt := DFSPruningNodes(tasks, budget)
+			wantOpt := DFSPruningNodesStop(tasks, budget, nil)
 			if !reflect.DeepEqual(cancelled.Order, wantRef.Order) || !reflect.DeepEqual(cancelled.Sender, wantRef.Sender) {
 				t.Fatalf("trial %d m=%d: cancelled plan diverged from reference at node budget %d", trial, m, budget)
 			}

@@ -16,6 +16,15 @@ const (
 	exitNone   = "none"
 )
 
+func mustMakespan(t *testing.T, tasks []Task, p Plan) float64 {
+	t.Helper()
+	m, err := Makespan(tasks, p)
+	if err != nil {
+		t.Fatalf("makespan: %v", err)
+	}
+	return m
+}
+
 // ensembleExit works out the exit from the definitions, building every cheap
 // candidate eagerly.
 func ensembleExit(t *testing.T, tasks []Task, trials int, seed int64) string {
@@ -153,7 +162,7 @@ func TestEnsembleFamiliesExitWhereIntended(t *testing.T) {
 				}
 			}
 			searches := 0
-			dfs := func(tk []Task, lpt lptSeed) Plan { searches++; return dfsPruning(tk, 0, 2000, nil, nil, &lpt) }
+			dfs := func(tk []Task, lpt lptSeed) Plan { searches++; return dfsPruning(tk, 0, 2000, nil, &lpt) }
 			src := rand.New(rand.NewSource(seed))
 			got := ensemble(tasks, dfs, trials, src)
 			if want := referenceEnsembleNodes(tasks, 2000, trials, rand.New(rand.NewSource(seed))); !samePlan(got, want) {
@@ -193,56 +202,6 @@ func rankEagerly(tasks []Task, candidates []Plan) Plan {
 	return best
 }
 
-// referenceEnsembleWarm is the eager warm ensemble: every candidate built,
-// the warm-started DFS among them and the incumbent appended last.
-func referenceEnsembleWarm(tasks []Task, dfsNodes, trials int, rng *rand.Rand, incumbent Plan) Plan {
-	candidates := []Plan{Naive(tasks), LoadBalanceOnly(tasks), GreedyRandomized(tasks, trials, rng)}
-	if len(tasks) <= 20 {
-		candidates = append(candidates, DFSPruningWarmStart(tasks, dfsNodes, incumbent, nil))
-	}
-	return rankEagerly(tasks, append(candidates, incumbent))
-}
-
-// TestEnsembleWarmStartMatchesEagerReference: the warm ensemble returns what
-// building every candidate and ranking them would, whichever exit the
-// instance takes and whether the incumbent is worse than the cheap
-// candidates, better than all of them, or invalid.
-func TestEnsembleWarmStartMatchesEagerReference(t *testing.T) {
-	const trials = 8
-	gens := []func(*rand.Rand) []Task{
-		func(rng *rand.Rand) []Task { return randomProblem(rng, 3+rng.Intn(8), 2+rng.Intn(4)) },
-		func(rng *rand.Rand) []Task { return randomProblem(rng, 21+rng.Intn(6), 4) }, // too large for the DFS
-	}
-	for _, fam := range ensembleFamilies {
-		gens = append(gens, fam.gen)
-	}
-	for g, gen := range gens {
-		rng := rand.New(rand.NewSource(int64(900 + g)))
-		for trial := 0; trial < 8; trial++ {
-			tasks := gen(rng)
-			seed := int64(trial)*53 + 3
-			incumbents := map[string]Plan{
-				"naive":   Naive(tasks),
-				"greedy":  GreedyLoad(tasks),
-				"invalid": {},
-			}
-			if len(tasks) <= 10 {
-				incumbents["searched"] = DFSPruningNodes(tasks, 200000)
-			}
-			for name, inc := range incumbents {
-				for _, budget := range []int{1, 50, 2000} {
-					got := EnsembleWarmStart(tasks, budget, trials, rand.New(rand.NewSource(seed)), inc, nil)
-					want := referenceEnsembleWarm(tasks, budget, trials, rand.New(rand.NewSource(seed)), inc)
-					if !samePlan(got, want) {
-						t.Fatalf("generator %d trial %d incumbent %s budget %d: warm ensemble diverged from the eager reference\n got: %+v\nwant: %+v",
-							g, trial, name, budget, got, want)
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestGreedyEnsembleMatchesEagerRanking: the search-free ensemble goes
 // through the same candidate loop and must return what ranking all three of
 // its candidates would.
@@ -277,11 +236,8 @@ func TestEnsembleKeepsEarlierCandidateOnTie(t *testing.T) {
 	if exit := ensembleExit(t, tasks, 4, 1); exit != exitNone {
 		t.Fatalf("candidate loop exits at %s; the tie must be decided by the adoption rule, not the exit", exit)
 	}
-	if got := EnsembleNodes(tasks, 1000, 4, rand.New(rand.NewSource(1))); !samePlan(got, naive) {
-		t.Fatalf("Ensemble tie broke toward a later candidate: %+v", got)
-	}
-	if got := EnsembleWarmStart(tasks, 1000, 4, rand.New(rand.NewSource(1)), lpt, nil); !samePlan(got, naive) {
-		t.Fatalf("EnsembleWarmStart tie broke toward a later candidate: %+v", got)
+	if got := EnsembleNodesStop(tasks, 1000, 4, rand.New(rand.NewSource(1)), nil); !samePlan(got, naive) {
+		t.Fatalf("EnsembleNodesStop tie broke toward a later candidate: %+v", got)
 	}
 	if got := GreedyEnsemble(tasks); !samePlan(got, naive) {
 		t.Fatalf("GreedyEnsemble tie broke toward a later candidate: %+v", got)
@@ -302,9 +258,9 @@ func TestDFSRestoresDuplicateReceiver(t *testing.T) {
 	}
 	want := bruteForceOptimal(t, tasks)
 	for name, p := range map[string]Plan{
-		"DFSPruningNodes":   DFSPruningNodes(tasks, 1<<20),
-		"referenceDFSNodes": referenceDFSNodes(tasks, 1<<20),
-		"EnsembleNodes":     EnsembleNodes(tasks, 1<<20, 4, rand.New(rand.NewSource(1))),
+		"DFSPruningNodesStop": DFSPruningNodesStop(tasks, 1<<20, nil),
+		"referenceDFSNodes":   referenceDFSNodes(tasks, 1<<20),
+		"EnsembleNodesStop":   EnsembleNodesStop(tasks, 1<<20, 4, rand.New(rand.NewSource(1)), nil),
 	} {
 		if got := mustMakespan(t, tasks, p); got != want {
 			t.Errorf("%s: makespan %v, brute-force optimum %v", name, got, want)
@@ -322,13 +278,9 @@ func TestDFSFromEnsembleSeedMatchesOwnSeed(t *testing.T) {
 		tasks := hardDFSInstance(rng)
 		seed := lptSeed{plan: LoadBalanceOnly(tasks), bound: provenBound(tasks)}
 		seed.span, seed.err = Makespan(tasks, seed.plan)
-		warm := GreedyLoad(tasks)
 		for _, budget := range []int{1, 13, 500, 20000} {
-			if got, want := dfsPruning(tasks, 0, budget, nil, nil, &seed), dfsPruning(tasks, 0, budget, nil, nil, nil); !samePlan(got, want) {
+			if got, want := dfsPruning(tasks, 0, budget, nil, &seed), dfsPruning(tasks, 0, budget, nil, nil); !samePlan(got, want) {
 				t.Fatalf("trial %d budget %d: seeded search returned %+v, unseeded %+v", trial, budget, got, want)
-			}
-			if got, want := dfsPruning(tasks, 0, budget, nil, &warm, &seed), dfsPruning(tasks, 0, budget, nil, &warm, nil); !samePlan(got, want) {
-				t.Fatalf("trial %d budget %d: seeded warm search returned %+v, unseeded %+v", trial, budget, got, want)
 			}
 		}
 	}

@@ -66,7 +66,7 @@ func FuzzEnsembleMatchesReference(f *testing.F) {
 			})
 		}
 		budget := []int{1, 50, 2000, 50000}[budgetSel%4]
-		got := EnsembleNodes(tasks, budget, 4, rand.New(rand.NewSource(seed)))
+		got := EnsembleNodesStop(tasks, budget, 4, rand.New(rand.NewSource(seed)), nil)
 		want := referenceEnsembleNodes(tasks, budget, 4, rand.New(rand.NewSource(seed)))
 		if !samePlan(got, want) {
 			t.Fatalf("budget %d seed %d: ensemble diverged from reference\n got: %+v\nwant: %+v\ntasks: %+v", budget, seed, got, want, tasks)

@@ -38,7 +38,7 @@ func TestDFSOneUlpBelowLowerBound(t *testing.T) {
 	if pb := provenBound(tasks); pb > span {
 		t.Fatalf("provenBound %v exceeds an achieved makespan %v", pb, span)
 	}
-	if got := DFSPruningNodes(tasks, budget); !samePlan(got, want) {
+	if got := DFSPruningNodesStop(tasks, budget, nil); !samePlan(got, want) {
 		t.Fatalf("plan diverged from reference\n got: %+v\nwant: %+v", got, want)
 	}
 }
@@ -192,7 +192,7 @@ func TestLowerBoundCountsDuplicateReceiverOnce(t *testing.T) {
 }
 
 // TestDFSReturnsProvenSeedWithoutSearching: where the LPT seed meets the
-// bound, every entry point returns exactly what the reference returns at
+// bound, the search returns exactly what the reference returns at
 // any budget, and visits no node — so it can never reach a StopStride
 // boundary and poll stop, not even a stop that would fire at once.
 func TestDFSReturnsProvenSeedWithoutSearching(t *testing.T) {
@@ -210,15 +210,9 @@ func TestDFSReturnsProvenSeedWithoutSearching(t *testing.T) {
 		proven++
 		for _, budget := range []int{1, 50, 2000, 50000} {
 			want := referenceDFSNodes(tasks, budget)
-			if got := DFSPruningNodes(tasks, budget); !samePlan(got, want) {
-				t.Fatalf("trial %d budget %d: DFSPruningNodes diverged from reference", trial, budget)
-			}
 			stop, polls := countingStop()
 			if got := DFSPruningNodesStop(tasks, budget, stop); !samePlan(got, want) {
 				t.Fatalf("trial %d budget %d: DFSPruningNodesStop diverged from reference", trial, budget)
-			}
-			if got := DFSPruningWarmStart(tasks, budget, Naive(tasks), stop); !samePlan(got, want) {
-				t.Fatalf("trial %d budget %d: DFSPruningWarmStart diverged from reference", trial, budget)
 			}
 			if *polls != 0 {
 				t.Fatalf("trial %d budget %d: stop polled %d times by a search with a proven seed", trial, budget, *polls)

@@ -7,10 +7,11 @@
 //
 // Four algorithms are provided, mirroring the paper: Naive (lowest-index
 // sender, arbitrary order), LoadBalanceOnly (classic LPT greedy on Eq. 4),
-// DFSPruning (budgeted exhaustive search), and GreedyRandomized (iterative
-// maximal non-conflicting batches). Ensemble returns the best of them, which
-// is AlpaComm's configuration ("we run both algorithms and choose the
-// better result", §5.3.1).
+// DFSPruningNodesStop (budgeted exhaustive search), and GreedyRandomized
+// (iterative maximal non-conflicting batches). EnsembleStop and
+// EnsembleNodesStop return the best of them, which is AlpaComm's
+// configuration ("we run both algorithms and choose the better result",
+// §5.3.1).
 //
 // The ensemble does not build what cannot win. Every schedule serializes the
 // tasks of one receiver host, and the tasks only one host can send, so the
@@ -338,7 +339,7 @@ func GreedyLoad(tasks []Task) Plan {
 	return p
 }
 
-// GreedyEnsemble is the search-free companion of Ensemble: the best of
+// GreedyEnsemble is the search-free companion of EnsembleStop: the best of
 // Naive, LoadBalanceOnly and GreedyLoad by list-scheduled makespan, ties
 // going to the earlier, each built only while the ones before it are not
 // proven optimal (see incumbent.offer). No DFS, no randomized trials, no RNG
@@ -352,69 +353,33 @@ func GreedyEnsemble(tasks []Task) Plan {
 	return in.best
 }
 
-// DFSPruning searches jointly over sender assignments and launch orders
-// with depth-first search, seeded with the LPT plan and pruning every
-// branch whose partial makespan already meets the best complete schedule
-// found (span >= bestSpan; there is no look-ahead on future load). The
-// search stops at the time budget and returns the best plan seen; with a
-// generous budget and few tasks (the paper reports < 20) the result is
-// optimal.
-//
-// It also stops the moment its incumbent is proven optimal: when the LPT
-// (or warm) seed, or a schedule adopted mid-search, meets provenBound. The
-// incumbent is only ever replaced by a strictly smaller makespan and no
-// schedule evaluates below that bound, so the rest of the search could not
-// change the answer. The bound is sound for the search's own floating-point
-// sums, not merely over the reals — see provenBound for why plain
-// LowerBound would not do.
-func DFSPruning(tasks []Task, budget time.Duration) Plan {
-	return dfsPruning(tasks, budget, 0, nil, nil, nil)
-}
-
-// DFSPruningNodes is DFSPruning with a deterministic budget: the search
-// visits at most maxNodes states instead of racing a wall clock, so the
-// returned plan is a pure function of its inputs — identical across runs,
-// machines and concurrent callers. The autotuner uses this variant.
-func DFSPruningNodes(tasks []Task, maxNodes int) Plan {
-	return DFSPruningNodesStop(tasks, maxNodes, nil)
-}
-
-// DFSPruningWarmStart is DFSPruningNodesStop seeded from an incumbent
-// plan: when the incumbent is valid for the tasks, best/bestSpan start at
-// the better of the incumbent and the LPT baseline, so pruning bites from
-// node one instead of waiting for the search to rediscover a bound the
-// caller already holds. An incremental replanner feeds the previous
-// overlay's plan here; because the seed only tightens the bound, the
-// search tree is a subset of the cold tree and the result is never worse
-// at the host level than the incumbent. An invalid incumbent is ignored,
-// making the call bit-identical to DFSPruningNodesStop.
-func DFSPruningWarmStart(tasks []Task, maxNodes int, incumbent Plan, stop func() bool) Plan {
-	return dfsPruning(tasks, 0, max(maxNodes, 1), stop, &incumbent, nil)
-}
-
-// clonePlan deep-copies a plan so a warm seed never aliases the caller's
-// incumbent maps.
-func clonePlan(p Plan) Plan {
-	cp := Plan{Sender: make(map[int]int, len(p.Sender)), Order: append([]int(nil), p.Order...)}
-	for id, s := range p.Sender {
-		cp.Sender[id] = s
-	}
-	return cp
-}
-
 // StopStride is how many DFS nodes one budget slice spans: a stop function
 // is polled once per slice, so an aborted search returns within one
 // slice's worth of work while an uncancelled search never pays more than
 // one predicate call per StopStride nodes.
 const StopStride = 2048
 
-// DFSPruningNodesStop is DFSPruningNodes with a cooperative abort: stop is
-// polled between node-budget slices (every StopStride visited states) and
-// a true return abandons the search, returning the best plan found so far.
-// When stop never fires the result is bit-identical to DFSPruningNodes —
-// polling does not perturb the exploration order.
+// DFSPruningNodesStop searches jointly over sender assignments and launch
+// orders with depth-first search, seeded with the LPT plan and pruning every
+// branch whose partial makespan already meets the best complete schedule
+// found (span >= bestSpan; there is no look-ahead on future load). The
+// search visits at most maxNodes states and returns the best plan seen, so
+// the result is a pure function of its inputs — identical across runs,
+// machines and concurrent callers; with a generous budget and few tasks (the
+// paper reports < 20) it is optimal. stop (when non-nil) is polled between
+// node-budget slices (every StopStride visited states) and a true return
+// abandons the search, returning the best plan found so far; polling does
+// not perturb the exploration order.
+//
+// The search also stops the moment its incumbent is proven optimal: when the
+// LPT seed, or a schedule adopted mid-search, meets provenBound. The
+// incumbent is only ever replaced by a strictly smaller makespan and no
+// schedule evaluates below that bound, so the rest of the search could not
+// change the answer. The bound is sound for the search's own floating-point
+// sums, not merely over the reals — see provenBound for why plain
+// LowerBound would not do.
 func DFSPruningNodesStop(tasks []Task, maxNodes int, stop func() bool) Plan {
-	return dfsPruning(tasks, 0, max(maxNodes, 1), stop, nil, nil)
+	return dfsPruning(tasks, 0, max(maxNodes, 1), stop, nil)
 }
 
 // symmetryClasses assigns each task the index of the first task with
@@ -486,14 +451,12 @@ type lptSeed struct {
 // two flat slices over densely renumbered hosts, the per-node symmetry set
 // is a stamp array over precomputed task classes and the rollback stack is
 // one flat per-depth buffer, so the search allocates only when it improves
-// on the incumbent plan. A non-nil warm plan seeds best/bestSpan when it is
-// valid and beats the LPT baseline; seeding only tightens the bound, so
-// every node a seeded search visits, the unseeded search visits too. A
-// non-nil lpt is the caller's copy of the baseline (the ensemble has built
-// and evaluated it by the time it searches) and spares recomputing it.
+// on the incumbent plan. A non-nil lpt is the caller's copy of the baseline
+// (the ensemble has built and evaluated it by the time it searches) and
+// spares recomputing it.
 //
 //alpacomm:hotpath
-func dfsPruning(tasks []Task, budget time.Duration, maxNodes int, stop func() bool, warm *Plan, lpt *lptSeed) Plan {
+func dfsPruning(tasks []Task, budget time.Duration, maxNodes int, stop func() bool, lpt *lptSeed) Plan {
 	if len(tasks) == 0 {
 		return Plan{Sender: map[int]int{}}
 	}
@@ -508,11 +471,6 @@ func dfsPruning(tasks []Task, budget time.Duration, maxNodes int, stop func() bo
 		panic(lpt.err) // unreachable: LoadBalanceOnly plans are valid
 	}
 	best, bestSpan, bound := lpt.plan, lpt.span, lpt.bound
-	if warm != nil {
-		if ws, werr := Makespan(tasks, *warm); werr == nil && ws < bestSpan {
-			best, bestSpan = clonePlan(*warm), ws
-		}
-	}
 	if bestSpan <= bound {
 		return best
 	}
@@ -748,66 +706,35 @@ func GreedyRandomized(tasks []Task, trials int, rng *rand.Rand) Plan {
 	return p
 }
 
-// Ensemble is AlpaComm's production configuration ("we run both algorithms
-// and choose the better result", §5.3.1): the plan with the smallest
-// makespan among Naive, LoadBalanceOnly, GreedyRandomized and (for small
-// problems) DFSPruning, ties going to the earlier of them. The candidates
-// are built one at a time and the rest are skipped once one is proven
-// optimal (see ensemble), so rng is drawn from only when neither Naive nor
-// LoadBalanceOnly meets the bound.
-func Ensemble(tasks []Task, dfsBudget time.Duration, trials int, rng *rand.Rand) Plan {
-	return EnsembleStop(tasks, dfsBudget, trials, rng, nil)
-}
-
-// EnsembleStop is Ensemble with a cooperative abort threaded into its
-// wall-clock DFS component: stop is polled every StopStride visited states
-// alongside the deadline check, and a true return makes the DFS yield its
-// incumbent early.
+// EnsembleStop is AlpaComm's production configuration ("we run both
+// algorithms and choose the better result", §5.3.1): the plan with the
+// smallest makespan among Naive, LoadBalanceOnly, GreedyRandomized and (for
+// small problems) the DFS under a wall-clock budget, ties going to the
+// earlier of them. The candidates are built one at a time and the rest are
+// skipped once one is proven optimal (see ensemble), so rng is drawn from
+// only when neither Naive nor LoadBalanceOnly meets the bound. stop (when
+// non-nil) is polled every StopStride visited states alongside the deadline
+// check, and a true return makes the DFS yield its incumbent early.
 func EnsembleStop(tasks []Task, dfsBudget time.Duration, trials int, rng *rand.Rand, stop func() bool) Plan {
-	return ensemble(tasks, func(t []Task, lpt lptSeed) Plan { return dfsPruning(t, dfsBudget, 0, stop, nil, &lpt) }, trials, rng)
+	return ensemble(tasks, func(t []Task, lpt lptSeed) Plan { return dfsPruning(t, dfsBudget, 0, stop, &lpt) }, trials, rng)
 }
 
-// EnsembleNodes is Ensemble with the deterministic node-budgeted DFS, for
-// callers that need bit-reproducible plans (the concurrent autotuner).
-func EnsembleNodes(tasks []Task, dfsNodes, trials int, rng *rand.Rand) Plan {
-	return EnsembleNodesStop(tasks, dfsNodes, trials, rng, nil)
-}
-
-// EnsembleNodesStop is EnsembleNodes with a cooperative abort threaded into
-// its DFS component: stop is polled between node-budget slices, and a true
-// return makes the DFS yield its incumbent early (the cheap closed-form
-// components are never interrupted). With stop nil — or never firing — the
-// plan is bit-identical to EnsembleNodes.
+// EnsembleNodesStop is EnsembleStop with the deterministic node-budgeted
+// DFS, for callers that need bit-reproducible plans (the concurrent
+// autotuner, the plan server). stop is polled between node-budget slices;
+// the cheap closed-form components are never interrupted, and a stop that
+// never fires does not change the plan.
 func EnsembleNodesStop(tasks []Task, dfsNodes, trials int, rng *rand.Rand, stop func() bool) Plan {
-	return ensemble(tasks, func(t []Task, lpt lptSeed) Plan { return dfsPruning(t, 0, max(dfsNodes, 1), stop, nil, &lpt) }, trials, rng)
+	return ensemble(tasks, func(t []Task, lpt lptSeed) Plan { return dfsPruning(t, 0, max(dfsNodes, 1), stop, &lpt) }, trials, rng)
 }
 
-// EnsembleWarmStart is EnsembleNodesStop with an incumbent plan threaded
-// through: the DFS component runs warm-started (DFSPruningWarmStart) and
-// the incumbent itself is the final candidate — so the returned plan's
-// host-level makespan is never worse than the incumbent's, even on problems
-// too large for the DFS to run. Ties break toward the earlier candidate,
-// exactly as in the cold ensemble: an incumbent that merely matches the
-// cold winner never displaces it, which keeps warm replans bit-identical to
-// cold ones whenever the incumbent adds no new information. An invalid
-// incumbent is ignored entirely, making the call bit-identical to
-// EnsembleNodesStop.
-func EnsembleWarmStart(tasks []Task, dfsNodes, trials int, rng *rand.Rand, incumbent Plan, stop func() bool) Plan {
-	if _, err := Makespan(tasks, incumbent); err != nil {
-		return EnsembleNodesStop(tasks, dfsNodes, trials, rng, stop)
-	}
-	dfs := func(t []Task, lpt lptSeed) Plan { return dfsPruning(t, 0, max(dfsNodes, 1), stop, &incumbent, &lpt) }
-	return ensemble(tasks, dfs, trials, rng, incumbent)
-}
-
-// ensemble offers Naive, the other closed-form candidates, the DFS (on small
-// problems) and any extra candidates after them to one incumbent, in that
-// order, and returns the incumbent; invalid extras are skipped by the
-// makespan evaluation. Each candidate is built only if everything before it
-// left the optimum unproven — building them all and ranking afterwards
-// returns the same plan (see incumbent.offer), at the cost of the trials, the
-// search and the rng draws behind a schedule that could not lose.
-func ensemble(tasks []Task, dfs func([]Task, lptSeed) Plan, trials int, rng *rand.Rand, extra ...Plan) Plan {
+// ensemble offers Naive, the other closed-form candidates and the DFS (on
+// small problems) to one incumbent, in that order, and returns the
+// incumbent. Each candidate is built only if everything before it left the
+// optimum unproven — building them all and ranking afterwards returns the
+// same plan (see incumbent.offer), at the cost of the trials, the search and
+// the rng draws behind a schedule that could not lose.
+func ensemble(tasks []Task, dfs func([]Task, lptSeed) Plan, trials int, rng *rand.Rand) Plan {
 	in := newIncumbent(tasks)
 	if in.proven {
 		return in.best
@@ -817,14 +744,9 @@ func ensemble(tasks []Task, dfs func([]Task, lptSeed) Plan, trials int, rng *ran
 	lpt.span, lpt.err = Makespan(tasks, lpt.plan)
 	// DFS explodes combinatorially; the paper reports it fails beyond ~20
 	// unit tasks, so only attempt it below that scale.
-	if in.offerEvaluated(lpt.plan, lpt.span, lpt.err) ||
+	_ = in.offerEvaluated(lpt.plan, lpt.span, lpt.err) ||
 		in.offer(GreedyRandomized(tasks, trials, rng)) ||
-		(len(tasks) <= 20 && in.offer(dfs(tasks, lpt))) {
-		return in.best
-	}
-	for _, c := range extra {
-		in.offer(c)
-	}
+		(len(tasks) <= 20 && in.offer(dfs(tasks, lpt)))
 	return in.best
 }
 

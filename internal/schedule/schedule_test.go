@@ -144,7 +144,7 @@ func TestDFSFindsOptimalOrder(t *testing.T) {
 		{ID: 2, SenderHosts: []int{1}, ReceiverHosts: []int{10}, Duration: 1},
 		{ID: 3, SenderHosts: []int{1}, ReceiverHosts: []int{11}, Duration: 2},
 	}
-	p := DFSPruning(tasks, time.Second)
+	p := DFSPruningNodesStop(tasks, 1<<20, nil)
 	span, err := Makespan(tasks, p)
 	if err != nil {
 		t.Fatal(err)
@@ -156,12 +156,12 @@ func TestDFSFindsOptimalOrder(t *testing.T) {
 }
 
 func TestDFSEmptyAndSmall(t *testing.T) {
-	p := DFSPruning(nil, time.Millisecond)
+	p := DFSPruningNodesStop(nil, 1<<20, nil)
 	if len(p.Order) != 0 {
 		t.Errorf("empty problem order = %v", p.Order)
 	}
 	one := []Task{{ID: 7, SenderHosts: []int{1, 2}, ReceiverHosts: []int{3}, Duration: 4}}
-	p = DFSPruning(one, time.Second)
+	p = DFSPruningNodesStop(one, 1<<20, nil)
 	span, err := Makespan(one, p)
 	if err != nil || span != 4 {
 		t.Errorf("single-task span = %v, %v", span, err)
@@ -211,7 +211,7 @@ func TestEnsembleNeverWorseThanBaselines(t *testing.T) {
 			}
 			tasks = append(tasks, Task{ID: i, SenderHosts: senders, ReceiverHosts: recvs, Duration: float64(1 + r.Intn(9))})
 		}
-		p := Ensemble(tasks, 50*time.Millisecond, 16, rng)
+		p := EnsembleStop(tasks, 50*time.Millisecond, 16, rng, nil)
 		if Validate(tasks, p) != nil {
 			return false
 		}
@@ -263,7 +263,7 @@ func TestDFSOptimalSmall(t *testing.T) {
 				Duration:      float64(1 + r.Intn(5)),
 			})
 		}
-		p := DFSPruning(tasks, time.Second)
+		p := DFSPruningNodesStop(tasks, 1<<20, nil)
 		span, err := Makespan(tasks, p)
 		if err != nil {
 			return false

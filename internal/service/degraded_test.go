@@ -277,3 +277,40 @@ func TestDegradedBinaryFlag(t *testing.T) {
 			respBin.Key, respJSON.Key, respBin.Scheduler, respJSON.Scheduler)
 	}
 }
+
+// TestPlanPoolRefusalIsAShed: with the controller on, a miss the plan pool
+// refuses is a shed like the controller's own — the 429 carries the
+// admission header and counts in admission.shed_requests — whether the
+// controller admitted it at full quality or degraded.
+func TestPlanPoolRefusalIsAShed(t *testing.T) {
+	cfg := slowSLOConfig()
+	s := New(Config{PlanWorkers: 1, PlanQueue: 1, SLO: &cfg})
+	ts := httptest.NewServer(s)
+	t.Cleanup(ts.Close)
+	for i := 0; i < cap(s.plan.queue); i++ {
+		s.plan.queue <- struct{}{}
+	}
+	refused := func(req *PlanRequest, wantShed, wantFullShed int64) {
+		t.Helper()
+		resp := rawPlanV2(t, ts.URL, req)
+		if resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("status %d, want 429", resp.StatusCode)
+		}
+		if got := resp.Header.Get(AdmissionHeader); got != "shed" {
+			t.Errorf("%s = %q on a pool-refused miss, want shed", AdmissionHeader, got)
+		}
+		if st := s.slo.Snapshot(); st.ShedRequests != wantShed || st.FullQualityShed != wantFullShed {
+			t.Errorf("shed_requests = %d, full_quality_shed = %d, want %d and %d",
+				st.ShedRequests, st.FullQualityShed, wantShed, wantFullShed)
+		}
+	}
+	refused(testReq(1), 1, 0)
+	full := testReq(2)
+	full.Options.Quality = "full"
+	refused(full, 2, 1)
+	forceMode(t, s.slo, AdmitDegraded, 8*time.Second)
+	refused(testReq(3), 3, 1)
+	if st := s.slo.Snapshot(); st.DegradedServed != 0 {
+		t.Errorf("degraded_served = %d for a refused degraded miss, want 0", st.DegradedServed)
+	}
+}

@@ -206,11 +206,11 @@ type StatsResponse struct {
 	Batch         EndpointStats `json:"batch"`
 	Topologies    []string      `json:"topologies"`
 	// Replan counts how degraded-request fills were served by the session
-	// planner: warm identity/search replans from a cached fault-free twin,
-	// acceptance-rule rejections, invalid rebinds, and cold fills with no
-	// incumbent. (Repeat requests for an already-cached overlay are served
-	// from the plan cache before reaching the planner, so they show up in
-	// Cache.Hits, not here.)
+	// planner: identity reuse of a cached fault-free twin, cold-ensemble
+	// replans of a changed instance (warm_search), invalid rebinds, and cold
+	// fills with no incumbent; warm_rejected stays 0. (Repeat requests for
+	// an already-cached overlay are served from the plan cache before
+	// reaching the planner, so they show up in Cache.Hits, not here.)
 	Replan resharding.ReplanStats `json:"replan"`
 	// Cluster is the per-node tier block — identity, ring share, routing
 	// and verified-fill counters; nil on a standalone server.

@@ -242,7 +242,8 @@ var errSLOShed = errors.New("service: shedding load to protect the p99 SLO budge
 
 // AdmissionHeader reports the SLO controller's decision on /v2/plan
 // responses it affected: "degraded" on a response planned at degraded
-// quality, "shed" on a 429 it produced. Absent on full-quality responses.
+// quality, "shed" on a 429 it or (with the controller on) the plan pool
+// produced. Absent on full-quality responses.
 const AdmissionHeader = "X-Alpacomm-Admission"
 
 // admission is one endpoint's worker pool: a caller first takes a queue
@@ -388,9 +389,10 @@ type planned struct {
 //
 // A non-nil fromTask (with its key fromKey) names the same boundary on the
 // overlay being replanned away from — for a degraded request, its
-// fault-free twin. A cold miss then warm-starts from the cached plan under
-// fromKey instead of searching from scratch (Planner.PlanKeyedWarm);
-// fromTask nil plans cold exactly as before.
+// fault-free twin. A miss whose twin is cached under fromKey then reuses the
+// twin's plan when the overlay changed nothing the scheduler scores, and
+// plans cold otherwise (Planner.PlanKeyedWarm); the plan served is the cold
+// plan of cacheKey either way, and fromTask nil plans cold.
 func (s *Server) computePlan(ctx context.Context, cacheKey string, task *sharding.Task, opts resharding.Options, wireReq *PlanRequest, forwarded bool, fromKey string, fromTask *sharding.Task) (*planned, bool, error) {
 	if p, ok := s.cachedPlan(cacheKey, opts); ok {
 		return p, false, nil

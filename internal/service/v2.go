@@ -233,12 +233,13 @@ func (s *Server) handlePlanV2(w http.ResponseWriter, r *http.Request) {
 		s.failV2(ctx, w, &s.planC, err, bin)
 		return
 	}
-	// A degraded request replans warm from its fault-free twin when the
-	// twin is cached: the healthy parse is memoized, so under churn (the
-	// same boundary arriving with one overlay after another) this costs a
-	// memo lookup, and the fill diffs instances instead of searching from
-	// scratch. A twin parse failure just plans cold — warming is an
-	// optimization, never a new failure mode.
+	// A degraded request hands its fault-free twin to the fill: the healthy
+	// parse is memoized, so under churn (the same boundary arriving with one
+	// overlay after another) this costs a memo lookup, and when the twin is
+	// cached the fill reuses its plan wherever the overlay left the
+	// scheduler's instance unchanged. A twin parse failure just plans cold
+	// — the twin is an optimization, never a new failure mode, and never
+	// changes the answer.
 	var fromKey string
 	var fromTask *sharding.Task
 	if req.Faults != nil {
@@ -255,7 +256,7 @@ func (s *Server) handlePlanV2(w http.ResponseWriter, r *http.Request) {
 	// — it costs microseconds and shedding it protects nothing. On a miss,
 	// degraded mode rewrites the request to the search-free scheduler
 	// (partitioned under its own cache key, never proxied to a peer, never
-	// warm-started — its planning is already cheap), and shed mode rejects
+	// given a twin — its planning is already cheap), and shed mode rejects
 	// with the structured overloaded envelope, after trying the
 	// already-cached degraded entry for clients that accept one. A client
 	// that required full quality ("quality":"full") is never answered with
@@ -296,6 +297,12 @@ func (s *Server) handlePlanV2(w http.ResponseWriter, r *http.Request) {
 
 	p, shared, err := s.computePlan(ctx, cacheKey, task, opts, wireReq, forwarded, fromKey, fromTask)
 	if err != nil {
+		// A miss the plan pool refused is a shed like the controller's own:
+		// same header, same counter, whatever mode admitted it.
+		if s.slo != nil && errors.Is(err, errOverloaded) {
+			w.Header().Set(AdmissionHeader, "shed")
+			s.slo.NoteShed(qualityRequiresFull(req.Options.Quality))
+		}
 		s.failV2(ctx, w, &s.planC, err, bin)
 		return
 	}
