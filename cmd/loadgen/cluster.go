@@ -135,9 +135,11 @@ func startBenchTier(n, capacity int) *benchTier {
 }
 
 // clusterKeyReq is the scaling workload's request shape: a 4x4 -> 4x4
-// boundary over 8 p3 hosts — expensive enough to plan (~ms-scale DFS)
-// that a cache-resident tier is decisively cheaper than recomputation.
-// Distinct seeds give distinct canonical cache keys.
+// boundary over 8 p3 hosts — 256 units the closed-form candidates do not
+// prove, so every key must search (~10 ms of randomized trials): a
+// cache-resident tier is decisively cheaper than recomputation, and a
+// non-owned miss is fetched from its owner rather than planned where it
+// lands. Distinct seeds give distinct canonical cache keys.
 func clusterKeyReq(seed int64) *service.PlanRequest {
 	return &service.PlanRequest{
 		Topology: service.TopologyRef{Name: "p3", Hosts: 8},

@@ -28,10 +28,12 @@
 // "Accept: application/x-alpacomm-plan".
 //
 // Cluster mode (-node-id + -peers) makes N planservers one logical plan
-// cache: a consistent-hash ring routes each canonical cache key to an
-// owner node, non-owners fetch cold keys from the owner (re-simulating
-// every received plan before caching it — see internal/cluster), and the
-// owner's request coalescing gives the tier cluster-wide singleflight.
+// cache: a consistent-hash ring gives each canonical cache key an owner
+// node, non-owners fetch cold keys that must search from the owner
+// (re-simulating every received plan before caching it — see
+// internal/cluster; a key proven without a search is planned where it
+// lands), and the owner's request coalescing gives the tier cluster-wide
+// singleflight.
 // With -snapshot the cache is periodically persisted and replay-verified
 // back on start, so a bounced node rejoins warm:
 //

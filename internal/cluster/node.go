@@ -15,9 +15,9 @@ import (
 	"alpacomm/internal/sharding"
 )
 
-// DefaultFetchTimeout bounds one peer fetch: a hung owner must not pin the
-// requester past it — the fetch fails and the requester computes locally.
-const DefaultFetchTimeout = 30 * time.Second
+// fetchBound caps one peer fetch beneath the request's own context: ~40x the
+// costliest default-budget search (12 ms), past which the requester plans itself.
+const fetchBound = 500 * time.Millisecond
 
 // Config configures one tier node.
 type Config struct {
@@ -36,8 +36,6 @@ type Config struct {
 	// Must be identical on every member or nodes would disagree on
 	// ownership.
 	VNodes int
-	// FetchTimeout bounds one peer fetch; <= 0 = DefaultFetchTimeout.
-	FetchTimeout time.Duration
 	// HTTPClient is used for peer traffic; nil = a service.NewClient
 	// default per peer.
 	HTTPClient *http.Client
@@ -70,9 +68,6 @@ type Node struct {
 func New(cfg Config, srv *service.Server) (*Node, error) {
 	if cfg.NodeID == "" {
 		return nil, fmt.Errorf("cluster: NodeID is required")
-	}
-	if cfg.FetchTimeout <= 0 {
-		cfg.FetchTimeout = DefaultFetchTimeout
 	}
 	n := &Node{
 		cfg:     cfg,
@@ -168,17 +163,17 @@ func (n *Node) Route(key string) (owner string, local bool) {
 }
 
 // Fetch implements service.Router: ask the owning peer for the plan over
-// /v2 (binary wire, peer-marked so the owner never re-routes), then gate
-// it through VerifyFill before the server caches it. The owner's own
-// request coalescing merges concurrent fetches of one cold key from every
-// node in the tier — cluster-wide singleflight — while the caller's
-// in-process flight already merged local duplicates.
+// /v2 (binary wire, peer-marked so the owner never re-routes), within ctx
+// and fetchBound, then gate it through VerifyFill before the server caches
+// it. The owner's own request coalescing merges concurrent fetches of one
+// cold key from every node in the tier — cluster-wide singleflight — while
+// the caller's in-process flight already merged local duplicates.
 func (n *Node) Fetch(ctx context.Context, owner, key string, req *service.PlanRequest, task *sharding.Task, opts resharding.Options) (*resharding.Plan, *resharding.SimResult, error) {
 	cl := n.client(owner)
 	if cl == nil {
 		return nil, nil, fmt.Errorf("cluster: no address for owner %q", owner)
 	}
-	fctx, cancel := context.WithTimeout(ctx, n.cfg.FetchTimeout)
+	fctx, cancel := context.WithTimeout(ctx, fetchBound)
 	defer cancel()
 	resp, err := cl.PlanV2(fctx, req)
 	if err != nil {

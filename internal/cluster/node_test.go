@@ -10,7 +10,9 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
+	"time"
 
+	"alpacomm/internal/resharding"
 	"alpacomm/internal/service"
 )
 
@@ -56,15 +58,70 @@ func startTier(t testing.TB, ids []string, mkCfg func() service.Config) []*testN
 	return nodes
 }
 
-// tierReq is a small, fast, valid plan request; distinct seeds give
-// distinct cache keys.
-func tierReq(seed int64) *service.PlanRequest {
-	return &service.PlanRequest{
+// fixtureParser parses fixtures for classed; it serves nothing.
+var fixtureParser = service.New(service.Config{})
+
+// The tier routes a miss by what is left of it after the closed-form
+// candidates (Server.computePlan), so its tests come in two classes, and
+// classed holds each fixture to its own: tierReq is proven at Naive and is
+// planned wherever it lands; searchReq must search and is fetched from its
+// ring owner. Distinct seeds give distinct cache keys.
+func classed(t testing.TB, req *service.PlanRequest, proven bool) *service.PlanRequest {
+	t.Helper()
+	task, opts, _, err := fixtureParser.ParsePlanRequest(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := resharding.NewDraft(task, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Proven() != proven {
+		t.Fatalf("fixture rotted: draft proven = %v, the test needs %v: %+v", d.Proven(), proven, req)
+	}
+	return req
+}
+
+// tierReq is a small, fast, valid plan request the closed-form candidates
+// prove.
+func tierReq(t testing.TB, seed int64) *service.PlanRequest {
+	return classed(t, &service.PlanRequest{
 		Topology: service.TopologyRef{Name: "p3", Hosts: 2},
 		Shape:    []int{128, 128},
 		Src:      service.Endpoint{Mesh: "2x2@0", Spec: "S01R"},
 		Dst:      service.Endpoint{Mesh: "2x2@4", Spec: "S0R"},
 		Options:  service.PlanOptions{Seed: seed},
+	}, true)
+}
+
+// searchReq is a request of `loadgen -cluster`'s working set: 256 units over
+// 8 hosts, which leave Naive and LPT unproven and cost ~10 ms of randomized
+// trials — long enough for a herd to find the miss in flight.
+func searchReq(t testing.TB, seed int64) *service.PlanRequest {
+	return classed(t, &service.PlanRequest{
+		Topology: service.TopologyRef{Name: "p3", Hosts: 8},
+		Shape:    []int{128, 128, 8},
+		Src:      service.Endpoint{Mesh: "4x4@0", Spec: "RS01R"},
+		Dst:      service.Endpoint{Mesh: "4x4@16", Spec: "S01RR"},
+		Options: service.PlanOptions{
+			Seed: seed, Strategy: "broadcast", Scheduler: "ensemble",
+			DFSNodes: 20000, Chunks: 8,
+		},
+	}, false)
+}
+
+// seedOwnedBy returns the first seed whose request's key node's ring assigns
+// to owner.
+func seedOwnedBy(t testing.TB, tn *testNode, mk func(testing.TB, int64) *service.PlanRequest, owner string) int64 {
+	t.Helper()
+	for seed := int64(1); ; seed++ {
+		_, _, key, err := tn.srv.ParsePlanRequest(context.Background(), mk(t, seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := tn.node.Ring().Owner(key); got == owner {
+			return seed
+		}
 	}
 }
 
@@ -107,71 +164,122 @@ func tierMisses(nodes []*testNode) int {
 	return total
 }
 
-// TestTierByteIdenticalAcrossNodes: the same request served by every node
-// of a 3-node tier — owner, proxier, cache-aside — returns byte-identical
-// bodies, identical to a standalone server's.
-func TestTierByteIdenticalAcrossNodes(t *testing.T) {
-	nodes := startTier(t, []string{"a", "b", "c"}, func() service.Config { return service.Config{} })
-	standalone := httptest.NewServer(service.New(service.Config{}))
-	defer standalone.Close()
-	for seed := int64(1); seed <= 5; seed++ {
-		req := tierReq(seed)
-		want := rawPlan(t, standalone.URL, req)
-		for round := 0; round < 2; round++ { // cold then cached
-			for _, tn := range nodes {
-				if got := rawPlan(t, tn.url, req); !bytes.Equal(got, want) {
-					t.Fatalf("seed %d round %d node %s: body differs\n got %s\nwant %s",
-						seed, round, tn.node.NodeID(), got, want)
-				}
-			}
+// herd posts req n times at once, request g to urls[g%len(urls)], and
+// returns the bodies with the coalesced flag — the one thing a coalesced
+// response may differ in — normalized away. Every request must succeed: a
+// stranded waiter shows as the test's timeout.
+func herd(t *testing.T, n int, urls []string, req *service.PlanRequest) []string {
+	t.Helper()
+	var wg sync.WaitGroup
+	bodies, errs := make([]string, n), make([]error, n)
+	for g := 0; g < n; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			body, err := postJSON(urls[g%len(urls)]+"/v2/plan", req)
+			bodies[g], errs[g] = string(bytes.ReplaceAll(body, []byte(`,"coalesced":true`), nil)), err
+		}(g)
+	}
+	wg.Wait()
+	for g, err := range errs {
+		if err != nil {
+			t.Fatalf("herd member %d: %v", g, err)
+		}
+		if bodies[g] != bodies[0] {
+			t.Fatalf("herd member %d got a different plan:\n %s\n vs %s", g, bodies[g], bodies[0])
 		}
 	}
-	// The tier computed each key exactly once no matter how many nodes
-	// served it.
-	if m := tierMisses(nodes); m != 5 {
-		t.Errorf("tier computed %d plans for 5 distinct keys", m)
+	return bodies
+}
+
+func tierURLs(nodes []*testNode) []string {
+	urls := make([]string, len(nodes))
+	for i, tn := range nodes {
+		urls[i] = tn.url
+	}
+	return urls
+}
+
+// TestTierByteIdenticalAcrossNodes: the same request served by every node
+// of a 3-node tier — owner, proxier, cache-aside — returns byte-identical
+// bodies, identical to a standalone server's, whichever class it is: who
+// computes a plan never shows in its bytes.
+func TestTierByteIdenticalAcrossNodes(t *testing.T) {
+	for _, class := range []struct {
+		name string
+		req  func(testing.TB, int64) *service.PlanRequest
+		// computations is what 5 keys cost the tier: a searched key is
+		// computed once, by its owner, however many nodes serve it; a proven
+		// one once on every node it lands on.
+		computations int
+	}{
+		{"searched", searchReq, 5},
+		{"proven", tierReq, 15},
+	} {
+		t.Run(class.name, func(t *testing.T) {
+			nodes := startTier(t, []string{"a", "b", "c"}, func() service.Config { return service.Config{} })
+			standalone := httptest.NewServer(service.New(service.Config{}))
+			defer standalone.Close()
+			for seed := int64(1); seed <= 5; seed++ {
+				req := class.req(t, seed)
+				want := rawPlan(t, standalone.URL, req)
+				for round := 0; round < 2; round++ { // cold then cached
+					for _, tn := range nodes {
+						if got := rawPlan(t, tn.url, req); !bytes.Equal(got, want) {
+							t.Fatalf("seed %d round %d node %s: body differs\n got %s\nwant %s",
+								seed, round, tn.node.NodeID(), got, want)
+						}
+					}
+				}
+			}
+			if m := tierMisses(nodes); m != class.computations {
+				t.Errorf("tier computed %d plans for 5 distinct keys, want %d", m, class.computations)
+			}
+		})
 	}
 }
 
-// TestTierCrossNodeSingleflight: a thundering herd on one cold key,
-// spread across every node of the tier, costs exactly one planner
+// TestTierCrossNodeSingleflight: a thundering herd on one cold key that must
+// search, spread across every node of the tier, costs exactly one planner
 // computation tier-wide — the owner's in-process coalescing merges the
 // proxied fetches, and each non-owner's local flight merges its own herd.
 func TestTierCrossNodeSingleflight(t *testing.T) {
 	nodes := startTier(t, []string{"a", "b", "c"}, func() service.Config { return service.Config{} })
-	req := tierReq(99)
-	const herd = 24
-	var wg sync.WaitGroup
-	errs := make(chan error, herd)
-	bodies := make([][]byte, herd)
-	for g := 0; g < herd; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			body, err := postJSON(nodes[g%len(nodes)].url+"/v2/plan", req)
-			if err != nil {
-				errs <- err
-				return
-			}
-			bodies[g] = body
-		}(g)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
+	req := searchReq(t, 99)
+	herd(t, 24, tierURLs(nodes), req)
 	if m := tierMisses(nodes); m != 1 {
 		t.Errorf("cold key cost %d computations tier-wide, want exactly 1", m)
 	}
-	// Coalesced responses differ from computed ones only in the coalesced
-	// flag; normalize it away and every body must match.
-	norm := func(b []byte) string {
-		return string(bytes.ReplaceAll(b, []byte(`,"coalesced":true`), nil))
+}
+
+// TestTierProvenHerdStaysLocal is the mirror for the other class: a herd on
+// a cold key the closed-form candidates prove is planned where it lands. The
+// key's owner is the one node nobody addresses — under ownership routing
+// every miss would have crossed the wire to it — and it never hears of the
+// key; no node fetches; each addressed node computes at most once.
+func TestTierProvenHerdStaysLocal(t *testing.T) {
+	nodes := startTier(t, []string{"a", "b", "c", "d"}, func() service.Config { return service.Config{} })
+	req := tierReq(t, seedOwnedBy(t, nodes[0], tierReq, "d"))
+	standalone := httptest.NewServer(service.New(service.Config{}))
+	defer standalone.Close()
+	want := string(rawPlan(t, standalone.URL, req))
+	if got := herd(t, 24, tierURLs(nodes[:3]), req)[0]; got != want {
+		t.Fatalf("herd plan differs from a standalone server's:\n %s\n vs %s", got, want)
 	}
-	for g := 1; g < herd; g++ {
-		if norm(bodies[g]) != norm(bodies[0]) {
-			t.Fatalf("herd member %d got a different plan:\n %s\n vs %s", g, bodies[g], bodies[0])
+	for _, tn := range nodes {
+		st, err := service.NewClient(tn.url, nil).Stats(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		id := tn.node.NodeID()
+		if st.Cluster.RoutedProxied != 0 {
+			t.Errorf("node %s fetched a proven key %d times", id, st.Cluster.RoutedProxied)
+		}
+		if st.Cache.Misses > 1 {
+			t.Errorf("node %s computed the key %d times", id, st.Cache.Misses)
+		}
+		if id == "d" && st.Plan.Requests != 0 {
+			t.Errorf("the owner, which nobody addressed, saw %d plan requests", st.Plan.Requests)
 		}
 	}
 }
@@ -181,23 +289,11 @@ func TestTierCrossNodeSingleflight(t *testing.T) {
 // owner claiming a makespan its plan does not achieve — is rejected, with
 // the node falling back to a correct local computation.
 func TestTierVerifiedFill(t *testing.T) {
-	// Honest 2-node tier first: find a seed owned by b, request it via a.
+	// Honest 2-node tier first: a key that must search, owned by b, requested
+	// via a.
 	nodes := startTier(t, []string{"a", "b"}, func() service.Config { return service.Config{} })
 	a, b := nodes[0], nodes[1]
-	seedOwnedBy := func(owner string) int64 {
-		for seed := int64(1); ; seed++ {
-			req := tierReq(seed)
-			_, _, key, err := a.srv.ParsePlanRequest(context.Background(), req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got, _ := a.node.Ring().Owner(key); got == owner {
-				return seed
-			}
-		}
-	}
-	seed := seedOwnedBy("b")
-	req := tierReq(seed)
+	req := searchReq(t, seedOwnedBy(t, a, searchReq, "b"))
 	want := rawPlan(t, b.url, req) // owner computes
 	if got := rawPlan(t, a.url, req); !bytes.Equal(got, want) {
 		t.Fatalf("proxied fill differs from owner's plan")
@@ -257,17 +353,7 @@ func TestTierVerifiedFill(t *testing.T) {
 	victimTS := httptest.NewServer(victimNode.Handler())
 	defer victimTS.Close()
 
-	for s := int64(1); ; s++ {
-		r := tierReq(s)
-		_, _, key, err := victim.ParsePlanRequest(context.Background(), r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if owner, _ := victimNode.Ring().Owner(key); owner == "b2" {
-			req = r
-			break
-		}
-	}
+	req = searchReq(t, seedOwnedBy(t, &testNode{node: victimNode, srv: victim}, searchReq, "b2"))
 	direct := rawPlan(t, honestTS.URL, req)
 	got := rawPlan(t, victimTS.URL, req)
 	if !bytes.Equal(got, direct) {
@@ -282,41 +368,67 @@ func TestTierVerifiedFill(t *testing.T) {
 	}
 }
 
+// TestTierHungOwnerFallsBack: an owner that accepts the connection and never
+// answers costs a fetched miss fetchBound, not the request: the fetch expires
+// under the request's still-live context, the same flight finishes its own
+// draft — one fallback for the whole herd, no waiter stranded — and the bytes
+// are a standalone server's.
+func TestTierHungOwnerFallsBack(t *testing.T) {
+	release := make(chan struct{})
+	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-release:
+		case <-r.Context().Done():
+		}
+	}))
+	defer hung.Close()
+	defer close(release) // before Close, which waits for the handlers
+
+	srv := service.New(service.Config{})
+	node, err := New(Config{NodeID: "a", Peers: map[string]string{"hung": hung.URL}}, srv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(node.Handler())
+	defer ts.Close()
+	standalone := httptest.NewServer(service.New(service.Config{}))
+	defer standalone.Close()
+
+	req := searchReq(t, seedOwnedBy(t, &testNode{node: node, srv: srv}, searchReq, "hung"))
+	want := string(rawPlan(t, standalone.URL, req))
+	start := time.Now()
+	if got := herd(t, 6, []string{ts.URL}, req)[0]; got != want {
+		t.Fatalf("fallback plan differs from a standalone server's:\n %s\n vs %s", got, want)
+	}
+	// Generous on the far side: the bound, a 10 ms search and a loaded CI box.
+	if took := time.Since(start); took < fetchBound || took > fetchBound+5*time.Second {
+		t.Errorf("served after %v, want shortly after the %v fetch bound", took, fetchBound)
+	}
+	st, err := service.NewClient(ts.URL, nil).Stats(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cs := st.Cluster; cs.RoutedProxied != 1 || cs.ProxyFallbacks != 1 || cs.VerifiedFillAccepts != 0 || st.Cache.Misses != 1 {
+		t.Errorf("proxied %d, fallbacks %d, accepts %d, computations %d: want one fetch, one fallback, one computation",
+			cs.RoutedProxied, cs.ProxyFallbacks, cs.VerifiedFillAccepts, st.Cache.Misses)
+	}
+}
+
 // TestTierMembershipChangeDuringMiss: joins and leaves racing a coalesced
 // cold miss never double-compute on any single node and never strand a
 // waiter — every request completes with the same correct plan. Run under
 // -race in CI.
 func TestTierMembershipChangeDuringMiss(t *testing.T) {
 	nodes := startTier(t, []string{"a", "b", "c"}, func() service.Config { return service.Config{} })
-	// A slow cold key: a large deterministic DFS budget keeps the miss in
-	// flight while membership churns.
-	req := tierReq(7)
-	req.Options.DFSNodes = 2_000_000
-	req.Options.Strategy = "broadcast"
-	req.Options.Scheduler = "ensemble"
+	// A cold key that must search: the miss is fetched, and stays in flight
+	// for milliseconds, while membership churns.
+	req := searchReq(t, 7)
 
-	const herd = 12
-	var wg sync.WaitGroup
-	errs := make(chan error, herd)
-	bodies := make([][]byte, herd)
-	start := make(chan struct{})
-	for g := 0; g < herd; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			<-start
-			body, err := postJSON(nodes[g%len(nodes)].url+"/v2/plan", req)
-			if err != nil {
-				errs <- err
-				return
-			}
-			bodies[g] = body
-		}(g)
-	}
 	// Membership churn: a ghost member joins and leaves every node's ring
 	// while the miss is in flight. Its address points at a real node so a
 	// rerouted fetch still resolves (and is then verified like any fill).
 	churnDone := make(chan struct{})
+	defer func() { <-churnDone }()
 	go func() {
 		defer close(churnDone)
 		for i := 0; i < 50; i++ {
@@ -335,15 +447,10 @@ func TestTierMembershipChangeDuringMiss(t *testing.T) {
 			}
 		}
 	}()
-	close(start)
-	wg.Wait()
+	herd(t, 12, tierURLs(nodes), req)
 	<-churnDone
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	// No node may have computed the key more than once, and no waiter may
-	// have been lost: every body present and identical modulo coalesced.
+	// No node may have computed the key more than once (and herd has seen
+	// every waiter answered with the same plan).
 	for _, tn := range nodes {
 		if m := tn.srv.Cache().Stats().Misses; m > 1 {
 			t.Errorf("node %s computed the key %d times", tn.node.NodeID(), m)
@@ -351,17 +458,6 @@ func TestTierMembershipChangeDuringMiss(t *testing.T) {
 	}
 	if total := tierMisses(nodes); total < 1 {
 		t.Errorf("no node computed the key at all")
-	}
-	norm := func(b []byte) string {
-		return string(bytes.ReplaceAll(b, []byte(`,"coalesced":true`), nil))
-	}
-	for g := 0; g < herd; g++ {
-		if bodies[g] == nil {
-			t.Fatalf("herd member %d lost (no response)", g)
-		}
-		if norm(bodies[g]) != norm(bodies[0]) {
-			t.Fatalf("herd member %d got a different plan", g)
-		}
 	}
 	// Rings converged back to the static membership.
 	for _, tn := range nodes {
@@ -376,9 +472,11 @@ func TestTierMembershipChangeDuringMiss(t *testing.T) {
 // standalone server omits it.
 func TestTierStats(t *testing.T) {
 	nodes := startTier(t, []string{"a", "b"}, func() service.Config { return service.Config{} })
-	// One proxied and one locally-owned fill.
+	// Six misses of each class through a: the proven ones stay, the searched
+	// ones split by ownership.
 	for seed := int64(1); seed <= 6; seed++ {
-		rawPlan(t, nodes[0].url, tierReq(seed))
+		rawPlan(t, nodes[0].url, tierReq(t, seed))
+		rawPlan(t, nodes[0].url, searchReq(t, seed))
 	}
 	cl := service.NewClient(nodes[0].url, nil)
 	st, err := cl.Stats(context.Background())
@@ -398,12 +496,21 @@ func TestTierStats(t *testing.T) {
 	if cs.OwnershipShare <= 0.2 || cs.OwnershipShare >= 0.8 {
 		t.Errorf("ownership_share = %v, want ~0.5", cs.OwnershipShare)
 	}
-	if cs.RoutedLocal+cs.RoutedProxied != 6 {
-		t.Errorf("routed local %d + proxied %d, want 6 total", cs.RoutedLocal, cs.RoutedProxied)
+	if st.Plan.MissesProven != 6 || st.Plan.MissesSearched != 6 {
+		t.Errorf("misses proven %d, searched %d, want 6 and 6", st.Plan.MissesProven, st.Plan.MissesSearched)
 	}
-	if cs.RoutedProxied != cs.VerifiedFillAccepts || cs.VerifiedFillRejects != 0 {
-		t.Errorf("proxied %d, accepts %d, rejects %d: every proxied fill should verify",
-			cs.RoutedProxied, cs.VerifiedFillAccepts, cs.VerifiedFillRejects)
+	// Every miss led here was routed one way or the other, only searched
+	// ones to the peer, and every fetch ended verified or in a fallback.
+	if cs.RoutedLocal+cs.RoutedProxied != st.Plan.MissesProven+st.Plan.MissesSearched {
+		t.Errorf("routed local %d + proxied %d, want the %d misses led here",
+			cs.RoutedLocal, cs.RoutedProxied, st.Plan.MissesProven+st.Plan.MissesSearched)
+	}
+	if cs.RoutedProxied < 1 || cs.RoutedProxied > st.Plan.MissesSearched {
+		t.Errorf("proxied %d of %d searched misses, want some and no more", cs.RoutedProxied, st.Plan.MissesSearched)
+	}
+	if cs.RoutedProxied != cs.VerifiedFillAccepts+cs.ProxyFallbacks || cs.ProxyFallbacks != 0 || cs.VerifiedFillRejects != 0 {
+		t.Errorf("proxied %d, accepts %d, fallbacks %d, rejects %d: every proxied fill should verify",
+			cs.RoutedProxied, cs.VerifiedFillAccepts, cs.ProxyFallbacks, cs.VerifiedFillRejects)
 	}
 
 	// /v2/stats serves the same payload.
@@ -436,7 +543,7 @@ func TestNodeLeaveRoutesAway(t *testing.T) {
 	a := nodes[0]
 	a.node.Leave(context.Background())
 	for seed := int64(1); seed <= 20; seed++ {
-		_, _, key, err := a.srv.ParsePlanRequest(context.Background(), tierReq(seed))
+		_, _, key, err := a.srv.ParsePlanRequest(context.Background(), tierReq(t, seed))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -450,7 +557,7 @@ func TestNodeLeaveRoutesAway(t *testing.T) {
 		}
 	}
 	// The drained node still serves correctly by proxying.
-	req := tierReq(3)
+	req := searchReq(t, 3)
 	want := rawPlan(t, nodes[1].url, req)
 	if got := rawPlan(t, a.url, req); !bytes.Equal(got, want) {
 		t.Fatal("draining node served a different plan")

@@ -1,9 +1,9 @@
 // Package cluster turns N plan servers into one logical plan cache: a
-// consistent-hash ring routes every canonical resharding.CacheKey to an
-// owner node, non-owners fetch cold keys from the owner (keeping verified
-// cache-aside copies), the owner's in-process request coalescing gives the
-// tier cluster-wide singleflight, and periodic snapshots of the
-// pre-serialized plan frames make restarts warm.
+// consistent-hash ring gives every canonical resharding.CacheKey an owner
+// node; a cold key that must search is fetched from its owner (non-owners keep
+// verified cache-aside copies; a key proven without a search is planned where
+// it lands), whose in-process request coalescing gives the tier cluster-wide
+// singleflight; and periodic snapshots of the plan frames make restarts warm.
 //
 // The tier trusts no peer: every plan received over the wire — from a
 // peer fill or a snapshot file — is re-simulated locally

@@ -17,7 +17,7 @@ func fillTier(t *testing.T, tn *testNode, n int) map[int64][]byte {
 	t.Helper()
 	bodies := make(map[int64][]byte, n)
 	for seed := int64(1); seed <= int64(n); seed++ {
-		bodies[seed] = rawPlan(t, tn.url, tierReq(seed))
+		bodies[seed] = rawPlan(t, tn.url, tierReq(t, seed))
 	}
 	return bodies
 }
@@ -66,7 +66,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Errorf("node counters = %d restored / %d rejected", info.SnapshotRestored, info.SnapshotRejected)
 	}
 	for seed, want := range bodies {
-		if got := rawPlan(t, cold.url, tierReq(seed)); !bytes.Equal(got, want) {
+		if got := rawPlan(t, cold.url, tierReq(t, seed)); !bytes.Equal(got, want) {
 			t.Fatalf("seed %d: restored body differs\n got %s\nwant %s", seed, got, want)
 		}
 	}
@@ -123,7 +123,7 @@ func TestSnapshotCorruptFrame(t *testing.T) {
 	// Every key — including the rejected one, recomputed on demand —
 	// serves the original bytes.
 	for seed, want := range bodies {
-		if got := rawPlan(t, cold.url, tierReq(seed)); !bytes.Equal(got, want) {
+		if got := rawPlan(t, cold.url, tierReq(t, seed)); !bytes.Equal(got, want) {
 			t.Fatalf("seed %d: body differs after corrupt restart", seed)
 		}
 	}

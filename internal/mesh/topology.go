@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -338,7 +339,16 @@ func MixedP3DGXCluster(p3Hosts, dgxHosts int, oversubscription float64) *HeteroC
 // plan cache uses this to recognise stage boundaries that differ only by
 // which physical hosts they sit on.
 func HostFingerprint(t Topology, host int) string {
-	return fmt.Sprintf("d%d,ib%g,il%g,nb%g,nn%d",
-		len(t.DevicesOnHost(host)), t.IntraBandwidth(host), t.IntraLatency(host),
-		t.NICBandwidth(host), t.NICCount(host))
+	return string(AppendHostFingerprint(nil, t, host))
+}
+
+// AppendHostFingerprint appends HostFingerprint(t, host) to b — byte for byte
+// what the fmt verbs %d and %g render — for resharding.CacheKey, which folds
+// in one fingerprint per involved host on every request parse.
+func AppendHostFingerprint(b []byte, t Topology, host int) []byte {
+	b = strconv.AppendInt(append(b, 'd'), int64(len(t.DevicesOnHost(host))), 10)
+	b = strconv.AppendFloat(append(b, ",ib"...), t.IntraBandwidth(host), 'g', -1, 64)
+	b = strconv.AppendFloat(append(b, ",il"...), t.IntraLatency(host), 'g', -1, 64)
+	b = strconv.AppendFloat(append(b, ",nb"...), t.NICBandwidth(host), 'g', -1, 64)
+	return strconv.AppendInt(append(b, ",nn"...), int64(t.NICCount(host)), 10)
 }

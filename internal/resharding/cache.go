@@ -401,17 +401,8 @@ func (c *PlanCache) Export() []ExportedEntry {
 // cached lookups ahead of admission control, so a hit never queues behind
 // slow cold planning work.
 func (c *PlanCache) LookupKeyed(key string) (*Plan, *SimResult, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	if !ok || !e.ready.Load() || e.err != nil {
-		return nil, nil, false
-	}
-	c.hits++
-	if e.elem != nil {
-		c.lru.MoveToFront(e.elem)
-	}
-	return e.plan, e.sim, true
+	plan, sim, _, ok := c.LookupKeyedAttachment(key)
+	return plan, sim, ok
 }
 
 // forget drops an errored entry so the failure is not replayed forever;
@@ -463,7 +454,7 @@ func CacheKey(task *sharding.Task, opts Options) string {
 		b = append(b, 'h')
 		b = strconv.AppendInt(b, int64(h-base), 10)
 		b = append(b, '[')
-		b = append(b, mesh.HostFingerprint(topo, h)...)
+		b = mesh.AppendHostFingerprint(b, topo, h)
 		b = append(b, "];"...)
 	}
 	for _, a := range hosts {

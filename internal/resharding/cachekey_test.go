@@ -49,7 +49,9 @@ func referenceCacheKey(task *sharding.Task, opts Options) string {
 	writeMesh(&b, "s", task.Src)
 	writeMesh(&b, "d", task.Dst)
 	for _, h := range hosts {
-		fmt.Fprintf(&b, "h%d[%s];", h-base, mesh.HostFingerprint(topo, h))
+		// mesh.HostFingerprint as fmt rendered it, before it too moved to strconv.
+		fmt.Fprintf(&b, "h%d[d%d,ib%g,il%g,nb%g,nn%d];", h-base, len(topo.DevicesOnHost(h)),
+			topo.IntraBandwidth(h), topo.IntraLatency(h), topo.NICBandwidth(h), topo.NICCount(h))
 	}
 	for _, a := range hosts {
 		for _, r := range hosts {

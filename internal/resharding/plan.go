@@ -36,22 +36,54 @@ func NewPlan(task *sharding.Task, opts Options) (*Plan, error) {
 // checked on entry and polled between the ensemble DFS's node-budget
 // slices, so cancelling aborts a heavy search within one slice's worth of
 // work and returns ctx.Err(). A context that never fires yields a plan
-// bit-identical to NewPlan's.
+// bit-identical to NewPlan's. It is NewDraft then Draft.Plan: one path.
 func NewPlanContext(ctx context.Context, task *sharding.Task, opts Options) (*Plan, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	opts = opts.WithDefaults()
-	if !mesh.SameTopology(task.Src.Mesh.Topo, task.Dst.Mesh.Topo) {
-		return nil, fmt.Errorf("resharding: source and destination meshes must share a topology")
+	d, err := NewDraft(task, opts)
+	if err != nil {
+		return nil, err
 	}
-
-	return planHostTasks(ctx, task, opts, buildHostTasks(task, opts))
+	return d.Plan(ctx)
 }
 
-// planHostTasks schedules the host-level instance of (task, opts) — what
-// buildHostTasks returned for them — and resolves device senders.
-func planHostTasks(ctx context.Context, task *sharding.Task, opts Options, hostTasks []schedule.Task) (*Plan, error) {
+// Draft is a resharding planned as far as closed forms go: the host-level
+// instance, built once, and — under the ensemble scheduler — the incumbent
+// Naive and LoadBalanceOnly left (schedule.ClosedForm). It costs microseconds
+// and tells a caller whether finishing the plan means a search, so work worth
+// sharing or queueing can be told from work that is not.
+type Draft struct {
+	task      *sharding.Task
+	opts      Options
+	hostTasks []schedule.Task
+	closed    schedule.Incumbent // SchedEnsemble only
+}
+
+// NewDraft drafts the plan of (task, opts); Plan on the result returns what
+// NewPlanContext returns for them.
+func NewDraft(task *sharding.Task, opts Options) (Draft, error) {
+	opts = opts.WithDefaults()
+	if !mesh.SameTopology(task.Src.Mesh.Topo, task.Dst.Mesh.Topo) {
+		return Draft{}, fmt.Errorf("resharding: source and destination meshes must share a topology")
+	}
+	d := Draft{task: task, opts: opts, hostTasks: buildHostTasks(task, opts)}
+	if opts.Scheduler == SchedEnsemble {
+		d.closed = schedule.ClosedForm(d.hostTasks)
+	}
+	return d, nil
+}
+
+// Proven reports whether Plan will return without searching: the closed-form
+// candidates met the makespan lower bound, or the scheduler (degraded mode
+// included) is itself one. Ask before Plan: a search can prove its own result.
+func (d *Draft) Proven() bool {
+	return d.opts.Scheduler != SchedEnsemble || d.closed.Proven()
+}
+
+// Plan finishes the draft: the search left to do, if any, then device senders.
+func (d *Draft) Plan(ctx context.Context) (*Plan, error) {
+	task, opts, hostTasks := d.task, d.opts, d.hostTasks
 	var hostPlan schedule.Plan
 	switch opts.Scheduler {
 	case SchedNaive:
@@ -63,13 +95,8 @@ func planHostTasks(ctx context.Context, task *sharding.Task, opts Options, hostT
 	case SchedDegraded:
 		hostPlan = schedule.GreedyEnsemble(hostTasks)
 	case SchedEnsemble:
-		rng := ensembleRand(opts.Seed)
 		stop := func() bool { return ctx.Err() != nil }
-		if opts.DFSNodes > 0 {
-			hostPlan = schedule.EnsembleNodesStop(hostTasks, opts.DFSNodes, opts.Trials, rng, stop)
-		} else {
-			hostPlan = schedule.EnsembleStop(hostTasks, opts.DFSBudget, opts.Trials, rng, stop)
-		}
+		hostPlan = d.closed.Search(opts.DFSBudget, opts.DFSNodes, opts.Trials, ensembleRand(opts.Seed), stop)
 	default:
 		return nil, fmt.Errorf("resharding: unknown scheduler %v", opts.Scheduler)
 	}

@@ -314,29 +314,38 @@ func (p *Planner) ReplanDegradedFrom(ctx context.Context, task *sharding.Task, o
 	if err != nil {
 		return nil, nil, err
 	}
-	return p.replanKeyed(ctx, CacheKey(toTask, opts), toTask, opts, CacheKey(fromTask, opts), fromTask)
+	return p.replanKeyed(ctx, CacheKey(toTask, opts), toTask, opts, nil, CacheKey(fromTask, opts), fromTask)
 }
 
 // replanKeyed serves one replan step given both canonical keys: target
-// fast path first, then a warm or cold fill under the target key.
-func (p *Planner) replanKeyed(ctx context.Context, key string, task *sharding.Task, opts Options, fromKey string, fromTask *sharding.Task) (*Plan, *SimResult, error) {
+// fast path first, then a warm or cold fill under the target key, which
+// finishes d — the caller's draft of (task, opts) — or, given nil, its own.
+func (p *Planner) replanKeyed(ctx context.Context, key string, task *sharding.Task, opts Options, d *Draft, fromKey string, fromTask *sharding.Task) (*Plan, *SimResult, error) {
 	if plan, sim, ok := p.cache.LookupKeyed(key); ok {
 		p.replans.hits.Add(1)
 		return plan, sim, nil
 	}
+	var incumbent *Plan
 	if fromKey != key {
-		if incumbent, _, ok := p.cache.LookupKeyed(fromKey); ok {
-			return p.cache.PlanAndSimulateKeyedFillContext(ctx, key, task, opts, func(ctx context.Context) (*Plan, error) {
-				plan, _, info, err := WarmReplanContext(ctx, task, opts, fromTask, incumbent)
-				if err == nil {
-					p.replans.note(info)
-				}
-				return plan, err
-			})
-		}
+		incumbent, _, _ = p.cache.LookupKeyed(fromKey)
 	}
-	p.replans.cold.Add(1)
-	return p.cache.PlanAndSimulateKeyedContext(ctx, key, task, opts)
+	if incumbent == nil {
+		p.replans.cold.Add(1)
+	}
+	return p.cache.PlanAndSimulateKeyedFillContext(ctx, key, task, opts, func(ctx context.Context) (*Plan, error) {
+		if d == nil {
+			own, err := NewDraft(task, opts)
+			if err != nil {
+				return nil, err
+			}
+			d = &own
+		}
+		plan, info, err := d.replan(ctx, fromTask, incumbent)
+		if err == nil && incumbent != nil {
+			p.replans.note(info)
+		}
+		return plan, err
+	})
 }
 
 // TaskKey returns the canonical cache key a session call plans the task
@@ -372,18 +381,21 @@ func (p *Planner) PlanKeyed(ctx context.Context, key string, task *sharding.Task
 	return p.cache.PlanAndSimulateKeyedContext(ctx, key, task, opts)
 }
 
-// PlanKeyedWarm is PlanKeyed for a degraded request whose healthy twin the
-// caller also holds: fromKey/fromTask name the same boundary on the
-// overlay being replanned away from (for serving, the fault-free parse of
-// the request). A cached plan under fromKey is the fill's incumbent exactly
-// as in ReplanDegradedFrom; otherwise the call degenerates to PlanKeyed.
-// Sessions with their own WithFaults overlay fall back to PlanKeyed — the
-// session overlay already owns the keying there.
-func (p *Planner) PlanKeyedWarm(ctx context.Context, key string, task *sharding.Task, opts Options, fromKey string, fromTask *sharding.Task) (*Plan, *SimResult, error) {
-	if !p.faults.Empty() || fromTask == nil || fromKey == "" {
-		return p.PlanKeyed(ctx, key, task, opts)
+// PlanDraft is PlanKeyed for a caller that holds the problem's draft (NewDraft
+// on the task and defaulted options the key was rendered from): a miss
+// finishes d instead of drafting again. A non-nil fromTask, with its key
+// fromKey, names the same boundary on the overlay being replanned away from
+// (serving a degraded request: its fault-free parse), and a plan cached under
+// fromKey is the fill's incumbent exactly as in ReplanDegradedFrom. Sessions
+// with their own WithFaults overlay fall back to PlanKeyed, which owns keying.
+func (p *Planner) PlanDraft(ctx context.Context, key string, d *Draft, fromKey string, fromTask *sharding.Task) (*Plan, *SimResult, error) {
+	if !p.faults.Empty() {
+		return p.PlanKeyed(ctx, key, d.task, d.opts)
 	}
-	return p.replanKeyed(ctx, key, task, opts, fromKey, fromTask)
+	if fromTask == nil || fromKey == "" {
+		return p.cache.PlanAndSimulateKeyedFillContext(ctx, key, d.task, d.opts, d.Plan)
+	}
+	return p.replanKeyed(ctx, key, d.task, d.opts, d, fromKey, fromTask)
 }
 
 // Simulate returns the simulated timing of the task under the options,

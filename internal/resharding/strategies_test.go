@@ -1,9 +1,12 @@
 package resharding
 
 import (
+	"context"
 	"testing"
 
+	"alpacomm/internal/mesh"
 	"alpacomm/internal/netsim"
+	"alpacomm/internal/schedule"
 	"alpacomm/internal/sharding"
 	"alpacomm/internal/tensor"
 )
@@ -211,5 +214,77 @@ func TestMultiNICRoundTrip(t *testing.T) {
 	}
 	if _, err := RoundTrip(p); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// referencePlan is NewPlanContext as it was before Draft: every scheduler run
+// in one call on the host tasks — the ensemble as schedule.EnsembleNodesStop,
+// not as its two steps — then device senders.
+func referencePlan(t *testing.T, task *sharding.Task, opts Options) *Plan {
+	t.Helper()
+	opts = opts.WithDefaults()
+	hostTasks := buildHostTasks(task, opts)
+	var hostPlan schedule.Plan
+	switch opts.Scheduler {
+	case SchedNaive:
+		hostPlan = schedule.Naive(hostTasks)
+	case SchedGreedyLoad:
+		hostPlan = schedule.GreedyLoad(hostTasks)
+	case SchedLoadBalanceOnly:
+		hostPlan = schedule.LoadBalanceOnly(hostTasks)
+	case SchedDegraded:
+		hostPlan = schedule.GreedyEnsemble(hostTasks)
+	case SchedEnsemble:
+		hostPlan = schedule.EnsembleNodesStop(hostTasks, opts.DFSNodes, opts.Trials, ensembleRand(opts.Seed), nil)
+	}
+	senderOf, err := resolveDeviceSenders(task, hostPlan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &Plan{SenderOf: senderOf, Order: hostPlan.Order}
+}
+
+// TestDraftPlanMatchesReference: drafting and then finishing returns the plan
+// the one-call path returned, on every registry preset x strategy x scheduler,
+// and the draft calls itself proven for every scheduler that has no search.
+// The 2x4 boundary spans four hosts on p3 — 64 units the closed-form
+// candidates do not prove — and two on the 8-GPU presets, so the ensemble
+// rows take both exits.
+func TestDraftPlanMatchesReference(t *testing.T) {
+	ctx := context.Background()
+	ensembleExits := map[bool]int{}
+	for _, preset := range mesh.DefaultRegistry().Names() {
+		topo, err := mesh.DefaultRegistry().Build(preset, mesh.TopologyParams{Hosts: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		task := builderTask(t, topo, 0, 8)
+		for _, strategy := range []Strategy{SendRecv, LocalAllGather, GlobalAllGather, Broadcast, Alpa, Signal} {
+			for _, sched := range []Scheduler{SchedNaive, SchedGreedyLoad, SchedLoadBalanceOnly, SchedEnsemble, SchedDegraded} {
+				opts := Options{Strategy: strategy, Scheduler: sched, Chunks: 4, DFSNodes: 5000, Seed: 3}
+				d, err := NewDraft(task, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				proven := d.Proven()
+				if sched == SchedEnsemble {
+					ensembleExits[proven]++
+				} else if !proven {
+					t.Errorf("%s %v/%v: a scheduler with no search drafted unproven", preset, strategy, sched)
+				}
+				got, err := d.Plan(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := referencePlan(t, task, opts); !planEqual(got, want) {
+					t.Errorf("%s %v/%v: draft then plan diverged from the one-call path\n got %v %v\nwant %v %v",
+						preset, strategy, sched, got.SenderOf, got.Order, want.SenderOf, want.Order)
+				}
+			}
+		}
+	}
+	if ensembleExits[true] == 0 || ensembleExits[false] == 0 {
+		t.Errorf("ensemble rows drafted proven %d times and unproven %d: the table should take both exits",
+			ensembleExits[true], ensembleExits[false])
 	}
 }

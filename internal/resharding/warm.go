@@ -115,33 +115,39 @@ func sameHostTask(a, b *schedule.Task) bool {
 // trace configuration. A nil incumbent, a non-ensemble scheduler or an
 // incumbent that rebinds as invalid plans cold with Mode == WarmCold.
 func WarmReplanContext(ctx context.Context, task *sharding.Task, opts Options, fromTask *sharding.Task, incumbent *Plan) (*Plan, *SimResult, WarmInfo, error) {
-	opts = opts.WithDefaults()
-	info := WarmInfo{Mode: WarmCold, TotalUnits: len(task.Units)}
+	d, err := NewDraft(task, opts)
+	if err != nil {
+		return nil, nil, WarmInfo{Mode: WarmCold, TotalUnits: len(task.Units)}, err
+	}
+	plan, info, err := d.replan(ctx, fromTask, incumbent)
+	return plan, nil, info, err
+}
+
+// replan is WarmReplanContext on a draft: diff and cold branch share its host tasks.
+func (d *Draft) replan(ctx context.Context, fromTask *sharding.Task, incumbent *Plan) (*Plan, WarmInfo, error) {
+	info := WarmInfo{Mode: WarmCold, TotalUnits: len(d.task.Units)}
 	// Only the ensemble scheduler pays a search worth skipping; the
 	// closed-form schedulers replan cold in microseconds.
-	if incumbent == nil || fromTask == nil || opts.Scheduler != SchedEnsemble || len(fromTask.Units) != len(task.Units) {
-		plan, err := NewPlanContext(ctx, task, opts)
-		return plan, nil, info, err
-	}
-	hostTasks := buildHostTasks(task, opts)
-	fromHostTasks := buildHostTasks(fromTask, opts)
-	for i := range hostTasks {
-		if !sameHostTask(&fromHostTasks[i], &hostTasks[i]) {
-			info.ImpactedUnits++
+	if incumbent != nil && fromTask != nil && d.opts.Scheduler == SchedEnsemble && len(fromTask.Units) == len(d.task.Units) {
+		fromHostTasks := buildHostTasks(fromTask, d.opts)
+		for i := range d.hostTasks {
+			if !sameHostTask(&fromHostTasks[i], &d.hostTasks[i]) {
+				info.ImpactedUnits++
+			}
+		}
+		if info.ImpactedUnits > 0 {
+			info.Mode = WarmSearch
+		} else if plan := reboundPlan(incumbent, d.task, d.opts, d.hostTasks); plan != nil {
+			// The degraded instance is identical to the incumbent's, so a cold
+			// search would reproduce the incumbent's host plan bit for bit —
+			// only the chunk-level simulation (detours, browned-out links) can
+			// differ. Skip the search entirely.
+			info.Mode = WarmIdentity
+			return plan, info, nil
 		}
 	}
-	if info.ImpactedUnits > 0 {
-		info.Mode = WarmSearch
-	} else if plan := reboundPlan(incumbent, task, opts, hostTasks); plan != nil {
-		// The degraded instance is identical to the incumbent's, so a cold
-		// search would reproduce the incumbent's host plan bit for bit —
-		// only the chunk-level simulation (detours, browned-out links) can
-		// differ. Skip the search entirely.
-		info.Mode = WarmIdentity
-		return plan, nil, info, nil
-	}
-	plan, err := planHostTasks(ctx, task, opts, hostTasks)
-	return plan, nil, info, err
+	plan, err := d.Plan(ctx)
+	return plan, info, err
 }
 
 // reboundPlan materializes the incumbent on task: same senders by mesh

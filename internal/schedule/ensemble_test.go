@@ -164,7 +164,11 @@ func TestEnsembleFamiliesExitWhereIntended(t *testing.T) {
 			searches := 0
 			dfs := func(tk []Task, lpt lptSeed) Plan { searches++; return dfsPruning(tk, 0, 2000, nil, &lpt) }
 			src := rand.New(rand.NewSource(seed))
-			got := ensemble(tasks, dfs, trials, src)
+			in := ClosedForm(tasks)
+			if proven := fam.exit == exitNaive || fam.exit == exitLPT; in.Proven() != proven {
+				t.Fatalf("%s trial %d: ClosedForm proven = %v on an instance that exits at %s", fam.name, trial, in.Proven(), fam.exit)
+			}
+			got := in.search(dfs, trials, src)
 			if want := referenceEnsembleNodes(tasks, 2000, trials, rand.New(rand.NewSource(seed))); !samePlan(got, want) {
 				t.Fatalf("%s trial %d: ensemble diverged from reference\n got: %+v\nwant: %+v", fam.name, trial, got, want)
 			}

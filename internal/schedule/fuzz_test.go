@@ -43,7 +43,9 @@ func scheduleCount(tasks []Task) int {
 // FuzzEnsembleMatchesReference holds the two halves of the early exit
 // together on arbitrary small instances: provenBound stays at or below every
 // schedule there is (enumerated while the instance is small enough), and the
-// candidate loop that stops on it returns the plan of the eager reference.
+// candidate loop that stops on it returns the plan of the eager reference —
+// taken in one call or as its two steps, the first of which reports Proven
+// exactly when the eager reference ends at Naive or LoadBalanceOnly.
 func FuzzEnsembleMatchesReference(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 0, 0, 1, 0, 0, 1}, uint8(0), int64(1))                            // one sender, one receiver, uniform
 	f.Add([]byte{0, 0, 0x83, 0, 1, 0x85, 0, 2, 0x89, 0, 3, 0x82}, uint8(2), int64(7))       // forced sender, sevenths
@@ -66,10 +68,16 @@ func FuzzEnsembleMatchesReference(f *testing.F) {
 			})
 		}
 		budget := []int{1, 50, 2000, 50000}[budgetSel%4]
-		got := EnsembleNodesStop(tasks, budget, 4, rand.New(rand.NewSource(seed)), nil)
+		// EnsembleNodesStop, taken apart.
+		in := ClosedForm(tasks)
+		proven := in.Proven()
+		got := in.Search(0, budget, 4, rand.New(rand.NewSource(seed)), nil)
 		want := referenceEnsembleNodes(tasks, budget, 4, rand.New(rand.NewSource(seed)))
 		if !samePlan(got, want) {
 			t.Fatalf("budget %d seed %d: ensemble diverged from reference\n got: %+v\nwant: %+v\ntasks: %+v", budget, seed, got, want, tasks)
+		}
+		if exit := ensembleExit(t, tasks, 4, seed); proven != (exit == exitNaive || exit == exitLPT) {
+			t.Fatalf("ClosedForm proven = %v, eager reference exits at %s\ntasks: %+v", proven, exit, tasks)
 		}
 	})
 }

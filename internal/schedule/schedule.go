@@ -8,10 +8,10 @@
 // Four algorithms are provided, mirroring the paper: Naive (lowest-index
 // sender, arbitrary order), LoadBalanceOnly (classic LPT greedy on Eq. 4),
 // DFSPruningNodesStop (budgeted exhaustive search), and GreedyRandomized
-// (iterative maximal non-conflicting batches). EnsembleStop and
-// EnsembleNodesStop return the best of them, which is AlpaComm's
-// configuration ("we run both algorithms and choose the better result",
-// §5.3.1).
+// (iterative maximal non-conflicting batches). EnsembleNodesStop returns the
+// best of them, which is AlpaComm's configuration ("we run both algorithms
+// and choose the better result", §5.3.1), in two steps: ClosedForm (Naive,
+// then LoadBalanceOnly) and, only if that left the optimum unproven, Search.
 //
 // The ensemble does not build what cannot win. Every schedule serializes the
 // tasks of one receiver host, and the tasks only one host can send, so the
@@ -339,17 +339,17 @@ func GreedyLoad(tasks []Task) Plan {
 	return p
 }
 
-// GreedyEnsemble is the search-free companion of EnsembleStop: the best of
+// GreedyEnsemble is the search-free companion of EnsembleNodesStop: the best of
 // Naive, LoadBalanceOnly and GreedyLoad by list-scheduled makespan, ties
 // going to the earlier, each built only while the ones before it are not
-// proven optimal (see incumbent.offer). No DFS, no randomized trials, no RNG
+// proven optimal (see Incumbent.offer). No DFS, no randomized trials, no RNG
 // — O(n log n) and deterministic without a seed. This is the plan quality
 // an overloaded server can afford while defending its latency SLO: the
 // admission controller's degraded mode plans with it instead of the
 // ensemble DFS.
 func GreedyEnsemble(tasks []Task) Plan {
-	in := newIncumbent(tasks)
-	_ = in.proven || in.offer(LoadBalanceOnly(tasks)) || in.offer(GreedyLoad(tasks))
+	in := ClosedForm(tasks)
+	_ = in.proven || in.offer(GreedyLoad(tasks))
 	return in.best
 }
 
@@ -706,68 +706,72 @@ func GreedyRandomized(tasks []Task, trials int, rng *rand.Rand) Plan {
 	return p
 }
 
-// EnsembleStop is AlpaComm's production configuration ("we run both
+// EnsembleNodesStop is AlpaComm's production configuration ("we run both
 // algorithms and choose the better result", §5.3.1): the plan with the
 // smallest makespan among Naive, LoadBalanceOnly, GreedyRandomized and (for
-// small problems) the DFS under a wall-clock budget, ties going to the
-// earlier of them. The candidates are built one at a time and the rest are
-// skipped once one is proven optimal (see ensemble), so rng is drawn from
-// only when neither Naive nor LoadBalanceOnly meets the bound. stop (when
-// non-nil) is polled every StopStride visited states alongside the deadline
-// check, and a true return makes the DFS yield its incumbent early.
-func EnsembleStop(tasks []Task, dfsBudget time.Duration, trials int, rng *rand.Rand, stop func() bool) Plan {
-	return ensemble(tasks, func(t []Task, lpt lptSeed) Plan { return dfsPruning(t, dfsBudget, 0, stop, &lpt) }, trials, rng)
-}
-
-// EnsembleNodesStop is EnsembleStop with the deterministic node-budgeted
-// DFS, for callers that need bit-reproducible plans (the concurrent
-// autotuner, the plan server). stop is polled between node-budget slices;
-// the cheap closed-form components are never interrupted, and a stop that
-// never fires does not change the plan.
+// small problems) the DFS under a deterministic node budget, ties going to
+// the earlier of them — ClosedForm, then Search on what it left. The
+// candidates are built one at a time and the rest are skipped once one is
+// proven optimal, so rng is drawn from only when neither Naive nor
+// LoadBalanceOnly meets the bound. stop (when non-nil) is polled every
+// StopStride visited states, and a true return makes the DFS yield its
+// incumbent early; the cheap closed-form components are never interrupted,
+// and a stop that never fires does not change the plan.
 func EnsembleNodesStop(tasks []Task, dfsNodes, trials int, rng *rand.Rand, stop func() bool) Plan {
-	return ensemble(tasks, func(t []Task, lpt lptSeed) Plan { return dfsPruning(t, 0, max(dfsNodes, 1), stop, &lpt) }, trials, rng)
+	in := ClosedForm(tasks)
+	return in.Search(0, max(dfsNodes, 1), trials, rng, stop)
 }
 
-// ensemble offers Naive, the other closed-form candidates and the DFS (on
-// small problems) to one incumbent, in that order, and returns the
-// incumbent. Each candidate is built only if everything before it left the
-// optimum unproven — building them all and ranking afterwards returns the
-// same plan (see incumbent.offer), at the cost of the trials, the search and
-// the rng draws behind a schedule that could not lose.
-func ensemble(tasks []Task, dfs func([]Task, lptSeed) Plan, trials int, rng *rand.Rand) Plan {
-	in := newIncumbent(tasks)
-	if in.proven {
-		return in.best
+// ClosedForm is the ensemble's first step: Naive and, if that left the
+// optimum unproven, LoadBalanceOnly, offered to one incumbent — microseconds,
+// no rng draw, no search. Search on the same incumbent is the second step,
+// and has nothing to do once Proven. Naive stands — even if the tasks admit
+// no valid plan — until a valid candidate beats it.
+func ClosedForm(tasks []Task) Incumbent {
+	naive := Naive(tasks)
+	in := Incumbent{tasks: tasks, bound: provenBound(tasks), best: naive, span: math.Inf(1)}
+	if !in.offer(naive) {
+		// The DFS starts from LPT too, and from the same bound: keep both.
+		in.lpt = lptSeed{plan: LoadBalanceOnly(tasks), bound: in.bound}
+		in.lpt.span, in.lpt.err = Makespan(tasks, in.lpt.plan)
+		in.offerEvaluated(in.lpt.plan, in.lpt.span, in.lpt.err)
 	}
-	// The DFS starts from LPT too, and from the same bound: hand it both.
-	lpt := lptSeed{plan: LoadBalanceOnly(tasks), bound: in.bound}
-	lpt.span, lpt.err = Makespan(tasks, lpt.plan)
-	// DFS explodes combinatorially; the paper reports it fails beyond ~20
-	// unit tasks, so only attempt it below that scale.
-	_ = in.offerEvaluated(lpt.plan, lpt.span, lpt.err) ||
-		in.offer(GreedyRandomized(tasks, trials, rng)) ||
-		(len(tasks) <= 20 && in.offer(dfs(tasks, lpt)))
-	return in.best
+	return in
 }
 
-// incumbent is the best candidate offered so far, and whether it is proven
+// Incumbent is the best candidate offered so far, and whether it is proven
 // optimal.
-type incumbent struct {
+type Incumbent struct {
 	tasks  []Task
 	bound  float64 // provenBound(tasks)
 	best   Plan
 	span   float64
 	proven bool
+	lpt    lptSeed // ClosedForm's, when Naive was not proven
 }
 
-// newIncumbent starts from Naive, every ensemble's first candidate, which
-// stands — even if the tasks admit no valid plan — until a valid candidate
-// beats it.
-func newIncumbent(tasks []Task) incumbent {
-	naive := Naive(tasks)
-	in := incumbent{tasks: tasks, bound: provenBound(tasks), best: naive, span: math.Inf(1)}
-	in.offer(naive)
-	return in
+// Proven reports whether the incumbent meets provenBound: nothing offered
+// later can replace it, and Search returns it as it is.
+func (in *Incumbent) Proven() bool { return in.proven }
+
+// Search is the ensemble's second step: GreedyRandomized and the DFS — under
+// the node budget when dfsNodes > 0, else the wall-clock one, which is not
+// reproducible — offered in that order, and it returns the incumbent. Each
+// is built only if everything before it left the optimum unproven — building
+// them all and ranking afterwards returns the same plan (see offer), at the
+// cost of the trials, the search and the rng draws behind a schedule that
+// could not lose.
+func (in *Incumbent) Search(dfsBudget time.Duration, dfsNodes, trials int, rng *rand.Rand, stop func() bool) Plan {
+	return in.search(func(t []Task, lpt lptSeed) Plan { return dfsPruning(t, dfsBudget, dfsNodes, stop, &lpt) }, trials, rng)
+}
+
+func (in *Incumbent) search(dfs func([]Task, lptSeed) Plan, trials int, rng *rand.Rand) Plan {
+	// DFS explodes combinatorially; the paper reports it fails beyond ~20
+	// unit tasks, so only attempt it below that scale.
+	_ = in.proven ||
+		in.offer(GreedyRandomized(in.tasks, trials, rng)) ||
+		(len(in.tasks) <= 20 && in.offer(dfs(in.tasks, in.lpt)))
+	return in.best
 }
 
 // offer adopts c when its list-scheduled makespan is strictly smaller than
@@ -775,14 +779,14 @@ func newIncumbent(tasks []Task) incumbent {
 // skipped — and reports whether the incumbent now meets provenBound. No
 // valid plan evaluates below that bound, so once it is met no later
 // candidate can be strictly smaller: offering the rest would change nothing.
-func (in *incumbent) offer(c Plan) (proven bool) {
+func (in *Incumbent) offer(c Plan) (proven bool) {
 	span, err := Makespan(in.tasks, c)
 	return in.offerEvaluated(c, span, err)
 }
 
 // offerEvaluated is offer for a candidate whose makespan evaluation the
 // caller holds.
-func (in *incumbent) offerEvaluated(c Plan, span float64, err error) (proven bool) {
+func (in *Incumbent) offerEvaluated(c Plan, span float64, err error) (proven bool) {
 	if err == nil && span < in.span {
 		in.best, in.span = c, span
 		in.proven = span <= in.bound

@@ -211,7 +211,8 @@ func TestEnsembleNeverWorseThanBaselines(t *testing.T) {
 			}
 			tasks = append(tasks, Task{ID: i, SenderHosts: senders, ReceiverHosts: recvs, Duration: float64(1 + r.Intn(9))})
 		}
-		p := EnsembleStop(tasks, 50*time.Millisecond, 16, rng, nil)
+		in := ClosedForm(tasks)
+		p := in.Search(50*time.Millisecond, 0, 16, rng, nil) // the wall-clock DFS
 		if Validate(tasks, p) != nil {
 			return false
 		}

@@ -14,8 +14,8 @@ var errNotPlanFrame = errors.New("service: binary frame is not a plan frame")
 
 // Cluster integration. The service knows nothing about rings, peers or
 // snapshots — it exposes a Router seam that internal/cluster plugs into:
-// the router decides whether a canonical cache key belongs to this node,
-// fetches plans from the owning peer when it does not, and records
+// the router says which node owns a canonical cache key, fetches the plan of
+// a miss that must search from that peer (see computePlan), and records
 // successful fills for snapshot persistence. Keeping the dependency in
 // this direction (cluster imports service, never the reverse) lets a
 // standalone server run with zero cluster overhead: a nil router skips
@@ -33,12 +33,11 @@ const PeerHeader = "X-Alpacomm-Peer"
 // concurrent use. Install a router with SetRouter before serving.
 type Router interface {
 	// Route reports the owner of a canonical cache key and whether that
-	// owner is this node.
+	// owner is this node. Asked only about misses that must search.
 	Route(key string) (owner string, local bool)
-	// Fetch obtains the plan for key from the owning peer. The returned
-	// plan must already be verified against this node's own task (the
-	// fetcher re-simulates it); an error falls the caller back to local
-	// computation.
+	// Fetch obtains the plan for key from the owning peer, within ctx and a
+	// bound of its own, already verified against this node's own task (the
+	// fetcher re-simulates it); an error falls the caller back to computing.
 	Fetch(ctx context.Context, owner, key string, req *PlanRequest, task *sharding.Task, opts resharding.Options) (*resharding.Plan, *resharding.SimResult, error)
 	// Record notes a successful fill (local compute or verified peer
 	// fetch) so snapshots can persist the request alongside the plan.
@@ -60,13 +59,13 @@ type ClusterNodeStats struct {
 	// OwnershipShare is the fraction of the hash space this node owns —
 	// ~1/N with virtual-node smoothing.
 	OwnershipShare float64 `json:"ownership_share"`
-	// RoutedLocal counts misses whose key this node owned (computed here).
+	// RoutedLocal counts misses planned on this node: owned here, or proven
+	// by the closed-form candidates without a search.
 	RoutedLocal int64 `json:"routed_local"`
-	// RoutedProxied counts misses routed to an owning peer.
+	// RoutedProxied counts misses fetched from the owner: all the others.
 	RoutedProxied int64 `json:"routed_proxied"`
-	// ProxyFallbacks counts proxied misses that fell back to local
-	// computation (peer unreachable, fill rejected): availability wins
-	// over ownership.
+	// ProxyFallbacks counts proxied misses that fell back to computing here
+	// (peer unreachable or slow, fill rejected); the rest are VerifiedFillAccepts.
 	ProxyFallbacks int64 `json:"proxy_fallbacks"`
 	// VerifiedFillAccepts counts peer plans accepted after re-simulation.
 	VerifiedFillAccepts int64 `json:"verified_fill_accepts"`
@@ -76,7 +75,6 @@ type ClusterNodeStats struct {
 	// SnapshotRestored / SnapshotRejected count warm-restart entries that
 	// passed / failed replay verification.
 	SnapshotRestored int64 `json:"snapshot_restored"`
-	// SnapshotRejected — see SnapshotRestored.
 	SnapshotRejected int64 `json:"snapshot_rejected"`
 }
 

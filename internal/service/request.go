@@ -192,6 +192,10 @@ type EndpointStats struct {
 	// processing: waiting in the admission queue, holding a worker slot,
 	// or coalesced onto another request's in-flight computation.
 	InFlight int64 `json:"in_flight"`
+	// MissesProven / MissesSearched (plan block only, batch items included)
+	// split the misses led here: closed-form proven, or searched (ring-routed).
+	MissesProven   int64 `json:"misses_proven,omitempty"`
+	MissesSearched int64 `json:"misses_searched,omitempty"`
 }
 
 // StatsResponse is the /v2/stats payload. Cache is the plan cache shared

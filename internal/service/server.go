@@ -140,13 +140,11 @@ type Server struct {
 	batchC     endpointCounters
 	retryAfter time.Duration
 	mux        *http.ServeMux
-	// router, when set, makes this server one node of a cluster tier: cold
-	// keys owned by a peer are fetched (and verified) from it instead of
-	// computed locally. Nil = standalone. See SetRouter.
+	// router, when set, makes this server one node of a cluster tier: see
+	// computePlan for what is fetched from a peer. Nil = standalone.
 	router Router
-	// routedLocalC / routedProxyC / proxyFallbackC count miss routing
-	// outcomes; see ClusterNodeStats.
-	routedLocalC   atomic.Int64
+	// routedProxyC / proxyFallbackC count miss routing outcomes; see
+	// ClusterNodeStats (RoutedLocal is every other miss led here).
 	routedProxyC   atomic.Int64
 	proxyFallbackC atomic.Int64
 }
@@ -289,16 +287,21 @@ type endpointCounters struct {
 	rejected  atomic.Int64
 	coalesced atomic.Int64
 	inFlight  atomic.Int64
+	// planC's only; see EndpointStats.
+	missesProven   atomic.Int64
+	missesSearched atomic.Int64
 }
 
 func (c *endpointCounters) snapshot() EndpointStats {
 	return EndpointStats{
-		Requests:  c.requests.Load(),
-		OK:        c.ok.Load(),
-		Errors:    c.errors.Load(),
-		Rejected:  c.rejected.Load(),
-		Coalesced: c.coalesced.Load(),
-		InFlight:  c.inFlight.Load(),
+		Requests:       c.requests.Load(),
+		OK:             c.ok.Load(),
+		Errors:         c.errors.Load(),
+		Rejected:       c.rejected.Load(),
+		Coalesced:      c.coalesced.Load(),
+		InFlight:       c.inFlight.Load(),
+		MissesProven:   c.missesProven.Load(),
+		MissesSearched: c.missesSearched.Load(),
 	}
 }
 
@@ -369,68 +372,68 @@ type planned struct {
 // computePlan serves one canonical planning problem: a completed cache
 // entry is returned before any admission (hits must stay cheap even when
 // the plan pool is saturated with slow cold requests); otherwise the
-// computation is coalesced with identical in-flight requests and runs
-// through the plan admission pool under the caller's context — a cancelled
-// caller abandons its queue slot, and a cancelled waiter detaches without
-// disturbing the flight. The flight leader serializes the response bodies
-// once and attaches them to the cache entry, so every later hit writes
-// pre-rendered bytes.
+// computation is coalesced with identical in-flight requests under the
+// caller's context — a cancelled caller abandons its queue slot, and a
+// cancelled waiter detaches without disturbing the flight. The flight leader
+// serializes the response bodies once and attaches them to the cache entry,
+// so every later hit writes pre-rendered bytes.
 //
-// In cluster mode (router set) a miss on a key owned by a peer is fetched
-// from that peer instead of computed: the owner's in-process coalescing
-// then makes a tier-wide thundering herd on one cold key cost exactly one
-// DFS. The fetch shares the local flight key with the compute path, so
-// in-process duplicates coalesce no matter which route each took (a
-// membership change mid-flight cannot double-compute locally). wireReq nil
-// or forwarded true (the request came from a peer — see PeerHeader) pins
-// resolution to this node. A failed fetch falls back to local computation:
-// availability beats ownership, and the verified-fill gate has already
-// kept any bad peer plan out of the cache.
+// The leader drafts first (resharding.NewDraft: microseconds, no search). A
+// draft the closed-form candidates prove — nine misses in ten, every degraded
+// one — is finished here whoever owns the key: a peer hop costs several times
+// what is left to do. Only one that must search is worth sharing: in cluster
+// mode (router set, wireReq non-nil, not forwarded by a peer — see PeerHeader)
+// it is fetched from the key's ring owner, whose coalescing makes a tier-wide
+// herd on one cold key cost one search; plans are a pure function of the key,
+// so who computes never shows in the bytes. The fetch runs outside the plan
+// pool (holding a worker across a peer call can deadlock two nodes), and when
+// it fails the same leader finishes its draft: availability beats ownership,
+// and the verified-fill gate has kept any bad peer plan out of the cache.
 //
 // A non-nil fromTask (with its key fromKey) names the same boundary on the
-// overlay being replanned away from — for a degraded request, its
-// fault-free twin. A miss whose twin is cached under fromKey then reuses the
-// twin's plan when the overlay changed nothing the scheduler scores, and
-// plans cold otherwise (Planner.PlanKeyedWarm); the plan served is the cold
-// plan of cacheKey either way, and fromTask nil plans cold.
+// overlay being replanned away from — for a degraded request, its fault-free
+// twin. A miss whose twin is cached under fromKey reuses the twin's plan when
+// the overlay changed nothing the scheduler scores, and plans cold otherwise
+// (Planner.PlanDraft); the plan served is the cold plan of cacheKey either
+// way, and fromTask nil plans cold.
 func (s *Server) computePlan(ctx context.Context, cacheKey string, task *sharding.Task, opts resharding.Options, wireReq *PlanRequest, forwarded bool, fromKey string, fromTask *sharding.Task) (*planned, bool, error) {
 	if p, ok := s.cachedPlan(cacheKey, opts); ok {
 		return p, false, nil
 	}
-	if s.router != nil && wireReq != nil && !forwarded {
-		if owner, local := s.router.Route(cacheKey); !local {
-			s.routedProxyC.Add(1)
-			v, err, shared := s.flight.do(ctx, "plan|"+cacheKey, func() (interface{}, error) {
-				plan, sim, err := s.router.Fetch(ctx, owner, cacheKey, wireReq, task, opts)
-				if err != nil {
-					return nil, err
-				}
-				enc := newEncodedPlan(plan, sim, opts, cacheKey)
-				if s.cache.Install(cacheKey, plan, sim) {
-					s.cache.Attach(cacheKey, enc)
-				}
-				s.router.Record(cacheKey, wireReq)
-				return &planned{plan: plan, sim: sim, enc: enc}, nil
-			})
-			if err == nil {
-				return v.(*planned), shared, nil
-			}
-			if ctx.Err() != nil {
-				return nil, shared, err
-			}
-			s.proxyFallbackC.Add(1)
-		} else {
-			s.routedLocalC.Add(1)
-		}
-	}
 	v, err, shared := s.flight.do(ctx, "plan|"+cacheKey, func() (interface{}, error) {
-		if err := s.plan.acquire(ctx); err != nil {
-			return nil, err
-		}
-		defer s.plan.release()
-		plan, sim, err := s.planner.PlanKeyedWarm(ctx, cacheKey, task, opts, fromKey, fromTask)
+		d, err := resharding.NewDraft(task, opts)
 		if err != nil {
 			return nil, err
+		}
+		owner, local := "", true
+		if d.Proven() {
+			s.planC.missesProven.Add(1)
+		} else {
+			s.planC.missesSearched.Add(1)
+			if s.router != nil && wireReq != nil && !forwarded {
+				owner, local = s.router.Route(cacheKey)
+			}
+		}
+		var plan *resharding.Plan
+		var sim *resharding.SimResult
+		if !local {
+			s.routedProxyC.Add(1)
+			if plan, sim, err = s.router.Fetch(ctx, owner, cacheKey, wireReq, task, opts); err == nil {
+				s.cache.Install(cacheKey, plan, sim)
+			} else if ctx.Err() != nil {
+				return nil, err
+			} else {
+				s.proxyFallbackC.Add(1)
+			}
+		}
+		if local || err != nil { // owned, proven, or the fetch failed: finish the draft here
+			if err := s.plan.acquire(ctx); err != nil {
+				return nil, err
+			}
+			defer s.plan.release()
+			if plan, sim, err = s.planner.PlanDraft(ctx, cacheKey, &d, fromKey, fromTask); err != nil {
+				return nil, err
+			}
 		}
 		enc := newEncodedPlan(plan, sim, opts, cacheKey)
 		s.cache.Attach(cacheKey, enc)
@@ -623,8 +626,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.router != nil {
 		cs := s.router.Info()
-		cs.RoutedLocal = s.routedLocalC.Load()
 		cs.RoutedProxied = s.routedProxyC.Load()
+		cs.RoutedLocal = resp.Plan.MissesProven + resp.Plan.MissesSearched - cs.RoutedProxied
 		cs.ProxyFallbacks = s.proxyFallbackC.Load()
 		resp.Cluster = &cs
 	}

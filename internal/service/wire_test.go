@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"reflect"
@@ -381,6 +382,61 @@ func TestServedHitAllocations(t *testing.T) {
 				t.Errorf("served cache hit: %.0f allocs/op, want <= %d", allocs, maxHitAllocs)
 			}
 		})
+	}
+}
+
+// peerOwnsEverything is the Router of a tier node that owns no key and whose
+// peer must not be asked: what a miss the closed-form candidates prove should
+// see of the tier.
+type peerOwnsEverything struct{ t *testing.T }
+
+func (peerOwnsEverything) Route(string) (string, bool) { return "peer", false }
+func (r peerOwnsEverything) Fetch(context.Context, string, string, *PlanRequest, *sharding.Task, resharding.Options) (*resharding.Plan, *resharding.SimResult, error) {
+	r.t.Error("a proven miss was fetched from its owner")
+	return nil, nil, errors.New("no peer")
+}
+func (peerOwnsEverything) Record(string, *PlanRequest) {}
+func (peerOwnsEverything) Info() ClusterNodeStats      { return ClusterNodeStats{} }
+
+// TestServedMissAllocationsIgnoreOwnership: a proven miss on a tier node that
+// does not own the key allocates no more than the same miss on a node that
+// does — the draft that decided the route is the draft the fill finishes, so
+// nothing of phase one runs twice, and no fetch is made. Two keys alternate
+// through a one-entry cache, so every call is a miss.
+func TestServedMissAllocationsIgnoreOwnership(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is inflated under the race detector")
+	}
+	ctx := context.Background()
+	missAllocs := func(router Router) float64 {
+		srv := New(Config{Cache: resharding.NewLRUPlanCache(1)})
+		if router != nil {
+			srv.SetRouter(router)
+		}
+		seed := int64(0)
+		miss := func() {
+			seed = 1 - seed
+			req := testReq(seed)
+			task, opts, key, err := srv.ParsePlanRequest(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := srv.computePlan(ctx, key, task, opts, req, false, "", nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		miss()
+		miss()
+		before := srv.cache.Stats().Misses
+		allocs := testing.AllocsPerRun(20, miss)
+		if misses := srv.cache.Stats().Misses - before; misses != 21 { // AllocsPerRun warms up once
+			t.Fatalf("%d of 21 calls missed the cache", misses)
+		}
+		return allocs
+	}
+	owned, nonOwned := missAllocs(nil), missAllocs(peerOwnsEverything{t})
+	if nonOwned > owned {
+		t.Errorf("a non-owned proven miss allocates %.0f objects, an owned one %.0f", nonOwned, owned)
 	}
 }
 
