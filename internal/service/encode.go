@@ -235,9 +235,7 @@ func (e *encodedPlan) appendBinary(b []byte, task *sharding.Task, shared bool) [
 
 // parsedReq is one memoized request parse: the decomposed task, the
 // normalized options and the canonical cache key — everything parseTask
-// produces, keyed by the raw wire fields so a repeated request skips
-// topology resolution, task decomposition and cache-key rendering
-// entirely. Entries are immutable and shared; the planner only reads
+// produces. Entries are immutable and shared; the planner only reads
 // tasks.
 type parsedReq struct {
 	task *sharding.Task
@@ -245,17 +243,79 @@ type parsedReq struct {
 	key  string
 }
 
-// maxMemoEntries bounds the request-parse memo. Like the topology memo the
-// key space is client-controlled, so beyond the cap the memo stops adding
-// and requests fall back to the full parse path — correctness never
+// maxMemoEntries bounds each key space of the request-parse memo. The key
+// spaces are client-controlled, so a full map starts over rather than
+// growing — or refusing: a memo that stopped admitting at the bound would
+// stay full of whatever one-off requests got there first, and every hot
+// key that arrived later would pay the full parse for the life of the
+// process. Hot keys re-enter on their next request; correctness never
 // depends on a memo hit.
 const maxMemoEntries = 4096
 
-// parseMemo memoizes request parses for fault-free requests (fault
-// overlays re-derive topologies per request and are never memoized).
+// maxMemoBody bounds the request bodies the memo retains as keys (plan
+// requests are 200–400 B), so a full body map pins at most
+// maxMemoEntries x maxMemoBody = 8 MiB, not maxMemoEntries x maxBodyBytes.
+// A longer body is served like any other and parsed every time.
+const maxMemoBody = 2048
+
+// parseMemo memoizes request parses under two names. fields is keyed by
+// the raw wire fields (appendMemoKey): a repeated request, however it was
+// spelled or wrapped — batch item, ParsePlanRequest, a degraded request's
+// fault-free twin — skips topology resolution, task decomposition and
+// cache-key rendering. bodies is keyed by a /v2/plan request body itself,
+// every byte of it (never a digest: a memo-served answer must be the
+// answer a fresh server gives): a repeated body skips encoding/json as
+// well, which is most of what a cache hit used to cost. Two spellings of
+// one request are two body entries holding the same task and key.
+//
+// Both admit fault-free requests only (a fault overlay re-derives its
+// topology on every request), and a body is admitted only once the strict
+// decoder and parseTask have both accepted it, so a rejected request can
+// never be answered from here.
 type parseMemo struct {
-	mu sync.RWMutex
-	m  map[string]parsedReq
+	mu     sync.RWMutex
+	fields map[string]parsedReq
+	bodies map[string]parsedReq
+}
+
+func newParseMemo() parseMemo {
+	return parseMemo{fields: map[string]parsedReq{}, bodies: map[string]parsedReq{}}
+}
+
+// admit stores one parse under key, keeping the first entry if another
+// request raced us in (or this one is a repeat: the key is copied only
+// when it is stored) and starting the map over at the bound. Callers hold
+// pm.mu.
+func admit(m map[string]parsedReq, key []byte, pr parsedReq) {
+	if _, ok := m[string(key)]; ok {
+		return
+	}
+	if len(m) >= maxMemoEntries {
+		clear(m)
+	}
+	m[string(key)] = pr
+}
+
+// getBody looks a request body up without allocating (the map lookup
+// converts the bytes to a string key for free).
+//
+//alpacomm:hotpath
+func (pm *parseMemo) getBody(body []byte) (parsedReq, bool) {
+	pm.mu.RLock()
+	pr, ok := pm.bodies[string(body)]
+	pm.mu.RUnlock()
+	return pr, ok
+}
+
+// putBody admits a body the decoder and parseTask accepted, unless it is
+// too long to be worth pinning.
+func (pm *parseMemo) putBody(body []byte, pr parsedReq) {
+	if len(body) > maxMemoBody {
+		return
+	}
+	pm.mu.Lock()
+	admit(pm.bodies, body, pr)
+	pm.mu.Unlock()
 }
 
 // appendMemoKey renders the raw request fields into b. Strings are
@@ -306,26 +366,19 @@ func (pm *parseMemo) get(ref TopologyRef, shape []int, dtype string, src, dst En
 	b := appendMemoKey((*buf)[:0], ref, shape, dtype, src, dst, po)
 	*buf = b
 	pm.mu.RLock()
-	pr, ok := pm.m[string(b)]
+	pr, ok := pm.fields[string(b)]
 	pm.mu.RUnlock()
 	putBuf(buf)
 	return pr, ok
 }
 
-// put stores one parse result, keeping the first entry if another request
-// raced us in and stopping at the bound.
+// put stores one parse result under its raw wire fields.
 func (pm *parseMemo) put(ref TopologyRef, shape []int, dtype string, src, dst Endpoint, po PlanOptions, pr parsedReq) {
 	buf := getBuf()
 	b := appendMemoKey((*buf)[:0], ref, shape, dtype, src, dst, po)
 	*buf = b
-	key := string(b)
-	putBuf(buf)
 	pm.mu.Lock()
-	if pm.m == nil {
-		pm.m = map[string]parsedReq{}
-	}
-	if _, ok := pm.m[key]; !ok && len(pm.m) < maxMemoEntries {
-		pm.m[key] = pr
-	}
+	admit(pm.fields, b, pr)
 	pm.mu.Unlock()
+	putBuf(buf)
 }

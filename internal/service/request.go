@@ -196,6 +196,10 @@ type EndpointStats struct {
 	// split the misses led here: closed-form proven, or searched (ring-routed).
 	MissesProven   int64 `json:"misses_proven,omitempty"`
 	MissesSearched int64 `json:"misses_searched,omitempty"`
+	// Decoded (plan block only) counts /v2/plan requests that ran the JSON
+	// decoder; the rest — 1 - decoded/requests — were recognized by their
+	// body bytes and served from the cache without decoding.
+	Decoded int64 `json:"decoded,omitempty"`
 }
 
 // StatsResponse is the /v2/stats payload. Cache is the plan cache shared

@@ -1,10 +1,8 @@
 package service
 
 import (
-	"bytes"
 	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"testing"
 
 	"alpacomm/internal/resharding"
@@ -25,15 +23,12 @@ const (
 // server. The invariants: the handler never panics, the status is one a
 // deadline-free request can produce (200, 400, 422, 429), a 200 body is a
 // PlanResponse with one sender per unit, and every other body is a
-// V2ErrorEnvelope with a code a client can branch on.
+// V2ErrorEnvelope with a code a client can branch on. Every input goes to
+// the long-lived server twice — the second send is the one the body-keyed
+// parse memo may answer — and once to a server that has seen nothing: all
+// three answers must be the same bytes.
 func FuzzPlanRequestV2(f *testing.F) {
-	marshal := func(v interface{}) []byte {
-		b, err := json.Marshal(v)
-		if err != nil {
-			f.Fatal(err)
-		}
-		return b
-	}
+	marshal := func(v interface{}) []byte { return mustJSON(f, v) }
 	f.Add(marshal(testReq(1)))
 	f.Add(marshal(faultyReq(2, stragglerFaults)))
 	full := testReq(3)
@@ -59,10 +54,12 @@ func FuzzPlanRequestV2(f *testing.F) {
 				t.Skip("request asks for more effort than the fuzz caps allow")
 			}
 		}
-		rec := httptest.NewRecorder()
-		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v2/plan", bytes.NewReader(data)))
-		body := rec.Body.Bytes()
-		switch rec.Code {
+		first, again, fresh := send(s, data, ""), send(s, data, ""), send(New(Config{}), data, "")
+		if again != first || fresh != first {
+			t.Fatalf("the long-lived server's first answer, its second and a fresh server's differ:\n%+v\n%+v\n%+v", first, again, fresh)
+		}
+		body := []byte(first.body)
+		switch first.status {
 		case http.StatusOK:
 			var resp PlanResponse
 			if err := json.Unmarshal(body, &resp); err != nil {
@@ -74,13 +71,13 @@ func FuzzPlanRequestV2(f *testing.F) {
 		case http.StatusBadRequest, http.StatusUnprocessableEntity, http.StatusTooManyRequests:
 			var env V2ErrorEnvelope
 			if err := json.Unmarshal(body, &env); err != nil {
-				t.Fatalf("%d body is not a V2ErrorEnvelope: %v\n%s", rec.Code, err, body)
+				t.Fatalf("%d body is not a V2ErrorEnvelope: %v\n%s", first.status, err, body)
 			}
 			if env.Error.Code == "" {
-				t.Fatalf("%d envelope without a code: %s", rec.Code, body)
+				t.Fatalf("%d envelope without a code: %s", first.status, body)
 			}
 		default:
-			t.Fatalf("status %d outside {200, 400, 422, 429}: %s", rec.Code, body)
+			t.Fatalf("status %d outside {200, 400, 422, 429}: %s", first.status, body)
 		}
 	})
 }

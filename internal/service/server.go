@@ -120,9 +120,10 @@ type Server struct {
 	cache         *resharding.PlanCache
 	autotuneCache *resharding.PlanCache
 	topos         topologyCache
-	// reqMemo memoizes fault-free request parses (task decomposition +
-	// cache-key rendering), the dominant per-request cost once the plan
-	// itself is a pre-serialized cache hit.
+	// reqMemo memoizes fault-free request parses — by wire fields, and for
+	// /v2/plan by the request body itself — so a repeated request does no
+	// decoding, task decomposition or cache-key rendering: the dominant
+	// per-request cost once the plan itself is a pre-serialized cache hit.
 	reqMemo parseMemo
 	flight  flightGroup
 	// intake bounds the pre-admission work every request pays before it
@@ -201,6 +202,7 @@ func New(cfg Config) *Server {
 		),
 		cache:         cfg.Cache,
 		autotuneCache: cfg.AutotuneCache,
+		reqMemo:       newParseMemo(),
 		intake:        newAdmission(intakeWorkers, 4*intakeWorkers),
 		plan:          newAdmission(cfg.PlanWorkers, cfg.PlanQueue),
 		autotune:      newAdmission(cfg.AutotuneWorkers, cfg.AutotuneQueue),
@@ -290,6 +292,7 @@ type endpointCounters struct {
 	// planC's only; see EndpointStats.
 	missesProven   atomic.Int64
 	missesSearched atomic.Int64
+	decoded        atomic.Int64
 }
 
 func (c *endpointCounters) snapshot() EndpointStats {
@@ -302,6 +305,7 @@ func (c *endpointCounters) snapshot() EndpointStats {
 		InFlight:       c.inFlight.Load(),
 		MissesProven:   c.missesProven.Load(),
 		MissesSearched: c.missesSearched.Load(),
+		Decoded:        c.decoded.Load(),
 	}
 }
 
@@ -356,7 +360,9 @@ func (tc *topologyCache) get(reg *mesh.Registry, ref TopologyRef) (mesh.Topology
 	return t, nil
 }
 
-// maxBodyBytes bounds request bodies; plan requests are tiny.
+// maxBodyBytes bounds request bodies; plan requests are tiny. /v2/plan reads
+// its body whole before decoding it (see handlePlanV2), so there the bound
+// is on the body, not on the part of it the decoder consumes.
 const maxBodyBytes = 1 << 20
 
 // planned is one computed (plan, simulation) pair shared by every caller
@@ -398,7 +404,7 @@ type planned struct {
 // way, and fromTask nil plans cold.
 func (s *Server) computePlan(ctx context.Context, cacheKey string, task *sharding.Task, opts resharding.Options, wireReq *PlanRequest, forwarded bool, fromKey string, fromTask *sharding.Task) (*planned, bool, error) {
 	if p, ok := s.cachedPlan(cacheKey, opts); ok {
-		return p, false, nil
+		return &p, false, nil
 	}
 	v, err, shared := s.flight.do(ctx, "plan|"+cacheKey, func() (interface{}, error) {
 		d, err := resharding.NewDraft(task, opts)
@@ -452,17 +458,17 @@ func (s *Server) computePlan(ctx context.Context, cacheKey string, task *shardin
 // pre-serialized sidecar exists. An entry without one predates this
 // server's fills (shared cache) or its attach raced an eviction; it is
 // serialized now so the next hit is free.
-func (s *Server) cachedPlan(cacheKey string, opts resharding.Options) (*planned, bool) {
+func (s *Server) cachedPlan(cacheKey string, opts resharding.Options) (planned, bool) {
 	plan, sim, att, ok := s.cache.LookupKeyedAttachment(cacheKey)
 	if !ok {
-		return nil, false
+		return planned{}, false
 	}
 	enc, _ := att.(*encodedPlan)
 	if enc == nil {
 		enc = newEncodedPlan(plan, sim, opts, cacheKey)
 		s.cache.Attach(cacheKey, enc)
 	}
-	return &planned{plan: plan, sim: sim, enc: enc}, true
+	return planned{plan: plan, sim: sim, enc: enc}, true
 }
 
 // isPeerRequest reports whether the request came from another tier node
@@ -654,8 +660,11 @@ func (e *badRequestError) Unwrap() error { return e.err }
 //
 // Fault-free requests are memoized on their raw wire fields: a repeated
 // request returns the stored (task, options, key) without touching the
-// intake gate — the memo hit does no bounded work for the gate to bound —
-// and the serve path stays allocation-free end to end.
+// intake gate — the memo hit does no bounded work for the gate to bound.
+// This is the name batch items, ParsePlanRequest and a degraded request's
+// fault-free twin find a parse under; /v2/plan asks the memo by request
+// body first (handlePlanV2) and comes here only for a body it has not
+// seen, or whose plan is no longer cached.
 func (s *Server) parseTask(ctx context.Context,
 	ref TopologyRef, faults *FaultsRef, shape []int, dtype string, src, dst Endpoint, po PlanOptions) (task *sharding.Task, opts resharding.Options, key string, err error) {
 

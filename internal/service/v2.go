@@ -1,10 +1,12 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -116,19 +118,34 @@ type BatchPlanResponse struct {
 	Coalesced int `json:"coalesced"`
 }
 
-// v2Ctx derives the request context from the X-Timeout-Ms header. The
-// returned cancel must always be called.
-func v2Ctx(r *http.Request) (context.Context, context.CancelFunc, error) {
+// timeoutMs validates the X-Timeout-Ms header: 0 when absent, otherwise
+// the budget clamped to MaxTimeoutMs.
+//
+//alpacomm:hotpath
+func timeoutMs(r *http.Request) (int, error) {
 	h := r.Header.Get(TimeoutHeader)
 	if h == "" {
-		return r.Context(), func() {}, nil
+		return 0, nil
 	}
 	ms, err := strconv.Atoi(h)
 	if err != nil || ms <= 0 {
-		return nil, nil, &badRequestError{fmt.Errorf("bad %s header %q: want a positive integer millisecond budget", TimeoutHeader, h)}
+		return 0, &badRequestError{fmt.Errorf("bad %s header %q: want a positive integer millisecond budget", TimeoutHeader, h)}
 	}
 	if ms > MaxTimeoutMs {
 		ms = MaxTimeoutMs
+	}
+	return ms, nil
+}
+
+// v2Ctx derives the request context from the X-Timeout-Ms header. The
+// returned cancel must always be called.
+func v2Ctx(r *http.Request) (context.Context, context.CancelFunc, error) {
+	ms, err := timeoutMs(r)
+	if err != nil {
+		return nil, nil, err
+	}
+	if ms == 0 {
+		return r.Context(), func() {}, nil
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), time.Duration(ms)*time.Millisecond)
 	return ctx, cancel, nil
@@ -192,33 +209,145 @@ func (s *Server) writeV2Error(w http.ResponseWriter, status int, ve V2Error, bin
 	putBuf(buf)
 }
 
+// requirePost answers anything but a POST with the 405 envelope and
+// reports whether the handler may go on.
+func (s *Server) requirePost(w http.ResponseWriter, r *http.Request, c *endpointCounters, bin bool) bool {
+	if r.Method == http.MethodPost {
+		return true
+	}
+	c.errors.Add(1)
+	s.writeV2Error(w, http.StatusMethodNotAllowed, V2Error{
+		Code: CodeMethodNotAllowed, Message: "use POST",
+	}, bin)
+	return false
+}
+
+// badBody classifies a body that could not be read or decoded.
+func badBody(err error) error {
+	return &badRequestError{fmt.Errorf("bad request body: %v", err)}
+}
+
+// decodeStrict decodes the first JSON value of rd into dst, unknown fields
+// rejected; whatever follows that value is ignored.
+func decodeStrict(rd io.Reader, dst interface{}) error {
+	dec := json.NewDecoder(rd)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(dst); err != nil {
+		return badBody(err)
+	}
+	return nil
+}
+
 // decodeV2 reads a POST JSON body into dst — size-bounded, unknown fields
 // rejected; on failure it writes the error envelope and returns false.
 func (s *Server) decodeV2(w http.ResponseWriter, r *http.Request, dst interface{}, c *endpointCounters, bin bool) bool {
-	if r.Method != http.MethodPost {
-		c.errors.Add(1)
-		s.writeV2Error(w, http.StatusMethodNotAllowed, V2Error{
-			Code: CodeMethodNotAllowed, Message: "use POST",
-		}, bin)
+	if !s.requirePost(w, r, c, bin) {
 		return false
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		s.failV2(r.Context(), w, c, &badRequestError{fmt.Errorf("bad request body: %v", err)}, bin)
+	if err := decodeStrict(http.MaxBytesReader(w, r.Body, maxBodyBytes), dst); err != nil {
+		s.failV2(r.Context(), w, c, err, bin)
 		return false
 	}
 	return true
 }
 
+// getBody reads the whole request body into the pooled buffer, growing it
+// as needed up to maxBodyBytes; the bytes are valid until buf is released.
+//
+//alpacomm:hotpath
+func getBody(w http.ResponseWriter, r *http.Request, buf *[]byte) ([]byte, error) {
+	rd := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	b := (*buf)[:0]
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := rd.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err != nil {
+			*buf = b
+			if err == io.EOF {
+				return b, nil
+			}
+			return nil, err
+		}
+	}
+}
+
+// serveMemoized is all a repeated request costs: a body the parse memo
+// knows, whose full-quality plan is cached, is answered from the entry's
+// pre-serialized bytes with the bookkeeping every hit gets — deadline
+// header validated, in-flight gauge, one SLO Admit and one Observe (a
+// cached full-quality hit is served in every admission mode) — and
+// without a json.Decoder, a PlanRequest or a memo-key rendering. It
+// reports whether it answered; false means nothing was written, and the
+// caller decodes the same bytes: the memo holds parses, never decoded
+// requests, because a body whose plan is gone is about to pay for a fill
+// the decode is a few percent of.
+//
+//alpacomm:hotpath
+func (s *Server) serveMemoized(w http.ResponseWriter, r *http.Request, body []byte, bin bool, start time.Time) bool {
+	pr, ok := s.reqMemo.getBody(body)
+	if !ok {
+		return false
+	}
+	if _, err := timeoutMs(r); err != nil {
+		s.failV2(r.Context(), w, &s.planC, err, bin)
+		return true
+	}
+	p, ok := s.cachedPlan(pr.key, pr.opts)
+	if !ok {
+		return false
+	}
+	s.planC.inFlight.Add(1)
+	if s.slo != nil {
+		s.slo.Admit(int(s.planC.inFlight.Load()))
+	}
+	s.servePlan(w, &s.planC, &p, pr.task, pr.opts, pr.key, false, bin)
+	if s.slo != nil {
+		s.slo.Observe(time.Since(start))
+	}
+	s.planC.inFlight.Add(-1)
+	return true
+}
+
 // handlePlanV2 plans and simulates one resharding through the shared
 // planner session, under the propagated deadline and SLO admission.
+//
+// The body is read whole (bounded by maxBodyBytes) and the parse memo is
+// asked for those bytes first: a hit is a lookup by what the client sent
+// (serveMemoized). Every other request — a body not seen before, one
+// whose plan was evicted, a faulted one — is decoded from the same bytes
+// and takes the full path below; once the strict decoder and parseTask
+// have accepted a fault-free body it is admitted to the memo. Reading
+// before decoding has one visible edge: a body over maxBodyBytes is
+// refused even when its first JSON value, the only part the decoder looks
+// at, would have fit inside the limit.
 func (s *Server) handlePlanV2(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
+	// The clock is read only for the controller's latency sample.
+	var start time.Time
+	if s.slo != nil {
+		start = time.Now()
+	}
 	s.planC.requests.Add(1)
 	bin := wantsBinary(r)
+	if !s.requirePost(w, r, &s.planC, bin) {
+		return
+	}
+	buf := getBuf()
+	defer putBuf(buf)
+	body, err := getBody(w, r, buf)
+	if err != nil {
+		s.failV2(r.Context(), w, &s.planC, badBody(err), bin)
+		return
+	}
+	if s.serveMemoized(w, r, body, bin, start) {
+		return
+	}
+	s.planC.decoded.Add(1)
 	var req PlanRequest
-	if !s.decodeV2(w, r, &req, &s.planC, bin) {
+	if err := decodeStrict(bytes.NewReader(body), &req); err != nil {
+		s.failV2(r.Context(), w, &s.planC, err, bin)
 		return
 	}
 	ctx, cancel, err := v2Ctx(r)
@@ -232,6 +361,9 @@ func (s *Server) handlePlanV2(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		s.failV2(ctx, w, &s.planC, err, bin)
 		return
+	}
+	if req.Faults == nil {
+		s.reqMemo.putBody(body, parsedReq{task: task, opts: opts, key: cacheKey})
 	}
 	// A degraded request hands its fault-free twin to the fill: the healthy
 	// parse is memoized, so under churn (the same boundary arriving with one
@@ -267,7 +399,7 @@ func (s *Server) handlePlanV2(w http.ResponseWriter, r *http.Request) {
 		if mode := s.slo.Admit(int(s.planC.inFlight.Load())); mode != AdmitFull {
 			fullOnly := qualityRequiresFull(req.Options.Quality)
 			if p, ok := s.cachedPlan(cacheKey, opts); ok {
-				s.servePlan(w, &s.planC, p, task, opts, cacheKey, false, bin)
+				s.servePlan(w, &s.planC, &p, task, opts, cacheKey, false, bin)
 				s.slo.Observe(time.Since(start))
 				return
 			}
@@ -278,7 +410,7 @@ func (s *Server) handlePlanV2(w http.ResponseWriter, r *http.Request) {
 					if p, ok := s.cachedPlan(dKey, dOpts); ok {
 						w.Header().Set(AdmissionHeader, "degraded")
 						s.slo.NoteDegraded()
-						s.servePlan(w, &s.planC, p, task, dOpts, dKey, false, bin)
+						s.servePlan(w, &s.planC, &p, task, dOpts, dKey, false, bin)
 						s.slo.Observe(time.Since(start))
 						return
 					}
