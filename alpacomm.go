@@ -349,13 +349,14 @@ var WithBinaryWire = service.WithBinary
 const PlanWireContentType = service.ContentTypeBinary
 
 // SLO-aware admission (internal/service): a sliding-window latency and
-// queue-depth controller that degrades /v2 planning to a greedy
+// plan-pool occupancy controller that degrades /v2 planning to a greedy
 // single-pass schedule under pressure and sheds load outright past the
 // budget, recovering with hysteresis.
 type (
 	// ServiceSLOConfig enables the admission controller on a PlanServer
-	// (PlanServerConfig.SLO); the zero value of each field picks the
-	// documented default.
+	// (PlanServerConfig.SLO). The p99 budget is its only setting: the
+	// window, dwell and thresholds are constants, and the load it reads
+	// is the server's own plan pool.
 	ServiceSLOConfig = service.SLOConfig
 	// ServiceAdmissionMode is the controller's decision for one request:
 	// full, degraded or shed.

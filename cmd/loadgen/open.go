@@ -16,8 +16,7 @@ import (
 // the intended start. That is the one loop in drive.go under -arrivals
 // poisson|bursty|diurnal; open_test.go replays the same arrival streams
 // through a discrete-event model of the serve path to pin the correction
-// and the real service.SLOController's degrade/shed/recover contrast on a
-// simulated clock.
+// on a simulated clock.
 
 // openLoopRow is one open-loop measurement in the -json report.
 type openLoopRow struct {

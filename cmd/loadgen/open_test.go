@@ -8,13 +8,11 @@ import (
 	"time"
 
 	"alpacomm/internal/loadmodel"
-	"alpacomm/internal/service"
 )
 
 // Tests on a simulated clock: the coordinated-omission regression (the
-// reason corrected percentiles exist), determinism of the simulated rows,
-// and the SLO-vs-no-SLO contrast of the real admission controller. The
-// model they drive is the fixture at the end of this file.
+// reason corrected percentiles exist) and determinism of the simulated
+// rows. The model they drive is the fixture at the end of this file.
 
 // TestCoordinatedOmissionCorrection pins the correction: a server that
 // stalls for one second in the middle of the run must show that second in
@@ -29,12 +27,11 @@ func TestCoordinatedOmissionCorrection(t *testing.T) {
 		agents:     10, // ~100 arrivals per agent land inside the stall
 		horizon:    3 * time.Second,
 		seed:       7,
-		budget:     0, // no controller: the stall must surface undamped
 		stallStart: 1 * time.Second,
 		stallEnd:   2 * time.Second,
 	})
-	if row.Shed != 0 || row.Served != row.Offered {
-		t.Fatalf("no-SLO stall run shed %d of %d; every request must eventually serve", row.Shed, row.Offered)
+	if row.Served != row.Offered {
+		t.Fatalf("stall run served %d of %d; every request must eventually serve", row.Served, row.Offered)
 	}
 	// The last request dispatched before the stall completes ~1s late, and
 	// every arrival scheduled during the stall inherits that delay from
@@ -58,7 +55,7 @@ func TestCoordinatedOmissionCorrection(t *testing.T) {
 func TestOpenSimDeterministic(t *testing.T) {
 	p := simParams{
 		mix: "bursty", rate: 5000, agents: 200,
-		horizon: time.Second, seed: 3, budget: 25 * time.Millisecond,
+		horizon: time.Second, seed: 3,
 	}
 	a, b := runOpenSim(p), runOpenSim(p)
 	if !reflect.DeepEqual(a, b) {
@@ -70,94 +67,18 @@ func TestOpenSimDeterministic(t *testing.T) {
 	}
 }
 
-// maxSLOGap is the ceiling on a controller-on row's offered-vs-achieved
-// gap: holding the p99 by refusing most of the offered load is not holding
-// it.
-const maxSLOGap = 0.65
-
-// TestOpenSimSLOHoldsBudget pins the controller's contract under a
-// saturating offered rate: on every arrival mix it keeps the corrected p99
-// within budget by degrading and shedding while serving at least
-// 1-maxSLOGap of the offered rate, and the same load without the
-// controller blows through the budget — proof the load saturates the
-// modeled server and the controller, not slack capacity, holds the SLO.
-// The model is a pure function of its parameters, so each row's counters
-// and corrected p99 are also pinned exactly; re-record them when the
-// controller's policy or the modeled costs change on purpose.
-func TestOpenSimSLOHoldsBudget(t *testing.T) {
-	const budget = 25 * time.Millisecond
-	type pinned struct {
-		served, shed, degraded      int
-		degrades, sheds, recoveries int64
-		correctedP99Ms              float64
-	}
-	pin := func(r openLoopRow) pinned {
-		return pinned{r.Served, r.Shed, r.Degraded, r.Degrades, r.Sheds, r.Recoveries, r.CorrectedP99Ms}
-	}
-	for _, tc := range []struct {
-		mix      string
-		slo, raw pinned
-	}{
-		{"poisson", pinned{19260, 791, 14140, 10, 1, 10, 13.907365}, pinned{served: 20051, correctedP99Ms: 14042.240743}},
-		{"bursty", pinned{16233, 0, 11997, 12, 0, 11, 15.602914}, pinned{served: 16233, correctedP99Ms: 11178.533932}},
-		{"diurnal", pinned{19435, 3689, 13565, 11, 5, 14, 15.470381}, pinned{served: 23124, correctedP99Ms: 16338.300264000001}},
-	} {
-		mix := tc.mix
-		base := simParams{
-			mix: mix, rate: 20000, agents: 800,
-			horizon: time.Second, seed: 1,
-		}
-		withSLO, withoutSLO := base, base
-		withSLO.budget = budget
-		slo := runOpenSim(withSLO)
-		raw := runOpenSim(withoutSLO)
-		if slo.CorrectedP99Ms > budget.Seconds()*1e3 {
-			t.Errorf("%s: corrected p99 %.2fms exceeds the %.0fms budget with the controller on",
-				mix, slo.CorrectedP99Ms, budget.Seconds()*1e3)
-		}
-		if slo.GapFraction > maxSLOGap {
-			t.Errorf("%s: offered-vs-achieved gap %.3f above the %.2f ceiling with the controller on",
-				mix, slo.GapFraction, maxSLOGap)
-		}
-		if slo.Degraded == 0 {
-			t.Errorf("%s: controller never degraded under a saturating rate", mix)
-		}
-		if raw.CorrectedP99Ms <= budget.Seconds()*1e3 {
-			t.Errorf("%s: no-SLO corrected p99 %.2fms within budget — the load is not saturating",
-				mix, raw.CorrectedP99Ms)
-		}
-		if slo.Served+slo.Shed != slo.Offered {
-			t.Errorf("%s: served %d + shed %d != offered %d", mix, slo.Served, slo.Shed, slo.Offered)
-		}
-		if got := pin(slo); got != tc.slo {
-			t.Errorf("%s, controller on: row %+v, pinned %+v", mix, got, tc.slo)
-		}
-		if got := pin(raw); got != tc.raw {
-			t.Errorf("%s, controller off: row %+v, pinned %+v", mix, got, tc.raw)
-		}
-	}
-}
-
 // ---------------------------------------------------------------------------
 // The fixture: a discrete-event model of the serve path — fixed worker
-// pool, FIFO queue, cache-hit fraction, and the *real*
-// service.SLOController on a simulated clock. No wall time, no goroutines:
-// a run is a pure function of its parameters. It is a test of the
-// controller, not a measurement: the costs below are typed in, not read
-// from a server (a live saturating workload is ROADMAP 1(c)).
-
-// The modeled serve path. Changing a value means re-recording the rows
-// TestOpenSimSLOHoldsBudget pins.
+// pool, FIFO queue, cache-hit fraction — on a simulated clock. No wall
+// time, no goroutines: a run is a pure function of its parameters. It is a
+// test of the open-loop accounting, not a measurement: the costs below are
+// typed in, not read from a server, so nothing here speaks for the
+// admission controller (its tests are in internal/service).
 const (
-	simWorkers      = 8
-	simFullCost     = 8 * time.Millisecond   // full-quality planning (DFS)
-	simDegradedCost = 300 * time.Microsecond // greedy-degraded planning
-	simHitCost      = 40 * time.Microsecond  // pre-serialized cache hit
-	simHitFraction  = 0.25                   // fraction of arrivals hitting the cache
-	simWindow       = 250 * time.Millisecond // controller latency window
-	simDwell        = 50 * time.Millisecond  // controller de-escalation dwell
-	simDegradeDepth = 2 * simWorkers         // queue depth that degrades
-	simShedDepth    = 32 * simWorkers        // queue depth that sheds
+	simWorkers     = 8
+	simFullCost    = 8 * time.Millisecond  // a cache miss
+	simHitCost     = 40 * time.Microsecond // a pre-serialized cache hit
+	simHitFraction = 0.25                  // fraction of arrivals hitting the cache
 )
 
 // simParams configures one simulated run.
@@ -167,7 +88,6 @@ type simParams struct {
 	agents  int
 	horizon time.Duration
 	seed    uint64
-	budget  time.Duration // 0 disables the SLO controller
 	// stall freezes service starts inside [stallStart, stallEnd): the
 	// deliberately wedged server of the coordinated-omission regression
 	// test.
@@ -198,22 +118,13 @@ type simQueued struct {
 	cost       time.Duration
 }
 
-// simClock adapts simulated time to the controller's injected clock.
-type simClock struct{ now time.Duration }
-
-func (c *simClock) time() time.Time { return time.Unix(0, 0).Add(c.now) }
-
 // openSim is the discrete-event state: per-agent arrival streams with one
-// connection each, a worker pool with FIFO queue, and the real admission
-// controller.
+// connection each, and a worker pool with FIFO queue.
 type openSim struct {
 	p   simParams
 	arr [][]simArrival
 	nxt []int
 	bsy []bool
-
-	clk *simClock
-	ctl *service.SLOController
 
 	running int
 	queue   []simQueued
@@ -221,24 +132,13 @@ type openSim struct {
 
 	completions []simComplete // min-heap by (at, agent)
 
-	served, shed, degraded int
-	servedInHorizon        int
-	corrected, naive       []float64 // seconds
+	served, servedInHorizon int
+	corrected, naive        []float64 // seconds
 }
 
 // runOpenSim executes one simulated run and returns its row.
 func runOpenSim(p simParams) openLoopRow {
-	s := &openSim{p: p, clk: &simClock{}}
-	if p.budget > 0 {
-		s.ctl = service.NewSLOController(service.SLOConfig{
-			P99Budget:    p.budget,
-			Window:       simWindow,
-			Dwell:        simDwell,
-			EvalEvery:    -1, // re-evaluate every Admit: decisions depend only on the trace
-			DegradeDepth: simDegradeDepth,
-			ShedDepth:    simShedDepth,
-		}, s.clk.time)
-	}
+	s := &openSim{p: p}
 
 	// Build the full schedule up front: per-agent streams from derived
 	// seeds, cache-hit draws from an independent derived stream.
@@ -291,67 +191,36 @@ func runOpenSim(p simParams) openLoopRow {
 	horizonSec := p.horizon.Seconds()
 	row := openLoopRow{
 		Mix:         p.mix,
-		SLO:         p.budget > 0,
 		Agents:      p.agents,
 		Seed:        p.seed,
 		Offered:     offered,
 		OfferedRPS:  float64(offered) / horizonSec,
 		AchievedRPS: float64(s.servedInHorizon) / horizonSec,
 		Served:      s.served,
-		Shed:        s.shed,
-		Degraded:    s.degraded,
-		BudgetMs:    float64(p.budget) / float64(time.Millisecond),
 	}
 	row.setLatencies(s.corrected, s.naive)
 	if row.OfferedRPS > 0 {
 		row.GapFraction = 1 - row.AchievedRPS/row.OfferedRPS
 	}
-	if s.ctl != nil {
-		st := s.ctl.Snapshot()
-		row.Degrades, row.Sheds, row.Recoveries = st.Degrades, st.Sheds, st.Recoveries
-	}
 	return row
 }
 
-// agentNext dispatches the agent's due arrivals in order until one is in
-// flight (the agent's single connection is busy) or none are due. Shed
-// requests finish instantly, so a backlog built up behind a stall can
-// drain several arrivals at one instant.
+// agentNext dispatches the agent's next arrival if it is due; the agent's
+// single connection is then busy until that request completes.
 func (s *openSim) agentNext(now time.Duration, a int) {
-	for s.nxt[a] < len(s.arr[a]) && s.arr[a][s.nxt[a]].intended <= now {
-		r := s.arr[a][s.nxt[a]]
+	s.bsy[a] = s.nxt[a] < len(s.arr[a]) && s.arr[a][s.nxt[a]].intended <= now
+	if s.bsy[a] {
+		s.dispatch(now, a, s.arr[a][s.nxt[a]])
 		s.nxt[a]++
-		if s.dispatch(now, a, r) {
-			s.bsy[a] = true
-			return
-		}
 	}
-	s.bsy[a] = false
 }
 
-// dispatch admits one request exactly as the /v2 handler does: cache hits
-// always serve, degraded mode swaps the planning cost, shed mode rejects
-// misses. Reports whether the request occupies the agent's connection.
-func (s *openSim) dispatch(now time.Duration, a int, r simArrival) bool {
-	mode := service.AdmitFull
-	if s.ctl != nil {
-		s.clk.now = now
-		mode = s.ctl.Admit(s.running + len(s.queue) - s.qhead)
-	}
-	var cost time.Duration
-	switch {
-	case r.hit:
+// dispatch starts one request on a free worker, or queues it behind the
+// busy ones.
+func (s *openSim) dispatch(now time.Duration, a int, r simArrival) {
+	cost := simFullCost
+	if r.hit {
 		cost = simHitCost
-	case mode == service.AdmitShed:
-		s.shed++
-		s.ctl.NoteShed(false)
-		return false
-	case mode == service.AdmitDegraded:
-		cost = simDegradedCost
-		s.degraded++
-		s.ctl.NoteDegraded()
-	default:
-		cost = simFullCost
 	}
 	if s.running < simWorkers {
 		s.running++
@@ -361,12 +230,11 @@ func (s *openSim) dispatch(now time.Duration, a int, r simArrival) bool {
 	} else {
 		s.queue = append(s.queue, simQueued{agent: a, intended: r.intended, dispatched: now, cost: cost})
 	}
-	return true
 }
 
-// complete retires one served request: record both latencies, feed the
-// controller, hand the worker to the queue head, and let the agent
-// dispatch its next due arrival.
+// complete retires one served request: record both latencies, hand the
+// worker to the queue head, and let the agent dispatch its next due
+// arrival.
 func (s *openSim) complete(e simComplete) {
 	s.served++
 	if e.at <= s.p.horizon {
@@ -374,10 +242,6 @@ func (s *openSim) complete(e simComplete) {
 	}
 	s.corrected = append(s.corrected, (e.at - e.intended).Seconds())
 	s.naive = append(s.naive, (e.at - e.dispatched).Seconds())
-	if s.ctl != nil {
-		s.clk.now = e.at
-		s.ctl.Observe(e.at - e.dispatched)
-	}
 	s.running--
 	if s.qhead < len(s.queue) {
 		q := s.queue[s.qhead]

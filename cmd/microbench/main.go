@@ -5,17 +5,11 @@
 // Usage:
 //
 //	microbench [-fig 5a|5b|6|all] [-scale N] [-json rows.json]
-//	           [-degraded BENCH_degraded.ci.json]
 //
 // scale divides the message size (1 for the paper's full 1-2 GB tensors).
-// With -degraded the figure benchmarks are skipped unless -fig is given
-// explicitly: it runs the degraded-topology scenario pack — the golden
-// boundary planned healthy and under every named fault scenario on
-// p3/dgx-a100/mixed, reporting makespan deltas.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -25,31 +19,10 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "", "which figure to run: 5a, 5b, 6, or all (default all, or none with -degraded)")
+	fig := flag.String("fig", "all", "which figure to run: 5a, 5b, 6, or all")
 	scale := flag.Int("scale", 1, "divide message sizes by this factor for faster runs")
 	jsonOut := flag.String("json", "", "also record all rows to this JSON file (artifact format)")
-	degradedOut := flag.String("degraded", "", "run the degraded-topology scenario pack and write it to this JSON file")
 	flag.Parse()
-
-	if *degradedOut != "" {
-		rows, err := harness.DegradedScenarioPack(context.Background())
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "microbench: degraded scenario pack: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(harness.RenderDegradedRows(rows))
-		fmt.Println()
-		if err := harness.WriteDegradedJSON(*degradedOut, rows); err != nil {
-			fmt.Fprintf(os.Stderr, "microbench: %v\n", err)
-			os.Exit(1)
-		}
-		if *fig == "" {
-			return
-		}
-	}
-	if *fig == "" {
-		*fig = "all"
-	}
 
 	var all []alpacomm.MicroRow
 	run := func(name string, f func(int) ([]alpacomm.MicroRow, error)) {

@@ -2,9 +2,7 @@ package harness
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 	"strings"
 
 	"alpacomm/internal/mesh"
@@ -15,9 +13,8 @@ import (
 
 // The degraded-topology scenario pack: the same stage boundary planned
 // healthy and under every named fault scenario on the three topology
-// presets, reporting how much each degradation costs. This is the
-// benchmark artifact (BENCH_degraded.ci.json: CI uploads it, nothing
-// commits or gates it) that makes replan-on-degrade observable: a
+// presets, reporting how much each degradation costs. It makes
+// replan-on-degrade observable (TestDegradedScenarioPack runs it): a
 // regression that stops re-planning — or lets degraded plans leak into the
 // healthy cache partition — shows up as a zero delta or a shared key.
 
@@ -207,14 +204,4 @@ func RenderDegradedRows(rows []DegradedScenarioRow) string {
 			r.Preset, r.Scenario, r.HealthyMakespan, r.DegradedMakespan, r.DeltaPct, r.Replanned)
 	}
 	return b.String()
-}
-
-// WriteDegradedJSON writes the pack rows as a JSON array (the
-// BENCH_degraded.ci.json artifact format).
-func WriteDegradedJSON(path string, rows []DegradedScenarioRow) error {
-	data, err := json.MarshalIndent(rows, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -93,12 +93,14 @@ func AsPeer(nodeID string) ClientOption {
 // InstallPlan inserts an externally obtained, already-verified plan into
 // the serving cache as a completed entry, pre-serializing the wire bodies
 // exactly like a local fill so later hits are byte-identical to locally
-// computed ones. It reports false when the key is already resident.
+// computed ones. It reports false when the key is already resident or the
+// plan cannot be serialized (and so could never be served).
 func (s *Server) InstallPlan(key string, plan *resharding.Plan, sim *resharding.SimResult, opts resharding.Options) bool {
-	if !s.cache.Install(key, plan, sim) {
+	enc, err := newEncodedPlan(plan, sim, opts, key)
+	if err != nil || !s.cache.Install(key, plan, sim) {
 		return false
 	}
-	s.cache.Attach(key, newEncodedPlan(plan, sim, opts, key))
+	s.cache.Attach(key, enc)
 	return true
 }
 
@@ -128,10 +130,10 @@ func (s *Server) ExportPlans() []ExportedPlan {
 	for _, e := range entries {
 		enc, _ := e.Attach.(*encodedPlan)
 		if enc == nil {
-			enc = newEncodedPlan(e.Plan, e.Sim, e.Plan.Opts, e.Key)
-		}
-		if enc == nil {
-			continue
+			var err error
+			if enc, err = newEncodedPlan(e.Plan, e.Sim, e.Plan.Opts, e.Key); err != nil {
+				continue
+			}
 		}
 		out = append(out, ExportedPlan{Key: e.Key, Frame: append([]byte(nil), enc.bin...)})
 	}

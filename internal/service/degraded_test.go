@@ -7,6 +7,8 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -20,24 +22,22 @@ import (
 
 // slowSLOConfig is the server-test controller config: a 10s budget keeps
 // real latencies irrelevant, the hour-long window and dwell freeze the
-// forced mode, and the depth thresholds are out of reach.
-func slowSLOConfig() SLOConfig {
-	return SLOConfig{
-		P99Budget:    10 * time.Second,
-		Window:       time.Hour,
-		MinSamples:   4,
-		Dwell:        time.Hour,
-		EvalEvery:    -1,
-		DegradeDepth: 1 << 20,
-		ShedDepth:    1 << 21,
+// forced mode, and the pool is New(Config{})'s, which these tests never
+// fill.
+func slowSLOConfig() sloTestConfig {
+	w, q := planPoolSize(0, 0)
+	return sloTestConfig{
+		budget:    10 * time.Second,
+		sloTiming: sloTiming{window: time.Hour, minSamples: 4, dwell: time.Hour, evalEvery: -1},
+		poolCap:   w + q,
 	}
 }
 
-func newSLOTestServer(t *testing.T, cfg SLOConfig) (*Client, *SLOController, *fakeClock, string) {
+func newSLOTestServer(t *testing.T, cfg sloTestConfig) (*Client, *SLOController, *fakeClock, string) {
 	t.Helper()
 	s := New(Config{})
 	clk := newFakeClock()
-	ctl := NewSLOController(cfg, clk.now)
+	ctl := cfg.controller(clk.now)
 	s.slo = ctl
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
@@ -214,8 +214,8 @@ func TestDegradedPartitionAndQuality(t *testing.T) {
 // degraded is re-planned at full quality under its original key.
 func TestDegradedRecoveryRestoresFullQuality(t *testing.T) {
 	cfg := slowSLOConfig()
-	cfg.Window = 100 * time.Millisecond
-	cfg.Dwell = 50 * time.Millisecond
+	cfg.window = 100 * time.Millisecond
+	cfg.dwell = 50 * time.Millisecond
 	client, ctl, clk, _ := newSLOTestServer(t, cfg)
 	ctx := context.Background()
 
@@ -252,7 +252,7 @@ func TestDegradedRecoveryRestoresFullQuality(t *testing.T) {
 func TestDegradedBinaryFlag(t *testing.T) {
 	s := New(Config{})
 	clk := newFakeClock()
-	ctl := NewSLOController(slowSLOConfig(), clk.now)
+	ctl := slowSLOConfig().controller(clk.now)
 	s.slo = ctl
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
@@ -280,10 +280,10 @@ func TestDegradedBinaryFlag(t *testing.T) {
 
 // TestPlanPoolRefusalIsAShed: with the controller on, a miss the plan pool
 // refuses is a shed like the controller's own — the 429 carries the
-// admission header and counts in admission.shed_requests — whether the
-// controller admitted it at full quality or degraded.
+// admission header and counts in admission.shed_requests — whichever mode
+// admitted it (a full pool degrades the controller on the first Admit).
 func TestPlanPoolRefusalIsAShed(t *testing.T) {
-	cfg := slowSLOConfig()
+	cfg := SLOConfig{P99Budget: slowSLOConfig().budget}
 	s := New(Config{PlanWorkers: 1, PlanQueue: 1, SLO: &cfg})
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
@@ -312,5 +312,125 @@ func TestPlanPoolRefusalIsAShed(t *testing.T) {
 	refused(testReq(3), 3, 1)
 	if st := s.slo.Snapshot(); st.DegradedServed != 0 {
 		t.Errorf("degraded_served = %d for a refused degraded miss, want 0", st.DegradedServed)
+	}
+}
+
+// TestIntakeRefusalIsAShed: with the controller on, a /v2/plan the intake
+// gate refuses is a shed like a pool or controller refusal — the 429
+// carries the admission header and counts in admission.shed_requests.
+func TestIntakeRefusalIsAShed(t *testing.T) {
+	cfg := SLOConfig{P99Budget: slowSLOConfig().budget}
+	s := New(Config{SLO: &cfg})
+	for i := 0; i < cap(s.intake.queue); i++ {
+		s.intake.queue <- struct{}{}
+	}
+	full := testReq(1)
+	full.Options.Quality = "full"
+	got := send(s, mustJSON(t, full), "")
+	if got.status != http.StatusTooManyRequests || got.admission != "shed" {
+		t.Fatalf("intake-refused request: status %d, %s %q; want 429 and shed", got.status, AdmissionHeader, got.admission)
+	}
+	if st := s.slo.Snapshot(); st.ShedRequests != 1 || st.FullQualityShed != 1 {
+		t.Errorf("shed_requests = %d, full_quality_shed = %d, want 1 and 1", st.ShedRequests, st.FullQualityShed)
+	}
+}
+
+// waitUntil polls cond until it holds, failing the test after 10s.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// holdWorker takes the plan pool's only worker slot, as a running
+// computation would; the returned func gives it back.
+func holdWorker(s *Server) (release func()) {
+	s.plan.queue <- struct{}{}
+	s.plan.slots <- struct{}{}
+	return s.plan.release
+}
+
+// TestHerdDoesNotDegradeBystanders: the controller reads pool tokens, not
+// requests. Forty identical cold requests arriving while the only worker
+// is busy coalesce onto one queued computation, so they neither degrade
+// nor shed anyone — themselves or a bystander with a different key.
+func TestHerdDoesNotDegradeBystanders(t *testing.T) {
+	cfg := SLOConfig{P99Budget: 10 * time.Second}
+	s := New(Config{PlanWorkers: 1, PlanQueue: 7, SLO: &cfg})
+	release := holdWorker(s)
+
+	const herd = 40
+	bystander := testReq(1)
+	bystander.Shape = []int{128, 96}
+	bodies := [][]byte{mustJSON(t, bystander)}
+	for i := 0; i < herd; i++ {
+		bodies = append(bodies, mustJSON(t, testReq(1)))
+	}
+	got := make([]served, len(bodies))
+	var wg sync.WaitGroup
+	var done atomic.Int64
+	for i, body := range bodies {
+		wg.Add(1)
+		go func(i int, body []byte) {
+			defer wg.Done()
+			got[i] = send(s, body, "")
+			done.Add(1)
+		}(i, body)
+	}
+	// Release the worker only once every request has been admitted (or,
+	// had any been refused, answered).
+	waitUntil(t, "every request to be admitted", func() bool {
+		return s.planC.inFlight.Load()+done.Load() == int64(len(bodies))
+	})
+	release()
+	wg.Wait()
+
+	for i, g := range got {
+		if g.status != http.StatusOK || g.admission != "" {
+			t.Errorf("request %d: status %d, %s %q; want 200 with no admission header", i, g.status, AdmissionHeader, g.admission)
+		}
+	}
+	if n := s.planC.missesProven.Load() + s.planC.missesSearched.Load(); n != 2 {
+		t.Errorf("%d computations, want 2: one for the herd, one for the bystander", n)
+	}
+	if st := s.slo.Snapshot(); st.Mode != "full" || st.Degrades != 0 || st.ShedRequests != 0 {
+		t.Errorf("controller mode %s, %d degrades, %d sheds; want full, 0, 0 (transitions %v)",
+			st.Mode, st.Degrades, st.ShedRequests, st.Transitions)
+	}
+}
+
+// TestBatchItemsFillThePoolTheControllerReads: batch items take plan-pool
+// tokens like /v2/plan misses, so a batch that fills the pool degrades the
+// next /v2/plan — which the full pool then refuses, as a shed.
+func TestBatchItemsFillThePoolTheControllerReads(t *testing.T) {
+	cfg := SLOConfig{P99Budget: 10 * time.Second}
+	s := New(Config{PlanWorkers: 1, PlanQueue: 1, SLO: &cfg})
+	release := holdWorker(s)
+
+	item := testReq(1)
+	batch := mustJSON(t, &BatchPlanRequest{Topology: item.Topology, Items: []BatchPlanItem{
+		{Shape: item.Shape, Src: item.Src, Dst: item.Dst, Options: item.Options},
+	}})
+	batchStatus := make(chan int, 1)
+	go func() {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v2/plan:batch", bytes.NewReader(batch)))
+		batchStatus <- rec.Code
+	}()
+	waitUntil(t, "the batch item to queue", func() bool { return len(s.plan.queue) == cap(s.plan.queue) })
+
+	got := send(s, mustJSON(t, testReq(2)), "")
+	if got.status != http.StatusTooManyRequests || got.admission != "shed" {
+		t.Errorf("/v2/plan behind a full pool: status %d, %s %q; want 429 and shed", got.status, AdmissionHeader, got.admission)
+	}
+	if mode := s.slo.Mode(); mode != AdmitDegraded {
+		t.Errorf("controller mode %v with batch items filling the pool, want degraded", mode)
+	}
+	release()
+	if code := <-batchStatus; code != http.StatusOK {
+		t.Errorf("batch: status %d, want 200", code)
 	}
 }

@@ -112,10 +112,12 @@ type encodedPlan struct {
 // newEncodedPlan renders both wire bodies for one cached plan. The
 // identity response is produced by encoding/json itself, so the
 // serialize-once bytes are exactly what the per-request encoder wrote
-// before this path existed. Returns nil only if the rendered JSON does not
-// contain the senders marker, which cannot happen for PlanResponse.
+// before this path existed. It fails only on a simulation encoding/json
+// refuses — a NaN or infinite float, which no real plan has (a makespan
+// is positive and EffectiveGbps is guarded by it); the request then
+// fails too, since these bodies are the only way a plan is served.
 func newEncodedPlan(plan *resharding.Plan, sim *resharding.SimResult,
-	opts resharding.Options, key string) *encodedPlan {
+	opts resharding.Options, key string) (*encodedPlan, error) {
 
 	task := plan.Task
 	n := len(task.Units)
@@ -144,23 +146,15 @@ func newEncodedPlan(plan *resharding.Plan, sim *resharding.SimResult,
 	}
 	full, err := json.Marshal(resp)
 	if err != nil {
-		return nil
-	}
-	marker := []byte(`"senders":[`)
-	i := bytes.Index(full, marker)
-	if i < 0 {
-		return nil
+		return nil, err
 	}
 	// The senders array holds only integers, so the first ']' after the
 	// marker closes it. The key string is the only free-form field and a
 	// cache key never contains a quote, so the marker cannot occur inside
-	// it.
-	start := i + len(marker)
-	end := bytes.IndexByte(full[start:], ']')
-	if end < 0 {
-		return nil
-	}
-	end += start
+	// it — and PlanResponse always renders it, so it is always found.
+	marker := []byte(`"senders":[`)
+	start := bytes.Index(full, marker) + len(marker)
+	end := start + bytes.IndexByte(full[start:], ']')
 
 	e := &encodedPlan{
 		task:      task,
@@ -171,7 +165,7 @@ func newEncodedPlan(plan *resharding.Plan, sim *resharding.SimResult,
 		jsonTail:  full[end : len(full)-1],
 	}
 	e.bin = appendPlanBinary(nil, &resp)
-	return e
+	return e, nil
 }
 
 // appendJSON appends the response body for one request — without the

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -205,7 +206,7 @@ func (r errorReader) Read([]byte) (int, error) {
 func TestMemoHitKeepsControllerAndHeaderParity(t *testing.T) {
 	s := New(Config{})
 	clk := &countingClock{clk: newFakeClock()}
-	ctl := NewSLOController(slowSLOConfig(), clk.now)
+	ctl := slowSLOConfig().controller(clk.now)
 	s.slo = ctl
 	body := mustJSON(t, testReq(1))
 
@@ -257,15 +258,26 @@ func TestMemoHitKeepsControllerAndHeaderParity(t *testing.T) {
 		t.Errorf("plan counters %+v, want %+v", got, want)
 	}
 
-	// The in-flight gauge is raised around a memoized hit as around any
-	// other: a controller that degrades at depth 1 sees it.
-	cfg := slowSLOConfig()
-	cfg.DegradeDepth = 1
-	s.slo = NewSLOController(cfg, newFakeClock().now)
-	if got := send(s, body, ""); got != warm {
-		t.Errorf("a memoized hit under a depth-1 controller: %+v, want the fill's answer", got)
+	// A hit holds no plan-pool token, so however many arrive at once on an
+	// idle pool the controller stays at full quality.
+	s.slo = slowSLOConfig().controller(newFakeClock().now)
+	concurrent := 4 * s.slo.poolCap
+	got := make([]served, concurrent)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = send(s, body, "")
+		}(i)
 	}
-	if got := s.slo.Mode(); got != AdmitDegraded {
-		t.Errorf("controller mode %v after a memoized hit at depth threshold 1: the gauge was not raised before Admit", got)
+	wg.Wait()
+	for i, g := range got {
+		if g != warm {
+			t.Errorf("concurrent memoized hit %d: %+v, want the fill's answer", i, g)
+		}
+	}
+	if st := s.slo.Snapshot(); st.Mode != "full" || st.Degrades != 0 {
+		t.Errorf("controller mode %s after %d concurrent memoized hits (%d degrades), want full", st.Mode, concurrent, st.Degrades)
 	}
 }

@@ -25,7 +25,9 @@
 //     decomposition, key rendering) runs under its own bounded intake
 //     gate, and every client-supplied effort parameter is capped, so no
 //     stage of a request runs with unbounded concurrency or unbounded
-//     cost.
+//     cost. With the SLO controller on, the plan pool's occupancy is the
+//     load it reads, and every /v2/plan 429 — controller, plan pool or
+//     intake gate — is reported as a shed.
 //
 // Endpoints:
 //
@@ -104,9 +106,10 @@ type Config struct {
 	// 0 = 1 second.
 	RetryAfter time.Duration
 	// SLO enables the SLO-aware admission controller on /v2/plan: the
-	// server observes served latencies and degrades (search-free plans)
-	// then sheds (structured overloaded) when the p99 budget is at risk.
-	// Nil — or a zero P99Budget — leaves only the fixed worker pools.
+	// server observes served latencies and the plan pool's occupancy, and
+	// degrades (search-free plans) when the pool is full or the p99 budget
+	// is at risk, then sheds (structured overloaded) past the budget. Nil
+	// — or a zero P99Budget — leaves only the fixed worker pools.
 	SLO *SLOConfig
 }
 
@@ -161,12 +164,7 @@ func New(cfg Config) *Server {
 	if cfg.AutotuneCache == nil {
 		cfg.AutotuneCache = resharding.NewLRUPlanCache(cfg.Cache.Capacity())
 	}
-	if cfg.PlanWorkers <= 0 {
-		cfg.PlanWorkers = defaultPlanWorkers()
-	}
-	if cfg.PlanQueue <= 0 {
-		cfg.PlanQueue = 4 * cfg.PlanWorkers
-	}
+	cfg.PlanWorkers, cfg.PlanQueue = planPoolSize(cfg.PlanWorkers, cfg.PlanQueue)
 	if cfg.AutotuneWorkers <= 0 {
 		cfg.AutotuneWorkers = runtime.GOMAXPROCS(0) / 2
 		if cfg.AutotuneWorkers < 1 {
@@ -210,7 +208,7 @@ func New(cfg Config) *Server {
 		mux:           http.NewServeMux(),
 	}
 	if cfg.SLO != nil && cfg.SLO.P99Budget > 0 {
-		s.slo = NewSLOController(cfg.SLO.withDefaults(cfg.PlanWorkers, cfg.PlanQueue), nil)
+		s.slo = newSLOController(*cfg.SLO, cap(s.plan.queue), defaultSLOTiming, nil)
 	}
 	s.mux.HandleFunc("/v2/plan", s.handlePlanV2)
 	s.mux.HandleFunc("/v2/autotune", s.handleAutotuneV2)
@@ -230,8 +228,17 @@ func (s *Server) Cache() *resharding.PlanCache { return s.cache }
 // searches.
 func (s *Server) AutotuneCache() *resharding.PlanCache { return s.autotuneCache }
 
-// defaultPlanWorkers is the plan-pool width when Config leaves it unset.
-func defaultPlanWorkers() int { return runtime.GOMAXPROCS(0) }
+// planPoolSize resolves Config's plan-pool fields, 0 meaning the default:
+// GOMAXPROCS workers and a queue four times as deep.
+func planPoolSize(workers, queue int) (int, int) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if queue <= 0 {
+		queue = 4 * workers
+	}
+	return workers, queue
+}
 
 // errOverloaded marks an admission rejection; mapped to 429.
 var errOverloaded = errors.New("service: worker pool and queue full")
@@ -242,8 +249,8 @@ var errSLOShed = errors.New("service: shedding load to protect the p99 SLO budge
 
 // AdmissionHeader reports the SLO controller's decision on /v2/plan
 // responses it affected: "degraded" on a response planned at degraded
-// quality, "shed" on a 429 it or (with the controller on) the plan pool
-// produced. Absent on full-quality responses.
+// quality, "shed" on every 429 while the controller is on — its own, the
+// plan pool's or the intake gate's. Absent on full-quality responses.
 const AdmissionHeader = "X-Alpacomm-Admission"
 
 // admission is one endpoint's worker pool: a caller first takes a queue
@@ -365,16 +372,6 @@ func (tc *topologyCache) get(reg *mesh.Registry, ref TopologyRef) (mesh.Topology
 // is on the body, not on the part of it the decoder consumes.
 const maxBodyBytes = 1 << 20
 
-// planned is one computed (plan, simulation) pair shared by every caller
-// of a canonical key, plus the pre-serialized wire bodies built at fill
-// time (nil only when serialization was impossible; callers then fall
-// back to per-request encoding).
-type planned struct {
-	plan *resharding.Plan
-	sim  *resharding.SimResult
-	enc  *encodedPlan
-}
-
 // computePlan serves one canonical planning problem: a completed cache
 // entry is returned before any admission (hits must stay cheap even when
 // the plan pool is saturated with slow cold requests); otherwise the
@@ -382,7 +379,8 @@ type planned struct {
 // caller's context — a cancelled caller abandons its queue slot, and a
 // cancelled waiter detaches without disturbing the flight. The flight leader
 // serializes the response bodies once and attaches them to the cache entry,
-// so every later hit writes pre-rendered bytes.
+// so every later hit writes pre-rendered bytes; a plan that cannot be
+// serialized fails the request instead of being served any other way.
 //
 // The leader drafts first (resharding.NewDraft: microseconds, no search). A
 // draft the closed-form candidates prove — nine misses in ten, every degraded
@@ -402,9 +400,9 @@ type planned struct {
 // the overlay changed nothing the scheduler scores, and plans cold otherwise
 // (Planner.PlanDraft); the plan served is the cold plan of cacheKey either
 // way, and fromTask nil plans cold.
-func (s *Server) computePlan(ctx context.Context, cacheKey string, task *sharding.Task, opts resharding.Options, wireReq *PlanRequest, forwarded bool, fromKey string, fromTask *sharding.Task) (*planned, bool, error) {
-	if p, ok := s.cachedPlan(cacheKey, opts); ok {
-		return &p, false, nil
+func (s *Server) computePlan(ctx context.Context, cacheKey string, task *sharding.Task, opts resharding.Options, wireReq *PlanRequest, forwarded bool, fromKey string, fromTask *sharding.Task) (*encodedPlan, bool, error) {
+	if enc, err := s.cachedPlan(cacheKey, opts); enc != nil || err != nil {
+		return enc, false, err
 	}
 	v, err, shared := s.flight.do(ctx, "plan|"+cacheKey, func() (interface{}, error) {
 		d, err := resharding.NewDraft(task, opts)
@@ -441,34 +439,40 @@ func (s *Server) computePlan(ctx context.Context, cacheKey string, task *shardin
 				return nil, err
 			}
 		}
-		enc := newEncodedPlan(plan, sim, opts, cacheKey)
+		enc, err := newEncodedPlan(plan, sim, opts, cacheKey)
+		if err != nil {
+			return nil, err
+		}
 		s.cache.Attach(cacheKey, enc)
 		if s.router != nil && wireReq != nil {
 			s.router.Record(cacheKey, wireReq)
 		}
-		return &planned{plan: plan, sim: sim, enc: enc}, nil
+		return enc, nil
 	})
 	if err != nil {
 		return nil, shared, err
 	}
-	return v.(*planned), shared, nil
+	return v.(*encodedPlan), shared, nil
 }
 
-// cachedPlan returns the completed cache entry for the key, ensuring its
-// pre-serialized sidecar exists. An entry without one predates this
-// server's fills (shared cache) or its attach raced an eviction; it is
+// cachedPlan returns the pre-serialized bodies of the key's completed cache
+// entry, or nil when the key is not cached. An entry without them predates
+// this server's fills (shared cache) or its attach raced an eviction; it is
 // serialized now so the next hit is free.
-func (s *Server) cachedPlan(cacheKey string, opts resharding.Options) (planned, bool) {
+func (s *Server) cachedPlan(cacheKey string, opts resharding.Options) (*encodedPlan, error) {
 	plan, sim, att, ok := s.cache.LookupKeyedAttachment(cacheKey)
 	if !ok {
-		return planned{}, false
+		return nil, nil
 	}
-	enc, _ := att.(*encodedPlan)
-	if enc == nil {
-		enc = newEncodedPlan(plan, sim, opts, cacheKey)
-		s.cache.Attach(cacheKey, enc)
+	if enc, _ := att.(*encodedPlan); enc != nil {
+		return enc, nil
 	}
-	return planned{plan: plan, sim: sim, enc: enc}, true
+	enc, err := newEncodedPlan(plan, sim, opts, cacheKey)
+	if err != nil {
+		return nil, err
+	}
+	s.cache.Attach(cacheKey, enc)
+	return enc, nil
 }
 
 // isPeerRequest reports whether the request came from another tier node
@@ -477,35 +481,16 @@ func isPeerRequest(r *http.Request) bool { return r.Header.Get(PeerHeader) != ""
 
 // servePlan writes one plan response from the entry's pre-serialized
 // bodies: a pooled buffer, the fill-time bytes, and at most the coalesced
-// flag and the translated sender section patched — no marshaling. The
-// fallback (enc nil) renders per request exactly as the service did before
-// serialize-once fills.
+// flag and the translated sender section patched — no marshaling.
 //
 //alpacomm:hotpath
-func (s *Server) servePlan(w http.ResponseWriter, c *endpointCounters, p *planned,
-	task *sharding.Task, opts resharding.Options, cacheKey string, shared, binary bool) {
-
-	if p.enc == nil {
-		resp := s.planResponse(p.plan, p.sim, task, opts, cacheKey, shared)
-		if binary {
-			buf := getBuf()
-			b := appendPlanBinary((*buf)[:0], &resp)
-			*buf = b
-			c.ok.Add(1)
-			writeBinary(w, http.StatusOK, b)
-			putBuf(buf)
-			return
-		}
-		//alpacomm:allow hotalloc fallback without a pre-serialized plan; encoding/json boxes inherently
-		s.ok(w, c, resp)
-		return
-	}
+func servePlan(w http.ResponseWriter, c *endpointCounters, enc *encodedPlan, task *sharding.Task, shared, binary bool) {
 	buf := getBuf()
 	var b []byte
 	if binary {
-		b = p.enc.appendBinary((*buf)[:0], task, shared)
+		b = enc.appendBinary((*buf)[:0], task, shared)
 	} else {
-		b = append(p.enc.appendJSON((*buf)[:0], task, shared), '\n')
+		b = append(enc.appendJSON((*buf)[:0], task, shared), '\n')
 	}
 	*buf = b
 	c.ok.Add(1)
@@ -530,51 +515,6 @@ func writeBinary(w http.ResponseWriter, status int, frame []byte) {
 // format.
 func wantsBinary(r *http.Request) bool {
 	return strings.Contains(r.Header.Get("Accept"), ContentTypeBinary)
-}
-
-// planResponse renders a plan for one request. It is built per request,
-// not inside the flight: on a translated cache hit (or a coalesced flight
-// joined with congruent but differently-placed meshes) the shared plan's
-// devices belong to the first task planned under the key and must be
-// remapped into this request's meshes.
-func (s *Server) planResponse(plan *resharding.Plan, sim *resharding.SimResult,
-	task *sharding.Task, opts resharding.Options, cacheKey string, shared bool) PlanResponse {
-	return PlanResponse{
-		Strategy:        opts.Strategy.String(),
-		Scheduler:       opts.Scheduler.String(),
-		NumUnits:        len(task.Units),
-		Senders:         remapSenders(plan, task),
-		Order:           plan.Order,
-		MakespanSeconds: sim.Makespan,
-		EffectiveGbps:   sim.EffectiveGbps,
-		NumOps:          sim.NumOps,
-		Key:             cacheKey,
-		Degraded:        opts.Scheduler == resharding.SchedDegraded,
-		Coalesced:       shared,
-	}
-}
-
-// remapSenders translates a (possibly cached) plan's sender devices into
-// the requesting task's source mesh. Tasks sharing a cache key have
-// congruent meshes — same shape, same host-relative layout — so the
-// sender for unit i is the device at the same logical mesh position. When
-// the plan was computed for this very task, the mapping is the identity.
-func remapSenders(plan *resharding.Plan, task *sharding.Task) []int {
-	senders := make([]int, len(task.Units))
-	if plan.Task == task {
-		for i := range senders {
-			senders[i] = plan.SenderOf[i]
-		}
-		return senders
-	}
-	pos := make(map[int]int, len(plan.Task.Src.Mesh.Devices))
-	for idx, d := range plan.Task.Src.Mesh.Devices {
-		pos[d] = idx
-	}
-	for i := range senders {
-		senders[i] = task.Src.Mesh.Devices[pos[plan.SenderOf[i]]]
-	}
-	return senders
 }
 
 // computeAutotune serves one canonical grid search, coalesced with

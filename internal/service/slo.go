@@ -10,14 +10,16 @@ import (
 // they know nothing about latency, so under a saturating open-loop arrival
 // rate the queue in front of them grows until every response is late. The
 // SLOController closes that loop: it watches a sliding window of served
-// latencies plus the instantaneous queue depth and decides, per request,
+// latencies plus the plan pool's occupancy and decides, per request,
 // whether the server can still afford full-quality planning.
 //
 // The controller is a three-state machine with hysteresis:
 //
 //	full ──p99 ≥ sloDegradeAt·budget──▶ degraded ──p99 ≥ sloShedAt·budget──▶ shed
+//	     ──or the pool is full────────▶
 //	  ◀──p99 < sloRecoverAt·budget──       ◀──p99 < sloDegradeAt·budget──
-//	       (after Dwell)                     (after Dwell)
+//	     and the pool not full               (after the dwell)
+//	     (after the dwell)
 //
 //   - degraded: /v2/plan misses are planned with the search-free
 //     resharding.SchedDegraded ensemble instead of the ensemble DFS —
@@ -31,14 +33,16 @@ import (
 //     microseconds and shedding it would protect nothing.
 //
 // Escalation (full→degraded→shed) acts immediately, one level per
-// evaluation; de-escalation additionally requires Dwell of residence in
-// the current state, so a p99 estimate oscillating around a threshold
-// cannot flap the mode. Queue depth is the fast path: a burst fills the
-// pool long before its latencies are observable, so depth thresholds
-// escalate even while the latency window still looks healthy.
+// evaluation; de-escalation additionally requires the dwell in the current
+// state, so a p99 estimate oscillating around a threshold cannot flap the
+// mode. Pool occupancy is the fast path: a burst fills the pool long
+// before its latencies are observable. Occupancy counts the pool's tokens
+// (computations queued or running), not requests: a herd coalesces onto
+// one token and a hit takes none. No occupancy sheds: a full pool refuses
+// the miss itself, and the handler reports that refusal as a shed.
 //
 // The clock is injected (NewSLOController's now). Every decision is a pure
-// function of (config, observed samples, clock), which is what makes the
+// function of (budget, samples, occupancy, clock), which is what makes the
 // degrade→shed→recover sequence unit-testable without sleeps or wall time.
 
 // SLOConfig configures the admission controller. The zero value disables
@@ -47,48 +51,19 @@ type SLOConfig struct {
 	// P99Budget is the corrected-p99 latency target the server defends.
 	// Required: 0 disables the controller.
 	P99Budget time.Duration
-	// Window is the sliding window over which p99 is estimated; default 2s.
-	Window time.Duration
-	// MinSamples is the minimum window population before latency thresholds
-	// act (queue-depth thresholds always act); default 32.
-	MinSamples int
-	// Dwell is the minimum residence time in a state before de-escalating;
-	// default 500ms.
-	Dwell time.Duration
-	// EvalEvery throttles the p99 re-estimate (the sort); default 10ms.
-	// Negative re-evaluates on every Admit — deterministic tests use this.
-	EvalEvery time.Duration
-	// DegradeDepth escalates full→degraded when the in-flight count reaches
-	// it; default plan workers + queue (the pool is saturated).
-	DegradeDepth int
-	// ShedDepth escalates degraded→shed at this in-flight count; default
-	// 4x DegradeDepth.
-	ShedDepth int
 }
 
-// withDefaults fills unset fields; depth defaults derive from the plan
-// pool's size.
-func (c SLOConfig) withDefaults(planWorkers, planQueue int) SLOConfig {
-	if c.Window <= 0 {
-		c.Window = 2 * time.Second
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 32
-	}
-	if c.Dwell <= 0 {
-		c.Dwell = 500 * time.Millisecond
-	}
-	if c.EvalEvery == 0 {
-		c.EvalEvery = 10 * time.Millisecond
-	}
-	if c.DegradeDepth <= 0 {
-		c.DegradeDepth = planWorkers + planQueue
-	}
-	if c.ShedDepth <= 0 {
-		c.ShedDepth = 4 * c.DegradeDepth
-	}
-	return c
+// sloTiming is the controller's timing: constants, not knobs, like the
+// thresholds below; package tests shorten them through newSLOController.
+type sloTiming struct {
+	window     time.Duration // the sliding window p99 is estimated over
+	minSamples int           // window population before latency acts
+	dwell      time.Duration // residence in a state before de-escalating
+	evalEvery  time.Duration // p99 re-estimate throttle; < 0: every Admit
 }
+
+var defaultSLOTiming = sloTiming{window: 2 * time.Second, minSamples: 32,
+	dwell: 500 * time.Millisecond, evalEvery: 10 * time.Millisecond}
 
 // AdmissionMode is the controller's decision for one request.
 type AdmissionMode int
@@ -148,7 +123,7 @@ const maxSLOSamples = 4096
 
 // The latency thresholds, as fractions of P99Budget: full→degraded at
 // sloDegradeAt, degraded→shed at sloShedAt, degraded→full below
-// sloRecoverAt (after Dwell). The gap between sloRecoverAt and
+// sloRecoverAt (after the dwell). The gap between sloRecoverAt and
 // sloDegradeAt is the hysteresis band. Constants, not knobs: no caller
 // ever set them, and ROADMAP 3(c) is to fit them from live traces.
 const (
@@ -167,10 +142,14 @@ type latSample struct {
 
 // SLOController is the admission controller. Safe for concurrent use. All
 // methods are non-blocking; Admit's cost is a mutex plus, at most every
-// EvalEvery, one sort of the window.
+// 10ms, one sort of the window.
 type SLOController struct {
 	cfg SLOConfig
-	now func() time.Time
+	// poolCap is the plan pool's capacity (workers + queue): the occupancy
+	// at which the pool refuses, and so the one that degrades.
+	poolCap int
+	timing  sloTiming
+	now     func() time.Time
 
 	mu             sync.Mutex
 	start          time.Time
@@ -189,18 +168,23 @@ type SLOController struct {
 	transitions                                   []string
 }
 
-// NewSLOController builds a controller; now nil means the wall clock.
-// Depth defaults (when unset) derive from GOMAXPROCS-shaped pools; New
-// passes the server's actual pool sizes instead.
+// NewSLOController builds a controller; now nil means the wall clock. It
+// degrades at the capacity of the plan pool a zero Config gets; New builds
+// the server's own controller on the pool it actually made.
 func NewSLOController(cfg SLOConfig, now func() time.Time) *SLOController {
+	w, q := planPoolSize(0, 0)
+	return newSLOController(cfg, w+q, defaultSLOTiming, now)
+}
+
+func newSLOController(cfg SLOConfig, poolCap int, timing sloTiming, now func() time.Time) *SLOController {
 	if now == nil {
 		now = time.Now
 	}
-	w := defaultPlanWorkers()
-	cfg = cfg.withDefaults(w, 4*w)
 	t := now()
 	return &SLOController{
 		cfg:            cfg,
+		poolCap:        poolCap,
+		timing:         timing,
 		now:            now,
 		start:          t,
 		lastTransition: t,
@@ -223,11 +207,12 @@ func (c *SLOController) Observe(lat time.Duration) {
 }
 
 // Admit evaluates the state machine against the current clock, window and
-// queue depth, and returns the mode the request should be served under.
-func (c *SLOController) Admit(depth int) AdmissionMode {
+// plan-pool occupancy (tokens queued or running), and returns the mode the
+// request should be served under.
+func (c *SLOController) Admit(occupancy int) AdmissionMode {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.evaluate(c.now(), depth)
+	c.evaluate(c.now(), occupancy)
 	return c.mode
 }
 
@@ -276,11 +261,11 @@ func (c *SLOController) Snapshot() AdmissionStats {
 }
 
 // evaluate advances the state machine. Escalations act on the spot (one
-// level per evaluation); de-escalations require Dwell of residence plus a
-// p99 safely inside the next state's band — the hysteresis that keeps an
+// level per evaluation); de-escalations require the dwell plus a p99
+// safely inside the next state's band — the hysteresis that keeps an
 // estimate hovering at a threshold from flapping the mode. Caller holds mu.
-func (c *SLOController) evaluate(now time.Time, depth int) {
-	if !c.evaluated || c.cfg.EvalEvery < 0 || now.Sub(c.lastEval) >= c.cfg.EvalEvery {
+func (c *SLOController) evaluate(now time.Time, occupancy int) {
+	if !c.evaluated || c.timing.evalEvery < 0 || now.Sub(c.lastEval) >= c.timing.evalEvery {
 		c.p99, c.windowN = c.windowP99(now)
 		c.lastEval = now
 		c.evaluated = true
@@ -288,22 +273,23 @@ func (c *SLOController) evaluate(now time.Time, depth int) {
 	degradeUp := scaleDuration(c.cfg.P99Budget, sloDegradeAt)
 	shedUp := scaleDuration(c.cfg.P99Budget, sloShedAt)
 	recoverDown := scaleDuration(c.cfg.P99Budget, sloRecoverAt)
-	latencyKnown := c.windowN >= c.cfg.MinSamples
-	dwelt := now.Sub(c.lastTransition) >= c.cfg.Dwell
+	latencyKnown := c.windowN >= c.timing.minSamples
+	dwelt := now.Sub(c.lastTransition) >= c.timing.dwell
+	poolFull := occupancy >= c.poolCap
 	switch c.mode {
 	case AdmitFull:
-		if (latencyKnown && c.p99 >= degradeUp) || depth >= c.cfg.DegradeDepth {
+		if (latencyKnown && c.p99 >= degradeUp) || poolFull {
 			c.transition(AdmitDegraded, now)
 		}
 	case AdmitDegraded:
 		switch {
-		case (latencyKnown && c.p99 >= shedUp) || depth >= c.cfg.ShedDepth:
+		case latencyKnown && c.p99 >= shedUp:
 			c.transition(AdmitShed, now)
-		case dwelt && c.p99 < recoverDown && depth < c.cfg.DegradeDepth:
+		case dwelt && c.p99 < recoverDown && !poolFull:
 			c.transition(AdmitFull, now)
 		}
 	case AdmitShed:
-		if dwelt && c.p99 < degradeUp && depth < c.cfg.ShedDepth {
+		if dwelt && c.p99 < degradeUp {
 			c.transition(AdmitDegraded, now)
 		}
 	}
@@ -334,7 +320,7 @@ func (c *SLOController) transition(to AdmissionMode, now time.Time) {
 // windowP99 estimates the nearest-rank p99 over the samples inside the
 // window. Caller holds mu.
 func (c *SLOController) windowP99(now time.Time) (time.Duration, int) {
-	cutoff := now.Add(-c.cfg.Window)
+	cutoff := now.Add(-c.timing.window)
 	c.scratch = c.scratch[:0]
 	for k := 0; k < c.count; k++ {
 		s := &c.ring[(c.head+k)%maxSLOSamples]

@@ -33,18 +33,27 @@ func (c *fakeClock) advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
+// sloTestConfig is a controller test's settings: the budget, the timing
+// the package tests shorten, and the plan pool's capacity.
+type sloTestConfig struct {
+	budget time.Duration
+	sloTiming
+	poolCap int
+}
+
+// controller builds the configured controller on the given clock.
+func (c sloTestConfig) controller(now func() time.Time) *SLOController {
+	return newSLOController(SLOConfig{P99Budget: c.budget}, c.poolCap, c.sloTiming, now)
+}
+
 // testSLOConfig is the base config of the controller tests: thresholds at
-// 75/100/50ms of a 100ms budget, latency-only triggers (depths out of
-// reach), and evaluation on every Admit.
-func testSLOConfig() SLOConfig {
-	return SLOConfig{
-		P99Budget:    100 * time.Millisecond,
-		Window:       150 * time.Millisecond,
-		MinSamples:   4,
-		Dwell:        100 * time.Millisecond,
-		EvalEvery:    -1,
-		DegradeDepth: 1000,
-		ShedDepth:    2000,
+// 75/100/50ms of a 100ms budget, a 150ms window, a 100ms dwell,
+// evaluation on every Admit, and a pool of 8 tokens.
+func testSLOConfig() sloTestConfig {
+	return sloTestConfig{
+		budget:    100 * time.Millisecond,
+		sloTiming: sloTiming{window: 150 * time.Millisecond, minSamples: 4, dwell: 100 * time.Millisecond, evalEvery: -1},
+		poolCap:   8,
 	}
 }
 
@@ -58,7 +67,7 @@ func observeN(ctl *SLOController, n int, lat time.Duration) {
 // the exact degrade→shed→recover sequence, timestamps included.
 func TestSLOTransitionSequence(t *testing.T) {
 	clk := newFakeClock()
-	ctl := NewSLOController(testSLOConfig(), clk.now)
+	ctl := testSLOConfig().controller(clk.now)
 
 	// Healthy baseline: p99 10ms, mode full.
 	observeN(ctl, 4, 10*time.Millisecond)
@@ -117,9 +126,9 @@ func TestSLOTransitionSequence(t *testing.T) {
 // holds the degraded state through many evaluations — no flapping.
 func TestSLOHysteresisNoFlap(t *testing.T) {
 	cfg := testSLOConfig()
-	cfg.Window = time.Second
+	cfg.window = time.Second
 	clk := newFakeClock()
-	ctl := NewSLOController(cfg, clk.now)
+	ctl := cfg.controller(clk.now)
 
 	// Just under the threshold: 74ms < 75ms, stays full however often the
 	// controller evaluates.
@@ -166,9 +175,9 @@ func TestSLOHysteresisNoFlap(t *testing.T) {
 // the degraded state for Dwell.
 func TestSLODwellBlocksRecovery(t *testing.T) {
 	cfg := testSLOConfig()
-	cfg.Window = 30 * time.Millisecond
+	cfg.window = 30 * time.Millisecond
 	clk := newFakeClock()
-	ctl := NewSLOController(cfg, clk.now)
+	ctl := cfg.controller(clk.now)
 
 	observeN(ctl, 10, 200*time.Millisecond)
 	if mode := ctl.Admit(0); mode != AdmitDegraded {
@@ -188,42 +197,56 @@ func TestSLODwellBlocksRecovery(t *testing.T) {
 	}
 }
 
-// TestSLOQueueDepthEscalates pins the depth triggers: a queue burst
-// escalates before any latency sample exists, one level per evaluation.
+// TestSLOQueueDepthEscalates pins the occupancy trigger: a full plan pool
+// degrades before any latency sample exists, no occupancy sheds (a full
+// pool refuses the miss itself), and recovery needs both the dwell and a
+// pool below capacity.
 func TestSLOQueueDepthEscalates(t *testing.T) {
 	cfg := testSLOConfig()
-	cfg.DegradeDepth = 8
-	cfg.ShedDepth = 32
 	clk := newFakeClock()
-	ctl := NewSLOController(cfg, clk.now)
+	ctl := cfg.controller(clk.now)
 
-	if mode := ctl.Admit(7); mode != AdmitFull {
-		t.Fatalf("Admit(7) = %v, want full", mode)
+	if mode := ctl.Admit(cfg.poolCap - 1); mode != AdmitFull {
+		t.Fatalf("Admit(cap-1) = %v, want full", mode)
 	}
-	if mode := ctl.Admit(8); mode != AdmitDegraded {
-		t.Fatalf("Admit(8) = %v, want degraded", mode)
+	if mode := ctl.Admit(cfg.poolCap); mode != AdmitDegraded {
+		t.Fatalf("Admit(cap) = %v, want degraded", mode)
 	}
-	if mode := ctl.Admit(40); mode != AdmitShed {
-		t.Fatalf("Admit(40) = %v, want shed", mode)
-	}
-
-	// Escalation moves one level per evaluation even under an extreme
-	// burst: a fresh controller needs two Admits to reach shed.
-	ctl2 := NewSLOController(cfg, clk.now)
-	if mode := ctl2.Admit(1000); mode != AdmitDegraded {
-		t.Fatalf("fresh Admit(1000) = %v, want degraded (one level per eval)", mode)
-	}
-	if mode := ctl2.Admit(1000); mode != AdmitShed {
-		t.Fatalf("second Admit(1000) = %v, want shed", mode)
+	for _, occ := range []int{cfg.poolCap, 4 * cfg.poolCap, 1 << 20} {
+		if mode := ctl.Admit(occ); mode != AdmitDegraded {
+			t.Fatalf("Admit(%d) = %v, want degraded: occupancy never sheds", occ, mode)
+		}
 	}
 
-	// Depth drains: recover one level per dwell.
-	clk.advance(150 * time.Millisecond)
+	// Before the dwell, a drained pool does not recover.
+	clk.advance(cfg.dwell / 2)
 	if mode := ctl.Admit(0); mode != AdmitDegraded {
-		t.Fatalf("drained Admit(0) = %v, want degraded", mode)
+		t.Fatalf("drained Admit(0) before the dwell = %v, want degraded", mode)
 	}
-	clk.advance(150 * time.Millisecond)
-	if mode := ctl.Admit(0); mode != AdmitFull {
-		t.Fatalf("drained second Admit(0) = %v, want full", mode)
+	// After it, a pool still at capacity does not either...
+	clk.advance(cfg.dwell)
+	if mode := ctl.Admit(cfg.poolCap); mode != AdmitDegraded {
+		t.Fatalf("Admit(cap) after the dwell = %v, want degraded", mode)
+	}
+	// ...and one below capacity does.
+	if mode := ctl.Admit(cfg.poolCap - 1); mode != AdmitFull {
+		t.Fatalf("Admit(cap-1) after the dwell = %v, want full", mode)
+	}
+	want := []string{"full→degraded@0ms", "degraded→full@150ms"}
+	if got := ctl.Snapshot().Transitions; !reflect.DeepEqual(got, want) {
+		t.Fatalf("transition log = %v, want %v", got, want)
+	}
+}
+
+// TestNewSLOControllerDegradesAtDefaultPool: a controller built outside a
+// server degrades at the capacity of the plan pool a zero Config gets.
+func TestNewSLOControllerDegradesAtDefaultPool(t *testing.T) {
+	defaultCap := cap(New(Config{}).plan.queue)
+	ctl := NewSLOController(SLOConfig{P99Budget: time.Hour}, newFakeClock().now)
+	if mode := ctl.Admit(defaultCap - 1); mode != AdmitFull {
+		t.Fatalf("Admit(%d) = %v, want full", defaultCap-1, mode)
+	}
+	if mode := ctl.Admit(defaultCap); mode != AdmitDegraded {
+		t.Fatalf("Admit(%d) = %v, want degraded", defaultCap, mode)
 	}
 }

@@ -196,6 +196,21 @@ func (s *Server) failV2(ctx context.Context, w http.ResponseWriter, c *endpointC
 	s.writeV2Error(w, status, ve, bin)
 }
 
+// failPlan is failV2 for /v2/plan. With the controller on, every 429 is a
+// shed, whoever refused — the controller, the plan pool or the intake gate:
+// it carries the admission header and counts in shed_requests, so "why was
+// this refused" has one answer. fullOnly marks a client that required full
+// quality.
+func (s *Server) failPlan(ctx context.Context, w http.ResponseWriter, err error, fullOnly, bin bool) {
+	if s.slo != nil {
+		if status, _ := s.v2Error(ctx, err); status == http.StatusTooManyRequests {
+			w.Header().Set(AdmissionHeader, "shed")
+			s.slo.NoteShed(fullOnly)
+		}
+	}
+	s.failV2(ctx, w, &s.planC, err, bin)
+}
+
 // writeV2Error renders one envelope in the request's negotiated format.
 func (s *Server) writeV2Error(w http.ResponseWriter, status int, ve V2Error, bin bool) {
 	if !bin {
@@ -283,7 +298,8 @@ func getBody(w http.ResponseWriter, r *http.Request, buf *[]byte) ([]byte, error
 // reports whether it answered; false means nothing was written, and the
 // caller decodes the same bytes: the memo holds parses, never decoded
 // requests, because a body whose plan is gone is about to pay for a fill
-// the decode is a few percent of.
+// the decode is a few percent of. (An entry that cannot be serialized is
+// left to that path too, which fails the request.)
 //
 //alpacomm:hotpath
 func (s *Server) serveMemoized(w http.ResponseWriter, r *http.Request, body []byte, bin bool, start time.Time) bool {
@@ -295,15 +311,15 @@ func (s *Server) serveMemoized(w http.ResponseWriter, r *http.Request, body []by
 		s.failV2(r.Context(), w, &s.planC, err, bin)
 		return true
 	}
-	p, ok := s.cachedPlan(pr.key, pr.opts)
-	if !ok {
+	enc, _ := s.cachedPlan(pr.key, pr.opts)
+	if enc == nil {
 		return false
 	}
 	s.planC.inFlight.Add(1)
 	if s.slo != nil {
-		s.slo.Admit(int(s.planC.inFlight.Load()))
+		s.slo.Admit(len(s.plan.queue))
 	}
-	s.servePlan(w, &s.planC, &p, pr.task, pr.opts, pr.key, false, bin)
+	servePlan(w, &s.planC, enc, pr.task, false, bin)
 	if s.slo != nil {
 		s.slo.Observe(time.Since(start))
 	}
@@ -356,10 +372,11 @@ func (s *Server) handlePlanV2(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancel()
+	fullOnly := qualityRequiresFull(req.Options.Quality)
 	task, opts, cacheKey, err := s.parseTask(ctx,
 		req.Topology, req.Faults, req.Shape, req.DType, req.Src, req.Dst, req.Options)
 	if err != nil {
-		s.failV2(ctx, w, &s.planC, err, bin)
+		s.failPlan(ctx, w, err, fullOnly, bin)
 		return
 	}
 	if req.Faults == nil {
@@ -384,40 +401,40 @@ func (s *Server) handlePlanV2(w http.ResponseWriter, r *http.Request) {
 	s.planC.inFlight.Add(1)
 	defer s.planC.inFlight.Add(-1)
 
-	// SLO admission. A full-quality cache hit is served whatever the mode
-	// — it costs microseconds and shedding it protects nothing. On a miss,
-	// degraded mode rewrites the request to the search-free scheduler
-	// (partitioned under its own cache key, never proxied to a peer, never
-	// given a twin — its planning is already cheap), and shed mode rejects
-	// with the structured overloaded envelope, after trying the
-	// already-cached degraded entry for clients that accept one. A client
-	// that required full quality ("quality":"full") is never answered with
-	// a degraded plan: it gets the full-quality hit or the rejection.
+	// SLO admission, on the plan pool's occupancy: the tokens of
+	// computations queued or running, not requests — a coalesced waiter or
+	// a cache hit holds none. A full-quality cache hit is served whatever
+	// the mode — it costs microseconds and shedding it protects nothing.
+	// On a miss, degraded mode rewrites the request to the search-free
+	// scheduler (partitioned under its own cache key, never proxied to a
+	// peer, never given a twin — its planning is already cheap), and shed
+	// mode rejects with the structured overloaded envelope, after trying
+	// the already-cached degraded entry for clients that accept one. A
+	// client that required full quality ("quality":"full") is never
+	// answered with a degraded plan: it gets the full-quality hit or the
+	// rejection.
 	wireReq, forwarded := &req, isPeerRequest(r)
 	degraded := false
 	if s.slo != nil {
-		if mode := s.slo.Admit(int(s.planC.inFlight.Load())); mode != AdmitFull {
-			fullOnly := qualityRequiresFull(req.Options.Quality)
-			if p, ok := s.cachedPlan(cacheKey, opts); ok {
-				s.servePlan(w, &s.planC, &p, task, opts, cacheKey, false, bin)
+		if mode := s.slo.Admit(len(s.plan.queue)); mode != AdmitFull {
+			enc, err := s.cachedPlan(cacheKey, opts)
+			if enc == nil && err == nil && !fullOnly && mode == AdmitShed {
+				dOpts := degradeOptions(opts)
+				if enc, err = s.cachedPlan(resharding.CacheKey(task, dOpts), dOpts); enc != nil {
+					w.Header().Set(AdmissionHeader, "degraded")
+					s.slo.NoteDegraded()
+				}
+			}
+			switch {
+			case err != nil:
+				s.failPlan(ctx, w, err, fullOnly, bin)
+				return
+			case enc != nil:
+				servePlan(w, &s.planC, enc, task, false, bin)
 				s.slo.Observe(time.Since(start))
 				return
-			}
-			if fullOnly || mode == AdmitShed {
-				if !fullOnly {
-					dOpts := degradeOptions(opts)
-					dKey := resharding.CacheKey(task, dOpts)
-					if p, ok := s.cachedPlan(dKey, dOpts); ok {
-						w.Header().Set(AdmissionHeader, "degraded")
-						s.slo.NoteDegraded()
-						s.servePlan(w, &s.planC, &p, task, dOpts, dKey, false, bin)
-						s.slo.Observe(time.Since(start))
-						return
-					}
-				}
-				w.Header().Set(AdmissionHeader, "shed")
-				s.slo.NoteShed(fullOnly)
-				s.failV2(ctx, w, &s.planC, errSLOShed, bin)
+			case fullOnly || mode == AdmitShed:
+				s.failPlan(ctx, w, errSLOShed, fullOnly, bin)
 				return
 			}
 			opts = degradeOptions(opts)
@@ -427,15 +444,9 @@ func (s *Server) handlePlanV2(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	p, shared, err := s.computePlan(ctx, cacheKey, task, opts, wireReq, forwarded, fromKey, fromTask)
+	enc, shared, err := s.computePlan(ctx, cacheKey, task, opts, wireReq, forwarded, fromKey, fromTask)
 	if err != nil {
-		// A miss the plan pool refused is a shed like the controller's own:
-		// same header, same counter, whatever mode admitted it.
-		if s.slo != nil && errors.Is(err, errOverloaded) {
-			w.Header().Set(AdmissionHeader, "shed")
-			s.slo.NoteShed(qualityRequiresFull(req.Options.Quality))
-		}
-		s.failV2(ctx, w, &s.planC, err, bin)
+		s.failPlan(ctx, w, err, fullOnly, bin)
 		return
 	}
 	if shared {
@@ -445,7 +456,7 @@ func (s *Server) handlePlanV2(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(AdmissionHeader, "degraded")
 		s.slo.NoteDegraded()
 	}
-	s.servePlan(w, &s.planC, p, task, opts, cacheKey, shared, bin)
+	servePlan(w, &s.planC, enc, task, shared, bin)
 	if s.slo != nil {
 		s.slo.Observe(time.Since(start))
 	}
@@ -611,7 +622,7 @@ func (s *Server) handlePlanBatch(w http.ResponseWriter, r *http.Request) {
 			order = append(order, items[i].key)
 		}
 	}
-	classes := make(map[string]*planned, len(order))
+	classes := make(map[string]*encodedPlan, len(order))
 	classShared := make(map[string]bool, len(order))
 	classErrs := map[string]error{}
 	coalesced := 0
@@ -636,7 +647,7 @@ func (s *Server) handlePlanBatch(w http.ResponseWriter, r *http.Request) {
 				Shape: it.Shape, DType: it.DType,
 				Src: it.Src, Dst: it.Dst, Options: it.Options,
 			}
-			p, shared, err := s.computePlan(ctx, key, items[li].task, items[li].opts, itemReq, forwarded, "", nil)
+			enc, shared, err := s.computePlan(ctx, key, items[li].task, items[li].opts, itemReq, forwarded, "", nil)
 			mu.Lock()
 			defer mu.Unlock()
 			switch {
@@ -645,7 +656,7 @@ func (s *Server) handlePlanBatch(w http.ResponseWriter, r *http.Request) {
 					coalesced++
 					classShared[key] = true
 				}
-				classes[key] = p
+				classes[key] = enc
 			case errors.Is(err, errOverloaded) || ctx.Err() != nil:
 				// Admission overflow, or the batch's own deadline/client is
 				// gone: the whole request fails retryably.
@@ -708,31 +719,17 @@ func (s *Server) handlePlanBatch(w http.ResponseWriter, r *http.Request) {
 			b = append(b, '}')
 			continue
 		}
-		p := classes[items[i].key]
+		enc := classes[items[i].key]
 		shared := classShared[items[i].key]
 		// Render per item: congruent items on different hosts each need
 		// the shared plan's senders remapped into their own meshes.
 		if bin {
 			b = append(b, 0)
-			if p.enc != nil {
-				b = p.enc.appendBinary(b, items[i].task, shared)
-			} else {
-				pr := s.planResponse(p.plan, p.sim, items[i].task, items[i].opts, items[i].key, shared)
-				b = appendPlanBinary(b, &pr)
-			}
+			b = enc.appendBinary(b, items[i].task, shared)
 			continue
 		}
 		b = append(b, `{"plan":`...)
-		if p.enc != nil {
-			b = p.enc.appendJSON(b, items[i].task, shared)
-		} else {
-			pr := s.planResponse(p.plan, p.sim, items[i].task, items[i].opts, items[i].key, shared)
-			pb, err := json.Marshal(&pr)
-			if err != nil {
-				pb = []byte(`null`)
-			}
-			b = append(b, pb...)
-		}
+		b = enc.appendJSON(b, items[i].task, shared)
 		b = append(b, '}')
 	}
 	if !bin {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"net/http"
 	"reflect"
 	"testing"
@@ -183,6 +184,51 @@ func directTaskAt(t *testing.T, hosts, srcOff, dstOff int, seed int64) (*shardin
 	return task, opts
 }
 
+// planResponse is the reference rendering of a plan for one request, built
+// per request the way the service did before serialize-once fills: on a
+// translated cache hit (or a coalesced flight joined with congruent but
+// differently-placed meshes) the shared plan's devices belong to the first
+// task planned under the key and are remapped into this request's meshes.
+func planResponse(plan *resharding.Plan, sim *resharding.SimResult,
+	task *sharding.Task, opts resharding.Options, cacheKey string, shared bool) PlanResponse {
+	return PlanResponse{
+		Strategy:        opts.Strategy.String(),
+		Scheduler:       opts.Scheduler.String(),
+		NumUnits:        len(task.Units),
+		Senders:         remapSenders(plan, task),
+		Order:           plan.Order,
+		MakespanSeconds: sim.Makespan,
+		EffectiveGbps:   sim.EffectiveGbps,
+		NumOps:          sim.NumOps,
+		Key:             cacheKey,
+		Degraded:        opts.Scheduler == resharding.SchedDegraded,
+		Coalesced:       shared,
+	}
+}
+
+// remapSenders translates a (possibly cached) plan's sender devices into
+// the requesting task's source mesh. Tasks sharing a cache key have
+// congruent meshes — same shape, same host-relative layout — so the
+// sender for unit i is the device at the same logical mesh position. When
+// the plan was computed for this very task, the mapping is the identity.
+func remapSenders(plan *resharding.Plan, task *sharding.Task) []int {
+	senders := make([]int, len(task.Units))
+	if plan.Task == task {
+		for i := range senders {
+			senders[i] = plan.SenderOf[i]
+		}
+		return senders
+	}
+	pos := make(map[int]int, len(plan.Task.Src.Mesh.Devices))
+	for idx, d := range plan.Task.Src.Mesh.Devices {
+		pos[d] = idx
+	}
+	for i := range senders {
+		senders[i] = task.Src.Mesh.Devices[pos[plan.SenderOf[i]]]
+	}
+	return senders
+}
+
 // TestServedBodiesMatchPerRequestEncoding pins the serialize-once
 // invariant: the segment-assembled bodies the hit path writes are
 // byte-identical to encoding the per-request response struct — across the
@@ -196,12 +242,16 @@ func TestServedBodiesMatchPerRequestEncoding(t *testing.T) {
 	}
 
 	s := New(Config{})
-	p, shared, err := s.computePlan(context.Background(), key, task, opts, nil, false, "", nil)
+	enc, shared, err := s.computePlan(context.Background(), key, task, opts, nil, false, "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if shared || p.enc == nil {
-		t.Fatalf("fill: shared=%v enc=%v", shared, p.enc)
+	if shared || enc == nil {
+		t.Fatalf("fill: shared=%v enc=%v", shared, enc)
+	}
+	plan, sim, _, ok := s.cache.LookupKeyedAttachment(key)
+	if !ok {
+		t.Fatal("fill left no cache entry")
 	}
 
 	for _, tc := range []struct {
@@ -214,17 +264,51 @@ func TestServedBodiesMatchPerRequestEncoding(t *testing.T) {
 		{"translated", transTask, false},
 		{"translated coalesced", transTask, true},
 	} {
-		resp := s.planResponse(p.plan, p.sim, tc.task, opts, key, tc.shared)
+		resp := planResponse(plan, sim, tc.task, opts, key, tc.shared)
 		wantJSON, err := json.Marshal(resp)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := p.enc.appendJSON(nil, tc.task, tc.shared); !bytes.Equal(got, wantJSON) {
+		if got := enc.appendJSON(nil, tc.task, tc.shared); !bytes.Equal(got, wantJSON) {
 			t.Errorf("%s json:\n got %s\nwant %s", tc.name, got, wantJSON)
 		}
 		wantBin := appendPlanBinary(nil, &resp)
-		if got := p.enc.appendBinary(nil, tc.task, tc.shared); !bytes.Equal(got, wantBin) {
+		if got := enc.appendBinary(nil, tc.task, tc.shared); !bytes.Equal(got, wantBin) {
 			t.Errorf("%s binary: served frame differs from per-request frame", tc.name)
+		}
+	}
+}
+
+// TestEncodedPlanRejectsNaN: a simulation encoding/json cannot render is an
+// error at fill time, not a plan served some other way.
+func TestEncodedPlanRejectsNaN(t *testing.T) {
+	task, opts := directTaskAt(t, 4, 0, 4, 7)
+	plan, err := resharding.NewPlan(task, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := &resharding.SimResult{Makespan: math.NaN()}
+	key := resharding.CacheKey(task, opts)
+	if enc, err := newEncodedPlan(plan, sim, opts, key); err == nil || enc != nil {
+		t.Fatalf("NaN makespan: enc=%v err=%v, want an error", enc, err)
+	}
+
+	// Cached without its bodies, the entry fails the request that finds it
+	// with the ordinary envelope.
+	s := New(Config{})
+	s.cache.Install(key, plan, sim)
+	req := &PlanRequest{
+		Topology: TopologyRef{Name: "p3", Hosts: 4},
+		Shape:    []int{64, 96},
+		Src:      Endpoint{Mesh: "2x2@0", Spec: "S01R"},
+		Dst:      Endpoint{Mesh: "2x2@4", Spec: "S0R"},
+		Options:  PlanOptions{Seed: 7},
+	}
+	for i := 0; i < 2; i++ {
+		got := send(s, mustJSON(t, req), "")
+		var env V2ErrorEnvelope
+		if err := json.Unmarshal([]byte(got.body), &env); err != nil || got.status != http.StatusUnprocessableEntity || env.Error.Code != CodeUnplannable {
+			t.Errorf("send %d of a request whose cached plan cannot be encoded: %d %s, want 422 %s", i, got.status, got.body, CodeUnplannable)
 		}
 	}
 }
