@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test lint lint-fix fmt bench-smoke bench-test
+.PHONY: build test lint lint-fix fmt bench-smoke bench-test smoke
 
 build:
 	$(GO) build ./...
@@ -35,3 +35,11 @@ bench-smoke:
 # pass held to BENCHMARK.json, the seed-1 golden).
 bench-test:
 	cd bench && $(GO) test ./...
+
+# smoke runs CI's three plan-service load smokes: the closed loop with
+# batches, fault overlays and the churn timeline; the binary wire format;
+# and bursty open arrivals against an SLO server.
+smoke:
+	$(GO) run ./cmd/loadgen -smoke -batch -faults -churn -clients 64 -requests 40 -spread 4 -json BENCH_service.ci.json
+	$(GO) run ./cmd/loadgen -smoke -wire binary -clients 64 -requests 40 -spread 4
+	$(GO) run ./cmd/loadgen -smoke -arrivals bursty -rate 1200 -clients 60 -duration 2s

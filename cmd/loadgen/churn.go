@@ -35,13 +35,15 @@ type churnResult struct {
 	delta resharding.ReplanStats
 }
 
-// churnTemplate returns the fixed boundary churn traffic replans: p3 on 4
-// hosts, wide enough that the registry timelines (which down the 0-1
-// link) leave detour routes.
+// churnTemplate returns the fixed boundary churn traffic replans: 256 units
+// on 8 p3 hosts, wide enough that the registry timelines (which down the 0-1
+// link) leave detour routes. Its drafts must search, healthy or faulted:
+// only such a miss is handed its fault-free twin, so a boundary the
+// closed-form candidates prove would never replan warm.
 func churnTemplate() template {
-	return template{name: "p3-churn", topology: service.TopologyRef{Name: "p3", Hosts: 4},
-		shape: []int{512, 512},
-		src:   service.Endpoint{Mesh: "2x4@0", Spec: "S01R"}, dst: service.Endpoint{Mesh: "2x4@8", Spec: "S0R"}}
+	return template{name: "p3-churn", topology: service.TopologyRef{Name: "p3", Hosts: 8},
+		shape: []int{128, 128, 8},
+		src:   service.Endpoint{Mesh: "4x4@0", Spec: "RS01R"}, dst: service.Endpoint{Mesh: "4x4@16", Spec: "S01RR"}}
 }
 
 // faultsRefOf converts a validated mesh overlay to its wire form — the

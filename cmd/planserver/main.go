@@ -83,8 +83,8 @@ func main() {
 	addr := flag.String("addr", ":8100", "listen address")
 	capacity := flag.Int("cache-capacity", alpacomm.DefaultPlanCacheCapacity,
 		"plan cache LRU capacity (0 = unbounded)")
-	planWorkers := flag.Int("plan-workers", 0, "plan worker pool size, shared by /v2/plan and /v2/plan:batch (0 = GOMAXPROCS)")
-	planQueue := flag.Int("plan-queue", 0, "plan wait-queue depth (0 = 4x workers)")
+	planWorkers := flag.Int("plan-workers", 0, "search pool size: concurrent /v2/plan and /v2/plan:batch misses whose draft must search (0 = GOMAXPROCS)")
+	planQueue := flag.Int("plan-queue", 0, "search pool wait-queue depth (0 = 4x workers)")
 	autotuneWorkers := flag.Int("autotune-workers", 0, "/v2/autotune worker pool size (0 = GOMAXPROCS/2)")
 	autotuneQueue := flag.Int("autotune-queue", 0, "/v2/autotune wait-queue depth (0 = 2x workers)")
 	retryAfter := flag.Duration("retry-after", time.Second, "backoff hint on 429 responses")

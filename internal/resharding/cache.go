@@ -113,7 +113,7 @@ func (c *PlanCache) Capacity() int { return c.capacity }
 // already resident keep whatever simulation they were filled with.
 func (c *PlanCache) SetSimulateNoTrace(on bool) { c.noTrace.Store(on) }
 
-// SimulateNoTrace reports whether new entries are simulated trace-free.
+// SimulatesNoTrace reports whether new entries are simulated trace-free.
 func (c *PlanCache) SimulatesNoTrace() bool { return c.noTrace.Load() }
 
 // Attach associates an opaque sidecar value with the completed entry for

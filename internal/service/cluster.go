@@ -108,7 +108,7 @@ func (s *Server) InstallPlan(key string, plan *resharding.Plan, sim *resharding.
 // options and canonical cache key — the same bounded parse the handlers
 // run, exposed for snapshot replay and cluster routing.
 func (s *Server) ParsePlanRequest(ctx context.Context, req *PlanRequest) (*sharding.Task, resharding.Options, string, error) {
-	return s.parseTask(ctx, req.Topology, req.Faults, req.Shape, req.DType, req.Src, req.Dst, req.Options)
+	return s.parseTask(ctx, s.intake, req.Topology, req.Faults, req.Shape, req.DType, req.Src, req.Dst, req.Options)
 }
 
 // ExportedPlan is one cache entry in snapshot form: the canonical key plus

@@ -11,6 +11,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"alpacomm/internal/resharding"
 )
 
 // Server-level admission tests: degraded responses are flagged on the
@@ -83,7 +85,7 @@ func TestDegradedPartitionAndQuality(t *testing.T) {
 	ctx := context.Background()
 
 	// Healthy baseline: full-quality plan, no degraded flag.
-	respFull, err := client.PlanV2(ctx, testReq(1))
+	respFull, err := client.PlanV2(ctx, searchedReq(t, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +97,7 @@ func TestDegradedPartitionAndQuality(t *testing.T) {
 
 	// A miss in degraded mode is planned by the search-free scheduler,
 	// flagged, and keyed apart from every full-quality entry.
-	respD, err := client.PlanV2(ctx, testReq(2))
+	respD, err := client.PlanV2(ctx, searchedReq(t, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +113,7 @@ func TestDegradedPartitionAndQuality(t *testing.T) {
 
 	// Degraded fills normalize the search knobs away: another seed of the
 	// same boundary lands on the same degraded key.
-	respD2, err := client.PlanV2(ctx, testReq(3))
+	respD2, err := client.PlanV2(ctx, searchedReq(t, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,13 +124,13 @@ func TestDegradedPartitionAndQuality(t *testing.T) {
 
 	// The wire surfaces the decision: admission header on a degraded
 	// response.
-	raw := rawPlanV2(t, url, testReq(2))
+	raw := rawPlanV2(t, url, searchedReq(t, 2))
 	if got := raw.Header.Get(AdmissionHeader); got != "degraded" {
 		t.Fatalf("%s = %q on degraded response, want degraded", AdmissionHeader, got)
 	}
 
 	// A full-quality cache hit is served untouched whatever the mode.
-	hit, err := client.PlanV2(ctx, testReq(1))
+	hit, err := client.PlanV2(ctx, searchedReq(t, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +141,7 @@ func TestDegradedPartitionAndQuality(t *testing.T) {
 
 	// A client that requires full quality is never answered degraded: an
 	// uncached boundary is shed...
-	reqFullQ := testReq(4)
+	reqFullQ := searchedReq(t, 4)
 	reqFullQ.Options.Quality = "full"
 	var oe *OverloadedError
 	if _, err := client.PlanV2(ctx, reqFullQ); !errors.As(err, &oe) {
@@ -147,7 +149,7 @@ func TestDegradedPartitionAndQuality(t *testing.T) {
 	}
 
 	// ...but its cached full-quality entry is still served.
-	reqFullQ1 := testReq(1)
+	reqFullQ1 := searchedReq(t, 1)
 	reqFullQ1.Options.Quality = "full"
 	hitFullQ, err := client.PlanV2(ctx, reqFullQ1)
 	if err != nil {
@@ -161,7 +163,7 @@ func TestDegradedPartitionAndQuality(t *testing.T) {
 	// Shed mode: cached degraded plans still flow to clients that accept
 	// them...
 	forceMode(t, ctl, AdmitShed, 11*time.Second)
-	shedHit, err := client.PlanV2(ctx, testReq(5))
+	shedHit, err := client.PlanV2(ctx, searchedReq(t, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,8 +174,9 @@ func TestDegradedPartitionAndQuality(t *testing.T) {
 
 	// ...while a boundary cached nowhere is rejected with the structured
 	// overloaded envelope and a Retry-After.
-	fresh := testReq(6)
-	fresh.Shape = []int{128, 96}
+	fresh := searchedReq(t, 6)
+	fresh.Shape = []int{128, 128, 16}
+	mustSearch(t, fresh)
 	if _, err := client.PlanV2(ctx, fresh); !errors.As(err, &oe) {
 		t.Fatalf("shed-mode miss: err = %v, want OverloadedError", err)
 	}
@@ -220,7 +223,7 @@ func TestDegradedRecoveryRestoresFullQuality(t *testing.T) {
 	ctx := context.Background()
 
 	forceMode(t, ctl, AdmitDegraded, 8*time.Second)
-	respD, err := client.PlanV2(ctx, testReq(7))
+	respD, err := client.PlanV2(ctx, searchedReq(t, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +234,7 @@ func TestDegradedRecoveryRestoresFullQuality(t *testing.T) {
 	// The scripted samples age out of the 100ms window and the dwell
 	// passes: the next request recovers to full and plans at full quality.
 	clk.advance(time.Second)
-	respF, err := client.PlanV2(ctx, testReq(7))
+	respF, err := client.PlanV2(ctx, searchedReq(t, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,11 +264,11 @@ func TestDegradedBinaryFlag(t *testing.T) {
 	ctx := context.Background()
 
 	forceMode(t, ctl, AdmitDegraded, 8*time.Second)
-	respJSON, err := jsonClient.PlanV2(ctx, testReq(8))
+	respJSON, err := jsonClient.PlanV2(ctx, searchedReq(t, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	respBin, err := binClient.PlanV2(ctx, testReq(8))
+	respBin, err := binClient.PlanV2(ctx, searchedReq(t, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,13 +281,17 @@ func TestDegradedBinaryFlag(t *testing.T) {
 	}
 }
 
-// TestPlanPoolRefusalIsAShed: with the controller on, a miss the plan pool
+// TestPlanPoolRefusalIsAShed: with the controller on, a search the plan pool
 // refuses is a shed like the controller's own — the 429 carries the
-// admission header and counts in admission.shed_requests — whichever mode
-// admitted it (a full pool degrades the controller on the first Admit).
+// admission header and counts in admission.shed_requests. A controller on
+// this very pool goes degraded on the first Admit that sees it full, so the
+// refusal is staged with one that degrades at the default pool's larger
+// capacity, as when the pool fills between Admit and the search. Once
+// degraded, a miss is planned search-free and takes no pool token, so the
+// full pool serves it.
 func TestPlanPoolRefusalIsAShed(t *testing.T) {
-	cfg := SLOConfig{P99Budget: slowSLOConfig().budget}
-	s := New(Config{PlanWorkers: 1, PlanQueue: 1, SLO: &cfg})
+	s := New(Config{PlanWorkers: 1, PlanQueue: 1})
+	s.slo = slowSLOConfig().controller(newFakeClock().now)
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
 	for i := 0; i < cap(s.plan.queue); i++ {
@@ -304,20 +311,25 @@ func TestPlanPoolRefusalIsAShed(t *testing.T) {
 				st.ShedRequests, st.FullQualityShed, wantShed, wantFullShed)
 		}
 	}
-	refused(testReq(1), 1, 0)
-	full := testReq(2)
+	refused(searchedReq(t, 1), 1, 0)
+	full := searchedReq(t, 2)
 	full.Options.Quality = "full"
 	refused(full, 2, 1)
 	forceMode(t, s.slo, AdmitDegraded, 8*time.Second)
-	refused(testReq(3), 3, 1)
-	if st := s.slo.Snapshot(); st.DegradedServed != 0 {
-		t.Errorf("degraded_served = %d for a refused degraded miss, want 0", st.DegradedServed)
+	if resp := rawPlanV2(t, ts.URL, searchedReq(t, 3)); resp.StatusCode != http.StatusOK || resp.Header.Get(AdmissionHeader) != "degraded" {
+		t.Errorf("degraded miss behind a full pool: status %d, %s %q; want 200 and degraded",
+			resp.StatusCode, AdmissionHeader, resp.Header.Get(AdmissionHeader))
+	}
+	if st := s.slo.Snapshot(); st.DegradedServed != 1 || st.ShedRequests != 2 {
+		t.Errorf("degraded_served = %d, shed_requests = %d, want 1 and 2", st.DegradedServed, st.ShedRequests)
 	}
 }
 
 // TestIntakeRefusalIsAShed: with the controller on, a /v2/plan the intake
 // gate refuses is a shed like a pool or controller refusal — the 429
-// carries the admission header and counts in admission.shed_requests.
+// carries the admission header and counts in admission.shed_requests. The
+// gate refuses before the body is decoded, so a client's "quality":"full"
+// is not known there and the shed is not counted as a full-quality one.
 func TestIntakeRefusalIsAShed(t *testing.T) {
 	cfg := SLOConfig{P99Budget: slowSLOConfig().budget}
 	s := New(Config{SLO: &cfg})
@@ -330,8 +342,8 @@ func TestIntakeRefusalIsAShed(t *testing.T) {
 	if got.status != http.StatusTooManyRequests || got.admission != "shed" {
 		t.Fatalf("intake-refused request: status %d, %s %q; want 429 and shed", got.status, AdmissionHeader, got.admission)
 	}
-	if st := s.slo.Snapshot(); st.ShedRequests != 1 || st.FullQualityShed != 1 {
-		t.Errorf("shed_requests = %d, full_quality_shed = %d, want 1 and 1", st.ShedRequests, st.FullQualityShed)
+	if st := s.slo.Snapshot(); st.ShedRequests != 1 || st.FullQualityShed != 0 {
+		t.Errorf("shed_requests = %d, full_quality_shed = %d, want 1 and 0", st.ShedRequests, st.FullQualityShed)
 	}
 }
 
@@ -363,11 +375,11 @@ func TestHerdDoesNotDegradeBystanders(t *testing.T) {
 	release := holdWorker(s)
 
 	const herd = 40
-	bystander := testReq(1)
-	bystander.Shape = []int{128, 96}
+	bystander := searchedReq(t, 2)
 	bodies := [][]byte{mustJSON(t, bystander)}
+	member := mustJSON(t, searchedReq(t, 1))
 	for i := 0; i < herd; i++ {
-		bodies = append(bodies, mustJSON(t, testReq(1)))
+		bodies = append(bodies, member)
 	}
 	got := make([]served, len(bodies))
 	var wg sync.WaitGroup
@@ -402,15 +414,16 @@ func TestHerdDoesNotDegradeBystanders(t *testing.T) {
 	}
 }
 
-// TestBatchItemsFillThePoolTheControllerReads: batch items take plan-pool
-// tokens like /v2/plan misses, so a batch that fills the pool degrades the
-// next /v2/plan — which the full pool then refuses, as a shed.
+// TestBatchItemsFillThePoolTheControllerReads: batch items that must search
+// take plan-pool tokens like /v2/plan searches, so a batch that fills the
+// pool degrades the next /v2/plan search — which is then planned
+// search-free, without the pool.
 func TestBatchItemsFillThePoolTheControllerReads(t *testing.T) {
 	cfg := SLOConfig{P99Budget: 10 * time.Second}
 	s := New(Config{PlanWorkers: 1, PlanQueue: 1, SLO: &cfg})
 	release := holdWorker(s)
 
-	item := testReq(1)
+	item := searchedReq(t, 1)
 	batch := mustJSON(t, &BatchPlanRequest{Topology: item.Topology, Items: []BatchPlanItem{
 		{Shape: item.Shape, Src: item.Src, Dst: item.Dst, Options: item.Options},
 	}})
@@ -422,9 +435,9 @@ func TestBatchItemsFillThePoolTheControllerReads(t *testing.T) {
 	}()
 	waitUntil(t, "the batch item to queue", func() bool { return len(s.plan.queue) == cap(s.plan.queue) })
 
-	got := send(s, mustJSON(t, testReq(2)), "")
-	if got.status != http.StatusTooManyRequests || got.admission != "shed" {
-		t.Errorf("/v2/plan behind a full pool: status %d, %s %q; want 429 and shed", got.status, AdmissionHeader, got.admission)
+	got := send(s, mustJSON(t, searchedReq(t, 2)), "")
+	if got.status != http.StatusOK || got.admission != "degraded" {
+		t.Errorf("/v2/plan behind a full pool: status %d, %s %q; want 200 and degraded", got.status, AdmissionHeader, got.admission)
 	}
 	if mode := s.slo.Mode(); mode != AdmitDegraded {
 		t.Errorf("controller mode %v with batch items filling the pool, want degraded", mode)
@@ -432,5 +445,83 @@ func TestBatchItemsFillThePoolTheControllerReads(t *testing.T) {
 	release()
 	if code := <-batchStatus; code != http.StatusOK {
 		t.Errorf("batch: status %d, want 200", code)
+	}
+}
+
+// TestProvenMissSkipsPoolAndVerdict: a miss whose draft the closed-form
+// candidates prove is finished in phase one. It takes no plan-pool token,
+// so a full pool serves it; the controller's verdict is not applied to it,
+// so degraded and shed mode serve it at full quality — "quality":"full"
+// included — without a header and without planning a degraded twin; a
+// faulted one parses no fault-free twin; and forty identical ones behind
+// the full pool cost one computation.
+func TestProvenMissSkipsPoolAndVerdict(t *testing.T) {
+	s := New(Config{PlanWorkers: 1, PlanQueue: 1})
+	s.slo = slowSLOConfig().controller(newFakeClock().now)
+	for i := 0; i < cap(s.plan.queue); i++ {
+		s.plan.queue <- struct{}{}
+	}
+	full := func(what string, req *PlanRequest) {
+		t.Helper()
+		got := send(s, mustJSON(t, req), "")
+		var resp PlanResponse
+		if err := json.Unmarshal([]byte(got.body), &resp); err != nil || got.status != http.StatusOK || got.admission != "" || resp.Degraded {
+			t.Errorf("proven miss %s: status %d, %s %q, degraded %v; want 200, no header, full quality: %s",
+				what, got.status, AdmissionHeader, got.admission, resp.Degraded, got.body)
+		}
+	}
+	full("behind a full pool", testReq(1))
+	forceMode(t, s.slo, AdmitDegraded, 8*time.Second)
+	full("in degraded mode", testReq(2))
+	fullOnly := testReq(3)
+	fullOnly.Options.Quality = "full"
+	full(`with "quality":"full" in degraded mode`, fullOnly)
+	forceMode(t, s.slo, AdmitShed, 11*time.Second)
+	full("in shed mode", testReq(4))
+
+	memoFields := func() int {
+		s.reqMemo.mu.RLock()
+		defer s.reqMemo.mu.RUnlock()
+		return len(s.reqMemo.fields)
+	}
+	fields, replans := memoFields(), s.planner.ReplanStats()
+	full("with a fault overlay", faultyReq(5, stragglerFaults))
+	if memoFields() != fields || s.planner.ReplanStats() != replans {
+		t.Errorf("a faulted proven miss parsed its fault-free twin: fields memo %d -> %d, replan %+v -> %+v",
+			fields, memoFields(), replans, s.planner.ReplanStats())
+	}
+
+	task, opts, _, err := s.ParsePlanRequest(context.Background(), testReq(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dOpts := degradeOptions(opts)
+	if _, _, ok := s.cache.LookupKeyed(resharding.CacheKey(task, dOpts)); ok {
+		t.Error("a proven miss in degraded mode planned a greedy-degraded entry")
+	}
+	if st := s.slo.Snapshot(); st.DegradedServed != 0 || st.ShedRequests != 0 {
+		t.Errorf("degraded_served = %d, shed_requests = %d, want 0 and 0", st.DegradedServed, st.ShedRequests)
+	}
+
+	const herd = 40
+	before := s.planC.missesProven.Load() + s.planC.missesSearched.Load()
+	body := mustJSON(t, testReq(6))
+	got := make([]served, herd)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = send(s, body, "")
+		}(i)
+	}
+	wg.Wait()
+	for i, g := range got {
+		if g.status != http.StatusOK {
+			t.Errorf("proven herd request %d: status %d: %s", i, g.status, g.body)
+		}
+	}
+	if n := s.planC.missesProven.Load() + s.planC.missesSearched.Load() - before; n != 1 {
+		t.Errorf("a proven herd of %d cost %d computations, want 1", herd, n)
 	}
 }

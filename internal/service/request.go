@@ -213,12 +213,12 @@ type StatsResponse struct {
 	Autotune      EndpointStats `json:"autotune"`
 	Batch         EndpointStats `json:"batch"`
 	Topologies    []string      `json:"topologies"`
-	// Replan counts how degraded-request fills were served by the session
-	// planner: identity reuse of a cached fault-free twin, cold-ensemble
-	// replans of a changed instance (warm_search), invalid rebinds, and cold
-	// fills with no incumbent; warm_rejected stays 0. (Repeat requests for
-	// an already-cached overlay are served from the plan cache before
-	// reaching the planner, so they show up in Cache.Hits, not here.)
+	// Replan counts how faulted-request fills that had to search were
+	// served by the session planner: identity reuse of a cached fault-free
+	// twin, cold-ensemble replans of a changed instance (warm_search),
+	// invalid rebinds, and cold fills with no incumbent; warm_rejected stays
+	// 0. (A fill the draft proves gets no twin, and a repeat request for an
+	// already-cached overlay is a plan-cache hit: neither shows up here.)
 	Replan resharding.ReplanStats `json:"replan"`
 	// Cluster is the per-node tier block — identity, ring share, routing
 	// and verified-fill counters; nil on a standalone server.
@@ -281,23 +281,9 @@ func buildTopology(reg *mesh.Registry, topoCache *topologyCache, ref TopologyRef
 	return topo, nil
 }
 
-// buildTask resolves the request's topology against the registry, applies
-// the optional fault overlay, and decomposes the resharding. The returned
-// options have the service's deterministic defaults applied.
-func buildTask(reg *mesh.Registry, topoCache *topologyCache, ref TopologyRef, faults *FaultsRef,
-	shape []int, dtype string, src, dst Endpoint, po PlanOptions) (*sharding.Task, resharding.Options, error) {
-
-	topo, err := buildTopology(reg, topoCache, ref, faults)
-	if err != nil {
-		var zero resharding.Options
-		return nil, zero, err
-	}
-	return buildTaskOn(topo, shape, dtype, src, dst, po)
-}
-
-// buildTaskOn decomposes one resharding on an already-resolved topology;
-// batch requests resolve their shared (topology, faults) pair once and
-// call this per item.
+// buildTaskOn decomposes one resharding on an already-resolved topology
+// and normalizes its options (NormalizedOptions); batch requests resolve
+// their shared (topology, faults) pair once and call this per item.
 func buildTaskOn(topo mesh.Topology,
 	shape []int, dtype string, src, dst Endpoint, po PlanOptions) (*sharding.Task, resharding.Options, error) {
 
@@ -330,7 +316,7 @@ func buildTaskOn(topo mesh.Topology,
 	if err != nil {
 		return nil, zero, err
 	}
-	opts, err := planOptions(po)
+	opts, err := NormalizedOptions(po)
 	if err != nil {
 		return nil, zero, err
 	}
@@ -357,15 +343,6 @@ const (
 // Verifiers comparing served plans against the direct resharding path must
 // plan with these options, not hand-built ones.
 func NormalizedOptions(po PlanOptions) (resharding.Options, error) {
-	opts, err := planOptions(po)
-	if err != nil {
-		return opts, err
-	}
-	return opts.WithDefaults(), nil
-}
-
-// planOptions converts wire options, forcing the deterministic node budget.
-func planOptions(po PlanOptions) (resharding.Options, error) {
 	var opts resharding.Options
 	var err error
 	if opts.Strategy, err = resharding.ParseStrategy(po.Strategy); err != nil {
@@ -393,7 +370,7 @@ func planOptions(po PlanOptions) (resharding.Options, error) {
 	if opts.DFSNodes == 0 {
 		opts.DFSNodes = resharding.DefaultAutotuneDFSNodes
 	}
-	return opts, nil
+	return opts.WithDefaults(), nil
 }
 
 // ParseDType accepts the tensor String() names ("fp16"/"fp32"/"fp64") and

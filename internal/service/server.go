@@ -16,17 +16,18 @@
 //     eviction, so memory stays flat under millions of distinct requests
 //     while the hot working set stays resident.
 //
-//   - Admission control with backpressure: each endpoint runs its
-//     requests on a bounded worker pool with a bounded wait queue.
-//     Overflow is rejected immediately with 429 and a Retry-After header.
-//     Plan and autotune have separate pools, so a burst of grid searches
-//     (one autotune = 20 planning passes) cannot starve cheap cached
-//     lookups. Request parsing itself (topology construction, task
-//     decomposition, key rendering) runs under its own bounded intake
-//     gate, and every client-supplied effort parameter is capped, so no
-//     stage of a request runs with unbounded concurrency or unbounded
-//     cost. With the SLO controller on, the plan pool's occupancy is the
-//     load it reads, and every /v2/plan 429 — controller, plan pool or
+//   - Admission control with backpressure: searches and grid searches run
+//     on bounded worker pools with bounded wait queues. Overflow is
+//     rejected immediately with 429 and a Retry-After header. Plan and
+//     autotune have separate pools, so a burst of grid searches (one
+//     autotune = 20 planning passes) cannot starve cheap cached lookups.
+//     Everything else a miss does — decoding, parsing, the draft and the
+//     fill of a plan the draft proves, all microseconds — runs under a
+//     bounded intake gate, and every client-supplied effort parameter is
+//     capped, so no stage of a request runs with unbounded concurrency or
+//     unbounded cost. With the SLO controller on, the plan pool's
+//     occupancy is the load it reads, its verdict applies to misses that
+//     must search, and every /v2/plan 429 — controller, plan pool or
 //     intake gate — is reported as a shed.
 //
 // Endpoints:
@@ -90,10 +91,11 @@ type Config struct {
 	// never match) cannot evict the hot plan working set. Nil means a new
 	// cache with Cache's capacity.
 	AutotuneCache *resharding.PlanCache
-	// PlanWorkers bounds concurrent plan computations (/v2/plan and
-	// /v2/plan:batch share the pool); 0 = GOMAXPROCS.
+	// PlanWorkers bounds concurrent searches: misses, from /v2/plan and
+	// /v2/plan:batch alike, whose draft the closed-form candidates cannot
+	// prove; 0 = GOMAXPROCS.
 	PlanWorkers int
-	// PlanQueue is the plan pool's wait-queue depth beyond the workers;
+	// PlanQueue is the search pool's wait-queue depth beyond the workers;
 	// 0 = 4x PlanWorkers. Overflow is rejected with 429.
 	PlanQueue int
 	// AutotuneWorkers bounds concurrent /v2/autotune grid searches;
@@ -106,10 +108,11 @@ type Config struct {
 	// 0 = 1 second.
 	RetryAfter time.Duration
 	// SLO enables the SLO-aware admission controller on /v2/plan: the
-	// server observes served latencies and the plan pool's occupancy, and
-	// degrades (search-free plans) when the pool is full or the p99 budget
-	// is at risk, then sheds (structured overloaded) past the budget. Nil
-	// — or a zero P99Budget — leaves only the fixed worker pools.
+	// server observes served latencies and the search pool's occupancy,
+	// and degrades misses that must search (to search-free plans) when the
+	// pool is full or the p99 budget is at risk, then sheds them
+	// (structured overloaded) past the budget. Nil — or a zero P99Budget —
+	// leaves only the fixed worker pools.
 	SLO *SLOConfig
 }
 
@@ -129,15 +132,18 @@ type Server struct {
 	// per-request cost once the plan itself is a pre-serialized cache hit.
 	reqMemo parseMemo
 	flight  flightGroup
-	// intake bounds the pre-admission work every request pays before it
-	// can be coalesced or queued: topology construction, task
+	// intake bounds the work a miss does outside the worker pools: for
+	// /v2/plan, phase one of handlePlanV2 (decode, parse, draft, and the
+	// fill of a proven draft); elsewhere topology construction, task
 	// decomposition and cache-key rendering. Without it that work would
 	// run with one goroutine per connection, outside any backpressure.
-	intake   *admission
+	intake *admission
+	// plan bounds searches: the misses a draft cannot prove.
 	plan     *admission
 	autotune *admission
-	// slo, when set, is the SLO-aware admission controller consulted by
-	// /v2/plan ahead of the worker pools; nil = fixed pools only.
+	// slo, when set, is the SLO-aware admission controller: /v2/plan asks
+	// it once per request, and its verdict decides how a miss that must
+	// search is served; nil = fixed pools only.
 	slo        *SLOController
 	planC      endpointCounters
 	autotuneC  endpointCounters
@@ -184,10 +190,10 @@ func New(cfg Config) *Server {
 	// in-process planner that needs traces should not be passed here.
 	cfg.Cache.SetSimulateNoTrace(true)
 	cfg.AutotuneCache.SetSimulateNoTrace(true)
-	// Floor the intake gate: parsing is cheap and the gate exists to bound
-	// memory, so a small-core machine must not reject a burst of duplicate
-	// requests that the coalescing right behind the gate would collapse to
-	// one computation anyway.
+	// Floor the intake gate: what it admits costs microseconds, so a
+	// small-core machine must not reject a burst of duplicate requests that
+	// the coalescing behind the gate would collapse to one computation
+	// anyway.
 	intakeWorkers := 4 * runtime.GOMAXPROCS(0)
 	if intakeWorkers < 16 {
 		intakeWorkers = 16
@@ -382,17 +388,19 @@ const maxBodyBytes = 1 << 20
 // so every later hit writes pre-rendered bytes; a plan that cannot be
 // serialized fails the request instead of being served any other way.
 //
-// The leader drafts first (resharding.NewDraft: microseconds, no search). A
-// draft the closed-form candidates prove — nine misses in ten, every degraded
-// one — is finished here whoever owns the key: a peer hop costs several times
-// what is left to do. Only one that must search is worth sharing: in cluster
-// mode (router set, wireReq non-nil, not forwarded by a peer — see PeerHeader)
-// it is fetched from the key's ring owner, whose coalescing makes a tier-wide
-// herd on one cold key cost one search; plans are a pure function of the key,
-// so who computes never shows in the bytes. The fetch runs outside the plan
-// pool (holding a worker across a peer call can deadlock two nodes), and when
-// it fails the same leader finishes its draft: availability beats ownership,
-// and the verified-fill gate has kept any bad peer plan out of the cache.
+// The leader finishes d, the caller's draft of (task, opts) — or, when d is
+// nil, drafts first (resharding.NewDraft: microseconds, no search). A draft
+// the closed-form candidates prove — nine misses in ten, every degraded one —
+// is finished here whoever owns the key and takes no plan-pool token: a peer
+// hop or a queue slot costs several times what is left to do. Only one that
+// must search is worth sharing: in cluster mode (router set, wireReq non-nil,
+// not forwarded by a peer — see PeerHeader) it is fetched from the key's ring
+// owner, whose coalescing makes a tier-wide herd on one cold key cost one
+// search; plans are a pure function of the key, so who computes never shows
+// in the bytes. The fetch runs outside the plan pool (holding a worker across
+// a peer call can deadlock two nodes), and when it fails the same leader
+// searches here: availability beats ownership, and the verified-fill gate has
+// kept any bad peer plan out of the cache.
 //
 // A non-nil fromTask (with its key fromKey) names the same boundary on the
 // overlay being replanned away from — for a degraded request, its fault-free
@@ -400,17 +408,20 @@ const maxBodyBytes = 1 << 20
 // the overlay changed nothing the scheduler scores, and plans cold otherwise
 // (Planner.PlanDraft); the plan served is the cold plan of cacheKey either
 // way, and fromTask nil plans cold.
-func (s *Server) computePlan(ctx context.Context, cacheKey string, task *sharding.Task, opts resharding.Options, wireReq *PlanRequest, forwarded bool, fromKey string, fromTask *sharding.Task) (*encodedPlan, bool, error) {
+func (s *Server) computePlan(ctx context.Context, cacheKey string, task *sharding.Task, opts resharding.Options, d *resharding.Draft, wireReq *PlanRequest, forwarded bool, fromKey string, fromTask *sharding.Task) (*encodedPlan, bool, error) {
 	if enc, err := s.cachedPlan(cacheKey, opts); enc != nil || err != nil {
 		return enc, false, err
 	}
-	v, err, shared := s.flight.do(ctx, "plan|"+cacheKey, func() (interface{}, error) {
-		d, err := resharding.NewDraft(task, opts)
-		if err != nil {
-			return nil, err
+	v, err, shared := s.flight.do(ctx, "plan|"+cacheKey, func() (_ interface{}, err error) {
+		if d == nil {
+			own, err := resharding.NewDraft(task, opts)
+			if err != nil {
+				return nil, err
+			}
+			d = &own
 		}
-		owner, local := "", true
-		if d.Proven() {
+		owner, local, proven := "", true, d.Proven()
+		if proven {
 			s.planC.missesProven.Add(1)
 		} else {
 			s.planC.missesSearched.Add(1)
@@ -431,11 +442,13 @@ func (s *Server) computePlan(ctx context.Context, cacheKey string, task *shardin
 			}
 		}
 		if local || err != nil { // owned, proven, or the fetch failed: finish the draft here
-			if err := s.plan.acquire(ctx); err != nil {
-				return nil, err
+			if !proven {
+				if err := s.plan.acquire(ctx); err != nil {
+					return nil, err
+				}
+				defer s.plan.release()
 			}
-			defer s.plan.release()
-			if plan, sim, err = s.planner.PlanDraft(ctx, cacheKey, &d, fromKey, fromTask); err != nil {
+			if plan, sim, err = s.planner.PlanDraft(ctx, cacheKey, d, fromKey, fromTask); err != nil {
 				return nil, err
 			}
 		}
@@ -591,21 +604,18 @@ type badRequestError struct{ err error }
 func (e *badRequestError) Error() string { return e.err.Error() }
 func (e *badRequestError) Unwrap() error { return e.err }
 
-// parseTask runs the bounded pre-admission stage: under an intake token it
+// parseTask runs the bounded pre-admission stage: under a token of gate it
 // builds the topology, decomposes the task and renders the canonical cache
-// key. Failures are classified, not written: intake overflow and context
-// ends surface as-is (retryable), everything else as *badRequestError. The
-// intake token is released before the caller coalesces or queues, so
-// parsing capacity is never held across a computation.
+// key; gate is nil for a caller that already holds one (/v2/plan's phase
+// one). Failures are classified, not written: intake overflow and context
+// ends surface as-is (retryable), everything else as *badRequestError.
 //
 // Fault-free requests are memoized on their raw wire fields: a repeated
 // request returns the stored (task, options, key) without touching the
-// intake gate — the memo hit does no bounded work for the gate to bound.
-// This is the name batch items, ParsePlanRequest and a degraded request's
-// fault-free twin find a parse under; /v2/plan asks the memo by request
-// body first (handlePlanV2) and comes here only for a body it has not
-// seen, or whose plan is no longer cached.
-func (s *Server) parseTask(ctx context.Context,
+// gate — the memo hit does no bounded work for the gate to bound. This is
+// the name batch items, ParsePlanRequest and a degraded request's
+// fault-free twin find a parse under.
+func (s *Server) parseTask(ctx context.Context, gate *admission,
 	ref TopologyRef, faults *FaultsRef, shape []int, dtype string, src, dst Endpoint, po PlanOptions) (task *sharding.Task, opts resharding.Options, key string, err error) {
 
 	if faults == nil {
@@ -613,25 +623,24 @@ func (s *Server) parseTask(ctx context.Context,
 			return pr.task, pr.opts, pr.key, nil
 		}
 	}
-	if err := s.intake.acquire(ctx); err != nil {
-		return nil, opts, "", err
+	if gate != nil {
+		if err := gate.acquire(ctx); err != nil {
+			return nil, opts, "", err
+		}
+		defer gate.release()
 	}
-	defer s.intake.release()
-	task, opts, err = buildTask(s.reg, &s.topos, ref, faults, shape, dtype, src, dst, po)
+	topo, err := buildTopology(s.reg, &s.topos, ref, faults)
+	if err == nil {
+		task, opts, err = buildTaskOn(topo, shape, dtype, src, dst, po)
+	}
 	if err != nil {
 		return nil, opts, "", &badRequestError{err}
 	}
-	opts = opts.WithDefaults()
 	key = resharding.CacheKey(task, opts)
 	if faults == nil {
 		s.reqMemo.put(ref, shape, dtype, src, dst, po, parsedReq{task: task, opts: opts, key: key})
 	}
 	return task, opts, key, nil
-}
-
-func (s *Server) ok(w http.ResponseWriter, c *endpointCounters, payload interface{}) {
-	c.ok.Add(1)
-	writeJSON(w, http.StatusOK, payload)
 }
 
 func retryAfterSeconds(d time.Duration) int {

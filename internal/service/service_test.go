@@ -26,6 +26,33 @@ func testReq(seed int64) *PlanRequest {
 	}
 }
 
+// searchedReq is a request whose draft the closed-form candidates cannot
+// prove — 256 units over 8 hosts, ~10 ms of search — so its miss meets the
+// plan pool and the controller's verdict; every testReq is proven.
+func searchedReq(t testing.TB, seed int64) *PlanRequest {
+	return mustSearch(t, &PlanRequest{
+		Topology: TopologyRef{Name: "p3", Hosts: 8},
+		Shape:    []int{128, 128, 8},
+		Src:      Endpoint{Mesh: "4x4@0", Spec: "RS01R"},
+		Dst:      Endpoint{Mesh: "4x4@16", Spec: "S01RR"},
+		Options:  PlanOptions{Seed: seed, DFSNodes: 20000, Chunks: 8},
+	})
+}
+
+// mustSearch returns req, failing the test if its draft is proven: a
+// fixture that stopped searching would test the wrong path.
+func mustSearch(t testing.TB, req *PlanRequest) *PlanRequest {
+	t.Helper()
+	task, opts, _, err := New(Config{}).ParsePlanRequest(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d, err := resharding.NewDraft(task, opts); err != nil || d.Proven() {
+		t.Fatalf("fixture rotted: the draft of %+v is proven (err %v), the test needs one that searches", req, err)
+	}
+	return req
+}
+
 // directTask rebuilds testReq's task outside the service.
 func directTask(t *testing.T, seed int64) (*sharding.Task, resharding.Options) {
 	t.Helper()
@@ -226,7 +253,7 @@ func TestPlanCoalescing(t *testing.T) {
 }
 
 // TestBackpressure429 pins admission control: with the pool and queue
-// full, new requests are rejected immediately with 429 + Retry-After, and
+// full, a new search is rejected immediately with 429 + Retry-After, and
 // the pool recovers once drained.
 func TestBackpressure429(t *testing.T) {
 	s, client := newTestServer(t, Config{PlanWorkers: 1, PlanQueue: 1})
@@ -234,7 +261,7 @@ func TestBackpressure429(t *testing.T) {
 	for i := 0; i < cap(s.plan.queue); i++ {
 		s.plan.queue <- struct{}{}
 	}
-	_, err := client.PlanV2(context.Background(), testReq(1))
+	_, err := client.PlanV2(context.Background(), searchedReq(t, 1))
 	var over *OverloadedError
 	if !errors.As(err, &over) {
 		t.Fatalf("want OverloadedError, got %v", err)
@@ -254,7 +281,7 @@ func TestBackpressure429(t *testing.T) {
 	for i := 0; i < cap(s.plan.queue); i++ {
 		<-s.plan.queue
 	}
-	if _, err := client.PlanV2(context.Background(), testReq(1)); err != nil {
+	if _, err := client.PlanV2(context.Background(), searchedReq(t, 1)); err != nil {
 		t.Fatalf("after drain: %v", err)
 	}
 }
@@ -375,22 +402,33 @@ func TestRequestValidation(t *testing.T) {
 
 // TestIntakeBackpressure: the parse stage has its own gate, so even
 // requests that never reach a worker pool are bounded and rejected with
-// 429 when it overflows.
+// 429 when it overflows — before their body is decoded. A body the memo
+// knows, whose plan is cached, asks no gate and is still served.
 func TestIntakeBackpressure(t *testing.T) {
 	s, client := newTestServer(t, Config{})
-	for i := 0; i < cap(s.intake.queue); i++ {
-		s.intake.queue <- struct{}{}
+	fill := func() {
+		for i := 0; i < cap(s.intake.queue); i++ {
+			s.intake.queue <- struct{}{}
+		}
 	}
+	fill()
 	_, err := client.PlanV2(context.Background(), testReq(1))
 	var over *OverloadedError
 	if !errors.As(err, &over) {
 		t.Fatalf("want OverloadedError from the intake gate, got %v", err)
+	}
+	if n := s.planC.decoded.Load(); n != 0 {
+		t.Errorf("the gate refused a body after decoding it (decoded = %d)", n)
 	}
 	for i := 0; i < cap(s.intake.queue); i++ {
 		<-s.intake.queue
 	}
 	if _, err := client.PlanV2(context.Background(), testReq(1)); err != nil {
 		t.Fatalf("after drain: %v", err)
+	}
+	fill()
+	if _, err := client.PlanV2(context.Background(), testReq(1)); err != nil {
+		t.Errorf("a memoized hit behind a full intake gate: %v", err)
 	}
 }
 

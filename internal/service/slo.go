@@ -21,25 +21,27 @@ import (
 //	     and the pool not full               (after the dwell)
 //	     (after the dwell)
 //
-//   - degraded: /v2/plan misses are planned with the search-free
-//     resharding.SchedDegraded ensemble instead of the ensemble DFS —
-//     bounded microseconds of scheduling work per fill instead of a
+//   - degraded: /v2/plan misses that must search are planned with the
+//     search-free resharding.SchedDegraded ensemble instead of the ensemble
+//     DFS — bounded microseconds of scheduling work per fill instead of a
 //     node-budgeted search. Degraded responses carry `"degraded":true`
 //     (binary: a flags bit) and the X-Alpacomm-Admission header, and
 //     partition under their own cache keys (the scheduler is part of
 //     resharding.CacheKey), so they never pollute full-quality entries.
-//   - shed: misses are rejected with the structured `overloaded` envelope
-//     and Retry-After. Cache hits are always served — a hit costs
-//     microseconds and shedding it would protect nothing.
+//   - shed: misses that must search are rejected with the structured
+//     `overloaded` envelope and Retry-After. Cache hits and misses the
+//     closed-form candidates prove are always served at full quality —
+//     they cost microseconds, and neither degrading nor shedding them
+//     would protect anything.
 //
 // Escalation (full→degraded→shed) acts immediately, one level per
 // evaluation; de-escalation additionally requires the dwell in the current
 // state, so a p99 estimate oscillating around a threshold cannot flap the
 // mode. Pool occupancy is the fast path: a burst fills the pool long
 // before its latencies are observable. Occupancy counts the pool's tokens
-// (computations queued or running), not requests: a herd coalesces onto
-// one token and a hit takes none. No occupancy sheds: a full pool refuses
-// the miss itself, and the handler reports that refusal as a shed.
+// (searches queued or running), not requests: a herd coalesces onto one
+// token, and a hit or a proven miss takes none. No occupancy sheds: a full
+// pool degrades, and a search the pool still refuses is reported as a shed.
 //
 // The clock is injected (NewSLOController's now). Every decision is a pure
 // function of (budget, samples, occupancy, clock), which is what makes the
@@ -71,10 +73,10 @@ type AdmissionMode int
 const (
 	// AdmitFull: plan at full quality.
 	AdmitFull AdmissionMode = iota
-	// AdmitDegraded: serve cache hits; plan misses with the search-free
+	// AdmitDegraded: plan misses that must search with the search-free
 	// degraded scheduler.
 	AdmitDegraded
-	// AdmitShed: serve cache hits (full or degraded); reject misses.
+	// AdmitShed: serve a search's cached degraded twin, or reject it.
 	AdmitShed
 )
 
@@ -108,7 +110,8 @@ type AdmissionStats struct {
 	Recoveries int64 `json:"recoveries"`
 	// DegradedServed counts responses planned at degraded quality;
 	// ShedRequests counts rejected requests, of which FullQualityShed
-	// required full quality (and so could not take the degraded path).
+	// required full quality (and so could not take the degraded path; the
+	// intake gate refuses before decoding, so its refusals never count).
 	DegradedServed  int64 `json:"degraded_served"`
 	ShedRequests    int64 `json:"shed_requests"`
 	FullQualityShed int64 `json:"full_quality_shed"`

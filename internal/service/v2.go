@@ -333,12 +333,32 @@ func (s *Server) serveMemoized(w http.ResponseWriter, r *http.Request, body []by
 // The body is read whole (bounded by maxBodyBytes) and the parse memo is
 // asked for those bytes first: a hit is a lookup by what the client sent
 // (serveMemoized). Every other request — a body not seen before, one
-// whose plan was evicted, a faulted one — is decoded from the same bytes
-// and takes the full path below; once the strict decoder and parseTask
-// have accepted a fault-free body it is admitted to the memo. Reading
-// before decoding has one visible edge: a body over maxBodyBytes is
-// refused even when its first JSON value, the only part the decoder looks
-// at, would have fit inside the limit.
+// whose plan was evicted, a faulted one — is a miss in two phases. Phase
+// one holds one intake token, taken before the body is decoded: decode,
+// parse (a fault-free body both accept enters the memo), the cache check,
+// the draft and, for a draft the closed-form candidates prove, the fill.
+// A proven miss is served at full quality in every admission mode: it
+// takes no plan-pool token, is never routed to a peer, gets no fault-free
+// twin, and degrading it would not make it cheaper. Only a draft that
+// must search gives the token back and meets the controller's verdict
+// (phase two):
+//
+//   - full: a plan-pool token, then the fetch or the search. A faulted
+//     request hands its fault-free twin to the fill: the healthy parse is
+//     memoized, so under churn it costs a memo lookup, and a cached twin's
+//     plan is reused wherever the overlay left the scheduler's instance
+//     unchanged. A twin parse failure just plans cold; the twin never
+//     changes the answer.
+//   - degraded: re-keyed to the search-free scheduler (degradeOptions),
+//     whose draft is proven, so it finishes like phase one.
+//   - shed: the degraded twin if it is cached, else the structured
+//     overloaded envelope.
+//
+// A client that required full quality ("quality":"full") is never answered
+// with a degraded plan: outside full mode its search is shed. Reading
+// before decoding has one visible edge: a body over maxBodyBytes is refused
+// even when its first JSON value, the only part the decoder looks at,
+// would have fit inside the limit.
 func (s *Server) handlePlanV2(w http.ResponseWriter, r *http.Request) {
 	// The clock is read only for the controller's latency sample.
 	var start time.Time
@@ -360,21 +380,28 @@ func (s *Server) handlePlanV2(w http.ResponseWriter, r *http.Request) {
 	if s.serveMemoized(w, r, body, bin, start) {
 		return
 	}
-	s.planC.decoded.Add(1)
-	var req PlanRequest
-	if err := decodeStrict(bytes.NewReader(body), &req); err != nil {
-		s.failV2(r.Context(), w, &s.planC, err, bin)
-		return
-	}
 	ctx, cancel, err := v2Ctx(r)
 	if err != nil {
 		s.failV2(r.Context(), w, &s.planC, err, bin)
 		return
 	}
 	defer cancel()
-	fullOnly := qualityRequiresFull(req.Options.Quality)
-	task, opts, cacheKey, err := s.parseTask(ctx,
-		req.Topology, req.Faults, req.Shape, req.DType, req.Src, req.Dst, req.Options)
+	// Refused here, the body was never decoded: whether the client
+	// required full quality is unknown.
+	if err := s.intake.acquire(ctx); err != nil {
+		s.failPlan(ctx, w, err, false, bin)
+		return
+	}
+	release := sync.OnceFunc(s.intake.release)
+	defer release()
+	s.planC.decoded.Add(1)
+	var req PlanRequest
+	if err := decodeStrict(bytes.NewReader(body), &req); err != nil {
+		s.failV2(ctx, w, &s.planC, err, bin)
+		return
+	}
+	fullOnly := req.Options.Quality == "full"
+	task, opts, cacheKey, err := s.parseTask(ctx, nil, req.Topology, req.Faults, req.Shape, req.DType, req.Src, req.Dst, req.Options)
 	if err != nil {
 		s.failPlan(ctx, w, err, fullOnly, bin)
 		return
@@ -382,69 +409,49 @@ func (s *Server) handlePlanV2(w http.ResponseWriter, r *http.Request) {
 	if req.Faults == nil {
 		s.reqMemo.putBody(body, parsedReq{task: task, opts: opts, key: cacheKey})
 	}
-	// A degraded request hands its fault-free twin to the fill: the healthy
-	// parse is memoized, so under churn (the same boundary arriving with one
-	// overlay after another) this costs a memo lookup, and when the twin is
-	// cached the fill reuses its plan wherever the overlay left the
-	// scheduler's instance unchanged. A twin parse failure just plans cold
-	// — the twin is an optimization, never a new failure mode, and never
-	// changes the answer.
-	var fromKey string
-	var fromTask *sharding.Task
-	if req.Faults != nil {
-		if t0, _, k0, err := s.parseTask(ctx,
-			req.Topology, nil, req.Shape, req.DType, req.Src, req.Dst, req.Options); err == nil && k0 != cacheKey {
-			fromKey, fromTask = k0, t0
-		}
-	}
 
 	s.planC.inFlight.Add(1)
 	defer s.planC.inFlight.Add(-1)
-
-	// SLO admission, on the plan pool's occupancy: the tokens of
-	// computations queued or running, not requests — a coalesced waiter or
-	// a cache hit holds none. A full-quality cache hit is served whatever
-	// the mode — it costs microseconds and shedding it protects nothing.
-	// On a miss, degraded mode rewrites the request to the search-free
-	// scheduler (partitioned under its own cache key, never proxied to a
-	// peer, never given a twin — its planning is already cheap), and shed
-	// mode rejects with the structured overloaded envelope, after trying
-	// the already-cached degraded entry for clients that accept one. A
-	// client that required full quality ("quality":"full") is never
-	// answered with a degraded plan: it gets the full-quality hit or the
-	// rejection.
-	wireReq, forwarded := &req, isPeerRequest(r)
-	degraded := false
+	// Every request is admitted once, as a memoized hit is; only a search
+	// obeys the verdict.
+	mode := AdmitFull
 	if s.slo != nil {
-		if mode := s.slo.Admit(len(s.plan.queue)); mode != AdmitFull {
-			enc, err := s.cachedPlan(cacheKey, opts)
-			if enc == nil && err == nil && !fullOnly && mode == AdmitShed {
-				dOpts := degradeOptions(opts)
-				if enc, err = s.cachedPlan(resharding.CacheKey(task, dOpts), dOpts); enc != nil {
-					w.Header().Set(AdmissionHeader, "degraded")
-					s.slo.NoteDegraded()
-				}
+		mode = s.slo.Admit(len(s.plan.queue))
+	}
+	enc, err := s.cachedPlan(cacheKey, opts)
+	var d resharding.Draft
+	if enc == nil && err == nil {
+		d, err = resharding.NewDraft(task, opts)
+	}
+	shared, degraded := false, false
+	switch {
+	case enc != nil || err != nil: // a hit, or a draft that failed
+	case d.Proven():
+		enc, shared, err = s.computePlan(ctx, cacheKey, task, opts, &d, &req, false, "", nil)
+	case mode == AdmitFull:
+		var fromKey string
+		var fromTask *sharding.Task
+		if req.Faults != nil {
+			if t0, _, k0, err := s.parseTask(ctx, nil, req.Topology, nil, req.Shape, req.DType, req.Src, req.Dst, req.Options); err == nil && k0 != cacheKey {
+				fromKey, fromTask = k0, t0
 			}
-			switch {
-			case err != nil:
-				s.failPlan(ctx, w, err, fullOnly, bin)
-				return
-			case enc != nil:
-				servePlan(w, &s.planC, enc, task, false, bin)
-				s.slo.Observe(time.Since(start))
-				return
-			case fullOnly || mode == AdmitShed:
-				s.failPlan(ctx, w, errSLOShed, fullOnly, bin)
-				return
-			}
-			opts = degradeOptions(opts)
-			cacheKey = resharding.CacheKey(task, opts)
-			fromKey, fromTask, wireReq = "", nil, nil
-			degraded = true
+		}
+		release()
+		enc, shared, err = s.computePlan(ctx, cacheKey, task, opts, &d, &req, isPeerRequest(r), fromKey, fromTask)
+	case fullOnly:
+		err = errSLOShed
+	default:
+		release()
+		degraded = true
+		dOpts := degradeOptions(opts)
+		dKey := resharding.CacheKey(task, dOpts)
+		if mode == AdmitDegraded {
+			enc, shared, err = s.computePlan(ctx, dKey, task, dOpts, nil, nil, false, "", nil)
+		} else if enc, err = s.cachedPlan(dKey, dOpts); enc == nil && err == nil {
+			err = errSLOShed
 		}
 	}
-
-	enc, shared, err := s.computePlan(ctx, cacheKey, task, opts, wireReq, forwarded, fromKey, fromTask)
+	release()
 	if err != nil {
 		s.failPlan(ctx, w, err, fullOnly, bin)
 		return
@@ -461,10 +468,6 @@ func (s *Server) handlePlanV2(w http.ResponseWriter, r *http.Request) {
 		s.slo.Observe(time.Since(start))
 	}
 }
-
-// qualityRequiresFull reports whether the request's quality option forbids
-// a degraded answer; "" and "auto" accept one.
-func qualityRequiresFull(q string) bool { return q == "full" }
 
 // degradeOptions is the degraded twin of full-quality options: the
 // search-free scheduler with every search knob normalized away, so all
@@ -501,7 +504,7 @@ func (s *Server) handleAutotuneV2(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer cancel()
-	task, opts, cacheKey, err := s.parseTask(ctx,
+	task, opts, cacheKey, err := s.parseTask(ctx, s.intake,
 		req.Topology, req.Faults, req.Shape, req.DType, req.Src, req.Dst, req.Options)
 	if err != nil {
 		s.failV2(ctx, w, &s.autotuneC, err, bin)
@@ -529,7 +532,8 @@ func (s *Server) handleAutotuneV2(w http.ResponseWriter, r *http.Request) {
 		putBuf(buf)
 		return
 	}
-	s.ok(w, &s.autotuneC, resp)
+	s.autotuneC.ok.Add(1)
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // batchItem is one parsed batch entry, carrying its equivalence class.
@@ -596,7 +600,6 @@ func (s *Server) handlePlanBatch(w http.ResponseWriter, r *http.Request) {
 				items[i] = batchItem{err: &badRequestError{fmt.Errorf("item %d: %v", i, err)}}
 				continue
 			}
-			opts = opts.WithDefaults()
 			items[i] = batchItem{task: task, opts: opts, key: resharding.CacheKey(task, opts)}
 		}
 		return nil
@@ -647,7 +650,7 @@ func (s *Server) handlePlanBatch(w http.ResponseWriter, r *http.Request) {
 				Shape: it.Shape, DType: it.DType,
 				Src: it.Src, Dst: it.Dst, Options: it.Options,
 			}
-			enc, shared, err := s.computePlan(ctx, key, items[li].task, items[li].opts, itemReq, forwarded, "", nil)
+			enc, shared, err := s.computePlan(ctx, key, items[li].task, items[li].opts, nil, itemReq, forwarded, "", nil)
 			mu.Lock()
 			defer mu.Unlock()
 			switch {

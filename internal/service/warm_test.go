@@ -11,10 +11,17 @@ import (
 	"testing"
 )
 
-// A link brownout is valid on the 2-host testReq topology (downing the
-// only link would be rejected) and never changes the host-level instance,
-// so a warm replan must serve it in identity mode.
+// A link brownout never changes the host-level instance, so a warm replan
+// must serve it in identity mode.
 var brownoutFaults = &FaultsRef{Links: []LinkFaultRef{{A: 0, B: 1, BandwidthScale: 0.5}}}
+
+// searchedFaulty is searchedReq with a fault overlay: only a miss that must
+// search is handed its fault-free twin.
+func searchedFaulty(t testing.TB, seed int64, faults *FaultsRef) *PlanRequest {
+	req := searchedReq(t, seed)
+	req.Faults = faults
+	return mustSearch(t, req)
+}
 
 // TestV2PlanWarmServesFromHealthyTwin: once a boundary's healthy plan is
 // cached, a degraded request for the same boundary is filled by the warm
@@ -24,10 +31,10 @@ func TestV2PlanWarmServesFromHealthyTwin(t *testing.T) {
 	_, client := newTestServer(t, Config{})
 	ctx := context.Background()
 
-	if _, err := client.PlanV2(ctx, testReq(5)); err != nil {
+	if _, err := client.PlanV2(ctx, searchedReq(t, 5)); err != nil {
 		t.Fatal(err)
 	}
-	warm, err := client.PlanV2(ctx, faultyReq(5, brownoutFaults))
+	warm, err := client.PlanV2(ctx, searchedFaulty(t, 5, brownoutFaults))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +53,7 @@ func TestV2PlanWarmServesFromHealthyTwin(t *testing.T) {
 	// The same degraded request on a fresh server — no healthy twin cached —
 	// fills cold, and must produce the same bytes the warm path served.
 	_, coldClient := newTestServer(t, Config{})
-	cold, err := coldClient.PlanV2(ctx, faultyReq(5, brownoutFaults))
+	cold, err := coldClient.PlanV2(ctx, searchedFaulty(t, 5, brownoutFaults))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,10 +83,10 @@ func TestV2PlanWarmSearchOnHostFault(t *testing.T) {
 	s, client := newTestServer(t, Config{})
 	ctx := context.Background()
 
-	if _, err := client.PlanV2(ctx, testReq(7)); err != nil {
+	if _, err := client.PlanV2(ctx, searchedReq(t, 7)); err != nil {
 		t.Fatal(err)
 	}
-	body, err := json.Marshal(faultyReq(7, stragglerFaults))
+	body, err := json.Marshal(searchedFaulty(t, 7, stragglerFaults))
 	if err != nil {
 		t.Fatal(err)
 	}
