@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test lint lint-fix fmt bench-smoke bench-test smoke
+.PHONY: build test lint lint-fix fmt bench-smoke bench-test smoke fuzz
 
 build:
 	$(GO) build ./...
@@ -43,3 +43,14 @@ smoke:
 	$(GO) run ./cmd/loadgen -smoke -batch -faults -churn -clients 64 -requests 40 -spread 4 -json BENCH_service.ci.json
 	$(GO) run ./cmd/loadgen -smoke -wire binary -clients 64 -requests 40 -spread 4
 	$(GO) run ./cmd/loadgen -smoke -arrivals bursty -rate 1200 -clients 60 -duration 2s
+
+# fuzz runs CI's fuzz smoke: every fuzz target for 10 s, one after another.
+fuzz:
+	$(GO) test -run xxx -fuzz FuzzFaultedOverlay -fuzztime 10s ./internal/mesh
+	$(GO) test -run xxx -fuzz FuzzParseFaultSet -fuzztime 10s ./internal/mesh
+	$(GO) test -run xxx -fuzz FuzzBroadcastChainMatchesReference -fuzztime 10s ./internal/collective
+	$(GO) test -run xxx -fuzz FuzzDegradedPlan -fuzztime 10s ./internal/resharding
+	$(GO) test -run xxx -fuzz FuzzEnsembleMatchesReference -fuzztime 10s ./internal/schedule
+	$(GO) test -run xxx -fuzz FuzzDFSMatchesReference -fuzztime 10s ./internal/schedule
+	$(GO) test -run xxx -fuzz FuzzBinaryDecode -fuzztime 10s ./internal/service
+	$(GO) test -run xxx -fuzz FuzzPlanRequestV2 -fuzztime 10s ./internal/service

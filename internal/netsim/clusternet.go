@@ -127,17 +127,13 @@ func (n *ClusterNet) Reset() {
 	n.ids.gen++
 }
 
-// Rebind points the net at a topology and rewinds it for the next schedule.
-// On the topology it is already bound to this is Reset; on another one the
-// Sim is rewound just the same — every arena keeps its capacity — and the
+// Rebind points the net at a topology and rewinds it for the next schedule:
+// the Sim is rewound as by Reset — every arena keeps its capacity — and the
 // intern table keeps every slot whose name the new topology shares (see
-// resourceTable.bind). Handles and OnNIC views from before the call are
-// invalid either way.
+// resourceTable.bind), which on the topology it is already bound to, or an
+// identical one, is every slot. No topology is compared or fingerprinted.
+// Handles and OnNIC views from before the call are invalid.
 func (n *ClusterNet) Rebind(t mesh.Topology) {
-	if mesh.SameTopology(n.Topo, t) {
-		n.Reset()
-		return
-	}
 	n.Sim.Reset()
 	n.Topo = t
 	n.ids.bind(t)

@@ -341,9 +341,14 @@ func TestRebindMatchesFreshNet(t *testing.T) {
 // TestRebindKeepsInternTable: the intern table survives a change of topology
 // wherever its names still hold. Device slots are never rebuilt — they grow
 // for a larger cluster and keep their rendered names — and the NIC slots are
-// rebuilt only when the per-host NIC counts differ.
+// rebuilt only when the per-host NIC counts differ. An independently built
+// identical topology is no change at all.
 func TestRebindKeepsInternTable(t *testing.T) {
 	small := testCluster(3)
+	twin := testCluster(3)
+	if mesh.Topology(twin) == mesh.Topology(small) || twin.Fingerprint() != small.Fingerprint() {
+		t.Fatal("twin must be a distinct instance with the same fingerprint")
+	}
 	slower, err := mesh.NewCluster(3, 2, 50, 5, 1e-6, 2e-6) // same layout, other speeds
 	if err != nil {
 		t.Fatal(err)
@@ -368,6 +373,20 @@ func TestRebindKeepsInternTable(t *testing.T) {
 	if dev0.name != "dev0:send" || nic0.name != "host0:send" {
 		t.Fatalf("interned names %q, %q", dev0.name, nic0.name)
 	}
+
+	n.Rebind(twin)
+	if n.ids != tab || &tab.devSend[0] != dev0 || &tab.hostSend[0] != nic0 || dev0.name != "dev0:send" || nic0.name != "host0:send" {
+		t.Fatal("Rebind onto an identical topology rebuilt the intern table")
+	}
+	if dev0.gen == tab.gen {
+		t.Fatal("Rebind onto an identical topology must invalidate handles")
+	}
+	gotMk, gotEv := rebindSchedule(t, n)
+	if wantMk, wantEv := rebindSchedule(t, NewClusterNet(twin)); gotMk != wantMk || !reflect.DeepEqual(gotEv, wantEv) {
+		t.Fatalf("net rebound onto an identical topology scheduled\n%v %+v\nfresh net\n%v %+v", gotMk, gotEv, wantMk, wantEv)
+	}
+	n.Rebind(twin)
+	build()
 
 	n.Rebind(slower)
 	if n.ids != tab || &tab.devSend[0] != dev0 || &tab.hostSend[0] != nic0 {

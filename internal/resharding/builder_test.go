@@ -131,9 +131,9 @@ func rebindLap(t *testing.T, shift int) []*Plan {
 
 // TestPlanBuilderRebindsAcrossTopologies holds one builder and runs laps of
 // plans from different topologies and strategies through it: the builder
-// rewinds its net on a match and rebinds it — same Sim, new intern table —
-// on a topology change, always reproducing a fresh builder's result field
-// for field.
+// rebinds its net for every plan — same Sim, intern table kept wherever its
+// names still hold — always reproducing a fresh builder's result field for
+// field.
 func TestPlanBuilderRebindsAcrossTopologies(t *testing.T) {
 	b := NewPlanBuilder()
 	for round := 0; round < 3; round++ {
@@ -183,9 +183,8 @@ func allocatedBytes(f func()) uint64 {
 // lap, running it again — every bind a topology change — allocates what
 // replaying each plan on its own topology allocates (the result, and for the
 // baseline strategies their builders' bookkeeping, which no arena holds)
-// plus, per rebind, the two fingerprints SameTopology compares and, where the
-// per-host NIC counts changed, the NIC slots and the names of those the plan
-// touches: a few dozen small objects, where a builder that dropped its Sim
+// plus, per rebind where the per-host NIC counts changed, the NIC slots and
+// the names of those the plan touches: a few dozen small objects, where a builder that dropped its Sim
 // regrew 20-440 KB of op arenas for these plans. Skipped under the race
 // detector, whose instrumentation inflates allocation accounting.
 func TestPlanBuilderKeepsArenasAcrossTopologies(t *testing.T) {

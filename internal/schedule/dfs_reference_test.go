@@ -5,15 +5,16 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 )
 
-// referenceDFSNodes is the pre-refactor dfsPruning (per-node map-based
-// symmetry dedup, rendered-string keys) under a node budget. The optimized
-// implementation must visit the same nodes in the same order, so with any
-// equal budget it must return the identical plan — this differential test
-// is what pins the stamp-array symmetry breaking to the original
-// semantics.
+// referenceDFSNodes is the pre-refactor dfsPruning (a scan over every
+// unscheduled task per node, map-based symmetry dedup with rendered-string
+// keys) under a node budget. The optimized implementation must visit the
+// same nodes in the same order, so with any equal budget it must return the
+// identical plan — this differential test is what pins the frontier of
+// symmetry-class representatives to the original semantics.
 func referenceDFSNodes(tasks []Task, maxNodes int) Plan {
 	if len(tasks) == 0 {
 		return Plan{Sender: map[int]int{}}
@@ -168,6 +169,94 @@ func TestDFSMatchesReferenceUnderBudget(t *testing.T) {
 			if !reflect.DeepEqual(got.Order, want.Order) || !reflect.DeepEqual(got.Sender, want.Sender) {
 				t.Fatalf("trial %d budget %d: plan diverged from reference\n got: %+v\nwant: %+v\ntasks: %+v",
 					trial, budget, got, want, tasks)
+			}
+		}
+	}
+}
+
+// multiWordInstance generates 65-84 tasks of six shapes over three sender
+// and three receiver hosts: five shapes fill the first 64 tasks, so their
+// classes reach from the frontier's first word into the second, and the
+// sixth holds every task after them, so its class starts in the second.
+func multiWordInstance(rng *rand.Rand) []Task {
+	protos := make([]Task, 6)
+	for k := range protos {
+		protos[k] = Task{SenderHosts: []int{rng.Intn(3), rng.Intn(3)}, ReceiverHosts: []int{3 + rng.Intn(3)}, Duration: 1 + float64(rng.Intn(20))/7}
+	}
+	tasks := make([]Task, 65+rng.Intn(20))
+	for i := range tasks {
+		p := protos[5]
+		if i < 64 {
+			p = protos[rng.Intn(5)]
+		}
+		tasks[i] = Task{ID: 500 - i, SenderHosts: p.SenderHosts, ReceiverHosts: p.ReceiverHosts, Duration: p.Duration}
+	}
+	return tasks
+}
+
+// TestDFSMatchesReferenceMultiWord: past 64 tasks the frontier spans several
+// words, and a class's next member can sit in another word than the one it
+// replaces. Visit order, and so the plan at every budget, must not change.
+func TestDFSMatchesReferenceMultiWord(t *testing.T) {
+	rng := rand.New(rand.NewSource(64))
+	improved := 0
+	for trial := 0; trial < 4; trial++ {
+		tasks := multiWordInstance(rng)
+		lpt := mustMakespan(t, tasks, LoadBalanceOnly(tasks))
+		for _, budget := range []int{1, 7, 300, 2*StopStride - 1} {
+			got, want := DFSPruningNodesStop(tasks, budget, nil), referenceDFSNodes(tasks, budget)
+			if !samePlan(got, want) {
+				t.Fatalf("trial %d (%d tasks) budget %d: plan diverged from reference\n got: %+v\nwant: %+v", trial, len(tasks), budget, got, want)
+			}
+			if mustMakespan(t, tasks, got) < lpt {
+				improved++
+			}
+		}
+	}
+	if improved == 0 {
+		t.Fatal("no search improved on its LPT seed: the instances no longer search")
+	}
+}
+
+// relabelledInstance is a randomDFSInstance whose host ids are renamed out
+// of order, so that host ids, their order of first appearance and dense
+// slots all rank the hosts differently.
+func relabelledInstance(rng *rand.Rand) []Task {
+	tasks := randomDFSInstance(rng)
+	for i := range tasks {
+		for _, hs := range [][]int{tasks[i].SenderHosts, tasks[i].ReceiverHosts} {
+			for k, h := range hs {
+				hs[k] = 1000 - 37*h
+			}
+		}
+	}
+	return tasks
+}
+
+// TestGreedyRandomizedMatchesReference holds GreedyRandomized on dense host
+// slots to the map-based version it replaced: the same plan, drawing from
+// the rng the same number of times — both sources return the same next
+// value afterwards.
+func TestGreedyRandomizedMatchesReference(t *testing.T) {
+	gens := []func(*rand.Rand) []Task{randomDFSInstance, relabelledInstance}
+	for _, fam := range ensembleFamilies {
+		gens = append(gens, fam.gen)
+	}
+	for g, gen := range gens {
+		rng := rand.New(rand.NewSource(int64(300 + g)))
+		for inst := 0; inst < 20; inst++ {
+			tasks := gen(rng)
+			for _, trials := range []int{1, 4, 16} {
+				for seed := int64(1); seed <= 3; seed++ {
+					src, ref := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+					got, want := GreedyRandomized(tasks, trials, src), referenceGreedyRandomized(tasks, trials, ref)
+					if !samePlan(got, want) {
+						t.Fatalf("generator %d instance %d trials %d seed %d: plan diverged from reference\n got: %+v\nwant: %+v\ntasks: %+v", g, inst, trials, seed, got, want, tasks)
+					}
+					if next, refNext := src.Int63(), ref.Int63(); next != refNext {
+						t.Fatalf("generator %d instance %d trials %d seed %d: rng drawn a different number of times than by the reference", g, inst, trials, seed)
+					}
+				}
 			}
 		}
 	}
@@ -336,10 +425,10 @@ func TestDFSCancellationMatchesNodeBudget(t *testing.T) {
 }
 
 // referenceEnsembleNodes mirrors the production ensemble exactly but with
-// the pre-refactor reference DFS as its search component: same candidate
+// the pre-refactor references as its searching components: same candidate
 // set, same order, same tie-breaking.
 func referenceEnsembleNodes(tasks []Task, dfsNodes, trials int, rng *rand.Rand) Plan {
-	candidates := []Plan{Naive(tasks), LoadBalanceOnly(tasks), GreedyRandomized(tasks, trials, rng)}
+	candidates := []Plan{Naive(tasks), LoadBalanceOnly(tasks), referenceGreedyRandomized(tasks, trials, rng)}
 	if len(tasks) <= 20 {
 		candidates = append(candidates, referenceDFSNodes(tasks, dfsNodes))
 	}
@@ -401,4 +490,99 @@ func TestEnsembleNodesStopMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// referenceGreedyRandomized is GreedyRandomized as it was before its hosts
+// were renumbered into dense slots: loads and the hosts a trial has taken
+// are maps keyed by host id, cleared every trial. The production version
+// must draw from the rng exactly as this one does and return the same plan.
+func referenceGreedyRandomized(tasks []Task, trials int, rng *rand.Rand) Plan {
+	if trials < 1 {
+		trials = 1
+	}
+	remaining := make([]int, len(tasks))
+	for i := range remaining {
+		remaining[i] = i
+	}
+	load := map[int]float64{}
+	p := Plan{Sender: map[int]int{}}
+	type pick struct {
+		taskIdx int
+		sender  int
+	}
+	// Reused across trials and rounds; every per-trial structure is reset
+	// by clearing, not reallocating.
+	perm := make([]int, 0, len(tasks))
+	var batch, bestBatch []pick
+	usedSend := map[int]bool{}
+	usedRecv := map[int]bool{}
+	inBatch := make([]bool, len(tasks))
+	rest := make([]int, 0, len(tasks))
+	for len(remaining) > 0 {
+		bestBatch = bestBatch[:0]
+		bestHosts := -1
+		for trial := 0; trial < trials; trial++ {
+			perm = append(perm[:0], remaining...)
+			rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+			clear(usedSend)
+			clear(usedRecv)
+			batch = batch[:0]
+			hosts := 0
+			for _, ti := range perm {
+				t := &tasks[ti]
+				conflict := false
+				for _, r := range t.ReceiverHosts {
+					if usedRecv[r] {
+						conflict = true
+						break
+					}
+				}
+				if conflict {
+					continue
+				}
+				// Pick a free candidate sender with the lightest load.
+				s, sLoad := -1, math.Inf(1)
+				for _, c := range t.SenderHosts {
+					if usedSend[c] {
+						continue
+					}
+					if load[c] < sLoad || (load[c] == sLoad && c < s) {
+						s, sLoad = c, load[c]
+					}
+				}
+				if s < 0 {
+					continue
+				}
+				usedSend[s] = true
+				for _, r := range t.ReceiverHosts {
+					usedRecv[r] = true
+				}
+				batch = append(batch, pick{ti, s})
+				hosts += 1 + len(t.ReceiverHosts)
+			}
+			if hosts > bestHosts {
+				bestHosts = hosts
+				bestBatch = append(bestBatch[:0], batch...)
+			}
+		}
+		// Launch the batch, longest tasks first so stragglers start early.
+		sort.SliceStable(bestBatch, func(a, b int) bool {
+			return tasks[bestBatch[a].taskIdx].Duration > tasks[bestBatch[b].taskIdx].Duration
+		})
+		for _, b := range bestBatch {
+			t := &tasks[b.taskIdx]
+			p.Sender[t.ID] = b.sender
+			p.Order = append(p.Order, t.ID)
+			load[b.sender] += t.Duration
+			inBatch[b.taskIdx] = true
+		}
+		rest = rest[:0]
+		for _, ti := range remaining {
+			if !inBatch[ti] {
+				rest = append(rest, ti)
+			}
+		}
+		remaining, rest = rest, remaining
+	}
+	return p
 }

@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -31,13 +32,75 @@ func fuzzTasks(data []byte) []Task {
 	return tasks
 }
 
-// scheduleCount is the number of schedules forEachSchedule visits.
+// fuzzClassTasks decodes bytes into at most 20 tasks of at most four shapes,
+// so that most tasks share a symmetry class with others — the sizes and the
+// repetition of the searches the ensemble runs. The first byte picks the
+// number of shapes, three bytes per shape decode as in fuzzTasks, and every
+// later byte adds a run of one to four tasks of one shape. IDs count down,
+// so no task's ID is its index.
+func fuzzClassTasks(data []byte) []Task {
+	if len(data) == 0 {
+		return nil
+	}
+	shapes := fuzzTasks(data[1:min(len(data), 1+3*(1+int(data[0]&3)))])
+	if len(shapes) == 0 {
+		return nil
+	}
+	var tasks []Task
+	for _, b := range data[1+3*len(shapes):] {
+		sh := shapes[int(b&3)%len(shapes)]
+		for run := 1 + int(b>>2&3); run > 0 && len(tasks) < 20; run-- {
+			tasks = append(tasks, Task{ID: 100 - len(tasks), SenderHosts: sh.SenderHosts, ReceiverHosts: sh.ReceiverHosts, Duration: sh.Duration})
+		}
+	}
+	return tasks
+}
+
+// scheduleCount is the number of schedules forEachSchedule visits, or
+// math.MaxInt if that does not fit an int.
 func scheduleCount(tasks []Task) int {
 	count := 1
 	for i, tk := range tasks {
-		count *= (i + 1) * len(tk.SenderHosts)
+		f := (i + 1) * len(tk.SenderHosts)
+		if f > 0 && count > math.MaxInt/f {
+			return math.MaxInt
+		}
+		count *= f
 	}
 	return count
+}
+
+// FuzzDFSMatchesReference holds the search to the pre-refactor reference on
+// instances of up to 20 tasks with few classes: the same plan under every
+// budget, so the same nodes in the same order. Where the instance is small
+// enough to enumerate, the unbudgeted search reaches the optimum.
+func FuzzDFSMatchesReference(f *testing.F) {
+	f.Add([]byte{0, 0x0c, 0, 0x83, 0x0c, 0x0c, 0x0c, 0x0c}, uint8(3))                                     // one class of 16: proven before any search
+	f.Add([]byte{1, 0x0c, 0, 0x83, 0x0c, 1, 0x85, 0x0c, 0x0d, 0x0c, 0x0d, 0x0c}, uint8(3))                // two classes of 12 and 8, interleaved runs
+	f.Add([]byte{2, 0x0c, 0, 3, 0x0c, 1, 3, 0, 2, 0x89, 0x0d, 0x0e, 0x0c, 0x0d, 0x0e}, uint8(2))          // a choice of sender beside a forced one, 20 tasks
+	f.Add([]byte{3, 4, 0x05, 5, 0, 0x15, 4, 1, 1, 2, 0x0c, 0x3a, 0x90, 0xff, 0xe4, 0x1b}, uint8(1))       // two of four shapes, repeated hosts
+	f.Add([]byte{2, 0x0c, 0, 0x83, 0x0c, 0x14, 0x85, 1, 1, 0x89, 0x00, 0x01, 0x02, 0x01, 0x00}, uint8(0)) // 5 tasks, LPT 15/11 of the optimum: enumerated
+	f.Add([]byte{1, 0, 0, 1, 0, 0, 1, 0xf0, 0xf1, 0xf0, 0xf1, 0xf0, 0xf1, 0xf0, 0xf1}, uint8(1))          // two shapes that are one class
+	f.Fuzz(func(t *testing.T, data []byte, budgetSel uint8) {
+		tasks := fuzzClassTasks(data)
+		if len(tasks) == 0 {
+			t.Skip("no task decoded")
+		}
+		budget := []int{1, 7, 2*StopStride - 1, 50_000}[budgetSel%4]
+		got, want := DFSPruningNodesStop(tasks, budget, nil), referenceDFSNodes(tasks, budget)
+		if !samePlan(got, want) {
+			t.Fatalf("budget %d: plan diverged from reference\n got: %+v\nwant: %+v\ntasks: %+v", budget, got, want, tasks)
+		}
+		if err := Validate(tasks, got); err != nil {
+			t.Fatalf("budget %d: %v", budget, err)
+		}
+		if scheduleCount(tasks) <= 50_000 {
+			opt := bruteForceOptimal(t, tasks)
+			if span := mustMakespan(t, tasks, DFSPruningNodesStop(tasks, 1<<30, nil)); span != opt {
+				t.Fatalf("unbudgeted search makespan %v, optimum %v\ntasks: %+v", span, opt, tasks)
+			}
+		}
+	})
 }
 
 // FuzzEnsembleMatchesReference holds the two halves of the early exit

@@ -28,7 +28,9 @@ package schedule
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 )
@@ -382,26 +384,43 @@ func DFSPruningNodesStop(tasks []Task, maxNodes int, stop func() bool) Plan {
 	return dfsPruning(tasks, 0, max(maxNodes, 1), stop, nil)
 }
 
-// symmetryClasses assigns each task the index of the first task with
-// identical (SenderHosts, ReceiverHosts, Duration). The DFS prunes with
-// these classes: exploring two interchangeable tasks at one node explores
-// the same subtree twice.
-func symmetryClasses(tasks []Task) (classOf []int, classes int) {
-	classOf = make([]int, len(tasks))
+// frontierBit is one task's position in a frontier row: word w of the row,
+// bit mask within it. The zero value names no task.
+type frontierBit struct {
+	word int
+	mask uint64
+}
+
+func bitOf(i int) frontierBit { return frontierBit{i / 64, 1 << (i % 64)} }
+
+// symmetryFrontier groups the tasks into symmetry classes — tasks with
+// identical (SenderHosts, ReceiverHosts, Duration), which the DFS prunes
+// with: exploring two interchangeable tasks at one node explores the same
+// subtree twice, so a node tries only the first unscheduled member of each
+// class. Members are therefore scheduled in index order, the unscheduled
+// ones of a class are always a suffix of it, and the tasks a node tries are
+// the set bits of one row of ⌈n/64⌉ words. It returns the root's row, and
+// per task the bit of the next member of its class (zero for the last),
+// which takes its place in the row once it is scheduled.
+func symmetryFrontier(tasks []Task) (root []uint64, next []frontierBit) {
+	n := len(tasks)
+	root = make([]uint64, (n+63)/64)
+	next = make([]frontierBit, n)
 	for i := range tasks {
-		classOf[i] = -1
-		for j := 0; j < i; j++ {
+		b := bitOf(i)
+		root[b.word] |= b.mask
+		for j := i + 1; j < n; j++ {
 			if sameTaskShape(&tasks[i], &tasks[j]) {
-				classOf[i] = classOf[j]
+				next[i] = bitOf(j)
 				break
 			}
 		}
-		if classOf[i] < 0 {
-			classOf[i] = classes
-			classes++
-		}
 	}
-	return classOf, classes
+	// A class's first member is the only one no other member names.
+	for _, b := range next {
+		root[b.word] &^= b.mask
+	}
+	return root, next
 }
 
 func sameTaskShape(a, b *Task) bool {
@@ -435,6 +454,34 @@ func (h *hostIndex) dense(host int) int {
 	return len(*h) - 1
 }
 
+// taskSlots are one task's hosts renumbered by hostIndex: its candidate
+// senders and its receivers, each in task order.
+type taskSlots struct{ senders, receivers []int }
+
+// denseSlots renumbers the hosts of a problem once and returns every task's
+// slots, all windows of one flat buffer, and the number of hosts.
+func denseSlots(tasks []Task) (slots []taskSlots, hosts int) {
+	total := 0
+	for i := range tasks {
+		total += len(tasks[i].SenderHosts) + len(tasks[i].ReceiverHosts)
+	}
+	buf := make([]int, 0, total)
+	slots = make([]taskSlots, len(tasks))
+	var index hostIndex
+	for i := range tasks {
+		lo := len(buf)
+		for _, h := range tasks[i].SenderHosts {
+			buf = append(buf, index.dense(h))
+		}
+		mid := len(buf)
+		for _, h := range tasks[i].ReceiverHosts {
+			buf = append(buf, index.dense(h))
+		}
+		slots[i] = taskSlots{senders: buf[lo:mid:mid], receivers: buf[mid:len(buf):len(buf)]}
+	}
+	return slots, len(index)
+}
+
 // lptSeed is what every search starts from — the LPT plan, its makespan and
 // provenBound — as a caller that has already computed them hands them over.
 type lptSeed struct {
@@ -447,15 +494,14 @@ type lptSeed struct {
 // dfsPruning runs the search under a wall-clock budget (maxNodes == 0) or a
 // node budget (maxNodes > 0; the clock is then ignored), polling stop (when
 // non-nil) every StopStride nodes, and ends early once the incumbent meets
-// provenBound. All scratch state is allocated once up front: host state is
-// two flat slices over densely renumbered hosts, the per-node symmetry set
-// is a stamp array over precomputed task classes and the rollback stack is
-// one flat per-depth buffer, so the search allocates only when it improves
-// on the incumbent plan. A non-nil lpt is the caller's copy of the baseline
-// (the ensemble has built and evaluated it by the time it searches) and
-// spares recomputing it.
-//
-//alpacomm:hotpath
+// provenBound. All scratch state is allocated once up front (dfsSearch):
+// the per-depth frontier rows (the symmetry breaking too: there is no
+// per-node set of tried classes), host state over densely renumbered hosts
+// and the rollback saves, so the search allocates only when it improves on
+// the incumbent plan. A node costs the frontier tasks and senders it
+// branches on, not a scan of every task. A non-nil lpt is the caller's copy
+// of the baseline (the ensemble has built and evaluated it by the time it
+// searches) and spares recomputing it.
 func dfsPruning(tasks []Task, budget time.Duration, maxNodes int, stop func() bool, lpt *lptSeed) Plan {
 	if len(tasks) == 0 {
 		return Plan{Sender: map[int]int{}}
@@ -470,188 +516,211 @@ func dfsPruning(tasks []Task, budget time.Duration, maxNodes int, stop func() bo
 	if lpt.err != nil {
 		panic(lpt.err) // unreachable: LoadBalanceOnly plans are valid
 	}
-	best, bestSpan, bound := lpt.plan, lpt.span, lpt.bound
-	if bestSpan <= bound {
-		return best
+	if lpt.span <= lpt.bound {
+		return lpt.plan
 	}
 
 	n := len(tasks)
-	used := make([]bool, n)
-	order := make([]int, 0, n)
-	sender := make([]int, n) // sender[i] is task i's committed sender host
-	// hostsOf[hostOff[i]:hostOff[i+1]] are task i's hosts renumbered, its
-	// candidate senders first and then its receivers, each in task order.
-	var hosts hostIndex
-	hostOff := make([]int, n+1)
+	slots, hosts := denseSlots(tasks)
+	root, next := symmetryFrontier(tasks)
 	maxRecv := 0
 	for i := range tasks {
-		hostOff[i+1] = hostOff[i] + len(tasks[i].SenderHosts) + len(tasks[i].ReceiverHosts)
-		if len(tasks[i].ReceiverHosts) > maxRecv {
-			maxRecv = len(tasks[i].ReceiverHosts)
-		}
+		maxRecv = max(maxRecv, len(tasks[i].ReceiverHosts))
 	}
-	hostsOf := make([]int, 0, hostOff[n])
-	for i := range tasks {
-		for _, h := range tasks[i].SenderHosts {
-			hostsOf = append(hostsOf, hosts.dense(h))
-		}
-		for _, h := range tasks[i].ReceiverHosts {
-			hostsOf = append(hostsOf, hosts.dense(h))
-		}
+	free := make([]float64, 2*hosts+n*maxRecv)
+	s := &dfsSearch{
+		tasks: tasks, slots: slots, next: next,
+		words: len(root), rows: make([]uint64, (n+1)*len(root)),
+		order: make([]int, n), pick: make([]int, n),
+		sendFree: free[:hosts], recvFree: free[hosts : 2*hosts],
+		recvSave: free[2*hosts:], maxRecv: maxRecv,
+		maxNodes: maxNodes, deadline: deadline, stop: stop,
+		best: lpt.plan, bestSpan: lpt.span, bound: lpt.bound,
 	}
+	copy(s.rows, root)
+	s.visit(0, 0)
+	return s.best
+}
+
+// dfsSearch is one search's state. A node at depth d reads its own rows and
+// writes only depth d+1's, so its state survives its descendants' recursion.
+type dfsSearch struct {
+	tasks []Task
+	slots []taskSlots
+	next  []frontierBit // see symmetryFrontier
+	// rows[d*words:(d+1)*words] is the frontier of the node active at depth
+	// d: the tasks it branches on, one per symmetry class, in index order.
+	words int
+	rows  []uint64
+	// order[d] is the task launched at depth d and pick[i] the index into
+	// tasks[i].SenderHosts it sends from; both are resolved to IDs and hosts
+	// only when a complete schedule is copied out.
+	order, pick []int
 	// A host's send and receive sides are separate resources (full duplex).
-	free := make([]float64, 2*len(hosts))
-	sendFree, recvFree := free[:len(hosts)], free[len(hosts):]
-	classOf, classes := symmetryClasses(tasks)
-	// triedStamp[depth*classes+class] marks classes already tried at the
-	// node currently active at that depth. Rows are per-depth so a node's
-	// marks survive its descendants' recursion (deeper nodes write to
-	// deeper rows), and stamping with the node's unique visit number makes
-	// re-entering a depth reset its row for free.
-	triedStamp := make([]int, n*classes)
-	// recvSave[depth*maxRecv:] holds the pre-commit receiver frees of the
-	// branch taken at that depth.
-	recvSave := make([]float64, n*maxRecv)
+	sendFree, recvFree []float64
+	// recvSave[d*maxRecv:] holds the pre-commit receiver frees of the branch
+	// taken at depth d.
+	recvSave []float64
+	maxRecv  int
 
+	maxNodes int
+	deadline time.Time
+	stop     func() bool
+	nodes    int
 	// done ends the search: budget spent, stop fired, or optimum proven.
-	var done bool
-	checkCount := 0
+	done bool
 
-	var dfs func(depth int, span float64)
-	dfs = func(depth int, span float64) { //alpacomm:allow hotalloc recursive search closure, allocated once per search not per node
-		if done {
+	best            Plan
+	bestSpan, bound float64
+}
+
+// visit counts a node and, unless that ends the search or the node cannot
+// beat the incumbent, adopts its schedule if complete or else branches on
+// every frontier task and candidate sender that still could.
+//
+//alpacomm:hotpath
+func (s *dfsSearch) visit(depth int, span float64) {
+	s.nodes++
+	if s.maxNodes > 0 {
+		if s.nodes > s.maxNodes {
+			s.done = true
 			return
 		}
-		checkCount++
-		if maxNodes > 0 {
-			if checkCount > maxNodes {
-				done = true
-				return
-			}
-		} else if checkCount%1024 == 0 && time.Now().After(deadline) { //alpacomm:nondet-ok same opt-in wall-clock mode as the deadline above
-			done = true
-			return
-		}
-		if stop != nil && checkCount%StopStride == 0 && stop() {
-			done = true
-			return
-		}
-		if span >= bestSpan {
-			return
-		}
-		if depth == n {
-			bestSpan = span
-			cp := Plan{Sender: make(map[int]int, n), Order: append([]int(nil), order...)}
-			for i := 0; i < n; i++ {
-				cp.Sender[tasks[i].ID] = sender[i]
-			}
-			best = cp
-			done = bestSpan <= bound
-			return
-		}
-		// Symmetry breaking: among unscheduled tasks with identical
-		// (senders, receivers, duration), try only the first.
-		stamp := checkCount
-		tried := triedStamp[depth*classes : (depth+1)*classes]
-		for i := 0; i < n; i++ {
-			if used[i] {
-				continue
-			}
-			t := &tasks[i]
-			if tried[classOf[i]] == stamp {
-				continue
-			}
-			tried[classOf[i]] = stamp
-			senders := hostsOf[hostOff[i] : hostOff[i]+len(t.SenderHosts)]
-			receivers := hostsOf[hostOff[i]+len(t.SenderHosts) : hostOff[i+1]]
-			for k, s := range senders {
-				start := sendFree[s]
+	} else if s.nodes%1024 == 0 && time.Now().After(s.deadline) { //alpacomm:nondet-ok same opt-in wall-clock mode as the deadline in dfsPruning
+		s.done = true
+		return
+	}
+	if s.stop != nil && s.nodes%StopStride == 0 && s.stop() {
+		s.done = true
+		return
+	}
+	if span >= s.bestSpan {
+		return
+	}
+	if depth == len(s.tasks) {
+		s.adopt(span)
+		return
+	}
+	row := s.rows[depth*s.words : (depth+1)*s.words]
+	child := s.rows[(depth+1)*s.words : (depth+2)*s.words]
+	copy(child, row)
+	save := s.recvSave[depth*s.maxRecv : (depth+1)*s.maxRecv]
+	sendFree, recvFree := s.sendFree, s.recvFree
+	for w, word := range row {
+		for ; word != 0; word &= word - 1 {
+			i, self := w*64+bits.TrailingZeros64(word), word&-word
+			d, receivers := s.tasks[i].Duration, s.slots[i].receivers
+			for k, snd := range s.slots[i].senders {
+				start := sendFree[snd]
 				for _, r := range receivers {
 					if recvFree[r] > start {
 						start = recvFree[r]
 					}
 				}
-				finish := start + t.Duration
+				finish := start + d
 				newSpan := span
 				if finish > newSpan {
 					newSpan = finish
 				}
-				if newSpan >= bestSpan {
+				if newSpan >= s.bestSpan {
 					continue
 				}
-				// Commit.
-				used[i] = true
-				order = append(order, t.ID)
-				sender[i] = t.SenderHosts[k]
-				oldSend := sendFree[s]
-				oldRecv := recvSave[depth*maxRecv : depth*maxRecv+len(receivers)]
-				sendFree[s] = finish
+				// Commit: task i leaves the frontier, the next member of its
+				// class joins it.
+				s.order[depth], s.pick[i] = i, k
+				nx := s.next[i]
+				child[w] &^= self
+				child[nx.word] |= nx.mask
+				oldSend := sendFree[snd]
+				oldRecv := save[:len(receivers)]
+				sendFree[snd] = finish
 				for j, r := range receivers {
 					oldRecv[j] = recvFree[r]
 					recvFree[r] = finish
 				}
-				dfs(depth+1, newSpan)
+				s.visit(depth+1, newSpan)
 				// Roll back, last write first: a task may list a receiver
 				// twice, and only its first save holds the pre-commit value.
-				sendFree[s] = oldSend
+				sendFree[snd] = oldSend
 				for j := len(receivers) - 1; j >= 0; j-- {
 					recvFree[receivers[j]] = oldRecv[j]
 				}
-				order = order[:len(order)-1]
-				used[i] = false
-				if done {
+				child[nx.word], child[w] = row[nx.word], row[w]
+				if s.done {
 					return
 				}
 			}
 		}
 	}
-	dfs(0, 0)
-	return best
+}
+
+// adopt makes the complete schedule on the stack the incumbent and ends the
+// search if it meets the bound.
+func (s *dfsSearch) adopt(span float64) {
+	n := len(s.tasks)
+	cp := Plan{Sender: make(map[int]int, n), Order: make([]int, n)}
+	for d, i := range s.order {
+		cp.Order[d] = s.tasks[i].ID
+	}
+	for i := range s.tasks {
+		cp.Sender[s.tasks[i].ID] = s.tasks[i].SenderHosts[s.pick[i]]
+	}
+	s.best, s.bestSpan = cp, span
+	s.done = span <= s.bound
 }
 
 // GreedyRandomized is the paper's scalable algorithm: repeatedly select a
 // maximal set of mutually non-conflicting tasks (found as the best of
 // `trials` random orderings), launch the set, and recurse on the rest.
-// Senders within a batch are chosen to avoid conflicts and balance load.
-// Scratch buffers are reused across trials and rounds, so one call
-// allocates a fixed handful of objects regardless of trial count.
+// Senders within a batch are chosen to avoid conflicts and balance load,
+// ties going to the lower host id. Hosts are renumbered into dense slots
+// once: committed loads are a slice over them, and a host side taken in a
+// trial is stamped with the trial's number, so a new trial clears nothing.
+// Every buffer is allocated up front and reused across trials and rounds, so
+// one call allocates the same objects whatever its trial count.
+//
+//alpacomm:hotpath
 func GreedyRandomized(tasks []Task, trials int, rng *rand.Rand) Plan {
 	if trials < 1 {
 		trials = 1
 	}
-	remaining := make([]int, len(tasks))
+	n := len(tasks)
+	slots, slotCount := denseSlots(tasks)
+	remaining := make([]int, n)
 	for i := range remaining {
 		remaining[i] = i
 	}
-	load := map[int]float64{}
-	p := Plan{Sender: map[int]int{}}
+	load := make([]float64, slotCount)
+	// usedSend[h] == stamp while host h's send side is taken in the current
+	// trial, usedRecv[h] its receive side; stamp counts trials across rounds.
+	used := make([]int, 2*slotCount)
+	usedSend, usedRecv := used[:slotCount], used[slotCount:]
+	stamp := 0
+	p := Plan{Sender: make(map[int]int, n), Order: make([]int, 0, n)}
 	type pick struct {
 		taskIdx int
-		sender  int
+		sender  int // host id
+		slot    int // its dense slot
 	}
-	// Reused across trials and rounds; every per-trial structure is reset
-	// by clearing, not reallocating.
-	perm := make([]int, 0, len(tasks))
-	var batch, bestBatch []pick
-	usedSend := map[int]bool{}
-	usedRecv := map[int]bool{}
-	inBatch := make([]bool, len(tasks))
-	rest := make([]int, 0, len(tasks))
+	perm := make([]int, 0, n)
+	batch := make([]pick, 0, n)
+	bestBatch := make([]pick, 0, n)
+	inBatch := make([]bool, n)
+	rest := make([]int, 0, n)
 	for len(remaining) > 0 {
 		bestBatch = bestBatch[:0]
 		bestHosts := -1
 		for trial := 0; trial < trials; trial++ {
+			stamp++
 			perm = append(perm[:0], remaining...)
-			rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-			clear(usedSend)
-			clear(usedRecv)
+			rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] }) //alpacomm:allow hotalloc the swap does not outlive Shuffle, so it stays on the stack
 			batch = batch[:0]
 			hosts := 0
 			for _, ti := range perm {
-				t := &tasks[ti]
+				sl := &slots[ti]
 				conflict := false
-				for _, r := range t.ReceiverHosts {
-					if usedRecv[r] {
+				for _, r := range sl.receivers {
+					if usedRecv[r] == stamp {
 						conflict = true
 						break
 					}
@@ -660,24 +729,24 @@ func GreedyRandomized(tasks []Task, trials int, rng *rand.Rand) Plan {
 					continue
 				}
 				// Pick a free candidate sender with the lightest load.
-				s, sLoad := -1, math.Inf(1)
-				for _, c := range t.SenderHosts {
-					if usedSend[c] {
+				s, slot, sLoad := -1, -1, math.Inf(1)
+				for k, c := range sl.senders {
+					if usedSend[c] == stamp {
 						continue
 					}
-					if load[c] < sLoad || (load[c] == sLoad && c < s) {
-						s, sLoad = c, load[c]
+					if h := tasks[ti].SenderHosts[k]; load[c] < sLoad || (load[c] == sLoad && h < s) {
+						s, slot, sLoad = h, c, load[c]
 					}
 				}
 				if s < 0 {
 					continue
 				}
-				usedSend[s] = true
-				for _, r := range t.ReceiverHosts {
-					usedRecv[r] = true
+				usedSend[slot] = stamp
+				for _, r := range sl.receivers {
+					usedRecv[r] = stamp
 				}
-				batch = append(batch, pick{ti, s})
-				hosts += 1 + len(t.ReceiverHosts)
+				batch = append(batch, pick{ti, s, slot})
+				hosts += 1 + len(sl.receivers)
 			}
 			if hosts > bestHosts {
 				bestHosts = hosts
@@ -685,14 +754,20 @@ func GreedyRandomized(tasks []Task, trials int, rng *rand.Rand) Plan {
 			}
 		}
 		// Launch the batch, longest tasks first so stragglers start early.
-		sort.SliceStable(bestBatch, func(a, b int) bool {
-			return tasks[bestBatch[a].taskIdx].Duration > tasks[bestBatch[b].taskIdx].Duration
+		slices.SortStableFunc(bestBatch, func(a, b pick) int { //alpacomm:allow hotalloc the comparator does not outlive SortStableFunc, so it stays on the stack
+			switch da, db := tasks[a.taskIdx].Duration, tasks[b.taskIdx].Duration; {
+			case da > db:
+				return -1
+			case db > da:
+				return 1
+			}
+			return 0
 		})
 		for _, b := range bestBatch {
 			t := &tasks[b.taskIdx]
 			p.Sender[t.ID] = b.sender
 			p.Order = append(p.Order, t.ID)
-			load[b.sender] += t.Duration
+			load[b.slot] += t.Duration
 			inBatch[b.taskIdx] = true
 		}
 		rest = rest[:0]

@@ -192,6 +192,23 @@ func TestGreedyRandomizedValidAndGood(t *testing.T) {
 	}
 }
 
+// TestGreedyRandomizedAllocationsFlat: every buffer GreedyRandomized uses is
+// allocated before the first trial, so 64 trials allocate what one does —
+// however many rounds either takes.
+func TestGreedyRandomizedAllocationsFlat(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for inst := 0; inst < 10; inst++ {
+		tasks := hardDFSInstance(rng)
+		allocs := func(trials int) float64 {
+			src := rand.New(rand.NewSource(int64(inst)))
+			return testing.AllocsPerRun(20, func() { GreedyRandomized(tasks, trials, src) })
+		}
+		if one, many := allocs(1), allocs(64); one != many {
+			t.Fatalf("instance %d: %v allocations with 1 trial, %v with 64", inst, one, many)
+		}
+	}
+}
+
 func TestEnsembleNeverWorseThanBaselines(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	f := func(seed int64) bool {
