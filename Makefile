@@ -52,5 +52,6 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzDegradedPlan -fuzztime 10s ./internal/resharding
 	$(GO) test -run xxx -fuzz FuzzEnsembleMatchesReference -fuzztime 10s ./internal/schedule
 	$(GO) test -run xxx -fuzz FuzzDFSMatchesReference -fuzztime 10s ./internal/schedule
+	$(GO) test -run xxx -fuzz FuzzClosedFormMatchesBruteForce -fuzztime 10s ./internal/schedule
 	$(GO) test -run xxx -fuzz FuzzBinaryDecode -fuzztime 10s ./internal/service
 	$(GO) test -run xxx -fuzz FuzzPlanRequestV2 -fuzztime 10s ./internal/service

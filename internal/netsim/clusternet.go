@@ -295,7 +295,8 @@ func (n *ClusterNet) transfer(label Label, src, dst int, bytes int64, seq int, w
 // first + i*hops + j, label "<prefix>/c<i>/h<j>" and the duration
 // Transfer (i = 0) or StreamTransfer (i > 0) would give chunk i on that hop;
 // chain[j+1] holds the whole message once op first + (chunks-1)*hops + j
-// finishes. deps gate the sender's chunks.
+// finishes. deps gate chunk 0 leaving the sender; every later chunk waits on
+// the one before it, and so on them too.
 //
 // Everything a chain of Transfer calls checks per op is checked here once
 // per chain — the schedule has not run, the devices are valid and distinct

@@ -320,11 +320,14 @@ type hop struct {
 // (ClusterNet.PipelinedChain) and returns the id of the first. The lattice is
 // completely regular, so it is reserved in the arenas once and filled in
 // place: op (i, j) — chunk i crossing hop j — has id first + i*len(hops) + j,
-// depends on op id-1 (the chunk reaching this hop; on hop 0 the caller's deps
-// instead) and, past the first chunk, on op id-len(hops) (chunk i-1 leaving
-// this hop), and occupies the hop's two resources. The caller has validated
-// deps and hops; a negative duration is refused as AddOp refuses it, leaving
-// nothing registered.
+// depends on op id-1 (the chunk reaching this hop) past the first hop and on
+// op id-len(hops) (chunk i-1 leaving this hop) past the first chunk, and
+// occupies the hop's two resources. The caller's deps gate op (0, 0) alone:
+// every later chunk's hop-0 op waits on its predecessor, which waited on
+// them, so listing them again could neither delay it nor make it ready at
+// another point of the run. The caller has validated deps and hops; a
+// negative duration is refused as AddOp refuses it, leaving nothing
+// registered.
 //
 //alpacomm:hotpath
 func (s *Sim) addLattice(prefix string, hops []hop, bytes int64, chunks, seq int, deps []OpID) (OpID, error) {
@@ -333,9 +336,9 @@ func (s *Sim) addLattice(prefix string, hops []hop, bytes int64, chunks, seq int
 		return 0, fmt.Errorf("netsim: chain %q: %d chunks x %d hops overflow the int32 op arena", prefix, chunks, nh)
 	}
 	nOps := chunks * nh
-	// Hop 0 lists the caller's deps, every later hop its upstream op; all
-	// chunks but the first add the previous chunk on the same hop.
-	nDeps := int64(chunks)*int64(len(deps)+nh-1) + int64(chunks-1)*int64(nh)
+	// Op (0, 0) lists the caller's deps, every later hop its upstream op;
+	// all chunks but the first add the previous chunk on the same hop.
+	nDeps := int64(len(deps)) + int64(chunks)*int64(nh-1) + int64(chunks-1)*int64(nh)
 	if nDeps > math.MaxInt32 {
 		return 0, fmt.Errorf("netsim: chain %q: %d dependencies overflow the int32 dependency arena", prefix, nDeps)
 	}
@@ -370,9 +373,9 @@ func (s *Sim) addLattice(prefix string, hops []hop, bytes int64, chunks, seq int
 				negative = id
 			}
 			dep := d
-			if j == 0 {
+			if id == first {
 				d += copy(da[d:], deps)
-			} else {
+			} else if j > 0 {
 				da[d] = OpID(id - 1)
 				d++
 			}

@@ -184,9 +184,22 @@ func (p *Plan) simulateWith(b *PlanBuilder, trace bool) (*SimResult, error) {
 			}
 		}
 		b.hosts = recvHosts
-		deps := append(b.deps[:0], b.run(b.lastSend[senderHost])...)
-		for _, h := range recvHosts {
-			deps = append(deps, b.run(b.lastRecv[h])...)
+		// The unit task waits on the runs of the unit tasks before it on
+		// each of its hosts, each run once however many hosts name it.
+		send := b.lastSend[senderHost]
+		deps := append(b.deps[:0], b.run(send)...)
+	receivers:
+		for i, h := range recvHosts {
+			w := b.lastRecv[h]
+			if w == send {
+				continue
+			}
+			for _, prev := range recvHosts[:i] {
+				if b.lastRecv[prev] == w {
+					continue receivers
+				}
+			}
+			deps = append(deps, b.run(w)...)
 		}
 		b.deps = deps
 		done, err := b.buildUnitOps(p.Opts, idx, sender, u.Receivers,

@@ -1,9 +1,7 @@
 package resharding
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"sort"
 
 	"alpacomm/internal/collective"
@@ -13,8 +11,8 @@ import (
 
 // buildUnitOps registers the communication ops of one unit task under the
 // plan's strategy and returns the run of b.done holding its completion ops
-// (one per receiver-side endpoint), used to chain Eq. 3 exclusivity between
-// unit tasks.
+// (under Broadcast one per NIC lane, else one per receiver-side endpoint),
+// used to chain Eq. 3 exclusivity between unit tasks.
 //
 //alpacomm:hotpath
 func (b *PlanBuilder) buildUnitOps(opts Options, idx, sender int, receivers []int, elements, bytes int64, seq int, deps []netsim.OpID) (doneRun, error) {
@@ -136,8 +134,10 @@ func buildGlobalAllGather(net *netsim.ClusterNet, label string, sender int, rece
 // clusters with several NICs per host, the unit task is divided into one
 // sub-task per NIC (the §3.1 future-work extension): each part travels its
 // own chain — a lane — over a distinct NIC, multiplying cross-host bandwidth.
-// The completion ops — each lane's last chunk arriving at each receiver — are
-// listed lane by lane, ascending by device within a lane.
+// The completion run holds one op per lane, lane by lane: its last chunk
+// crossing the last hop. That op waits, through the lattice, on the last
+// chunk's arrival at every other receiver, so a later unit task that waits
+// on it waits on all of them.
 //
 //alpacomm:hotpath
 func (b *PlanBuilder) buildBroadcast(opts Options, idx, sender int, receivers []int, bytes int64, seq int, deps []netsim.OpID) (doneRun, error) {
@@ -166,15 +166,7 @@ func (b *PlanBuilder) buildBroadcast(opts Options, idx, sender int, receivers []
 			b.done = b.done[:from]
 			return doneRun{}, err
 		}
-		last := collective.ChainDone(first, used, hops, 0) // chain[j+1] is done at last+j
-		at := len(b.done)
-		for j := 0; j < hops; j++ {
-			b.done = append(b.done, last+netsim.OpID(j))
-		}
-		//alpacomm:allow hotalloc the comparator does not outlive SortFunc, so it stays on the stack
-		slices.SortFunc(b.done[at:], func(x, y netsim.OpID) int {
-			return cmp.Compare(chain[x-last+1], chain[y-last+1])
-		})
+		b.done = append(b.done, collective.ChainDone(first, used, hops, hops-1))
 	}
 	return b.closeRun(from)
 }

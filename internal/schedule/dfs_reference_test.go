@@ -455,7 +455,7 @@ func referenceEnsembleNodes(tasks []Task, dfsNodes, trials int, rng *rand.Rand) 
 // show: plans are byte-identical on random instances and on families made
 // to leave the loop at each of its exits (ensembleFamilies).
 func TestEnsembleNodesStopMatchesReference(t *testing.T) {
-	gens := []func(*rand.Rand) []Task{randomDFSInstance}
+	gens := []func(*rand.Rand) []Task{randomDFSInstance, hardDFSInstance, unequalForcedSenderInstance}
 	for _, fam := range ensembleFamilies {
 		gens = append(gens, fam.gen)
 	}

@@ -7,12 +7,13 @@ import (
 )
 
 // Where the candidate loop ends: the first candidate whose offer leaves the
-// incumbent at provenBound, or exitNone when the cheap candidates all miss it
-// and the DFS (which may still prove its own incumbent) has to run.
+// incumbent at provenBound — the DFS proving its own incumbent included — or
+// exitNone when even the search ends above it.
 const (
 	exitNaive  = "Naive"
 	exitLPT    = "LoadBalanceOnly"
 	exitGreedy = "GreedyRandomized"
+	exitDFS    = "DFSPruningNodesStop"
 	exitNone   = "none"
 )
 
@@ -25,9 +26,9 @@ func mustMakespan(t *testing.T, tasks []Task, p Plan) float64 {
 	return m
 }
 
-// ensembleExit works out the exit from the definitions, building every cheap
-// candidate eagerly.
-func ensembleExit(t *testing.T, tasks []Task, trials int, seed int64) string {
+// ensembleExit works out the exit from the definitions, building every
+// candidate eagerly, the DFS as the reference search under dfsNodes.
+func ensembleExit(t *testing.T, tasks []Task, trials int, seed int64, dfsNodes int) string {
 	t.Helper()
 	pb := provenBound(tasks)
 	switch {
@@ -37,6 +38,8 @@ func ensembleExit(t *testing.T, tasks []Task, trials int, seed int64) string {
 		return exitLPT
 	case mustMakespan(t, tasks, GreedyRandomized(tasks, trials, rand.New(rand.NewSource(seed)))) <= pb:
 		return exitGreedy
+	case len(tasks) <= 20 && mustMakespan(t, tasks, referenceDFSNodes(tasks, dfsNodes)) <= pb:
+		return exitDFS
 	}
 	return exitNone
 }
@@ -128,32 +131,82 @@ var ensembleFamilies = []ensembleFamily{
 		},
 	},
 	{
-		// The same with sevenths durations: the load is no longer exact, the
-		// shrunk bound sits below every schedule and nothing is proven.
-		name: "one forced sender, unequal durations", exit: exitNone,
+		// Three tasks of one duration that only host 2 can send — to 12, to
+		// 11 and 10, to 11 and 12 — and a longer one (at most twice as long)
+		// from host 1 to 10. Host 2's load is the floor, met only by running
+		// its three back to back with the one to 10 first. Naive and LPT
+		// launch the long task first and leave host 2 idle until 10 is
+		// free. GreedyRandomized's widest first batch is the long task and
+		// the one to 11 and 12; its next takes the wider of the other two,
+		// the one to 10, which waits for the long task too.
+		name: "idle forced sender", exit: exitDFS,
 		gen: func(rng *rand.Rand) []Task {
-			tasks := make([]Task, 3+rng.Intn(5))
+			d := float64(2 + rng.Intn(20))
+			long := d + float64(1+rng.Intn(int(d)))
+			return []Task{
+				{ID: 0, SenderHosts: []int{1}, ReceiverHosts: []int{10}, Duration: long},
+				{ID: 1, SenderHosts: []int{2}, ReceiverHosts: []int{12}, Duration: d},
+				{ID: 2, SenderHosts: []int{2, 2}, ReceiverHosts: []int{11, 10}, Duration: d},
+				{ID: 3, SenderHosts: []int{2, 2}, ReceiverHosts: []int{11, 12}, Duration: d},
+			}
+		},
+	},
+	{
+		// Three tasks from hosts of their own, each sharing a receiver with
+		// each other one, plus independent fillers: the three run one after
+		// another, while every load holds only two of them. No schedule meets
+		// the floor.
+		name: "receiver triangle", exit: exitNone,
+		gen: func(rng *rand.Rand) []Task {
+			tasks := []Task{
+				{ID: 0, SenderHosts: []int{0}, ReceiverHosts: []int{10, 11}},
+				{ID: 1, SenderHosts: []int{1}, ReceiverHosts: []int{11, 12}},
+				{ID: 2, SenderHosts: []int{2}, ReceiverHosts: []int{12, 10}},
+			}
 			for i := range tasks {
-				tasks[i] = Task{ID: i, SenderHosts: []int{4}, ReceiverHosts: []int{10 + i}, Duration: 1 + float64(i+1)/7}
+				tasks[i].Duration = float64(1+rng.Intn(97)) / 7
+			}
+			for i := rng.Intn(3); i > 0; i-- {
+				tasks = append(tasks, Task{ID: len(tasks), SenderHosts: []int{3, 4}, ReceiverHosts: []int{20 + i}, Duration: 1})
 			}
 			return tasks
 		},
 	},
-	{name: "hard", exit: exitNone, gen: hardDFSInstance},
+}
+
+// unequalForcedSenderInstance has one host send everything, each task to a
+// receiver of its own, with sevenths durations: the floor is the least chain
+// of the send side's durations, which some launch orders miss by an ulp.
+// Which candidate meets it, if any, depends on the instance.
+func unequalForcedSenderInstance(rng *rand.Rand) []Task {
+	tasks := make([]Task, 3+rng.Intn(5))
+	for i := range tasks {
+		tasks[i] = Task{ID: i, SenderHosts: []int{4}, ReceiverHosts: []int{10 + i}, Duration: 1 + float64(1+rng.Intn(97))/7}
+	}
+	return tasks
 }
 
 // TestEnsembleFamiliesExitWhereIntended holds each family to its exit and
 // the candidate loop to its laziness: nothing is built after the exit — the
 // DFS is not called, and an exit before the trials leaves the rng where a
-// fresh source starts.
+// fresh source starts — and a search that meets the floor returns it.
 func TestEnsembleFamiliesExitWhereIntended(t *testing.T) {
 	const trials = 16
+	reached := map[string]bool{}
+	for _, fam := range ensembleFamilies {
+		reached[fam.exit] = true
+	}
+	for _, exit := range []string{exitNaive, exitLPT, exitGreedy, exitDFS, exitNone} {
+		if !reached[exit] {
+			t.Errorf("no family leaves the candidate loop at %s", exit)
+		}
+	}
 	for _, fam := range ensembleFamilies {
 		rng := rand.New(rand.NewSource(77))
 		for trial := 0; trial < 12; trial++ {
 			tasks := fam.gen(rng)
 			seed := int64(trial)*31 + 5
-			if got := ensembleExit(t, tasks, trials, seed); got != fam.exit {
+			if got := ensembleExit(t, tasks, trials, seed, 2000); got != fam.exit {
 				t.Fatalf("%s trial %d: candidate loop exits at %s, family is meant for %s\ntasks: %+v", fam.name, trial, got, fam.exit, tasks)
 			}
 			if fam.senderBound {
@@ -173,8 +226,11 @@ func TestEnsembleFamiliesExitWhereIntended(t *testing.T) {
 				t.Fatalf("%s trial %d: ensemble diverged from reference\n got: %+v\nwant: %+v", fam.name, trial, got, want)
 			}
 			wantSearches := 0
-			if fam.exit == exitNone {
+			if fam.exit == exitDFS || fam.exit == exitNone {
 				wantSearches = 1
+			}
+			if span := mustMakespan(t, tasks, got); (span <= provenBound(tasks)) != (fam.exit != exitNone) {
+				t.Fatalf("%s trial %d: the ensemble returned makespan %v against floor %v on an instance that exits at %s", fam.name, trial, span, provenBound(tasks), fam.exit)
 			}
 			if searches != wantSearches {
 				t.Fatalf("%s trial %d: DFS ran %d times on an instance that exits at %s", fam.name, trial, searches, fam.exit)
@@ -223,21 +279,22 @@ func TestGreedyEnsembleMatchesEagerRanking(t *testing.T) {
 }
 
 // TestEnsembleKeepsEarlierCandidateOnTie pins the adoption rule the exit
-// rests on. Three integer durations on one receiver: every order sums to
-// exactly 6, so all candidates tie, and the durations differ, so the shrunk
-// bound proves none of them — the loop runs to its end and must still return
-// its first candidate.
+// rests on. Three tasks with integer durations, each sharing a receiver with
+// both others: every order runs them one after another and ends at exactly
+// 6, so all candidates tie, and no load holds more than two of them, so the
+// floor (5) proves none — the loop runs to its end and must still return its
+// first candidate.
 func TestEnsembleKeepsEarlierCandidateOnTie(t *testing.T) {
 	tasks := []Task{
-		{ID: 0, SenderHosts: []int{0}, ReceiverHosts: []int{5}, Duration: 1},
-		{ID: 1, SenderHosts: []int{1}, ReceiverHosts: []int{5}, Duration: 3},
-		{ID: 2, SenderHosts: []int{2}, ReceiverHosts: []int{5}, Duration: 2},
+		{ID: 0, SenderHosts: []int{0}, ReceiverHosts: []int{5, 6}, Duration: 1},
+		{ID: 1, SenderHosts: []int{1}, ReceiverHosts: []int{6, 7}, Duration: 3},
+		{ID: 2, SenderHosts: []int{2}, ReceiverHosts: []int{7, 5}, Duration: 2},
 	}
 	naive, lpt := Naive(tasks), LoadBalanceOnly(tasks)
 	if samePlan(naive, lpt) || mustMakespan(t, tasks, naive) != mustMakespan(t, tasks, lpt) {
 		t.Fatal("instance no longer has Naive and LPT tie as different plans")
 	}
-	if exit := ensembleExit(t, tasks, 4, 1); exit != exitNone {
+	if exit := ensembleExit(t, tasks, 4, 1, 1000); exit != exitNone {
 		t.Fatalf("candidate loop exits at %s; the tie must be decided by the adoption rule, not the exit", exit)
 	}
 	if got := EnsembleNodesStop(tasks, 1000, 4, rand.New(rand.NewSource(1)), nil); !samePlan(got, naive) {

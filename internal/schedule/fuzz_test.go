@@ -9,8 +9,10 @@ import (
 // fuzzTasks decodes bytes into at most 8 tasks over 4 sender and 4 receiver
 // hosts. Three bytes per task: candidate senders (one, the same one twice, or
 // two), receivers (one to three, repeats allowed) and a duration that is a
-// small integer or a number of sevenths — equal durations and inexact sums
-// both come up, which are the two branches of provenBound.
+// small integer, a number of sevenths or a multiple of 3.93216e-06 s (a
+// power of two over a power of ten, as the benchmark's problems time their
+// units) — equal durations and inexact sums that depend on the order both
+// come up.
 func fuzzTasks(data []byte) []Task {
 	var tasks []Task
 	for ; len(data) >= 3 && len(tasks) < 8; data = data[3:] {
@@ -24,8 +26,11 @@ func fuzzTasks(data []byte) []Task {
 			receivers = append(receivers, 4+int(r>>(4+2*k)&3))
 		}
 		dur := float64(1 + d&7)
-		if d&0x80 != 0 {
+		switch {
+		case d&0x80 != 0:
 			dur = float64(1+d&0x3f) / 7
+		case d&0x40 != 0:
+			dur = float64(1+d&0x3f) * 3.93216e-06
 		}
 		tasks = append(tasks, Task{ID: len(tasks), SenderHosts: senders, ReceiverHosts: receivers, Duration: dur})
 	}
@@ -139,8 +144,28 @@ func FuzzEnsembleMatchesReference(f *testing.F) {
 		if !samePlan(got, want) {
 			t.Fatalf("budget %d seed %d: ensemble diverged from reference\n got: %+v\nwant: %+v\ntasks: %+v", budget, seed, got, want, tasks)
 		}
-		if exit := ensembleExit(t, tasks, 4, seed); proven != (exit == exitNaive || exit == exitLPT) {
+		if exit := ensembleExit(t, tasks, 4, seed, budget); proven != (exit == exitNaive || exit == exitLPT) {
 			t.Fatalf("ClosedForm proven = %v, eager reference exits at %s\ntasks: %+v", proven, exit, tasks)
 		}
+	})
+}
+
+// FuzzClosedFormMatchesBruteForce is the floor's soundness oracle on
+// arbitrary instances small enough to enumerate (checkFloor): provenBound is
+// each serial load's least chain over every launch order, no schedule beats
+// it, it moves from the shrunk floor only where a load's durations differ
+// and only upward, and an incumbent ClosedForm calls proven is an optimum.
+func FuzzClosedFormMatchesBruteForce(f *testing.F) {
+	f.Add([]byte{0, 0, 0x83, 1, 0, 0x85, 2, 0, 0x89, 3, 0, 0x82})       // one receiver, sevenths
+	f.Add([]byte{0, 0, 0x87, 0, 1, 0x8b, 0, 2, 0x8d, 0, 3, 0x95})       // one forced sender, sevenths
+	f.Add([]byte{0, 0, 0x44, 1, 0, 0x44, 2, 0, 0x45, 3, 0, 0x4b})       // one receiver, multiples of 3.93216e-06
+	f.Add([]byte{0, 0, 0x46, 0, 1, 0x47, 0, 2, 0x4a, 0x0c, 3, 0x4e})    // a forced sender and a free one, 3.93216e-06
+	f.Add([]byte{0, 0x04, 0x41, 1, 0x19, 0x42, 2, 0x06, 0x43, 3, 1, 2}) // receivers shared two at a time
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tasks := fuzzTasks(data)
+		if len(tasks) == 0 || scheduleCount(tasks) > 50_000 {
+			t.Skip("no task decoded, or too many schedules to enumerate")
+		}
+		checkFloor(t, tasks)
 	})
 }

@@ -96,52 +96,239 @@ func forcedSenderInstance(rng *rand.Rand) []Task {
 	return tasks
 }
 
+// loadKey names a serial load: a host's receive side, or its send side.
+type loadKey struct {
+	host int
+	send bool
+}
+
+// serialLoads lists the durations of every serial load in task order: the
+// receive side of each receiver host (a task listing it twice counts once)
+// and the send side of each host some task can be sent from only.
+func serialLoads(tasks []Task) (keys []loadKey, durations map[loadKey][]float64) {
+	durations = map[loadKey][]float64{}
+	add := func(k loadKey, d float64) {
+		if _, ok := durations[k]; !ok {
+			keys = append(keys, k)
+		}
+		durations[k] = append(durations[k], d)
+	}
+	for _, tk := range tasks {
+		if s, ok := forcedSender(&tk); ok {
+			add(loadKey{s, true}, tk.Duration)
+		}
+		seen := map[int]bool{}
+		for _, r := range tk.ReceiverHosts {
+			if !seen[r] {
+				seen[r] = true
+				add(loadKey{r, false}, tk.Duration)
+			}
+		}
+	}
+	return keys, durations
+}
+
+func uniform(durations []float64) bool {
+	for _, d := range durations {
+		if d != durations[0] {
+			return false
+		}
+	}
+	return true
+}
+
+// floorReference computes the floor the long way: each load's least chain by
+// trying every launch order of its durations, or, with shrink, the floor as
+// it was before the least chain was worked out — a load of bit-equal
+// durations at its sum, any other at its sum times 1-k*2^-51. Durations
+// provenBound refuses make both 0.
+func floorReference(tasks []Task, shrink bool) float64 {
+	floor := 0.0
+	for _, tk := range tasks {
+		if !(tk.Duration >= 0) {
+			return 0
+		}
+		floor = max(floor, tk.Duration)
+	}
+	keys, durations := serialLoads(tasks)
+	for _, k := range keys {
+		ds := durations[k]
+		var b float64
+		if !shrink {
+			b = leastChainByEnumeration(ds)
+		} else {
+			for _, d := range ds {
+				b += d
+			}
+			if !uniform(ds) {
+				b *= 1 - float64(len(ds))*0x1p-51
+			}
+		}
+		floor = max(floor, b)
+	}
+	if math.IsInf(floor, 1) {
+		return 0
+	}
+	return floor
+}
+
+// leastChainByEnumeration returns the least fl(fl(d1+d2)+d3)... over every
+// order of the durations, by trying them all up to eight durations. Past
+// that it takes the least chain over each subset of them, by the monotonicity
+// of fl(x+d) in x that leastChain rests on too, but over subsets of
+// positions rather than counts of values.
+func leastChainByEnumeration(ds []float64) float64 {
+	if len(ds) > 8 {
+		chain := make([]float64, 1<<len(ds))
+		for set := 1; set < len(chain); set++ {
+			chain[set] = math.Inf(1)
+			for i, d := range ds {
+				if set&(1<<i) != 0 {
+					chain[set] = min(chain[set], chain[set&^(1<<i)]+d)
+				}
+			}
+		}
+		return chain[len(chain)-1]
+	}
+	least := math.Inf(1)
+	used := make([]bool, len(ds))
+	var walk func(depth int, chain float64)
+	walk = func(depth int, chain float64) {
+		if depth == len(ds) {
+			least = min(least, chain)
+			return
+		}
+		for i, d := range ds {
+			if !used[i] {
+				used[i] = true
+				walk(depth+1, chain+d)
+				used[i] = false
+			}
+		}
+	}
+	walk(0, 0)
+	return least
+}
+
+// checkFloor holds provenBound, on an instance small enough to enumerate, to
+// what it promises: bit-equal to floorReference; at or below every
+// schedule's makespan; bit-equal to the shrunk floor when every load's
+// durations are, and at or above it otherwise; and where ClosedForm calls
+// its incumbent proven, that incumbent is a brute-force optimum. It returns
+// the floor, the shrunk floor and whether ClosedForm proved its incumbent.
+func checkFloor(t *testing.T, tasks []Task) (pb, shrunk float64, proven bool) {
+	t.Helper()
+	pb, shrunk = provenBound(tasks), floorReference(tasks, true)
+	if want := floorReference(tasks, false); math.Float64bits(pb) != math.Float64bits(want) {
+		t.Fatalf("provenBound %v, least chains by enumeration %v\ntasks: %+v", pb, want, tasks)
+	}
+	keys, durations := serialLoads(tasks)
+	allUniform := true
+	for _, k := range keys {
+		allUniform = allUniform && uniform(durations[k])
+	}
+	if allUniform && math.Float64bits(pb) != math.Float64bits(shrunk) || pb < shrunk {
+		t.Fatalf("provenBound %v against the shrunk floor %v (every load uniform: %v)\ntasks: %+v", pb, shrunk, allUniform, tasks)
+	}
+	opt := math.Inf(1)
+	forEachSchedule(t, tasks, func(span float64) {
+		if span < pb {
+			t.Fatalf("a schedule evaluates to %v, below provenBound %v\ntasks: %+v", span, pb, tasks)
+		}
+		opt = min(opt, span)
+	})
+	in := ClosedForm(tasks)
+	if in.Proven() {
+		if span := mustMakespan(t, tasks, in.best); span != opt {
+			t.Fatalf("ClosedForm proved makespan %v, brute-force optimum %v\ntasks: %+v", span, opt, tasks)
+		}
+	}
+	return pb, shrunk, in.Proven()
+}
+
 // TestProvenBoundBelowEverySchedule is the soundness property the early
-// exits rest on: provenBound never exceeds the makespan of any schedule,
-// evaluated in the same floating-point arithmetic. It also holds the bound
+// exits rest on, checked by checkFloor: provenBound is each load's least
+// chain, never exceeds the makespan of any schedule evaluated in the same
+// floating-point arithmetic, and proves only optima. It also holds the bound
 // to within rounding of LowerBound, so it cannot pass by being useless, and
-// checks that both of its branches and both kinds of serial load — receiver
-// hosts and forced senders — decide the bound often enough to be covered.
+// checks that every kind of load decides it often enough to be covered —
+// receiver hosts and forced senders, of bit-equal durations and of others —
+// and that the least chain both sits below the task-order sum and lifts the
+// floor above the shrunk sum, proving incumbents the shrunk floor did not.
 func TestProvenBoundBelowEverySchedule(t *testing.T) {
 	rng := rand.New(rand.NewSource(2718))
-	exact, bySenderExact, bySenderShrunk := 0, 0, 0
+	type kind struct{ sender, uniform bool }
+	decided := map[kind]int{}
+	belowSum, lifted, newlyProven := 0, 0, 0
 	for trial := 0; trial < 240; trial++ {
 		tasks := seventhsInstance(rng)
 		if trial%2 == 1 {
 			tasks = forcedSenderInstance(rng)
 		}
-		pb, lb := provenBound(tasks), LowerBound(tasks)
+		pb, shrunk, proven := checkFloor(t, tasks)
+		lb := LowerBound(tasks)
 		if pb > lb || pb < lb*(1-1e-12) {
 			t.Fatalf("trial %d: provenBound %v not within rounding below LowerBound %v", trial, pb, lb)
 		}
-		if pb == lb {
-			exact++
-		}
-		if pb > receiverOnlyBound(tasks) {
-			if pb == lb {
-				bySenderExact++
-			} else {
-				bySenderShrunk++
+		// The deciding load: a send side when the receiver loads alone stay
+		// below the floor, of bit-equal durations when such a load of that
+		// side reaches it.
+		k := kind{sender: pb > receiverOnlyBound(tasks)}
+		keys, durations := serialLoads(tasks)
+		for _, key := range keys {
+			ds := durations[key]
+			if key.send == k.sender && uniform(ds) && leastChainByEnumeration(ds) == pb {
+				k.uniform = true
 			}
 		}
-		forEachSchedule(t, tasks, func(span float64) {
-			if span < pb {
-				t.Fatalf("trial %d: a schedule evaluates to %v, below provenBound %v\ntasks: %+v", trial, span, pb, tasks)
+		decided[k]++
+		if pb < lb {
+			belowSum++
+		}
+		if pb > shrunk {
+			lifted++
+			if proven { // at pb, so above what the shrunk floor proves
+				newlyProven++
 			}
-		})
+		}
 	}
-	if exact < 20 {
-		t.Fatalf("only %d of 240 instances took the exact branch of the bound", exact)
+	for _, k := range []kind{{false, true}, {false, false}, {true, true}, {true, false}} {
+		if decided[k] < 10 {
+			t.Errorf("a load (send side %v, bit-equal durations %v) decided the floor on %d of 240 instances; want 10", k.sender, k.uniform, decided[k])
+		}
 	}
-	if bySenderExact < 10 || bySenderShrunk < 10 {
-		t.Fatalf("a forced-sender load decided the bound on %d exact and %d shrunk instances; want 10 of each", bySenderExact, bySenderShrunk)
+	if belowSum < 10 || lifted < 40 || newlyProven < 20 {
+		t.Errorf("the floor sat below the task-order sum on %d instances and above the shrunk sum on %d, proving %d incumbents the shrunk sum did not; want 10, 40, 20",
+			belowSum, lifted, newlyProven)
+	}
+}
+
+// TestProvenBoundCapsTheChain: a load with more than chainStates count
+// vectors — thirteen distinct durations make 2^13 — counts as its shrunk
+// sum, bit for bit, and one with exactly chainStates is worked out.
+func TestProvenBoundCapsTheChain(t *testing.T) {
+	load := func(n int) []Task {
+		tasks := make([]Task, n)
+		for i := range tasks {
+			tasks[i] = Task{ID: i, SenderHosts: []int{i % 3, 3}, ReceiverHosts: []int{9}, Duration: 1 + float64(i+1)/7}
+		}
+		return tasks
+	}
+	capped := load(13)
+	if pb, shrunk := provenBound(capped), floorReference(capped, true); math.Float64bits(pb) != math.Float64bits(shrunk) {
+		t.Fatalf("13 distinct durations: provenBound %v, shrunk floor %v", pb, shrunk)
+	}
+	worked := load(12)
+	if pb, want := provenBound(worked), floorReference(worked, false); math.Float64bits(pb) != math.Float64bits(want) {
+		t.Fatalf("12 distinct durations: provenBound %v, least chain %v", pb, want)
 	}
 }
 
 // TestForcedSenderChainSumsBelowLowerBound is the send-side twin of
 // TestDFSOneUlpBelowLowerBound: three tasks one host must send, to three
 // different receivers, whose durations sum an ulp lower in one launch order
-// than in task order. Only the shrink keeps provenBound under that schedule.
+// than in task order. Only taking the least chain over launch orders keeps
+// provenBound under that schedule.
 func TestForcedSenderChainSumsBelowLowerBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 2000; trial++ {
@@ -230,26 +417,33 @@ func TestDFSReturnsProvenSeedWithoutSearching(t *testing.T) {
 // the schedule that runs C beside A and D beside B meets 10. Four
 // independent fillers with distinct durations come first in task order, so
 // the search fixes them as a prefix, finds 10 among the orders of the last
-// four tasks, and — unless it stops — goes on to permute the fillers.
-// aDuration is A's; anything but 5 makes receiver 30's durations unequal.
-func midSearchInstance(aDuration float64) []Task {
+// four tasks, and — unless it stops — goes on to permute the fillers. With
+// triangle, A, B and C each share a receiver with both others: they run one
+// after another, 14 at best, while no load holds more than two of them.
+func midSearchInstance(triangle bool) []Task {
 	var tasks []Task
 	for i := 0; i < 4; i++ {
 		tasks = append(tasks, Task{ID: i, SenderHosts: []int{10 + i}, ReceiverHosts: []int{20 + i}, Duration: 1 + float64(i)/4})
 	}
-	return append(tasks,
-		Task{ID: 4, SenderHosts: []int{0}, ReceiverHosts: []int{30}, Duration: aDuration},
+	tasks = append(tasks,
+		Task{ID: 4, SenderHosts: []int{0}, ReceiverHosts: []int{30}, Duration: 5},
 		Task{ID: 5, SenderHosts: []int{1}, ReceiverHosts: []int{30}, Duration: 5},
 		Task{ID: 6, SenderHosts: []int{0, 1}, ReceiverHosts: []int{31}, Duration: 4},
 		Task{ID: 7, SenderHosts: []int{0, 1}, ReceiverHosts: []int{32}, Duration: 3.5},
 	)
+	if triangle {
+		tasks[4].ReceiverHosts = []int{30, 32}
+		tasks[5].ReceiverHosts = []int{30, 31}
+		tasks[6].ReceiverHosts = []int{31, 32}
+	}
+	return tasks
 }
 
 // TestDFSStopsWhereOptimumIsAdopted: a search that reaches the bound
 // mid-way stops at that node and still returns the reference's plan at
 // every budget, the one just short of the adopting node included.
 func TestDFSStopsWhereOptimumIsAdopted(t *testing.T) {
-	tasks := midSearchInstance(5)
+	tasks := midSearchInstance(false)
 	bound := provenBound(tasks)
 	if bound != 10 {
 		t.Fatalf("provenBound = %v, want 10", bound)
@@ -279,11 +473,15 @@ func TestDFSStopsWhereOptimumIsAdopted(t *testing.T) {
 			t.Fatalf("budget %d: stop polled %d times; the search should have ended at node %d", budget, *polls, adopt)
 		}
 	}
-	// It is the proof that ends the search, not the size of the tree: with
-	// A an ulp longer receiver 30's sum is no longer exact, nothing is
-	// proven, and the same search runs past a StopStride boundary.
+	// It is the proof that ends the search, not the size of the tree: in the
+	// triangle variant the optimum sits above the floor, nothing is proven,
+	// and the same search runs past a StopStride boundary to the optimum.
+	triangle := midSearchInstance(true)
 	polls := 0
-	DFSPruningNodesStop(midSearchInstance(math.Nextafter(5, 6)), 1<<30, func() bool { polls++; return false })
+	got := DFSPruningNodesStop(triangle, 1<<30, func() bool { polls++; return false })
+	if span, pb := mustMakespan(t, triangle, got), provenBound(triangle); span != 14 || !(pb < span) {
+		t.Fatalf("triangle variant: search makespan %v, floor %v; want 14 above the floor", span, pb)
+	}
 	if polls == 0 {
 		t.Fatal("the unproven variant never reached a StopStride boundary; the instance is too small to show the exit")
 	}

@@ -15,14 +15,18 @@
 //
 // The ensemble does not build what cannot win. Every schedule serializes the
 // tasks of one receiver host, and the tasks only one host can send, so the
-// heaviest such load is a floor under every makespan (LowerBound; provenBound
-// is the same floor made safe against floating-point rounding). Candidates
-// are built in a fixed order, cheapest first, a later one replaces the
-// incumbent only when strictly better, and nothing evaluates below the
-// floor — so once a candidate reaches it, the candidates after it (the
-// randomized trials and their rng draws, the search) are skipped, and so is
-// the rest of a search that reaches it midway. The plan returned is the one
-// building and ranking everything would return, bit for bit.
+// heaviest such load is a floor under every makespan (LowerBound). provenBound
+// is that floor taken exactly in floating point: each load counts as the
+// least sum any launch order of its durations reaches, so no plan evaluates
+// below it and the optimum of a load-bound problem meets it to the bit. (A
+// load too varied to work that out counts as its sum shrunk by more than its
+// rounding.) Candidates are built in a fixed order, cheapest first, a later
+// one replaces the incumbent only when strictly better, and nothing
+// evaluates below the floor — so once a candidate reaches it, the candidates
+// after it (the randomized trials and their rng draws, the search) are
+// skipped, and so is the rest of a search that reaches it midway. The plan
+// returned is the one building and ranking everything would return, bit for
+// bit.
 package schedule
 
 import (
@@ -32,6 +36,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"sync"
 	"time"
 )
 
@@ -59,45 +64,64 @@ type Plan struct {
 }
 
 // Validate checks that the plan covers every task exactly once and picks
-// senders from the candidate sets.
+// senders from the candidate sets. It builds no index: IDs are resolved by
+// taskIndex, and the tasks an order has already named are bits of a set
+// that lives on the stack up to 1024 tasks.
 func Validate(tasks []Task, p Plan) error {
 	if len(p.Order) != len(tasks) {
 		return fmt.Errorf("schedule: order has %d entries for %d tasks", len(p.Order), len(tasks))
 	}
-	byID := make(map[int]*Task, len(tasks))
-	for i := range tasks {
-		t := &tasks[i]
-		if _, dup := byID[t.ID]; dup {
-			return fmt.Errorf("schedule: duplicate task ID %d", t.ID)
+	// While IDs ascend they are unique; past the first that does not, each
+	// is compared with every earlier one.
+	ascending := true
+	for i := 1; i < len(tasks); i++ {
+		if ascending = ascending && tasks[i].ID > tasks[i-1].ID; ascending {
+			continue
 		}
-		byID[t.ID] = t
+		for j := range tasks[:i] {
+			if tasks[j].ID == tasks[i].ID {
+				return fmt.Errorf("schedule: duplicate task ID %d", tasks[i].ID)
+			}
+		}
 	}
-	seen := map[int]bool{}
+	var buf [16]uint64
+	seen := buf[:]
+	if words := (len(tasks) + 63) / 64; words > len(buf) {
+		seen = make([]uint64, words)
+	}
 	for _, id := range p.Order {
-		t, ok := byID[id]
-		if !ok {
+		i := taskIndex(tasks, id)
+		if i < 0 {
 			return fmt.Errorf("schedule: order references unknown task %d", id)
 		}
-		if seen[id] {
+		if seen[i/64]&(1<<(i%64)) != 0 {
 			return fmt.Errorf("schedule: task %d appears twice in order", id)
 		}
-		seen[id] = true
+		seen[i/64] |= 1 << (i % 64)
 		s, ok := p.Sender[id]
 		if !ok {
 			return fmt.Errorf("schedule: no sender chosen for task %d", id)
 		}
-		found := false
-		for _, c := range t.SenderHosts {
-			if c == s {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return fmt.Errorf("schedule: sender %d for task %d not among candidates %v", s, id, t.SenderHosts)
+		if !slices.Contains(tasks[i].SenderHosts, s) {
+			return fmt.Errorf("schedule: sender %d for task %d not among candidates %v", s, id, tasks[i].SenderHosts)
 		}
 	}
 	return nil
+}
+
+// taskIndex returns the index of the task with the given ID, or -1. The
+// index the ID names is tried first — resharding numbers its tasks that
+// way — and the tasks are scanned otherwise.
+func taskIndex(tasks []Task, id int) int {
+	if uint(id) < uint(len(tasks)) && tasks[id].ID == id {
+		return id
+	}
+	for i := range tasks {
+		if tasks[i].ID == id {
+			return i
+		}
+	}
+	return -1
 }
 
 // Makespan evaluates a plan with list scheduling: tasks launch in Order;
@@ -105,31 +129,42 @@ func Validate(tasks []Task, p Plan) error {
 // and occupies them for its duration (Eq. 3 exclusivity). Sender-side
 // occupancy uses the host's send side and receiver-side occupancy the
 // receive side — hosts are full duplex (§3), so a host may send one task
-// while receiving another.
+// while receiving another. Hosts are matched by scanning, as in
+// heaviestLoad, and the free times of up to 16 live on the stack.
 func Makespan(tasks []Task, p Plan) (float64, error) {
 	if err := Validate(tasks, p); err != nil {
 		return 0, err
 	}
-	byID := make(map[int]*Task, len(tasks))
-	for i := range tasks {
-		byID[tasks[i].ID] = &tasks[i]
+	// hostFree is when a host's send side and its receive side come free.
+	type hostFree struct {
+		host       int
+		send, recv float64
 	}
-	sendFree := map[int]float64{}
-	recvFree := map[int]float64{}
+	var buf [16]hostFree
+	free := buf[:0]
+	slot := func(host int) int {
+		for k := range free {
+			if free[k].host == host {
+				return k
+			}
+		}
+		free = append(free, hostFree{host: host})
+		return len(free) - 1
+	}
 	var makespan float64
 	for _, id := range p.Order {
-		t := byID[id]
-		s := p.Sender[id]
-		start := sendFree[s]
+		t := &tasks[taskIndex(tasks, id)]
+		s := slot(p.Sender[id])
+		start := free[s].send
 		for _, r := range t.ReceiverHosts {
-			if recvFree[r] > start {
-				start = recvFree[r]
+			if f := free[slot(r)].recv; f > start {
+				start = f
 			}
 		}
 		finish := start + t.Duration
-		sendFree[s] = finish
+		free[s].send = finish
 		for _, r := range t.ReceiverHosts {
-			recvFree[r] = finish
+			free[slot(r)].recv = finish
 		}
 		if finish > makespan {
 			makespan = finish
@@ -141,7 +176,7 @@ func Makespan(tasks []Task, p Plan) (float64, error) {
 // serialLoad is the work one side of one host must run back to back: a
 // receiver host's receive side is occupied by every task that lists it
 // (Eq. 3), and a host's send side by every task that has no other candidate
-// sender. Either way the durations add up to a floor under every schedule's
+// sender. Either way its durations chain into a floor under every schedule's
 // makespan.
 type serialLoad struct {
 	host int
@@ -155,6 +190,23 @@ type serialLoad struct {
 	// later one is bit-equal to it.
 	first   float64
 	uniform bool
+}
+
+// carries reports whether task t is part of the load.
+func (l *serialLoad) carries(t *Task) bool {
+	if l.send {
+		s, ok := forcedSender(t)
+		return ok && s == l.host
+	}
+	return slices.Contains(t.ReceiverHosts, l.host)
+}
+
+// shrunk is the load's sum made smaller than any launch order's chain can
+// be: every chain and the sum itself are within a factor (1±2^-53)^(k-1) of
+// the real sum of k durations, so they differ by less than the factor
+// 1-k*2^-51 applied here (its own rounding included).
+func (l *serialLoad) shrunk() float64 {
+	return l.sum * (1 - float64(l.tasks)*0x1p-51)
 }
 
 // forcedSender reports the host a task must send from: the one host its
@@ -175,11 +227,11 @@ func forcedSender(t *Task) (host int, ok bool) {
 // heaviest serial load: one load per receiver host and one per host that
 // some task is forced to send from. A task that lists a receiver host twice
 // counts once. Tasks with a choice of sender load no send side — the floor
-// must hold whichever they pick. With shrink, a load whose durations are not
-// all bit-equal counts for less than its sum (see provenBound). Hosts are
-// matched by scanning: a problem names a handful of them, which a scan beats
-// a map on, and the loads of up to 16 fit on the stack.
-func heaviestLoad(tasks []Task, shrink bool) float64 {
+// must hold whichever they pick. A load counts as its task-order sum, or,
+// with chain, as the least sum any launch order reaches (see provenBound).
+// Hosts are matched by scanning: a problem names a handful of them, which a
+// scan beats a map on, and the loads of up to 16 fit on the stack.
+func heaviestLoad(tasks []Task, chain bool) float64 {
 	var buf [16]serialLoad
 	loads := buf[:0]
 	add := func(host int, send bool, d float64) {
@@ -212,17 +264,101 @@ func heaviestLoad(tasks []Task, shrink bool) float64 {
 			add(r, false, t.Duration)
 		}
 	}
+	// A uniform load chains to its sum in every order. Any other load chains
+	// to no less than its shrunk sum and no more than its sum, so its least
+	// chain is worked out only while that sum is above the floor so far.
 	for i := range loads {
 		l := &loads[i]
 		b := l.sum
-		if shrink && !l.uniform {
-			b *= 1 - float64(l.tasks)*0x1p-51
+		if chain && !l.uniform {
+			b = l.shrunk()
 		}
 		if b > heaviest {
 			heaviest = b
 		}
 	}
+	for i := range loads {
+		if l := &loads[i]; chain && !l.uniform && l.sum > heaviest {
+			if b := leastChain(tasks, l); b > heaviest {
+				heaviest = b
+			}
+		}
+	}
 	return heaviest
+}
+
+// chainStates caps the states leastChain works through for one load: the
+// largest load the benchmark populations produce has 1728.
+const chainStates = 4096
+
+// chainTables hands leastChain its table, so that a floor allocates nothing
+// once every concurrent caller has one.
+var chainTables = sync.Pool{New: func() any { return new([chainStates]float64) }}
+
+// leastChain returns the least value the chain fl(fl(d1+d2)+d3)... of the
+// load's durations takes over all their orders. fl(x+d) is monotone in x, so
+// the least chain of a multiset of durations ends with some duration added
+// to the least chain of the rest: over v_k, the distinct durations, and c,
+// how many of each have been added, V(c) = min over k with c_k > 0 of
+// fl(V(c-e_k)+v_k), from V(0) = 0. The counts span Π(m_k+1) states for m_k
+// copies of v_k; a load with more than chainStates falls back to its shrunk
+// sum.
+func leastChain(tasks []Task, l *serialLoad) float64 {
+	// Twelve distinct durations already make 2^12 = chainStates states.
+	var vals [12]float64
+	var copies [12]int
+	distinct, states := 0, 1
+	for i := range tasks {
+		t := &tasks[i]
+		if !l.carries(t) {
+			continue
+		}
+		k := 0
+		for k < distinct && vals[k] != t.Duration {
+			k++
+		}
+		if k == len(vals) {
+			return l.shrunk()
+		}
+		if k == distinct {
+			vals[k] = t.Duration
+			distinct++
+		}
+		states = states / (copies[k] + 1) * (copies[k] + 2)
+		copies[k]++
+		if states > chainStates {
+			return l.shrunk()
+		}
+	}
+	table := chainTables.Get().(*[chainStates]float64)
+	defer chainTables.Put(table)
+	// State c sits at Σ c_k*stride[k]; count is the state being filled.
+	var stride, count [12]int
+	stride[0] = 1
+	for k := 1; k < distinct; k++ {
+		stride[k] = stride[k-1] * (copies[k-1] + 1)
+	}
+	v := table[:states]
+	v[0] = 0
+	for c := 1; c < states; c++ {
+		for k := 0; ; k++ {
+			if count[k] < copies[k] {
+				count[k]++
+				break
+			}
+			count[k] = 0
+		}
+		least := math.Inf(1)
+		for k := 0; k < distinct; k++ {
+			if count[k] > 0 {
+				if x := v[c-stride[k]] + vals[k]; x < least {
+					least = x
+				}
+			}
+		}
+		v[c] = least
+	}
+	return v[states-1]
 }
 
 // LowerBound returns a makespan lower bound independent of the plan: the
@@ -234,10 +370,10 @@ func LowerBound(tasks []Task) float64 {
 	return heaviestLoad(tasks, false)
 }
 
-// provenBound is LowerBound made sound for the floating-point arithmetic
-// Makespan and the DFS perform: no valid plan of the tasks evaluates to a
-// makespan below it, so a plan that meets it is optimal and a search that
-// only adopts strictly smaller makespans can change nothing.
+// provenBound is the floor under every makespan Makespan and the DFS can
+// compute for the tasks, exact in their floating-point arithmetic: no valid
+// plan evaluates below it, so a plan that meets it is optimal and a search
+// that only adopts strictly smaller makespans can change nothing.
 //
 // The tasks of one serial load finish no earlier than the chain
 // fl(fl(d1+d2)+d3)... taken in their launch order: each starts at or after
@@ -246,14 +382,13 @@ func LowerBound(tasks []Task) float64 {
 // fl(a+d) is monotone in a. Tasks that merely chose the same sender only push
 // that time later. Which value the chain has depends on the order: with
 // durations like 1+k/7 one order can sum an ulp below another, and the DFS
-// adopts it. So a load's sum counts as is only when every duration in it is
-// bit-equal — then all orders perform the same additions and the task-order
-// sum is the chain. Otherwise it is shrunk by more than the rounding its
-// additions can accumulate: any order's chain and our own sum are each
-// within a factor (1±2^-53)^(k-1) of the real sum, so they differ by less
-// than the factor 1-k*2^-51 applied here (its own rounding included). The
-// longest single task needs no correction: a task that starts at a >= 0
-// finishes at fl(a+d) >= d.
+// adopts it. So each load counts as the least chain any order of its
+// durations reaches (leastChain) — on a load of bit-equal durations that is
+// its task-order sum, as every order performs the same additions. A load
+// too varied to work that out (more than chainStates count vectors) counts
+// as its shrunk sum, within rounding below every order's chain. The longest
+// single task needs no correction: a task that starts at a >= 0 finishes at
+// fl(a+d) >= d.
 //
 // Durations that are negative or NaN, or that overflow, void the argument;
 // the bound is then 0, which only a makespan of 0 meets.
@@ -377,9 +512,11 @@ const StopStride = 2048
 // LPT seed, or a schedule adopted mid-search, meets provenBound. The
 // incumbent is only ever replaced by a strictly smaller makespan and no
 // schedule evaluates below that bound, so the rest of the search could not
-// change the answer. The bound is sound for the search's own floating-point
-// sums, not merely over the reals — see provenBound for why plain
-// LowerBound would not do.
+// change the answer. The bound is each serial load's least chain in the
+// search's own floating-point sums, not a sum over the reals — see
+// provenBound for why plain LowerBound would not do — so a search that finds
+// a load-bound optimum stops there rather than spending its budget on a
+// floor a few ulps below it.
 func DFSPruningNodesStop(tasks []Task, maxNodes int, stop func() bool) Plan {
 	return dfsPruning(tasks, 0, max(maxNodes, 1), stop, nil)
 }
@@ -815,7 +952,9 @@ func ClosedForm(tasks []Task) Incumbent {
 }
 
 // Incumbent is the best candidate offered so far, and whether it is proven
-// optimal.
+// optimal: whether its makespan meets provenBound, the exact least chain of
+// the heaviest serial load (or, past the cap on a load's states, its shrunk
+// sum).
 type Incumbent struct {
 	tasks  []Task
 	bound  float64 // provenBound(tasks)

@@ -209,6 +209,34 @@ func TestGreedyRandomizedAllocationsFlat(t *testing.T) {
 	}
 }
 
+// TestMakespanAndFloorAllocationFree: evaluating and validating a plan and
+// working out the floor allocate nothing — IDs and hosts are resolved by
+// scanning, the seen-set and the host free times of a problem this size live
+// on the stack, and leastChain's table is pooled — whether or not the IDs
+// name the tasks' positions.
+func TestMakespanAndFloorAllocationFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for _, countDown := range []bool{false, true} {
+		tasks := make([]Task, 64)
+		for i := range tasks {
+			tasks[i] = Task{ID: i, SenderHosts: []int{rng.Intn(8), rng.Intn(8)}, ReceiverHosts: []int{8 + rng.Intn(8)}, Duration: 1 + float64(rng.Intn(97))/7}
+			if countDown {
+				tasks[i].ID = 1000 - i
+			}
+		}
+		p := LoadBalanceOnly(tasks)
+		for name, f := range map[string]func(){
+			"Validate":    func() { _ = Validate(tasks, p) },
+			"Makespan":    func() { _, _ = Makespan(tasks, p) },
+			"provenBound": func() { provenBound(tasks) },
+		} {
+			if n := testing.AllocsPerRun(100, f); n != 0 {
+				t.Errorf("%s (IDs counting down: %v): %v allocations per call", name, countDown, n)
+			}
+		}
+	}
+}
+
 func TestEnsembleNeverWorseThanBaselines(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	f := func(seed int64) bool {
