@@ -44,7 +44,8 @@ smoke:
 	$(GO) run ./cmd/loadgen -smoke -wire binary -clients 64 -requests 40 -spread 4
 	$(GO) run ./cmd/loadgen -smoke -arrivals bursty -rate 1200 -clients 60 -duration 2s
 
-# fuzz runs CI's fuzz smoke: every fuzz target for 10 s, one after another.
+# fuzz is CI's fuzz smoke and the one list of fuzz targets: each runs for
+# 10 s, one after another.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzFaultedOverlay -fuzztime 10s ./internal/mesh
 	$(GO) test -run xxx -fuzz FuzzParseFaultSet -fuzztime 10s ./internal/mesh

@@ -81,8 +81,9 @@ func goldenStrategies() []struct {
 	Name string
 	Opts alpacomm.ReshardOptions
 } {
-	// DFSNodes makes the ensemble search a pure function of its inputs, so
-	// the fixtures are machine-independent.
+	// The ensemble search is a pure function of its inputs (its budget is a
+	// node count), so the fixtures are machine-independent; the broadcast
+	// row's DFSNodes pins a budget below the default.
 	return []struct {
 		Name string
 		Opts alpacomm.ReshardOptions

@@ -17,8 +17,7 @@
 // analysis" section):
 //
 //	//alpacomm:hotpath            opt a function into hotalloc checking
-//	//alpacomm:nondet-ok [why]    exempt a statement/function from determinism
-//	//alpacomm:allow NAME [why]   exempt from the named analyzer (generic form)
+//	//alpacomm:allow NAME [why]   exempt a statement/function from the named analyzer
 package analysis
 
 import (

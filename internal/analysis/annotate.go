@@ -13,13 +13,9 @@ import (
 //	    On (or in the doc comment of) a function declaration: the
 //	    function's body is subject to hotalloc checking.
 //
-//	//alpacomm:nondet-ok [reason]
-//	    Exempts the annotated line — or, on a function declaration, the
-//	    whole function — from the determinism analyzer. Sugar for
-//	    "alpacomm:allow determinism".
-//
 //	//alpacomm:allow NAME[,NAME...] [reason]
-//	    The generic form: exempts from each named analyzer.
+//	    Exempts the annotated line — or, on a function declaration, the
+//	    whole function — from each named analyzer.
 //
 // Placement: an exemption applies to a diagnostic when the annotation
 // sits on the diagnostic's line, on the line directly above it, or on the
@@ -63,8 +59,6 @@ func parseAnnotation(text string) (allowed []string, hot bool) {
 	switch directive {
 	case "hotpath":
 		return nil, true
-	case "nondet-ok":
-		return []string{"determinism"}, false
 	case "allow":
 		names := rest
 		if i := strings.IndexAny(rest, " \t"); i >= 0 {

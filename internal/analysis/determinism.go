@@ -23,8 +23,7 @@ import (
 // pre-serialized bytes, so "mostly deterministic" is indistinguishable
 // from broken: a map-ordered sender list or a wall-clock-budgeted search
 // produces plans that fail byte-identity verification on another node.
-// Deliberate wall-clock modes (the DFSBudget deadline) carry
-// //alpacomm:nondet-ok with a reason.
+// A deliberate exception carries //alpacomm:allow determinism with a reason.
 var Determinism = &Analyzer{
 	Name: "determinism",
 	Doc:  "flags map iteration order, wall-clock reads and global math/rand use in plan-producing packages",
@@ -93,7 +92,7 @@ func checkMapRange(pass *Pass, rs *ast.RangeStmt, next ast.Stmt) {
 		Pos: rs.Pos(),
 		End: rs.End(),
 		Message: "iteration over map is ordered randomly and this body is order-sensitive; " +
-			"sort the keys first (or annotate //alpacomm:nondet-ok with a reason)",
+			"sort the keys first (or annotate //alpacomm:allow determinism <why>)",
 	}
 	if fix, ok := sortedRangeFix(pass, rs, mt); ok {
 		d.Fixes = append(d.Fixes, fix)
@@ -311,7 +310,7 @@ func checkClockAndRand(pass *Pass, call *ast.CallExpr) {
 		case "Now", "Since", "Until":
 			pass.Reportf(call.Pos(),
 				"wall-clock read time.%s makes results depend on machine speed; "+
-					"use a deterministic budget (or annotate //alpacomm:nondet-ok with a reason)", fn.Name())
+					"use a deterministic budget (or annotate //alpacomm:allow determinism <why>)", fn.Name())
 		}
 	case "math/rand", "math/rand/v2":
 		switch fn.Name() {
@@ -321,7 +320,7 @@ func checkClockAndRand(pass *Pass, call *ast.CallExpr) {
 		default:
 			pass.Reportf(call.Pos(),
 				"global math/rand.%s draws from the shared process-wide source; "+
-					"thread a seeded *rand.Rand instead (or annotate //alpacomm:nondet-ok)", fn.Name())
+					"thread a seeded *rand.Rand instead (or annotate //alpacomm:allow determinism <why>)", fn.Name())
 		}
 	}
 }

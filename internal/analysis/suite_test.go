@@ -1,6 +1,10 @@
 package analysis
 
-import "testing"
+import (
+	"slices"
+	"strings"
+	"testing"
+)
 
 func TestDeterminismFixture(t *testing.T)    { runFixture(t, "determinism", "determinism") }
 func TestHotAllocFixture(t *testing.T)       { runFixture(t, "hotalloc", "hotalloc") }
@@ -25,6 +29,43 @@ func TestLoadRepo(t *testing.T) {
 	}
 }
 
+// TestPlannerReadsNoClock holds the planners to a plan being a pure
+// function of its task, topology, options and seed: schedule and
+// resharding carry no determinism finding and no exemption from one. Their
+// only annotations are hotpath and allows of other analyzers; an unknown
+// directive (such as the retired determinism sugar) is flagged too.
+func TestPlannerReadsNoClock(t *testing.T) {
+	pkgs, err := LoadPackages("../..", "./internal/schedule", "./internal/resharding")
+	if err != nil {
+		t.Fatalf("loading planners: %v", err)
+	}
+	if len(pkgs) != 2 {
+		t.Fatalf("expected schedule and resharding, got %d packages", len(pkgs))
+	}
+	for _, pkg := range pkgs {
+		diags, err := RunAnalyzers(pkg, []*Analyzer{Determinism})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range diags {
+			t.Errorf("%s: %s", pkg.Fset.Position(d.Pos), d.Message)
+		}
+		for _, f := range pkg.Files {
+			for _, cg := range f.Comments {
+				for _, c := range cg.List {
+					if !strings.HasPrefix(strings.TrimSpace(strings.TrimPrefix(c.Text, "//")), annotationPrefix) {
+						continue
+					}
+					allowed, hot := parseAnnotation(c.Text)
+					if !hot && (len(allowed) == 0 || slices.Contains(allowed, "determinism")) {
+						t.Errorf("%s: determinism exemption or unknown directive %q", pkg.Fset.Position(c.Pos()), c.Text)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestByName(t *testing.T) {
 	for _, a := range All() {
 		if ByName(a.Name) != a {
@@ -43,7 +84,7 @@ func TestParseAnnotation(t *testing.T) {
 		hot     bool
 	}{
 		{"//alpacomm:hotpath", nil, true},
-		{"//alpacomm:nondet-ok budget mode", []string{"determinism"}, false},
+		{"//alpacomm:allow determinism budget mode", []string{"determinism"}, false},
 		{"//alpacomm:allow hotalloc cold branch", []string{"hotalloc"}, false},
 		{"//alpacomm:allow hotalloc,ctxflow shim", []string{"hotalloc", "ctxflow"}, false},
 		{"// ordinary comment", nil, false},

@@ -81,9 +81,9 @@ func wallClock() time.Duration {
 }
 
 // The annotation exempts the whole function: deadline mode is an explicit
-// caller opt-in here, mirroring the DFSBudget escape hatch.
+// caller opt-in here.
 //
-//alpacomm:nondet-ok caller explicitly requested wall-clock budget mode
+//alpacomm:allow determinism caller explicitly requested wall-clock budget mode
 func allowedWallClock() time.Time {
 	return time.Now()
 }
@@ -102,7 +102,7 @@ func seededRand(seed int64) int {
 // Line-level exemption: the annotation on the statement's line excuses
 // only that statement.
 func lineExempt(m map[string]int) {
-	for k, v := range m { //alpacomm:nondet-ok debug dump, order immaterial
+	for k, v := range m { //alpacomm:allow determinism debug dump, order immaterial
 		fmt.Println(k, v)
 	}
 	for k, v := range m { // want `iteration over map is ordered randomly`

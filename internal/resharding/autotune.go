@@ -35,18 +35,12 @@ func DefaultAutotuneGrid() []AutotuneCandidate {
 	return grid
 }
 
-// DefaultAutotuneDFSNodes is the deterministic DFS budget the autotuner
-// applies when the caller did not set Options.DFSNodes: wall-clock DFS
-// budgets would make the winner depend on machine speed and concurrency.
-const DefaultAutotuneDFSNodes = 50000
-
 // AutotuneOptions configures an autotuning run.
 type AutotuneOptions struct {
 	// Base supplies the options shared by all candidates (chunks, trials,
-	// seed, budgets); each candidate overrides Strategy and Scheduler and
-	// derives its own RNG seed from Base.Seed and its grid position. If
-	// Base.DFSNodes is zero it is set to DefaultAutotuneDFSNodes so the
-	// search is deterministic.
+	// seed, DFS node budget), defaulted by WithDefaults; each candidate
+	// overrides Strategy and Scheduler and derives its own RNG seed from
+	// Base.Seed and its grid position.
 	Base Options
 	// Candidates is the grid to search; nil means DefaultAutotuneGrid.
 	Candidates []AutotuneCandidate
@@ -116,9 +110,6 @@ func AutotuneContext(ctx context.Context, task *sharding.Task, opts AutotuneOpti
 		return nil, fmt.Errorf("resharding: autotune needs at least one candidate")
 	}
 	base := opts.Base.WithDefaults()
-	if base.DFSNodes == 0 {
-		base.DFSNodes = DefaultAutotuneDFSNodes
-	}
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

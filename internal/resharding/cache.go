@@ -475,7 +475,7 @@ func CacheKey(task *sharding.Task, opts Options) string {
 	}
 	b = append(b, "o="...)
 	for i, v := range [...]int64{int64(opts.Strategy), int64(opts.Scheduler), int64(opts.Chunks),
-		int64(opts.DFSBudget), int64(opts.DFSNodes), int64(opts.Trials), opts.Seed} {
+		int64(opts.DFSNodes), int64(opts.Trials), opts.Seed} {
 		if i > 0 {
 			b = append(b, '/')
 		}

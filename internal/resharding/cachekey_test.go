@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"alpacomm/internal/mesh"
 	"alpacomm/internal/model"
@@ -61,8 +60,8 @@ func referenceCacheKey(task *sharding.Task, opts Options) string {
 			fmt.Fprintf(&b, "x%d-%d:%g/%g;", a-base, r-base, topo.InterBandwidth(a, r), topo.InterLatency(a, r))
 		}
 	}
-	fmt.Fprintf(&b, "o=%d/%d/%d/%d/%d/%d/%d", opts.Strategy, opts.Scheduler,
-		opts.Chunks, int64(opts.DFSBudget), opts.DFSNodes, opts.Trials, opts.Seed)
+	fmt.Fprintf(&b, "o=%d/%d/%d/%d/%d/%d", opts.Strategy, opts.Scheduler,
+		opts.Chunks, opts.DFSNodes, opts.Trials, opts.Seed)
 	return b.String()
 }
 
@@ -195,11 +194,10 @@ func TestCacheKeyMatchesFmtRenderer(t *testing.T) {
 		{Strategy: Signal},
 		{Scheduler: SchedDegraded},
 		{Chunks: 128},
-		{DFSBudget: 1234567 * time.Microsecond},
 		{DFSNodes: 10_000_000},
 		{Trials: 7},
 		{Seed: -9e18},
-		{Strategy: Alpa, Scheduler: SchedGreedyLoad, Chunks: -3, DFSBudget: -time.Second, DFSNodes: -1, Trials: -1, Seed: 1 << 62},
+		{Strategy: Alpa, Scheduler: SchedGreedyLoad, Chunks: -3, DFSNodes: -1, Trials: -1, Seed: 1 << 62},
 	}
 	keys := map[string]bool{}
 	for _, task := range tasks {

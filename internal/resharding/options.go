@@ -9,10 +9,7 @@
 // destination device receives exactly the bytes its spec requires.
 package resharding
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Strategy selects how one unit communication task is carried out (§3.1).
 type Strategy int
@@ -144,21 +141,21 @@ func ParseScheduler(s string) (Scheduler, error) {
 	}
 }
 
-// Options configures planning.
+// Options configures planning. Every budget is a count, so a plan is a
+// pure function of the task, the topology and these options.
 type Options struct {
-	// Strategy for unit tasks. Default Broadcast.
+	// Strategy for unit tasks. The zero value is SendRecv; ParseStrategy
+	// reads an empty name as Broadcast.
 	Strategy Strategy
-	// Scheduler for load balance and ordering. Default SchedEnsemble.
+	// Scheduler for load balance and ordering. The zero value is
+	// SchedNaive; ParseScheduler reads an empty name as SchedEnsemble.
 	Scheduler Scheduler
 	// Chunks is the broadcast pipelining depth; 0 picks
 	// collective.DefaultChunks per message.
 	Chunks int
-	// DFSBudget bounds the DFS search (default 50ms).
-	DFSBudget time.Duration
-	// DFSNodes, when positive, replaces the wall-clock DFSBudget with a
-	// deterministic node budget: the DFS explores at most DFSNodes search
-	// states. Required for bit-reproducible ensemble plans (the autotuner
-	// sets it so results do not depend on machine speed or concurrency).
+	// DFSNodes bounds the ensemble's DFS: it explores at most DFSNodes
+	// search states (default DefaultDFSNodes; a negative budget explores
+	// one).
 	DFSNodes int
 	// Trials is the randomized-greedy trial count (default 32).
 	Trials int
@@ -166,13 +163,16 @@ type Options struct {
 	Seed int64
 }
 
+// DefaultDFSNodes is the DFS node budget of options that set none.
+const DefaultDFSNodes = 50000
+
 // WithDefaults returns the options with unset fields replaced by the
-// package defaults (DFSBudget 50ms, Trials 32). PlanCache keys are
-// computed over defaulted options, so callers that need the canonical
+// package defaults (DFSNodes DefaultDFSNodes, Trials 32). PlanCache keys
+// are computed over defaulted options, so callers that need the canonical
 // CacheKey of a request should default it the same way.
 func (o Options) WithDefaults() Options {
-	if o.DFSBudget == 0 {
-		o.DFSBudget = 50 * time.Millisecond
+	if o.DFSNodes == 0 {
+		o.DFSNodes = DefaultDFSNodes
 	}
 	if o.Trials == 0 {
 		o.Trials = 32

@@ -96,7 +96,7 @@ func (d *Draft) Plan(ctx context.Context) (*Plan, error) {
 		hostPlan = schedule.GreedyEnsemble(hostTasks)
 	case SchedEnsemble:
 		stop := func() bool { return ctx.Err() != nil }
-		hostPlan = d.closed.Search(opts.DFSBudget, opts.DFSNodes, opts.Trials, ensembleRand(opts.Seed), stop)
+		hostPlan = d.closed.Search(opts.DFSNodes, opts.Trials, ensembleRand(opts.Seed), stop)
 	default:
 		return nil, fmt.Errorf("resharding: unknown scheduler %v", opts.Scheduler)
 	}

@@ -70,7 +70,7 @@ func slowTask(t *testing.T) *sharding.Task {
 func TestPlannerMatchesFreeFunctions(t *testing.T) {
 	c := microCluster(2)
 	task := autotuneTask(t, c, 0, 4)
-	opts := Options{Seed: 7, DFSNodes: DefaultAutotuneDFSNodes}
+	opts := Options{Seed: 7}
 
 	p := NewPlanner(WithTopology(c), WithDefaultPlanOptions(opts))
 	plan, sim, err := p.Plan(context.Background(), task, Options{})
@@ -98,7 +98,7 @@ func TestPlannerMatchesFreeFunctions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	directRes, err := AutotuneContext(context.Background(), autotuneTask(t, c, 0, 4), AutotuneOptions{Base: Options{Seed: 42, DFSNodes: DefaultAutotuneDFSNodes}})
+	directRes, err := AutotuneContext(context.Background(), autotuneTask(t, c, 0, 4), AutotuneOptions{Base: Options{Seed: 42}})
 	if err != nil {
 		t.Fatal(err)
 	}

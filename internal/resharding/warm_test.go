@@ -76,16 +76,16 @@ func packPresets() []packPreset {
 }
 
 // packBoundary is that pack's golden stage boundary on topo, and packOpts
-// its deterministic configuration at the serving node budget
-// (DefaultAutotuneDFSNodes, what a served request with zero dfs_nodes is
-// forced to): the cold side of a warm-vs-cold comparison must pay what the
-// serving daemon's cold path pays.
+// its configuration at the default node budget (DefaultDFSNodes, what a
+// served request with zero dfs_nodes plans with): the cold side of a
+// warm-vs-cold comparison must pay what the serving daemon's cold path
+// pays.
 func packBoundary(t *testing.T, topo mesh.Topology) *sharding.Task {
 	t.Helper()
 	return stageBoundary(t, topo, 0, 8, 128, 128, 8)
 }
 
-var packOpts = Options{Strategy: Broadcast, Scheduler: SchedEnsemble, Seed: 1, DFSNodes: DefaultAutotuneDFSNodes, Chunks: 8}
+var packOpts = Options{Strategy: Broadcast, Scheduler: SchedEnsemble, Seed: 1, Chunks: 8}
 
 // minWarmSpeedup is the floor on cold-over-warm replan time for a link-down
 // fault: an identity replan does no search, so it may never cost noticeably

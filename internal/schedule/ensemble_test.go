@@ -215,7 +215,7 @@ func TestEnsembleFamiliesExitWhereIntended(t *testing.T) {
 				}
 			}
 			searches := 0
-			dfs := func(tk []Task, lpt lptSeed) Plan { searches++; return dfsPruning(tk, 0, 2000, nil, &lpt) }
+			dfs := func(tk []Task, lpt lptSeed) Plan { searches++; return dfsPruning(tk, 2000, nil, &lpt) }
 			src := rand.New(rand.NewSource(seed))
 			in := ClosedForm(tasks)
 			if proven := fam.exit == exitNaive || fam.exit == exitLPT; in.Proven() != proven {
@@ -340,7 +340,7 @@ func TestDFSFromEnsembleSeedMatchesOwnSeed(t *testing.T) {
 		seed := lptSeed{plan: LoadBalanceOnly(tasks), bound: provenBound(tasks)}
 		seed.span, seed.err = Makespan(tasks, seed.plan)
 		for _, budget := range []int{1, 13, 500, 20000} {
-			if got, want := dfsPruning(tasks, 0, budget, nil, &seed), dfsPruning(tasks, 0, budget, nil, nil); !samePlan(got, want) {
+			if got, want := dfsPruning(tasks, budget, nil, &seed), dfsPruning(tasks, budget, nil, nil); !samePlan(got, want) {
 				t.Fatalf("trial %d budget %d: seeded search returned %+v, unseeded %+v", trial, budget, got, want)
 			}
 		}

@@ -139,7 +139,7 @@ func FuzzEnsembleMatchesReference(f *testing.F) {
 		// EnsembleNodesStop, taken apart.
 		in := ClosedForm(tasks)
 		proven := in.Proven()
-		got := in.Search(0, budget, 4, rand.New(rand.NewSource(seed)), nil)
+		got := in.Search(budget, 4, rand.New(rand.NewSource(seed)), nil)
 		want := referenceEnsembleNodes(tasks, budget, 4, rand.New(rand.NewSource(seed)))
 		if !samePlan(got, want) {
 			t.Fatalf("budget %d seed %d: ensemble diverged from reference\n got: %+v\nwant: %+v\ntasks: %+v", budget, seed, got, want, tasks)
@@ -154,7 +154,8 @@ func FuzzEnsembleMatchesReference(f *testing.F) {
 // arbitrary instances small enough to enumerate (checkFloor): provenBound is
 // each serial load's least chain over every launch order, no schedule beats
 // it, it moves from the shrunk floor only where a load's durations differ
-// and only upward, and an incumbent ClosedForm calls proven is an optimum.
+// and only upward, and an incumbent ClosedForm calls proven is an optimum,
+// as is a GreedyEnsemble plan that meets the floor.
 func FuzzClosedFormMatchesBruteForce(f *testing.F) {
 	f.Add([]byte{0, 0, 0x83, 1, 0, 0x85, 2, 0, 0x89, 3, 0, 0x82})       // one receiver, sevenths
 	f.Add([]byte{0, 0, 0x87, 0, 1, 0x8b, 0, 2, 0x8d, 0, 3, 0x95})       // one forced sender, sevenths

@@ -214,8 +214,10 @@ func leastChainByEnumeration(ds []float64) float64 {
 // what it promises: bit-equal to floorReference; at or below every
 // schedule's makespan; bit-equal to the shrunk floor when every load's
 // durations are, and at or above it otherwise; and where ClosedForm calls
-// its incumbent proven, that incumbent is a brute-force optimum. It returns
-// the floor, the shrunk floor and whether ClosedForm proved its incumbent.
+// its incumbent proven, that incumbent is a brute-force optimum. It holds
+// GreedyEnsemble to the same oracle: no worse than ClosedForm's incumbent,
+// and a brute-force optimum wherever it meets the floor. It returns the
+// floor, the shrunk floor and whether ClosedForm proved its incumbent.
 func checkFloor(t *testing.T, tasks []Task) (pb, shrunk float64, proven bool) {
 	t.Helper()
 	pb, shrunk = provenBound(tasks), floorReference(tasks, true)
@@ -242,6 +244,15 @@ func checkFloor(t *testing.T, tasks []Task) (pb, shrunk float64, proven bool) {
 		if span := mustMakespan(t, tasks, in.best); span != opt {
 			t.Fatalf("ClosedForm proved makespan %v, brute-force optimum %v\ntasks: %+v", span, opt, tasks)
 		}
+	}
+	// The degraded scheduler only adds GreedyLoad to ClosedForm's
+	// incumbent: never worse than it, and optimal once it meets the floor.
+	g := mustMakespan(t, tasks, GreedyEnsemble(tasks))
+	if g > in.span {
+		t.Fatalf("GreedyEnsemble makespan %v, worse than ClosedForm's incumbent %v\ntasks: %+v", g, in.span, tasks)
+	}
+	if g <= pb && g != opt {
+		t.Fatalf("GreedyEnsemble meets provenBound %v at %v, brute-force optimum %v\ntasks: %+v", pb, g, opt, tasks)
 	}
 	return pb, shrunk, in.Proven()
 }

@@ -5,13 +5,19 @@
 // minimize the completion time of the last task, under the constraint that
 // tasks sharing a host never overlap.
 //
-// Four algorithms are provided, mirroring the paper: Naive (lowest-index
+// Five algorithms are provided, mirroring the paper: Naive (lowest-index
 // sender, arbitrary order), LoadBalanceOnly (classic LPT greedy on Eq. 4),
-// DFSPruningNodesStop (budgeted exhaustive search), and GreedyRandomized
-// (iterative maximal non-conflicting batches). EnsembleNodesStop returns the
-// best of them, which is AlpaComm's configuration ("we run both algorithms
-// and choose the better result", §5.3.1), in two steps: ClosedForm (Naive,
-// then LoadBalanceOnly) and, only if that left the optimum unproven, Search.
+// GreedyLoad (the baselines' input-order load balancing, §5.1.2),
+// DFSPruningNodesStop (exhaustive search under a node budget), and
+// GreedyRandomized (iterative maximal non-conflicting batches).
+// EnsembleNodesStop returns the best of Naive, LoadBalanceOnly,
+// GreedyRandomized and the DFS, which is AlpaComm's configuration ("we run
+// both algorithms and choose the better result", §5.3.1), in two steps:
+// ClosedForm (Naive, then LoadBalanceOnly) and, only if that left the
+// optimum unproven, Search. GreedyEnsemble is its search-free counterpart
+// (Naive, LoadBalanceOnly, GreedyLoad) for a server defending its latency.
+// Every budget is counted in DFS nodes, never read off a clock, so every
+// plan is a pure function of the tasks, the budgets and the rng.
 //
 // The ensemble does not build what cannot win. Every schedule serializes the
 // tasks of one receiver host, and the tasks only one host can send, so the
@@ -37,7 +43,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"time"
 )
 
 // Task is one host-level communication task.
@@ -518,7 +523,7 @@ const StopStride = 2048
 // a load-bound optimum stops there rather than spending its budget on a
 // floor a few ulps below it.
 func DFSPruningNodesStop(tasks []Task, maxNodes int, stop func() bool) Plan {
-	return dfsPruning(tasks, 0, max(maxNodes, 1), stop, nil)
+	return dfsPruning(tasks, maxNodes, stop, nil)
 }
 
 // frontierBit is one task's position in a frontier row: word w of the row,
@@ -628,23 +633,20 @@ type lptSeed struct {
 	bound float64
 }
 
-// dfsPruning runs the search under a wall-clock budget (maxNodes == 0) or a
-// node budget (maxNodes > 0; the clock is then ignored), polling stop (when
-// non-nil) every StopStride nodes, and ends early once the incumbent meets
-// provenBound. All scratch state is allocated once up front (dfsSearch):
-// the per-depth frontier rows (the symmetry breaking too: there is no
-// per-node set of tried classes), host state over densely renumbered hosts
-// and the rollback saves, so the search allocates only when it improves on
-// the incumbent plan. A node costs the frontier tasks and senders it
-// branches on, not a scan of every task. A non-nil lpt is the caller's copy
-// of the baseline (the ensemble has built and evaluated it by the time it
-// searches) and spares recomputing it.
-func dfsPruning(tasks []Task, budget time.Duration, maxNodes int, stop func() bool, lpt *lptSeed) Plan {
+// dfsPruning runs the search under a budget of maxNodes nodes (at least
+// one), polling stop (when non-nil) every StopStride nodes, and ends early
+// once the incumbent meets provenBound. All scratch state is allocated once
+// up front (dfsSearch): the per-depth frontier rows (the symmetry breaking
+// too: there is no per-node set of tried classes), host state over densely
+// renumbered hosts and the rollback saves, so the search allocates only
+// when it improves on the incumbent plan. A node costs the frontier tasks
+// and senders it branches on, not a scan of every task. A non-nil lpt is
+// the caller's copy of the baseline (the ensemble has built and evaluated
+// it by the time it searches) and spares recomputing it.
+func dfsPruning(tasks []Task, maxNodes int, stop func() bool, lpt *lptSeed) Plan {
 	if len(tasks) == 0 {
 		return Plan{Sender: map[int]int{}}
 	}
-	deadline := time.Now().Add(budget) //alpacomm:nondet-ok wall-clock budget is the documented non-reproducible mode; DFSNodes is the deterministic one
-
 	// Seed with the LPT plan so pruning has a baseline.
 	if lpt == nil {
 		lpt = &lptSeed{plan: LoadBalanceOnly(tasks), bound: provenBound(tasks)}
@@ -671,7 +673,7 @@ func dfsPruning(tasks []Task, budget time.Duration, maxNodes int, stop func() bo
 		order: make([]int, n), pick: make([]int, n),
 		sendFree: free[:hosts], recvFree: free[hosts : 2*hosts],
 		recvSave: free[2*hosts:], maxRecv: maxRecv,
-		maxNodes: maxNodes, deadline: deadline, stop: stop,
+		maxNodes: max(maxNodes, 1), stop: stop,
 		best: lpt.plan, bestSpan: lpt.span, bound: lpt.bound,
 	}
 	copy(s.rows, root)
@@ -701,7 +703,6 @@ type dfsSearch struct {
 	maxRecv  int
 
 	maxNodes int
-	deadline time.Time
 	stop     func() bool
 	nodes    int
 	// done ends the search: budget spent, stop fired, or optimum proven.
@@ -718,12 +719,7 @@ type dfsSearch struct {
 //alpacomm:hotpath
 func (s *dfsSearch) visit(depth int, span float64) {
 	s.nodes++
-	if s.maxNodes > 0 {
-		if s.nodes > s.maxNodes {
-			s.done = true
-			return
-		}
-	} else if s.nodes%1024 == 0 && time.Now().After(s.deadline) { //alpacomm:nondet-ok same opt-in wall-clock mode as the deadline in dfsPruning
+	if s.nodes > s.maxNodes {
 		s.done = true
 		return
 	}
@@ -931,7 +927,7 @@ func GreedyRandomized(tasks []Task, trials int, rng *rand.Rand) Plan {
 // and a stop that never fires does not change the plan.
 func EnsembleNodesStop(tasks []Task, dfsNodes, trials int, rng *rand.Rand, stop func() bool) Plan {
 	in := ClosedForm(tasks)
-	return in.Search(0, max(dfsNodes, 1), trials, rng, stop)
+	return in.Search(dfsNodes, trials, rng, stop)
 }
 
 // ClosedForm is the ensemble's first step: Naive and, if that left the
@@ -968,15 +964,14 @@ type Incumbent struct {
 // later can replace it, and Search returns it as it is.
 func (in *Incumbent) Proven() bool { return in.proven }
 
-// Search is the ensemble's second step: GreedyRandomized and the DFS — under
-// the node budget when dfsNodes > 0, else the wall-clock one, which is not
-// reproducible — offered in that order, and it returns the incumbent. Each
-// is built only if everything before it left the optimum unproven — building
-// them all and ranking afterwards returns the same plan (see offer), at the
-// cost of the trials, the search and the rng draws behind a schedule that
-// could not lose.
-func (in *Incumbent) Search(dfsBudget time.Duration, dfsNodes, trials int, rng *rand.Rand, stop func() bool) Plan {
-	return in.search(func(t []Task, lpt lptSeed) Plan { return dfsPruning(t, dfsBudget, dfsNodes, stop, &lpt) }, trials, rng)
+// Search is the ensemble's second step: GreedyRandomized and the DFS, under
+// a budget of dfsNodes nodes (at least one), offered in that order, and it
+// returns the incumbent. Each is built only if everything before it left
+// the optimum unproven — building them all and ranking afterwards returns
+// the same plan (see offer), at the cost of the trials, the search and the
+// rng draws behind a schedule that could not lose.
+func (in *Incumbent) Search(dfsNodes, trials int, rng *rand.Rand, stop func() bool) Plan {
+	return in.search(func(t []Task, lpt lptSeed) Plan { return dfsPruning(t, dfsNodes, stop, &lpt) }, trials, rng)
 }
 
 func (in *Incumbent) search(dfs func([]Task, lptSeed) Plan, trials int, rng *rand.Rand) Plan {

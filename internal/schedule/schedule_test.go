@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func twoIndependent() []Task {
@@ -257,7 +256,7 @@ func TestEnsembleNeverWorseThanBaselines(t *testing.T) {
 			tasks = append(tasks, Task{ID: i, SenderHosts: senders, ReceiverHosts: recvs, Duration: float64(1 + r.Intn(9))})
 		}
 		in := ClosedForm(tasks)
-		p := in.Search(50*time.Millisecond, 0, 16, rng, nil) // the wall-clock DFS
+		p := in.Search(50000, 16, rng, nil)
 		if Validate(tasks, p) != nil {
 			return false
 		}

@@ -63,10 +63,11 @@ type Endpoint struct {
 }
 
 // PlanOptions mirror resharding.Options over the wire. Empty strategy and
-// scheduler mean the service defaults (broadcast + ensemble). The service
-// always plans with a deterministic DFS node budget: a zero DFSNodes is
-// replaced by resharding.DefaultAutotuneDFSNodes so identical requests get
-// identical plans regardless of server machine speed or load.
+// scheduler mean the service defaults (broadcast + ensemble), and zero
+// counts the package defaults of resharding.Options.WithDefaults — a DFS
+// node budget of resharding.DefaultDFSNodes among them — so identical
+// requests get identical plans regardless of server machine speed or load,
+// and the same plans as the library given the same options.
 type PlanOptions struct {
 	Strategy  string `json:"strategy,omitempty"`
 	Scheduler string `json:"scheduler,omitempty"`
@@ -331,15 +332,14 @@ const (
 	MaxChunks = 4096
 	// MaxTrials bounds the randomized-greedy trial count.
 	MaxTrials = 10000
-	// MaxDFSNodes bounds the deterministic DFS budget a request may ask
-	// for; a request that names none gets
-	// resharding.DefaultAutotuneDFSNodes.
+	// MaxDFSNodes bounds the DFS node budget a request may ask for; a
+	// request that names none gets resharding.DefaultDFSNodes.
 	MaxDFSNodes = 10_000_000
 )
 
 // NormalizedOptions converts wire options into the exact planning options
-// the server uses: parsed strategy/scheduler, effort bounds enforced, the
-// deterministic DFS node budget forced, and package defaults applied.
+// the server uses: parsed strategy/scheduler, effort bounds enforced, and
+// package defaults applied.
 // Verifiers comparing served plans against the direct resharding path must
 // plan with these options, not hand-built ones.
 func NormalizedOptions(po PlanOptions) (resharding.Options, error) {
@@ -367,9 +367,6 @@ func NormalizedOptions(po PlanOptions) (resharding.Options, error) {
 	opts.Trials = po.Trials
 	opts.Seed = po.Seed
 	opts.DFSNodes = po.DFSNodes
-	if opts.DFSNodes == 0 {
-		opts.DFSNodes = resharding.DefaultAutotuneDFSNodes
-	}
 	return opts.WithDefaults(), nil
 }
 

@@ -13,7 +13,7 @@ import (
 // request grammar, not on one legitimately heavy search.
 const (
 	// What a request naming no budget gets; the server bound is 200x that.
-	fuzzMaxDFSNodes = resharding.DefaultAutotuneDFSNodes
+	fuzzMaxDFSNodes = resharding.DefaultDFSNodes
 	fuzzMaxTrials   = 64
 	fuzzMaxChunks   = 64
 	fuzzMaxHosts    = 8

@@ -50,9 +50,9 @@
 //
 // Topologies are named, not transmitted: requests reference presets of a
 // mesh.Registry ("p3", "dgx-a100", "mixed") plus host count and fabric
-// oversubscription. Planning is deterministic — the service forces a
-// node-budgeted DFS — so identical requests return identical plans
-// regardless of server load, machine speed, or which replica answered.
+// oversubscription. Planning is deterministic — every DFS budget is a node
+// count — so identical requests return identical plans regardless of
+// server load, machine speed, or which replica answered.
 package service
 
 import (

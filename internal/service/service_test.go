@@ -130,6 +130,37 @@ func TestPlanMatchesDirectPath(t *testing.T) {
 	}
 }
 
+// TestDefaultsAgreeAcrossLayers: the service adds no default of its own.
+// Zero wire options normalize to the package defaults, and a request that
+// names no dfs_nodes is keyed as a library session given zero counts. The
+// wire's empty strategy and scheduler name Broadcast and SchedEnsemble,
+// where the zero Options hold SendRecv and SchedNaive, so both sides name
+// those two.
+func TestDefaultsAgreeAcrossLayers(t *testing.T) {
+	named := resharding.Options{Strategy: resharding.Broadcast, Scheduler: resharding.SchedEnsemble}
+	opts, err := NormalizedOptions(PlanOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := named.WithDefaults(); opts != want {
+		t.Errorf("NormalizedOptions(PlanOptions{}) = %+v, WithDefaults %+v", opts, want)
+	}
+
+	_, client := newTestServer(t, Config{})
+	resp, err := client.PlanV2(context.Background(), testReq(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	task, _ := directTask(t, 0)
+	key, _, err := resharding.NewPlanner().TaskKey(task, named)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Key != key {
+		t.Errorf("served key %q, library session key %q", resp.Key, key)
+	}
+}
+
 // TestPlanTranslatedHitRemapsDevices: a request served from an entry
 // planned for a congruent boundary on different hosts must get sender
 // devices in its own meshes — identical to planning it directly.

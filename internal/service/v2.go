@@ -480,7 +480,6 @@ func degradeOptions(o resharding.Options) resharding.Options {
 		Strategy:  o.Strategy,
 		Scheduler: resharding.SchedDegraded,
 		Chunks:    o.Chunks,
-		DFSNodes:  resharding.DefaultAutotuneDFSNodes,
 	}
 	return d.WithDefaults()
 }
