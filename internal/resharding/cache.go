@@ -1,6 +1,7 @@
 package resharding
 
 import (
+	"cmp"
 	"container/list"
 	"context"
 	"errors"
@@ -8,10 +9,10 @@ import (
 	"slices"
 	"sort"
 	"strconv"
-	"sync"
 	"sync/atomic"
 
 	"alpacomm/internal/mesh"
+	"alpacomm/internal/percpu"
 	"alpacomm/internal/sharding"
 )
 
@@ -48,17 +49,32 @@ import (
 // while new arrivals plan afresh. Coalesced waits are cancellable: a
 // waiter whose context ends before the leader finishes returns ctx.Err()
 // immediately and leaves the entry intact for every other waiter.
+//
+// A hit takes a per-processor read lock (percpu.RWMutex) and stamps the
+// entry from the recency clock; the LRU list catches up with the stamps
+// only when it must pick a victim (evict). The clock's line is the one
+// that hits on different entries from different cores both write, so what
+// a hit costs barely depends on which cores the callers run on.
 type PlanCache struct {
-	mu        sync.Mutex
+	// mu guards entries, lru, every entry's pos, misses and evictions: a
+	// hit read-locks it, anything that changes the key set write-locks it.
+	mu        percpu.RWMutex
 	entries   map[string]*cacheEntry
-	lru       *list.List // most recent at front; nil when unbounded
+	lru       *list.List // ordered by cacheEntry.pos, highest at front; nil when unbounded
 	capacity  int        // 0 = unbounded
-	hits      int
 	misses    int
 	evictions int
 	// noTrace makes leaders simulate without the Events timeline or the
 	// Utilization report; see SetSimulateNoTrace.
 	noTrace atomic.Bool
+
+	// clock issues recency stamps: every fill and every hit on a bounded
+	// cache takes the next tick. It and hits are the words every hit
+	// writes, so they share a line apart from the words hits read.
+	_     [percpu.Pad]byte
+	clock atomic.Uint64
+	hits  atomic.Int64
+	_     [percpu.Pad]byte
 }
 
 type cacheEntry struct {
@@ -66,6 +82,11 @@ type cacheEntry struct {
 	// elem is the entry's LRU list node; nil when the cache is unbounded
 	// or the entry has been evicted.
 	elem *list.Element
+	// pos is the stamp the entry's place in the LRU list stands for (the
+	// list is sorted by it); used is its latest stamp. A hit moves only
+	// used, so used > pos means the entry was used since it was placed.
+	pos  uint64
+	used atomic.Uint64
 	// done is closed by the leader (the goroutine that created the entry)
 	// once plan/sim/err are set; waiters select on it against their own
 	// context, so a disconnected waiter never blocks on a computation it
@@ -88,6 +109,52 @@ type cacheEntry struct {
 // NewPlanCache returns an empty unbounded cache.
 func NewPlanCache() *PlanCache {
 	return &PlanCache{entries: map[string]*cacheEntry{}}
+}
+
+// touch stamps a use of e; only a bounded cache keeps recency.
+func (c *PlanCache) touch(e *cacheEntry) {
+	if c.lru != nil {
+		e.used.Store(c.clock.Add(1))
+	}
+}
+
+// add inserts a new entry as the most recently used and evicts down to
+// the bound. Callers write-lock c.mu.
+func (c *PlanCache) add(e *cacheEntry) {
+	c.entries[e.key] = e
+	if c.lru == nil {
+		return
+	}
+	e.pos = c.clock.Add(1)
+	e.used.Store(e.pos)
+	e.elem = c.lru.PushFront(e)
+	c.evict()
+}
+
+// evict drops least-recently-used entries until the cache is within its
+// bound. The list is sorted by the stamp each entry was placed under, so
+// its back is the exact LRU entry unless it was used since it was placed:
+// such an entry first moves to where its latest use ranks it. Callers
+// write-lock c.mu.
+func (c *PlanCache) evict() {
+	for c.lru.Len() > c.capacity {
+		back := c.lru.Back()
+		v := back.Value.(*cacheEntry)
+		if u := v.used.Load(); u > v.pos {
+			v.pos = u
+			for at := c.lru.Front(); at != back; at = at.Next() {
+				if at.Value.(*cacheEntry).pos < u {
+					c.lru.MoveBefore(back, at)
+					break
+				}
+			}
+			continue
+		}
+		c.lru.Remove(back)
+		v.elem = nil
+		delete(c.entries, v.key)
+		c.evictions++
+	}
 }
 
 // NewLRUPlanCache returns an empty cache bounded to capacity entries with
@@ -122,9 +189,9 @@ func (c *PlanCache) SimulatesNoTrace() bool { return c.noTrace.Load() }
 // absent, still being planned, or errored; the caller simply rebuilds the
 // sidecar on a later hit. Attach never blocks on in-flight planning.
 func (c *PlanCache) Attach(key string, v interface{}) bool {
-	c.mu.Lock()
+	i := c.mu.RLock()
 	e, ok := c.entries[key]
-	c.mu.Unlock()
+	c.mu.RUnlock(i)
 	if !ok || !e.ready.Load() || e.err != nil {
 		return false
 	}
@@ -141,16 +208,14 @@ type attachBox struct{ v interface{} }
 // when none was attached). Like LookupKeyed it never blocks on an
 // in-flight computation.
 func (c *PlanCache) LookupKeyedAttachment(key string) (*Plan, *SimResult, interface{}, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	i := c.mu.RLock()
 	e, ok := c.entries[key]
+	c.mu.RUnlock(i)
 	if !ok || !e.ready.Load() || e.err != nil {
 		return nil, nil, nil, false
 	}
-	c.hits++
-	if e.elem != nil {
-		c.lru.MoveToFront(e.elem)
-	}
+	c.hits.Add(1)
+	c.touch(e)
 	var att interface{}
 	if box, ok := e.attach.Load().(attachBox); ok {
 		att = box.v
@@ -174,10 +239,10 @@ type CacheStats struct {
 
 // Stats returns a snapshot of the counters.
 func (c *PlanCache) Stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	i := c.mu.RLock()
+	defer c.mu.RUnlock(i)
 	return CacheStats{
-		Hits: c.hits, Misses: c.misses, Entries: len(c.entries),
+		Hits: int(c.hits.Load()), Misses: c.misses, Entries: len(c.entries),
 		Evictions: c.evictions, Capacity: c.capacity,
 	}
 }
@@ -244,28 +309,22 @@ func (c *PlanCache) PlanAndSimulateKeyedFillContext(ctx context.Context, key str
 // planAndSimulateOnce runs one lookup-or-lead round; see
 // PlanAndSimulateKeyedContext for the retry wrapper.
 func (c *PlanCache) planAndSimulateOnce(ctx context.Context, key string, task *sharding.Task, opts Options, fill PlanFill) (*Plan, *SimResult, error) {
-	c.mu.Lock()
+	i := c.mu.RLock()
 	e, ok := c.entries[key]
-	if ok {
-		c.hits++
-		if e.elem != nil {
-			c.lru.MoveToFront(e.elem)
+	c.mu.RUnlock(i)
+	if !ok {
+		c.mu.Lock()
+		if e, ok = c.entries[key]; !ok {
+			e = &cacheEntry{key: key, done: make(chan struct{})}
+			c.misses++
+			c.add(e)
 		}
-	} else {
-		e = &cacheEntry{key: key, done: make(chan struct{})}
-		c.entries[key] = e
-		c.misses++
-		if c.lru != nil {
-			e.elem = c.lru.PushFront(e)
-			for c.lru.Len() > c.capacity {
-				victim := c.lru.Remove(c.lru.Back()).(*cacheEntry)
-				victim.elem = nil
-				delete(c.entries, victim.key)
-				c.evictions++
-			}
-		}
+		c.mu.Unlock()
 	}
-	c.mu.Unlock()
+	if ok {
+		c.hits.Add(1)
+		c.touch(e)
+	}
 	if !ok {
 		// Leader: compute under this caller's context. A panic in planning
 		// must not strand the entry's waiters or leave it looking like a
@@ -333,16 +392,7 @@ func (c *PlanCache) Install(key string, plan *Plan, sim *SimResult) bool {
 	if _, ok := c.entries[key]; ok {
 		return false
 	}
-	c.entries[key] = e
-	if c.lru != nil {
-		e.elem = c.lru.PushFront(e)
-		for c.lru.Len() > c.capacity {
-			victim := c.lru.Remove(c.lru.Back()).(*cacheEntry)
-			victim.elem = nil
-			delete(c.entries, victim.key)
-			c.evictions++
-		}
-	}
+	c.add(e)
 	return true
 }
 
@@ -378,8 +428,15 @@ func (c *PlanCache) Export() []ExportedEntry {
 		out = append(out, ExportedEntry{Key: e.key, Plan: e.plan, Sim: e.sim, Attach: att})
 	}
 	if c.lru != nil {
+		// The list holds every entry, in the order they were placed; their
+		// latest stamps rank them.
+		byUse := make([]*cacheEntry, 0, c.lru.Len())
 		for el := c.lru.Front(); el != nil; el = el.Next() {
-			appendEntry(el.Value.(*cacheEntry))
+			byUse = append(byUse, el.Value.(*cacheEntry))
+		}
+		slices.SortFunc(byUse, func(a, b *cacheEntry) int { return cmp.Compare(b.used.Load(), a.used.Load()) })
+		for _, e := range byUse {
+			appendEntry(e)
 		}
 		return out
 	}

@@ -2,7 +2,10 @@ package resharding
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -234,5 +237,54 @@ func TestLRUCacheConcurrentDistinctKeys(t *testing.T) {
 	}
 	if st.Hits+st.Misses != workers*perWorker {
 		t.Errorf("lookups = %d, want %d", st.Hits+st.Misses, workers*perWorker)
+	}
+}
+
+// TestLRUCacheMatchesExactLRU drives a cache with random fills and hits
+// and holds it to a reference LRU list after every step: the same keys
+// resident, exported in the same most- to least-recent order, the same
+// counters. Hits only stamp their entry and the list is reordered when a
+// victim is picked, so this is what keeps that lazy order exact.
+func TestLRUCacheMatchesExactLRU(t *testing.T) {
+	plan, sim := &Plan{}, &SimResult{}
+	rng := rand.New(rand.NewSource(1))
+	for _, capacity := range []int{1, 2, 5, 16} {
+		cache := NewLRUPlanCache(capacity)
+		var ref []string // most recent first
+		var hits, evictions int
+		for step := 0; step < 4000; step++ {
+			key := fmt.Sprintf("k%d", rng.Intn(3*capacity+2))
+			at := slices.Index(ref, key)
+			if rng.Intn(2) == 0 {
+				if got := cache.Install(key, plan, sim); got != (at < 0) {
+					t.Fatalf("cap %d step %d: Install(%s) = %v with %s resident", capacity, step, key, got, key)
+				}
+				if at < 0 {
+					ref = append([]string{key}, ref...)
+					if len(ref) > capacity {
+						ref = ref[:capacity]
+						evictions++
+					}
+				}
+			} else {
+				if _, _, ok := cache.LookupKeyed(key); ok != (at >= 0) {
+					t.Fatalf("cap %d step %d: LookupKeyed(%s) hit = %v", capacity, step, key, ok)
+				}
+				if at >= 0 {
+					ref = append([]string{key}, slices.Delete(ref, at, at+1)...)
+					hits++
+				}
+			}
+			var got []string
+			for _, e := range cache.Export() {
+				got = append(got, e.Key)
+			}
+			if !slices.Equal(got, ref) {
+				t.Fatalf("cap %d step %d: export order %v, exact LRU %v", capacity, step, got, ref)
+			}
+			if st := cache.Stats(); st.Entries != len(ref) || st.Hits != hits || st.Evictions != evictions {
+				t.Fatalf("cap %d step %d: stats %+v, want %d entries, %d hits, %d evictions", capacity, step, st, len(ref), hits, evictions)
+			}
+		}
 	}
 }

@@ -357,6 +357,12 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// misses counts the misses led on s, proven and searched.
+func misses(s *Server) int64 {
+	st := s.planC.snapshot()
+	return st.MissesProven + st.MissesSearched
+}
+
 // holdWorker takes the plan pool's only worker slot, as a running
 // computation would; the returned func gives it back.
 func holdWorker(s *Server) (release func()) {
@@ -395,7 +401,7 @@ func TestHerdDoesNotDegradeBystanders(t *testing.T) {
 	// Release the worker only once every request has been admitted (or,
 	// had any been refused, answered).
 	waitUntil(t, "every request to be admitted", func() bool {
-		return s.planC.inFlight.Load()+done.Load() == int64(len(bodies))
+		return s.planC.snapshot().InFlight+done.Load() == int64(len(bodies))
 	})
 	release()
 	wg.Wait()
@@ -405,7 +411,7 @@ func TestHerdDoesNotDegradeBystanders(t *testing.T) {
 			t.Errorf("request %d: status %d, %s %q; want 200 with no admission header", i, g.status, AdmissionHeader, g.admission)
 		}
 	}
-	if n := s.planC.missesProven.Load() + s.planC.missesSearched.Load(); n != 2 {
+	if n := misses(s); n != 2 {
 		t.Errorf("%d computations, want 2: one for the herd, one for the bystander", n)
 	}
 	if st := s.slo.Snapshot(); st.Mode != "full" || st.Degrades != 0 || st.ShedRequests != 0 {
@@ -480,9 +486,8 @@ func TestProvenMissSkipsPoolAndVerdict(t *testing.T) {
 	full("in shed mode", testReq(4))
 
 	memoFields := func() int {
-		s.reqMemo.mu.RLock()
-		defer s.reqMemo.mu.RUnlock()
-		return len(s.reqMemo.fields)
+		nf, _ := memoSizes(s)
+		return nf
 	}
 	fields, replans := memoFields(), s.planner.ReplanStats()
 	full("with a fault overlay", faultyReq(5, stragglerFaults))
@@ -504,7 +509,7 @@ func TestProvenMissSkipsPoolAndVerdict(t *testing.T) {
 	}
 
 	const herd = 40
-	before := s.planC.missesProven.Load() + s.planC.missesSearched.Load()
+	before := misses(s)
 	body := mustJSON(t, testReq(6))
 	got := make([]served, herd)
 	var wg sync.WaitGroup
@@ -521,7 +526,7 @@ func TestProvenMissSkipsPoolAndVerdict(t *testing.T) {
 			t.Errorf("proven herd request %d: status %d: %s", i, g.status, g.body)
 		}
 	}
-	if n := s.planC.missesProven.Load() + s.planC.missesSearched.Load() - before; n != 1 {
+	if n := misses(s) - before; n != 1 {
 		t.Errorf("a proven herd of %d cost %d computations, want 1", herd, n)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"sync"
 
+	"alpacomm/internal/percpu"
 	"alpacomm/internal/resharding"
 	"alpacomm/internal/sharding"
 )
@@ -266,8 +267,11 @@ const maxMemoBody = 2048
 // topology on every request), and a body is admitted only once the strict
 // decoder and parseTask have both accepted it, so a rejected request can
 // never be answered from here.
+//
+// Lookups take a per-processor read lock (percpu.RWMutex), so hits from
+// different cores do not write one lock word; admissions lock it all.
 type parseMemo struct {
-	mu     sync.RWMutex
+	mu     percpu.RWMutex
 	fields map[string]parsedReq
 	bodies map[string]parsedReq
 }
@@ -278,8 +282,8 @@ func newParseMemo() parseMemo {
 
 // admit stores one parse under key, keeping the first entry if another
 // request raced us in (or this one is a repeat: the key is copied only
-// when it is stored) and starting the map over at the bound. Callers hold
-// pm.mu.
+// when it is stored) and starting the map over at the bound. Callers
+// write-lock pm.mu.
 func admit(m map[string]parsedReq, key []byte, pr parsedReq) {
 	if _, ok := m[string(key)]; ok {
 		return
@@ -295,9 +299,9 @@ func admit(m map[string]parsedReq, key []byte, pr parsedReq) {
 //
 //alpacomm:hotpath
 func (pm *parseMemo) getBody(body []byte) (parsedReq, bool) {
-	pm.mu.RLock()
+	i := pm.mu.RLock()
 	pr, ok := pm.bodies[string(body)]
-	pm.mu.RUnlock()
+	pm.mu.RUnlock(i)
 	return pr, ok
 }
 
@@ -359,9 +363,9 @@ func (pm *parseMemo) get(ref TopologyRef, shape []int, dtype string, src, dst En
 	buf := getBuf()
 	b := appendMemoKey((*buf)[:0], ref, shape, dtype, src, dst, po)
 	*buf = b
-	pm.mu.RLock()
+	i := pm.mu.RLock()
 	pr, ok := pm.fields[string(b)]
-	pm.mu.RUnlock()
+	pm.mu.RUnlock(i)
 	putBuf(buf)
 	return pr, ok
 }

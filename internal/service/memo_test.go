@@ -41,9 +41,15 @@ func send(s *Server, body []byte, accept string, hdr ...string) served {
 }
 
 func memoBodies(s *Server) int {
-	s.reqMemo.mu.RLock()
-	defer s.reqMemo.mu.RUnlock()
-	return len(s.reqMemo.bodies)
+	_, nb := memoSizes(s)
+	return nb
+}
+
+// memoSizes counts the entries of the memo's two key spaces.
+func memoSizes(s *Server) (fields, bodies int) {
+	i := s.reqMemo.mu.RLock()
+	defer s.reqMemo.mu.RUnlock(i)
+	return len(s.reqMemo.fields), len(s.reqMemo.bodies)
 }
 
 func mustJSON(t testing.TB, v interface{}) []byte {
@@ -152,9 +158,7 @@ func TestParseMemoStartsOverAtCap(t *testing.T) {
 		if got := send(s, mustJSON(t, testReq(seed)), ""); got.status != http.StatusOK {
 			t.Fatalf("seed %d: status %d: %s", seed, got.status, got.body)
 		}
-		s.reqMemo.mu.RLock()
-		nf, nb := len(s.reqMemo.fields), len(s.reqMemo.bodies)
-		s.reqMemo.mu.RUnlock()
+		nf, nb := memoSizes(s)
 		if nf > maxMemoEntries || nb > maxMemoEntries {
 			t.Fatalf("after seed %d the memo holds %d field and %d body entries, bound %d", seed, nf, nb, maxMemoEntries)
 		}
@@ -166,9 +170,9 @@ func TestParseMemoStartsOverAtCap(t *testing.T) {
 		t.Fatalf("%d one-off requests left %d body entries", maxMemoEntries, n)
 	}
 	post(maxMemoEntries)
-	decoded := s.planC.decoded.Load()
+	decoded := s.planC.snapshot().Decoded
 	post(maxMemoEntries)
-	if got := s.planC.decoded.Load(); got != decoded {
+	if got := s.planC.snapshot().Decoded; got != decoded {
 		t.Errorf("the repeat of a request that arrived at a full memo ran the decoder (decoded %d -> %d)", decoded, got)
 	}
 	r := testReq(maxMemoEntries)

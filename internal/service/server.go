@@ -68,6 +68,7 @@ import (
 	"time"
 
 	"alpacomm/internal/mesh"
+	"alpacomm/internal/percpu"
 	"alpacomm/internal/resharding"
 	"alpacomm/internal/sharding"
 )
@@ -145,9 +146,9 @@ type Server struct {
 	// it once per request, and its verdict decides how a miss that must
 	// search is served; nil = fixed pools only.
 	slo        *SLOController
-	planC      endpointCounters
-	autotuneC  endpointCounters
-	batchC     endpointCounters
+	planC      stripedCounters
+	autotuneC  stripedCounters
+	batchC     stripedCounters
 	retryAfter time.Duration
 	mux        *http.ServeMux
 	// router, when set, makes this server one node of a cluster tier: see
@@ -223,8 +224,17 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// ServeHTTP dispatches to the API endpoints.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
+// ServeHTTP dispatches to the API endpoints. A /v2/plan request whose path
+// needs no cleaning or unescaping goes straight to the handler the mux
+// would pick, skipping the read lock the mux takes on its route table: a
+// word that requests on every core write.
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path == "/v2/plan" && r.URL.RawPath == "" {
+		s.handlePlanV2(w, r)
+		return
+	}
+	s.mux.ServeHTTP(w, r)
+}
 
 // Cache exposes the server's plan cache (e.g. to pre-warm it or to share
 // it with an in-process planner).
@@ -308,18 +318,38 @@ type endpointCounters struct {
 	decoded        atomic.Int64
 }
 
-func (c *endpointCounters) snapshot() EndpointStats {
-	return EndpointStats{
-		Requests:       c.requests.Load(),
-		OK:             c.ok.Load(),
-		Errors:         c.errors.Load(),
-		Rejected:       c.rejected.Load(),
-		Coalesced:      c.coalesced.Load(),
-		InFlight:       c.inFlight.Load(),
-		MissesProven:   c.missesProven.Load(),
-		MissesSearched: c.missesSearched.Load(),
-		Decoded:        c.decoded.Load(),
+// stripedCounters is one endpoint's counters in a copy per processor
+// (package percpu), summed by snapshot. A request counts everything in
+// the copy it picked, so its inFlight up and down land in one copy and no
+// sum of copies reads below zero.
+type stripedCounters struct {
+	_       [percpu.Pad]byte
+	stripes [percpu.Slots]struct {
+		endpointCounters
+		_ [percpu.Pad]byte
 	}
+}
+
+// pick returns the copy one request counts in.
+func (sc *stripedCounters) pick() *endpointCounters {
+	return &sc.stripes[percpu.Index()].endpointCounters
+}
+
+func (sc *stripedCounters) snapshot() EndpointStats {
+	var st EndpointStats
+	for i := range sc.stripes {
+		c := &sc.stripes[i]
+		st.Requests += c.requests.Load()
+		st.OK += c.ok.Load()
+		st.Errors += c.errors.Load()
+		st.Rejected += c.rejected.Load()
+		st.Coalesced += c.coalesced.Load()
+		st.InFlight += c.inFlight.Load()
+		st.MissesProven += c.missesProven.Load()
+		st.MissesSearched += c.missesSearched.Load()
+		st.Decoded += c.decoded.Load()
+	}
+	return st
 }
 
 // maxCachedTopologies bounds the topology memo: the parameters are
@@ -422,9 +452,9 @@ func (s *Server) computePlan(ctx context.Context, cacheKey string, task *shardin
 		}
 		owner, local, proven := "", true, d.Proven()
 		if proven {
-			s.planC.missesProven.Add(1)
+			s.planC.pick().missesProven.Add(1)
 		} else {
-			s.planC.missesSearched.Add(1)
+			s.planC.pick().missesSearched.Add(1)
 			if s.router != nil && wireReq != nil && !forwarded {
 				owner, local = s.router.Route(cacheKey)
 			}
@@ -510,16 +540,24 @@ func servePlan(w http.ResponseWriter, c *endpointCounters, enc *encodedPlan, tas
 	if binary {
 		writeBinary(w, http.StatusOK, b)
 	} else {
-		w.Header().Set("Content-Type", "application/json")
+		w.Header()["Content-Type"] = jsonContentType
 		w.WriteHeader(http.StatusOK)
 		_, _ = w.Write(b)
 	}
 	putBuf(buf)
 }
 
+// Content-Type values shared by every plan response: storing one in the
+// header map skips the slice Header.Set allocates. Header values are
+// replaced, never edited in place, so sharing them is safe.
+var (
+	jsonContentType   = []string{"application/json"}
+	binaryContentType = []string{ContentTypeBinary}
+)
+
 // writeBinary writes one complete binary frame.
 func writeBinary(w http.ResponseWriter, status int, frame []byte) {
-	w.Header().Set("Content-Type", ContentTypeBinary)
+	w.Header()["Content-Type"] = binaryContentType
 	w.WriteHeader(status)
 	_, _ = w.Write(frame)
 }

@@ -448,7 +448,7 @@ func TestIntakeBackpressure(t *testing.T) {
 	if !errors.As(err, &over) {
 		t.Fatalf("want OverloadedError from the intake gate, got %v", err)
 	}
-	if n := s.planC.decoded.Load(); n != 0 {
+	if n := s.planC.snapshot().Decoded; n != 0 {
 		t.Errorf("the gate refused a body after decoding it (decoded = %d)", n)
 	}
 	for i := 0; i < cap(s.intake.queue); i++ {

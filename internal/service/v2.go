@@ -208,7 +208,7 @@ func (s *Server) failPlan(ctx context.Context, w http.ResponseWriter, err error,
 			s.slo.NoteShed(fullOnly)
 		}
 	}
-	s.failV2(ctx, w, &s.planC, err, bin)
+	s.failV2(ctx, w, s.planC.pick(), err, bin)
 }
 
 // writeV2Error renders one envelope in the request's negotiated format.
@@ -299,31 +299,32 @@ func getBody(w http.ResponseWriter, r *http.Request, buf *[]byte) ([]byte, error
 // caller decodes the same bytes: the memo holds parses, never decoded
 // requests, because a body whose plan is gone is about to pay for a fill
 // the decode is a few percent of. (An entry that cannot be serialized is
-// left to that path too, which fails the request.)
+// left to that path too, which fails the request.) It counts in c, the
+// request's copy of the endpoint counters.
 //
 //alpacomm:hotpath
-func (s *Server) serveMemoized(w http.ResponseWriter, r *http.Request, body []byte, bin bool, start time.Time) bool {
+func (s *Server) serveMemoized(w http.ResponseWriter, r *http.Request, c *endpointCounters, body []byte, bin bool, start time.Time) bool {
 	pr, ok := s.reqMemo.getBody(body)
 	if !ok {
 		return false
 	}
 	if _, err := timeoutMs(r); err != nil {
-		s.failV2(r.Context(), w, &s.planC, err, bin)
+		s.failV2(r.Context(), w, c, err, bin)
 		return true
 	}
 	enc, _ := s.cachedPlan(pr.key, pr.opts)
 	if enc == nil {
 		return false
 	}
-	s.planC.inFlight.Add(1)
+	c.inFlight.Add(1)
 	if s.slo != nil {
 		s.slo.Admit(len(s.plan.queue))
 	}
-	servePlan(w, &s.planC, enc, pr.task, false, bin)
+	servePlan(w, c, enc, pr.task, false, bin)
 	if s.slo != nil {
 		s.slo.Observe(time.Since(start))
 	}
-	s.planC.inFlight.Add(-1)
+	c.inFlight.Add(-1)
 	return true
 }
 
@@ -365,24 +366,25 @@ func (s *Server) handlePlanV2(w http.ResponseWriter, r *http.Request) {
 	if s.slo != nil {
 		start = time.Now()
 	}
-	s.planC.requests.Add(1)
+	c := s.planC.pick()
+	c.requests.Add(1)
 	bin := wantsBinary(r)
-	if !s.requirePost(w, r, &s.planC, bin) {
+	if !s.requirePost(w, r, c, bin) {
 		return
 	}
 	buf := getBuf()
 	defer putBuf(buf)
 	body, err := getBody(w, r, buf)
 	if err != nil {
-		s.failV2(r.Context(), w, &s.planC, badBody(err), bin)
+		s.failV2(r.Context(), w, c, badBody(err), bin)
 		return
 	}
-	if s.serveMemoized(w, r, body, bin, start) {
+	if s.serveMemoized(w, r, c, body, bin, start) {
 		return
 	}
 	ctx, cancel, err := v2Ctx(r)
 	if err != nil {
-		s.failV2(r.Context(), w, &s.planC, err, bin)
+		s.failV2(r.Context(), w, c, err, bin)
 		return
 	}
 	defer cancel()
@@ -394,10 +396,10 @@ func (s *Server) handlePlanV2(w http.ResponseWriter, r *http.Request) {
 	}
 	release := sync.OnceFunc(s.intake.release)
 	defer release()
-	s.planC.decoded.Add(1)
+	c.decoded.Add(1)
 	var req PlanRequest
 	if err := decodeStrict(bytes.NewReader(body), &req); err != nil {
-		s.failV2(ctx, w, &s.planC, err, bin)
+		s.failV2(ctx, w, c, err, bin)
 		return
 	}
 	fullOnly := req.Options.Quality == "full"
@@ -410,8 +412,8 @@ func (s *Server) handlePlanV2(w http.ResponseWriter, r *http.Request) {
 		s.reqMemo.putBody(body, parsedReq{task: task, opts: opts, key: cacheKey})
 	}
 
-	s.planC.inFlight.Add(1)
-	defer s.planC.inFlight.Add(-1)
+	c.inFlight.Add(1)
+	defer c.inFlight.Add(-1)
 	// Every request is admitted once, as a memoized hit is; only a search
 	// obeys the verdict.
 	mode := AdmitFull
@@ -457,13 +459,13 @@ func (s *Server) handlePlanV2(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if shared {
-		s.planC.coalesced.Add(1)
+		c.coalesced.Add(1)
 	}
 	if degraded {
 		w.Header().Set(AdmissionHeader, "degraded")
 		s.slo.NoteDegraded()
 	}
-	servePlan(w, &s.planC, enc, task, shared, bin)
+	servePlan(w, c, enc, task, shared, bin)
 	if s.slo != nil {
 		s.slo.Observe(time.Since(start))
 	}
@@ -487,51 +489,52 @@ func degradeOptions(o resharding.Options) resharding.Options {
 // handleAutotuneV2 runs one strategy x scheduler grid search; a
 // propagated deadline (or disconnect) aborts it queued or running.
 func (s *Server) handleAutotuneV2(w http.ResponseWriter, r *http.Request) {
-	s.autotuneC.requests.Add(1)
+	c := s.autotuneC.pick()
+	c.requests.Add(1)
 	bin := wantsBinary(r)
 	var req AutotuneRequest
-	if !s.decodeV2(w, r, &req, &s.autotuneC, bin) {
+	if !s.decodeV2(w, r, &req, c, bin) {
 		return
 	}
 	if req.Workers < 0 {
-		s.failV2(r.Context(), w, &s.autotuneC, &badRequestError{fmt.Errorf("negative workers")}, bin)
+		s.failV2(r.Context(), w, c, &badRequestError{fmt.Errorf("negative workers")}, bin)
 		return
 	}
 	ctx, cancel, err := v2Ctx(r)
 	if err != nil {
-		s.failV2(r.Context(), w, &s.autotuneC, err, bin)
+		s.failV2(r.Context(), w, c, err, bin)
 		return
 	}
 	defer cancel()
 	task, opts, cacheKey, err := s.parseTask(ctx, s.intake,
 		req.Topology, req.Faults, req.Shape, req.DType, req.Src, req.Dst, req.Options)
 	if err != nil {
-		s.failV2(ctx, w, &s.autotuneC, err, bin)
+		s.failV2(ctx, w, c, err, bin)
 		return
 	}
 
-	s.autotuneC.inFlight.Add(1)
-	defer s.autotuneC.inFlight.Add(-1)
+	c.inFlight.Add(1)
+	defer c.inFlight.Add(-1)
 	v, shared, err := s.computeAutotune(ctx, cacheKey, task, opts, req.Workers)
 	if err != nil {
-		s.failV2(ctx, w, &s.autotuneC, err, bin)
+		s.failV2(ctx, w, c, err, bin)
 		return
 	}
 	resp := *v
 	resp.Coalesced = shared
 	if shared {
-		s.autotuneC.coalesced.Add(1)
+		c.coalesced.Add(1)
 	}
 	if bin {
 		buf := getBuf()
 		b := appendAutotuneBinary((*buf)[:0], &resp)
 		*buf = b
-		s.autotuneC.ok.Add(1)
+		c.ok.Add(1)
 		writeBinary(w, http.StatusOK, b)
 		putBuf(buf)
 		return
 	}
-	s.autotuneC.ok.Add(1)
+	c.ok.Add(1)
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -549,29 +552,30 @@ type batchItem struct {
 // exactly the computation N individual /v2/plan calls would coalesce to,
 // without the N round trips.
 func (s *Server) handlePlanBatch(w http.ResponseWriter, r *http.Request) {
-	s.batchC.requests.Add(1)
+	c := s.batchC.pick()
+	c.requests.Add(1)
 	bin := wantsBinary(r)
 	var req BatchPlanRequest
-	if !s.decodeV2(w, r, &req, &s.batchC, bin) {
+	if !s.decodeV2(w, r, &req, c, bin) {
 		return
 	}
 	if len(req.Items) == 0 {
-		s.failV2(r.Context(), w, &s.batchC, &badRequestError{fmt.Errorf("empty batch")}, bin)
+		s.failV2(r.Context(), w, c, &badRequestError{fmt.Errorf("empty batch")}, bin)
 		return
 	}
 	if len(req.Items) > MaxBatchItems {
-		s.failV2(r.Context(), w, &s.batchC, &badRequestError{fmt.Errorf("batch has %d items, server bound is %d", len(req.Items), MaxBatchItems)}, bin)
+		s.failV2(r.Context(), w, c, &badRequestError{fmt.Errorf("batch has %d items, server bound is %d", len(req.Items), MaxBatchItems)}, bin)
 		return
 	}
 	ctx, cancel, err := v2Ctx(r)
 	if err != nil {
-		s.failV2(r.Context(), w, &s.batchC, err, bin)
+		s.failV2(r.Context(), w, c, err, bin)
 		return
 	}
 	defer cancel()
 
-	s.batchC.inFlight.Add(1)
-	defer s.batchC.inFlight.Add(-1)
+	c.inFlight.Add(1)
+	defer c.inFlight.Add(-1)
 
 	// Parse every item under one intake token: the whole batch is one
 	// admission to the pre-planning stage, not MaxBatchItems of them. The
@@ -603,7 +607,7 @@ func (s *Server) handlePlanBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		return nil
 	}(); err != nil {
-		s.failV2(ctx, w, &s.batchC, err, bin)
+		s.failV2(ctx, w, c, err, bin)
 		return
 	}
 
@@ -677,10 +681,10 @@ func (s *Server) handlePlanBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	wg.Wait()
 	if fatal != nil {
-		s.failV2(ctx, w, &s.batchC, fatal, bin)
+		s.failV2(ctx, w, c, fatal, bin)
 		return
 	}
-	s.batchC.coalesced.Add(int64(coalesced))
+	c.coalesced.Add(int64(coalesced))
 
 	// Assemble the whole response into one pooled buffer: every planned
 	// item appends its class's pre-serialized body (senders remapped into
@@ -742,7 +746,7 @@ func (s *Server) handlePlanBatch(w http.ResponseWriter, r *http.Request) {
 		b = append(b, '}', '\n')
 	}
 	*buf = b
-	s.batchC.ok.Add(1)
+	c.ok.Add(1)
 	if bin {
 		writeBinary(w, http.StatusOK, b)
 	} else {

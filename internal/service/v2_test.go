@@ -52,7 +52,7 @@ func TestRetiredV1Routes(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("GET /v1/stats: status %d, want 404", resp.StatusCode)
 	}
-	for name, c := range map[string]*endpointCounters{"plan": &s.planC, "autotune": &s.autotuneC, "batch": &s.batchC} {
+	for name, c := range map[string]*stripedCounters{"plan": &s.planC, "autotune": &s.autotuneC, "batch": &s.batchC} {
 		if got := c.snapshot(); got != (EndpointStats{}) {
 			t.Errorf("%s counters moved on a retired route: %+v", name, got)
 		}
