@@ -95,7 +95,7 @@ func tierReq(t testing.TB, seed int64) *service.PlanRequest {
 }
 
 // searchReq is a request of `loadgen -cluster`'s working set: 256 units over
-// 8 hosts, which leave Naive and LPT unproven and cost ~10 ms of randomized
+// 8 hosts, which leave the closed forms unproven and cost ~10 ms of randomized
 // trials — long enough for a herd to find the miss in flight.
 func searchReq(t testing.TB, seed int64) *service.PlanRequest {
 	return classed(t, &service.PlanRequest{

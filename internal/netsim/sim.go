@@ -10,8 +10,12 @@
 //
 // Per-resource FIFO in issue order models NCCL-style stream queueing, which
 // is what makes the paper's §3.2 schedule-ordering algorithms observable in
-// simulated time. The simulator is O(N log N) in the number of ops and
-// fully deterministic.
+// simulated time. The simulator is fully deterministic. A graph in which no
+// op ever waits for a resource is timed in one O(N) pass in id order (ids
+// are a topological order, and there every op starts when it is ready); at
+// the first op that would wait, or whose resource's previous user was not
+// ready strictly earlier, Run falls back to the ready heap, O(N log N), the
+// reference the in-order pass agrees with bit for bit.
 //
 // The core is allocation-free on the hot path: resources are addressed by
 // typed integer ResourceID handles into a flat slice, ops live in a flat
@@ -155,10 +159,12 @@ type Sim struct {
 	ran       bool
 	makespan  float64
 
-	// Run scratch, reused across Reset: CSR dependents and the ready heap.
-	depHead []int32
-	depList []int32
-	heap    []int32
+	// Run scratch, reused across Reset: each resource's latest ready time
+	// for the in-order pass, CSR dependents and the ready heap for the DES.
+	lastReady []float64
+	depHead   []int32
+	depList   []int32
+	heap      []int32
 }
 
 // NewSim returns an empty simulator.
@@ -465,10 +471,92 @@ func (s *Sim) heapPop() int32 {
 // last op). It fails if the dependency graph has a cycle. Run may be called
 // once per Reset; results are then available through OpStart/OpFinish/
 // Events.
+//
+// Most graphs are timed in one pass in id order (runInOrder): nothing
+// contends there, so the ready heap could only confirm that every op starts
+// the moment it is ready. A graph where two ops compete for a resource, or
+// might, is timed by the heap (runHeap), which the in-order pass agrees with
+// bit for bit wherever it finishes.
 func (s *Sim) Run() (float64, error) {
 	if s.ran {
 		return s.makespan, nil
 	}
+	if !s.runInOrder() {
+		if err := s.runHeap(); err != nil {
+			return 0, err
+		}
+	}
+	s.ran = true
+	return s.makespan, nil
+}
+
+// runInOrder times the ops in id order — a topological order, since AddOp
+// and addLattice take dependencies on earlier ops only — starting each at
+// its ready time, the latest finish among its dependencies. It gives up,
+// reporting false, at the first op one of whose resources is busy past that
+// ready time, or was last used, in id order, by an op ready at the same time
+// or later.
+//
+// Where it does not give up, it is the heap's schedule. The heap pops ops in
+// non-decreasing ready time (an op becomes ready no earlier than the finish
+// of the op whose pop readied it), so the users of one resource, whose ready
+// times rise strictly in id order here, pop in id order, and each finds the
+// resource free since its predecessor's finish, at or before its own ready
+// time. Every op therefore starts at its ready time under the heap too, and
+// every finish, BusyUntil, BusyTime sum (added in the same order) and the
+// makespan come out bit for bit the same. A NaN where a time is compared
+// fails the comparison and gives up.
+//
+//alpacomm:hotpath
+func (s *Sim) runInOrder() bool {
+	res := s.resources
+	if cap(s.lastReady) < len(res) {
+		s.lastReady = make([]float64, len(res))
+	}
+	// lastReady[r] is the ready time of r's latest user; ready times are
+	// never negative.
+	lastReady := s.lastReady[:len(res)]
+	for i := range lastReady {
+		lastReady[i] = -1
+	}
+	ops := s.ops
+	for i := range ops {
+		o := &ops[i]
+		ready := 0.0
+		for _, d := range s.depIDs(o) {
+			if f := ops[d].finish; f > ready {
+				ready = f
+			}
+		}
+		ids := s.resIDs(o)
+		for _, r := range ids {
+			if !(res[r].BusyUntil <= ready && lastReady[r] < ready) {
+				return false
+			}
+		}
+		o.start = ready
+		o.finish = ready + o.duration
+		for _, r := range ids {
+			res[r].BusyUntil = o.finish
+			res[r].BusyTime += o.duration
+			lastReady[r] = ready
+		}
+		if o.finish > s.makespan {
+			s.makespan = o.finish
+		}
+	}
+	return true
+}
+
+// runHeap is the discrete-event simulation: ops become ready as their last
+// dependency finishes and start in (readyTime, seq, id) order, each at the
+// latest of its ready time and its resources' BusyUntil. It starts from idle
+// resources, whatever an abandoned in-order pass left in them.
+func (s *Sim) runHeap() error {
+	for i := range s.resources {
+		s.resources[i].BusyUntil, s.resources[i].BusyTime = 0, 0
+	}
+	s.makespan = 0
 	n := len(s.ops)
 	// Build the dependents lists in CSR form over reusable scratch: one
 	// counting pass, a prefix sum, one fill pass.
@@ -552,10 +640,9 @@ func (s *Sim) Run() (float64, error) {
 		}
 	}
 	if scheduled != len(s.ops) {
-		return 0, fmt.Errorf("netsim: dependency cycle — scheduled %d of %d ops", scheduled, len(s.ops))
+		return fmt.Errorf("netsim: dependency cycle — scheduled %d of %d ops", scheduled, len(s.ops))
 	}
-	s.ran = true
-	return s.makespan, nil
+	return nil
 }
 
 // Makespan returns the finish time of the completed run.

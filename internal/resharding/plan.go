@@ -50,9 +50,9 @@ func NewPlanContext(ctx context.Context, task *sharding.Task, opts Options) (*Pl
 
 // Draft is a resharding planned as far as closed forms go: the host-level
 // instance, built once, and — under the ensemble scheduler — the incumbent
-// Naive and LoadBalanceOnly left (schedule.ClosedForm). It costs microseconds
-// and tells a caller whether finishing the plan means a search, so work worth
-// sharing or queueing can be told from work that is not.
+// Naive, LoadBalanceOnly and the witness left (schedule.ClosedForm). It costs
+// microseconds and tells a caller whether finishing the plan means a search,
+// so work worth sharing or queueing can be told from work that is not.
 type Draft struct {
 	task      *sharding.Task
 	opts      Options
@@ -125,7 +125,7 @@ func (d *Draft) Plan(ctx context.Context) (*Plan, error) {
 
 // lazySource draws the stream of rand.NewSource(seed), which it builds on
 // the first draw: seeding fills a 607-word state, and an ensemble that ends
-// at Naive or LoadBalanceOnly never draws.
+// at a closed form (Naive, LoadBalanceOnly or the witness) never draws.
 type lazySource struct {
 	seed int64
 	src  rand.Source64

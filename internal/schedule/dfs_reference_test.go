@@ -426,9 +426,9 @@ func TestDFSCancellationMatchesNodeBudget(t *testing.T) {
 
 // referenceEnsembleNodes mirrors the production ensemble exactly but with
 // the pre-refactor references as its searching components: same candidate
-// set, same order, same tie-breaking.
+// set (the witness in its place after LPT), same order, same tie-breaking.
 func referenceEnsembleNodes(tasks []Task, dfsNodes, trials int, rng *rand.Rand) Plan {
-	candidates := []Plan{Naive(tasks), LoadBalanceOnly(tasks), referenceGreedyRandomized(tasks, trials, rng)}
+	candidates := append(closedFormCandidates(tasks), referenceGreedyRandomized(tasks, trials, rng))
 	if len(tasks) <= 20 {
 		candidates = append(candidates, referenceDFSNodes(tasks, dfsNodes))
 	}

@@ -7,11 +7,13 @@ import (
 )
 
 // Where the candidate loop ends: the first candidate whose offer leaves the
-// incumbent at provenBound — the DFS proving its own incumbent included — or
+// incumbent at provenBound (ClosedForm's Naive, LPT and witness, then
+// Search's) — the DFS proving its own incumbent included — or
 // exitNone when even the search ends above it.
 const (
 	exitNaive  = "Naive"
 	exitLPT    = "LoadBalanceOnly"
+	exitWit    = "witness"
 	exitGreedy = "GreedyRandomized"
 	exitDFS    = "DFSPruningNodesStop"
 	exitNone   = "none"
@@ -26,16 +28,43 @@ func mustMakespan(t *testing.T, tasks []Task, p Plan) float64 {
 	return m
 }
 
+// witnessPlan builds the witness as ClosedForm does — the load provenFloor
+// names, launched first in the order witnessOrder backtracks, then the rest
+// in LPT order, from LPT's senders — and returns it with its load, or false
+// where there is none.
+func witnessPlan(tasks []Task) (Plan, serialLoad, bool) {
+	_, load := provenFloor(tasks)
+	if load.tasks == 0 {
+		return Plan{}, load, false
+	}
+	lpt := LoadBalanceOnly(tasks)
+	order, ok := witnessOrder(tasks, &load, lpt.Order, make([]int, 0, len(tasks)))
+	return Plan{Sender: lpt.Sender, Order: order}, load, ok
+}
+
+// closedFormCandidates lists ClosedForm's candidates in offer order: Naive,
+// LoadBalanceOnly and, where there is one, the witness.
+func closedFormCandidates(tasks []Task) []Plan {
+	candidates := []Plan{Naive(tasks), LoadBalanceOnly(tasks)}
+	if w, _, ok := witnessPlan(tasks); ok {
+		candidates = append(candidates, w)
+	}
+	return candidates
+}
+
 // ensembleExit works out the exit from the definitions, building every
 // candidate eagerly, the DFS as the reference search under dfsNodes.
 func ensembleExit(t *testing.T, tasks []Task, trials int, seed int64, dfsNodes int) string {
 	t.Helper()
 	pb := provenBound(tasks)
+	w, _, witness := witnessPlan(tasks)
 	switch {
 	case mustMakespan(t, tasks, Naive(tasks)) <= pb:
 		return exitNaive
 	case mustMakespan(t, tasks, LoadBalanceOnly(tasks)) <= pb:
 		return exitLPT
+	case witness && mustMakespan(t, tasks, w) <= pb:
+		return exitWit
 	case mustMakespan(t, tasks, GreedyRandomized(tasks, trials, rand.New(rand.NewSource(seed)))) <= pb:
 		return exitGreedy
 	case len(tasks) <= 20 && mustMakespan(t, tasks, referenceDFSNodes(tasks, dfsNodes)) <= pb:
@@ -97,6 +126,14 @@ var ensembleFamilies = []ensembleFamily{
 			}
 			return tasks
 		},
+	},
+	{
+		// The shape searches used to spend their whole node budget on: one
+		// receiver host fed by two forced senders, 16 to 64 tasks, Naive
+		// and LPT an ulp or so above the floor. The witness launches
+		// everything in the order the floor's DP reached it by.
+		name: "two forced senders, one receiver", exit: exitWit,
+		gen: func(rng *rand.Rand) []Task { return twoSenderResidueInstance(rng, 16, 64) },
 	},
 	{
 		// The four sender-receiver pairings of two forced senders and two
@@ -186,6 +223,35 @@ func unequalForcedSenderInstance(rng *rand.Rand) []Task {
 	return tasks
 }
 
+// twoSenderResidueInstance is the shape the witness was built for: one
+// receiver host fed by two forced senders, minTasks to maxTasks tasks whose
+// durations take two or three values 1+k/7 (two past 40 tasks, so the load
+// stays under chainStates), drawn until neither the ID order (Naive) nor the
+// longest-first order (LoadBalanceOnly) chains the receiver to the floor.
+func twoSenderResidueInstance(rng *rand.Rand, minTasks, maxTasks int) []Task {
+	for attempt := 0; attempt < 1000; attempt++ {
+		n := minTasks + rng.Intn(maxTasks-minTasks+1)
+		vals := make([]float64, 2+rng.Intn(2))
+		if n > 40 {
+			vals = vals[:2]
+		}
+		for k := range vals {
+			vals[k] = 1 + float64(1+rng.Intn(97))/7
+		}
+		tasks := make([]Task, n)
+		for i := range tasks {
+			tasks[i] = Task{ID: i, SenderHosts: []int{rng.Intn(2)}, ReceiverHosts: []int{9}, Duration: vals[rng.Intn(len(vals))]}
+		}
+		pb := provenBound(tasks)
+		naive, errN := Makespan(tasks, Naive(tasks))
+		lpt, errL := Makespan(tasks, LoadBalanceOnly(tasks))
+		if errN == nil && errL == nil && naive > pb && lpt > pb {
+			return tasks
+		}
+	}
+	panic("no two-sender instance leaves Naive and LPT off the floor in 1000 draws")
+}
+
 // TestEnsembleFamiliesExitWhereIntended holds each family to its exit and
 // the candidate loop to its laziness: nothing is built after the exit — the
 // DFS is not called, and an exit before the trials leaves the rng where a
@@ -196,7 +262,7 @@ func TestEnsembleFamiliesExitWhereIntended(t *testing.T) {
 	for _, fam := range ensembleFamilies {
 		reached[fam.exit] = true
 	}
-	for _, exit := range []string{exitNaive, exitLPT, exitGreedy, exitDFS, exitNone} {
+	for _, exit := range []string{exitNaive, exitLPT, exitWit, exitGreedy, exitDFS, exitNone} {
 		if !reached[exit] {
 			t.Errorf("no family leaves the candidate loop at %s", exit)
 		}
@@ -218,7 +284,7 @@ func TestEnsembleFamiliesExitWhereIntended(t *testing.T) {
 			dfs := func(tk []Task, lpt lptSeed) Plan { searches++; return dfsPruning(tk, 2000, nil, &lpt) }
 			src := rand.New(rand.NewSource(seed))
 			in := ClosedForm(tasks)
-			if proven := fam.exit == exitNaive || fam.exit == exitLPT; in.Proven() != proven {
+			if proven := fam.exit == exitNaive || fam.exit == exitLPT || fam.exit == exitWit; in.Proven() != proven {
 				t.Fatalf("%s trial %d: ClosedForm proven = %v on an instance that exits at %s", fam.name, trial, in.Proven(), fam.exit)
 			}
 			got := in.search(dfs, trials, src)
@@ -235,7 +301,7 @@ func TestEnsembleFamiliesExitWhereIntended(t *testing.T) {
 			if searches != wantSearches {
 				t.Fatalf("%s trial %d: DFS ran %d times on an instance that exits at %s", fam.name, trial, searches, fam.exit)
 			}
-			if fam.exit == exitNaive || fam.exit == exitLPT {
+			if fam.exit == exitNaive || fam.exit == exitLPT || fam.exit == exitWit {
 				if next, fresh := src.Int63(), rand.New(rand.NewSource(seed)).Int63(); next != fresh {
 					t.Fatalf("%s trial %d: rng was drawn from before an exit at %s", fam.name, trial, fam.exit)
 				}
@@ -263,14 +329,15 @@ func rankEagerly(tasks []Task, candidates []Plan) Plan {
 }
 
 // TestGreedyEnsembleMatchesEagerRanking: the search-free ensemble goes
-// through the same candidate loop and must return what ranking all three of
-// its candidates would.
+// through the same candidate loop and must return what ranking all of its
+// candidates would: ClosedForm's (the witness in its place after LPT), then
+// GreedyLoad.
 func TestGreedyEnsembleMatchesEagerRanking(t *testing.T) {
 	for _, fam := range ensembleFamilies {
 		rng := rand.New(rand.NewSource(41))
 		for trial := 0; trial < 12; trial++ {
 			tasks := fam.gen(rng)
-			want := rankEagerly(tasks, []Plan{Naive(tasks), LoadBalanceOnly(tasks), GreedyLoad(tasks)})
+			want := rankEagerly(tasks, append(closedFormCandidates(tasks), GreedyLoad(tasks)))
 			if got := GreedyEnsemble(tasks); !samePlan(got, want) {
 				t.Fatalf("%s trial %d: GreedyEnsemble diverged from the eager ranking\n got: %+v\nwant: %+v", fam.name, trial, got, want)
 			}

@@ -113,7 +113,8 @@ func FuzzDFSMatchesReference(f *testing.F) {
 // schedule there is (enumerated while the instance is small enough), and the
 // candidate loop that stops on it returns the plan of the eager reference —
 // taken in one call or as its two steps, the first of which reports Proven
-// exactly when the eager reference ends at Naive or LoadBalanceOnly.
+// exactly when the eager reference ends at Naive, LoadBalanceOnly or the
+// witness.
 func FuzzEnsembleMatchesReference(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 0, 0, 1, 0, 0, 1}, uint8(0), int64(1))                            // one sender, one receiver, uniform
 	f.Add([]byte{0, 0, 0x83, 0, 1, 0x85, 0, 2, 0x89, 0, 3, 0x82}, uint8(2), int64(7))       // forced sender, sevenths
@@ -144,7 +145,7 @@ func FuzzEnsembleMatchesReference(f *testing.F) {
 		if !samePlan(got, want) {
 			t.Fatalf("budget %d seed %d: ensemble diverged from reference\n got: %+v\nwant: %+v\ntasks: %+v", budget, seed, got, want, tasks)
 		}
-		if exit := ensembleExit(t, tasks, 4, seed, budget); proven != (exit == exitNaive || exit == exitLPT) {
+		if exit := ensembleExit(t, tasks, 4, seed, budget); proven != (exit == exitNaive || exit == exitLPT || exit == exitWit) {
 			t.Fatalf("ClosedForm proven = %v, eager reference exits at %s\ntasks: %+v", proven, exit, tasks)
 		}
 	})
@@ -155,7 +156,8 @@ func FuzzEnsembleMatchesReference(f *testing.F) {
 // each serial load's least chain over every launch order, no schedule beats
 // it, it moves from the shrunk floor only where a load's durations differ
 // and only upward, and an incumbent ClosedForm calls proven is an optimum,
-// as is a GreedyEnsemble plan that meets the floor.
+// as is a witness or a GreedyEnsemble plan that meets the floor; a witness
+// never evaluates below it.
 func FuzzClosedFormMatchesBruteForce(f *testing.F) {
 	f.Add([]byte{0, 0, 0x83, 1, 0, 0x85, 2, 0, 0x89, 3, 0, 0x82})       // one receiver, sevenths
 	f.Add([]byte{0, 0, 0x87, 0, 1, 0x8b, 0, 2, 0x8d, 0, 3, 0x95})       // one forced sender, sevenths

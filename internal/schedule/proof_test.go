@@ -215,9 +215,13 @@ func leastChainByEnumeration(ds []float64) float64 {
 // schedule's makespan; bit-equal to the shrunk floor when every load's
 // durations are, and at or above it otherwise; and where ClosedForm calls
 // its incumbent proven, that incumbent is a brute-force optimum. It holds
-// GreedyEnsemble to the same oracle: no worse than ClosedForm's incumbent,
-// and a brute-force optimum wherever it meets the floor. It returns the
-// floor, the shrunk floor and whether ClosedForm proved its incumbent.
+// the witness and GreedyEnsemble to the same oracle: the witness is valid,
+// launches a load whose least chain by enumeration is the floor first and
+// in an order that reaches that chain, never evaluates below the floor, and
+// is a brute-force optimum wherever it meets it; GreedyEnsemble is no worse
+// than ClosedForm's incumbent, and a brute-force optimum wherever it meets
+// the floor. It returns the floor, the shrunk floor and whether ClosedForm
+// proved its incumbent.
 func checkFloor(t *testing.T, tasks []Task) (pb, shrunk float64, proven bool) {
 	t.Helper()
 	pb, shrunk = provenBound(tasks), floorReference(tasks, true)
@@ -245,6 +249,34 @@ func checkFloor(t *testing.T, tasks []Task) (pb, shrunk float64, proven bool) {
 			t.Fatalf("ClosedForm proved makespan %v, brute-force optimum %v\ntasks: %+v", span, opt, tasks)
 		}
 	}
+	if w, load, ok := witnessPlan(tasks); ok {
+		span := mustMakespan(t, tasks, w)
+		if span < pb {
+			t.Fatalf("the witness evaluates to %v, below provenBound %v\ntasks: %+v", span, pb, tasks)
+		}
+		if span <= pb && span != opt {
+			t.Fatalf("the witness meets provenBound %v at %v, brute-force optimum %v\ntasks: %+v", pb, span, opt, tasks)
+		}
+		if in.span > span {
+			t.Fatalf("ClosedForm's incumbent %v is worse than the witness %v\ntasks: %+v", in.span, span, tasks)
+		}
+		chain, head := 0.0, true
+		for _, id := range w.Order {
+			tk := &tasks[taskIndex(tasks, id)]
+			if !load.carries(tk) {
+				head = false
+				continue
+			}
+			if !head {
+				t.Fatalf("the witness launches a task of its load after another task: %v\ntasks: %+v", w.Order, tasks)
+			}
+			chain += tk.Duration
+		}
+		least := leastChainByEnumeration(durations[loadKey{load.host, load.send}])
+		if math.Float64bits(chain) != math.Float64bits(pb) || math.Float64bits(least) != math.Float64bits(pb) {
+			t.Fatalf("the witness chains its load to %v, whose least chain by enumeration is %v, against the floor %v\ntasks: %+v", chain, least, pb, tasks)
+		}
+	}
 	// The degraded scheduler only adds GreedyLoad to ClosedForm's
 	// incumbent: never worse than it, and optimal once it meets the floor.
 	g := mustMakespan(t, tasks, GreedyEnsemble(tasks))
@@ -265,12 +297,15 @@ func checkFloor(t *testing.T, tasks []Task) (pb, shrunk float64, proven bool) {
 // checks that every kind of load decides it often enough to be covered —
 // receiver hosts and forced senders, of bit-equal durations and of others —
 // and that the least chain both sits below the task-order sum and lifts the
-// floor above the shrunk sum, proving incumbents the shrunk floor did not.
+// floor above the shrunk sum, proving incumbents the shrunk floor did not,
+// and that the witness is built, and proves what Naive and LPT do not,
+// often enough for checkFloor's witness clauses to bite.
 func TestProvenBoundBelowEverySchedule(t *testing.T) {
 	rng := rand.New(rand.NewSource(2718))
 	type kind struct{ sender, uniform bool }
 	decided := map[kind]int{}
 	belowSum, lifted, newlyProven := 0, 0, 0
+	witnesses, witnessProven := 0, 0
 	for trial := 0; trial < 240; trial++ {
 		tasks := seventhsInstance(rng)
 		if trial%2 == 1 {
@@ -302,6 +337,12 @@ func TestProvenBoundBelowEverySchedule(t *testing.T) {
 				newlyProven++
 			}
 		}
+		if w, _, ok := witnessPlan(tasks); ok {
+			witnesses++
+			if mustMakespan(t, tasks, w) <= pb && mustMakespan(t, tasks, LoadBalanceOnly(tasks)) > pb && mustMakespan(t, tasks, Naive(tasks)) > pb {
+				witnessProven++
+			}
+		}
 	}
 	for _, k := range []kind{{false, true}, {false, false}, {true, true}, {true, false}} {
 		if decided[k] < 10 {
@@ -311,6 +352,9 @@ func TestProvenBoundBelowEverySchedule(t *testing.T) {
 	if belowSum < 10 || lifted < 40 || newlyProven < 20 {
 		t.Errorf("the floor sat below the task-order sum on %d instances and above the shrunk sum on %d, proving %d incumbents the shrunk sum did not; want 10, 40, 20",
 			belowSum, lifted, newlyProven)
+	}
+	if witnesses < 40 || witnessProven < 5 {
+		t.Errorf("a witness was built on %d instances and proved %d that Naive and LPT did not; want 40, 5", witnesses, witnessProven)
 	}
 }
 

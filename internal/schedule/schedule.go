@@ -10,12 +10,13 @@
 // GreedyLoad (the baselines' input-order load balancing, §5.1.2),
 // DFSPruningNodesStop (exhaustive search under a node budget), and
 // GreedyRandomized (iterative maximal non-conflicting batches).
-// EnsembleNodesStop returns the best of Naive, LoadBalanceOnly,
+// EnsembleNodesStop returns the best of Naive, LoadBalanceOnly, the witness,
 // GreedyRandomized and the DFS, which is AlpaComm's configuration ("we run
 // both algorithms and choose the better result", §5.3.1), in two steps:
-// ClosedForm (Naive, then LoadBalanceOnly) and, only if that left the
-// optimum unproven, Search. GreedyEnsemble is its search-free counterpart
-// (Naive, LoadBalanceOnly, GreedyLoad) for a server defending its latency.
+// ClosedForm (Naive, then LoadBalanceOnly, then the witness) and, only if
+// that left the optimum unproven, Search. GreedyEnsemble is its search-free
+// counterpart (ClosedForm's three, then GreedyLoad) for a server defending
+// its latency.
 // Every budget is counted in DFS nodes, never read off a clock, so every
 // plan is a pure function of the tasks, the budgets and the rng.
 //
@@ -33,6 +34,13 @@
 // skipped, and so is the rest of a search that reaches it midway. The plan
 // returned is the one building and ranking everything would return, bit for
 // bit.
+//
+// The floor also yields a candidate. Where it is the least chain of a load
+// of unequal durations, the DP that worked that chain out holds a launch
+// order reaching it; the witness launches the load's tasks in that order
+// before everything else (see ClosedForm). It is offered after LPT, so a
+// load-bound problem whose only gap to the floor is an ulp of launch-order
+// rounding is proven without a search.
 package schedule
 
 import (
@@ -233,10 +241,12 @@ func forcedSender(t *Task) (host int, ok bool) {
 // some task is forced to send from. A task that lists a receiver host twice
 // counts once. Tasks with a choice of sender load no send side — the floor
 // must hold whichever they pick. A load counts as its task-order sum, or,
-// with chain, as the least sum any launch order reaches (see provenBound).
+// with chain, as the least sum any launch order reaches (see provenBound),
+// and witness is then the first load whose least chain, worked out by the
+// DP, is the floor (a zero load, of no tasks, if the floor is set otherwise).
 // Hosts are matched by scanning: a problem names a handful of them, which a
 // scan beats a map on, and the loads of up to 16 fit on the stack.
-func heaviestLoad(tasks []Task, chain bool) float64 {
+func heaviestLoad(tasks []Task, chain bool) (heaviest float64, witness serialLoad) {
 	var buf [16]serialLoad
 	loads := buf[:0]
 	add := func(host int, send bool, d float64) {
@@ -250,7 +260,6 @@ func heaviestLoad(tasks []Task, chain bool) float64 {
 		}
 		loads = append(loads, serialLoad{host: host, send: send, sum: d, tasks: 1, first: d, uniform: true})
 	}
-	var heaviest float64
 	for i := range tasks {
 		t := &tasks[i]
 		if t.Duration > heaviest {
@@ -284,12 +293,16 @@ func heaviestLoad(tasks []Task, chain bool) float64 {
 	}
 	for i := range loads {
 		if l := &loads[i]; chain && !l.uniform && l.sum > heaviest {
-			if b := leastChain(tasks, l); b > heaviest {
+			b, exact := leastChain(tasks, l)
+			if exact && (b > heaviest || b == heaviest && witness.tasks == 0) {
+				witness = *l
+			}
+			if b > heaviest {
 				heaviest = b
 			}
 		}
 	}
-	return heaviest
+	return heaviest, witness
 }
 
 // chainStates caps the states leastChain works through for one load: the
@@ -301,69 +314,142 @@ const chainStates = 4096
 var chainTables = sync.Pool{New: func() any { return new([chainStates]float64) }}
 
 // leastChain returns the least value the chain fl(fl(d1+d2)+d3)... of the
-// load's durations takes over all their orders. fl(x+d) is monotone in x, so
-// the least chain of a multiset of durations ends with some duration added
-// to the least chain of the rest: over v_k, the distinct durations, and c,
-// how many of each have been added, V(c) = min over k with c_k > 0 of
-// fl(V(c-e_k)+v_k), from V(0) = 0. The counts span Π(m_k+1) states for m_k
-// copies of v_k; a load with more than chainStates falls back to its shrunk
-// sum.
-func leastChain(tasks []Task, l *serialLoad) float64 {
+// load's durations takes over all their orders, worked out by chainDP; a
+// load with more than chainStates states counts as its shrunk sum instead,
+// and exact is false.
+func leastChain(tasks []Task, l *serialLoad) (least float64, exact bool) {
+	dp, ok := newChainDP(tasks, l)
+	if !ok {
+		return l.shrunk(), false
+	}
+	table := chainTables.Get().(*[chainStates]float64)
+	defer chainTables.Put(table)
+	v := table[:dp.states]
+	dp.fill(v)
+	return v[dp.states-1], true
+}
+
+// chainDP is the dynamic program behind a load's least chain. fl(x+d) is
+// monotone in x, so the least chain of a multiset of durations ends with
+// some duration added to the least chain of the rest: over v_k, the
+// distinct durations, and c, how many of each have been added, V(c) = min
+// over k with c_k > 0 of fl(V(c-e_k)+v_k), from V(0) = 0. The counts span
+// Π(m_k+1) states for m_k copies of v_k; state c sits at Σ c_k*stride[k] of
+// a flat table.
+type chainDP struct {
 	// Twelve distinct durations already make 2^12 = chainStates states.
-	var vals [12]float64
-	var copies [12]int
-	distinct, states := 0, 1
+	vals             [12]float64
+	copies, stride   [12]int
+	distinct, states int
+}
+
+// newChainDP counts the load's distinct durations and their copies; ok is
+// false when they span more than chainStates states.
+func newChainDP(tasks []Task, l *serialLoad) (dp chainDP, ok bool) {
+	dp.states = 1
 	for i := range tasks {
 		t := &tasks[i]
 		if !l.carries(t) {
 			continue
 		}
 		k := 0
-		for k < distinct && vals[k] != t.Duration {
+		for k < dp.distinct && dp.vals[k] != t.Duration {
 			k++
 		}
-		if k == len(vals) {
-			return l.shrunk()
+		if k == len(dp.vals) {
+			return dp, false
 		}
-		if k == distinct {
-			vals[k] = t.Duration
-			distinct++
+		if k == dp.distinct {
+			dp.vals[k] = t.Duration
+			dp.distinct++
 		}
-		states = states / (copies[k] + 1) * (copies[k] + 2)
-		copies[k]++
-		if states > chainStates {
-			return l.shrunk()
+		dp.states = dp.states / (dp.copies[k] + 1) * (dp.copies[k] + 2)
+		dp.copies[k]++
+		if dp.states > chainStates {
+			return dp, false
 		}
 	}
-	table := chainTables.Get().(*[chainStates]float64)
-	defer chainTables.Put(table)
-	// State c sits at Σ c_k*stride[k]; count is the state being filled.
-	var stride, count [12]int
-	stride[0] = 1
-	for k := 1; k < distinct; k++ {
-		stride[k] = stride[k-1] * (copies[k-1] + 1)
+	dp.stride[0] = 1
+	for k := 1; k < dp.distinct; k++ {
+		dp.stride[k] = dp.stride[k-1] * (dp.copies[k-1] + 1)
 	}
-	v := table[:states]
+	return dp, true
+}
+
+// fill works V out for every state into v, of length states.
+func (dp *chainDP) fill(v []float64) {
+	// count is the state being filled.
+	var count [12]int
 	v[0] = 0
-	for c := 1; c < states; c++ {
+	for c := 1; c < len(v); c++ {
 		for k := 0; ; k++ {
-			if count[k] < copies[k] {
+			if count[k] < dp.copies[k] {
 				count[k]++
 				break
 			}
 			count[k] = 0
 		}
 		least := math.Inf(1)
-		for k := 0; k < distinct; k++ {
+		for k := 0; k < dp.distinct; k++ {
 			if count[k] > 0 {
-				if x := v[c-stride[k]] + vals[k]; x < least {
+				if x := v[c-dp.stride[k]] + dp.vals[k]; x < least {
 					least = x
 				}
 			}
 		}
 		v[c] = least
 	}
-	return v[states-1]
+}
+
+// witnessOrder appends to order, which has room for every task, the launch
+// order of the witness candidate: first the load's tasks, in an order whose
+// chain is the load's least (backtracked through chainDP from the full
+// state: the last duration is one whose addition reaches V there, and so on
+// down), then every other task; within a duration, and among the others,
+// tasks keep their order in lpt. Launched first, the load's tasks run back
+// to back — each one's other hosts are free by the time its predecessor
+// finishes, as only load tasks ran before — so the load ends at its least
+// chain. It reports false for a load past chainStates.
+func witnessOrder(tasks []Task, l *serialLoad, lpt, order []int) ([]int, bool) {
+	dp, ok := newChainDP(tasks, l)
+	if !ok {
+		return order, false
+	}
+	table := chainTables.Get().(*[chainStates]float64)
+	defer chainTables.Put(table)
+	v := table[:dp.states]
+	dp.fill(v)
+	// First the class of each launch, last launch first.
+	head := order[len(order) : len(order)+l.tasks]
+	c := dp.states - 1
+	for pos := l.tasks - 1; pos >= 0; pos-- {
+		for k := 0; k < dp.distinct; k++ {
+			if c/dp.stride[k]%(dp.copies[k]+1) > 0 && v[c-dp.stride[k]]+dp.vals[k] == v[c] {
+				head[pos] = k
+				c -= dp.stride[k]
+				break
+			}
+		}
+	}
+	// Then each launch's task: the class's next member in lpt.
+	var next [12]int
+	for pos, k := range head {
+		for ; ; next[k]++ {
+			id := lpt[next[k]]
+			if t := &tasks[taskIndex(tasks, id)]; t.Duration == dp.vals[k] && l.carries(t) {
+				head[pos] = id
+				next[k]++
+				break
+			}
+		}
+	}
+	order = order[:len(order)+l.tasks]
+	for _, id := range lpt {
+		if !l.carries(&tasks[taskIndex(tasks, id)]) {
+			order = append(order, id)
+		}
+	}
+	return order, true
 }
 
 // LowerBound returns a makespan lower bound independent of the plan: the
@@ -372,7 +458,8 @@ func leastChain(tasks []Task, l *serialLoad) float64 {
 // one host. It bounds the makespan over the reals; a schedule evaluated in
 // floating point can land an ulp under it (see provenBound).
 func LowerBound(tasks []Task) float64 {
-	return heaviestLoad(tasks, false)
+	lb, _ := heaviestLoad(tasks, false)
+	return lb
 }
 
 // provenBound is the floor under every makespan Makespan and the DFS can
@@ -398,16 +485,24 @@ func LowerBound(tasks []Task) float64 {
 // Durations that are negative or NaN, or that overflow, void the argument;
 // the bound is then 0, which only a makespan of 0 meets.
 func provenBound(tasks []Task) float64 {
+	lb, _ := provenFloor(tasks)
+	return lb
+}
+
+// provenFloor is provenBound and the load the witness candidate is built
+// from: the first whose least chain, worked out exactly, is the floor (see
+// heaviestLoad), or a zero load if there is none.
+func provenFloor(tasks []Task) (float64, serialLoad) {
 	for i := range tasks {
 		if !(tasks[i].Duration >= 0) {
-			return 0
+			return 0, serialLoad{}
 		}
 	}
-	lb := heaviestLoad(tasks, true)
+	lb, witness := heaviestLoad(tasks, true)
 	if math.IsInf(lb, 1) {
-		return 0
+		return 0, serialLoad{}
 	}
-	return lb
+	return lb, witness
 }
 
 // Naive is the paper's baseline: every task is sent by its lowest-indexed
@@ -482,9 +577,9 @@ func GreedyLoad(tasks []Task) Plan {
 }
 
 // GreedyEnsemble is the search-free companion of EnsembleNodesStop: the best of
-// Naive, LoadBalanceOnly and GreedyLoad by list-scheduled makespan, ties
-// going to the earlier, each built only while the ones before it are not
-// proven optimal (see Incumbent.offer). No DFS, no randomized trials, no RNG
+// Naive, LoadBalanceOnly, the witness (ClosedForm's three) and GreedyLoad by
+// list-scheduled makespan, ties going to the earlier, each built only while
+// the ones before it are not proven optimal (see Incumbent.offer). No DFS, no randomized trials, no RNG
 // — O(n log n) and deterministic without a seed. This is the plan quality
 // an overloaded server can afford while defending its latency SLO: the
 // admission controller's degraded mode plans with it instead of the
@@ -930,24 +1025,54 @@ func EnsembleNodesStop(tasks []Task, dfsNodes, trials int, rng *rand.Rand, stop 
 	return in.Search(dfsNodes, trials, rng, stop)
 }
 
-// ClosedForm is the ensemble's first step: Naive and, if that left the
-// optimum unproven, LoadBalanceOnly, offered to one incumbent — microseconds,
-// no rng draw, no search. Search on the same incumbent is the second step,
-// and has nothing to do once Proven. Naive stands — even if the tasks admit
-// no valid plan — until a valid candidate beats it.
+// ClosedForm is the ensemble's first step: Naive, LoadBalanceOnly and the
+// witness, each offered to one incumbent only while the ones before it left
+// the optimum unproven — microseconds, no rng draw, no search. The witness
+// exists when the floor is the least chain of a load of unequal durations
+// (see provenBound): it launches that load's tasks first, in an order whose
+// chain is that least one — the order the floor's own DP reached it by —
+// then every other task in LPT order, all from LPT's senders. Where nothing
+// but that load's order kept LPT off the floor, the witness meets it. Search
+// on the same incumbent is the second step, and has nothing to do once
+// Proven. Naive stands — even if the tasks admit no valid plan — until a
+// valid candidate beats it.
 func ClosedForm(tasks []Task) Incumbent {
 	naive := Naive(tasks)
-	in := Incumbent{tasks: tasks, bound: provenBound(tasks), best: naive, span: math.Inf(1)}
+	bound, load := provenFloor(tasks)
+	in := Incumbent{tasks: tasks, bound: bound, best: naive, span: math.Inf(1)}
 	if !in.offer(naive) {
 		// The DFS starts from LPT too, and from the same bound: keep both.
 		in.lpt = lptSeed{plan: LoadBalanceOnly(tasks), bound: in.bound}
 		in.lpt.span, in.lpt.err = Makespan(tasks, in.lpt.plan)
-		in.offerEvaluated(in.lpt.plan, in.lpt.span, in.lpt.err)
+		_ = in.offerEvaluated(in.lpt.plan, in.lpt.span, in.lpt.err) ||
+			load.tasks == 0 || in.offerWitness(&load)
 	}
 	return in
 }
 
-// Incumbent is the best candidate offered so far, and whether it is proven
+// offerWitness offers the witness built on load (see ClosedForm) and
+// reports whether the incumbent is proven. The witness shares LPT's sender
+// map, and its order is laid out on the stack up to 64 tasks and copied to
+// the heap only if the incumbent adopts it.
+func (in *Incumbent) offerWitness(load *serialLoad) (proven bool) {
+	var buf [64]int
+	order := buf[:0]
+	if len(in.tasks) > len(buf) {
+		order = make([]int, 0, len(in.tasks))
+	}
+	order, ok := witnessOrder(in.tasks, load, in.lpt.plan.Order, order)
+	if !ok {
+		return in.proven
+	}
+	span, err := Makespan(in.tasks, Plan{Sender: in.lpt.plan.Sender, Order: order})
+	if err != nil || !(span < in.span) {
+		return in.proven
+	}
+	return in.offerEvaluated(Plan{Sender: in.lpt.plan.Sender, Order: slices.Clone(order)}, span, nil)
+}
+
+// Incumbent is the best candidate offered so far — Naive, LoadBalanceOnly
+// and the witness from ClosedForm, then Search's — and whether it is proven
 // optimal: whether its makespan meets provenBound, the exact least chain of
 // the heaviest serial load (or, past the cap on a load's states, its shrunk
 // sum).
