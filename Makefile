@@ -51,6 +51,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzParseFaultSet -fuzztime 10s ./internal/mesh
 	$(GO) test -run xxx -fuzz FuzzBroadcastChainMatchesReference -fuzztime 10s ./internal/collective
 	$(GO) test -run xxx -fuzz FuzzRunMatchesHeap -fuzztime 10s ./internal/netsim
+	$(GO) test -run xxx -fuzz FuzzLatticesMatchHeap -fuzztime 10s ./internal/netsim
 	$(GO) test -run xxx -fuzz FuzzDegradedPlan -fuzztime 10s ./internal/resharding
 	$(GO) test -run xxx -fuzz FuzzEnsembleMatchesReference -fuzztime 10s ./internal/schedule
 	$(GO) test -run xxx -fuzz FuzzDFSMatchesReference -fuzztime 10s ./internal/schedule

@@ -105,11 +105,13 @@ func P2P(net *netsim.ClusterNet, label string, src, dst int, bytes int64, seq in
 // With hop time t and K chunks the chain completes in ≈ t + (hops·t)/K,
 // which approaches the single-copy lower bound t for large K.
 //
-// The broadcast is a regular K x hops lattice, emitted in one piece by
-// netsim.ClusterNet.PipelinedChain, so it is described by two numbers rather
-// than a Result: the id of its first op and the chunk count k actually used
-// (1 for a message of fewer bytes than chunks). Chunk i crosses hop j in op
-// first + i·hops + j; see ChainDone for the completion ops.
+// The broadcast is a regular K x hops lattice, registered in one piece by
+// netsim.ClusterNet.PipelinedChain, which keeps it as one record, so it is
+// described by two numbers rather than a Result: the id of its first op and
+// the chunk count k actually used (1 for a message of fewer bytes than
+// chunks). Chunk i crosses hop j in op first + i·hops + j; see ChainDone for
+// the completion ops. Chains issued back to back with the same deps and seq
+// over views of the same net (a unit task's NIC lanes) are timed together.
 func BroadcastChain(net *netsim.ClusterNet, label string, chain []int, bytes int64, chunks, seq int, deps ...netsim.OpID) (first netsim.OpID, k int, err error) {
 	if chunks < 1 {
 		return 0, 0, fmt.Errorf("collective: chunk count %d < 1", chunks)

@@ -291,6 +291,9 @@ func DefaultRegistry() *Registry {
 		if oversub == 0 {
 			oversub = 1
 		}
+		if oversub < 1 {
+			return nil, fmt.Errorf("mesh: oversubscription %g < 1", oversub)
+		}
 		p3 := hosts / 2
 		return MixedP3DGXCluster(p3, hosts-p3, oversub), nil
 	})

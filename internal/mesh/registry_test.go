@@ -77,6 +77,9 @@ func TestRegistryErrors(t *testing.T) {
 	if _, err := reg.Build("mixed", TopologyParams{Oversubscription: -2}); err == nil {
 		t.Error("negative oversubscription must error")
 	}
+	if _, err := reg.Build("mixed", TopologyParams{Oversubscription: 0.1}); err == nil {
+		t.Error("oversubscription below 1 must error, not panic")
+	}
 	if _, err := reg.Build("mixed", TopologyParams{Hosts: 1}); err == nil {
 		t.Error("mixed with one host must error")
 	}

@@ -3,6 +3,7 @@ package netsim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 
 	"alpacomm/internal/mesh"
@@ -59,6 +60,9 @@ type resourceTable struct {
 	hostOff  []int32 // hostOff[h] is host h's first slot; len hosts+1
 	hostSend []resSlot
 	hostRecv []resSlot
+	// names caches the NIC-direction names of each host index, rendered
+	// once and kept across NIC layouts, which only move them between slots.
+	names []nicNames
 
 	// mark[d] == stamp while the chain being validated already lists device
 	// d; hops is the chain's resolved edges.
@@ -66,6 +70,36 @@ type resourceTable struct {
 	stamp uint32
 	hops  []hop
 }
+
+// nicNames are one host index's NIC-direction names, by direction
+// (send, recv): plain is "host<h>:<dir>", the name on a single-NIC host, and
+// nic[k] is "host<h>:<dir>:nic<k>".
+type nicNames struct {
+	plain [2]string
+	nic   [][2]string
+}
+
+// hostName returns the name of host h's NIC k in direction dir (0 send,
+// 1 recv) on a host with nics NICs, rendering it on first use.
+func (tab *resourceTable) hostName(h, dir, k, nics int) string {
+	for h >= len(tab.names) {
+		tab.names = append(tab.names, nicNames{})
+	}
+	nn := &tab.names[h]
+	p := &nn.plain[dir]
+	if nics > 1 {
+		for k >= len(nn.nic) {
+			nn.nic = append(nn.nic, [2]string{})
+		}
+		p = &nn.nic[k][dir]
+	}
+	if *p == "" {
+		*p = hostName(h, dirNames[dir], k, nics)
+	}
+	return *p
+}
+
+var dirNames = [2]string{"send", "recv"}
 
 func newResourceTable(t mesh.Topology) *resourceTable {
 	tab := &resourceTable{}
@@ -77,8 +111,9 @@ func newResourceTable(t mesh.Topology) *resourceTable {
 // outlive a change of topology where they cannot differ: "dev<d>:send|recv"
 // depends on nothing but the device index, so the device slots only ever
 // grow, and a NIC slot's name is fixed by its host, its NIC index and its
-// host's NIC count, so the NIC slots are rebuilt only when the per-host NIC
-// counts (hostOff) differ.
+// host's NIC count, so the NIC slots are cleared only when the per-host NIC
+// counts (hostOff) differ. Clearing keeps their memory, and the names
+// themselves stay in the names cache for the next slot that needs them.
 func (tab *resourceTable) bind(t mesh.Topology) {
 	tab.gen++
 	if n := t.NumDevices(); n > len(tab.devSend) {
@@ -96,13 +131,16 @@ func (tab *resourceTable) bind(t mesh.Topology) {
 	if same {
 		return
 	}
-	tab.hostOff = make([]int32, hosts+1)
+	tab.hostOff = slices.Grow(tab.hostOff[:0], hosts+1)[:hosts+1]
+	tab.hostOff[0] = 0
 	for h := 0; h < hosts; h++ {
 		tab.hostOff[h+1] = tab.hostOff[h] + int32(t.NICCount(h))
 	}
-	nicSlots := tab.hostOff[hosts]
-	tab.hostSend = make([]resSlot, nicSlots)
-	tab.hostRecv = make([]resSlot, nicSlots)
+	nicSlots := int(tab.hostOff[hosts])
+	tab.hostSend = slices.Grow(tab.hostSend[:0], nicSlots)[:nicSlots]
+	tab.hostRecv = slices.Grow(tab.hostRecv[:0], nicSlots)[:nicSlots]
+	clear(tab.hostSend)
+	clear(tab.hostRecv)
 }
 
 // OnNIC returns a view of the net whose cross-host transfers use the k-th
@@ -161,9 +199,9 @@ func (n *ClusterNet) intern(slot *resSlot, kind, a, b, nics int) ResourceID {
 		case nameDevRecv:
 			slot.name = "dev" + strconv.Itoa(a) + ":recv"
 		case nameHostSend:
-			slot.name = hostName(a, "send", b, nics)
+			slot.name = n.ids.hostName(a, 0, b, nics)
 		case nameHostRecv:
-			slot.name = hostName(a, "recv", b, nics)
+			slot.name = n.ids.hostName(a, 1, b, nics)
 		}
 	}
 	id, err := n.Sim.NewResource(slot.name)
@@ -302,7 +340,10 @@ func (n *ClusterNet) transfer(label Label, src, dst int, bytes int64, seq int, w
 // per chain — the schedule has not run, the devices are valid and distinct
 // (so no hop is a self-transfer), the size is not negative, deps name
 // earlier ops — and the resources and the (latency, bandwidth) of each hop
-// are resolved once per hop instead of once per chunk.
+// are resolved once per hop instead of once per chunk. The chain is kept as
+// one lattice record, not chunks x hops ops (see Sim.addLattice); chains
+// issued back to back with the same deps, hop count and seq — the NIC lanes
+// of one unit task, each through its own OnNIC view — are timed together.
 //
 //alpacomm:hotpath
 func (n *ClusterNet) PipelinedChain(prefix string, chain []int, bytes int64, chunks, seq int, deps []OpID) (OpID, error) {
@@ -337,7 +378,7 @@ func (n *ClusterNet) PipelinedChain(prefix string, chain []int, bytes int64, chu
 		tab.mark[d] = tab.stamp
 	}
 	for _, d := range deps {
-		if d < 0 || int(d) >= len(n.Sim.ops) {
+		if d < 0 || int(d) >= n.Sim.nOps {
 			return 0, fmt.Errorf("netsim: chain %q depends on unknown op %d", prefix, d)
 		}
 	}

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"alpacomm/internal/mesh"
 )
 
 // fuzzDurations are the durations fuzzGraph draws from: zero, repeats, and
@@ -43,8 +45,8 @@ func fuzzGraph(s *Sim, data []byte) {
 	}
 }
 
-// heapOnly runs the discrete-event simulation alone, as Run did before it
-// timed uncontended graphs in id order.
+// heapOnly runs the discrete-event simulation alone: runHeap expands every
+// lattice record into ops and times them with the ready heap.
 func heapOnly(s *Sim) (float64, error) {
 	if err := s.runHeap(); err != nil {
 		return 0, err
@@ -75,10 +77,13 @@ func checkRunMatchesHeap(t *testing.T, build func(*Sim)) (inOrder bool) {
 	if !sameBits(gm, wm) {
 		t.Fatalf("makespan %v, heap %v (in order: %v)", gm, wm, inOrder)
 	}
-	for i := range got.ops {
-		g, w := &got.ops[i], &want.ops[i]
-		if !sameBits(g.start, w.start) || !sameBits(g.finish, w.finish) {
-			t.Fatalf("op %d: [%v, %v], heap [%v, %v] (in order: %v)", i, g.start, g.finish, w.start, w.finish, inOrder)
+	if got.NumOps() != want.NumOps() {
+		t.Fatalf("%d ops, heap %d", got.NumOps(), want.NumOps())
+	}
+	for i := OpID(0); int(i) < got.NumOps(); i++ {
+		gs, gf, ws, wf := got.OpStart(i), got.OpFinish(i), want.OpStart(i), want.OpFinish(i)
+		if !sameBits(gs, ws) || !sameBits(gf, wf) {
+			t.Fatalf("op %d: [%v, %v], heap [%v, %v] (in order: %v)", i, gs, gf, ws, wf, inOrder)
 		}
 	}
 	for i := range got.resources {
@@ -157,9 +162,38 @@ func crossHost(s *Sim) {
 	}
 }
 
-// TestWhichPathRuns pins the path: a seq tie and two NIC lanes sharing a
-// device hop fall back to the heap, a single cross-host chain stays in id
-// order, and either way Run gives the heap's schedule.
+// eightLanes is a dgx-a100-like unit on a uniform cluster: one message in
+// eight equal parts, one per NIC, each crossing from host 0 to host 1 and
+// down seven device hops there with one seq. The lanes reach every device
+// hop at the same moment, so the merge serves ties.
+func eightLanes(s *Sim) {
+	c, err := mesh.NewCluster(2, 8, 100, 10, 0, 0)
+	if err != nil {
+		panic(err)
+	}
+	topo := c.WithNICs(8)
+	n := &ClusterNet{Sim: s, Topo: topo, ids: newResourceTable(topo)}
+	for k := 0; k < 8; k++ {
+		if _, err := n.OnNIC(k).PipelinedChain("lane", []int{0, 8, 9, 10, 11, 12, 13, 14, 15}, 800, 4, 0, nil); err != nil {
+			panic(err)
+		}
+	}
+}
+
+// twoHops is a chain that leaves host 0 twice, so host 0's NIC send side
+// serves two hops of it.
+func twoHops(s *Sim) {
+	topo := testCluster(2)
+	n := &ClusterNet{Sim: s, Topo: topo, ids: newResourceTable(topo)}
+	if _, err := n.PipelinedChain("chain", []int{0, 2, 1, 3}, 800, 8, 0, nil); err != nil {
+		panic(err)
+	}
+}
+
+// TestWhichPathRuns pins the path: a seq tie, two NIC lanes with a seq each
+// sharing a device hop and a resource on two hops of a group fall back to
+// the heap; a single cross-host chain and eight NIC lanes with one seq are
+// timed by the pass; and either way Run gives the heap's schedule.
 func TestWhichPathRuns(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -169,6 +203,8 @@ func TestWhichPathRuns(t *testing.T) {
 		{"seq tie", seqTie, false},
 		{"two NIC lanes", twoLanes, false},
 		{"one cross-host chain", crossHost, true},
+		{"eight NIC lanes, one seq", eightLanes, true},
+		{"a resource on two hops of a group", twoHops, false},
 	} {
 		if got := checkRunMatchesHeap(t, tc.build); got != tc.inOrder {
 			t.Errorf("%s: in-order pass finished = %v, want %v", tc.name, got, tc.inOrder)
