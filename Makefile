@@ -48,6 +48,7 @@ smoke:
 # 10 s, one after another.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzFaultedOverlay -fuzztime 10s ./internal/mesh
+	$(GO) test -run xxx -fuzz FuzzDecomposeMatchesReference -fuzztime 10s ./internal/sharding
 	$(GO) test -run xxx -fuzz FuzzParseFaultSet -fuzztime 10s ./internal/mesh
 	$(GO) test -run xxx -fuzz FuzzBroadcastChainMatchesReference -fuzztime 10s ./internal/collective
 	$(GO) test -run xxx -fuzz FuzzRunMatchesHeap -fuzztime 10s ./internal/netsim

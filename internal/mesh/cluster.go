@@ -119,6 +119,11 @@ func (c *Cluster) DevicesOnHost(host int) []int {
 	return out
 }
 
+// HostDevices returns the first device index and device count of one host.
+func (c *Cluster) HostDevices(host int) (first, n int) {
+	return host * c.DevicesPerHost, c.DevicesPerHost
+}
+
 func (c *Cluster) String() string {
 	if c.NICs() > 1 {
 		return fmt.Sprintf("cluster(%d hosts x %d devices, intra %.0fGB/s, %d NICs x %.1fGbps)",

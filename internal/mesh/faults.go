@@ -348,6 +348,9 @@ func (f *Faulted) HostOf(device int) int { return f.base.HostOf(device) }
 // DevicesOnHost returns the device indices of one host.
 func (f *Faulted) DevicesOnHost(host int) []int { return f.base.DevicesOnHost(host) }
 
+// HostDevices returns the first device index and device count of one host.
+func (f *Faulted) HostDevices(host int) (first, n int) { return f.base.HostDevices(host) }
+
 // ValidDevice reports whether the device index exists.
 func (f *Faulted) ValidDevice(device int) bool { return f.base.ValidDevice(device) }
 

@@ -22,37 +22,62 @@ type Mesh struct {
 
 // NewMesh validates and builds a mesh over explicit device indices.
 func NewMesh(c Topology, shape []int, devices []int) (*Mesh, error) {
+	m, err := newMesh(c, shape, len(devices))
+	if err != nil {
+		return nil, err
+	}
+	copy(m.Devices, devices)
+	if err := m.checkDevices(); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// newMesh validates the topology and shape and returns a mesh whose Shape
+// is a copy of shape and whose Devices, n long and still zero, share one
+// array with it; n must be the product of the extents.
+func newMesh(c Topology, shape []int, n int) (*Mesh, error) {
 	if c == nil {
 		return nil, fmt.Errorf("mesh: nil topology")
 	}
 	if len(shape) == 0 {
 		return nil, fmt.Errorf("mesh: mesh must have at least one dimension")
 	}
-	n := 1
+	want := 1
 	for i, d := range shape {
 		if d <= 0 {
 			return nil, fmt.Errorf("mesh: dimension %d has non-positive extent %d", i, d)
 		}
-		n *= d
+		want *= d
 	}
-	if len(devices) != n {
-		return nil, fmt.Errorf("mesh: shape %v needs %d devices, got %d", shape, n, len(devices))
+	if n != want {
+		return nil, fmt.Errorf("mesh: shape %v needs %d devices, got %d", shape, want, n)
 	}
-	seen := make(map[int]bool, n)
-	for _, d := range devices {
-		if !c.ValidDevice(d) {
-			return nil, fmt.Errorf("mesh: device %d outside topology with %d devices", d, c.NumDevices())
+	r := len(shape)
+	buf := make([]int, r+n)
+	copy(buf, shape)
+	return &Mesh{Topo: c, Shape: buf[:r:r], Devices: buf[r:]}, nil
+}
+
+// checkDevices reports the first device, in mesh order, that is outside the
+// topology or repeats an earlier one. Seen devices are marked in a bitset.
+func (m *Mesh) checkDevices() error {
+	var small [4]uint64
+	seen := small[:]
+	if words := (m.Topo.NumDevices() + 63) / 64; words > len(seen) {
+		seen = make([]uint64, words)
+	}
+	for _, d := range m.Devices {
+		if !m.Topo.ValidDevice(d) {
+			return fmt.Errorf("mesh: device %d outside topology with %d devices", d, m.Topo.NumDevices())
 		}
-		if seen[d] {
-			return nil, fmt.Errorf("mesh: duplicate device %d", d)
+		w, bit := d/64, uint64(1)<<(d%64)
+		if seen[w]&bit != 0 {
+			return fmt.Errorf("mesh: duplicate device %d", d)
 		}
-		seen[d] = true
+		seen[w] |= bit
 	}
-	return &Mesh{
-		Topo:    c,
-		Shape:   append([]int(nil), shape...),
-		Devices: append([]int(nil), devices...),
-	}, nil
+	return nil
 }
 
 // sliceTopology builds a mesh from a contiguous run of devices starting at
@@ -67,11 +92,17 @@ func sliceTopology(t Topology, shape []int, firstDevice int) (*Mesh, error) {
 		}
 		n *= d
 	}
-	devices := make([]int, n)
-	for i := range devices {
-		devices[i] = firstDevice + i
+	m, err := newMesh(t, shape, n)
+	if err != nil {
+		return nil, err
 	}
-	return NewMesh(t, shape, devices)
+	for i := range m.Devices {
+		m.Devices[i] = firstDevice + i
+	}
+	if err := m.checkDevices(); err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 // Slice builds a mesh from a contiguous run of cluster devices starting at

@@ -1,7 +1,9 @@
 package mesh
 
 import (
+	"fmt"
 	"reflect"
+	"strconv"
 	"testing"
 )
 
@@ -173,5 +175,77 @@ func TestClusterNICs(t *testing.T) {
 	}
 	if c.WithNICs(0).NICs() != 1 {
 		t.Error("zero NICs should clamp to 1")
+	}
+}
+
+// TestNewMeshErrors pins NewMesh's and ParseSlice's error texts, on a
+// topology small enough for the duplicate check's fixed bitset and on one
+// past it, and that a mesh's shape and devices do not alias the caller's.
+func TestNewMeshErrors(t *testing.T) {
+	for _, c := range []*Cluster{AWSP3Cluster(2), AWSP3Cluster(80)} {
+		n := c.NumDevices()
+		for _, tc := range []struct {
+			devices []int
+			want    string
+		}{
+			{[]int{1, 0, n - 1, 1}, "mesh: duplicate device 1"},
+			{[]int{n - 1, 2, 0, n - 1}, fmt.Sprintf("mesh: duplicate device %d", n-1)},
+			{[]int{0, n, 1, 1}, fmt.Sprintf("mesh: device %d outside topology with %d devices", n, n)},
+			{[]int{0, 1, -1, 2}, fmt.Sprintf("mesh: device -1 outside topology with %d devices", n)},
+		} {
+			if _, err := NewMesh(c, []int{2, 2}, tc.devices); err == nil || err.Error() != tc.want {
+				t.Errorf("%d devices: NewMesh(%v) = %v, want %q", n, tc.devices, err, tc.want)
+			}
+		}
+		shape, devices := []int{2, 2}, []int{n - 1, 0, n - 2, 1}
+		m, err := NewMesh(c, shape, devices)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shape[0], devices[0] = 9, 9
+		if !reflect.DeepEqual(m.Shape, []int{2, 2}) || !reflect.DeepEqual(m.Devices, []int{n - 1, 0, n - 2, 1}) {
+			t.Errorf("mesh %v aliases its arguments", m)
+		}
+		if m2, err := ParseSlice(c, "2x2@"+strconv.Itoa(n-4)); err != nil || !reflect.DeepEqual(m2.Devices, []int{n - 4, n - 3, n - 2, n - 1}) {
+			t.Errorf("ParseSlice at the last host = %v, %v", m2, err)
+		}
+	}
+	c := AWSP3Cluster(2)
+	for _, tc := range []struct{ in, want string }{
+		{"2x2", `mesh: "2x2" must look like 2x4@0`},
+		{"2x2@0@4", `mesh: "2x2@0@4" must look like 2x4@0`},
+		{"2x2@", `mesh: bad first device in "2x2@": strconv.Atoi: parsing "": invalid syntax`},
+		{"2xa@0", `mesh: bad shape in "2xa@0": strconv.Atoi: parsing "a": invalid syntax`},
+		{"2x@0", `mesh: bad shape in "2x@0": strconv.Atoi: parsing "": invalid syntax`},
+		{"@0", `mesh: bad shape in "@0": strconv.Atoi: parsing "": invalid syntax`},
+		{"2x0@0", "mesh: non-positive extent in shape [2 0]"},
+		{"4x2@4", "mesh: device 8 outside topology with 8 devices"},
+	} {
+		if _, err := ParseSlice(c, tc.in); err == nil || err.Error() != tc.want {
+			t.Errorf("ParseSlice(%q) = %v, want %q", tc.in, err, tc.want)
+		}
+	}
+	m, err := ParseSlice(c, "1x2x2@2")
+	if err != nil || !reflect.DeepEqual(m.Shape, []int{1, 2, 2}) || !reflect.DeepEqual(m.Devices, []int{2, 3, 4, 5}) {
+		t.Errorf("ParseSlice(1x2x2@2) = %v, %v", m, err)
+	}
+}
+
+// TestHostDevicesMatchesDevicesOnHost: every topology's allocation-free
+// device run is the list DevicesOnHost renders.
+func TestHostDevicesMatchesDevicesOnHost(t *testing.T) {
+	mixed := MixedP3DGXCluster(2, 3, 2)
+	for _, topo := range []Topology{AWSP3Cluster(3), DGXA100Cluster(2), mixed,
+		MustFaulted(mixed, FaultSet{Hosts: []HostFault{{Host: 1, NICScale: 0.5}}})} {
+		for h := 0; h < topo.HostCount(); h++ {
+			first, n := topo.HostDevices(h)
+			var run []int
+			for d := first; d < first+n; d++ {
+				run = append(run, d)
+			}
+			if want := topo.DevicesOnHost(h); !reflect.DeepEqual(run, want) {
+				t.Errorf("%v host %d: HostDevices = (%d, %d), DevicesOnHost = %v", topo, h, first, n, want)
+			}
+		}
 	}
 }

@@ -397,16 +397,18 @@ func hostsOrDefault(hosts, def int) int {
 // plan-serving API — an n-dimensional shape and a first device, e.g.
 // "2x4@0" or "2x2x2@8" — and carves the mesh out of the topology.
 func ParseSlice(t Topology, s string) (*Mesh, error) {
-	at := strings.Split(s, "@")
-	if len(at) != 2 {
+	dims, firstStr, ok := strings.Cut(s, "@")
+	if !ok || strings.IndexByte(firstStr, '@') >= 0 {
 		return nil, fmt.Errorf("mesh: %q must look like 2x4@0", s)
 	}
-	first, err := strconv.Atoi(at[1])
+	first, err := strconv.Atoi(firstStr)
 	if err != nil {
 		return nil, fmt.Errorf("mesh: bad first device in %q: %v", s, err)
 	}
-	var shape []int
-	for _, p := range strings.Split(at[0], "x") {
+	shape := make([]int, 0, strings.Count(dims, "x")+1)
+	for more := true; more; {
+		var p string
+		p, dims, more = strings.Cut(dims, "x")
 		v, err := strconv.Atoi(p)
 		if err != nil {
 			return nil, fmt.Errorf("mesh: bad shape in %q: %v", s, err)

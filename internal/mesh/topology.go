@@ -27,8 +27,12 @@ type Topology interface {
 	NumDevices() int
 	// HostOf returns the host index owning a device.
 	HostOf(device int) int
-	// DevicesOnHost returns the device indices of one host, ascending.
+	// DevicesOnHost returns the device indices of one host, ascending, in a
+	// new slice.
 	DevicesOnHost(host int) []int
+	// HostDevices returns host h's device run without allocating: its
+	// devices are first, first+1, ..., first+n-1.
+	HostDevices(host int) (first, n int)
 	// ValidDevice reports whether the device index exists.
 	ValidDevice(device int) bool
 	// SameHost reports whether two devices share a host.
@@ -216,6 +220,11 @@ func (hc *HeteroCluster) DevicesOnHost(host int) []int {
 	return out
 }
 
+// HostDevices returns the first device index and device count of one host.
+func (hc *HeteroCluster) HostDevices(host int) (first, n int) {
+	return hc.firstDev[host], hc.Hosts[host].Devices
+}
+
 // ValidDevice reports whether the device index exists.
 func (hc *HeteroCluster) ValidDevice(device int) bool {
 	return device >= 0 && device < hc.NumDevices()
@@ -346,7 +355,8 @@ func HostFingerprint(t Topology, host int) string {
 // what the fmt verbs %d and %g render — for resharding.CacheKey, which folds
 // in one fingerprint per involved host on every request parse.
 func AppendHostFingerprint(b []byte, t Topology, host int) []byte {
-	b = strconv.AppendInt(append(b, 'd'), int64(len(t.DevicesOnHost(host))), 10)
+	_, n := t.HostDevices(host)
+	b = strconv.AppendInt(append(b, 'd'), int64(n), 10)
 	b = strconv.AppendFloat(append(b, ",ib"...), t.IntraBandwidth(host), 'g', -1, 64)
 	b = strconv.AppendFloat(append(b, ",il"...), t.IntraLatency(host), 'g', -1, 64)
 	b = strconv.AppendFloat(append(b, ",nb"...), t.NICBandwidth(host), 'g', -1, 64)

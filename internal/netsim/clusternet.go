@@ -69,6 +69,8 @@ type resourceTable struct {
 	mark  []uint32
 	stamp uint32
 	hops  []hop
+	// hopHosts[j] is hops[j]'s (source, destination) host.
+	hopHosts [][2]int32
 }
 
 // nicNames are one host index's NIC-direction names, by direction
@@ -343,25 +345,91 @@ func (n *ClusterNet) transfer(label Label, src, dst int, bytes int64, seq int, w
 // are resolved once per hop instead of once per chunk. The chain is kept as
 // one lattice record, not chunks x hops ops (see Sim.addLattice); chains
 // issued back to back with the same deps, hop count and seq — the NIC lanes
-// of one unit task, each through its own OnNIC view — are timed together.
+// of one unit task, each through its own OnNIC view, or all of them through
+// one PipelinedLanes call — are timed together.
 //
 //alpacomm:hotpath
 func (n *ClusterNet) PipelinedChain(prefix string, chain []int, bytes int64, chunks, seq int, deps []OpID) (OpID, error) {
+	if err := n.checkLane(prefix, chain, bytes, chunks); err != nil {
+		return 0, err
+	}
+	if err := n.checkChain(prefix, chain, deps); err != nil {
+		return 0, err
+	}
+	return n.Sim.addLattice(prefix, n.resolveHops(chain), bytes, chunks, seq, deps)
+}
+
+// Lane is one NIC lane of PipelinedLanes: the label prefix of its ops, its
+// share of the message and its chunk count.
+type Lane struct {
+	Prefix string
+	Bytes  int64
+	Chunks int
+}
+
+// PipelinedLanes registers the NIC lanes of one unit task — the paper's
+// multi-NIC extension — and returns the id of the first op of lane 0: it is
+// OnNIC(k).PipelinedChain(lanes[k].Prefix, chain, lanes[k].Bytes,
+// lanes[k].Chunks, seq, deps) for k = 0, 1, ... in one call, with the same
+// ids, labels, resources (interned in the same order), durations and errors;
+// lane k's ops follow lane k-1's. The chain is validated and its hops
+// resolved once, for lane 0; lane k takes lane 0's hops with NIC k's
+// resources on the cross-host ones. A lane that fails leaves the lanes
+// before it registered, as the calls would.
+//
+//alpacomm:hotpath
+func (n *ClusterNet) PipelinedLanes(chain []int, lanes []Lane, seq int, deps []OpID) (OpID, error) {
+	var first OpID
+	for k := range lanes {
+		l := &lanes[k]
+		if err := n.checkLane(l.Prefix, chain, l.Bytes, l.Chunks); err != nil {
+			return 0, err
+		}
+		view := *n
+		view.nic = k
+		var hops []hop
+		if k == 0 {
+			if err := view.checkChain(l.Prefix, chain, deps); err != nil {
+				return 0, err
+			}
+			hops = view.resolveHops(chain)
+		} else {
+			hops = view.laneHops()
+		}
+		id, err := n.Sim.addLattice(l.Prefix, hops, l.Bytes, l.Chunks, seq, deps)
+		if err != nil {
+			return 0, err
+		}
+		if k == 0 {
+			first = id
+		}
+	}
+	return first, nil
+}
+
+// checkLane is PipelinedChain's checks of its scalar arguments.
+func (n *ClusterNet) checkLane(prefix string, chain []int, bytes int64, chunks int) error {
 	if n.Sim.ran {
-		return 0, errAfterRun
+		return errAfterRun
 	}
 	if len(chain) < 2 {
-		return 0, fmt.Errorf("netsim: chain %q needs >= 2 devices, got %d", prefix, len(chain))
+		return fmt.Errorf("netsim: chain %q needs >= 2 devices, got %d", prefix, len(chain))
 	}
 	if chunks < 1 {
-		return 0, fmt.Errorf("netsim: chain %q has chunk count %d < 1", prefix, chunks)
+		return fmt.Errorf("netsim: chain %q has chunk count %d < 1", prefix, chunks)
 	}
 	if bytes < 0 {
-		return 0, fmt.Errorf("netsim: chain %q has negative size %d", prefix, bytes)
+		return fmt.Errorf("netsim: chain %q has negative size %d", prefix, bytes)
 	}
 	if bytes > math.MaxInt64/int64(chunks) {
-		return 0, fmt.Errorf("netsim: chain %q: %d bytes in %d chunks overflow the chunk boundaries", prefix, bytes, chunks)
+		return fmt.Errorf("netsim: chain %q: %d bytes in %d chunks overflow the chunk boundaries", prefix, bytes, chunks)
 	}
+	return nil
+}
+
+// checkChain is PipelinedChain's checks of its chain and deps: valid devices,
+// none listed twice, deps naming registered ops.
+func (n *ClusterNet) checkChain(prefix string, chain []int, deps []OpID) error {
 	t, tab := n.Topo, n.ids
 	tab.stamp++
 	if tab.stamp == 0 { // wrapped: forget the marks of 2^32 chains ago
@@ -370,27 +438,49 @@ func (n *ClusterNet) PipelinedChain(prefix string, chain []int, bytes int64, chu
 	}
 	for _, d := range chain {
 		if !t.ValidDevice(d) || d >= len(tab.mark) {
-			return 0, fmt.Errorf("netsim: chain %q lists invalid device %d", prefix, d)
+			return fmt.Errorf("netsim: chain %q lists invalid device %d", prefix, d)
 		}
 		if tab.mark[d] == tab.stamp {
-			return 0, fmt.Errorf("netsim: chain %q lists device %d twice", prefix, d)
+			return fmt.Errorf("netsim: chain %q lists device %d twice", prefix, d)
 		}
 		tab.mark[d] = tab.stamp
 	}
 	for _, d := range deps {
 		if d < 0 || int(d) >= n.Sim.nOps {
-			return 0, fmt.Errorf("netsim: chain %q depends on unknown op %d", prefix, d)
+			return fmt.Errorf("netsim: chain %q depends on unknown op %d", prefix, d)
 		}
 	}
-	hops := tab.hops[:0]
+	return nil
+}
+
+// resolveHops resolves the hops of a validated chain into the table's
+// scratch, interning each hop's resources in order, and records each hop's
+// hosts for laneHops.
+func (n *ClusterNet) resolveHops(chain []int) []hop {
+	t, tab := n.Topo, n.ids
+	hops, hosts := tab.hops[:0], tab.hopHosts[:0]
 	src, hs := chain[0], t.HostOf(chain[0])
 	for _, dst := range chain[1:] {
 		hd := t.HostOf(dst)
 		hops = append(hops, n.hopBetween(src, hs, dst, hd))
+		hosts = append(hosts, [2]int32{int32(hs), int32(hd)})
 		src, hs = dst, hd
 	}
-	tab.hops = hops
-	return n.Sim.addLattice(prefix, hops, bytes, chunks, seq, deps)
+	tab.hops, tab.hopHosts = hops, hosts
+	return hops
+}
+
+// laneHops rewrites the hops resolveHops last resolved for this view's NIC:
+// the cross-host hops take its NIC's resources, interned in hop order, and
+// the intra-host ones and every route stay.
+func (n *ClusterNet) laneHops() []hop {
+	tab := n.ids
+	for j, hh := range tab.hopHosts {
+		if hs, hd := int(hh[0]), int(hh[1]); hs != hd {
+			tab.hops[j].res[0], tab.hops[j].res[1] = n.HostSend(hs), n.HostRecv(hd)
+		}
+	}
+	return tab.hops
 }
 
 // MustTransfer is Transfer that panics on error.

@@ -6,6 +6,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -496,7 +497,8 @@ func CacheKey(task *sharding.Task, opts Options) string {
 	// firstDev[i] is the first device index of hosts[i].
 	firstDev := firstArr[:0]
 	for _, h := range hosts {
-		firstDev = append(firstDev, topo.DevicesOnHost(h)[0])
+		first, _ := topo.HostDevices(h)
+		firstDev = append(firstDev, first)
 	}
 
 	var arr [512]byte
@@ -507,13 +509,22 @@ func CacheKey(task *sharding.Task, opts Options) string {
 	b = append(b, ';')
 	b = appendMesh(b, "s=", topo, task.Src, hosts, firstDev)
 	b = appendMesh(b, "d=", topo, task.Dst, hosts, firstDev)
+	// Hosts, and host pairs, mostly share their values: a value is rendered
+	// once and an equal one copies its bytes (see renderedSpans).
+	var seen renderedSpans
 	for _, h := range hosts {
 		b = append(b, 'h')
 		b = strconv.AppendInt(b, int64(h-base), 10)
 		b = append(b, '[')
-		b = mesh.AppendHostFingerprint(b, topo, h)
+		_, n := topo.HostDevices(h)
+		v := [5]uint64{uint64(n), math.Float64bits(topo.IntraBandwidth(h)), math.Float64bits(topo.IntraLatency(h)),
+			math.Float64bits(topo.NICBandwidth(h)), uint64(topo.NICCount(h))}
+		if b = seen.appendCopy(b, v); !seen.found {
+			b = seen.add(mesh.AppendHostFingerprint(b, topo, h), v)
+		}
 		b = append(b, "];"...)
 	}
+	seen = renderedSpans{}
 	for _, a := range hosts {
 		for _, r := range hosts {
 			if a == r {
@@ -524,9 +535,13 @@ func CacheKey(task *sharding.Task, opts Options) string {
 			b = append(b, '-')
 			b = strconv.AppendInt(b, int64(r-base), 10)
 			b = append(b, ':')
-			b = strconv.AppendFloat(b, topo.InterBandwidth(a, r), 'g', -1, 64)
-			b = append(b, '/')
-			b = strconv.AppendFloat(b, topo.InterLatency(a, r), 'g', -1, 64)
+			bw, lat := topo.InterBandwidth(a, r), topo.InterLatency(a, r)
+			v := [5]uint64{math.Float64bits(bw), math.Float64bits(lat)}
+			if b = seen.appendCopy(b, v); !seen.found {
+				b = strconv.AppendFloat(b, bw, 'g', -1, 64)
+				b = append(b, '/')
+				b = seen.add(strconv.AppendFloat(b, lat, 'g', -1, 64), v)
+			}
 			b = append(b, ';')
 		}
 	}
@@ -539,6 +554,40 @@ func CacheKey(task *sharding.Task, opts Options) string {
 		b = strconv.AppendInt(b, v, 10)
 	}
 	return string(b)
+}
+
+// renderedSpans remembers up to eight values CacheKey rendered, by their
+// bits (equal bits render equal bytes), and where in the key their bytes
+// are; later values are rendered every time, which bounds the scan.
+type renderedSpans struct {
+	n     int
+	vals  [8][5]uint64
+	spans [8][2]int // [start, end) in the key
+	start int       // where the value being rendered starts
+	found bool      // whether the last appendCopy found its value
+}
+
+// appendCopy appends the bytes of a value equal to v rendered earlier, if
+// there is one (found reports it), and otherwise marks where v's rendering,
+// which the caller appends and hands to add, starts.
+func (r *renderedSpans) appendCopy(b []byte, v [5]uint64) []byte {
+	for i := 0; i < r.n; i++ {
+		if r.vals[i] == v {
+			r.found = true
+			return append(b, b[r.spans[i][0]:r.spans[i][1]]...)
+		}
+	}
+	r.found, r.start = false, len(b)
+	return b
+}
+
+// add records that b ends with v's rendering.
+func (r *renderedSpans) add(b []byte, v [5]uint64) []byte {
+	if r.n < len(r.vals) {
+		r.vals[r.n], r.spans[r.n] = v, [2]int{r.start, len(b)}
+		r.n++
+	}
+	return b
 }
 
 // appendInts appends the integers in decimal, sep between them.

@@ -187,6 +187,21 @@ func TestCacheKeyMatchesFmtRenderer(t *testing.T) {
 	}
 	// A boundary far from host 0: two-digit host indices, rebased to 0.
 	tasks = append(tasks, builderTask(t, mesh.AWSP3Cluster(40), 140, 148))
+	// Sixteen one-device hosts, each with a NIC scale of its own, and links
+	// with a bandwidth and latency of their own: more distinct host and
+	// host-pair values than CacheKey remembers rendered.
+	one, err := mesh.NewCluster(16, 1, 100e9, 10e9, 1e-6, 1e-5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var distinct mesh.FaultSet
+	for h := 0; h < 16; h++ {
+		distinct.Hosts = append(distinct.Hosts, mesh.HostFault{Host: h, NICScale: 1 / float64(h+2)})
+	}
+	for a := 0; a+1 < 16; a++ {
+		distinct.Links = append(distinct.Links, mesh.LinkFault{A: a, B: a + 1, BandwidthScale: 1 / float64(a+3), ExtraLatency: float64(a) * 1e-7})
+	}
+	tasks = append(tasks, builderTask(t, one, 0, 8), builderTask(t, mesh.MustFaulted(one, distinct), 0, 8))
 
 	options := []Options{
 		{},

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"alpacomm/internal/mesh"
 	"alpacomm/internal/schedule"
@@ -50,14 +51,17 @@ func NewPlanContext(ctx context.Context, task *sharding.Task, opts Options) (*Pl
 
 // Draft is a resharding planned as far as closed forms go: the host-level
 // instance, built once, and — under the ensemble scheduler — the incumbent
-// Naive, LoadBalanceOnly and the witness left (schedule.ClosedForm). It costs
-// microseconds and tells a caller whether finishing the plan means a search,
-// so work worth sharing or queueing can be told from work that is not.
+// Naive, LoadBalanceOnly and the witness left (schedule.ClosedForm), built on
+// the first Proven or Plan, so a replan that reuses its incumbent never pays
+// for it. It costs microseconds and tells a caller whether finishing the plan
+// means a search, so work worth sharing or queueing can be told from work
+// that is not. A Draft is not safe for concurrent use.
 type Draft struct {
 	task      *sharding.Task
 	opts      Options
 	hostTasks []schedule.Task
-	closed    schedule.Incumbent // SchedEnsemble only
+	closed    schedule.Incumbent // SchedEnsemble only, once hasClosed
+	hasClosed bool
 }
 
 // NewDraft drafts the plan of (task, opts); Plan on the result returns what
@@ -67,18 +71,23 @@ func NewDraft(task *sharding.Task, opts Options) (Draft, error) {
 	if !mesh.SameTopology(task.Src.Mesh.Topo, task.Dst.Mesh.Topo) {
 		return Draft{}, fmt.Errorf("resharding: source and destination meshes must share a topology")
 	}
-	d := Draft{task: task, opts: opts, hostTasks: buildHostTasks(task, opts)}
-	if opts.Scheduler == SchedEnsemble {
-		d.closed = schedule.ClosedForm(d.hostTasks)
+	return Draft{task: task, opts: opts, hostTasks: buildHostTasks(task, opts)}, nil
+}
+
+// closedForm returns the ensemble's closed-form incumbent, building it on
+// first use.
+func (d *Draft) closedForm() *schedule.Incumbent {
+	if !d.hasClosed {
+		d.closed, d.hasClosed = schedule.ClosedForm(d.hostTasks), true
 	}
-	return d, nil
+	return &d.closed
 }
 
 // Proven reports whether Plan will return without searching: the closed-form
 // candidates met the makespan lower bound, or the scheduler (degraded mode
 // included) is itself one. Ask before Plan: a search can prove its own result.
 func (d *Draft) Proven() bool {
-	return d.opts.Scheduler != SchedEnsemble || d.closed.Proven()
+	return d.opts.Scheduler != SchedEnsemble || d.closedForm().Proven()
 }
 
 // Plan finishes the draft: the search left to do, if any, then device senders.
@@ -96,7 +105,7 @@ func (d *Draft) Plan(ctx context.Context) (*Plan, error) {
 		hostPlan = schedule.GreedyEnsemble(hostTasks)
 	case SchedEnsemble:
 		stop := func() bool { return ctx.Err() != nil }
-		hostPlan = d.closed.Search(opts.DFSNodes, opts.Trials, ensembleRand(opts.Seed), stop)
+		hostPlan = d.closedForm().Search(opts.DFSNodes, opts.Trials, ensembleRand(opts.Seed), stop)
 	default:
 		return nil, fmt.Errorf("resharding: unknown scheduler %v", opts.Scheduler)
 	}
@@ -160,26 +169,44 @@ func ensembleRand(seed int64) *rand.Rand {
 // to skip the search entirely.
 func buildHostTasks(task *sharding.Task, opts Options) []schedule.Task {
 	cluster := task.Src.Mesh.Topo
+	// Every unit's sender and receiver hosts share one array, counted first.
+	n := 0
+	for _, u := range task.Units {
+		n += sharding.CountHosts(cluster, u.Senders) + sharding.CountHosts(cluster, u.Receivers)
+	}
+	hosts := make([]int, 0, n)
 	hostTasks := make([]schedule.Task, len(task.Units))
 	for i, u := range task.Units {
-		bytes := float64(u.Bytes(task.DType))
-		senderHosts := task.SenderHosts(u)
-		recvHosts := task.ReceiverHosts(u)
-		dur := bytes / minNICBandwidth(cluster, senderHosts, recvHosts)
-		if opts.Strategy == SendRecv {
-			dur *= float64(len(u.Receivers))
-		}
-		if opts.Strategy == Signal {
-			dur = maxInterLatency(cluster, senderHosts, recvHosts)
-		}
-		hostTasks[i] = schedule.Task{
-			ID:            u.Index,
-			SenderHosts:   senderHosts,
-			ReceiverHosts: recvHosts,
-			Duration:      dur,
-		}
+		hostTasks[i], hosts = unitHostTask(task, opts, u, hosts)
 	}
 	return hostTasks
+}
+
+// unitHostTask builds one unit's host task, appending its sender hosts and
+// then its receiver hosts to hosts, and returns the task, whose host lists
+// are those windows of hosts, and the grown hosts.
+func unitHostTask(task *sharding.Task, opts Options, u sharding.UnitTask, hosts []int) (schedule.Task, []int) {
+	cluster := task.Src.Mesh.Topo
+	bytes := float64(u.Bytes(task.DType))
+	from := len(hosts)
+	hosts = sharding.AppendHosts(hosts, cluster, u.Senders)
+	senderHosts := hosts[from:len(hosts):len(hosts)]
+	from = len(hosts)
+	hosts = sharding.AppendHosts(hosts, cluster, u.Receivers)
+	recvHosts := hosts[from:len(hosts):len(hosts)]
+	dur := bytes / minNICBandwidth(cluster, senderHosts, recvHosts)
+	if opts.Strategy == SendRecv {
+		dur *= float64(len(u.Receivers))
+	}
+	if opts.Strategy == Signal {
+		dur = maxInterLatency(cluster, senderHosts, recvHosts)
+	}
+	return schedule.Task{
+		ID:            u.Index,
+		SenderHosts:   senderHosts,
+		ReceiverHosts: recvHosts,
+		Duration:      dur,
+	}, hosts
 }
 
 // resolveDeviceSenders maps a host-level schedule onto concrete sender
@@ -189,15 +216,18 @@ func buildHostTasks(task *sharding.Task, opts Options) []schedule.Task {
 func resolveDeviceSenders(task *sharding.Task, hostPlan schedule.Plan) (map[int]int, error) {
 	cluster := task.Src.Mesh.Topo
 	senderOf := make(map[int]int, len(hostPlan.Order))
-	perHostCount := map[int]int{}
+	perHostCount := make([]int, cluster.HostCount())
 	for _, idx := range hostPlan.Order {
 		u := task.Units[idx]
 		host := hostPlan.Sender[idx]
+		// The unit's senders are ascending, so those on the host are the run
+		// of them inside the host's device run.
 		var onHost []int
-		for _, s := range u.Senders {
-			if cluster.HostOf(s) == host {
-				onHost = append(onHost, s)
-			}
+		if host >= 0 && host < len(perHostCount) {
+			first, n := cluster.HostDevices(host)
+			lo, _ := slices.BinarySearch(u.Senders, first)
+			hi, _ := slices.BinarySearch(u.Senders, first+n)
+			onHost = u.Senders[lo:hi]
 		}
 		if len(onHost) == 0 {
 			return nil, fmt.Errorf("resharding: unit %d has no sender on chosen host %d", idx, host)

@@ -43,10 +43,11 @@ type PlanBuilder struct {
 	lastSend []doneRun
 	lastRecv []doneRun
 	// Scratch of the unit task being built: its Eq. 3 dependencies, its
-	// receiver hosts and its broadcast chain.
+	// receiver hosts, its broadcast chain and the chain's NIC lanes.
 	deps  []netsim.OpID
 	hosts []int
 	chain []int
+	lanes []netsim.Lane
 	// labels memoizes the op-label prefixes of each unit index, so repeated
 	// simulations on a pooled builder stop re-rendering the same strings.
 	// Bounded by the largest unit and NIC counts the builder has seen.

@@ -133,7 +133,9 @@ func buildGlobalAllGather(net *netsim.ClusterNet, label string, sender int, rece
 // buildBroadcast: the paper's pipelined broadcast chain (Fig. 3d). On
 // clusters with several NICs per host, the unit task is divided into one
 // sub-task per NIC (the §3.1 future-work extension): each part travels its
-// own chain — a lane — over a distinct NIC, multiplying cross-host bandwidth.
+// own chain — a lane — over a distinct NIC, multiplying cross-host bandwidth;
+// the lanes share the chain and are registered in one
+// netsim.ClusterNet.PipelinedLanes call, which resolves its hops once.
 // The completion run holds one op per lane, lane by lane: its last chunk
 // crossing the last hop. That op waits, through the lattice, on the last
 // chunk's arrival at every other receiver, so a later unit task that waits
@@ -155,18 +157,32 @@ func (b *PlanBuilder) buildBroadcast(opts Options, idx, sender int, receivers []
 	b.chain = collective.AppendBroadcastOrder(b.chain[:0], net.Topo, sender, receivers)
 	chain, hops := b.chain, len(receivers)
 	from := len(b.done)
-	for k := 0; k < lanes; k++ {
-		view, label, part := net, labels.bc, bytes
-		if lanes > 1 {
-			view, label = net.OnNIC(k), labels.nicLabel(k)
-			part = int64(k+1)*bytes/int64(lanes) - int64(k)*bytes/int64(lanes)
-		}
-		first, used, err := collective.BroadcastChain(view, label, chain, part, chunks, seq, deps...)
+	if lanes == 1 {
+		first, used, err := collective.BroadcastChain(net, labels.bc, chain, bytes, chunks, seq, deps...)
 		if err != nil {
-			b.done = b.done[:from]
 			return doneRun{}, err
 		}
 		b.done = append(b.done, collective.ChainDone(first, used, hops, hops-1))
+		return b.closeRun(from)
+	}
+	// Lane k carries bytes [k*bytes/lanes, (k+1)*bytes/lanes) over NIC k, in
+	// chunks as BroadcastChain would cut it.
+	b.lanes = b.lanes[:0]
+	for k := 0; k < lanes; k++ {
+		part := int64(k+1)*bytes/int64(lanes) - int64(k)*bytes/int64(lanes)
+		used := chunks
+		if part < int64(chunks) {
+			used = 1
+		}
+		b.lanes = append(b.lanes, netsim.Lane{Prefix: labels.nicLabel(k), Bytes: part, Chunks: used})
+	}
+	first, err := net.PipelinedLanes(chain, b.lanes, seq, deps)
+	if err != nil {
+		return doneRun{}, err
+	}
+	for _, l := range b.lanes {
+		b.done = append(b.done, collective.ChainDone(first, l.Chunks, hops, hops-1))
+		first += netsim.OpID(l.Chunks * hops)
 	}
 	return b.closeRun(from)
 }

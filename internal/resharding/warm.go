@@ -129,9 +129,11 @@ func (d *Draft) replan(ctx context.Context, fromTask *sharding.Task, incumbent *
 	// Only the ensemble scheduler pays a search worth skipping; the
 	// closed-form schedulers replan cold in microseconds.
 	if incumbent != nil && fromTask != nil && d.opts.Scheduler == SchedEnsemble && len(fromTask.Units) == len(d.task.Units) {
-		fromHostTasks := buildHostTasks(fromTask, d.opts)
-		for i := range d.hostTasks {
-			if !sameHostTask(&fromHostTasks[i], &d.hostTasks[i]) {
+		// The old overlay's host tasks, one at a time into reused scratch.
+		var scratch [16]int
+		for i, u := range fromTask.Units {
+			from, _ := unitHostTask(fromTask, d.opts, u, scratch[:0])
+			if !sameHostTask(&from, &d.hostTasks[i]) {
 				info.ImpactedUnits++
 			}
 		}

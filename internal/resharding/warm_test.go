@@ -390,3 +390,44 @@ func TestReplanStatsAcrossRegistryTimelines(t *testing.T) {
 		}
 	}
 }
+
+// TestIdentityReplanSkipsClosedForm: a draft builds its closed-form
+// incumbent on the first Proven or Plan, so an identity replan, which
+// returns the rebound incumbent, never builds it, and a search replan does.
+func TestIdentityReplanSkipsClosedForm(t *testing.T) {
+	ctx := context.Background()
+	for _, p := range packPresets() {
+		task := packBoundary(t, p.topo)
+		healthy, err := NewPlanContext(ctx, task, packOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			fs   mesh.FaultSet
+			mode string
+		}{
+			{mesh.FaultSet{Links: []mesh.LinkFault{{A: 0, B: 1, BandwidthScale: 0.5}}}, WarmIdentity},
+			{mesh.FaultSet{Hosts: []mesh.HostFault{{Host: 0, NICScale: 0.5}}}, WarmSearch},
+		} {
+			degTask, err := task.OnTopology(mesh.MustFaulted(p.topo, tc.fs))
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, err := NewDraft(degTask, packOpts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d.hasClosed {
+				t.Fatalf("%s: NewDraft built the closed form", p.name)
+			}
+			_, info, err := d.replan(ctx, task, healthy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.Mode != tc.mode || d.hasClosed != (tc.mode == WarmSearch) {
+				t.Errorf("%s: %s replan, closed form built %v; want %s, built %v",
+					p.name, info.Mode, d.hasClosed, tc.mode, tc.mode == WarmSearch)
+			}
+		}
+	}
+}

@@ -371,19 +371,19 @@ func (tc *topologyCache) get(reg *mesh.Registry, ref TopologyRef) (mesh.Topology
 	// letting clients fill the bounded memo with junk aliases. Rendered
 	// with strconv appends: this runs on every parse, cache hit or miss.
 	name := strings.ToLower(strings.TrimSpace(ref.Name))
-	kb := make([]byte, 0, len(name)+24)
-	kb = append(kb, name...)
+	var arr [64]byte
+	kb := append(arr[:0], name...)
 	kb = append(kb, '|')
 	kb = strconv.AppendInt(kb, int64(ref.Hosts), 10)
 	kb = append(kb, '|')
 	kb = strconv.AppendFloat(kb, ref.Oversubscription, 'g', -1, 64)
-	key := string(kb)
 	tc.mu.RLock()
-	t, ok := tc.m[key]
+	t, ok := tc.m[string(kb)] // a lookup by string(kb) copies nothing
 	tc.mu.RUnlock()
 	if ok {
 		return t, nil
 	}
+	key := string(kb)
 	t, err := reg.Build(ref.Name, mesh.TopologyParams{Hosts: ref.Hosts, Oversubscription: ref.Oversubscription})
 	if err != nil {
 		return nil, err

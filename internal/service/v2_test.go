@@ -323,12 +323,15 @@ func TestClientDeadlinePropagation(t *testing.T) {
 	_, client := newTestServer(t, Config{})
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
 	defer cancel()
+	// A grid whose searches never prove their incumbent: unbounded, this
+	// autotune takes over a second, so the 2ms deadline always fires first.
 	_, err := client.AutotuneV2(ctx, &AutotuneRequest{
-		Topology: TopologyRef{Name: "p3", Hosts: 4},
-		Shape:    []int{64, 96},
-		Src:      Endpoint{Mesh: "2x4@0", Spec: "S01R"},
-		Dst:      Endpoint{Mesh: "2x4@8", Spec: "RS0"},
-		Options:  PlanOptions{Seed: 1, DFSNodes: MaxDFSNodes},
+		Topology: TopologyRef{Name: "p3", Hosts: 5},
+		Shape:    []int{96, 96},
+		DType:    "fp16",
+		Src:      Endpoint{Mesh: "2x3@0", Spec: "S0S1"},
+		Dst:      Endpoint{Mesh: "3x2@8", Spec: "S0S1"},
+		Options:  PlanOptions{Seed: 183, DFSNodes: MaxDFSNodes},
 	})
 	if err == nil {
 		t.Fatal("a 2ms budget cannot finish a maximum-budget grid search")

@@ -471,6 +471,61 @@ func TestServedHitAllocations(t *testing.T) {
 	}
 }
 
+// TestColdParseAllocations pins the allocations of a cold parse — a
+// request's topology, meshes, decomposition and cache key
+// (ParsePlanRequest, its memo cleared first) and its draft (NewDraft: the
+// host-level instance) — on one request per topology family. The ceilings
+// are one above the measured counts, so that per-device, per-unit or
+// per-host bookkeeping cannot come back unnoticed. Skipped under the race
+// detector, whose instrumentation inflates allocation counts.
+func TestColdParseAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is inflated under the race detector")
+	}
+	for _, tc := range []struct {
+		req       *PlanRequest
+		maxAllocs float64
+	}{
+		{&PlanRequest{
+			Topology: TopologyRef{Name: "p3", Hosts: 4},
+			Shape:    []int{1024, 1024}, DType: "fp16",
+			Src: Endpoint{Mesh: "2x4@0", Spec: "S01R"}, Dst: Endpoint{Mesh: "2x4@8", Spec: "RS0"},
+			Options: PlanOptions{Seed: 1},
+		}, 31},
+		{&PlanRequest{
+			Topology: TopologyRef{Name: "dgx-a100", Hosts: 2},
+			Shape:    []int{512, 1024, 8},
+			Src:      Endpoint{Mesh: "2x4@0", Spec: "S0RR"}, Dst: Endpoint{Mesh: "4x2@8", Spec: "RS01R"},
+			Options: PlanOptions{Seed: 1},
+		}, 30},
+		{&PlanRequest{
+			Topology: TopologyRef{Name: "mixed", Hosts: 4},
+			Shape:    []int{256, 512},
+			Src:      Endpoint{Mesh: "2x4@0", Spec: "S0S1"}, Dst: Endpoint{Mesh: "2x4@8", Spec: "S1R"},
+			Options: PlanOptions{Seed: 1},
+		}, 30},
+	} {
+		t.Run(tc.req.Topology.Name, func(t *testing.T) {
+			srv := New(Config{})
+			ctx := context.Background()
+			allocs := testing.AllocsPerRun(100, func() {
+				clear(srv.reqMemo.fields)
+				task, opts, _, err := srv.ParsePlanRequest(ctx, tc.req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := resharding.NewDraft(task, opts); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("cold parse and draft: %.0f allocs/op", allocs)
+			if allocs > tc.maxAllocs {
+				t.Errorf("cold parse and draft: %.0f allocs/op, want <= %.0f", allocs, tc.maxAllocs)
+			}
+		})
+	}
+}
+
 // peerOwnsEverything is the Router of a tier node that owns no key and whose
 // peer must not be asked: what a miss the closed-form candidates prove should
 // see of the tier.

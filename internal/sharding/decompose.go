@@ -2,7 +2,8 @@ package sharding
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"alpacomm/internal/mesh"
 	"alpacomm/internal/tensor"
@@ -54,40 +55,158 @@ func NewTask(global tensor.Shape, dt tensor.DType, srcMesh *mesh.Mesh, srcSpec S
 	if !mesh.Disjoint(srcMesh, dstMesh) {
 		return nil, fmt.Errorf("sharding: cross-mesh resharding requires disjoint meshes")
 	}
-	src, err := NewPlacement(srcMesh, srcSpec, global)
+	// The task and both placements share one copy of the shape.
+	g := global.Clone()
+	src, err := newPlacement(srcMesh, srcSpec, g)
 	if err != nil {
 		return nil, fmt.Errorf("sharding: source placement: %v", err)
 	}
-	dst, err := NewPlacement(dstMesh, dstSpec, global)
+	dst, err := newPlacement(dstMesh, dstSpec, g)
 	if err != nil {
 		return nil, fmt.Errorf("sharding: destination placement: %v", err)
 	}
-	t := &Task{Global: global.Clone(), DType: dt, Src: src, Dst: dst}
+	t := &Task{Global: g, DType: dt, Src: src, Dst: dst}
 	t.Units = decompose(src, dst)
 	return t, nil
 }
 
-// decompose implements Appendix B.2 over two placements.
+// tiling is one tensor dimension of the merged tiling: interval k is
+// [cuts[k], cuts[k+1]) and lies in source shard src[k] and destination
+// shard dst[k].
+type tiling struct{ cuts, src, dst []int }
+
+// mergeTiling merges two ascending cut lists with the same first and last
+// point (step one of Appendix B.2), carving the tiling's lists from buf; it
+// returns the rest of buf.
+func mergeTiling(a, b, buf []int) (tiling, []int) {
+	n := len(a) + len(b) - 2 // intervals, at most
+	t := tiling{cuts: buf[: 1 : n+1], src: buf[n+1 : n+1 : 2*n+1], dst: buf[2*n+1 : 2*n+1 : 3*n+1]}
+	t.cuts[0] = a[0]
+	for ia, ib := 0, 0; ia+1 < len(a) && ib+1 < len(b); {
+		next := min(a[ia+1], b[ib+1])
+		t.cuts = append(t.cuts, next)
+		t.src = append(t.src, ia)
+		t.dst = append(t.dst, ib)
+		if a[ia+1] == next {
+			ia++
+		}
+		if b[ib+1] == next {
+			ib++
+		}
+	}
+	return t, buf[3*n+1:]
+}
+
+// shardTuple is the row-major index of the shard the device at mesh position
+// flat holds, over the per-dimension shard degrees.
+func (p *Placement) shardTuple(flat int) int {
+	rank := len(p.cuts)
+	t := 0
+	for i, c := range p.coords[flat*rank : (flat+1)*rank] {
+		t = t*(len(p.cuts[i])-1) + int(c)
+	}
+	return t
+}
+
+// holdersByShard fills out (one entry per device) with the placement's
+// devices grouped by the shard they hold and ascending within a group, and
+// returns the group size: every shard is held by the same number of devices,
+// the product of the extents of the mesh axes the spec leaves unused, and
+// shard t's holders are out[t*rep : (t+1)*rep]. fill is scratch, one entry
+// per shard.
+func (p *Placement) holdersByShard(out, fill []int) (rep int) {
+	devs := p.Mesh.Devices
+	rep = len(devs) / len(fill)
+	byDevice := func(k int) int { return k } // the mesh position of the k-th smallest device
+	if !slices.IsSorted(devs) {
+		perm := make([]int, len(devs))
+		for i := range perm {
+			perm[i] = i
+		}
+		slices.SortFunc(perm, func(a, b int) int { return devs[a] - devs[b] })
+		byDevice = func(k int) int { return perm[k] }
+	}
+	for k := range devs {
+		flat := byDevice(k)
+		t := p.shardTuple(flat)
+		out[t*rep+fill[t]] = devs[flat]
+		fill[t]++
+	}
+	return rep
+}
+
+// shards returns the number of distinct shards of the placement.
+func (p *Placement) shards() int {
+	n := 1
+	for _, c := range p.cuts {
+		n *= len(c) - 1
+	}
+	return n
+}
+
+// decompose implements Appendix B.2 over two placements: it merges each
+// dimension's cut lists, walks the cross product of the merged intervals in
+// row-major order, and gives each slice the devices holding the source and
+// destination shards it lies in. A slice lies in exactly one shard of each
+// placement, so its holders are one group of holdersByShard, and every
+// unit's slice is carved from one array sized up front, its senders and
+// receivers from another.
 func decompose(src, dst *Placement) []UnitTask {
 	rank := src.Global.Rank()
-	dims := make([][]tensor.Interval, rank)
-	for i := 0; i < rank; i++ {
-		cuts := tensor.MergeCuts(src.Cuts(i), dst.Cuts(i))
-		dims[i] = tensor.IntervalsFromCuts(cuts)
+	if rank == 0 {
+		return nil
 	}
-	slices := tensor.CrossProduct(dims)
-	units := make([]UnitTask, 0, len(slices))
-	for _, s := range slices {
-		senders := src.HoldersOf(s)
-		receivers := dst.HoldersOf(s)
-		sort.Ints(senders)
-		sort.Ints(receivers)
-		units = append(units, UnitTask{
-			Index:     len(units),
-			Slice:     s,
-			Senders:   senders,
-			Receivers: receivers,
-		})
+	sShards, dShards := src.shards(), dst.shards()
+	size := rank + len(src.Mesh.Devices) + len(dst.Mesh.Devices) + sShards + dShards
+	for i := 0; i < rank; i++ {
+		size += 3*(len(src.cuts[i])+len(dst.cuts[i])-2) + 1
+	}
+	buf := make([]int, size)
+	idx, buf := buf[:rank], buf[rank:]
+	sHold, buf := buf[:len(src.Mesh.Devices)], buf[len(src.Mesh.Devices):]
+	dHold, buf := buf[:len(dst.Mesh.Devices)], buf[len(dst.Mesh.Devices):]
+	sRep := src.holdersByShard(sHold, buf[:sShards])
+	dRep := dst.holdersByShard(dHold, buf[sShards:sShards+dShards])
+	buf = buf[sShards+dShards:]
+
+	var small [8]tiling
+	tl := small[:0]
+	if rank > len(small) {
+		tl = make([]tiling, 0, rank)
+	}
+	nSlices := 1
+	for i := 0; i < rank; i++ {
+		var t tiling
+		t, buf = mergeTiling(src.cuts[i], dst.cuts[i], buf)
+		tl = append(tl, t)
+		nSlices *= len(t.src)
+	}
+
+	units := make([]UnitTask, nSlices)
+	regions := make([]tensor.Interval, nSlices*rank)
+	holders := make([]int, nSlices*(sRep+dRep))
+	senders, receivers := holders[:nSlices*sRep], holders[nSlices*sRep:]
+	for u := range units {
+		r := tensor.Region(regions[u*rank : (u+1)*rank : (u+1)*rank])
+		st, dt := 0, 0
+		for i := range tl {
+			t, k := &tl[i], idx[i]
+			r[i] = tensor.Interval{Lo: t.cuts[k], Hi: t.cuts[k+1]}
+			st = st*(len(src.cuts[i])-1) + t.src[k]
+			dt = dt*(len(dst.cuts[i])-1) + t.dst[k]
+		}
+		s := senders[u*sRep : (u+1)*sRep : (u+1)*sRep]
+		copy(s, sHold[st*sRep:])
+		d := receivers[u*dRep : (u+1)*dRep : (u+1)*dRep]
+		copy(d, dHold[dt*dRep:])
+		units[u] = UnitTask{Index: u, Slice: r, Senders: s, Receivers: d}
+		// Row-major increment: bump the last dimension first.
+		for i := rank - 1; i >= 0; i-- {
+			if idx[i]++; idx[i] < len(tl[i].src) {
+				break
+			}
+			idx[i] = 0
+		}
 	}
 	return units
 }
@@ -120,26 +239,44 @@ func (t *Task) TotalBytes() int64 {
 // SenderHosts returns the candidate sender hosts of a unit task (the
 // paper's n_i: scheduling happens at host granularity, §3.2).
 func (t *Task) SenderHosts(u UnitTask) []int {
-	return hostsOf(t.Src.Mesh.Topo, u.Senders)
+	return AppendHosts(nil, t.Src.Mesh.Topo, u.Senders)
 }
 
 // ReceiverHosts returns the receiver hosts of a unit task (m_i).
 func (t *Task) ReceiverHosts(u UnitTask) []int {
-	return hostsOf(t.Dst.Mesh.Topo, u.Receivers)
+	return AppendHosts(nil, t.Dst.Mesh.Topo, u.Receivers)
 }
 
-func hostsOf(c mesh.Topology, devices []int) []int {
-	// Devices are sorted and hosts own contiguous ascending device runs, so
-	// the host sequence is non-decreasing: deduplicating consecutive values
-	// yields the sorted distinct host list without a set.
-	var out []int
+// AppendHosts appends the distinct hosts of ascending devices to b, in
+// ascending order. Hosts own contiguous ascending device runs, so the hosts
+// arrive in order and a device below the end of the last host's run is on
+// that host: HostOf is asked once per host.
+func AppendHosts(b []int, c mesh.Topology, devices []int) []int {
+	end := math.MinInt
 	for _, d := range devices {
-		h := c.HostOf(d)
-		if len(out) == 0 || out[len(out)-1] != h {
-			out = append(out, h)
+		if d < end {
+			continue
 		}
+		h := c.HostOf(d)
+		first, n := c.HostDevices(h)
+		end = first + n
+		b = append(b, h)
 	}
-	return out
+	return b
+}
+
+// CountHosts returns len(AppendHosts(nil, c, devices)).
+func CountHosts(c mesh.Topology, devices []int) int {
+	end, hosts := math.MinInt, 0
+	for _, d := range devices {
+		if d < end {
+			continue
+		}
+		first, n := c.HostDevices(c.HostOf(d))
+		end = first + n
+		hosts++
+	}
+	return hosts
 }
 
 func (t *Task) String() string {

@@ -15,35 +15,61 @@ type Placement struct {
 	Global tensor.Shape
 	// cuts[i] holds the shard boundaries of tensor dimension i.
 	cuts [][]int
-	// regions caches the per-device regions, computed once: decomposition
-	// queries HoldersOf for every slice of the merged tiling, and
-	// recomputing every device's region per query dominated planning
-	// allocations.
-	regions []DeviceRegion
+	// coords[flat*rank+i] is the shard of tensor dimension i held by the
+	// device at mesh position flat: the device holds the interval
+	// [cuts[i][c], cuts[i][c+1]) of every dimension. Regions are rendered
+	// from it on demand; decomposition compares the coordinates directly.
+	coords []int32
 }
 
 // NewPlacement validates the triple and precomputes shard boundaries.
 func NewPlacement(m *mesh.Mesh, spec Spec, global tensor.Shape) (*Placement, error) {
+	return newPlacement(m, spec, global.Clone())
+}
+
+// newPlacement is NewPlacement keeping global, which the caller must not
+// modify afterwards.
+func newPlacement(m *mesh.Mesh, spec Spec, global tensor.Shape) (*Placement, error) {
 	if err := spec.Validate(m, global); err != nil {
 		return nil, err
 	}
-	cuts := make([][]int, global.Rank())
+	rank := global.Rank()
+	nCuts := 0
+	for i := 0; i < rank; i++ {
+		nCuts += spec.ShardDegree(m, i) + 1
+	}
+	buf := make([]int, nCuts)
+	cuts := make([][]int, rank)
 	for i := range cuts {
 		deg := spec.ShardDegree(m, i)
-		b, err := tensor.PartitionBoundaries(global[i], deg)
-		if err != nil {
-			return nil, fmt.Errorf("sharding: dim %d: %v", i, err)
+		// Validate refused a degree above the dimension's length, so every
+		// shard holds at least one element: tensor.PartitionBoundaries' cuts.
+		b := buf[: deg+1 : deg+1]
+		buf = buf[deg+1:]
+		for j := range b {
+			b[j] = j * global[i] / deg
 		}
 		cuts[i] = b
 	}
-	p := &Placement{Mesh: m, Spec: spec, Global: global.Clone(), cuts: cuts}
-	p.regions = make([]DeviceRegion, p.Mesh.NumDevices())
-	for flat, d := range p.Mesh.Devices {
-		r, err := p.RegionAt(p.Mesh.CoordOf(flat)...)
-		if err != nil {
-			return nil, err // unreachable: coordinates come from the mesh itself
+	p := &Placement{Mesh: m, Spec: spec, Global: global, cuts: cuts}
+	p.coords = make([]int32, m.NumDevices()*rank)
+	var small [8]int
+	coord := small[:]
+	if m.Rank() > len(small) {
+		coord = make([]int, m.Rank())
+	}
+	coord = coord[:m.Rank()] // the mesh coordinate of position flat
+	for flat := 0; flat < m.NumDevices(); flat++ {
+		for i := 0; i < rank; i++ {
+			p.coords[flat*rank+i] = int32(p.shardIndex(i, coord))
 		}
-		p.regions[flat] = DeviceRegion{Device: d, Region: r}
+		// Row-major increment of the mesh coordinate.
+		for a := len(coord) - 1; a >= 0; a-- {
+			if coord[a]++; coord[a] < m.Shape[a] {
+				break
+			}
+			coord[a] = 0
+		}
 	}
 	return p, nil
 }
@@ -81,22 +107,36 @@ func (p *Placement) RegionAt(coord ...int) (tensor.Region, error) {
 	return r, nil
 }
 
+// regionOf renders the region held by the device at mesh position flat.
+func (p *Placement) regionOf(flat int) tensor.Region {
+	r := make(tensor.Region, p.Global.Rank())
+	for i := range r {
+		c := p.coords[flat*len(r)+i]
+		r[i] = tensor.Interval{Lo: p.cuts[i][c], Hi: p.cuts[i][c+1]}
+	}
+	return r
+}
+
 // RegionOfDevice returns the region held by a physical device that belongs
 // to the mesh.
 func (p *Placement) RegionOfDevice(device int) (tensor.Region, error) {
 	for flat, d := range p.Mesh.Devices {
 		if d == device {
-			return p.RegionAt(p.Mesh.CoordOf(flat)...)
+			return p.regionOf(flat), nil
 		}
 	}
 	return nil, fmt.Errorf("sharding: device %d not in mesh %v", device, p.Mesh)
 }
 
 // DeviceRegions returns, for every device of the mesh (in mesh row-major
-// order), the pair (physical device index, region held). The returned
-// slice is the placement's cached copy; callers must not modify it.
+// order), the pair (physical device index, region held), rendered afresh on
+// each call.
 func (p *Placement) DeviceRegions() []DeviceRegion {
-	return p.regions
+	out := make([]DeviceRegion, len(p.Mesh.Devices))
+	for flat, d := range p.Mesh.Devices {
+		out[flat] = DeviceRegion{Device: d, Region: p.regionOf(flat)}
+	}
+	return out
 }
 
 // DeviceRegion pairs a physical device with the global-tensor region it
@@ -107,12 +147,20 @@ type DeviceRegion struct {
 }
 
 // HoldersOf returns the physical devices whose region fully contains r
-// (replicas of the slice, the paper's set N_i / M_i).
+// (replicas of the slice, the paper's set N_i / M_i), in mesh order.
 func (p *Placement) HoldersOf(r tensor.Region) []int {
 	var out []int
-	for _, dr := range p.DeviceRegions() {
-		if dr.Region.Contains(r) {
-			out = append(out, dr.Device)
+	if len(r) != p.Global.Rank() {
+		return out
+	}
+	for flat, d := range p.Mesh.Devices {
+		holds := true
+		for i := 0; i < len(r) && holds; i++ {
+			c := p.coords[flat*len(r)+i]
+			holds = tensor.Interval{Lo: p.cuts[i][c], Hi: p.cuts[i][c+1]}.Contains(r[i])
+		}
+		if holds {
+			out = append(out, d)
 		}
 	}
 	return out
@@ -122,12 +170,12 @@ func (p *Placement) HoldersOf(r tensor.Region) []int {
 // region the placement assigns it. The map key is the physical device index.
 func (p *Placement) Buffers() (map[int]*tensor.Buffer, error) {
 	out := make(map[int]*tensor.Buffer, p.Mesh.NumDevices())
-	for _, dr := range p.DeviceRegions() {
-		b, err := tensor.NewBuffer(p.Global, dr.Region)
+	for flat, d := range p.Mesh.Devices {
+		b, err := tensor.NewBuffer(p.Global, p.regionOf(flat))
 		if err != nil {
 			return nil, err
 		}
-		out[dr.Device] = b
+		out[d] = b
 	}
 	return out, nil
 }
@@ -136,8 +184,8 @@ func (p *Placement) Buffers() (map[int]*tensor.Buffer, error) {
 // under the placement.
 func (p *Placement) BytesPerDevice(dt tensor.DType) int64 {
 	var max int64
-	for _, dr := range p.DeviceRegions() {
-		if b := dr.Region.NumElements() * dt.Size(); b > max {
+	for flat := range p.Mesh.Devices {
+		if b := p.regionOf(flat).NumElements() * dt.Size(); b > max {
 			max = b
 		}
 	}

@@ -7,6 +7,7 @@ package sharding
 import (
 	"fmt"
 	"strconv"
+	"strings"
 
 	"alpacomm/internal/mesh"
 	"alpacomm/internal/tensor"
@@ -62,17 +63,22 @@ func (s Spec) Validate(m *mesh.Mesh, shape tensor.Shape) error {
 	if len(s.Dims) != shape.Rank() {
 		return fmt.Errorf("sharding: spec rank %d != tensor rank %d", len(s.Dims), shape.Rank())
 	}
-	used := map[int]bool{}
+	var small [1]uint64
+	used := small[:] // bit a of word a/64 is set once mesh axis a shards a dimension
+	if words := (m.Rank() + 63) / 64; words > len(used) {
+		used = make([]uint64, words)
+	}
 	for i, d := range s.Dims {
 		deg := 1
 		for _, a := range d.MeshAxes {
 			if a < 0 || a >= m.Rank() {
 				return fmt.Errorf("sharding: dim %d refers to mesh axis %d, mesh rank is %d", i, a, m.Rank())
 			}
-			if used[a] {
+			w, bit := a/64, uint64(1)<<(a%64)
+			if used[w]&bit != 0 {
 				return fmt.Errorf("sharding: mesh axis %d used by more than one tensor dimension", a)
 			}
-			used[a] = true
+			used[w] |= bit
 			deg *= m.Shape[a]
 		}
 		if deg > shape[i] {
@@ -95,7 +101,14 @@ func (s Spec) ShardDegree(m *mesh.Mesh, i int) int {
 // "RS0R", "RRR". Each tensor dimension is either 'R' or 'S' followed by one
 // digit per mesh axis.
 func Parse(str string) (Spec, error) {
-	var dims []DimSharding
+	// Sized up front: one DimSharding per 'R' or 'S', and every dimension's
+	// axes carved from one array with room for every character.
+	nDims := strings.Count(str, "R") + strings.Count(str, "S")
+	dims := make([]DimSharding, 0, nDims)
+	var axesBuf []int
+	if nDims > 0 && len(str) > nDims {
+		axesBuf = make([]int, 0, len(str)-nDims)
+	}
 	i := 0
 	for i < len(str) {
 		switch str[i] {
@@ -111,11 +124,11 @@ func Parse(str string) (Spec, error) {
 			if i == start {
 				return Spec{}, fmt.Errorf("sharding: 'S' without mesh axes in %q", str)
 			}
-			axes := make([]int, 0, i-start)
+			from := len(axesBuf)
 			for _, c := range str[start:i] {
-				axes = append(axes, int(c-'0'))
+				axesBuf = append(axesBuf, int(c-'0'))
 			}
-			dims = append(dims, DimSharding{MeshAxes: axes})
+			dims = append(dims, DimSharding{MeshAxes: axesBuf[from:len(axesBuf):len(axesBuf)]})
 		default:
 			return Spec{}, fmt.Errorf("sharding: unexpected character %q in spec %q", str[i], str)
 		}
