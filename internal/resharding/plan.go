@@ -24,6 +24,11 @@ type Plan struct {
 	HostPlan schedule.Plan
 	// HostTasks is the Eq. 1-3 problem instance (one entry per unit task).
 	HostTasks []schedule.Task
+	// Report is how the ensemble scheduler ended: the candidate the plan
+	// came from, whether it met the floor, and the search's node and trial
+	// counts. Other schedulers leave it zero (Exit none), as does a plan
+	// filled from a peer.
+	Report schedule.Report
 }
 
 // NewPlan schedules a resharding task under the given options. It cannot
@@ -94,6 +99,7 @@ func (d *Draft) Proven() bool {
 func (d *Draft) Plan(ctx context.Context) (*Plan, error) {
 	task, opts, hostTasks := d.task, d.opts, d.hostTasks
 	var hostPlan schedule.Plan
+	var report schedule.Report
 	switch opts.Scheduler {
 	case SchedNaive:
 		hostPlan = schedule.Naive(hostTasks)
@@ -105,7 +111,9 @@ func (d *Draft) Plan(ctx context.Context) (*Plan, error) {
 		hostPlan = schedule.GreedyEnsemble(hostTasks)
 	case SchedEnsemble:
 		stop := func() bool { return ctx.Err() != nil }
-		hostPlan = d.closedForm().Search(opts.DFSNodes, opts.Trials, ensembleRand(opts.Seed), stop)
+		in := d.closedForm()
+		hostPlan = in.Search(opts.DFSNodes, opts.Trials, ensembleRand(opts.Seed), stop)
+		report = in.Report()
 	default:
 		return nil, fmt.Errorf("resharding: unknown scheduler %v", opts.Scheduler)
 	}
@@ -129,6 +137,7 @@ func (d *Draft) Plan(ctx context.Context) (*Plan, error) {
 		Order:     hostPlan.Order,
 		HostPlan:  hostPlan,
 		HostTasks: hostTasks,
+		Report:    report,
 	}, nil
 }
 

@@ -179,5 +179,7 @@ func reboundPlan(incumbent *Plan, task *sharding.Task, opts Options, hostTasks [
 		Order:     hostPlan.Order,
 		HostPlan:  hostPlan,
 		HostTasks: hostTasks,
+		// The instance is the incumbent's, so a search would end as its did.
+		Report: incumbent.Report,
 	}
 }

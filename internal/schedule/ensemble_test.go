@@ -281,7 +281,7 @@ func TestEnsembleFamiliesExitWhereIntended(t *testing.T) {
 				}
 			}
 			searches := 0
-			dfs := func(tk []Task, lpt lptSeed) Plan { searches++; return dfsPruning(tk, 2000, nil, &lpt) }
+			dfs := func(tk []Task, lpt lptSeed) (Plan, int) { searches++; return dfsPruningCounted(tk, 2000, nil, &lpt) }
 			src := rand.New(rand.NewSource(seed))
 			in := ClosedForm(tasks)
 			if proven := fam.exit == exitNaive || fam.exit == exitLPT || fam.exit == exitWit; in.Proven() != proven {

@@ -586,7 +586,7 @@ func GreedyLoad(tasks []Task) Plan {
 // ensemble DFS.
 func GreedyEnsemble(tasks []Task) Plan {
 	in := ClosedForm(tasks)
-	_ = in.proven || in.offer(GreedyLoad(tasks))
+	_ = in.proven || in.offer(GreedyLoad(tasks), ExitNone)
 	return in.best
 }
 
@@ -739,8 +739,15 @@ type lptSeed struct {
 // the caller's copy of the baseline (the ensemble has built and evaluated
 // it by the time it searches) and spares recomputing it.
 func dfsPruning(tasks []Task, maxNodes int, stop func() bool, lpt *lptSeed) Plan {
+	p, _ := dfsPruningCounted(tasks, maxNodes, stop, lpt)
+	return p
+}
+
+// dfsPruningCounted is dfsPruning, which also returns the nodes it visited:
+// zero when the LPT seed is proven and nothing is searched.
+func dfsPruningCounted(tasks []Task, maxNodes int, stop func() bool, lpt *lptSeed) (Plan, int) {
 	if len(tasks) == 0 {
-		return Plan{Sender: map[int]int{}}
+		return Plan{Sender: map[int]int{}}, 0
 	}
 	// Seed with the LPT plan so pruning has a baseline.
 	if lpt == nil {
@@ -751,7 +758,7 @@ func dfsPruning(tasks []Task, maxNodes int, stop func() bool, lpt *lptSeed) Plan
 		panic(lpt.err) // unreachable: LoadBalanceOnly plans are valid
 	}
 	if lpt.span <= lpt.bound {
-		return lpt.plan
+		return lpt.plan, 0
 	}
 
 	n := len(tasks)
@@ -773,7 +780,7 @@ func dfsPruning(tasks []Task, maxNodes int, stop func() bool, lpt *lptSeed) Plan
 	}
 	copy(s.rows, root)
 	s.visit(0, 0)
-	return s.best
+	return s.best, s.nodes
 }
 
 // dfsSearch is one search's state. A node at depth d reads its own rows and
@@ -906,9 +913,16 @@ func (s *dfsSearch) adopt(span float64) {
 // trial is stamped with the trial's number, so a new trial clears nothing.
 // Every buffer is allocated up front and reused across trials and rounds, so
 // one call allocates the same objects whatever its trial count.
+func GreedyRandomized(tasks []Task, trials int, rng *rand.Rand) Plan {
+	p, _ := greedyRandomized(tasks, trials, rng)
+	return p
+}
+
+// greedyRandomized is GreedyRandomized, which also returns the orderings it
+// tried: trials per batch.
 //
 //alpacomm:hotpath
-func GreedyRandomized(tasks []Task, trials int, rng *rand.Rand) Plan {
+func greedyRandomized(tasks []Task, trials int, rng *rand.Rand) (p Plan, tried int) {
 	if trials < 1 {
 		trials = 1
 	}
@@ -924,7 +938,7 @@ func GreedyRandomized(tasks []Task, trials int, rng *rand.Rand) Plan {
 	used := make([]int, 2*slotCount)
 	usedSend, usedRecv := used[:slotCount], used[slotCount:]
 	stamp := 0
-	p := Plan{Sender: make(map[int]int, n), Order: make([]int, 0, n)}
+	p = Plan{Sender: make(map[int]int, n), Order: make([]int, 0, n)}
 	type pick struct {
 		taskIdx int
 		sender  int // host id
@@ -1006,7 +1020,7 @@ func GreedyRandomized(tasks []Task, trials int, rng *rand.Rand) Plan {
 		}
 		remaining, rest = rest, remaining
 	}
-	return p
+	return p, stamp
 }
 
 // EnsembleNodesStop is AlpaComm's production configuration ("we run both
@@ -1039,12 +1053,12 @@ func EnsembleNodesStop(tasks []Task, dfsNodes, trials int, rng *rand.Rand, stop 
 func ClosedForm(tasks []Task) Incumbent {
 	naive := Naive(tasks)
 	bound, load := provenFloor(tasks)
-	in := Incumbent{tasks: tasks, bound: bound, best: naive, span: math.Inf(1)}
-	if !in.offer(naive) {
+	in := Incumbent{tasks: tasks, bound: bound, best: naive, span: math.Inf(1), report: Report{Exit: ExitNaive}}
+	if !in.offer(naive, ExitNaive) {
 		// The DFS starts from LPT too, and from the same bound: keep both.
 		in.lpt = lptSeed{plan: LoadBalanceOnly(tasks), bound: in.bound}
 		in.lpt.span, in.lpt.err = Makespan(tasks, in.lpt.plan)
-		_ = in.offerEvaluated(in.lpt.plan, in.lpt.span, in.lpt.err) ||
+		_ = in.offerEvaluated(in.lpt.plan, in.lpt.span, in.lpt.err, ExitLPT) ||
 			load.tasks == 0 || in.offerWitness(&load)
 	}
 	return in
@@ -1068,7 +1082,48 @@ func (in *Incumbent) offerWitness(load *serialLoad) (proven bool) {
 	if err != nil || !(span < in.span) {
 		return in.proven
 	}
-	return in.offerEvaluated(Plan{Sender: in.lpt.plan.Sender, Order: slices.Clone(order)}, span, nil)
+	return in.offerEvaluated(Plan{Sender: in.lpt.plan.Sender, Order: slices.Clone(order)}, span, nil, ExitWitness)
+}
+
+// Exit names the ensemble candidate whose plan an Incumbent holds.
+type Exit uint8
+
+// The candidates, in the order the ensemble offers them. ExitNone is the
+// zero value: no ensemble chose the plan (another scheduler did, or it was
+// filled from elsewhere).
+const (
+	ExitNone Exit = iota
+	ExitNaive
+	ExitLPT
+	ExitWitness
+	ExitGreedy
+	ExitDFS
+	// NumExits counts the values above.
+	NumExits
+)
+
+var exitNames = [NumExits]string{"none", "naive", "lpt", "witness", "greedy", "dfs"}
+
+func (e Exit) String() string {
+	if e < NumExits {
+		return exitNames[e]
+	}
+	return fmt.Sprintf("Exit(%d)", uint8(e))
+}
+
+// Report is how an ensemble ended, in counts: which candidate's plan it
+// holds, whether that plan meets the floor, and the work the search spent.
+// It reads no clock, so it is a pure function of the tasks and the options,
+// like the plan.
+type Report struct {
+	Exit Exit
+	// Proven reports that Span meets Floor (provenBound): no plan is better.
+	Proven      bool
+	Floor, Span float64
+	// DFSNodes are the nodes the search visited, and GreedyTrials the
+	// random orderings GreedyRandomized tried over all its batches; both are
+	// zero when the ensemble ended before them.
+	DFSNodes, GreedyTrials int
 }
 
 // Incumbent is the best candidate offered so far — Naive, LoadBalanceOnly
@@ -1083,11 +1138,20 @@ type Incumbent struct {
 	span   float64
 	proven bool
 	lpt    lptSeed // ClosedForm's, when Naive was not proven
+	// report holds the exit and the search's counts; Report fills in the rest.
+	report Report
 }
 
 // Proven reports whether the incumbent meets provenBound: nothing offered
 // later can replace it, and Search returns it as it is.
 func (in *Incumbent) Proven() bool { return in.proven }
+
+// Report returns how the ensemble has ended so far.
+func (in *Incumbent) Report() Report {
+	r := in.report
+	r.Proven, r.Floor, r.Span = in.proven, in.bound, in.span
+	return r
+}
 
 // Search is the ensemble's second step: GreedyRandomized and the DFS, under
 // a budget of dfsNodes nodes (at least one), offered in that order, and it
@@ -1096,15 +1160,22 @@ func (in *Incumbent) Proven() bool { return in.proven }
 // the same plan (see offer), at the cost of the trials, the search and the
 // rng draws behind a schedule that could not lose.
 func (in *Incumbent) Search(dfsNodes, trials int, rng *rand.Rand, stop func() bool) Plan {
-	return in.search(func(t []Task, lpt lptSeed) Plan { return dfsPruning(t, dfsNodes, stop, &lpt) }, trials, rng)
+	return in.search(func(t []Task, lpt lptSeed) (Plan, int) { return dfsPruningCounted(t, dfsNodes, stop, &lpt) }, trials, rng)
 }
 
-func (in *Incumbent) search(dfs func([]Task, lptSeed) Plan, trials int, rng *rand.Rand) Plan {
+func (in *Incumbent) search(dfs func([]Task, lptSeed) (Plan, int), trials int, rng *rand.Rand) Plan {
+	if in.proven {
+		return in.best
+	}
+	greedy, tried := greedyRandomized(in.tasks, trials, rng)
+	in.report.GreedyTrials = tried
 	// DFS explodes combinatorially; the paper reports it fails beyond ~20
 	// unit tasks, so only attempt it below that scale.
-	_ = in.proven ||
-		in.offer(GreedyRandomized(in.tasks, trials, rng)) ||
-		(len(in.tasks) <= 20 && in.offer(dfs(in.tasks, in.lpt)))
+	if !in.offer(greedy, ExitGreedy) && len(in.tasks) <= 20 {
+		p, nodes := dfs(in.tasks, in.lpt)
+		in.report.DFSNodes = nodes
+		in.offer(p, ExitDFS)
+	}
 	return in.best
 }
 
@@ -1113,17 +1184,19 @@ func (in *Incumbent) search(dfs func([]Task, lptSeed) Plan, trials int, rng *ran
 // skipped — and reports whether the incumbent now meets provenBound. No
 // valid plan evaluates below that bound, so once it is met no later
 // candidate can be strictly smaller: offering the rest would change nothing.
-func (in *Incumbent) offer(c Plan) (proven bool) {
+// exit names the candidate c is.
+func (in *Incumbent) offer(c Plan, exit Exit) (proven bool) {
 	span, err := Makespan(in.tasks, c)
-	return in.offerEvaluated(c, span, err)
+	return in.offerEvaluated(c, span, err, exit)
 }
 
 // offerEvaluated is offer for a candidate whose makespan evaluation the
 // caller holds.
-func (in *Incumbent) offerEvaluated(c Plan, span float64, err error) (proven bool) {
+func (in *Incumbent) offerEvaluated(c Plan, span float64, err error, exit Exit) (proven bool) {
 	if err == nil && span < in.span {
 		in.best, in.span = c, span
 		in.proven = span <= in.bound
+		in.report.Exit = exit
 	}
 	return in.proven
 }

@@ -221,12 +221,32 @@ type StatsResponse struct {
 	// 0. (A fill the draft proves gets no twin, and a repeat request for an
 	// already-cached overlay is a plan-cache hit: neither shows up here.)
 	Replan resharding.ReplanStats `json:"replan"`
+	// Exits counts the ensemble plans this server computed by how the
+	// ensemble ended.
+	Exits ExitStats `json:"exits"`
 	// Cluster is the per-node tier block — identity, ring share, routing
 	// and verified-fill counters; nil on a standalone server.
 	Cluster *ClusterNodeStats `json:"cluster,omitempty"`
 	// Admission is the SLO admission controller's block — mode, windowed
 	// p99 estimate, transition counters; nil when SLO admission is off.
 	Admission *AdmissionStats `json:"admission,omitempty"`
+}
+
+// ExitStats count the ensemble plans a server computed — misses finished
+// here, not hits, not plans fetched from a peer — by the candidate each
+// plan came from (resharding.Plan.Report): Naive, LoadBalanceOnly, the
+// witness, GreedyRandomized or the DFS. Unproven counts those that ended
+// above the makespan floor; DFSNodes and GreedyTrials sum what their
+// searches spent.
+type ExitStats struct {
+	Naive        int64 `json:"naive"`
+	LPT          int64 `json:"lpt"`
+	Witness      int64 `json:"witness"`
+	Greedy       int64 `json:"greedy"`
+	DFS          int64 `json:"dfs"`
+	Unproven     int64 `json:"unproven"`
+	DFSNodes     int64 `json:"dfs_nodes"`
+	GreedyTrials int64 `json:"greedy_trials"`
 }
 
 // MaxFaultEntries bounds one request's explicit fault list: like every

@@ -70,6 +70,7 @@ import (
 	"alpacomm/internal/mesh"
 	"alpacomm/internal/percpu"
 	"alpacomm/internal/resharding"
+	"alpacomm/internal/schedule"
 	"alpacomm/internal/sharding"
 )
 
@@ -158,6 +159,8 @@ type Server struct {
 	// ClusterNodeStats (RoutedLocal is every other miss led here).
 	routedProxyC   atomic.Int64
 	proxyFallbackC atomic.Int64
+	// exitC counts the plans computed here by how their ensemble ended.
+	exitC exitCounters
 }
 
 // New builds a Server from the config (see Config for defaults).
@@ -352,6 +355,38 @@ func (sc *stripedCounters) snapshot() EndpointStats {
 	return st
 }
 
+// exitCounters count plans by the candidate their ensemble ended at
+// (schedule.Report), on the miss path only: a hit touches none of them.
+type exitCounters struct {
+	exits                            [schedule.NumExits]atomic.Int64
+	unproven, dfsNodes, greedyTrials atomic.Int64
+}
+
+func (c *exitCounters) count(r *schedule.Report) {
+	if r.Exit == schedule.ExitNone {
+		return
+	}
+	c.exits[r.Exit].Add(1)
+	if !r.Proven {
+		c.unproven.Add(1)
+	}
+	c.dfsNodes.Add(int64(r.DFSNodes))
+	c.greedyTrials.Add(int64(r.GreedyTrials))
+}
+
+func (c *exitCounters) snapshot() ExitStats {
+	return ExitStats{
+		Naive:        c.exits[schedule.ExitNaive].Load(),
+		LPT:          c.exits[schedule.ExitLPT].Load(),
+		Witness:      c.exits[schedule.ExitWitness].Load(),
+		Greedy:       c.exits[schedule.ExitGreedy].Load(),
+		DFS:          c.exits[schedule.ExitDFS].Load(),
+		Unproven:     c.unproven.Load(),
+		DFSNodes:     c.dfsNodes.Load(),
+		GreedyTrials: c.greedyTrials.Load(),
+	}
+}
+
 // maxCachedTopologies bounds the topology memo: the parameters are
 // client-controlled, so a parameter sweep must not grow server memory
 // without bound. Beyond the cap, topologies are built per request.
@@ -481,6 +516,7 @@ func (s *Server) computePlan(ctx context.Context, cacheKey string, task *shardin
 			if plan, sim, err = s.planner.PlanDraft(ctx, cacheKey, d, fromKey, fromTask); err != nil {
 				return nil, err
 			}
+			s.exitC.count(&plan.Report)
 		}
 		enc, err := newEncodedPlan(plan, sim, opts, cacheKey)
 		if err != nil {
@@ -620,6 +656,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Batch:         s.batchC.snapshot(),
 		Topologies:    s.reg.Names(),
 		Replan:        s.planner.ReplanStats(),
+		Exits:         s.exitC.snapshot(),
 	}
 	if s.router != nil {
 		cs := s.router.Info()

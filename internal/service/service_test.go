@@ -10,6 +10,7 @@ import (
 
 	"alpacomm/internal/mesh"
 	"alpacomm/internal/resharding"
+	"alpacomm/internal/schedule"
 	"alpacomm/internal/sharding"
 	"alpacomm/internal/tensor"
 )
@@ -570,5 +571,59 @@ func BenchmarkServedPlanDistinct(b *testing.B) {
 		if _, err := client.PlanV2(context.Background(), testReq(int64(i+1))); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestExitStatsCountMisses: /v2/stats counts each plan computed here by the
+// candidate its ensemble ended at — the exit resharding reports for the
+// same problem — and a hit counts nothing.
+func TestExitStatsCountMisses(t *testing.T) {
+	_, client := newTestServer(t, Config{})
+	ctx := context.Background()
+	want := ExitStats{}
+	for _, req := range []*PlanRequest{testReq(1), searchedReq(t, 2)} {
+		task, opts, _, err := New(Config{}).ParsePlanRequest(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := resharding.NewPlan(task, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := plan.Report
+		switch r.Exit {
+		case schedule.ExitNaive:
+			want.Naive++
+		case schedule.ExitLPT:
+			want.LPT++
+		case schedule.ExitWitness:
+			want.Witness++
+		case schedule.ExitGreedy:
+			want.Greedy++
+		case schedule.ExitDFS:
+			want.DFS++
+		default:
+			t.Fatalf("ensemble plan reports exit %v", r.Exit)
+		}
+		if !r.Proven {
+			want.Unproven++
+		}
+		want.DFSNodes += int64(r.DFSNodes)
+		want.GreedyTrials += int64(r.GreedyTrials)
+		for i := 0; i < 2; i++ { // a miss, then a hit
+			if _, err := client.PlanV2(ctx, req); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	stats, err := client.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Exits != want {
+		t.Fatalf("exit counters %+v, want %+v", stats.Exits, want)
+	}
+	if want.Naive+want.LPT+want.Witness == 2 {
+		t.Fatal("both fixtures end in ClosedForm: the searched one no longer searches")
 	}
 }
