@@ -57,5 +57,6 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzEnsembleMatchesReference -fuzztime 10s ./internal/schedule
 	$(GO) test -run xxx -fuzz FuzzDFSMatchesReference -fuzztime 10s ./internal/schedule
 	$(GO) test -run xxx -fuzz FuzzClosedFormMatchesBruteForce -fuzztime 10s ./internal/schedule
+	$(GO) test -run xxx -fuzz FuzzTargetMatchesReference -fuzztime 10s ./internal/schedule
 	$(GO) test -run xxx -fuzz FuzzBinaryDecode -fuzztime 10s ./internal/service
 	$(GO) test -run xxx -fuzz FuzzPlanRequestV2 -fuzztime 10s ./internal/service

@@ -2,9 +2,11 @@ package schedule
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -426,9 +428,24 @@ func TestDFSCancellationMatchesNodeBudget(t *testing.T) {
 
 // referenceEnsembleNodes mirrors the production ensemble exactly but with
 // the pre-refactor references as its searching components: same candidate
-// set (the witness in its place after LPT), same order, same tie-breaking.
+// set (the witness in its place after LPT, the target search after it),
+// same order, same tie-breaking. The target search is the production one
+// under targetNodes: referenceTargetSearch, which it is held to by
+// TestTargetMatchesReference and FuzzTargetMatchesReference, could not
+// stop where a budget counted in the production search's nodes does.
 func referenceEnsembleNodes(tasks []Task, dfsNodes, trials int, rng *rand.Rand) Plan {
-	candidates := append(closedFormCandidates(tasks), referenceGreedyRandomized(tasks, trials, rng))
+	return referenceEnsembleBudgets(tasks, targetNodes, dfsNodes, trials, rng)
+}
+
+// referenceEnsembleBudgets is referenceEnsembleNodes with the target
+// search's budget given: 1 cuts it at its root, as a search that spent its
+// budget is cut, and the ensemble goes on as it did before there was one.
+func referenceEnsembleBudgets(tasks []Task, targetBudget, dfsNodes, trials int, rng *rand.Rand) Plan {
+	candidates := closedFormCandidates(tasks)
+	if p, found, _ := targetSearch(tasks, provenBound(tasks), targetBudget, true); found {
+		candidates = append(candidates, p)
+	}
+	candidates = append(candidates, referenceGreedyRandomized(tasks, trials, rng))
 	if len(tasks) <= 20 {
 		candidates = append(candidates, referenceDFSNodes(tasks, dfsNodes))
 	}
@@ -585,4 +602,108 @@ func referenceGreedyRandomized(tasks []Task, trials int, rng *rand.Rand) Plan {
 		remaining, rest = rest, remaining
 	}
 	return p
+}
+
+// referenceTargetSearch is the target search as plain recursion: no
+// frontier rows, no dominance table, no running loads. It takes the tasks
+// longest first, stably, and a node tries every unscheduled task in that
+// order but one whose shape (rendered senders, receivers and duration) an
+// earlier one at the node had, and each of its candidate senders; it prunes a task that would finish past bound, and a
+// launch after which a host side it occupies comes free too late to run
+// the rest of its serial load by bound (within targetSlack), that load
+// summed afresh over the unscheduled tasks. It returns the first complete
+// schedule at or under bound it reaches, and exhausted when it spent
+// maxNodes nodes without one.
+func referenceTargetSearch(tasks []Task, bound float64, maxNodes int) (best Plan, found, exhausted bool) {
+	tasks = slices.Clone(tasks)
+	sort.SliceStable(tasks, func(a, b int) bool { return tasks[a].Duration > tasks[b].Duration })
+	n := len(tasks)
+	used := make([]bool, n)
+	order := make([]int, 0, n)
+	sender := map[int]int{}
+	sendFree, recvFree := map[int]float64{}, map[int]float64{}
+	nodes := 0
+	slack := bound * (1 + targetSlack)
+	shapes := make([]string, n)
+	for i := range tasks {
+		shapes[i] = fmt.Sprint(tasks[i].SenderHosts, tasks[i].ReceiverHosts, tasks[i].Duration)
+	}
+	// left is what is still to run of a side's serial load: every task
+	// naming receiver host h (recv), or forced to send from h (send).
+	left := func(h int, recv bool) float64 {
+		sum := 0.0
+		for i := range tasks {
+			if used[i] {
+				continue
+			}
+			if recv && slices.Contains(tasks[i].ReceiverHosts, h) {
+				sum += tasks[i].Duration
+			}
+			if s, ok := forcedSender(&tasks[i]); !recv && ok && s == h {
+				sum += tasks[i].Duration
+			}
+		}
+		return sum
+	}
+	var dfs func(span float64)
+	dfs = func(span float64) {
+		if found || exhausted {
+			return
+		}
+		if nodes++; nodes > maxNodes {
+			exhausted = true
+			return
+		}
+		if len(order) == n {
+			best, found = Plan{Sender: maps.Clone(sender), Order: slices.Clone(order)}, true
+			return
+		}
+		tried := map[string]bool{}
+		for i := range tasks {
+			t := &tasks[i]
+			if used[i] || tried[shapes[i]] {
+				continue
+			}
+			tried[shapes[i]] = true
+			for _, snd := range t.SenderHosts {
+				start := sendFree[snd]
+				for _, r := range t.ReceiverHosts {
+					start = max(start, recvFree[r])
+				}
+				finish := start + t.Duration
+				if finish > bound {
+					continue
+				}
+				used[i] = true
+				overloaded := finish+left(snd, false) > slack
+				for _, r := range t.ReceiverHosts {
+					overloaded = overloaded || finish+left(r, true) > slack
+				}
+				if overloaded {
+					used[i] = false
+					continue
+				}
+				oldSend, oldRecv := sendFree[snd], make([]float64, len(t.ReceiverHosts))
+				sendFree[snd] = finish
+				for j, r := range t.ReceiverHosts {
+					oldRecv[j], recvFree[r] = recvFree[r], finish
+				}
+				order = append(order, t.ID)
+				sender[t.ID] = snd
+				dfs(max(span, finish))
+				delete(sender, t.ID)
+				order = order[:len(order)-1]
+				for j := len(t.ReceiverHosts) - 1; j >= 0; j-- {
+					recvFree[t.ReceiverHosts[j]] = oldRecv[j]
+				}
+				sendFree[snd] = oldSend
+				used[i] = false
+				if found || exhausted {
+					return
+				}
+			}
+		}
+	}
+	dfs(0)
+	return best, found, exhausted
 }

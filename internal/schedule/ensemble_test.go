@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,12 +9,14 @@ import (
 
 // Where the candidate loop ends: the first candidate whose offer leaves the
 // incumbent at provenBound (ClosedForm's Naive, LPT and witness, then
-// Search's) — the DFS proving its own incumbent included — or
-// exitNone when even the search ends above it.
+// Search's: the target search, GreedyRandomized and the DFS) — the DFS
+// proving its own incumbent included — or exitNone when even the search
+// ends above it.
 const (
 	exitNaive  = "Naive"
 	exitLPT    = "LoadBalanceOnly"
 	exitWit    = "witness"
+	exitTarget = "target"
 	exitGreedy = "GreedyRandomized"
 	exitDFS    = "DFSPruningNodesStop"
 	exitNone   = "none"
@@ -53,11 +56,14 @@ func closedFormCandidates(tasks []Task) []Plan {
 }
 
 // ensembleExit works out the exit from the definitions, building every
-// candidate eagerly, the DFS as the reference search under dfsNodes.
-func ensembleExit(t *testing.T, tasks []Task, trials int, seed int64, dfsNodes int) string {
+// candidate eagerly, the target search under targetBudget nodes (see
+// referenceEnsembleBudgets) and the DFS as the reference search under
+// dfsNodes.
+func ensembleExit(t *testing.T, tasks []Task, trials int, seed int64, targetBudget, dfsNodes int) string {
 	t.Helper()
 	pb := provenBound(tasks)
 	w, _, witness := witnessPlan(tasks)
+	target, found, _ := targetSearch(tasks, pb, targetBudget, true)
 	switch {
 	case mustMakespan(t, tasks, Naive(tasks)) <= pb:
 		return exitNaive
@@ -65,6 +71,8 @@ func ensembleExit(t *testing.T, tasks []Task, trials int, seed int64, dfsNodes i
 		return exitLPT
 	case witness && mustMakespan(t, tasks, w) <= pb:
 		return exitWit
+	case found && mustMakespan(t, tasks, target) <= pb:
+		return exitTarget
 	case mustMakespan(t, tasks, GreedyRandomized(tasks, trials, rand.New(rand.NewSource(seed)))) <= pb:
 		return exitGreedy
 	case len(tasks) <= 20 && mustMakespan(t, tasks, referenceDFSNodes(tasks, dfsNodes)) <= pb:
@@ -85,10 +93,12 @@ func receiverOnlyBound(tasks []Task) float64 {
 }
 
 // ensembleFamily generates instances that all leave the candidate loop at
-// one exit.
+// one exit, and at another (cutExit) when the target search is cut at its
+// root, as one that spent its budget is: there the loop goes on to
+// GreedyRandomized and the DFS as it did before it had a target search.
 type ensembleFamily struct {
-	name string
-	exit string
+	name          string
+	exit, cutExit string
 	// senderBound: the exit is proven by a forced-sender load alone — the
 	// receiver loads stay below every schedule.
 	senderBound bool
@@ -99,7 +109,7 @@ var ensembleFamilies = []ensembleFamily{
 	{
 		// Everything lands on one receiver host with one duration: any order
 		// is optimal and the host's sum is exact.
-		name: "one receiver", exit: exitNaive,
+		name: "one receiver", exit: exitNaive, cutExit: exitNaive,
 		gen: func(rng *rand.Rand) []Task {
 			d := float64(1+rng.Intn(40)) / 7
 			tasks := make([]Task, 2+rng.Intn(8))
@@ -117,7 +127,7 @@ var ensembleFamilies = []ensembleFamily{
 		// Two receiver hosts alternate and both senders are candidates
 		// everywhere: Naive sends it all from host 0 and takes twice the
 		// bound, LPT alternates the senders and meets it.
-		name: "alternating receivers", exit: exitLPT,
+		name: "alternating receivers", exit: exitLPT, cutExit: exitLPT,
 		gen: func(rng *rand.Rand) []Task {
 			d := float64(1 + rng.Intn(9))
 			tasks := make([]Task, 2*(2+rng.Intn(4)))
@@ -132,15 +142,16 @@ var ensembleFamilies = []ensembleFamily{
 		// receiver host fed by two forced senders, 16 to 64 tasks, Naive
 		// and LPT an ulp or so above the floor. The witness launches
 		// everything in the order the floor's DP reached it by.
-		name: "two forced senders, one receiver", exit: exitWit,
+		name: "two forced senders, one receiver", exit: exitWit, cutExit: exitWit,
 		gen: func(rng *rand.Rand) []Task { return twoSenderResidueInstance(rng, 16, 64) },
 	},
 	{
 		// The four sender-receiver pairings of two forced senders and two
 		// receivers, in an ID order that makes neighbours collide: Naive and
 		// LPT (the same plan here) leave a gap, while batches of two
-		// non-conflicting tasks fill both hosts all the time.
-		name: "colliding pairs", exit: exitGreedy,
+		// non-conflicting tasks fill both hosts all the time, and so does
+		// the target search.
+		name: "colliding pairs", exit: exitTarget, cutExit: exitGreedy,
 		gen: func(rng *rand.Rand) []Task {
 			d := float64(1+rng.Intn(40)) / 7
 			tasks := make([]Task, 4*(2+rng.Intn(3)))
@@ -153,7 +164,7 @@ var ensembleFamilies = []ensembleFamily{
 	{
 		// One host must send everything, each task to a receiver of its own:
 		// the send side serializes them and no receiver load says so.
-		name: "one forced sender", exit: exitNaive, senderBound: true,
+		name: "one forced sender", exit: exitNaive, cutExit: exitNaive, senderBound: true,
 		gen: func(rng *rand.Rand) []Task {
 			d := float64(1+rng.Intn(40)) / 7
 			tasks := make([]Task, 2+rng.Intn(8))
@@ -175,8 +186,9 @@ var ensembleFamilies = []ensembleFamily{
 		// launch the long task first and leave host 2 idle until 10 is
 		// free. GreedyRandomized's widest first batch is the long task and
 		// the one to 11 and 12; its next takes the wider of the other two,
-		// the one to 10, which waits for the long task too.
-		name: "idle forced sender", exit: exitDFS,
+		// the one to 10, which waits for the long task too. The DFS, and the
+		// target search before it, find the order.
+		name: "idle forced sender", exit: exitTarget, cutExit: exitDFS,
 		gen: func(rng *rand.Rand) []Task {
 			d := float64(2 + rng.Intn(20))
 			long := d + float64(1+rng.Intn(int(d)))
@@ -193,7 +205,7 @@ var ensembleFamilies = []ensembleFamily{
 		// each other one, plus independent fillers: the three run one after
 		// another, while every load holds only two of them. No schedule meets
 		// the floor.
-		name: "receiver triangle", exit: exitNone,
+		name: "receiver triangle", exit: exitNone, cutExit: exitNone,
 		gen: func(rng *rand.Rand) []Task {
 			tasks := []Task{
 				{ID: 0, SenderHosts: []int{0}, ReceiverHosts: []int{10, 11}},
@@ -252,61 +264,95 @@ func twoSenderResidueInstance(rng *rand.Rand, minTasks, maxTasks int) []Task {
 	panic("no two-sender instance leaves Naive and LPT off the floor in 1000 draws")
 }
 
-// TestEnsembleFamiliesExitWhereIntended holds each family to its exit and
-// the candidate loop to its laziness: nothing is built after the exit — the
-// DFS is not called, and an exit before the trials leaves the rng where a
-// fresh source starts — and a search that meets the floor returns it.
+// reportExits are the exits Incumbent.Report names, by the exit a family is
+// meant for: the candidate that met the floor.
+var reportExits = map[string]Exit{
+	exitNaive: ExitNaive, exitLPT: ExitLPT, exitWit: ExitWitness,
+	exitTarget: ExitTarget, exitGreedy: ExitGreedy, exitDFS: ExitDFS,
+}
+
+// TestEnsembleFamiliesExitWhereIntended holds each family to its exit — and
+// to its cut exit with the target search cut at its root — and the
+// candidate loop to its laziness: nothing is built after the exit — the
+// target search and the DFS are not called, and an exit before the trials
+// leaves the rng where a fresh source starts — and a search that meets the
+// floor returns it. The report names the exit and counts what ran.
 func TestEnsembleFamiliesExitWhereIntended(t *testing.T) {
 	const trials = 16
 	reached := map[string]bool{}
 	for _, fam := range ensembleFamilies {
-		reached[fam.exit] = true
+		reached[fam.exit], reached[fam.cutExit] = true, true
 	}
-	for _, exit := range []string{exitNaive, exitLPT, exitWit, exitGreedy, exitDFS, exitNone} {
+	for _, exit := range []string{exitNaive, exitLPT, exitWit, exitTarget, exitGreedy, exitDFS, exitNone} {
 		if !reached[exit] {
 			t.Errorf("no family leaves the candidate loop at %s", exit)
 		}
 	}
 	for _, fam := range ensembleFamilies {
-		rng := rand.New(rand.NewSource(77))
-		for trial := 0; trial < 12; trial++ {
-			tasks := fam.gen(rng)
-			seed := int64(trial)*31 + 5
-			if got := ensembleExit(t, tasks, trials, seed, 2000); got != fam.exit {
-				t.Fatalf("%s trial %d: candidate loop exits at %s, family is meant for %s\ntasks: %+v", fam.name, trial, got, fam.exit, tasks)
-			}
-			if fam.senderBound {
-				if naive, rb := mustMakespan(t, tasks, Naive(tasks)), receiverOnlyBound(tasks); naive <= rb {
-					t.Fatalf("%s trial %d: receiver loads alone (%v) already prove Naive (%v)", fam.name, trial, rb, naive)
-				}
-			}
-			searches := 0
-			dfs := func(tk []Task, lpt lptSeed) (Plan, int) { searches++; return dfsPruningCounted(tk, 2000, nil, &lpt) }
-			src := rand.New(rand.NewSource(seed))
-			in := ClosedForm(tasks)
-			if proven := fam.exit == exitNaive || fam.exit == exitLPT || fam.exit == exitWit; in.Proven() != proven {
-				t.Fatalf("%s trial %d: ClosedForm proven = %v on an instance that exits at %s", fam.name, trial, in.Proven(), fam.exit)
-			}
-			got := in.search(dfs, trials, src)
-			if want := referenceEnsembleNodes(tasks, 2000, trials, rand.New(rand.NewSource(seed))); !samePlan(got, want) {
-				t.Fatalf("%s trial %d: ensemble diverged from reference\n got: %+v\nwant: %+v", fam.name, trial, got, want)
-			}
-			wantSearches := 0
-			if fam.exit == exitDFS || fam.exit == exitNone {
-				wantSearches = 1
-			}
-			if span := mustMakespan(t, tasks, got); (span <= provenBound(tasks)) != (fam.exit != exitNone) {
-				t.Fatalf("%s trial %d: the ensemble returned makespan %v against floor %v on an instance that exits at %s", fam.name, trial, span, provenBound(tasks), fam.exit)
-			}
-			if searches != wantSearches {
-				t.Fatalf("%s trial %d: DFS ran %d times on an instance that exits at %s", fam.name, trial, searches, fam.exit)
-			}
-			if fam.exit == exitNaive || fam.exit == exitLPT || fam.exit == exitWit {
-				if next, fresh := src.Int63(), rand.New(rand.NewSource(seed)).Int63(); next != fresh {
-					t.Fatalf("%s trial %d: rng was drawn from before an exit at %s", fam.name, trial, fam.exit)
-				}
+		for _, run := range []struct {
+			targetBudget int
+			exit         string
+		}{{targetNodes, fam.exit}, {1, fam.cutExit}} {
+			rng := rand.New(rand.NewSource(77))
+			for trial := 0; trial < 12; trial++ {
+				tasks := fam.gen(rng)
+				seed := int64(trial)*31 + 5
+				name := fmt.Sprintf("%s (target budget %d) trial %d", fam.name, run.targetBudget, trial)
+				checkFamilyExit(t, name, tasks, fam.senderBound, run.targetBudget, run.exit, trials, seed)
 			}
 		}
+	}
+}
+
+// checkFamilyExit runs one instance's candidate loop with the target search
+// under targetBudget nodes and holds it to exit (see
+// TestEnsembleFamiliesExitWhereIntended).
+func checkFamilyExit(t *testing.T, name string, tasks []Task, senderBound bool, targetBudget int, exit string, trials int, seed int64) {
+	t.Helper()
+	if got := ensembleExit(t, tasks, trials, seed, targetBudget, 2000); got != exit {
+		t.Fatalf("%s: candidate loop exits at %s, family is meant for %s\ntasks: %+v", name, got, exit, tasks)
+	}
+	if senderBound {
+		if naive, rb := mustMakespan(t, tasks, Naive(tasks)), receiverOnlyBound(tasks); naive <= rb {
+			t.Fatalf("%s: receiver loads alone (%v) already prove Naive (%v)", name, rb, naive)
+		}
+	}
+	searches := 0
+	dfs := func(tk []Task, lpt lptSeed) (Plan, int) { searches++; return dfsPruningCounted(tk, 2000, nil, &lpt) }
+	src := rand.New(rand.NewSource(seed))
+	in := ClosedForm(tasks)
+	closed := exit == exitNaive || exit == exitLPT || exit == exitWit
+	if in.Proven() != closed {
+		t.Fatalf("%s: ClosedForm proven = %v on an instance that exits at %s", name, in.Proven(), exit)
+	}
+	got := in.search(targetBudget, dfs, trials, src)
+	if want := referenceEnsembleBudgets(tasks, targetBudget, 2000, trials, rand.New(rand.NewSource(seed))); !samePlan(got, want) {
+		t.Fatalf("%s: ensemble diverged from reference\n got: %+v\nwant: %+v", name, got, want)
+	}
+	wantTargets, wantSearches := 1, 0
+	if closed {
+		wantTargets = 0
+	}
+	if exit == exitDFS || exit == exitNone {
+		wantSearches = 1
+	}
+	if span := mustMakespan(t, tasks, got); (span <= provenBound(tasks)) != (exit != exitNone) {
+		t.Fatalf("%s: the ensemble returned makespan %v against floor %v on an instance that exits at %s", name, span, provenBound(tasks), exit)
+	}
+	if searches != wantSearches {
+		t.Fatalf("%s: DFS ran %d times on an instance that exits at %s", name, searches, exit)
+	}
+	if closed || exit == exitTarget {
+		if next, fresh := src.Int63(), rand.New(rand.NewSource(seed)).Int63(); next != fresh {
+			t.Fatalf("%s: rng was drawn from before an exit at %s", name, exit)
+		}
+	}
+	r := in.Report()
+	if r.Proven != (exit != exitNone) || exit != exitNone && r.Exit != reportExits[exit] {
+		t.Fatalf("%s: report %+v on an instance that exits at %s", name, r, exit)
+	}
+	if (r.TargetNodes > 0) != (wantTargets > 0) || (r.DFSNodes > 0) != (wantSearches > 0) || (r.GreedyTrials > 0) != !(closed || exit == exitTarget) {
+		t.Fatalf("%s: report %+v counts work that did not run, or not work that did, on an instance that exits at %s", name, r, exit)
 	}
 }
 
@@ -361,7 +407,7 @@ func TestEnsembleKeepsEarlierCandidateOnTie(t *testing.T) {
 	if samePlan(naive, lpt) || mustMakespan(t, tasks, naive) != mustMakespan(t, tasks, lpt) {
 		t.Fatal("instance no longer has Naive and LPT tie as different plans")
 	}
-	if exit := ensembleExit(t, tasks, 4, 1, 1000); exit != exitNone {
+	if exit := ensembleExit(t, tasks, 4, 1, targetNodes, 1000); exit != exitNone {
 		t.Fatalf("candidate loop exits at %s; the tie must be decided by the adoption rule, not the exit", exit)
 	}
 	if got := EnsembleNodesStop(tasks, 1000, 4, rand.New(rand.NewSource(1)), nil); !samePlan(got, naive) {

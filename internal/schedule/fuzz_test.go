@@ -112,9 +112,9 @@ func FuzzDFSMatchesReference(f *testing.F) {
 // together on arbitrary small instances: provenBound stays at or below every
 // schedule there is (enumerated while the instance is small enough), and the
 // candidate loop that stops on it returns the plan of the eager reference —
-// taken in one call or as its two steps, the first of which reports Proven
-// exactly when the eager reference ends at Naive, LoadBalanceOnly or the
-// witness.
+// the target search among its candidates — taken in one call or as its two
+// steps, the first of which reports Proven exactly when the eager reference
+// ends at Naive, LoadBalanceOnly or the witness.
 func FuzzEnsembleMatchesReference(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 0, 0, 1, 0, 0, 1}, uint8(0), int64(1))                            // one sender, one receiver, uniform
 	f.Add([]byte{0, 0, 0x83, 0, 1, 0x85, 0, 2, 0x89, 0, 3, 0x82}, uint8(2), int64(7))       // forced sender, sevenths
@@ -145,7 +145,7 @@ func FuzzEnsembleMatchesReference(f *testing.F) {
 		if !samePlan(got, want) {
 			t.Fatalf("budget %d seed %d: ensemble diverged from reference\n got: %+v\nwant: %+v\ntasks: %+v", budget, seed, got, want, tasks)
 		}
-		if exit := ensembleExit(t, tasks, 4, seed, budget); proven != (exit == exitNaive || exit == exitLPT || exit == exitWit) {
+		if exit := ensembleExit(t, tasks, 4, seed, targetNodes, budget); proven != (exit == exitNaive || exit == exitLPT || exit == exitWit) {
 			t.Fatalf("ClosedForm proven = %v, eager reference exits at %s\ntasks: %+v", proven, exit, tasks)
 		}
 	})
@@ -170,5 +170,60 @@ func FuzzClosedFormMatchesBruteForce(f *testing.F) {
 			t.Skip("no task decoded, or too many schedules to enumerate")
 		}
 		checkFloor(t, tasks)
+	})
+}
+
+// FuzzTargetMatchesReference holds the target search to its definitions on
+// instances of up to 20 tasks with few classes: under an ample budget it
+// finds the same schedule with its dominance table and without it, and the
+// plain recursion (referenceTargetSearch) the same again, wherever that
+// finishes within its budget; a schedule it finds is valid and at or under
+// the floor; under targetNodes it finds that schedule or nothing; and where
+// the instance is small enough to enumerate, it finds one exactly when the
+// optimum meets the floor.
+func FuzzTargetMatchesReference(f *testing.F) {
+	f.Add([]byte{1, 0x0c, 0, 0x83, 0x0c, 1, 0x85, 0x0c, 0x0d, 0x0c, 0x0d, 0x0c})                // two classes of 12 and 8, interleaved runs
+	f.Add([]byte{2, 0x0c, 0, 3, 0x0c, 1, 3, 0, 2, 0x89, 0x0d, 0x0e, 0x0c, 0x0d, 0x0e})          // a choice of sender beside a forced one, 20 tasks
+	f.Add([]byte{3, 4, 0x05, 5, 0, 0x15, 4, 1, 1, 2, 0x0c, 0x3a, 0x90, 0xff, 0xe4, 0x1b})       // two of four shapes, repeated hosts
+	f.Add([]byte{2, 0x0c, 0, 0x83, 0x0c, 0x14, 0x85, 1, 1, 0x89, 0x00, 0x01, 0x02, 0x01, 0x00}) // 5 tasks: enumerated
+	f.Add([]byte{3, 0, 4, 0x44, 1, 4, 0x42, 0, 5, 0x43, 1, 5, 0x44, 0x0c, 0x0d, 0x0e, 0x0f})    // two forced senders to two receivers, 3.93216e-06 multiples
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tasks := fuzzClassTasks(data)
+		if len(tasks) == 0 {
+			t.Skip("no task decoded")
+		}
+		pb := provenBound(tasks)
+		// Past 2^18 nodes the search without its table is left out, as the
+		// reference is past 2^16.
+		with, found, nodes := targetSearch(tasks, pb, ampleNodes, true)
+		if nodes > ampleNodes {
+			t.Skip("the target search outgrew an ample budget: nothing to compare")
+		}
+		without, foundWithout, nodesWithout := targetSearch(tasks, pb, 1<<18, false)
+		if nodesWithout > 1<<18 {
+			without, foundWithout = with, found
+		}
+		if found != foundWithout || found && !samePlan(with, without) {
+			t.Fatalf("with the table: %v %+v; without: %v %+v\ntasks: %+v", found, with, foundWithout, without, tasks)
+		}
+		if found {
+			if err := Validate(tasks, with); err != nil {
+				t.Fatal(err)
+			}
+			if span := mustMakespan(t, tasks, with); span > pb {
+				t.Fatalf("makespan %v above the floor %v\ntasks: %+v", span, pb, tasks)
+			}
+		}
+		if p, ok, _ := targetSearch(tasks, pb, targetNodes, true); ok && !samePlan(p, with) {
+			t.Fatalf("under targetNodes the search found %+v, under an ample budget %+v\ntasks: %+v", p, with, tasks)
+		}
+		if ref, refFound, exhausted := referenceTargetSearch(tasks, pb, 1<<16); !exhausted && (refFound != found || found && !samePlan(ref, with)) {
+			t.Fatalf("target search: %v %+v; reference: %v %+v\ntasks: %+v", found, with, refFound, ref, tasks)
+		}
+		if scheduleCount(tasks) <= 50_000 {
+			if opt := bruteForceOptimal(t, tasks); found != (opt <= pb) {
+				t.Fatalf("target search found %v, brute-force optimum %v against floor %v\ntasks: %+v", found, opt, pb, tasks)
+			}
+		}
 	})
 }

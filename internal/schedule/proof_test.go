@@ -218,9 +218,10 @@ func leastChainByEnumeration(ds []float64) float64 {
 // the witness and GreedyEnsemble to the same oracle: the witness is valid,
 // launches a load whose least chain by enumeration is the floor first and
 // in an order that reaches that chain, never evaluates below the floor, and
-// is a brute-force optimum wherever it meets it; GreedyEnsemble is no worse
-// than ClosedForm's incumbent, and a brute-force optimum wherever it meets
-// the floor. It returns the floor, the shrunk floor and whether ClosedForm
+// is a brute-force optimum wherever it meets it; the target search finds a
+// schedule exactly where one meets the floor (checkTarget); GreedyEnsemble
+// is no worse than ClosedForm's incumbent, and a brute-force optimum
+// wherever it meets the floor. It returns the floor, the shrunk floor and whether ClosedForm
 // proved its incumbent.
 func checkFloor(t *testing.T, tasks []Task) (pb, shrunk float64, proven bool) {
 	t.Helper()
@@ -243,6 +244,11 @@ func checkFloor(t *testing.T, tasks []Task) (pb, shrunk float64, proven bool) {
 		}
 		opt = min(opt, span)
 	})
+	// The target search finds a schedule exactly when one meets the floor —
+	// the one the plain recursion finds, with or without its table.
+	if found := checkTarget(t, tasks); found != (opt <= pb) {
+		t.Fatalf("the target search found a schedule: %v; brute-force optimum %v, floor %v\ntasks: %+v", found, opt, pb, tasks)
+	}
 	in := ClosedForm(tasks)
 	if in.Proven() {
 		if span := mustMakespan(t, tasks, in.best); span != opt {

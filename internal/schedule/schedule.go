@@ -10,13 +10,17 @@
 // GreedyLoad (the baselines' input-order load balancing, §5.1.2),
 // DFSPruningNodesStop (exhaustive search under a node budget), and
 // GreedyRandomized (iterative maximal non-conflicting batches).
-// EnsembleNodesStop returns the best of Naive, LoadBalanceOnly, the witness,
-// GreedyRandomized and the DFS, which is AlpaComm's configuration ("we run
-// both algorithms and choose the better result", §5.3.1), in two steps:
-// ClosedForm (Naive, then LoadBalanceOnly, then the witness) and, only if
-// that left the optimum unproven, Search. GreedyEnsemble is its search-free
-// counterpart (ClosedForm's three, then GreedyLoad) for a server defending
-// its latency.
+// EnsembleNodesStop returns the best of six candidates, which is AlpaComm's
+// configuration ("we run both algorithms and choose the better result",
+// §5.3.1), offered in this order: Naive, LoadBalanceOnly, the witness (see
+// below), the target search, GreedyRandomized and the DFS. It takes two
+// steps: ClosedForm (the first three) and, only if that left the optimum
+// unproven, Search (the other three). The target search is the DFS in a
+// second mode: it looks only for a schedule that meets the floor, and
+// prunes at the floor rather than at an incumbent (see targetSearch).
+// GreedyEnsemble is the search-free counterpart (ClosedForm's three, then
+// GreedyLoad) for a server defending its latency. Incumbent.Report says how
+// the ensemble ended.
 // Every budget is counted in DFS nodes, never read off a clock, so every
 // plan is a pure function of the tasks, the budgets and the rng.
 //
@@ -33,7 +37,9 @@
 // after it (the randomized trials and their rng draws, the search) are
 // skipped, and so is the rest of a search that reaches it midway. The plan
 // returned is the one building and ranking everything would return, bit for
-// bit.
+// bit. The target search needs the floor to be reachable: it returns a
+// schedule that meets it or nothing, and where it finds one, nothing after
+// it is built.
 //
 // The floor also yields a candidate. Where it is the least chain of a load
 // of unequal durations, the DP that worked that chain out holds a launch
@@ -44,6 +50,7 @@
 package schedule
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
@@ -636,13 +643,13 @@ func bitOf(i int) frontierBit { return frontierBit{i / 64, 1 << (i % 64)} }
 // subtree twice, so a node tries only the first unscheduled member of each
 // class. Members are therefore scheduled in index order, the unscheduled
 // ones of a class are always a suffix of it, and the tasks a node tries are
-// the set bits of one row of ⌈n/64⌉ words. It returns the root's row, and
-// per task the bit of the next member of its class (zero for the last),
-// which takes its place in the row once it is scheduled.
-func symmetryFrontier(tasks []Task) (root []uint64, next []frontierBit) {
+// the set bits of one row of ⌈n/64⌉ words — which also names exactly the
+// tasks scheduled so far. It fills root, zeroed and ⌈n/64⌉ words long, with
+// the root's row, and next, zeroed and one per task, with the bit of the
+// next member of each task's class (zero for the last), which takes its
+// place in the row once it is scheduled.
+func symmetryFrontier(tasks []Task, root []uint64, next []frontierBit) {
 	n := len(tasks)
-	root = make([]uint64, (n+63)/64)
-	next = make([]frontierBit, n)
 	for i := range tasks {
 		b := bitOf(i)
 		root[b.word] |= b.mask
@@ -657,7 +664,6 @@ func symmetryFrontier(tasks []Task) (root []uint64, next []frontierBit) {
 	for _, b := range next {
 		root[b.word] &^= b.mask
 	}
-	return root, next
 }
 
 func sameTaskShape(a, b *Task) bool {
@@ -698,13 +704,26 @@ type taskSlots struct{ senders, receivers []int }
 // denseSlots renumbers the hosts of a problem once and returns every task's
 // slots, all windows of one flat buffer, and the number of hosts.
 func denseSlots(tasks []Task) (slots []taskSlots, hosts int) {
+	var b slotBuffers
+	return b.fill(tasks)
+}
+
+// slotBuffers hold what denseSlots builds, so that a search taken from a
+// pool builds it again in the same memory.
+type slotBuffers struct {
+	slots      []taskSlots
+	hosts, ids []int
+}
+
+// fill is denseSlots into b's buffers, grown as needed.
+func (b *slotBuffers) fill(tasks []Task) ([]taskSlots, int) {
 	total := 0
 	for i := range tasks {
 		total += len(tasks[i].SenderHosts) + len(tasks[i].ReceiverHosts)
 	}
-	buf := make([]int, 0, total)
-	slots = make([]taskSlots, len(tasks))
-	var index hostIndex
+	buf := resized(b.hosts, total)[:0]
+	slots := resized(b.slots, len(tasks))
+	index := hostIndex(b.ids[:0])
 	for i := range tasks {
 		lo := len(buf)
 		for _, h := range tasks[i].SenderHosts {
@@ -716,7 +735,19 @@ func denseSlots(tasks []Task) (slots []taskSlots, hosts int) {
 		}
 		slots[i] = taskSlots{senders: buf[lo:mid:mid], receivers: buf[mid:len(buf):len(buf)]}
 	}
+	b.slots, b.hosts, b.ids = slots, buf, index
 	return slots, len(index)
+}
+
+// resized returns b with length n and every element zero, reusing its
+// memory when it holds n.
+func resized[T any](b []T, n int) []T {
+	if cap(b) < n {
+		return make([]T, n)
+	}
+	b = b[:n]
+	clear(b)
+	return b
 }
 
 // lptSeed is what every search starts from — the LPT plan, its makespan and
@@ -730,11 +761,12 @@ type lptSeed struct {
 
 // dfsPruning runs the search under a budget of maxNodes nodes (at least
 // one), polling stop (when non-nil) every StopStride nodes, and ends early
-// once the incumbent meets provenBound. All scratch state is allocated once
-// up front (dfsSearch): the per-depth frontier rows (the symmetry breaking
-// too: there is no per-node set of tried classes), host state over densely
-// renumbered hosts and the rollback saves, so the search allocates only
-// when it improves on the incumbent plan. A node costs the frontier tasks
+// once the incumbent meets provenBound. All scratch state is sized once up
+// front (dfsSearch, taken from a pool with its buffers): the per-depth
+// frontier rows (the symmetry breaking too: there is no per-node set of
+// tried classes), host state over densely renumbered hosts and the rollback
+// saves, so the search allocates only when it improves on the incumbent
+// plan. A node costs the frontier tasks
 // and senders it branches on, not a scan of every task. A non-nil lpt is
 // the caller's copy of the baseline (the ensemble has built and evaluated
 // it by the time it searches) and spares recomputing it.
@@ -760,28 +792,64 @@ func dfsPruningCounted(tasks []Task, maxNodes int, stop func() bool, lpt *lptSee
 	if lpt.span <= lpt.bound {
 		return lpt.plan, 0
 	}
-
-	n := len(tasks)
-	slots, hosts := denseSlots(tasks)
-	root, next := symmetryFrontier(tasks)
-	maxRecv := 0
-	for i := range tasks {
-		maxRecv = max(maxRecv, len(tasks[i].ReceiverHosts))
-	}
-	free := make([]float64, 2*hosts+n*maxRecv)
-	s := &dfsSearch{
-		tasks: tasks, slots: slots, next: next,
-		words: len(root), rows: make([]uint64, (n+1)*len(root)),
-		order: make([]int, n), pick: make([]int, n),
-		sendFree: free[:hosts], recvFree: free[hosts : 2*hosts],
-		recvSave: free[2*hosts:], maxRecv: maxRecv,
-		maxNodes: max(maxNodes, 1), stop: stop,
-		best: lpt.plan, bestSpan: lpt.span, bound: lpt.bound,
-	}
-	copy(s.rows, root)
+	s := searches.Get().(*dfsSearch)
+	defer searches.Put(s)
+	s.reset(tasks, maxNodes, stop, lpt.bound)
+	s.best, s.bestSpan = lpt.plan, lpt.span
 	s.visit(0, 0)
-	return s.best, s.nodes
+	p, nodes := s.best, s.nodes
+	s.release()
+	return p, nodes
 }
+
+// targetNodes is the target search's node budget. It is a constant, not an
+// option, so that plans stay a pure function of the options they are
+// cached under. The largest target search the benchmark populations run
+// visits about half of it.
+const targetNodes = 8192
+
+// targetSlack widens the floor for the serial-load prune (see
+// dfsSearch.overloads), which adds a load's remaining durations in another
+// order than a schedule chains them: far more than that rounding, and far
+// less than any gap between schedules worth telling apart.
+const targetSlack = 1e-9
+
+// searches hold searches between calls, with their buffers and dominance
+// tables, so that a search allocates little more than the plans it adopts.
+var searches = sync.Pool{New: func() any { return new(dfsSearch) }}
+
+// targetSearch looks for a schedule whose makespan is at most bound (the
+// tasks' provenBound): the DFS in target mode, under a budget of maxNodes
+// nodes. It polls no stop function: its budget is a few StopStride slices
+// at most (targetNodes). It runs the improvement search's visit over the
+// tasks taken longest first (stably: equal durations keep their order), so
+// that the schedule it returns, the first at the floor it reaches, launches
+// long tasks early, as LoadBalanceOnly and GreedyRandomized do. It accepts
+// only a schedule that meets the floor, so it prunes at the floor rather
+// than at an incumbent: a task that would finish past it, a host side whose
+// free time plus its serial load still to run passes it (see overloads),
+// and, with table, a node dominated by one already explored
+// (dominanceTable). It has no cap on the task count: the floor, not the
+// size, bounds its work. found is false when the budget ran out or no
+// schedule meets the floor; nodes is what it visited.
+func targetSearch(tasks []Task, bound float64, maxNodes int, table bool) (p Plan, found bool, nodes int) {
+	if len(tasks) == 0 {
+		return Plan{Sender: map[int]int{}}, true, 0
+	}
+	s := searches.Get().(*dfsSearch)
+	defer searches.Put(s)
+	s.longest = append(s.longest[:0], tasks...)
+	slices.SortStableFunc(s.longest, longerFirst)
+	s.reset(s.longest, maxNodes, nil, bound)
+	s.startTarget(table)
+	s.visit(0, 0)
+	p, found, nodes = s.best, s.bestSpan <= bound, s.nodes
+	s.release()
+	return p, found, nodes
+}
+
+// longerFirst orders tasks by descending duration.
+func longerFirst(a, b Task) int { return cmp.Compare(b.Duration, a.Duration) }
 
 // dfsSearch is one search's state. A node at depth d reads its own rows and
 // writes only depth d+1's, so its state survives its descendants' recursion.
@@ -797,8 +865,9 @@ type dfsSearch struct {
 	// tasks[i].SenderHosts it sends from; both are resolved to IDs and hosts
 	// only when a complete schedule is copied out.
 	order, pick []int
-	// A host's send and receive sides are separate resources (full duplex).
-	sendFree, recvFree []float64
+	// A host's send and receive sides are separate resources (full duplex);
+	// free holds both, send sides first: a node's whole host state.
+	free, sendFree, recvFree []float64
 	// recvSave[d*maxRecv:] holds the pre-commit receiver frees of the branch
 	// taken at depth d.
 	recvSave []float64
@@ -812,11 +881,119 @@ type dfsSearch struct {
 
 	best            Plan
 	bestSpan, bound float64
+
+	// target is the target mode (see targetSearch); the rest of the fields
+	// serve it alone. forced[i] is the host task i must send from, or -1.
+	// sendLoad and recvLoad are the durations still to run of each host
+	// side's serial load: a receive side's every task, a send side's forced
+	// ones. loadSave[d*(1+maxRecv):] holds the loads the branch taken at
+	// depth d changed, its sender's first. slack is the floor the loads are
+	// held to. useTable turns the dominance table on.
+	// longest holds the target search's tasks, longest first.
+	target             bool
+	longest            []Task
+	forced             []int
+	sendLoad, recvLoad []float64
+	loadSave           []float64
+	slack              float64
+	useTable           bool
+	table              dominanceTable
+
+	buffers slotBuffers
+}
+
+// reset sizes the search for tasks, reusing the memory a pooled search
+// already holds, and leaves it in improvement mode with no incumbent.
+func (s *dfsSearch) reset(tasks []Task, maxNodes int, stop func() bool, bound float64) {
+	n := len(tasks)
+	s.tasks = tasks
+	var hosts int
+	s.slots, hosts = s.buffers.fill(tasks)
+	s.words = (n + 63) / 64
+	s.rows = resized(s.rows, (n+1)*s.words)
+	s.next = resized(s.next, n)
+	symmetryFrontier(tasks, s.rows[:s.words], s.next)
+	s.maxRecv = 0
+	for i := range tasks {
+		s.maxRecv = max(s.maxRecv, len(tasks[i].ReceiverHosts))
+	}
+	s.order, s.pick = resized(s.order, n), resized(s.pick, n)
+	s.free = resized(s.free, 2*hosts)
+	s.sendFree, s.recvFree = s.free[:hosts], s.free[hosts:]
+	s.recvSave = resized(s.recvSave, n*s.maxRecv)
+	s.maxNodes, s.stop, s.nodes, s.done = max(maxNodes, 1), stop, 0, false
+	s.best, s.bestSpan, s.bound = Plan{}, math.Inf(1), bound
+	s.target, s.useTable = false, false
+}
+
+// release drops what the search holds of its caller's — the tasks, stop and
+// the plan adopted — so that the pool keeps only buffers.
+func (s *dfsSearch) release() {
+	s.tasks, s.stop, s.best = nil, nil, Plan{}
+	clear(s.longest)
+}
+
+// startTarget puts a reset search in target mode: it accepts a complete
+// schedule only at span <= bound, with the load prune and, if table, the
+// dominance table.
+func (s *dfsSearch) startTarget(table bool) {
+	s.target, s.useTable = true, table
+	// A schedule is adopted only below bestSpan: just above the bound, so
+	// one that meets it is adopted and ends the search.
+	s.bestSpan = math.Nextafter(s.bound, math.Inf(1))
+	s.slack = s.bound * (1 + targetSlack)
+	hosts := len(s.sendFree)
+	s.forced = resized(s.forced, len(s.tasks))
+	s.sendLoad, s.recvLoad = resized(s.sendLoad, hosts), resized(s.recvLoad, hosts)
+	s.loadSave = resized(s.loadSave, len(s.tasks)*(1+s.maxRecv))
+	for i := range s.tasks {
+		d, sl := s.tasks[i].Duration, &s.slots[i]
+		s.forced[i] = sl.senders[0]
+		for _, snd := range sl.senders[1:] {
+			if snd != sl.senders[0] {
+				s.forced[i] = -1
+			}
+		}
+		if s.forced[i] >= 0 {
+			s.sendLoad[s.forced[i]] += d
+		}
+		for j, r := range sl.receivers {
+			if !slices.Contains(sl.receivers[:j], r) {
+				s.recvLoad[r] += d
+			}
+		}
+	}
+	if table {
+		s.table.reset(s.words, len(s.free))
+	}
+}
+
+// overloads reports, in target mode, whether launching task i from host snd
+// to finish at finish leaves a side it occupies unable to run the rest of
+// its serial load by the floor: the side comes free at finish, and the
+// load's other tasks still need their durations after that.
+//
+//alpacomm:hotpath
+func (s *dfsSearch) overloads(i, snd int, finish float64) bool {
+	d, left := s.tasks[i].Duration, s.sendLoad[snd]
+	if s.forced[i] >= 0 {
+		left -= d
+	}
+	if finish+left > s.slack {
+		return true
+	}
+	for _, r := range s.slots[i].receivers {
+		if finish+(s.recvLoad[r]-d) > s.slack {
+			return true
+		}
+	}
+	return false
 }
 
 // visit counts a node and, unless that ends the search or the node cannot
 // beat the incumbent, adopts its schedule if complete or else branches on
-// every frontier task and candidate sender that still could.
+// every frontier task and candidate sender that still could. In target mode
+// a node the dominance table prunes is counted and left.
 //
 //alpacomm:hotpath
 func (s *dfsSearch) visit(depth int, span float64) {
@@ -837,6 +1014,9 @@ func (s *dfsSearch) visit(depth int, span float64) {
 		return
 	}
 	row := s.rows[depth*s.words : (depth+1)*s.words]
+	if s.useTable && depth > 0 && s.table.prunes(row, s.free) {
+		return
+	}
 	child := s.rows[(depth+1)*s.words : (depth+2)*s.words]
 	copy(child, row)
 	save := s.recvSave[depth*s.maxRecv : (depth+1)*s.maxRecv]
@@ -857,7 +1037,7 @@ func (s *dfsSearch) visit(depth int, span float64) {
 				if finish > newSpan {
 					newSpan = finish
 				}
-				if newSpan >= s.bestSpan {
+				if newSpan >= s.bestSpan || s.target && s.overloads(i, snd, finish) {
 					continue
 				}
 				// Commit: task i leaves the frontier, the next member of its
@@ -873,7 +1053,13 @@ func (s *dfsSearch) visit(depth int, span float64) {
 					oldRecv[j] = recvFree[r]
 					recvFree[r] = finish
 				}
+				if s.target {
+					s.takeLoads(depth, i, snd)
+				}
 				s.visit(depth+1, newSpan)
+				if s.target {
+					s.restoreLoads(depth, i, snd)
+				}
 				// Roll back, last write first: a task may list a receiver
 				// twice, and only its first save holds the pre-commit value.
 				sendFree[snd] = oldSend
@@ -889,6 +1075,37 @@ func (s *dfsSearch) visit(depth int, span float64) {
 	}
 }
 
+// takeLoads takes task i, launched at depth from host snd, off the serial
+// loads it is part of: its forced sender's and its receivers', each once.
+//
+//alpacomm:hotpath
+func (s *dfsSearch) takeLoads(depth, i, snd int) {
+	d, receivers := s.tasks[i].Duration, s.slots[i].receivers
+	save := s.loadSave[depth*(1+s.maxRecv):]
+	save[0] = s.sendLoad[snd]
+	if s.forced[i] >= 0 {
+		s.sendLoad[snd] -= d
+	}
+	for j, r := range receivers {
+		save[1+j] = s.recvLoad[r]
+		if !slices.Contains(receivers[:j], r) {
+			s.recvLoad[r] -= d
+		}
+	}
+}
+
+// restoreLoads undoes takeLoads, last write first.
+//
+//alpacomm:hotpath
+func (s *dfsSearch) restoreLoads(depth, i, snd int) {
+	receivers := s.slots[i].receivers
+	save := s.loadSave[depth*(1+s.maxRecv):]
+	for j := len(receivers) - 1; j >= 0; j-- {
+		s.recvLoad[receivers[j]] = save[1+j]
+	}
+	s.sendLoad[snd] = save[0]
+}
+
 // adopt makes the complete schedule on the stack the incumbent and ends the
 // search if it meets the bound.
 func (s *dfsSearch) adopt(span float64) {
@@ -902,6 +1119,110 @@ func (s *dfsSearch) adopt(span float64) {
 	}
 	s.best, s.bestSpan = cp, span
 	s.done = span <= s.bound
+}
+
+// The dominance table's shape: tableBuckets buckets of tableWays entries.
+const (
+	tableWays       = 4
+	tableBucketBits = 10
+	tableBuckets    = 1 << tableBucketBits
+)
+
+// dominanceTable remembers target-mode nodes by their frontier row, which
+// names exactly the tasks scheduled (class members go in index order), and
+// their host state. A node whose row a remembered node shares, with no host
+// side coming free earlier than there, cannot reach the floor: list
+// scheduling's finish times are monotone in its free times, so whatever the
+// node could go on to do the remembered one could do no later — and the
+// remembered node's subtree was explored in full before any other node of
+// its row was visited, without reaching the floor, or the search would have
+// ended. (Its span, the latest free time, is dominated with the rest.) The
+// table is lossy: a bucket holds tableWays nodes, so an entry lost only
+// means less pruning. Entries are stamped with the search that wrote them,
+// so a new search clears nothing but the victim counters.
+type dominanceTable struct {
+	rows   []uint64  // entry e's row at e*words
+	frees  []float64 // entry e's host state at e*stride
+	stamp  []uint32
+	search uint32
+	victim [tableBuckets]uint8
+	words  int
+	stride int
+}
+
+// reset empties the table for rows of words words and host states of
+// stride free times.
+func (t *dominanceTable) reset(words, stride int) {
+	const entries = tableBuckets * tableWays
+	if len(t.stamp) < entries {
+		t.stamp = make([]uint32, entries)
+	}
+	if t.search++; t.search == 0 {
+		clear(t.stamp)
+		t.search = 1
+	}
+	if cap(t.rows) < entries*words {
+		t.rows = make([]uint64, entries*words)
+	}
+	if cap(t.frees) < entries*stride {
+		t.frees = make([]float64, entries*stride)
+	}
+	t.rows, t.frees = t.rows[:entries*words], t.frees[:entries*stride]
+	t.words, t.stride = words, stride
+	// The victim counters decide which entries survive, and so how far a
+	// search gets in its budget: they start over with each search.
+	clear(t.victim[:])
+}
+
+// prunes reports whether a remembered node of the same row dominates free,
+// a host state: no side of it comes free later than free's. Otherwise it
+// remembers the node — in place of one of its row it dominates, else in an
+// unused entry of the bucket, else in the bucket's next victim.
+//
+//alpacomm:hotpath
+func (t *dominanceTable) prunes(row []uint64, free []float64) bool {
+	h := uint64(0)
+	for _, w := range row {
+		h = (h ^ w) * 0x9e3779b97f4a7c15
+	}
+	bucket := int(h >> (64 - tableBucketBits))
+	into := -1
+	for e := bucket * tableWays; e < (bucket+1)*tableWays; e++ {
+		if t.stamp[e] != t.search {
+			if into < 0 {
+				into = e
+			}
+			continue
+		}
+		if !slices.Equal(t.rows[e*t.words:(e+1)*t.words], row) {
+			continue
+		}
+		kept := t.frees[e*t.stride : (e+1)*t.stride]
+		if noLater(kept, free) {
+			return true
+		}
+		if noLater(free, kept) && (into < 0 || t.stamp[into] != t.search) {
+			into = e
+		}
+	}
+	if into < 0 {
+		into = bucket*tableWays + int(t.victim[bucket])
+		t.victim[bucket] = (t.victim[bucket] + 1) % tableWays
+	}
+	copy(t.rows[into*t.words:], row)
+	copy(t.frees[into*t.stride:(into+1)*t.stride], free)
+	t.stamp[into] = t.search
+	return false
+}
+
+// noLater reports whether every free time of a is at or before b's.
+func noLater(a, b []float64) bool {
+	for k, x := range a {
+		if !(x <= b[k]) {
+			return false
+		}
+	}
+	return true
 }
 
 // GreedyRandomized is the paper's scalable algorithm: repeatedly select a
@@ -1025,15 +1346,16 @@ func greedyRandomized(tasks []Task, trials int, rng *rand.Rand) (p Plan, tried i
 
 // EnsembleNodesStop is AlpaComm's production configuration ("we run both
 // algorithms and choose the better result", §5.3.1): the plan with the
-// smallest makespan among Naive, LoadBalanceOnly, GreedyRandomized and (for
-// small problems) the DFS under a deterministic node budget, ties going to
-// the earlier of them — ClosedForm, then Search on what it left. The
-// candidates are built one at a time and the rest are skipped once one is
-// proven optimal, so rng is drawn from only when neither Naive nor
-// LoadBalanceOnly meets the bound. stop (when non-nil) is polled every
-// StopStride visited states, and a true return makes the DFS yield its
-// incumbent early; the cheap closed-form components are never interrupted,
-// and a stop that never fires does not change the plan.
+// smallest makespan among Naive, LoadBalanceOnly, the witness, the target
+// search, GreedyRandomized and (for small problems) the DFS under a
+// deterministic node budget, ties going to the earlier of them —
+// ClosedForm, then Search on what it left. The candidates are built one at
+// a time and the rest are skipped once one is proven optimal, so rng is
+// drawn from only when none of the first four meets the bound. stop (when
+// non-nil) is polled every StopStride visited states, and a true return
+// makes the DFS yield its incumbent early; the closed-form components and
+// the target search (at most targetNodes nodes) are never interrupted, and
+// a stop that never fires does not change the plan.
 func EnsembleNodesStop(tasks []Task, dfsNodes, trials int, rng *rand.Rand, stop func() bool) Plan {
 	in := ClosedForm(tasks)
 	return in.Search(dfsNodes, trials, rng, stop)
@@ -1096,13 +1418,14 @@ const (
 	ExitNaive
 	ExitLPT
 	ExitWitness
+	ExitTarget
 	ExitGreedy
 	ExitDFS
 	// NumExits counts the values above.
 	NumExits
 )
 
-var exitNames = [NumExits]string{"none", "naive", "lpt", "witness", "greedy", "dfs"}
+var exitNames = [NumExits]string{"none", "naive", "lpt", "witness", "target", "greedy", "dfs"}
 
 func (e Exit) String() string {
 	if e < NumExits {
@@ -1120,10 +1443,11 @@ type Report struct {
 	// Proven reports that Span meets Floor (provenBound): no plan is better.
 	Proven      bool
 	Floor, Span float64
-	// DFSNodes are the nodes the search visited, and GreedyTrials the
-	// random orderings GreedyRandomized tried over all its batches; both are
-	// zero when the ensemble ended before them.
-	DFSNodes, GreedyTrials int
+	// TargetNodes and DFSNodes are the nodes the target search and the
+	// improvement search visited, and GreedyTrials the random orderings
+	// GreedyRandomized tried over all its batches; each is zero when the
+	// ensemble ended before it.
+	TargetNodes, DFSNodes, GreedyTrials int
 }
 
 // Incumbent is the best candidate offered so far — Naive, LoadBalanceOnly
@@ -1153,18 +1477,28 @@ func (in *Incumbent) Report() Report {
 	return r
 }
 
-// Search is the ensemble's second step: GreedyRandomized and the DFS, under
+// Search is the ensemble's second step: the target search (targetSearch,
+// under targetNodes nodes), GreedyRandomized and the improvement DFS, under
 // a budget of dfsNodes nodes (at least one), offered in that order, and it
 // returns the incumbent. Each is built only if everything before it left
 // the optimum unproven — building them all and ranking afterwards returns
 // the same plan (see offer), at the cost of the trials, the search and the
-// rng draws behind a schedule that could not lose.
+// rng draws behind a schedule that could not lose. The target search finds
+// a schedule at the floor or nothing, so where it finds one, nothing after
+// it runs.
 func (in *Incumbent) Search(dfsNodes, trials int, rng *rand.Rand, stop func() bool) Plan {
-	return in.search(func(t []Task, lpt lptSeed) (Plan, int) { return dfsPruningCounted(t, dfsNodes, stop, &lpt) }, trials, rng)
+	return in.search(targetNodes, func(t []Task, lpt lptSeed) (Plan, int) { return dfsPruningCounted(t, dfsNodes, stop, &lpt) }, trials, rng)
 }
 
-func (in *Incumbent) search(dfs func([]Task, lptSeed) (Plan, int), trials int, rng *rand.Rand) Plan {
+// search is Search with the target search's budget given and the DFS
+// supplied by the caller.
+func (in *Incumbent) search(targetBudget int, dfs func([]Task, lptSeed) (Plan, int), trials int, rng *rand.Rand) Plan {
 	if in.proven {
+		return in.best
+	}
+	p, found, nodes := targetSearch(in.tasks, in.bound, targetBudget, true)
+	in.report.TargetNodes = nodes
+	if found && in.offer(p, ExitTarget) {
 		return in.best
 	}
 	greedy, tried := greedyRandomized(in.tasks, trials, rng)

@@ -235,16 +235,18 @@ type StatsResponse struct {
 // ExitStats count the ensemble plans a server computed — misses finished
 // here, not hits, not plans fetched from a peer — by the candidate each
 // plan came from (resharding.Plan.Report): Naive, LoadBalanceOnly, the
-// witness, GreedyRandomized or the DFS. Unproven counts those that ended
-// above the makespan floor; DFSNodes and GreedyTrials sum what their
-// searches spent.
+// witness, the target search, GreedyRandomized or the improvement DFS.
+// Unproven counts those that ended above the makespan floor; TargetNodes,
+// DFSNodes and GreedyTrials sum what their searches spent.
 type ExitStats struct {
 	Naive        int64 `json:"naive"`
 	LPT          int64 `json:"lpt"`
 	Witness      int64 `json:"witness"`
+	Target       int64 `json:"target"`
 	Greedy       int64 `json:"greedy"`
 	DFS          int64 `json:"dfs"`
 	Unproven     int64 `json:"unproven"`
+	TargetNodes  int64 `json:"target_nodes"`
 	DFSNodes     int64 `json:"dfs_nodes"`
 	GreedyTrials int64 `json:"greedy_trials"`
 }

@@ -358,8 +358,8 @@ func (sc *stripedCounters) snapshot() EndpointStats {
 // exitCounters count plans by the candidate their ensemble ended at
 // (schedule.Report), on the miss path only: a hit touches none of them.
 type exitCounters struct {
-	exits                            [schedule.NumExits]atomic.Int64
-	unproven, dfsNodes, greedyTrials atomic.Int64
+	exits                                         [schedule.NumExits]atomic.Int64
+	unproven, targetNodes, dfsNodes, greedyTrials atomic.Int64
 }
 
 func (c *exitCounters) count(r *schedule.Report) {
@@ -370,6 +370,7 @@ func (c *exitCounters) count(r *schedule.Report) {
 	if !r.Proven {
 		c.unproven.Add(1)
 	}
+	c.targetNodes.Add(int64(r.TargetNodes))
 	c.dfsNodes.Add(int64(r.DFSNodes))
 	c.greedyTrials.Add(int64(r.GreedyTrials))
 }
@@ -379,9 +380,11 @@ func (c *exitCounters) snapshot() ExitStats {
 		Naive:        c.exits[schedule.ExitNaive].Load(),
 		LPT:          c.exits[schedule.ExitLPT].Load(),
 		Witness:      c.exits[schedule.ExitWitness].Load(),
+		Target:       c.exits[schedule.ExitTarget].Load(),
 		Greedy:       c.exits[schedule.ExitGreedy].Load(),
 		DFS:          c.exits[schedule.ExitDFS].Load(),
 		Unproven:     c.unproven.Load(),
+		TargetNodes:  c.targetNodes.Load(),
 		DFSNodes:     c.dfsNodes.Load(),
 		GreedyTrials: c.greedyTrials.Load(),
 	}

@@ -598,6 +598,8 @@ func TestExitStatsCountMisses(t *testing.T) {
 			want.LPT++
 		case schedule.ExitWitness:
 			want.Witness++
+		case schedule.ExitTarget:
+			want.Target++
 		case schedule.ExitGreedy:
 			want.Greedy++
 		case schedule.ExitDFS:
@@ -608,6 +610,7 @@ func TestExitStatsCountMisses(t *testing.T) {
 		if !r.Proven {
 			want.Unproven++
 		}
+		want.TargetNodes += int64(r.TargetNodes)
 		want.DFSNodes += int64(r.DFSNodes)
 		want.GreedyTrials += int64(r.GreedyTrials)
 		for i := 0; i < 2; i++ { // a miss, then a hit
