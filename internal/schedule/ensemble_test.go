@@ -318,7 +318,7 @@ func checkFamilyExit(t *testing.T, name string, tasks []Task, senderBound bool, 
 		}
 	}
 	searches := 0
-	dfs := func(tk []Task, lpt lptSeed) (Plan, int) { searches++; return dfsPruningCounted(tk, 2000, nil, &lpt) }
+	dfs := func(tk []Task, lpt lptSeed) (Plan, int) { searches++; return dfsPruning(tk, 2000, nil, &lpt) }
 	src := rand.New(rand.NewSource(seed))
 	in := ClosedForm(tasks)
 	closed := exit == exitNaive || exit == exitLPT || exit == exitWit
@@ -453,7 +453,8 @@ func TestDFSFromEnsembleSeedMatchesOwnSeed(t *testing.T) {
 		seed := lptSeed{plan: LoadBalanceOnly(tasks), bound: provenBound(tasks)}
 		seed.span, seed.err = Makespan(tasks, seed.plan)
 		for _, budget := range []int{1, 13, 500, 20000} {
-			if got, want := dfsPruning(tasks, budget, nil, &seed), dfsPruning(tasks, budget, nil, nil); !samePlan(got, want) {
+			got, _ := dfsPruning(tasks, budget, nil, &seed)
+			if want, _ := dfsPruning(tasks, budget, nil, nil); !samePlan(got, want) {
 				t.Fatalf("trial %d budget %d: seeded search returned %+v, unseeded %+v", trial, budget, got, want)
 			}
 		}

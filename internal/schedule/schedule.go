@@ -625,7 +625,8 @@ const StopStride = 2048
 // a load-bound optimum stops there rather than spending its budget on a
 // floor a few ulps below it.
 func DFSPruningNodesStop(tasks []Task, maxNodes int, stop func() bool) Plan {
-	return dfsPruning(tasks, maxNodes, stop, nil)
+	p, _ := dfsPruning(tasks, maxNodes, stop, nil)
+	return p
 }
 
 // frontierBit is one task's position in a frontier row: word w of the row,
@@ -701,21 +702,15 @@ func (h *hostIndex) dense(host int) int {
 // senders and its receivers, each in task order.
 type taskSlots struct{ senders, receivers []int }
 
-// denseSlots renumbers the hosts of a problem once and returns every task's
-// slots, all windows of one flat buffer, and the number of hosts.
-func denseSlots(tasks []Task) (slots []taskSlots, hosts int) {
-	var b slotBuffers
-	return b.fill(tasks)
-}
-
-// slotBuffers hold what denseSlots builds, so that a search taken from a
-// pool builds it again in the same memory.
+// slotBuffers hold every task's slots, all windows of one flat buffer, so
+// that a search taken from a pool builds them again in the same memory.
 type slotBuffers struct {
 	slots      []taskSlots
 	hosts, ids []int
 }
 
-// fill is denseSlots into b's buffers, grown as needed.
+// fill renumbers the hosts of a problem once into b's buffers, grown as
+// needed, and returns every task's slots and the number of hosts.
 func (b *slotBuffers) fill(tasks []Task) ([]taskSlots, int) {
 	total := 0
 	for i := range tasks {
@@ -766,18 +761,12 @@ type lptSeed struct {
 // frontier rows (the symmetry breaking too: there is no per-node set of
 // tried classes), host state over densely renumbered hosts and the rollback
 // saves, so the search allocates only when it improves on the incumbent
-// plan. A node costs the frontier tasks
-// and senders it branches on, not a scan of every task. A non-nil lpt is
-// the caller's copy of the baseline (the ensemble has built and evaluated
-// it by the time it searches) and spares recomputing it.
-func dfsPruning(tasks []Task, maxNodes int, stop func() bool, lpt *lptSeed) Plan {
-	p, _ := dfsPruningCounted(tasks, maxNodes, stop, lpt)
-	return p
-}
-
-// dfsPruningCounted is dfsPruning, which also returns the nodes it visited:
-// zero when the LPT seed is proven and nothing is searched.
-func dfsPruningCounted(tasks []Task, maxNodes int, stop func() bool, lpt *lptSeed) (Plan, int) {
+// plan. A node costs the frontier tasks and senders it branches on, not a
+// scan of every task. A non-nil lpt is the caller's copy of the baseline
+// (the ensemble has built and evaluated it by the time it searches) and
+// spares recomputing it. It also returns the nodes it visited: zero when
+// the LPT seed is proven and nothing is searched.
+func dfsPruning(tasks []Task, maxNodes int, stop func() bool, lpt *lptSeed) (Plan, int) {
 	if len(tasks) == 0 {
 		return Plan{Sender: map[int]int{}}, 0
 	}
@@ -1248,7 +1237,8 @@ func greedyRandomized(tasks []Task, trials int, rng *rand.Rand) (p Plan, tried i
 		trials = 1
 	}
 	n := len(tasks)
-	slots, slotCount := denseSlots(tasks)
+	var buffers slotBuffers
+	slots, slotCount := buffers.fill(tasks)
 	remaining := make([]int, n)
 	for i := range remaining {
 		remaining[i] = i
@@ -1487,7 +1477,7 @@ func (in *Incumbent) Report() Report {
 // a schedule at the floor or nothing, so where it finds one, nothing after
 // it runs.
 func (in *Incumbent) Search(dfsNodes, trials int, rng *rand.Rand, stop func() bool) Plan {
-	return in.search(targetNodes, func(t []Task, lpt lptSeed) (Plan, int) { return dfsPruningCounted(t, dfsNodes, stop, &lpt) }, trials, rng)
+	return in.search(targetNodes, func(t []Task, lpt lptSeed) (Plan, int) { return dfsPruning(t, dfsNodes, stop, &lpt) }, trials, rng)
 }
 
 // search is Search with the target search's budget given and the DFS

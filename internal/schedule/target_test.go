@@ -3,6 +3,7 @@ package schedule
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -238,4 +239,39 @@ func TestTargetSearchAllocations(t *testing.T) {
 	if n := testing.AllocsPerRun(20, func() { targetSearch(tasks, math.Nextafter(pb, 0), targetNodes, true) }); n != 0 {
 		t.Errorf("a target search under an unreachable floor allocates %v times", n)
 	}
+}
+
+// TestTargetSearchConcurrent: searches run at once each take their own
+// pooled state — buffers, table and its stamps — and return what the same
+// search returns alone.
+func TestTargetSearchConcurrent(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	instances := [][]Task{residueInstance()}
+	for len(instances) < 12 {
+		instances = append(instances, hardDFSInstance(rng))
+	}
+	type result struct {
+		p     Plan
+		found bool
+		nodes int
+	}
+	want := make([]result, len(instances))
+	for i, tasks := range instances {
+		want[i].p, want[i].found, want[i].nodes = targetSearch(tasks, provenBound(tasks), targetNodes, true)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := range instances {
+				i := (k + 3*g) % len(instances)
+				p, found, nodes := targetSearch(instances[i], provenBound(instances[i]), targetNodes, true)
+				if found != want[i].found || nodes != want[i].nodes || !samePlan(p, want[i].p) {
+					t.Errorf("goroutine %d instance %d: %v after %d nodes, alone %v after %d", g, i, found, nodes, want[i].found, want[i].nodes)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
