@@ -794,7 +794,7 @@ func dfsPruning(tasks []Task, maxNodes int, stop func() bool, lpt *lptSeed) (Pla
 // targetNodes is the target search's node budget. It is a constant, not an
 // option, so that plans stay a pure function of the options they are
 // cached under. The largest target search the benchmark populations run
-// visits about half of it.
+// visits about three quarters of it.
 const targetNodes = 8192
 
 // targetSlack widens the floor for the serial-load prune (see
@@ -871,14 +871,14 @@ type dfsSearch struct {
 	best            Plan
 	bestSpan, bound float64
 
-	// target is the target mode (see targetSearch); the rest of the fields
-	// serve it alone. forced[i] is the host task i must send from, or -1.
-	// sendLoad and recvLoad are the durations still to run of each host
-	// side's serial load: a receive side's every task, a send side's forced
-	// ones. loadSave[d*(1+maxRecv):] holds the loads the branch taken at
-	// depth d changed, its sender's first. slack is the floor the loads are
-	// held to. useTable turns the dominance table on.
-	// longest holds the target search's tasks, longest first.
+	// target is the target mode (see targetSearch); the fields after it
+	// serve it alone. longest holds its tasks, longest first. forced[i] is
+	// the host task i must send from, or -1. sendLoad and recvLoad are the
+	// durations still to run of each host side's serial load: a receive
+	// side's every task, a send side's forced ones. loadSave[d*(1+maxRecv):]
+	// holds the loads the branch taken at depth d changed, its sender's
+	// first. slack is the floor the loads are held to. useTable turns the
+	// dominance table on.
 	target             bool
 	longest            []Task
 	forced             []int
