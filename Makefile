@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test lint lint-fix fmt bench-smoke bench-test smoke fuzz
+.PHONY: build test lint lint-fix fmt bench-smoke bench-test smoke cluster-smoke fuzz
 
 build:
 	$(GO) build ./...
@@ -43,6 +43,12 @@ smoke:
 	$(GO) run ./cmd/loadgen -smoke -batch -faults -churn -clients 64 -requests 40 -spread 4 -json BENCH_service.ci.json
 	$(GO) run ./cmd/loadgen -smoke -wire binary -clients 64 -requests 40 -spread 4
 	$(GO) run ./cmd/loadgen -smoke -arrivals bursty -rate 1200 -clients 60 -duration 2s
+
+# cluster-smoke is CI's distributed tier scaling step: 1/2/4/8-node
+# in-process tiers, failing below a 6x 8-node vs 1-node speedup or when a
+# working-set plan ends proven (~20 s; writes BENCH_cluster.ci.json).
+cluster-smoke:
+	$(GO) run ./cmd/loadgen -cluster -json BENCH_cluster.ci.json
 
 # fuzz is CI's fuzz smoke and the one list of fuzz targets: each runs for
 # 10 s, one after another.

@@ -22,13 +22,14 @@
 //     communication time coming from a resharding plan (§5.2).
 //
 // Since no GPU cluster is required, the "hardware" is a discrete-event
-// model behind the pluggable Topology interface: the paper's homogeneous
-// testbed (NVLink intra-host, one 10 Gbps NIC per host, full duplex) is one
-// implementation, and HeteroCluster models per-host device counts, NIC
-// tiers and oversubscribed fabrics (DGX-A100/InfiniBand-class presets
-// included). Every layer — transfer timing, resharding planning, the
-// pipeline harness — works against the interface, so new fabrics plug in
-// without touching the planner.
+// model behind the pluggable Topology interface. One type, HeteroCluster,
+// models every cluster: per-host device counts, NIC tiers and
+// oversubscribed fabrics. The paper's testbed (NVLink intra-host, one
+// 10 Gbps NIC per host, full duplex) is its case of identical hosts
+// (AWSP3Cluster), beside DGX-A100/InfiniBand-class presets. Every layer —
+// transfer timing, resharding planning, the pipeline harness — works
+// against the interface, so new fabrics plug in without touching the
+// planner.
 //
 // The recommended entry point for planning is the Planner session: one
 // object owning the topology, caches and defaults, whose Plan / Simulate /
@@ -58,12 +59,11 @@ import (
 type (
 	// Topology is the pluggable hardware abstraction every layer plans
 	// against: hosts with devices, intra-host links, NIC tiers and an
-	// inter-host fabric. Cluster and HeteroCluster implement it.
+	// inter-host fabric. HeteroCluster and FaultedTopology implement it.
 	Topology = mesh.Topology
-	// Cluster is a homogeneous accelerator cluster (hosts x devices).
-	Cluster = mesh.Cluster
-	// HeteroCluster is a heterogeneous cluster: per-host device counts,
-	// interconnects and NIC tiers plus fabric oversubscription.
+	// HeteroCluster is an accelerator cluster: per-host device counts,
+	// interconnects and NIC tiers plus fabric oversubscription. The
+	// paper's testbed is its case of identical one-NIC hosts.
 	HeteroCluster = mesh.HeteroCluster
 	// HostSpec describes one host of a heterogeneous cluster.
 	HostSpec = mesh.HostSpec
@@ -71,7 +71,8 @@ type (
 	Mesh = mesh.Mesh
 )
 
-// NewCluster builds a cluster from explicit topology parameters.
+// NewCluster builds a cluster of identical one-NIC hosts from explicit
+// topology parameters.
 var NewCluster = mesh.NewCluster
 
 // AWSP3Cluster builds the paper's testbed: hosts x 4 V100, NVLink

@@ -192,7 +192,7 @@ func BenchmarkReshardPlan(b *testing.B) {
 // pipeline on a 9-host p3 cluster: one (2,2) mesh per host, the boundary
 // tensor resharded S01R -> S0R between consecutive hosts. All 8 boundaries
 // are structurally congruent — the cross-boundary cache's target shape.
-func boundaryTask(b *testing.B, cluster *alpacomm.Cluster, s int) *alpacomm.ReshardTask {
+func boundaryTask(b *testing.B, cluster *alpacomm.HeteroCluster, s int) *alpacomm.ReshardTask {
 	b.Helper()
 	src, err := cluster.Slice([]int{2, 2}, 4*s)
 	if err != nil {

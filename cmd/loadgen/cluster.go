@@ -4,7 +4,9 @@
 // throughput scales as the tier absorbs the cache-miss load — one node
 // thrashes its LRU and pays a full DFS per miss, eight nodes keep the
 // whole working set resident and serve hits or one-hop proxied hits. The
-// run fails itself below minClusterSpeedup.
+// run fails itself below minClusterSpeedup, and when any plan the tier
+// computed ended proven (checkSearched): the scaling figure means something
+// only while every miss pays a full search.
 //
 // The tier's correctness contracts are go tests, not part of this run:
 // byte-identical plans from every node (TestTierByteIdenticalAcrossNodes,
@@ -134,18 +136,19 @@ func startBenchTier(n, capacity int) *benchTier {
 	return bt
 }
 
-// clusterKeyReq is the scaling workload's request shape: a 4x4 -> 4x4
-// boundary over 8 p3 hosts — 256 units the closed-form candidates do not
-// prove, so every key must search (~10 ms of randomized trials): a
-// cache-resident tier is decisively cheaper than recomputation, and a
+// clusterKeyReq is the scaling workload's request shape: a 62x96 fp32
+// 2x4 -> 2x4 boundary over 4 p3 hosts whose 16 units can each be sent from
+// either source host. No search proves it: the target search spends its
+// 8 192 nodes, the DFS its 20 000 and greedy its 256 trials (~3.5 ms), so
+// a cache-resident tier is decisively cheaper than recomputation, and a
 // non-owned miss is fetched from its owner rather than planned where it
 // lands. Distinct seeds give distinct canonical cache keys.
 func clusterKeyReq(seed int64) *service.PlanRequest {
 	return &service.PlanRequest{
-		Topology: service.TopologyRef{Name: "p3", Hosts: 8},
-		Shape:    []int{128, 128, 8},
-		Src:      service.Endpoint{Mesh: "4x4@0", Spec: "RS01R"},
-		Dst:      service.Endpoint{Mesh: "4x4@16", Spec: "S01RR"},
+		Topology: service.TopologyRef{Name: "p3", Hosts: 4},
+		Shape:    []int{62, 96},
+		Src:      service.Endpoint{Mesh: "2x4@0", Spec: "RS1"},
+		Dst:      service.Endpoint{Mesh: "2x4@8", Spec: "S1S0"},
 		Options: service.PlanOptions{
 			Seed: seed, Strategy: "broadcast", Scheduler: "ensemble",
 			DFSNodes: 20000, Chunks: 8,
@@ -236,6 +239,7 @@ func runScaling(n int, seed uint64) clusterRunReport {
 		}})
 
 	stats := bt.stats(ctx)
+	checkSearched(n, stats)
 	var proxied, fallbacks int64
 	for _, st := range stats {
 		if st.Cluster != nil {
@@ -255,6 +259,25 @@ func runScaling(n int, seed uint64) clusterRunReport {
 		TierComputations: tierComputations(stats) - warmComputations,
 		RoutedProxied:    proxied,
 		ProxyFallbacks:   fallbacks,
+	}
+}
+
+// checkSearched fails the run unless every plan the tier computed ended
+// unproven (/v2/stats exits). A proven miss costs a fraction of a
+// millisecond, so a working set that ends proven measures the proxy hop,
+// not the tier absorbing searches. clusterKeyReq searches only because the
+// target search's dominance table misses states that differ by swapping
+// interchangeable sender hosts; mending that would prove it.
+func checkSearched(n int, stats []*service.StatsResponse) {
+	var computed, unproven int64
+	for _, st := range stats {
+		e := st.Exits
+		computed += e.Naive + e.LPT + e.Witness + e.Target + e.Greedy + e.DFS
+		unproven += e.Unproven
+	}
+	if computed == 0 || unproven != computed {
+		fail("cluster: %d of %d plans the %d-node tier computed ended proven; the working set (clusterKeyReq) must search",
+			computed-unproven, computed, n)
 	}
 }
 

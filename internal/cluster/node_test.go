@@ -94,15 +94,16 @@ func tierReq(t testing.TB, seed int64) *service.PlanRequest {
 	}, true)
 }
 
-// searchReq is a request of `loadgen -cluster`'s working set: 256 units over
-// 8 hosts, which leave the closed forms unproven and cost ~10 ms of randomized
-// trials — long enough for a herd to find the miss in flight.
+// searchReq is a request of `loadgen -cluster`'s working set: 16 units over
+// 4 p3 hosts, each sendable from either source host, which no search proves
+// — the target search, the DFS and greedy each spend their budgets, ~3.5 ms
+// — long enough for a herd to find the miss in flight.
 func searchReq(t testing.TB, seed int64) *service.PlanRequest {
 	return classed(t, &service.PlanRequest{
-		Topology: service.TopologyRef{Name: "p3", Hosts: 8},
-		Shape:    []int{128, 128, 8},
-		Src:      service.Endpoint{Mesh: "4x4@0", Spec: "RS01R"},
-		Dst:      service.Endpoint{Mesh: "4x4@16", Spec: "S01RR"},
+		Topology: service.TopologyRef{Name: "p3", Hosts: 4},
+		Shape:    []int{62, 96},
+		Src:      service.Endpoint{Mesh: "2x4@0", Spec: "RS1"},
+		Dst:      service.Endpoint{Mesh: "2x4@8", Spec: "S1S0"},
 		Options: service.PlanOptions{
 			Seed: seed, Strategy: "broadcast", Scheduler: "ensemble",
 			DFSNodes: 20000, Chunks: 8,

@@ -12,7 +12,7 @@ import (
 // receiver hosts, B devices each, NIC bandwidth 10 B/s, effectively free
 // intra-host links, zero latency. Sending the full object (1000 B) across
 // one NIC takes t = 100 s.
-func fig3Cluster(aPlusOne, b int) *mesh.Cluster {
+func fig3Cluster(aPlusOne, b int) *mesh.HeteroCluster {
 	c, err := mesh.NewCluster(aPlusOne, b, 1e12, 10, 0, 0)
 	if err != nil {
 		panic(err)
@@ -26,9 +26,9 @@ const (
 )
 
 // receivers lists the devices of hosts 1..A (host 0 is the sender's).
-func fig3Receivers(c *mesh.Cluster) []int {
+func fig3Receivers(c *mesh.HeteroCluster) []int {
 	var out []int
-	for h := 1; h < c.NumHosts; h++ {
+	for h := 1; h < c.HostCount(); h++ {
 		out = append(out, c.DevicesOnHost(h)...)
 	}
 	return out
@@ -149,7 +149,7 @@ func TestBroadcastLatency(t *testing.T) {
 // global all-gather ≤ local all-gather ≤ send/recv for multi-host receivers.
 func TestBroadcastBeatsAlternatives(t *testing.T) {
 	const a, b = 4, 2
-	run := func(build func(net *netsim.ClusterNet, c *mesh.Cluster)) float64 {
+	run := func(build func(net *netsim.ClusterNet, c *mesh.HeteroCluster)) float64 {
 		c := fig3Cluster(a+1, b)
 		net := netsim.NewClusterNet(c)
 		build(net, c)
@@ -159,12 +159,12 @@ func TestBroadcastBeatsAlternatives(t *testing.T) {
 		}
 		return mk
 	}
-	tSR := run(func(net *netsim.ClusterNet, c *mesh.Cluster) {
+	tSR := run(func(net *netsim.ClusterNet, c *mesh.HeteroCluster) {
 		for i, dst := range fig3Receivers(c) {
 			net.MustTransfer(netsim.Plain("sr"), 0, dst, fig3Bytes, i)
 		}
 	})
-	tBC := run(func(net *netsim.ClusterNet, c *mesh.Cluster) {
+	tBC := run(func(net *netsim.ClusterNet, c *mesh.HeteroCluster) {
 		chain := BroadcastOrder(c, 0, fig3Receivers(c))
 		if _, _, err := BroadcastChain(net, "bc", chain, fig3Bytes, 100, 0); err != nil {
 			t.Fatal(err)

@@ -69,7 +69,7 @@ func runCase(task *sharding.Task, opts resharding.Options, caseName, method stri
 // fig5Task builds the Fig. 5 single-sender setting: a replicated tensor of
 // `rows` x 16384 fp32 elements on device 0, destined (replicated) for the
 // given receiver devices viewed as meshShape.
-func fig5Task(c *mesh.Cluster, rows int, recvDevices, meshShape []int) (*sharding.Task, error) {
+func fig5Task(c mesh.Topology, rows int, recvDevices, meshShape []int) (*sharding.Task, error) {
 	src, err := mesh.NewMesh(c, []int{1, 1}, []int{0})
 	if err != nil {
 		return nil, err
@@ -176,11 +176,12 @@ func buildTable2Task(tc table2Case, scale int) (*sharding.Task, error) {
 		// the first `cols` devices of each host.
 		rowsN, cols := shape[0], shape[1]
 		var devs []int
-		if cols <= c.DevicesPerHost {
+		first, perHost := c.HostDevices(firstHost)
+		if cols <= perHost {
 			for r := 0; r < rowsN; r++ {
-				host := firstHost + r
+				hostFirst, _ := c.HostDevices(firstHost + r)
 				for i := 0; i < cols; i++ {
-					devs = append(devs, host*c.DevicesPerHost+i)
+					devs = append(devs, hostFirst+i)
 				}
 			}
 			return devs
@@ -188,7 +189,7 @@ func buildTable2Task(tc table2Case, scale int) (*sharding.Task, error) {
 		// Wide rows span several hosts.
 		n := rowsN * cols
 		for i := 0; i < n; i++ {
-			devs = append(devs, firstHost*c.DevicesPerHost+i)
+			devs = append(devs, first+i)
 		}
 		return devs
 	}

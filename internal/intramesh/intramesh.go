@@ -145,7 +145,7 @@ func (t *Task) Simulate() (*SimResult, error) {
 			sender := -1
 			// Prefer a holder on the needer's host.
 			for _, h := range mv.Holders {
-				if c.SameHost(h, needer) {
+				if c.HostOf(h) == c.HostOf(needer) {
 					sender = h
 					break
 				}

@@ -354,9 +354,6 @@ func (f *Faulted) HostDevices(host int) (first, n int) { return f.base.HostDevic
 // ValidDevice reports whether the device index exists.
 func (f *Faulted) ValidDevice(device int) bool { return f.base.ValidDevice(device) }
 
-// SameHost reports whether two devices share a host.
-func (f *Faulted) SameHost(a, b int) bool { return f.base.SameHost(a, b) }
-
 // IntraBandwidth is the base intra-host bandwidth times the host's
 // straggler intra scale.
 func (f *Faulted) IntraBandwidth(host int) float64 {

@@ -105,12 +105,6 @@ func sliceTopology(t Topology, shape []int, firstDevice int) (*Mesh, error) {
 	return m, nil
 }
 
-// Slice builds a mesh from a contiguous run of cluster devices starting at
-// firstDevice, laid out row-major over shape.
-func (c *Cluster) Slice(shape []int, firstDevice int) (*Mesh, error) {
-	return sliceTopology(c, shape, firstDevice)
-}
-
 // Rank returns the number of logical mesh dimensions.
 func (m *Mesh) Rank() int { return len(m.Shape) }
 

@@ -31,14 +31,23 @@ func TestNewClusterValidation(t *testing.T) {
 
 func TestAWSP3Cluster(t *testing.T) {
 	c := AWSP3Cluster(3)
-	if c.NumHosts != 3 || c.DevicesPerHost != 4 {
+	if c.HostCount() != 3 || c.NumDevices() != 12 {
 		t.Errorf("p3 cluster = %v", c)
 	}
-	if c.HostBandwidth*8 != 10e9 {
-		t.Errorf("NIC bandwidth = %g bits/s, want 10e9", c.HostBandwidth*8)
+	for h := 0; h < c.HostCount(); h++ {
+		if first, n := c.HostDevices(h); first != 4*h || n != 4 || c.NICCount(h) != 1 {
+			t.Errorf("host %d: devices %d+%d, %d NICs; want %d+4, 1 NIC", h, first, n, c.NICCount(h), 4*h)
+		}
 	}
-	if c.IntraHostBandwidth <= c.HostBandwidth {
+	if c.NICBandwidth(0)*8 != 10e9 {
+		t.Errorf("NIC bandwidth = %g bits/s, want 10e9", c.NICBandwidth(0)*8)
+	}
+	if c.IntraBandwidth(0) <= c.NICBandwidth(0) {
 		t.Error("NVLink must be faster than the NIC")
+	}
+	same, err := NewCluster(3, 4, P3IntraHostBandwidth, P3HostBandwidth, P3IntraHostLatency, P3InterHostLatency)
+	if err != nil || same.Fingerprint() != c.Fingerprint() {
+		t.Errorf("NewCluster with the p3 constants = %v, %v; want the p3 cluster %s", same, err, c.Fingerprint())
 	}
 }
 
@@ -46,9 +55,6 @@ func TestClusterHostMapping(t *testing.T) {
 	c := AWSP3Cluster(2)
 	if c.HostOf(0) != 0 || c.HostOf(3) != 0 || c.HostOf(4) != 1 || c.HostOf(7) != 1 {
 		t.Error("HostOf mapping wrong")
-	}
-	if !c.SameHost(0, 3) || c.SameHost(3, 4) {
-		t.Error("SameHost wrong")
 	}
 	if !reflect.DeepEqual(c.DevicesOnHost(1), []int{4, 5, 6, 7}) {
 		t.Errorf("DevicesOnHost(1) = %v", c.DevicesOnHost(1))
@@ -165,16 +171,16 @@ func TestStringers(t *testing.T) {
 }
 
 func TestClusterNICs(t *testing.T) {
-	c := AWSP3Cluster(2)
-	if c.NICs() != 1 {
-		t.Errorf("default NICs = %d, want 1", c.NICs())
+	if n := AWSP3Cluster(2).NICCount(1); n != 1 {
+		t.Errorf("p3 NICs = %d, want 1", n)
 	}
-	c2 := c.WithNICs(4)
-	if c2.NICs() != 4 || c.NICs() != 1 {
-		t.Error("WithNICs must copy, not mutate")
-	}
-	if c.WithNICs(0).NICs() != 1 {
-		t.Error("zero NICs should clamp to 1")
+	host := P3HostSpec()
+	host.NICs = 4
+	zero := P3HostSpec()
+	zero.NICs = 0
+	c := MustHeteroCluster([]HostSpec{host, zero}, P3InterHostLatency, 1)
+	if c.NICCount(0) != 4 || c.NICCount(1) != 1 {
+		t.Errorf("NICCount = %d, %d; want 4, and zero NICs clamped to 1", c.NICCount(0), c.NICCount(1))
 	}
 }
 
@@ -182,7 +188,7 @@ func TestClusterNICs(t *testing.T) {
 // topology small enough for the duplicate check's fixed bitset and on one
 // past it, and that a mesh's shape and devices do not alias the caller's.
 func TestNewMeshErrors(t *testing.T) {
-	for _, c := range []*Cluster{AWSP3Cluster(2), AWSP3Cluster(80)} {
+	for _, c := range []*HeteroCluster{AWSP3Cluster(2), AWSP3Cluster(80)} {
 		n := c.NumDevices()
 		for _, tc := range []struct {
 			devices []int

@@ -37,13 +37,13 @@ type FaultScenarioBuilder func(t Topology) (FaultSet, error)
 // lines, config files, and the plan-serving API — can name hardware
 // ("p3", "dgx-a100", "mixed") instead of constructing it. It also maps
 // fault-scenario names ("link-down", "brownout", "straggler") to fault
-// overlays, so the same callers can name degradations. A Registry is safe
-// for concurrent use.
+// overlays and churn-scenario names to timelines, so the same callers can
+// name degradations. A Registry is safe for concurrent use; its zero value
+// is an empty registry.
 type Registry struct {
-	mu       sync.RWMutex
-	builders map[string]TopologyBuilder
-	faults   map[string]FaultScenarioBuilder
-	churns   map[string]ChurnScenarioBuilder
+	builders nameTable[TopologyBuilder]
+	faults   nameTable[FaultScenarioBuilder]
+	churns   nameTable[ChurnScenarioBuilder]
 }
 
 // ChurnScenarioBuilder constructs a named churn timeline for a concrete
@@ -51,43 +51,75 @@ type Registry struct {
 // hardware they degrade rather than being fixed lists.
 type ChurnScenarioBuilder func(t Topology) (ChurnTimeline, error)
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		builders: map[string]TopologyBuilder{},
-		faults:   map[string]FaultScenarioBuilder{},
-		churns:   map[string]ChurnScenarioBuilder{},
-	}
+// nameTable is one of a Registry's name -> builder tables: names are
+// case-insensitive, registered once and listed sorted. The zero value is
+// an empty table.
+type nameTable[B TopologyBuilder | FaultScenarioBuilder | ChurnScenarioBuilder] struct {
+	mu sync.RWMutex
+	m  map[string]B
 }
+
+// add registers b under name; kind names the table and builder its
+// builders in the error texts.
+func (t *nameTable[B]) add(kind, builder, name string, b B) error {
+	name = strings.ToLower(strings.TrimSpace(name))
+	if name == "" {
+		return fmt.Errorf("mesh: registry: empty %s name", kind)
+	}
+	if b == nil {
+		return fmt.Errorf("mesh: registry: nil %s for %q", builder, name)
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if _, ok := t.m[name]; ok {
+		return fmt.Errorf("mesh: registry: %s %q already registered", kind, name)
+	}
+	if t.m == nil {
+		t.m = map[string]B{}
+	}
+	t.m[name] = b
+	return nil
+}
+
+// get returns the builder registered under name; an unknown name's error
+// lists the registered ones.
+func (t *nameTable[B]) get(kind, name string) (B, error) {
+	t.mu.RLock()
+	b, ok := t.m[strings.ToLower(strings.TrimSpace(name))]
+	t.mu.RUnlock()
+	if !ok {
+		return nil, fmt.Errorf("mesh: unknown %s %q (have %s)", kind, name, strings.Join(t.names(), ", "))
+	}
+	return b, nil
+}
+
+// names returns the registered names, sorted.
+func (t *nameTable[B]) names() []string {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	names := make([]string, 0, len(t.m))
+	for n := range t.m {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// NewRegistry returns an empty registry.
+func NewRegistry() *Registry { return &Registry{} }
 
 // Register adds a named builder. Names are case-insensitive. Registering
 // an empty name, a nil builder, or a duplicate name is an error.
 func (r *Registry) Register(name string, b TopologyBuilder) error {
-	name = strings.ToLower(strings.TrimSpace(name))
-	if name == "" {
-		return fmt.Errorf("mesh: registry: empty topology name")
-	}
-	if b == nil {
-		return fmt.Errorf("mesh: registry: nil builder for %q", name)
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.builders[name]; ok {
-		return fmt.Errorf("mesh: registry: topology %q already registered", name)
-	}
-	r.builders[name] = b
-	return nil
+	return r.builders.add("topology", "builder", name, b)
 }
 
 // Build constructs the named topology. Unknown names report the available
 // presets.
 func (r *Registry) Build(name string, p TopologyParams) (Topology, error) {
-	key := strings.ToLower(strings.TrimSpace(name))
-	r.mu.RLock()
-	b, ok := r.builders[key]
-	r.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("mesh: unknown topology %q (have %s)", name, strings.Join(r.Names(), ", "))
+	b, err := r.builders.get("topology", name)
+	if err != nil {
+		return nil, err
 	}
 	if p.Hosts < 0 {
 		return nil, fmt.Errorf("mesh: negative host count %d", p.Hosts)
@@ -102,48 +134,20 @@ func (r *Registry) Build(name string, p TopologyParams) (Topology, error) {
 }
 
 // Names returns the registered preset names, sorted.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.builders))
-	for n := range r.builders {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+func (r *Registry) Names() []string { return r.builders.names() }
 
 // RegisterFaultScenario adds a named fault-scenario builder. Names are
 // case-insensitive; empty names, nil builders and duplicates are errors.
 func (r *Registry) RegisterFaultScenario(name string, b FaultScenarioBuilder) error {
-	name = strings.ToLower(strings.TrimSpace(name))
-	if name == "" {
-		return fmt.Errorf("mesh: registry: empty fault scenario name")
-	}
-	if b == nil {
-		return fmt.Errorf("mesh: registry: nil fault scenario builder for %q", name)
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.faults == nil {
-		r.faults = map[string]FaultScenarioBuilder{}
-	}
-	if _, ok := r.faults[name]; ok {
-		return fmt.Errorf("mesh: registry: fault scenario %q already registered", name)
-	}
-	r.faults[name] = b
-	return nil
+	return r.faults.add("fault scenario", "fault scenario builder", name, b)
 }
 
 // BuildFaultScenario constructs the named fault overlay for a concrete
 // topology. Unknown names report the available scenarios.
 func (r *Registry) BuildFaultScenario(name string, t Topology) (FaultSet, error) {
-	key := strings.ToLower(strings.TrimSpace(name))
-	r.mu.RLock()
-	b, ok := r.faults[key]
-	r.mu.RUnlock()
-	if !ok {
-		return FaultSet{}, fmt.Errorf("mesh: unknown fault scenario %q (have %s)", name, strings.Join(r.FaultScenarioNames(), ", "))
+	b, err := r.faults.get("fault scenario", name)
+	if err != nil {
+		return FaultSet{}, err
 	}
 	if t == nil {
 		return FaultSet{}, fmt.Errorf("mesh: fault scenario %q needs a topology", name)
@@ -152,49 +156,21 @@ func (r *Registry) BuildFaultScenario(name string, t Topology) (FaultSet, error)
 }
 
 // FaultScenarioNames returns the registered scenario names, sorted.
-func (r *Registry) FaultScenarioNames() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.faults))
-	for n := range r.faults {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+func (r *Registry) FaultScenarioNames() []string { return r.faults.names() }
 
 // RegisterChurnScenario adds a named churn-timeline builder. Names are
 // case-insensitive; empty names, nil builders and duplicates are errors.
 func (r *Registry) RegisterChurnScenario(name string, b ChurnScenarioBuilder) error {
-	name = strings.ToLower(strings.TrimSpace(name))
-	if name == "" {
-		return fmt.Errorf("mesh: registry: empty churn scenario name")
-	}
-	if b == nil {
-		return fmt.Errorf("mesh: registry: nil churn scenario builder for %q", name)
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.churns == nil {
-		r.churns = map[string]ChurnScenarioBuilder{}
-	}
-	if _, ok := r.churns[name]; ok {
-		return fmt.Errorf("mesh: registry: churn scenario %q already registered", name)
-	}
-	r.churns[name] = b
-	return nil
+	return r.churns.add("churn scenario", "churn scenario builder", name, b)
 }
 
 // BuildChurnScenario constructs the named churn timeline for a concrete
 // topology and validates every step's overlay against it. Unknown names
 // report the available scenarios.
 func (r *Registry) BuildChurnScenario(name string, t Topology) (ChurnTimeline, error) {
-	key := strings.ToLower(strings.TrimSpace(name))
-	r.mu.RLock()
-	b, ok := r.churns[key]
-	r.mu.RUnlock()
-	if !ok {
-		return ChurnTimeline{}, fmt.Errorf("mesh: unknown churn scenario %q (have %s)", name, strings.Join(r.ChurnScenarioNames(), ", "))
+	b, err := r.churns.get("churn scenario", name)
+	if err != nil {
+		return ChurnTimeline{}, err
 	}
 	if t == nil {
 		return ChurnTimeline{}, fmt.Errorf("mesh: churn scenario %q needs a topology", name)
@@ -207,22 +183,13 @@ func (r *Registry) BuildChurnScenario(name string, t Topology) (ChurnTimeline, e
 }
 
 // ChurnScenarioNames returns the registered churn scenario names, sorted.
-func (r *Registry) ChurnScenarioNames() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.churns))
-	for n := range r.churns {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+func (r *Registry) ChurnScenarioNames() []string { return r.churns.names() }
 
 // Preset names of DefaultRegistry.
 const (
-	// TopologyP3 is the paper's homogeneous AWS p3 testbed.
+	// TopologyP3 is the paper's AWS p3 testbed, identical p3 hosts.
 	TopologyP3 = "p3"
-	// TopologyDGXA100 is a homogeneous DGX-A100/InfiniBand cluster.
+	// TopologyDGXA100 is a cluster of identical DGX-A100/InfiniBand hosts.
 	TopologyDGXA100 = "dgx-a100"
 	// TopologyMixed mixes p3 and DGX-A100 hosts on one fabric.
 	TopologyMixed = "mixed"
@@ -261,12 +228,14 @@ const maxBrownoutHosts = 64
 
 // DefaultRegistry returns a fresh registry holding the built-in presets:
 //
-//   - "p3": the paper's testbed, hosts x 4 V100 (default 2 hosts); "dgx"
-//     and "dgx-a100" ignore Oversubscription (their fabrics are 1:1).
+//   - "p3": the paper's testbed, hosts x 4 V100 (default 2 hosts).
 //   - "dgx-a100" (alias "dgx"): DGX-A100 nodes, 8 GPUs + 8 HDR-200 NICs
 //     per host (default 2 hosts).
 //   - "mixed": half p3 / half DGX-A100 hosts (at least one of each,
 //     default 3 hosts) with the given fabric oversubscription.
+//
+// Only "mixed" reads Oversubscription: "p3", "dgx-a100" and "dgx" ignore
+// it (their fabrics are 1:1).
 func DefaultRegistry() *Registry {
 	r := NewRegistry()
 	mustRegister := func(name string, b TopologyBuilder) {

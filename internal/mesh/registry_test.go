@@ -99,3 +99,57 @@ func TestRegistryErrors(t *testing.T) {
 		t.Error("duplicate (case-insensitive) name must error")
 	}
 }
+
+// TestRegistryZeroValue: a zero Registry is an empty one in all three
+// tables, and each table keeps its own error texts.
+func TestRegistryZeroValue(t *testing.T) {
+	var r Registry
+	topo := func(TopologyParams) (Topology, error) { return AWSP3Cluster(3), nil }
+	fault := func(Topology) (FaultSet, error) { return FaultSet{}, nil }
+	churn := func(Topology) (ChurnTimeline, error) { return ChurnTimeline{}, nil }
+	if err := r.Register(" P3 ", topo); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.RegisterFaultScenario("calm", fault); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.RegisterChurnScenario("still", churn); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(append(append(r.Names(), r.FaultScenarioNames()...), r.ChurnScenarioNames()...), ","); got != "p3,calm,still" {
+		t.Errorf("names = %s, want p3,calm,still", got)
+	}
+	if _, err := r.Build("P3", TopologyParams{}); err != nil {
+		t.Error(err)
+	}
+	errText := func(err error) string {
+		if err == nil {
+			return "<nil>"
+		}
+		return err.Error()
+	}
+	_, errTopo := r.Build("x", TopologyParams{})
+	_, errFault := r.BuildFaultScenario("x", AWSP3Cluster(3))
+	_, errChurn := r.BuildChurnScenario("x", AWSP3Cluster(3))
+	for _, c := range []struct {
+		err  error
+		want string
+	}{
+		{r.Register("", topo), "mesh: registry: empty topology name"},
+		{r.Register("x", nil), `mesh: registry: nil builder for "x"`},
+		{r.Register("p3", topo), `mesh: registry: topology "p3" already registered`},
+		{errTopo, `mesh: unknown topology "x" (have p3)`},
+		{r.RegisterFaultScenario(" ", fault), "mesh: registry: empty fault scenario name"},
+		{r.RegisterFaultScenario("X", nil), `mesh: registry: nil fault scenario builder for "x"`},
+		{r.RegisterFaultScenario("Calm", fault), `mesh: registry: fault scenario "calm" already registered`},
+		{errFault, `mesh: unknown fault scenario "x" (have calm)`},
+		{r.RegisterChurnScenario("", churn), "mesh: registry: empty churn scenario name"},
+		{r.RegisterChurnScenario("x", nil), `mesh: registry: nil churn scenario builder for "x"`},
+		{r.RegisterChurnScenario("still", churn), `mesh: registry: churn scenario "still" already registered`},
+		{errChurn, `mesh: unknown churn scenario "x" (have still)`},
+	} {
+		if got := errText(c.err); got != c.want {
+			t.Errorf("error %q, want %q", got, c.want)
+		}
+	}
+}

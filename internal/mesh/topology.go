@@ -1,8 +1,15 @@
+// Package mesh models the hardware the paper runs on: a cluster of hosts,
+// each with several accelerator devices behind a fast intra-host
+// interconnect (NVLink) and one or more slower NICs, and device meshes
+// sliced out of the cluster for pipeline stages. One type, HeteroCluster,
+// describes every cluster; the paper's §3 testbed is the case of identical
+// hosts with one NIC each (AWSP3Cluster, NewCluster).
 package mesh
 
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -12,10 +19,10 @@ import (
 // a set of hosts, each carrying accelerator devices behind a fast intra-host
 // interconnect, joined by a (possibly oversubscribed) inter-host fabric.
 //
-// The homogeneous Cluster (the paper's single-tier testbed) and the
-// per-host-parameterised HeteroCluster both implement it; the simulator,
-// the resharding planner and the pipeline harness only ever see this
-// interface, so new fabrics plug in without touching those layers.
+// HeteroCluster (per-host specs; the paper's testbed is its case of
+// identical one-NIC hosts) and the Faulted overlay implement it; the
+// simulator, the resharding planner and the pipeline harness only ever see
+// this interface, so new fabrics plug in without touching those layers.
 //
 // Device indices are global and dense: host h owns a contiguous run of
 // indices, hosts in ascending order — the invariant the collective orders
@@ -35,8 +42,6 @@ type Topology interface {
 	HostDevices(host int) (first, n int)
 	// ValidDevice reports whether the device index exists.
 	ValidDevice(device int) bool
-	// SameHost reports whether two devices share a host.
-	SameHost(a, b int) bool
 	// IntraBandwidth is host h's device-to-device bandwidth, bytes/s per
 	// direction (NVLink/NVSwitch-class).
 	IntraBandwidth(host int) float64
@@ -78,37 +83,6 @@ func SameTopology(a, b Topology) bool {
 	return a.Fingerprint() == b.Fingerprint()
 }
 
-// Topology interface implementation for the homogeneous Cluster.
-
-// HostCount returns the number of hosts.
-func (c *Cluster) HostCount() int { return c.NumHosts }
-
-// IntraBandwidth returns the uniform intra-host bandwidth.
-func (c *Cluster) IntraBandwidth(host int) float64 { return c.IntraHostBandwidth }
-
-// IntraLatency returns the uniform intra-host latency.
-func (c *Cluster) IntraLatency(host int) float64 { return c.IntraHostLatency }
-
-// NICBandwidth returns the uniform per-NIC bandwidth.
-func (c *Cluster) NICBandwidth(host int) float64 { return c.HostBandwidth }
-
-// NICCount returns the uniform NIC count per host.
-func (c *Cluster) NICCount(host int) int { return c.NICs() }
-
-// InterBandwidth returns the uniform cross-host bandwidth (the fabric is
-// fully connected and non-oversubscribed, §3).
-func (c *Cluster) InterBandwidth(srcHost, dstHost int) float64 { return c.HostBandwidth }
-
-// InterLatency returns the uniform cross-host latency.
-func (c *Cluster) InterLatency(srcHost, dstHost int) float64 { return c.InterHostLatency }
-
-// Fingerprint identifies the homogeneous topology by its parameters.
-func (c *Cluster) Fingerprint() string {
-	return fmt.Sprintf("homog(h=%d,d=%d,ib=%g,il=%g,nb=%g,nl=%g,nics=%d)",
-		c.NumHosts, c.DevicesPerHost, c.IntraHostBandwidth, c.IntraHostLatency,
-		c.HostBandwidth, c.InterHostLatency, c.NICs())
-}
-
 // HostSpec describes one host of a heterogeneous cluster.
 type HostSpec struct {
 	// Devices is the accelerator count of this host.
@@ -139,9 +113,13 @@ func (s HostSpec) fingerprint() string {
 
 // HeteroCluster is a heterogeneous accelerator cluster: per-host device
 // counts, interconnects and NIC tiers, plus a switch fabric whose
-// oversubscription divides effective cross-host bandwidth. It generalises
-// the paper's homogeneous testbed to the multi-NIC / mixed-fabric setting
-// §3.1 leaves as future work.
+// oversubscription divides effective cross-host bandwidth. With identical
+// one-NIC hosts on a 1:1 fabric it is the paper's testbed, whose §3
+// properties it keeps: fast intra-host / slow inter-host links, a fully
+// connected inter-host fabric, a NIC per host that bottlenecks cross-host
+// traffic, and full-duplex bandwidth everywhere. Per-host specs, several
+// NICs and oversubscription give the multi-NIC / mixed-fabric setting §3.1
+// leaves as future work.
 type HeteroCluster struct {
 	// Hosts holds one spec per host, in device-index order.
 	Hosts []HostSpec
@@ -230,9 +208,6 @@ func (hc *HeteroCluster) ValidDevice(device int) bool {
 	return device >= 0 && device < hc.NumDevices()
 }
 
-// SameHost reports whether two devices share a host.
-func (hc *HeteroCluster) SameHost(a, b int) bool { return hc.HostOf(a) == hc.HostOf(b) }
-
 // IntraBandwidth returns host h's intra-host bandwidth.
 func (hc *HeteroCluster) IntraBandwidth(host int) float64 { return hc.Hosts[host].IntraBandwidth }
 
@@ -281,6 +256,49 @@ func (hc *HeteroCluster) String() string {
 		hc.HostCount(), hc.NumDevices(), hc.Oversubscription)
 }
 
+// NewCluster validates and builds a cluster of identical hosts: each with
+// devicesPerHost devices, intra-host bandwidth intraBW and latency intraLat,
+// and one NIC of hostBW, on a non-oversubscribed fabric with cross-host
+// latency interLat. Bandwidths are bytes/s per direction, latencies seconds.
+func NewCluster(hosts, devicesPerHost int, intraBW, hostBW, intraLat, interLat float64) (*HeteroCluster, error) {
+	if hosts <= 0 {
+		return nil, fmt.Errorf("mesh: non-positive host count %d", hosts)
+	}
+	host := HostSpec{Devices: devicesPerHost, IntraBandwidth: intraBW, IntraLatency: intraLat, NICBandwidth: hostBW, NICs: 1}
+	return NewHeteroCluster(slices.Repeat([]HostSpec{host}, hosts), interLat, 1)
+}
+
+// AWS p3.8xlarge-like constants used throughout the paper's evaluation:
+// 4 V100s per node with NVLink, 10 Gbps Ethernet between nodes.
+const (
+	// P3IntraHostBandwidth is an effective NVLink bandwidth (bytes/s).
+	P3IntraHostBandwidth = 150e9
+	// P3HostBandwidth is 10 Gbps in bytes/s.
+	P3HostBandwidth = 10e9 / 8
+	// P3IntraHostLatency is the per-transfer launch overhead within a node.
+	P3IntraHostLatency = 5e-6
+	// P3InterHostLatency is the per-transfer latency across Ethernet.
+	P3InterHostLatency = 30e-6
+)
+
+// P3HostSpec returns one AWS p3.8xlarge-class host: 4 V100, NVLink, one
+// 10 Gbps NIC.
+func P3HostSpec() HostSpec {
+	return HostSpec{
+		Devices:        4,
+		IntraBandwidth: P3IntraHostBandwidth,
+		IntraLatency:   P3IntraHostLatency,
+		NICBandwidth:   P3HostBandwidth,
+		NICs:           1,
+	}
+}
+
+// AWSP3Cluster builds the paper's testbed: hosts x 4 GPUs, NVLink inside,
+// 10 Gbps Ethernet between hosts on a non-oversubscribed fabric.
+func AWSP3Cluster(hosts int) *HeteroCluster {
+	return MustHeteroCluster(slices.Repeat([]HostSpec{P3HostSpec()}, hosts), P3InterHostLatency, 1)
+}
+
 // DGX A100 / NVSwitch-class constants: 8 A100s behind NVSwitch with eight
 // HDR-200 InfiniBand compute NICs per node.
 const (
@@ -309,23 +327,7 @@ func DGXA100HostSpec() HostSpec {
 // DGXA100Cluster builds an InfiniBand/NVSwitch-class cluster of DGX-A100
 // nodes with a non-oversubscribed fabric.
 func DGXA100Cluster(hosts int) *HeteroCluster {
-	specs := make([]HostSpec, hosts)
-	for i := range specs {
-		specs[i] = DGXA100HostSpec()
-	}
-	return MustHeteroCluster(specs, DGXA100InterLatency, 1)
-}
-
-// P3HostSpec returns one AWS p3.8xlarge-class host (4 V100, NVLink, one
-// 10 Gbps NIC) as a HostSpec, for mixing with faster tiers.
-func P3HostSpec() HostSpec {
-	return HostSpec{
-		Devices:        4,
-		IntraBandwidth: P3IntraHostBandwidth,
-		IntraLatency:   P3IntraHostLatency,
-		NICBandwidth:   P3HostBandwidth,
-		NICs:           1,
-	}
+	return MustHeteroCluster(slices.Repeat([]HostSpec{DGXA100HostSpec()}, hosts), DGXA100InterLatency, 1)
 }
 
 // MixedP3DGXCluster builds the heterogeneous scenario of the examples: p3

@@ -2,14 +2,14 @@ package mesh
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 )
 
-// Both cluster types must satisfy the pluggable hardware interface.
+// The cluster and its fault overlay satisfy the pluggable hardware
+// interface.
 var (
-	_ Topology = (*Cluster)(nil)
 	_ Topology = (*HeteroCluster)(nil)
+	_ Topology = (*Faulted)(nil)
 )
 
 func TestNewHeteroClusterValidation(t *testing.T) {
@@ -74,9 +74,6 @@ func TestMixedClusterHostMapping(t *testing.T) {
 	}
 	if !reflect.DeepEqual(c.DevicesOnHost(2), []int{8, 9, 10, 11, 12, 13, 14, 15}) {
 		t.Errorf("DevicesOnHost(2) = %v", c.DevicesOnHost(2))
-	}
-	if !c.SameHost(8, 15) || c.SameHost(7, 8) {
-		t.Error("SameHost wrong across the p3/DGX boundary")
 	}
 	if c.ValidDevice(16) || c.ValidDevice(-1) || !c.ValidDevice(15) {
 		t.Error("ValidDevice wrong")
@@ -183,16 +180,5 @@ func TestSameTopology(t *testing.T) {
 	}
 	if SameTopology(u1, uncomparableTopo{DGXA100Cluster(3), nil}) {
 		t.Error("different-fingerprint uncomparable topologies must not match")
-	}
-}
-
-func TestClusterStringReportsNICCount(t *testing.T) {
-	c := AWSP3Cluster(2)
-	if strings.Contains(c.String(), "NICs") {
-		t.Errorf("single-NIC cluster should not report a NIC count: %s", c)
-	}
-	multi := c.WithNICs(4)
-	if !strings.Contains(multi.String(), "4 NICs") {
-		t.Errorf("String() hides the NIC count: %s", multi)
 	}
 }

@@ -11,12 +11,21 @@ import (
 
 // testCluster returns a cluster with round numbers for exact assertions:
 // 2 devices/host, intra 100 B/s, NIC 10 B/s, zero latency.
-func testCluster(hosts int) *mesh.Cluster {
+func testCluster(hosts int) *mesh.HeteroCluster {
 	c, err := mesh.NewCluster(hosts, 2, 100, 10, 0, 0)
 	if err != nil {
 		panic(err)
 	}
 	return c
+}
+
+// withNICs returns c with every host's NIC count set to n.
+func withNICs(c *mesh.HeteroCluster, n int) *mesh.HeteroCluster {
+	hosts := append([]mesh.HostSpec(nil), c.Hosts...)
+	for i := range hosts {
+		hosts[i].NICs = n
+	}
+	return mesh.MustHeteroCluster(hosts, c.InterHostLatency, c.Oversubscription)
 }
 
 func TestTransferTimes(t *testing.T) {
@@ -254,7 +263,7 @@ func TestHeteroPerHostNICs(t *testing.T) {
 // TestMultiNICParallelism: with 2 NICs per host, two cross-host transfers
 // from one host proceed in parallel on distinct NICs.
 func TestMultiNICParallelism(t *testing.T) {
-	c := testCluster(2).WithNICs(2)
+	c := withNICs(testCluster(2), 2)
 	n := NewClusterNet(c)
 	if _, err := n.OnNIC(0).Transfer(Plain("a"), 0, 2, 100, 0); err != nil {
 		t.Fatal(err)
@@ -313,7 +322,7 @@ func TestRebindMatchesFreshNet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	topos := []mesh.Topology{testCluster(3).WithNICs(2), testCluster(3), hetero, testCluster(2), testCluster(2)}
+	topos := []mesh.Topology{withNICs(testCluster(3), 2), testCluster(3), hetero, testCluster(2), testCluster(2)}
 	n := NewClusterNet(topos[0])
 	sim := n.Sim
 	// Grow the arenas well past what the schedules below need.
@@ -354,7 +363,7 @@ func TestRebindKeepsInternTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide := testCluster(3).WithNICs(2)
+	wide := withNICs(testCluster(3), 2)
 	large := testCluster(5)
 
 	n := NewClusterNet(small)

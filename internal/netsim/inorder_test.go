@@ -143,7 +143,7 @@ func seqTie(s *Sim) {
 // to device 3: the lanes cross hosts in parallel and then both need the
 // device link 2->3 at the same moment.
 func twoLanes(s *Sim) {
-	topo := testCluster(2).WithNICs(2)
+	topo := withNICs(testCluster(2), 2)
 	n := &ClusterNet{Sim: s, Topo: topo, ids: newResourceTable(topo)}
 	for k := 0; k < 2; k++ {
 		if _, err := n.OnNIC(k).PipelinedChain("lane", []int{0, 2, 3}, 400, 4, k, nil); err != nil {
@@ -171,7 +171,7 @@ func eightLanes(s *Sim) {
 	if err != nil {
 		panic(err)
 	}
-	topo := c.WithNICs(8)
+	topo := withNICs(c, 8)
 	n := &ClusterNet{Sim: s, Topo: topo, ids: newResourceTable(topo)}
 	for k := 0; k < 8; k++ {
 		if _, err := n.OnNIC(k).PipelinedChain("lane", []int{0, 8, 9, 10, 11, 12, 13, 14, 15}, 800, 4, 0, nil); err != nil {

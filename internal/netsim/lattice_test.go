@@ -37,7 +37,7 @@ func latticeCluster(latency bool) mesh.Topology {
 	if err != nil {
 		panic(err)
 	}
-	return c.WithNICs(4)
+	return withNICs(c, 4)
 }
 
 // fuzzLattices builds an op graph from data on latticeCluster: a header

@@ -113,7 +113,7 @@ func rebindLap(t *testing.T, shift int) []*Plan {
 		mesh.AWSP3Cluster(4),
 		mesh.DGXA100Cluster(2),
 		mesh.MixedP3DGXCluster(2, 2, 2),
-		microCluster(4).WithNICs(2),
+		withNICs(microCluster(4), 2),
 		microCluster(4),
 	} {
 		strategy := Broadcast

@@ -74,8 +74,9 @@ func table2Tasks(t *testing.T) []*sharding.Task {
 	devices := func(shape []int, firstHost int) []int {
 		var devs []int
 		for r := 0; r < shape[0]; r++ {
+			first, _ := c.HostDevices(firstHost + r)
 			for i := 0; i < shape[1]; i++ {
-				devs = append(devs, (firstHost+r)*c.DevicesPerHost+i)
+				devs = append(devs, first+i)
 			}
 		}
 		return devs

@@ -217,8 +217,8 @@ func TestCacheKeyNeverCollidesAcrossTopologies(t *testing.T) {
 		topo mesh.Topology
 	}{
 		{"p3-4", base4},
-		{"p3-4-2nics", base4.WithNICs(2)},
-		{"p3-4-4nics", base4.WithNICs(4)},
+		{"p3-4-2nics", withNICs(base4, 2)},
+		{"p3-4-4nics", withNICs(base4, 4)},
 		{"hetero-oversub-1.5", mesh.MustHeteroCluster(hosts(4, p3spec), mesh.P3InterHostLatency, 1.5)},
 		{"hetero-oversub-2", mesh.MustHeteroCluster(hosts(4, p3spec), mesh.P3InterHostLatency, 2)},
 		{"hetero-slow-nic", mesh.MustHeteroCluster(variant(func(s *mesh.HostSpec) { s.NICBandwidth /= 2 }), mesh.P3InterHostLatency, 1)},
@@ -261,15 +261,14 @@ func TestCacheKeyNeverCollidesAcrossTopologies(t *testing.T) {
 	if CacheKey(a, opts) != CacheKey(b, opts) {
 		t.Error("identical hardware built twice must share one cache key")
 	}
-	// a HeteroCluster with uniform p3 specs times transfers exactly like
-	// the homogeneous Cluster, so the boundary shares the key even though
-	// the fingerprints (identities) differ;
+	// uniform p3 specs assembled by hand are the p3 preset: one key and
+	// one fingerprint;
 	uniform := mesh.MustHeteroCluster(hosts(4, p3spec), mesh.P3InterHostLatency, 1)
 	if CacheKey(degradedBoundary(t, uniform), opts) != CacheKey(a, opts) {
 		t.Error("observably identical hardware should share one cache key")
 	}
-	if uniform.Fingerprint() == base4.Fingerprint() {
-		t.Error("distinct implementations must keep distinct fingerprints")
+	if uniform.Fingerprint() != base4.Fingerprint() {
+		t.Errorf("hand-built p3 hosts fingerprint %q, want the preset's %q", uniform.Fingerprint(), base4.Fingerprint())
 	}
 	// and a fault on a host the boundary never touches leaves the
 	// boundary's key alone — the plan really is identical there.

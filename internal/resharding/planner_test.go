@@ -14,14 +14,16 @@ import (
 	"alpacomm/internal/tensor"
 )
 
-// slowTask builds a resharding whose ensemble DFS consumes its whole node
-// budget (measured: ~100ns/node), so a large budget makes planning take long
+// slowTask builds a resharding whose ensemble spends every search budget
+// (measured: ~100ns/node), so a large DFS budget makes planning take long
 // enough to be interrupted mid-search. Nothing may end the ensemble early:
 // every unit can be sent from either source host, so the closed-form
-// candidates leave a gap to the bound (checked below), and 62 rows split
-// unevenly over four devices, so the bottleneck receiver host carries two
-// different durations and no schedule the search finds is ever proven
-// optimal.
+// candidates leave a gap to the floor (checked below). A schedule at the
+// floor exists — a target search taking the tasks in index order reaches
+// 9.5232e-06 s — but the ensemble's target search (tasks longest first)
+// spends its 8 192 nodes without it, because its dominance table misses
+// states that differ only by swapping the two sender hosts, and greedy and
+// the improvement DFS end at 9.6e-06 s: the plan is never proven.
 func slowTask(t *testing.T) *sharding.Task {
 	t.Helper()
 	c := mesh.AWSP3Cluster(4)
@@ -63,6 +65,21 @@ func slowTask(t *testing.T) *sharding.Task {
 		t.Fatal("slowTask: the ensemble DFS ended before its first stop poll; it must run until its budget or a cancellation")
 	}
 	return task
+}
+
+// TestSlowTaskSpendsEveryBudget: a plan that is never proven spends
+// exactly its budgets, read from the plan's exit report as counts, never
+// from a clock — the target search its 8 192 nodes plus the node that
+// finds them spent, the DFS its budget plus that node, and greedy trials.
+func TestSlowTaskSpendsEveryBudget(t *testing.T) {
+	const budget = 4 * schedule.StopStride
+	plan, err := NewPlan(slowTask(t), Options{Scheduler: SchedEnsemble, Seed: 1, DFSNodes: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := plan.Report; r.Proven || r.TargetNodes != 8193 || r.DFSNodes != budget+1 || r.GreedyTrials <= 0 {
+		t.Errorf("report %+v; want unproven with 8193 target nodes, %d DFS nodes and greedy trials", r, budget+1)
+	}
 }
 
 // TestPlannerMatchesFreeFunctions: a session plan and autotune result are

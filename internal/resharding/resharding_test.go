@@ -13,7 +13,7 @@ import (
 
 // microCluster: GPUs like the paper's testbed but with round numbers:
 // 4 devices/host, intra 1000 B/s, NIC 10 B/s, zero latency.
-func microCluster(hosts int) *mesh.Cluster {
+func microCluster(hosts int) *mesh.HeteroCluster {
 	c, err := mesh.NewCluster(hosts, 4, 1000, 10, 0, 0)
 	if err != nil {
 		panic(err)
@@ -21,10 +21,19 @@ func microCluster(hosts int) *mesh.Cluster {
 	return c
 }
 
+// withNICs returns c with every host's NIC count set to n.
+func withNICs(c *mesh.HeteroCluster, n int) *mesh.HeteroCluster {
+	hosts := append([]mesh.HostSpec(nil), c.Hosts...)
+	for i := range hosts {
+		hosts[i].NICs = n
+	}
+	return mesh.MustHeteroCluster(hosts, c.InterHostLatency, c.Oversubscription)
+}
+
 // oneToMany builds the Fig. 5 setting: a single sender device on host 0
 // holding a replicated tensor, and n receiver devices on hosts 1.. with a
 // replicated destination spec. The tensor has `elements` float32 elements.
-func oneToMany(t *testing.T, c *mesh.Cluster, recvDevices []int, rows, cols int) *sharding.Task {
+func oneToMany(t *testing.T, c *mesh.HeteroCluster, recvDevices []int, rows, cols int) *sharding.Task {
 	t.Helper()
 	src, err := mesh.NewMesh(c, []int{1, 1}, []int{0})
 	if err != nil {

@@ -141,9 +141,9 @@ func simReferenceTopologies(t *testing.T) map[string]mesh.Topology {
 		}
 		topos[name] = topo
 	}
-	topos["p3 x2 NICs"] = mesh.AWSP3Cluster(4).WithNICs(2)
+	topos["p3 x2 NICs"] = withNICs(mesh.AWSP3Cluster(4), 2)
 	topos["zero latency"] = microCluster(4)
-	topos["zero latency x8 NICs"] = microCluster(4).WithNICs(8)
+	topos["zero latency x8 NICs"] = withNICs(microCluster(4), 8)
 	return topos
 }
 

@@ -177,7 +177,7 @@ func TestSenderRoundRobin(t *testing.T) {
 // doubles cross-host bandwidth.
 func TestMultiNICBroadcastHalvesTime(t *testing.T) {
 	run := func(nics int) float64 {
-		c := microCluster(2).WithNICs(nics)
+		c := withNICs(microCluster(2), nics)
 		net := netsim.NewClusterNet(c)
 		_, err := builderOn(net).buildBroadcast(Options{Chunks: 64}, 0, 0, []int{4, 5, 6, 7}, 64000, 0, nil)
 		if err != nil {
@@ -201,7 +201,7 @@ func TestMultiNICBroadcastHalvesTime(t *testing.T) {
 
 // TestMultiNICRoundTrip: the data plane is unaffected by NIC splitting.
 func TestMultiNICRoundTrip(t *testing.T) {
-	c := microCluster(2).WithNICs(2)
+	c := withNICs(microCluster(2), 2)
 	src, _ := c.Slice([]int{2, 2}, 0)
 	dst, _ := c.Slice([]int{2, 2}, 4)
 	task, err := sharding.NewTask(tensor.MustShape(16, 16), tensor.Float32, src, sharding.MustParse("S01R"), dst, sharding.MustParse("S0R"))

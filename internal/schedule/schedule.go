@@ -530,9 +530,9 @@ func Naive(tasks []Task) Plan {
 }
 
 // LoadBalanceOnly solves the Eq. 4 relaxation with the classical LPT
-// greedy: tasks sorted by descending duration, each assigned to the
-// candidate sender with the lightest committed load. The order is the
-// assignment order (longest first).
+// greedy: GreedyLoad's assignment over the tasks sorted by descending
+// duration (ties by ID). The order is the assignment order (longest
+// first).
 func LoadBalanceOnly(tasks []Task) Plan {
 	idx := make([]int, len(tasks))
 	for i := range idx {
@@ -544,21 +544,7 @@ func LoadBalanceOnly(tasks []Task) Plan {
 		}
 		return tasks[idx[a]].ID < tasks[idx[b]].ID
 	})
-	load := map[int]float64{}
-	p := Plan{Sender: map[int]int{}}
-	for _, i := range idx {
-		t := tasks[i]
-		best, bestLoad := -1, math.Inf(1)
-		for _, c := range t.SenderHosts {
-			if load[c] < bestLoad || (load[c] == bestLoad && c < best) {
-				best, bestLoad = c, load[c]
-			}
-		}
-		p.Sender[t.ID] = best
-		load[best] += t.Duration
-		p.Order = append(p.Order, t.ID)
-	}
-	return p
+	return lightestLoad(tasks, idx)
 }
 
 // GreedyLoad assigns each task, in input order, to the candidate sender
@@ -566,10 +552,18 @@ func LoadBalanceOnly(tasks []Task) Plan {
 // input-order counterpart of LoadBalanceOnly, matching the baseline
 // systems' load balancing (§5.1.2). It is cheap enough to run per task
 // on the serving hot path.
-func GreedyLoad(tasks []Task) Plan {
+func GreedyLoad(tasks []Task) Plan { return lightestLoad(tasks, nil) }
+
+// lightestLoad is GreedyLoad's assignment over tasks[idx[0]],
+// tasks[idx[1]], ..., or over tasks in input order when idx is nil.
+func lightestLoad(tasks []Task, idx []int) Plan {
 	load := map[int]float64{}
 	p := Plan{Sender: map[int]int{}}
-	for _, t := range tasks {
+	for k := range tasks {
+		t := &tasks[k]
+		if idx != nil {
+			t = &tasks[idx[k]]
+		}
 		best, bestLoad := -1, math.Inf(1)
 		for _, c := range t.SenderHosts {
 			if load[c] < bestLoad || (load[c] == bestLoad && c < best) {

@@ -16,8 +16,8 @@ type TopologyRef struct {
 	Name string `json:"name"`
 	// Hosts is the host count; 0 means the preset's default.
 	Hosts int `json:"hosts,omitempty"`
-	// Oversubscription is the fabric oversubscription for presets with a
-	// shared switch fabric; 0 means 1:1.
+	// Oversubscription is the fabric oversubscription of the "mixed"
+	// preset; 0 means 1:1. "p3" and "dgx-a100" ignore it (1:1 fabrics).
 	Oversubscription float64 `json:"oversubscription,omitempty"`
 }
 

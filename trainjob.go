@@ -15,8 +15,8 @@ import (
 // boundary, and a pipeline schedule.
 type TrainingJob struct {
 	// Cluster is the hardware topology to run on; must hold
-	// Parallel.TotalDevices() devices. Any Topology implementation works:
-	// the homogeneous p3-style Cluster or a heterogeneous HeteroCluster.
+	// Parallel.TotalDevices() devices. Any Topology works: a HeteroCluster
+	// (AWSP3Cluster for the paper's testbed) or a Faulted overlay of one.
 	Cluster Topology
 	// Device is the accelerator throughput model.
 	Device DeviceSpec
