@@ -46,7 +46,7 @@ smoke:
 
 # cluster-smoke is CI's distributed tier scaling step: 1/2/4/8-node
 # in-process tiers, failing below a 6x 8-node vs 1-node speedup or when a
-# working-set plan ends proven (~20 s; writes BENCH_cluster.ci.json).
+# working-set plan ends proven (~15 s; writes BENCH_cluster.ci.json).
 cluster-smoke:
 	$(GO) run ./cmd/loadgen -cluster -json BENCH_cluster.ci.json
 

@@ -276,8 +276,8 @@ func checkSearched(n int, stats []*service.StatsResponse) {
 		unproven += e.Unproven
 	}
 	if computed == 0 || unproven != computed {
-		fail("cluster: %d of %d plans the %d-node tier computed ended proven; the working set (clusterKeyReq) must search",
-			computed-unproven, computed, n)
+		fail("cluster: the %d-node tier computed %d plans, %d of them unproven; every working-set plan (clusterKeyReq) must search",
+			n, computed, unproven)
 	}
 }
 
