@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test lint lint-fix fmt bench-smoke bench-test smoke cluster-smoke fuzz
+.PHONY: build test lint lint-fix fmt bench-smoke bench-test bench-pairs smoke cluster-smoke fuzz
 
 build:
 	$(GO) build ./...
@@ -36,6 +36,17 @@ bench-smoke:
 bench-test:
 	cd bench && $(GO) test ./...
 
+# bench-pairs runs alternating benchmark pairs of two revisions, each
+# exported outside the checkout, and judges every end-to-end metric pair by
+# pair (scripts/bench-pairs.sh), e.g.
+#   make bench-pairs PARENT=HEAD~1 WORKLOAD=tier_zipf SEED=7 PAIRS=10
+CHANGE ?= HEAD
+PAIRS ?= 10
+RUN_SECONDS ?= 30
+bench-pairs:
+	@test -n "$(PARENT)" -a -n "$(WORKLOAD)" -a -n "$(SEED)" || { echo "usage: make bench-pairs PARENT=<rev> [CHANGE=HEAD] WORKLOAD=<name> SEED=<n> [PAIRS=10] [RUN_SECONDS=30]" >&2; exit 2; }
+	bash scripts/bench-pairs.sh $(PARENT) $(CHANGE) $(WORKLOAD) $(SEED) $(PAIRS) $(RUN_SECONDS)
+
 # smoke runs CI's three plan-service load smokes: the closed loop with
 # batches, fault overlays and the churn timeline; the binary wire format;
 # and bursty open arrivals against an SLO server.
@@ -66,3 +77,9 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzTargetMatchesReference -fuzztime 10s ./internal/schedule
 	$(GO) test -run xxx -fuzz FuzzBinaryDecode -fuzztime 10s ./internal/service
 	$(GO) test -run xxx -fuzz FuzzPlanRequestV2 -fuzztime 10s ./internal/service
+	$(GO) test -run xxx -fuzz FuzzPlanResponseJSON -fuzztime 10s ./internal/service
+	$(GO) test -run xxx -fuzz FuzzPlanRequestJSON -fuzztime 10s ./internal/service
+	$(GO) test -run xxx -fuzz FuzzParsePlanResponse -fuzztime 10s ./internal/service
+	# A snapshot input is ~1.4 KB and each run builds two servers, so the
+	# default 60 s minimization of each new input would eat the whole window.
+	$(GO) test -run xxx -fuzz FuzzRestore -fuzztime 10s -fuzzminimizetime 200x ./internal/cluster

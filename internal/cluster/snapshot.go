@@ -5,10 +5,13 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
+	"alpacomm/internal/resharding"
 	"alpacomm/internal/service"
 )
 
@@ -22,9 +25,10 @@ import (
 // entry's pre-serialized binary plan frame — the exact bytes a
 // binary-negotiated /v2/plan response carries, reused as the persistence
 // format. Restore replays each record from scratch: parse the request,
-// decode the frame, and gate the plan through VerifyFill exactly as a
-// peer fill would be. The snapshot is therefore untrusted input — a
-// corrupt or tampered record fails its own verification and is skipped,
+// decode the frame, gate the plan through VerifyFill exactly as a peer
+// fill would be, and hold it to the plan this node computes for the
+// request. The snapshot is therefore untrusted input — a corrupt or
+// tampered record fails its own verification and is skipped,
 // while length-prefixed framing keeps the stream in sync so every other
 // record still restores.
 
@@ -118,8 +122,9 @@ func (n *Node) Snapshot(path string) (SnapshotStats, error) {
 
 // Restore warm-starts the cache from a snapshot written by Snapshot:
 // every record is replayed from scratch — request parsed, frame decoded,
-// plan re-simulated and compared via VerifyFill — and only verified
-// entries are installed. Corrupt records are counted and skipped
+// plan re-simulated and compared via VerifyFill, then compared with the
+// plan drafted and finished here — and only verified entries are
+// installed. Corrupt records are counted and skipped
 // individually; a framing-level corruption (bad magic, a length running
 // past the file) stops the scan and reports the records salvaged before
 // it. A missing file is not an error: a cold start restores nothing.
@@ -198,6 +203,17 @@ func (n *Node) restoreRecord(ctx context.Context, reqB, frame []byte) bool {
 		}
 		plan, sim, err := VerifyFill(task, opts, resp)
 		if err != nil {
+			return false
+		}
+		// A tampered frame can name another plan that simulates to the
+		// same numbers (a tie); only the plan this node would compute
+		// itself installs.
+		d, err := resharding.NewDraft(task, opts)
+		if err != nil {
+			return false
+		}
+		own, err := d.Plan(ctx)
+		if err != nil || !slices.Equal(own.Order, plan.Order) || !maps.Equal(own.SenderOf, plan.SenderOf) {
 			return false
 		}
 		n.srv.InstallPlan(key, plan, sim, opts)

@@ -24,7 +24,7 @@ func fillTier(t *testing.T, tn *testNode, n int) map[int64][]byte {
 
 // frameRegion walks the snapshot's length-prefixed records and returns the
 // byte range of record rec's plan frame.
-func frameRegion(t *testing.T, data []byte, rec int) (start, length int) {
+func frameRegion(t testing.TB, data []byte, rec int) (start, length int) {
 	t.Helper()
 	off := 9 // magic + version + count
 	for i := 0; ; i++ {
@@ -129,6 +129,52 @@ func TestSnapshotCorruptFrame(t *testing.T) {
 	}
 	if cs := cold.srv.Cache().Stats(); cs.Misses != 1 {
 		t.Errorf("recomputed %d entries, want exactly the rejected one", cs.Misses)
+	}
+}
+
+// swapOrder swaps the first two launch-order entries of record rec's plan
+// frame in place: a tampered frame whose plan re-simulates to the claimed
+// numbers whenever the two units tie.
+func swapOrder(t testing.TB, snap []byte, rec int) {
+	t.Helper()
+	start, _ := frameRegion(t, snap, rec)
+	units := int(binary.LittleEndian.Uint32(snap[start+6:])) // after magic, kind, flags
+	order := start + 34 + 4*units + 4                        // the senders, then the order count
+	var first [4]byte
+	copy(first[:], snap[order:])
+	copy(snap[order:order+4], snap[order+4:order+8])
+	copy(snap[order+4:order+8], first[:])
+}
+
+// TestSnapshotTamperedTieRejected: a frame whose launch order was swapped
+// still re-simulates to its claimed numbers (the units tie), so only
+// comparing with the plan the node computes itself keeps it out; the key
+// is recomputed on demand and serves the original bytes.
+func TestSnapshotTamperedTieRejected(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "plans.snap")
+	warm := startTier(t, []string{"solo"}, func() service.Config { return service.Config{} })[0]
+	bodies := fillTier(t, warm, 1)
+	if _, err := warm.node.Snapshot(path); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	swapOrder(t, data, 0)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cold := startTier(t, []string{"solo"}, func() service.Config { return service.Config{} })[0]
+	rst, err := cold.node.Restore(context.Background(), path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rst.Restored != 0 || rst.Rejected != 1 {
+		t.Fatalf("restore stats = %+v, want the tampered record rejected", rst)
+	}
+	if got := rawPlan(t, cold.url, tierReq(t, 1)); !bytes.Equal(got, bodies[1]) {
+		t.Fatalf("body differs after a tampered restart\n got %s\nwant %s", got, bodies[1])
 	}
 }
 

@@ -170,6 +170,36 @@ func TestStringers(t *testing.T) {
 	}
 }
 
+// TestClusterStringTellsHostsApart: clusters whose hosts differ only in
+// NIC count or NIC bandwidth print different summaries, and the p3 preset
+// prints its host run in full.
+func TestClusterStringTellsHostsApart(t *testing.T) {
+	fourNICs, slowNIC := P3HostSpec(), P3HostSpec()
+	fourNICs.NICs = 4
+	slowNIC.NICBandwidth /= 4
+	clusters := map[string]*HeteroCluster{
+		"p3":        AWSP3Cluster(2),
+		"p3 4 NICs": MustHeteroCluster([]HostSpec{fourNICs, fourNICs}, P3InterHostLatency, 1),
+		"p3 slow":   MustHeteroCluster([]HostSpec{slowNIC, slowNIC}, P3InterHostLatency, 1),
+		"dgx-a100":  DGXA100Cluster(2),
+		"mixed":     MixedP3DGXCluster(2, 1, 1.5),
+	}
+	seen := map[string]string{}
+	for name, c := range clusters {
+		s := c.String()
+		if other, ok := seen[s]; ok {
+			t.Errorf("%s and %s both print %q", name, other, s)
+		}
+		seen[s] = name
+	}
+	if got, want := clusters["p3"].String(), "hetero-cluster(2 hosts, 8 devices, oversub 1.0:1: 2x[4 dev, 1x10 Gbps NIC])"; got != want {
+		t.Errorf("p3 prints %q, want %q", got, want)
+	}
+	if got, want := clusters["mixed"].String(), "hetero-cluster(3 hosts, 16 devices, oversub 1.5:1: 2x[4 dev, 1x10 Gbps NIC] + 1x[8 dev, 8x200 Gbps NIC])"; got != want {
+		t.Errorf("mixed prints %q, want %q", got, want)
+	}
+}
+
 func TestClusterNICs(t *testing.T) {
 	if n := AWSP3Cluster(2).NICCount(1); n != 1 {
 		t.Errorf("p3 NICs = %d, want 1", n)

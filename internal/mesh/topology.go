@@ -251,9 +251,28 @@ func (hc *HeteroCluster) Fingerprint() string {
 	return b.String()
 }
 
+// String summarizes the cluster: its totals, then each run of identical
+// consecutive hosts with its size, device count and NIC tier, e.g.
+// "hetero-cluster(3 hosts, 16 devices, oversub 1.5:1: 2x[4 dev, 1x10 Gbps
+// NIC] + 1x[8 dev, 8x200 Gbps NIC])".
 func (hc *HeteroCluster) String() string {
-	return fmt.Sprintf("hetero-cluster(%d hosts, %d devices, oversub %.1f:1)",
+	var b strings.Builder
+	fmt.Fprintf(&b, "hetero-cluster(%d hosts, %d devices, oversub %.1f:1:",
 		hc.HostCount(), hc.NumDevices(), hc.Oversubscription)
+	for i := 0; i < len(hc.Hosts); {
+		j := i + 1
+		for j < len(hc.Hosts) && hc.Hosts[j] == hc.Hosts[i] {
+			j++
+		}
+		if i > 0 {
+			b.WriteString(" +")
+		}
+		s := hc.Hosts[i]
+		fmt.Fprintf(&b, " %dx[%d dev, %dx%g Gbps NIC]", j-i, s.Devices, s.EffectiveNICs(), s.NICBandwidth*8/1e9)
+		i = j
+	}
+	b.WriteByte(')')
+	return b.String()
 }
 
 // NewCluster validates and builds a cluster of identical hosts: each with

@@ -95,9 +95,21 @@ func NewClient(baseURL string, httpClient *http.Client, opts ...ClientOption) *C
 // PlanV2 requests one resharding plan. When ctx carries a deadline, the
 // remaining budget is propagated to the server via X-Timeout-Ms so the
 // server-side queue wait and search are bounded by it too.
+//
+// The request is rendered and a JSON response parsed by hand (jsonwire.go),
+// to the bytes and values encoding/json would give.
 func (c *Client) PlanV2(ctx context.Context, req *PlanRequest) (*PlanResponse, error) {
+	// The request body must stay alive for the whole round trip, so the
+	// buffer is returned only afterwards.
+	buf := getBuf()
+	defer putBuf(buf)
+	body, err := appendPlanRequestJSON((*buf)[:0], req)
+	if err != nil {
+		return nil, err
+	}
+	*buf = body
 	var resp PlanResponse
-	if err := c.post(ctx, "/v2/plan", req, &resp); err != nil {
+	if err := c.postBody(ctx, "/v2/plan", body, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -144,7 +156,12 @@ func (c *Client) post(ctx context.Context, path string, payload, out interface{}
 	if err := je.enc.Encode(payload); err != nil {
 		return err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(je.buf.Bytes()))
+	return c.postBody(ctx, path, je.buf.Bytes(), out)
+}
+
+// postBody posts a rendered JSON body and decodes the answer into out.
+func (c *Client) postBody(ctx context.Context, path string, body []byte, out interface{}) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
@@ -203,6 +220,17 @@ func (c *Client) roundTrip(req *http.Request, out interface{}) error {
 			return err
 		}
 		return decodeBinaryInto(data, out)
+	}
+	if p, ok := out.(*PlanResponse); ok {
+		buf := getBuf()
+		defer putBuf(buf)
+		body := bytes.NewBuffer((*buf)[:0])
+		_, err := body.ReadFrom(resp.Body)
+		*buf = body.Bytes()
+		if err != nil {
+			return err
+		}
+		return parsePlanResponse(body.Bytes(), p)
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
 }

@@ -135,7 +135,7 @@ func (s *Server) ExportPlans() []ExportedPlan {
 				continue
 			}
 		}
-		out = append(out, ExportedPlan{Key: e.Key, Frame: append([]byte(nil), enc.bin...)})
+		out = append(out, ExportedPlan{Key: e.Key, Frame: append([]byte(nil), enc.binary()...)})
 	}
 	return out
 }

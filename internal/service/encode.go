@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"alpacomm/internal/percpu"
 	"alpacomm/internal/resharding"
@@ -12,9 +13,9 @@ import (
 )
 
 // The zero-alloc serve path. A plan is serialized exactly once, when its
-// cache entry is filled: the leader renders the JSON body and the binary
-// frame for the identity response and attaches them to the entry
-// (resharding.PlanCache.Attach), so every later hit is a pooled-buffer
+// cache entry is filled: the leader renders the JSON body for the identity
+// response and attaches it to the entry (resharding.PlanCache.Attach); the
+// binary frame follows on first use. Every later hit is a pooled-buffer
 // copy plus at most two in-place patches — the coalesced flag and, on a
 // translated hit, the remapped sender section. Nothing on the hit path
 // calls json.Marshal.
@@ -91,8 +92,8 @@ type encodedPlan struct {
 	// mesh: a translated hit's sender is task.Src.Mesh.Devices[senderPos[i]].
 	senderPos []int32
 
-	// jsonFull is the complete encoding/json-rendered response body
-	// (identity senders, coalesced unset), without the json.Encoder's
+	// jsonFull is the complete response body (identity senders, coalesced
+	// unset) as json.Marshal renders it, without the json.Encoder's
 	// trailing newline. jsonHead/jsonIdent/jsonTail are its three slices
 	// around the senders array — head ends just after `"senders":[`, tail
 	// runs from the closing `]` up to (excluding) the final `}` — so a
@@ -103,20 +104,23 @@ type encodedPlan struct {
 	jsonIdent []byte
 	jsonTail  []byte
 
+	// resp is the identity response the binary frame is rendered from.
+	resp PlanResponse
 	// bin is the complete binary frame for the identity, non-coalesced
-	// response. The senders array lives at the fixed offset
-	// binPlanSendersOff and the flags byte at binFlagsOff, so patched
-	// variants copy the frame and overwrite in place.
-	bin []byte
+	// response, rendered on first use (renderBinary): most entries are
+	// only ever served as JSON. The senders array lives at the fixed
+	// offset binPlanSendersOff and the flags byte at binFlagsOff, so
+	// patched variants copy the frame and overwrite in place.
+	bin atomic.Pointer[[]byte]
 }
 
-// newEncodedPlan renders both wire bodies for one cached plan. The
-// identity response is produced by encoding/json itself, so the
-// serialize-once bytes are exactly what the per-request encoder wrote
-// before this path existed. It fails only on a simulation encoding/json
-// refuses — a NaN or infinite float, which no real plan has (a makespan
-// is positive and EffectiveGbps is guarded by it); the request then
-// fails too, since these bodies are the only way a plan is served.
+// newEncodedPlan renders the JSON body for one cached plan with the
+// hand-written appenders (jsonwire.go), recording the senders array's
+// offsets as it writes; the bytes are exactly what json.Marshal renders.
+// It fails only on a simulation encoding/json refuses — a NaN or infinite
+// float, which no real plan has (a makespan is positive and EffectiveGbps
+// is guarded by it); the request then fails too, since these bodies are
+// the only way a plan is served.
 func newEncodedPlan(plan *resharding.Plan, sim *resharding.SimResult,
 	opts resharding.Options, key string) (*encodedPlan, error) {
 
@@ -133,40 +137,49 @@ func newEncodedPlan(plan *resharding.Plan, sim *resharding.SimResult,
 		senderPos[i] = int32(pos[plan.SenderOf[i]])
 	}
 
-	resp := PlanResponse{
-		Strategy:        opts.Strategy.String(),
-		Scheduler:       opts.Scheduler.String(),
-		NumUnits:        n,
-		Senders:         senders,
-		Order:           plan.Order,
-		MakespanSeconds: sim.Makespan,
-		EffectiveGbps:   sim.EffectiveGbps,
-		NumOps:          sim.NumOps,
-		Key:             key,
-		Degraded:        opts.Scheduler == resharding.SchedDegraded,
-	}
-	full, err := json.Marshal(resp)
-	if err != nil {
-		return nil, err
-	}
-	// The senders array holds only integers, so the first ']' after the
-	// marker closes it. The key string is the only free-form field and a
-	// cache key never contains a quote, so the marker cannot occur inside
-	// it — and PlanResponse always renders it, so it is always found.
-	marker := []byte(`"senders":[`)
-	start := bytes.Index(full, marker) + len(marker)
-	end := start + bytes.IndexByte(full[start:], ']')
-
 	e := &encodedPlan{
 		task:      task,
 		senderPos: senderPos,
-		jsonFull:  full,
-		jsonHead:  full[:start],
-		jsonIdent: full[start:end],
-		jsonTail:  full[end : len(full)-1],
+		resp: PlanResponse{
+			Strategy:        opts.Strategy.String(),
+			Scheduler:       opts.Scheduler.String(),
+			NumUnits:        n,
+			Senders:         senders,
+			Order:           plan.Order,
+			MakespanSeconds: sim.Makespan,
+			EffectiveGbps:   sim.EffectiveGbps,
+			NumOps:          sim.NumOps,
+			Key:             key,
+			Degraded:        opts.Scheduler == resharding.SchedDegraded,
+		},
 	}
-	e.bin = appendPlanBinary(nil, &resp)
+	full, start, end, err := appendPlanResponseJSON(nil, &e.resp)
+	if err != nil {
+		return nil, err
+	}
+	e.jsonFull = full
+	e.jsonHead = full[:start]
+	e.jsonIdent = full[start:end]
+	e.jsonTail = full[end : len(full)-1]
 	return e, nil
+}
+
+// binary returns the identity binary frame, rendering it on first use.
+func (e *encodedPlan) binary() []byte {
+	if p := e.bin.Load(); p != nil {
+		return *p
+	}
+	return e.renderBinary()
+}
+
+// renderBinary renders and publishes the binary frame. Concurrent first
+// uses render identical bytes, and the first published copy wins.
+func (e *encodedPlan) renderBinary() []byte {
+	b := appendPlanBinary(nil, &e.resp)
+	if !e.bin.CompareAndSwap(nil, &b) {
+		return *e.bin.Load()
+	}
+	return b
 }
 
 // appendJSON appends the response body for one request — without the
@@ -214,7 +227,7 @@ func (e *encodedPlan) appendSenders(b []byte, task *sharding.Task) []byte {
 //alpacomm:hotpath
 func (e *encodedPlan) appendBinary(b []byte, task *sharding.Task, shared bool) []byte {
 	n := len(b)
-	b = append(b, e.bin...)
+	b = append(b, e.binary()...)
 	if shared {
 		b[n+binFlagsOff] |= binFlagCoalesced
 	}

@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"reflect"
+	"sync"
 	"testing"
 
 	"alpacomm/internal/mesh"
@@ -589,3 +590,44 @@ type statusOnlyWriter struct {
 func (s *statusOnlyWriter) Header() http.Header         { return s.h }
 func (s *statusOnlyWriter) WriteHeader(c int)           { s.status = c }
 func (s *statusOnlyWriter) Write(p []byte) (int, error) { return len(p), nil }
+
+// TestBinaryFrameOnFirstUse: a fill renders only the JSON body; the first
+// binary requests, arriving together, render the frame once between them
+// and all serve the same bytes.
+func TestBinaryFrameOnFirstUse(t *testing.T) {
+	s := New(Config{})
+	body := mustJSON(t, testReq(5))
+	r := send(s, body, "")
+	if r.status != http.StatusOK {
+		t.Fatalf("fill: status %d: %s", r.status, r.body)
+	}
+	var resp PlanResponse
+	if err := json.Unmarshal([]byte(r.body), &resp); err != nil {
+		t.Fatal(err)
+	}
+	_, _, att, ok := s.cache.LookupKeyedAttachment(resp.Key)
+	enc, _ := att.(*encodedPlan)
+	if !ok || enc == nil {
+		t.Fatal("filled entry has no encoded bodies")
+	}
+	if enc.bin.Load() != nil {
+		t.Fatal("a JSON fill rendered the binary frame")
+	}
+	const n = 8
+	bodies := make([]string, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			bodies[i] = send(s, body, ContentTypeBinary).body
+		}(i)
+	}
+	wg.Wait()
+	want := string(appendPlanBinary(nil, &resp))
+	for i, got := range bodies {
+		if got != want {
+			t.Fatalf("binary hit %d served %q, want %q", i, got, want)
+		}
+	}
+}
