@@ -34,8 +34,9 @@
 // internal/cluster; a key proven without a search is planned where it
 // lands), and the owner's request coalescing gives the tier cluster-wide
 // singleflight.
-// With -snapshot the cache is periodically persisted and replay-verified
-// back on start, so a bounced node rejoins warm:
+// With -snapshot the requests that filled the cache are periodically
+// persisted and replayed on start (each planned again on this node, so a
+// snapshot can never install a wrong plan), and a bounced node rejoins warm:
 //
 //	planserver -addr :8101 -node-id a -peers 'b=http://127.0.0.1:8102' \
 //	    -self http://127.0.0.1:8101 -snapshot /var/tmp/plans-a.snap
@@ -153,7 +154,7 @@ func main() {
 			if st, err := node.Restore(ctx, *snapshotPath); err != nil {
 				log.Printf("planserver: warm restart failed: %v", err)
 			} else if st.Entries > 0 {
-				fmt.Printf("planserver: warm restart: %d/%d snapshot entries verified and restored\n",
+				fmt.Printf("planserver: warm restart: %d/%d snapshot entries replayed\n",
 					st.Restored, st.Entries)
 			}
 		}

@@ -53,8 +53,6 @@ type Node struct {
 	addrs   map[string]string // member id -> base URL (self absent)
 	clients map[string]*service.Client
 
-	journal journal
-
 	accepts   atomic.Int64
 	rejects   atomic.Int64
 	restored  atomic.Int64
@@ -76,7 +74,6 @@ func New(cfg Config, srv *service.Server) (*Node, error) {
 		addrs:   map[string]string{},
 		clients: map[string]*service.Client{},
 	}
-	n.journal.init(journalBound(srv))
 	n.ring.Add(cfg.NodeID)
 	for id, addr := range cfg.Peers {
 		if id == cfg.NodeID {
@@ -86,16 +83,6 @@ func New(cfg Config, srv *service.Server) (*Node, error) {
 	}
 	srv.SetRouter(n)
 	return n, nil
-}
-
-// journalBound sizes the fill journal to the cache it shadows: the journal
-// only needs to cover resident entries (snapshots join the two), with
-// headroom so eviction churn between sweeps does not drop records.
-func journalBound(srv *service.Server) int {
-	if c := srv.Cache().Capacity(); c > 0 {
-		return 2*c + 1024
-	}
-	return 1 << 16
 }
 
 // NodeID returns this node's identity.
@@ -128,8 +115,8 @@ func (n *Node) removeMember(id string) {
 }
 
 // client returns (building if needed) the peer client for a member: binary
-// wire (the frames are what verification and snapshots consume) and the
-// peer header so the owner resolves locally.
+// wire (the frames are what verification consumes) and the peer header so
+// the owner resolves locally.
 func (n *Node) client(id string) *service.Client {
 	n.mu.RLock()
 	cl, ok := n.clients[id]
@@ -193,12 +180,6 @@ func (n *Node) Fetch(ctx context.Context, owner, key string, req *service.PlanRe
 	}
 	n.accepts.Add(1)
 	return plan, sim, nil
-}
-
-// Record implements service.Router: remember the wire request that filled
-// a key so Snapshot can persist a replayable record.
-func (n *Node) Record(key string, req *service.PlanRequest) {
-	n.journal.put(key, req)
 }
 
 // Info implements service.Router.
@@ -356,48 +337,4 @@ func (n *Node) postMembership(ctx context.Context, id, path string, mc memberCha
 		return nil, err
 	}
 	return ml.Members, nil
-}
-
-// journal shadows the plan cache with the wire request that filled each
-// key: a snapshot record must be replayable (parse request -> task ->
-// verify plan), and the cache itself only holds the parsed form. Bounded;
-// when full it first sweeps entries whose keys are no longer resident.
-type journal struct {
-	mu    sync.Mutex
-	bound int
-	m     map[string]*service.PlanRequest
-}
-
-func (j *journal) init(bound int) {
-	j.bound = bound
-	j.m = make(map[string]*service.PlanRequest)
-}
-
-func (j *journal) put(key string, req *service.PlanRequest) {
-	if req == nil {
-		return
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if _, ok := j.m[key]; !ok && len(j.m) >= j.bound {
-		return // sweep() reclaims space at snapshot time
-	}
-	j.m[key] = req
-}
-
-func (j *journal) get(key string) *service.PlanRequest {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.m[key]
-}
-
-// sweep drops journal entries whose keys are no longer cache-resident.
-func (j *journal) sweep(resident map[string]bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	for k := range j.m {
-		if !resident[k] {
-			delete(j.m, k)
-		}
-	}
 }

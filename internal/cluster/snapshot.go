@@ -5,38 +5,34 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"maps"
 	"os"
 	"path/filepath"
-	"slices"
 	"time"
 
-	"alpacomm/internal/resharding"
 	"alpacomm/internal/service"
 )
 
-// Snapshot file format ("APSN", version 1, little-endian):
+// Snapshot file format ("APSN", version 2, little-endian):
 //
 //	magic "APSN" | version u8 | count u32 |
 //	count × record
-//	record: req_len u32 | request JSON | frame_len u32 | binary plan frame
+//	record: req_len u32 | request JSON
 //
-// A record pairs the wire request that filled a cache entry with the
-// entry's pre-serialized binary plan frame — the exact bytes a
-// binary-negotiated /v2/plan response carries, reused as the persistence
-// format. Restore replays each record from scratch: parse the request,
-// decode the frame, gate the plan through VerifyFill exactly as a peer
-// fill would be, and hold it to the plan this node computes for the
-// request. The snapshot is therefore untrusted input — a corrupt or
-// tampered record fails its own verification and is skipped,
-// while length-prefixed framing keeps the stream in sync so every other
-// record still restores.
+// A record is the wire request that filled a cache entry. A plan is a pure
+// function of its request, so the file holds no plans: Restore replays each
+// request through the server's own miss path (Server.Replay), and the plan
+// installed is the one this node computes. The snapshot is untrusted input
+// that cannot install a wrong plan: a record that does not decode to a
+// request this node can plan is skipped, a record edited into another valid
+// request fills that request's own entry, and length-prefixed framing keeps
+// the stream in sync so every other record still restores. A version-1
+// file (which paired each request with a plan frame) is refused whole.
 
 var snapMagic = [4]byte{'A', 'P', 'S', 'N'}
 
-const snapVersion = 1
+const snapVersion = 2
 
-// maxSnapRecordBytes bounds one record's decoded lengths: snapshot files
+// maxSnapRecordBytes bounds one record's decoded length: snapshot files
 // are untrusted, so a corrupt length must not drive an oversized
 // allocation.
 const maxSnapRecordBytes = 16 << 20
@@ -46,88 +42,64 @@ type SnapshotStats struct {
 	// Entries is the number of records written (snapshot) or present
 	// (restore).
 	Entries int `json:"entries"`
-	// Restored / Rejected split a restore's records into replay-verified
-	// installs and corrupt-or-stale skips; both zero on snapshot.
+	// Restored / Rejected split a restore's records into requests replayed
+	// into the cache and records that are corrupt or name no request this
+	// node can plan; both zero on snapshot.
 	Restored int `json:"restored"`
 	Rejected int `json:"rejected"`
 	// Bytes is the file size.
 	Bytes int64 `json:"bytes"`
 }
 
-// Snapshot persists the server's plan cache to path: every completed
-// entry whose fill request is still journaled, hottest first. The write
-// is atomic (temp file + rename), so a crash mid-snapshot leaves the
-// previous snapshot intact; the journal is swept to the resident key set
-// as a side effect.
+// Snapshot persists the server's plan cache to path as the requests that
+// filled its entries, hottest first; an entry no request names (a degraded
+// fill) is left out. The write is atomic (temp file + rename), so a crash
+// mid-snapshot leaves the previous snapshot intact.
 func (n *Node) Snapshot(path string) (SnapshotStats, error) {
 	var st SnapshotStats
-	plans := n.srv.ExportPlans()
-	resident := make(map[string]bool, len(plans))
-	type rec struct {
-		req   []byte
-		frame []byte
-	}
-	recs := make([]rec, 0, len(plans))
-	for _, p := range plans {
-		resident[p.Key] = true
-		req := n.journal.get(p.Key)
-		if req == nil {
-			// Filled outside the routed path (e.g. a pre-warmed shared
-			// cache): not replayable, so not persistable.
+	buf := make([]byte, 9, 4096)
+	copy(buf, snapMagic[:])
+	buf[4] = snapVersion
+	for _, p := range n.srv.ExportPlans() {
+		if p.Request == nil {
 			continue
 		}
-		rb, err := json.Marshal(req)
+		rb, err := json.Marshal(p.Request)
 		if err != nil {
 			continue
 		}
-		recs = append(recs, rec{req: rb, frame: p.Frame})
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rb)))
+		buf = append(buf, rb...)
+		st.Entries++
 	}
-	n.journal.sweep(resident)
-
-	size := 4 + 1 + 4
-	for _, r := range recs {
-		size += 8 + len(r.req) + len(r.frame)
-	}
-	buf := make([]byte, 0, size)
-	buf = append(buf, snapMagic[:]...)
-	buf = append(buf, snapVersion)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(recs)))
-	for _, r := range recs {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.req)))
-		buf = append(buf, r.req...)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.frame)))
-		buf = append(buf, r.frame...)
-	}
+	binary.LittleEndian.PutUint32(buf[5:9], uint32(st.Entries))
 
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".snapshot-*")
 	if err != nil {
-		return st, err
+		return SnapshotStats{}, err
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
 	if _, err := tmp.Write(buf); err != nil {
 		tmp.Close()
-		return st, err
+		return SnapshotStats{}, err
 	}
 	if err := tmp.Close(); err != nil {
-		return st, err
+		return SnapshotStats{}, err
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
-		return st, err
+		return SnapshotStats{}, err
 	}
-	st.Entries = len(recs)
 	st.Bytes = int64(len(buf))
 	return st, nil
 }
 
-// Restore warm-starts the cache from a snapshot written by Snapshot:
-// every record is replayed from scratch — request parsed, frame decoded,
-// plan re-simulated and compared via VerifyFill, then compared with the
-// plan drafted and finished here — and only verified entries are
-// installed. Corrupt records are counted and skipped
-// individually; a framing-level corruption (bad magic, a length running
-// past the file) stops the scan and reports the records salvaged before
-// it. A missing file is not an error: a cold start restores nothing.
+// Restore warm-starts the cache from a snapshot written by Snapshot: every
+// record's request is replayed through Server.Replay, which plans it on
+// this node as a miss. A corrupt record is counted and skipped on its own;
+// a framing-level corruption (bad magic, a length running past the file)
+// stops the scan and reports the records salvaged before it. A missing
+// file is not an error: a cold start restores nothing.
 func (n *Node) Restore(ctx context.Context, path string) (SnapshotStats, error) {
 	var st SnapshotStats
 	data, err := os.ReadFile(path)
@@ -147,79 +119,31 @@ func (n *Node) Restore(ctx context.Context, path string) (SnapshotStats, error) 
 	count := int(binary.LittleEndian.Uint32(data[5:9]))
 	st.Entries = count
 	off := 9
-	readBlob := func() ([]byte, bool) {
-		if len(data)-off < 4 {
-			return nil, false
+	for i := 0; i < count; i++ {
+		if len(data)-off < 4 || int(binary.LittleEndian.Uint32(data[off:])) > min(maxSnapRecordBytes, len(data)-off-4) {
+			st.Rejected += count - i
+			n.rejectedR.Add(int64(count - i))
+			return st, fmt.Errorf("cluster: snapshot truncated at record %d (%d restored)", i, st.Restored)
 		}
 		l := int(binary.LittleEndian.Uint32(data[off:]))
-		off += 4
-		if l > maxSnapRecordBytes || l > len(data)-off {
-			return nil, false
-		}
-		b := data[off : off+l]
-		off += l
-		return b, true
-	}
-	for i := 0; i < count; i++ {
-		reqB, ok := readBlob()
-		if !ok {
-			st.Rejected += count - i
-			n.rejectedR.Add(int64(count - i))
-			return st, fmt.Errorf("cluster: snapshot truncated at record %d (%d restored)", i, st.Restored)
-		}
-		frame, ok := readBlob()
-		if !ok {
-			st.Rejected += count - i
-			n.rejectedR.Add(int64(count - i))
-			return st, fmt.Errorf("cluster: snapshot truncated at record %d (%d restored)", i, st.Restored)
-		}
-		if n.restoreRecord(ctx, reqB, frame) {
+		if n.restoreRecord(ctx, data[off+4:off+4+l]) {
 			st.Restored++
 		} else {
 			st.Rejected++
 		}
+		off += 4 + l
 	}
 	return st, nil
 }
 
-// restoreRecord replays one snapshot record through the same verification
-// gate as a peer fill; see Restore.
-func (n *Node) restoreRecord(ctx context.Context, reqB, frame []byte) bool {
-	ok := func() bool {
-		var req service.PlanRequest
-		if err := json.Unmarshal(reqB, &req); err != nil {
-			return false
-		}
-		task, opts, key, err := n.srv.ParsePlanRequest(ctx, &req)
-		if err != nil {
-			return false
-		}
-		resp, err := service.DecodePlanFrame(frame)
-		if err != nil {
-			return false
-		}
-		if resp.Key != key {
-			return false
-		}
-		plan, sim, err := VerifyFill(task, opts, resp)
-		if err != nil {
-			return false
-		}
-		// A tampered frame can name another plan that simulates to the
-		// same numbers (a tie); only the plan this node would compute
-		// itself installs.
-		d, err := resharding.NewDraft(task, opts)
-		if err != nil {
-			return false
-		}
-		own, err := d.Plan(ctx)
-		if err != nil || !slices.Equal(own.Order, plan.Order) || !maps.Equal(own.SenderOf, plan.SenderOf) {
-			return false
-		}
-		n.srv.InstallPlan(key, plan, sim, opts)
-		n.journal.put(key, &req)
-		return true
-	}()
+// restoreRecord replays one snapshot record; see Restore.
+func (n *Node) restoreRecord(ctx context.Context, reqB []byte) bool {
+	var req service.PlanRequest
+	ok := json.Unmarshal(reqB, &req) == nil
+	if ok {
+		_, err := n.srv.Replay(ctx, &req)
+		ok = err == nil
+	}
 	if ok {
 		n.restored.Add(1)
 	} else {

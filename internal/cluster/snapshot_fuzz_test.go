@@ -41,8 +41,7 @@ func serveJSON(t *testing.T, srv *service.Server, body []byte) []byte {
 func FuzzRestore(f *testing.F) {
 	// The seeds: a real three-record snapshot, copies cut short or with
 	// one byte flipped, a header promising records it lacks, and a record
-	// whose launch order was swapped (it re-simulates to its claimed
-	// numbers).
+	// edited into another valid request.
 	srv := service.New(service.Config{})
 	node, err := New(Config{NodeID: "seed"}, srv)
 	if err != nil {
@@ -70,10 +69,10 @@ func FuzzRestore(f *testing.F) {
 		bad[at] ^= 0x01
 		f.Add(bad)
 	}
-	f.Add([]byte("APSN\x01\xff\xff\xff\xff"))
-	tie := bytes.Clone(snap)
-	swapOrder(f, tie, 1)
-	f.Add(tie)
+	f.Add([]byte("APSN\x02\xff\xff\xff\xff"))
+	edited := tierReq(f, 2)
+	edited.Shape = []int{256, 128}
+	f.Add(replaceRecord(f, snap, 1, mustJSON(f, edited)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz.snap")
@@ -90,11 +89,10 @@ func FuzzRestore(f *testing.F) {
 			t.Fatalf("restore stats %+v do not add up", st)
 		}
 		for _, ep := range srv.ExportPlans() {
-			req := node.journal.get(ep.Key)
-			if req == nil {
-				t.Fatalf("installed key %q has no journaled request", ep.Key)
+			if ep.Request == nil {
+				t.Fatalf("installed key %q has no request", ep.Key)
 			}
-			body := mustJSON(t, req)
+			body := mustJSON(t, ep.Request)
 			if got, want := serveJSON(t, srv, body), serveJSON(t, service.New(service.Config{}), body); !bytes.Equal(got, want) {
 				t.Fatalf("restored entry serves\n %s\na fresh server serves\n %s", got, want)
 			}

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"alpacomm/internal/resharding"
 	"alpacomm/internal/service"
 )
 
@@ -22,21 +25,29 @@ func fillTier(t *testing.T, tn *testNode, n int) map[int64][]byte {
 	return bodies
 }
 
-// frameRegion walks the snapshot's length-prefixed records and returns the
-// byte range of record rec's plan frame.
-func frameRegion(t testing.TB, data []byte, rec int) (start, length int) {
+// recordRegion walks the snapshot's length-prefixed records and returns the
+// byte range of record rec's request JSON.
+func recordRegion(t testing.TB, data []byte, rec int) (start, length int) {
 	t.Helper()
 	off := 9 // magic + version + count
 	for i := 0; ; i++ {
-		reqLen := int(binary.LittleEndian.Uint32(data[off:]))
-		off += 4 + reqLen
-		frameLen := int(binary.LittleEndian.Uint32(data[off:]))
+		l := int(binary.LittleEndian.Uint32(data[off:]))
 		off += 4
 		if i == rec {
-			return off, frameLen
+			return off, l
 		}
-		off += frameLen
+		off += l
 	}
+}
+
+// replaceRecord returns a copy of the snapshot with record rec's request
+// JSON replaced by req, length prefix and all.
+func replaceRecord(t testing.TB, data []byte, rec int, req []byte) []byte {
+	t.Helper()
+	start, length := recordRegion(t, data, rec)
+	out := binary.LittleEndian.AppendUint32(bytes.Clone(data[:start-4]), uint32(len(req)))
+	out = append(out, req...)
+	return append(out, data[start+length:]...)
 }
 
 // TestSnapshotRoundTrip: snapshot a filled node, restore into a fresh one,
@@ -65,18 +76,24 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if info := cold.node.Info(); info.SnapshotRestored != n || info.SnapshotRejected != 0 {
 		t.Errorf("node counters = %d restored / %d rejected", info.SnapshotRestored, info.SnapshotRejected)
 	}
+	// The replay plans each record once on this node, so it counts as
+	// one miss per record; serving afterwards must count none.
+	replayed := cold.srv.Cache().Stats()
+	if replayed.Misses != n || replayed.Hits != 0 {
+		t.Errorf("restore counted %d misses / %d hits, want %d / 0", replayed.Misses, replayed.Hits, n)
+	}
 	for seed, want := range bodies {
 		if got := rawPlan(t, cold.url, tierReq(t, seed)); !bytes.Equal(got, want) {
 			t.Fatalf("seed %d: restored body differs\n got %s\nwant %s", seed, got, want)
 		}
 	}
 	cs := cold.srv.Cache().Stats()
-	if cs.Misses != 0 || cs.Hits != n {
-		t.Errorf("warm restart served %d misses / %d hits, want 0 / %d", cs.Misses, cs.Hits, n)
+	if misses, hits := cs.Misses-replayed.Misses, cs.Hits-replayed.Hits; misses != 0 || hits != n {
+		t.Errorf("warm restart served %d misses / %d hits, want 0 / %d", misses, hits, n)
 	}
 
 	// A re-snapshot of the restored node round-trips to the same record
-	// set (the journal was rebuilt during restore).
+	// set (each replayed entry keeps its request).
 	path2 := filepath.Join(t.TempDir(), "plans2.snap")
 	st2, err := cold.node.Snapshot(path2)
 	if err != nil {
@@ -87,27 +104,67 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotCorruptFrame: flipping one byte of one record's claimed
-// makespan rejects exactly that entry on restart — replay verification
-// catches it — while every other record restores and serves.
-func TestSnapshotCorruptFrame(t *testing.T) {
-	const n = 6
+// TestSnapshotKeepsEveryResidentEntry: every resident entry is written,
+// however many distinct keys passed through the cache before the snapshot.
+func TestSnapshotKeepsEveryResidentEntry(t *testing.T) {
+	const n = 1030
+	tn := startTier(t, []string{"solo"}, func() service.Config {
+		return service.Config{Cache: resharding.NewLRUPlanCache(1)}
+	})[0]
+	h := tn.node.Handler()
+	var last []byte
+	for seed := int64(1); seed <= n; seed++ {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v2/plan", bytes.NewReader(mustJSON(t, tierReq(t, seed)))))
+		if w.Code != http.StatusOK {
+			t.Fatalf("seed %d: status %d: %s", seed, w.Code, w.Body.Bytes())
+		}
+		last = w.Body.Bytes()
+	}
+	path := filepath.Join(t.TempDir(), "plans.snap")
+	st, err := tn.node.Snapshot(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Entries != 1 {
+		t.Fatalf("snapshot of a one-entry cache holds %d records, want 1", st.Entries)
+	}
+	cold := startTier(t, []string{"solo"}, func() service.Config { return service.Config{} })[0]
+	if rst, err := cold.node.Restore(context.Background(), path); err != nil || rst.Restored != 1 {
+		t.Fatalf("restore stats = %+v, err %v, want 1 restored", rst, err)
+	}
+	replayed := cold.srv.Cache().Stats()
+	if got := rawPlan(t, cold.url, tierReq(t, n)); !bytes.Equal(got, last) {
+		t.Fatalf("restored resident entry serves\n %s\nwant\n %s", got, last)
+	}
+	if cs := cold.srv.Cache().Stats(); cs.Misses != replayed.Misses {
+		t.Errorf("the resident entry was recomputed after restore")
+	}
+}
+
+// TestSnapshotTamperedRecord: a record whose JSON is corrupt is rejected on
+// its own, and a record edited into another valid problem restores and
+// serves the bytes a fresh server gives the edited request — the snapshot
+// names requests, never plans, so no record can install a plan this node
+// would not compute. Every other record restores; every original key
+// serves its original bytes, the two tampered ones recomputed on demand.
+func TestSnapshotTamperedRecord(t *testing.T) {
+	const n, corrupt, edited = 6, 2, 4
 	path := filepath.Join(t.TempDir(), "plans.snap")
 	warm := startTier(t, []string{"solo"}, func() service.Config { return service.Config{} })[0]
 	bodies := fillTier(t, warm, n)
 	if _, err := warm.node.Snapshot(path); err != nil {
 		t.Fatal(err)
 	}
-
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	start, length := frameRegion(t, data, 2)
-	if length <= 22 {
-		t.Fatalf("frame unexpectedly small: %d bytes", length)
-	}
-	data[start+14] ^= 0xff // one byte of the frame's makespan field
+	start, _ := recordRegion(t, data, corrupt)
+	data[start] = 0xff // no JSON value starts with this byte
+	editedReq := tierReq(t, 1)
+	editedReq.Shape = []int{256, 128}
+	data = replaceRecord(t, data, edited, mustJSON(t, editedReq))
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -115,66 +172,23 @@ func TestSnapshotCorruptFrame(t *testing.T) {
 	cold := startTier(t, []string{"solo"}, func() service.Config { return service.Config{} })[0]
 	rst, err := cold.node.Restore(context.Background(), path)
 	if err != nil {
-		t.Fatal(err) // framing is intact; only the one record may fail
+		t.Fatal(err) // framing is intact; only the corrupt record may fail
 	}
 	if rst.Restored != n-1 || rst.Rejected != 1 {
 		t.Fatalf("restore stats = %+v, want %d restored, 1 rejected", rst, n-1)
 	}
-	// Every key — including the rejected one, recomputed on demand —
-	// serves the original bytes.
+	replayed := cold.srv.Cache().Stats()
+	want := serveJSON(t, service.New(service.Config{}), mustJSON(t, editedReq))
+	if got := rawPlan(t, cold.url, editedReq); !bytes.Equal(got, want) {
+		t.Fatalf("edited record serves\n %s\na fresh server serves\n %s", got, want)
+	}
 	for seed, want := range bodies {
 		if got := rawPlan(t, cold.url, tierReq(t, seed)); !bytes.Equal(got, want) {
-			t.Fatalf("seed %d: body differs after corrupt restart", seed)
+			t.Fatalf("seed %d: body differs after a tampered restart\n got %s\nwant %s", seed, got, want)
 		}
 	}
-	if cs := cold.srv.Cache().Stats(); cs.Misses != 1 {
-		t.Errorf("recomputed %d entries, want exactly the rejected one", cs.Misses)
-	}
-}
-
-// swapOrder swaps the first two launch-order entries of record rec's plan
-// frame in place: a tampered frame whose plan re-simulates to the claimed
-// numbers whenever the two units tie.
-func swapOrder(t testing.TB, snap []byte, rec int) {
-	t.Helper()
-	start, _ := frameRegion(t, snap, rec)
-	units := int(binary.LittleEndian.Uint32(snap[start+6:])) // after magic, kind, flags
-	order := start + 34 + 4*units + 4                        // the senders, then the order count
-	var first [4]byte
-	copy(first[:], snap[order:])
-	copy(snap[order:order+4], snap[order+4:order+8])
-	copy(snap[order+4:order+8], first[:])
-}
-
-// TestSnapshotTamperedTieRejected: a frame whose launch order was swapped
-// still re-simulates to its claimed numbers (the units tie), so only
-// comparing with the plan the node computes itself keeps it out; the key
-// is recomputed on demand and serves the original bytes.
-func TestSnapshotTamperedTieRejected(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "plans.snap")
-	warm := startTier(t, []string{"solo"}, func() service.Config { return service.Config{} })[0]
-	bodies := fillTier(t, warm, 1)
-	if _, err := warm.node.Snapshot(path); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	swapOrder(t, data, 0)
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cold := startTier(t, []string{"solo"}, func() service.Config { return service.Config{} })[0]
-	rst, err := cold.node.Restore(context.Background(), path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rst.Restored != 0 || rst.Rejected != 1 {
-		t.Fatalf("restore stats = %+v, want the tampered record rejected", rst)
-	}
-	if got := rawPlan(t, cold.url, tierReq(t, 1)); !bytes.Equal(got, bodies[1]) {
-		t.Fatalf("body differs after a tampered restart\n got %s\nwant %s", got, bodies[1])
+	if cs := cold.srv.Cache().Stats(); cs.Misses-replayed.Misses != 2 {
+		t.Errorf("recomputed %d entries, want exactly the two tampered ones", cs.Misses-replayed.Misses)
 	}
 }
 
@@ -192,7 +206,7 @@ func TestSnapshotTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lastStart, _ := frameRegion(t, data, n-1)
+	lastStart, _ := recordRegion(t, data, n-1)
 	if err := os.WriteFile(path, data[:lastStart+3], 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -9,17 +9,17 @@ import (
 )
 
 // errNotPlanFrame rejects a frame of the wrong kind where a plan frame is
-// required (snapshot records, peer fills).
+// required.
 var errNotPlanFrame = errors.New("service: binary frame is not a plan frame")
 
 // Cluster integration. The service knows nothing about rings, peers or
 // snapshots — it exposes a Router seam that internal/cluster plugs into:
-// the router says which node owns a canonical cache key, fetches the plan of
-// a miss that must search from that peer (see computePlan), and records
-// successful fills for snapshot persistence. Keeping the dependency in
-// this direction (cluster imports service, never the reverse) lets a
-// standalone server run with zero cluster overhead: a nil router skips
-// every hook.
+// the router says which node owns a canonical cache key and fetches the plan
+// of a miss that must search from that peer (see computePlan); with a router
+// set, the server keeps the request of each fill so snapshots can replay it
+// (Replay). Keeping the dependency in this direction (cluster imports
+// service, never the reverse) lets a standalone server run with zero cluster
+// overhead: a nil router skips every hook.
 
 // PeerHeader marks a request as originating from another tier node rather
 // than a client; its value is the sending node's id. A server receiving it
@@ -39,9 +39,6 @@ type Router interface {
 	// bound of its own, already verified against this node's own task (the
 	// fetcher re-simulates it); an error falls the caller back to computing.
 	Fetch(ctx context.Context, owner, key string, req *PlanRequest, task *sharding.Task, opts resharding.Options) (*resharding.Plan, *resharding.SimResult, error)
-	// Record notes a successful fill (local compute or verified peer
-	// fetch) so snapshots can persist the request alongside the plan.
-	Record(key string, req *PlanRequest)
 	// Info snapshots the router's identity and counters for /v2/stats;
 	// the server overlays its own routing counters on the result.
 	Info() ClusterNodeStats
@@ -72,8 +69,9 @@ type ClusterNodeStats struct {
 	// VerifiedFillRejects counts peer plans rejected by re-simulation —
 	// a buggy or byzantine peer's plans never enter this node's cache.
 	VerifiedFillRejects int64 `json:"verified_fill_rejects"`
-	// SnapshotRestored / SnapshotRejected count warm-restart entries that
-	// passed / failed replay verification.
+	// SnapshotRestored / SnapshotRejected count warm-restart records that
+	// were replayed into the cache / rejected (a record that does not
+	// decode to a request this node can plan).
 	SnapshotRestored int64 `json:"snapshot_restored"`
 	SnapshotRejected int64 `json:"snapshot_rejected"`
 }
@@ -111,37 +109,45 @@ func (s *Server) ParsePlanRequest(ctx context.Context, req *PlanRequest) (*shard
 	return s.parseTask(ctx, s.intake, req.Topology, req.Faults, req.Shape, req.DType, req.Src, req.Dst, req.Options)
 }
 
-// ExportedPlan is one cache entry in snapshot form: the canonical key plus
-// the entry's pre-serialized binary plan frame (see DecodePlanFrame).
-type ExportedPlan struct {
-	Key   string
-	Frame []byte
+// Replay plans one snapshot record on this node: the bounded parse of
+// ParsePlanRequest, then the miss path of a peer-marked request, so the plan
+// is made here and never fetched. Plans are a pure function of the
+// request, so a replayed entry serves the bytes any node would, and a record
+// edited into another valid request fills that request's own entry. It
+// returns the request's canonical cache key.
+func (s *Server) Replay(ctx context.Context, req *PlanRequest) (string, error) {
+	task, opts, key, err := s.ParsePlanRequest(ctx, req)
+	if err != nil {
+		return "", err
+	}
+	_, _, err = s.computePlan(ctx, key, task, opts, nil, req, true, "", nil)
+	return key, err
 }
 
-// ExportPlans snapshots the plan cache as binary wire frames — the same
-// bytes a binary-negotiated /v2/plan response carries, reused as the
-// persistence format. Entries whose frame is missing (a fill raced an
-// eviction before Attach) are re-serialized; the frames are copies, safe
-// to hold after the entries are evicted. Order is most- to least-recently
-// used, so truncating a snapshot keeps the hottest keys.
+// ExportedPlan is one cache entry in snapshot form: the canonical key and
+// the wire request that filled it — nil where none is known (a standalone
+// server, a degraded fill, an installed plan).
+type ExportedPlan struct {
+	Key     string
+	Request *PlanRequest
+}
+
+// ExportPlans lists the plan cache's completed entries, most- to
+// least-recently used, so truncating a snapshot keeps the hottest keys.
 func (s *Server) ExportPlans() []ExportedPlan {
 	entries := s.cache.Export()
-	out := make([]ExportedPlan, 0, len(entries))
-	for _, e := range entries {
-		enc, _ := e.Attach.(*encodedPlan)
-		if enc == nil {
-			var err error
-			if enc, err = newEncodedPlan(e.Plan, e.Sim, e.Plan.Opts, e.Key); err != nil {
-				continue
-			}
+	out := make([]ExportedPlan, len(entries))
+	for i, e := range entries {
+		out[i].Key = e.Key
+		if enc, _ := e.Attach.(*encodedPlan); enc != nil {
+			out[i].Request = enc.req
 		}
-		out = append(out, ExportedPlan{Key: e.Key, Frame: append([]byte(nil), enc.binary()...)})
 	}
 	return out
 }
 
-// DecodePlanFrame decodes one binary plan frame (an ExportPlans frame, or
-// the body of a binary /v2/plan response) into its wire response.
+// DecodePlanFrame decodes one binary plan frame (the body of a binary
+// /v2/plan response) into its wire response.
 func DecodePlanFrame(data []byte) (*PlanResponse, error) {
 	v, err := decodeBinary(data)
 	if err != nil {

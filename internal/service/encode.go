@@ -112,6 +112,11 @@ type encodedPlan struct {
 	// offset binPlanSendersOff and the flags byte at binFlagsOff, so
 	// patched variants copy the frame and overwrite in place.
 	bin atomic.Pointer[[]byte]
+
+	// req is the wire request that filled the entry on a tier node: what a
+	// snapshot persists and a restore replays. Nil on a standalone server
+	// and for a degraded fill, which no request names.
+	req *PlanRequest
 }
 
 // newEncodedPlan renders the JSON body for one cached plan with the

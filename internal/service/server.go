@@ -468,7 +468,8 @@ const maxBodyBytes = 1 << 20
 // in the bytes. The fetch runs outside the plan pool (holding a worker across
 // a peer call can deadlock two nodes), and when it fails the same leader
 // searches here: availability beats ownership, and the verified-fill gate has
-// kept any bad peer plan out of the cache.
+// kept any bad peer plan out of the cache. On a tier node the entry keeps
+// wireReq, the request a snapshot persists and Replay plans again.
 //
 // A non-nil fromTask (with its key fromKey) names the same boundary on the
 // overlay being replanned away from — for a degraded request, its fault-free
@@ -525,10 +526,10 @@ func (s *Server) computePlan(ctx context.Context, cacheKey string, task *shardin
 		if err != nil {
 			return nil, err
 		}
-		s.cache.Attach(cacheKey, enc)
-		if s.router != nil && wireReq != nil {
-			s.router.Record(cacheKey, wireReq)
+		if s.router != nil {
+			enc.req = wireReq
 		}
+		s.cache.Attach(cacheKey, enc)
 		return enc, nil
 	})
 	if err != nil {

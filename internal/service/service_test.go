@@ -505,6 +505,58 @@ func TestFlightGroupSurvivesPanic(t *testing.T) {
 	}
 }
 
+// doneSpy is a live context that reports when a flight waiter first asks
+// for its Done channel — the moment it has joined a flight.
+type doneSpy struct {
+	context.Context
+	once   sync.Once
+	joined chan struct{}
+}
+
+func (c *doneSpy) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.joined) })
+	return c.Context.Done()
+}
+
+// TestFlightGroupWaiterRetriesCancelledLeader: a waiter whose own context
+// is live does not inherit the context error of a leader that was
+// cancelled — its call was never attempted — but retries and leads a
+// fresh flight.
+func TestFlightGroupWaiterRetriesCancelledLeader(t *testing.T) {
+	var g flightGroup
+	leaderCtx, cancel := context.WithCancel(context.Background())
+	leaderIn := make(chan struct{})
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, err, _ := g.do(leaderCtx, "k", func() (interface{}, error) {
+			close(leaderIn)
+			<-leaderCtx.Done()
+			return nil, leaderCtx.Err()
+		})
+		leaderErr <- err
+	}()
+	<-leaderIn
+	spy := &doneSpy{Context: context.Background(), joined: make(chan struct{})}
+	type result struct {
+		v      interface{}
+		err    error
+		shared bool
+	}
+	waiter := make(chan result, 1)
+	go func() {
+		v, err, shared := g.do(spy, "k", func() (interface{}, error) { return "fresh", nil })
+		waiter <- result{v, err, shared}
+	}()
+	<-spy.joined
+	cancel()
+	if err := <-leaderErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled leader returned %v, want context.Canceled", err)
+	}
+	if r := <-waiter; r.err != nil || r.v != "fresh" || r.shared {
+		t.Fatalf("live waiter got v=%v err=%v shared=%v, want its own fresh result", r.v, r.err, r.shared)
+	}
+}
+
 // TestTopologyCacheSharesInstances: repeated requests for one preset reuse
 // the built topology.
 func TestTopologyCacheSharesInstances(t *testing.T) {

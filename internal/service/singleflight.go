@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 )
@@ -27,7 +28,10 @@ type flightCall struct {
 // before the flight completes returns ctx.Err() immediately, so a
 // disconnected client never pins its handler goroutine on a long
 // computation it no longer wants (the leader itself is not cancellable —
-// its result may still serve other waiters).
+// its result may still serve other waiters). A leader that was cancelled
+// hands its own context error to every waiter; a waiter whose ctx is still
+// live never had its call attempted, so it retries, leading (or joining) a
+// fresh flight instead of inheriting a cancellation that was never its own.
 //
 // A panicking fn still releases the key and wakes its waiters with an
 // error (the panic itself propagates to the leader's caller); otherwise
@@ -38,14 +42,22 @@ func (g *flightGroup) do(ctx context.Context, key string, fn func() (interface{}
 	if g.m == nil {
 		g.m = map[string]*flightCall{}
 	}
-	if c, ok := g.m[key]; ok {
+	for {
+		c, ok := g.m[key]
+		if !ok {
+			break
+		}
 		g.mu.Unlock()
 		select {
 		case <-c.done:
-			return c.val, c.err, true
 		case <-ctx.Done():
 			return nil, ctx.Err(), true
 		}
+		inherited := errors.Is(c.err, context.Canceled) || errors.Is(c.err, context.DeadlineExceeded)
+		if !inherited || ctx.Err() != nil {
+			return c.val, c.err, true
+		}
+		g.mu.Lock()
 	}
 	c := &flightCall{done: make(chan struct{})}
 	g.m[key] = c

@@ -153,10 +153,10 @@ func v2Ctx(r *http.Request) (context.Context, context.CancelFunc, error) {
 
 // v2Error classifies an error into its envelope and HTTP status. ctx is
 // the request's own context: a context error that the request's ctx did
-// NOT produce was inherited from a coalesced flight whose leader
-// disconnected or timed out — this request holds a valid problem that was
-// never attempted, so it gets a retryable "overloaded", not a
-// deadline/cancel code that would lie about its own budget.
+// NOT produce is not this request's own budget running out (a coalesced
+// waiter retries past a cancelled leader, see flightGroup.do, so none is
+// expected), and it gets a retryable "overloaded", not a deadline/cancel
+// code that would lie about the request's budget.
 func (s *Server) v2Error(ctx context.Context, err error) (int, V2Error) {
 	var bad *badRequestError
 	ctxErr := errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)
@@ -670,11 +670,8 @@ func (s *Server) handlePlanBatch(w http.ResponseWriter, r *http.Request) {
 					fatal = err
 				}
 			default:
-				// Includes a context error inherited from a foreign flight
-				// leader that went away: this class alone reports a
-				// retryable error (v2Error maps it to "overloaded" since
-				// the batch's own ctx is live) while siblings keep their
-				// plans.
+				// This class alone reports its error while siblings keep
+				// their plans.
 				classErrs[key] = err
 			}
 		}(key, leaders[key])
