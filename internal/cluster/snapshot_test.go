@@ -142,14 +142,11 @@ func TestSnapshotKeepsEveryResidentEntry(t *testing.T) {
 	}
 }
 
-// TestSnapshotTamperedRecord: a record whose JSON is corrupt is rejected on
-// its own, and a record edited into another valid problem restores and
-// serves the bytes a fresh server gives the edited request — the snapshot
-// names requests, never plans, so no record can install a plan this node
-// would not compute. Every other record restores; every original key
-// serves its original bytes, the two tampered ones recomputed on demand.
-func TestSnapshotTamperedRecord(t *testing.T) {
-	const n, corrupt, edited = 6, 2, 4
+// TestSnapshotCorruptFrame: a record whose request JSON is corrupt is
+// rejected on its own. Every other record restores, and every key —
+// the rejected one recomputed on demand — serves its original bytes.
+func TestSnapshotCorruptFrame(t *testing.T) {
+	const n, corrupt = 6, 2
 	path := filepath.Join(t.TempDir(), "plans.snap")
 	warm := startTier(t, []string{"solo"}, func() service.Config { return service.Config{} })[0]
 	bodies := fillTier(t, warm, n)
@@ -162,9 +159,6 @@ func TestSnapshotTamperedRecord(t *testing.T) {
 	}
 	start, _ := recordRegion(t, data, corrupt)
 	data[start] = 0xff // no JSON value starts with this byte
-	editedReq := tierReq(t, 1)
-	editedReq.Shape = []int{256, 128}
-	data = replaceRecord(t, data, edited, mustJSON(t, editedReq))
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -172,23 +166,80 @@ func TestSnapshotTamperedRecord(t *testing.T) {
 	cold := startTier(t, []string{"solo"}, func() service.Config { return service.Config{} })[0]
 	rst, err := cold.node.Restore(context.Background(), path)
 	if err != nil {
-		t.Fatal(err) // framing is intact; only the corrupt record may fail
+		t.Fatal(err) // framing is intact; only the one record may fail
 	}
 	if rst.Restored != n-1 || rst.Rejected != 1 {
 		t.Fatalf("restore stats = %+v, want %d restored, 1 rejected", rst, n-1)
 	}
 	replayed := cold.srv.Cache().Stats()
-	want := serveJSON(t, service.New(service.Config{}), mustJSON(t, editedReq))
-	if got := rawPlan(t, cold.url, editedReq); !bytes.Equal(got, want) {
-		t.Fatalf("edited record serves\n %s\na fresh server serves\n %s", got, want)
-	}
 	for seed, want := range bodies {
 		if got := rawPlan(t, cold.url, tierReq(t, seed)); !bytes.Equal(got, want) {
-			t.Fatalf("seed %d: body differs after a tampered restart\n got %s\nwant %s", seed, got, want)
+			t.Fatalf("seed %d: body differs after corrupt restart\n got %s\nwant %s", seed, got, want)
 		}
 	}
-	if cs := cold.srv.Cache().Stats(); cs.Misses-replayed.Misses != 2 {
-		t.Errorf("recomputed %d entries, want exactly the two tampered ones", cs.Misses-replayed.Misses)
+	if cs := cold.srv.Cache().Stats(); cs.Misses-replayed.Misses != 1 {
+		t.Errorf("recomputed %d entries, want exactly the rejected one", cs.Misses-replayed.Misses)
+	}
+}
+
+// TestSnapshotTamperedTieRejected: a tampered record cannot install a plan
+// this node would not compute. A record holds only a request, so a plan
+// with a swapped launch order cannot be written into it; what can be
+// edited is the request. Edited into an invalid problem, the record is
+// rejected; edited into another valid problem, it restores and serves the
+// bytes a fresh server gives the edited request. Either way the original
+// key serves its original bytes, recomputed on demand.
+func TestSnapshotTamperedTieRejected(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "plans.snap")
+	warm := startTier(t, []string{"solo"}, func() service.Config { return service.Config{} })[0]
+	bodies := fillTier(t, warm, 1)
+	if _, err := warm.node.Snapshot(path); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	invalid := tierReq(t, 1)
+	invalid.Topology.Name = "no-such-topology"
+	if err := os.WriteFile(path, replaceRecord(t, data, 0, mustJSON(t, invalid)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cold := startTier(t, []string{"solo"}, func() service.Config { return service.Config{} })[0]
+	rst, err := cold.node.Restore(context.Background(), path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rst.Restored != 0 || rst.Rejected != 1 {
+		t.Fatalf("restore stats = %+v, want the tampered record rejected", rst)
+	}
+	if got := rawPlan(t, cold.url, tierReq(t, 1)); !bytes.Equal(got, bodies[1]) {
+		t.Fatalf("body differs after a tampered restart\n got %s\nwant %s", got, bodies[1])
+	}
+
+	edited := tierReq(t, 1)
+	edited.Shape = []int{256, 128}
+	if err := os.WriteFile(path, replaceRecord(t, data, 0, mustJSON(t, edited)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cold = startTier(t, []string{"solo"}, func() service.Config { return service.Config{} })[0]
+	if rst, err = cold.node.Restore(context.Background(), path); err != nil {
+		t.Fatal(err)
+	}
+	if rst.Restored != 1 || rst.Rejected != 0 {
+		t.Fatalf("restore stats = %+v, want the edited record replayed", rst)
+	}
+	replayed := cold.srv.Cache().Stats()
+	want := serveJSON(t, service.New(service.Config{}), mustJSON(t, edited))
+	if got := rawPlan(t, cold.url, edited); !bytes.Equal(got, want) {
+		t.Fatalf("edited record serves\n %s\na fresh server serves\n %s", got, want)
+	}
+	if got := rawPlan(t, cold.url, tierReq(t, 1)); !bytes.Equal(got, bodies[1]) {
+		t.Fatalf("body differs after an edited restart\n got %s\nwant %s", got, bodies[1])
+	}
+	if cs := cold.srv.Cache().Stats(); cs.Misses-replayed.Misses != 1 {
+		t.Errorf("recomputed %d entries, want exactly the edited record's original key", cs.Misses-replayed.Misses)
 	}
 }
 
