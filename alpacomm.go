@@ -130,10 +130,9 @@ const (
 )
 
 // Continuous topology churn: deterministic timelines of fault arrivals and
-// heals, replayed through Planner.ReplanDegradedFrom (each step reuses the
-// previous overlay's cached plan when the scheduler's instance is unchanged,
-// and is the cold plan of its overlay either way) or served live via
-// /v2/plan.
+// heals, replayed through Planner.ReplanDegraded (each step is the cold plan
+// of its overlay, and a heal back to an overlay already planned is a cache
+// hit) or served live via /v2/plan.
 type (
 	// ChurnTimeline is a deterministic schedule of fault-overlay changes;
 	// each step's FaultSet is the complete overlay active from that
@@ -142,14 +141,6 @@ type (
 	// ChurnStep is one timeline entry: an arrival time and the overlay
 	// active from it.
 	ChurnStep = mesh.ChurnStep
-	// ReplanStats reports how a session's replan steps were served: cache
-	// hits, identity reuse of the incumbent, cold-ensemble replans of a
-	// changed instance (WarmSearch), invalid rebinds, cold fills with no
-	// incumbent. WarmRejected is never incremented.
-	ReplanStats = resharding.ReplanStats
-	// WarmReplanInfo describes how one replan produced its plan: the mode
-	// and how many units the overlay change impacted.
-	WarmReplanInfo = resharding.WarmInfo
 )
 
 // ParseChurnTimeline parses the CLIs' timeline notation, e.g.

@@ -2,14 +2,16 @@ package alpacomm_test
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	alpacomm "alpacomm"
 )
 
 // TestChurnTimelineExample keeps the README's "Incremental replanning"
-// example compiling and honest: a healthy plan, a parsed timeline replayed
-// through ReplanDegradedFrom, and ReplanStats accounting for every step.
+// example compiling and honest: a healthy plan, then a parsed timeline
+// replayed through ReplanDegraded, one step per overlay. Each step is the
+// plan a fresh session gives its overlay, and the heal-back is a cache hit.
 func TestChurnTimelineExample(t *testing.T) {
 	cluster := alpacomm.AWSP3Cluster(4)
 	src, err := cluster.Slice([]int{2, 2}, 0)
@@ -36,8 +38,6 @@ func TestChurnTimelineExample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Only the ensemble scheduler pays a search worth warming; the
-	// closed-form schedulers replan cold in microseconds anyway.
 	opts := alpacomm.ReshardOptions{Scheduler: alpacomm.SchedulerEnsemble, Seed: 1}
 	ctx := context.Background()
 
@@ -54,32 +54,32 @@ func TestChurnTimelineExample(t *testing.T) {
 	if len(tl.Steps) != 3 {
 		t.Fatalf("timeline has %d steps, want 3", len(tl.Steps))
 	}
-	prev := alpacomm.FaultSet{}
+	before := planner.Cache().Stats()
 	var plans []*alpacomm.ReshardPlan
 	for _, step := range tl.Steps {
-		plan, sim, err := planner.ReplanDegradedFrom(ctx, task, opts, prev, step.Faults)
+		plan, sim, err := planner.ReplanDegraded(ctx, task, opts, step.Faults)
 		if err != nil {
 			t.Fatalf("step @%v: %v", step.At, err)
 		}
 		if sim == nil || sim.Makespan <= 0 {
 			t.Fatalf("step @%v: no simulation", step.At)
 		}
+		fresh, _, err := alpacomm.NewPlanner(alpacomm.WithTopology(cluster)).ReplanDegraded(ctx, task, opts, step.Faults)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(plan.SenderOf, fresh.SenderOf) || !reflect.DeepEqual(plan.Order, fresh.Order) {
+			t.Errorf("step @%v: plan differs from a fresh session's", step.At)
+		}
 		plans = append(plans, plan)
-		prev = step.Faults
 	}
 	// The @500ms heal returns the cached healthy plan itself.
 	if plans[1] != healthy {
 		t.Error("heal step did not hit the healthy cache entry")
 	}
-	s := planner.ReplanStats()
-	if s.Cold != 0 {
-		t.Errorf("cold replans = %d, want 0 (every step had an incumbent)", s.Cold)
-	}
-	if s.WarmIdentity < 1 {
-		t.Errorf("warm identity = %d, want >= 1 (the link-down step)", s.WarmIdentity)
-	}
-	if got := s.CacheHits + s.WarmIdentity + s.WarmSearch + s.WarmRejected + s.WarmInvalid + s.Cold; got != int64(len(tl.Steps)) {
-		t.Errorf("replan counters sum to %d, want %d", got, len(tl.Steps))
+	after := planner.Cache().Stats()
+	if hits, misses := after.Hits-before.Hits, after.Misses-before.Misses; hits != 1 || misses != 2 {
+		t.Errorf("cache hits, misses = %d, %d over the timeline; want 1 (the heal) and 2 (one fill per faulted overlay)", hits, misses)
 	}
 	// The default registry's churn scenarios are usable the same way.
 	for _, name := range []string{alpacomm.ChurnScenarioFlap, alpacomm.ChurnScenarioCascade, alpacomm.ChurnScenarioBrownoutRecovery} {

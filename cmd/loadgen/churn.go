@@ -1,18 +1,21 @@
 // Churn phase (-churn): drive a deterministic fault/heal timeline through
-// /v2/plan under concurrent load and verify the server serves the churn
-// warm — every degraded step warmed from the cached healthy twin, every
-// revisited overlay (heal-back, flap) from the cache, no step cold.
+// /v2/plan under concurrent load and verify that every churn step is served
+// the plan a fresh server gives its request, whatever the cache held: a
+// faulted miss plans from its own request, and a revisited overlay
+// (heal-back, flap) hits its own entry.
 package main
 
 import (
 	"context"
 	"fmt"
 	"math/rand"
+	"net/http/httptest"
+	"reflect"
+	"sync"
 	"time"
 
 	alpacomm "alpacomm"
 	"alpacomm/internal/mesh"
-	"alpacomm/internal/resharding"
 	"alpacomm/internal/service"
 )
 
@@ -23,23 +26,68 @@ const (
 	churnPasses  = 2 // >1 exercises heal-back cache hits
 )
 
-// churnResult is the churn phase's tally plus the server's replan-counter
-// delta over the phase.
+// churnResult is the churn phase's tally plus its check against a fresh
+// server.
 type churnResult struct {
 	scenario string
 	steps    int
 	classTally
 	firstErr string
-	// delta is ReplanStats(after) - ReplanStats(before): only fills the
-	// churn phase itself caused.
-	delta resharding.ReplanStats
+	churnCheck
+}
+
+// churnCheck holds each churn step to the answer a fresh server gives the
+// step's request. Safe for concurrent use.
+type churnCheck struct {
+	want []*service.PlanResponse // by step
+	mu   sync.Mutex
+	// mismatches counts full-quality replies that differ from want;
+	// firstMismatch describes the first.
+	mismatches    int
+	firstMismatch string
+}
+
+// note checks one reply to step k. A degraded reply plans the degraded
+// options, which a fresh server without an admission controller never
+// serves, so it is not compared; Coalesced depends on timing alone.
+func (c *churnCheck) note(k int, got *service.PlanResponse) {
+	if got.Degraded {
+		return
+	}
+	g := *got
+	g.Coalesced = false
+	if reflect.DeepEqual(&g, c.want[k]) {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.mismatches == 0 {
+		c.firstMismatch = fmt.Sprintf("step %d: served order %v senders %v, a fresh server %v %v",
+			k, g.Order, g.Senders, c.want[k].Order, c.want[k].Senders)
+	}
+	c.mismatches++
+}
+
+// freshAnswers is what a fresh in-process server, its cache empty, serves
+// each request.
+func freshAnswers(ctx context.Context, reqs []*service.PlanRequest) ([]*service.PlanResponse, error) {
+	ts := httptest.NewServer(service.New(service.Config{}))
+	defer ts.Close()
+	client := alpacomm.NewPlanClient(ts.URL, nil)
+	out := make([]*service.PlanResponse, len(reqs))
+	for i, req := range reqs {
+		resp, err := client.PlanV2(ctx, req)
+		if err != nil {
+			return nil, fmt.Errorf("fresh server, step %d: %v", i, err)
+		}
+		out[i] = resp
+	}
+	return out, nil
 }
 
 // churnTemplate returns the fixed boundary churn traffic replans: 256 units
 // on 8 p3 hosts, wide enough that the registry timelines (which down the 0-1
-// link) leave detour routes. Its drafts must search, healthy or faulted:
-// only such a miss is handed its fault-free twin, so a boundary the
-// closed-form candidates prove would never replan warm.
+// link) leave detour routes.
 func churnTemplate() template {
 	return template{name: "p3-churn", topology: service.TopologyRef{Name: "p3", Hosts: 8},
 		shape: []int{128, 128, 8},
@@ -73,8 +121,9 @@ func faultsRefOf(fs mesh.FaultSet) *service.FaultsRef {
 // agents replan the churn boundary with whatever overlay the clock says is
 // active — step k of the timeline holds for churnPeriod, then step k+1.
 // The timeline runs churnPasses times so heal-backs and flap revisits
-// exercise the cache, and the healthy boundary is planned once up front so
-// the very first degraded step already has an incumbent to warm from.
+// exercise the cache, and the healthy boundary is planned once up front,
+// as in a deployment where the healthy plan was serving before the fault
+// arrived. Every reply is checked against a fresh server's (churnCheck).
 func runChurnPhase(ctx context.Context, client *alpacomm.PlanClient, scenario string, seed uint64) (*churnResult, error) {
 	reg := alpacomm.DefaultTopologyRegistry()
 	tmpl := churnTemplate()
@@ -101,16 +150,12 @@ func runChurnPhase(ctx context.Context, client *alpacomm.PlanClient, scenario st
 	for i, step := range tl.Steps {
 		steps[i] = tmpl.planRequest(1, faultsRefOf(step.Faults))
 	}
-
-	// The healthy incumbent: one warm-up plan so step 0 warms instead of
-	// going cold, mirroring a real deployment where the healthy plan was
-	// serving before the fault arrived.
-	if _, err := client.PlanV2(ctx, tmpl.planRequest(1, nil)); err != nil {
-		return nil, fmt.Errorf("healthy warm-up: %v", err)
-	}
-	before, err := client.Stats(ctx)
-	if err != nil {
+	res := &churnResult{scenario: scenario, steps: len(steps)}
+	if res.want, err = freshAnswers(ctx, steps); err != nil {
 		return nil, err
+	}
+	if _, err := client.PlanV2(ctx, tmpl.planRequest(1, nil)); err != nil {
+		return nil, fmt.Errorf("healthy plan: %v", err)
 	}
 
 	start := time.Now()
@@ -119,24 +164,18 @@ func runChurnPhase(ctx context.Context, client *alpacomm.PlanClient, scenario st
 		seed:     seed,
 		arrivals: closedArrivals,
 		next: func(int, *rand.Rand) op {
-			return planOp(classPlan, client, steps[int(time.Since(start)/churnPeriod)%len(steps)])
+			k := int(time.Since(start)/churnPeriod) % len(steps)
+			return op{class: classPlan, do: func(ctx context.Context) (reply, error) {
+				resp, err := client.PlanV2(ctx, steps[k])
+				if err != nil {
+					return reply{}, err
+				}
+				res.note(k, resp)
+				return reply{coalesced: resp.Coalesced, degraded: resp.Degraded}, nil
+			}}
 		},
 		horizon: time.Duration(churnPasses*len(steps)) * churnPeriod,
 	}.run(ctx)
-
-	after, err := client.Stats(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return &churnResult{
-		scenario: scenario, steps: len(steps),
-		classTally: all.sum(), firstErr: all.firstErr,
-		delta: resharding.ReplanStats{
-			CacheHits:    after.Replan.CacheHits - before.Replan.CacheHits,
-			WarmIdentity: after.Replan.WarmIdentity - before.Replan.WarmIdentity,
-			WarmSearch:   after.Replan.WarmSearch - before.Replan.WarmSearch,
-			WarmInvalid:  after.Replan.WarmInvalid - before.Replan.WarmInvalid,
-			Cold:         after.Replan.Cold - before.Replan.Cold,
-		},
-	}, nil
+	res.classTally, res.firstErr = all.sum(), all.firstErr
+	return res, nil
 }

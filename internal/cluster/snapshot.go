@@ -40,7 +40,7 @@ const maxSnapRecordBytes = 16 << 20
 // SnapshotStats reports one snapshot or restore pass.
 type SnapshotStats struct {
 	// Entries is the number of records written (snapshot) or present
-	// (restore).
+	// (restore), a short tail counted as one.
 	Entries int `json:"entries"`
 	// Restored / Rejected split a restore's records into requests replayed
 	// into the cache and records that are corrupt or name no request this
@@ -98,7 +98,8 @@ func (n *Node) Snapshot(path string) (SnapshotStats, error) {
 // record's request is replayed through Server.Replay, which plans it on
 // this node as a miss. A corrupt record is counted and skipped on its own;
 // a framing-level corruption (bad magic, a length running past the file)
-// stops the scan and reports the records salvaged before it. A missing
+// stops the scan and reports the records salvaged before it, the short
+// tail as one rejected record whatever count the header promised. A missing
 // file is not an error: a cold start restores nothing.
 func (n *Node) Restore(ctx context.Context, path string) (SnapshotStats, error) {
 	var st SnapshotStats
@@ -117,13 +118,13 @@ func (n *Node) Restore(ctx context.Context, path string) (SnapshotStats, error) 
 		return st, fmt.Errorf("cluster: snapshot version %d, want %d", data[4], snapVersion)
 	}
 	count := int(binary.LittleEndian.Uint32(data[5:9]))
-	st.Entries = count
 	off := 9
 	for i := 0; i < count; i++ {
+		st.Entries++
 		if len(data)-off < 4 || int(binary.LittleEndian.Uint32(data[off:])) > min(maxSnapRecordBytes, len(data)-off-4) {
-			st.Rejected += count - i
-			n.rejectedR.Add(int64(count - i))
-			return st, fmt.Errorf("cluster: snapshot truncated at record %d (%d restored)", i, st.Restored)
+			st.Rejected++
+			n.rejectedR.Add(1)
+			return st, fmt.Errorf("cluster: snapshot truncated at record %d of %d (%d restored)", i, count, st.Restored)
 		}
 		l := int(binary.LittleEndian.Uint32(data[off:]))
 		if n.restoreRecord(ctx, data[off+4:off+4+l]) {

@@ -35,7 +35,8 @@ func serveJSON(t *testing.T, srv *service.Server, body []byte) []byte {
 
 // FuzzRestore feeds arbitrary bytes to Restore as a snapshot file. It must
 // not panic, must account for every record it read as restored or
-// rejected, and every entry it installed must serve the bytes a fresh
+// rejected, must reject no more records than the file's bytes can hold
+// (a 9-byte header promising 2^32−1 records rejects one), and every entry it installed must serve the bytes a fresh
 // server answers for the entry's request: a corrupt or tampered record
 // never installs a plan this node would not have computed.
 func FuzzRestore(f *testing.F) {
@@ -87,6 +88,11 @@ func FuzzRestore(f *testing.F) {
 		st, _ := node.Restore(context.Background(), path)
 		if st.Restored+st.Rejected != st.Entries || st.Restored < 0 || st.Rejected < 0 {
 			t.Fatalf("restore stats %+v do not add up", st)
+		}
+		// A record takes at least its 4-byte length, and a short tail is
+		// one framing error, so the bytes read bound what is rejected.
+		if st.Bytes >= 9 && int64(st.Rejected) > (st.Bytes-9)/4+1 {
+			t.Fatalf("restore stats %+v reject more records than %d bytes can hold", st, st.Bytes)
 		}
 		for _, ep := range srv.ExportPlans() {
 			if ep.Request == nil {

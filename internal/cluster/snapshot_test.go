@@ -244,7 +244,8 @@ func TestSnapshotTamperedTieRejected(t *testing.T) {
 }
 
 // TestSnapshotTruncated: a snapshot cut mid-record restores everything
-// before the cut, counts the rest rejected, and reports the error.
+// before the cut, counts the short tail as one rejected record, and
+// reports the error.
 func TestSnapshotTruncated(t *testing.T) {
 	const n = 5
 	path := filepath.Join(t.TempDir(), "plans.snap")
@@ -269,6 +270,23 @@ func TestSnapshotTruncated(t *testing.T) {
 	}
 	if rst.Restored != n-1 || rst.Rejected != 1 {
 		t.Errorf("restore stats = %+v, want %d restored, 1 rejected", rst, n-1)
+	}
+
+	// A bare header promising 2^32−1 records holds none: its short tail is
+	// one framing error, in the stats and in the node's counter alike.
+	if err := os.WriteFile(path, []byte("APSN\x02\xff\xff\xff\xff"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	empty := startTier(t, []string{"solo"}, func() service.Config { return service.Config{} })[0]
+	rst, err = empty.node.Restore(context.Background(), path)
+	if err == nil {
+		t.Fatal("header-only snapshot restored without error")
+	}
+	if rst.Entries != 1 || rst.Restored != 0 || rst.Rejected != 1 {
+		t.Errorf("header-only restore stats = %+v, want 1 entry, 0 restored, 1 rejected", rst)
+	}
+	if got := empty.node.Info().SnapshotRejected; got != 1 {
+		t.Errorf("snapshot_rejected = %d after a header-only restore, want 1", got)
 	}
 }
 

@@ -280,7 +280,7 @@ func (c *PlanCache) PlanAndSimulateKeyedContext(ctx context.Context, key string,
 }
 
 // PlanFill computes a cache entry's plan in place of the default cold
-// NewPlanContext — e.g. a replan that reuses another overlay's incumbent.
+// NewPlanContext — e.g. finishing a caller's Draft (Planner.PlanDraft).
 // The cache simulates the plan itself, in its configured trace mode. A fill
 // must produce a plan for the exact (task, opts) it was keyed under.
 type PlanFill func(ctx context.Context) (*Plan, error)

@@ -32,8 +32,9 @@ import (
 //     per-transfer durations).
 //  4. Identity — the empty overlay leaves the canonical cache key
 //     byte-identical to the unwrapped topology's.
-//  5. Purity — a replan holding the healthy plan (WarmReplanContext)
-//     returns the cold plan of the degraded task, in every mode.
+//  5. Purity — a session that holds the healthy plan replans the
+//     degraded overlay (Planner.ReplanDegraded) to the cold plan of the
+//     degraded task.
 //
 // Run the seeded corpus with `go test`; explore with
 // `go test -fuzz FuzzDegradedPlan -fuzztime 10s ./internal/resharding`.
@@ -211,19 +212,19 @@ func FuzzDegradedPlan(f *testing.F) {
 			t.Fatal("empty overlay changed the canonical cache key")
 		}
 
-		// 5. Purity: a replan that holds the healthy plan returns the cold
-		// plan of the degraded task, whatever mode it takes.
-		healthy, err := NewPlan(task, opts)
-		if err != nil {
+		// 5. Purity: a session that holds the healthy plan replans the
+		// degraded overlay to the cold plan of the degraded task.
+		session := NewPlanner(WithTopology(topo), WithTraceFreeSim())
+		if _, _, err := session.Plan(context.Background(), task, opts); err != nil {
 			t.Fatalf("healthy plan: %v", err)
 		}
-		replan, _, info, err := WarmReplanContext(context.Background(), degTask, opts, task, healthy)
+		replan, _, err := session.ReplanDegraded(context.Background(), task, opts, fs)
 		if err != nil {
 			t.Fatalf("replan: %v (faults %q)", err, fs.Canonical())
 		}
 		if !planEqual(replan, plan) {
-			t.Fatalf("%s-mode replan differs from the cold plan (topo %v, faults %q)\n got: %v %v\nwant: %v %v",
-				info.Mode, topo, fs.Canonical(), replan.Order, replan.SenderOf, plan.Order, plan.SenderOf)
+			t.Fatalf("replan differs from the cold plan (topo %v, faults %q)\n got: %v %v\nwant: %v %v",
+				topo, fs.Canonical(), replan.Order, replan.SenderOf, plan.Order, plan.SenderOf)
 		}
 	})
 }

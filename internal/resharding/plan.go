@@ -57,10 +57,9 @@ func NewPlanContext(ctx context.Context, task *sharding.Task, opts Options) (*Pl
 // Draft is a resharding planned as far as closed forms go: the host-level
 // instance, built once, and — under the ensemble scheduler — the incumbent
 // Naive, LoadBalanceOnly and the witness left (schedule.ClosedForm), built on
-// the first Proven or Plan, so a replan that reuses its incumbent never pays
-// for it. It costs microseconds and tells a caller whether finishing the plan
-// means a search, so work worth sharing or queueing can be told from work
-// that is not. A Draft is not safe for concurrent use.
+// the first Proven or Plan. It costs microseconds and tells a caller whether
+// finishing the plan means a search, so work worth sharing or queueing can
+// be told from work that is not. A Draft is not safe for concurrent use.
 type Draft struct {
 	task      *sharding.Task
 	opts      Options
@@ -174,8 +173,7 @@ func ensembleRand(seed int64) *rand.Rand {
 // slowest NIC among the hosts the task can touch, the bandwidth it
 // bottlenecks on. Because durations depend only on per-host NIC bandwidth
 // (plus inter-host latency for Signal), overlays that degrade only links
-// leave the instance unchanged — the property the warm replanner exploits
-// to skip the search entirely.
+// leave the instance unchanged.
 func buildHostTasks(task *sharding.Task, opts Options) []schedule.Task {
 	cluster := task.Src.Mesh.Topo
 	// Every unit's sender and receiver hosts share one array, counted first.
@@ -186,36 +184,28 @@ func buildHostTasks(task *sharding.Task, opts Options) []schedule.Task {
 	hosts := make([]int, 0, n)
 	hostTasks := make([]schedule.Task, len(task.Units))
 	for i, u := range task.Units {
-		hostTasks[i], hosts = unitHostTask(task, opts, u, hosts)
+		// Each unit's host lists are windows of hosts: senders, then receivers.
+		from := len(hosts)
+		hosts = sharding.AppendHosts(hosts, cluster, u.Senders)
+		senderHosts := hosts[from:len(hosts):len(hosts)]
+		from = len(hosts)
+		hosts = sharding.AppendHosts(hosts, cluster, u.Receivers)
+		recvHosts := hosts[from:len(hosts):len(hosts)]
+		dur := float64(u.Bytes(task.DType)) / minNICBandwidth(cluster, senderHosts, recvHosts)
+		if opts.Strategy == SendRecv {
+			dur *= float64(len(u.Receivers))
+		}
+		if opts.Strategy == Signal {
+			dur = maxInterLatency(cluster, senderHosts, recvHosts)
+		}
+		hostTasks[i] = schedule.Task{
+			ID:            u.Index,
+			SenderHosts:   senderHosts,
+			ReceiverHosts: recvHosts,
+			Duration:      dur,
+		}
 	}
 	return hostTasks
-}
-
-// unitHostTask builds one unit's host task, appending its sender hosts and
-// then its receiver hosts to hosts, and returns the task, whose host lists
-// are those windows of hosts, and the grown hosts.
-func unitHostTask(task *sharding.Task, opts Options, u sharding.UnitTask, hosts []int) (schedule.Task, []int) {
-	cluster := task.Src.Mesh.Topo
-	bytes := float64(u.Bytes(task.DType))
-	from := len(hosts)
-	hosts = sharding.AppendHosts(hosts, cluster, u.Senders)
-	senderHosts := hosts[from:len(hosts):len(hosts)]
-	from = len(hosts)
-	hosts = sharding.AppendHosts(hosts, cluster, u.Receivers)
-	recvHosts := hosts[from:len(hosts):len(hosts)]
-	dur := bytes / minNICBandwidth(cluster, senderHosts, recvHosts)
-	if opts.Strategy == SendRecv {
-		dur *= float64(len(u.Receivers))
-	}
-	if opts.Strategy == Signal {
-		dur = maxInterLatency(cluster, senderHosts, recvHosts)
-	}
-	return schedule.Task{
-		ID:            u.Index,
-		SenderHosts:   senderHosts,
-		ReceiverHosts: recvHosts,
-		Duration:      dur,
-	}, hosts
 }
 
 // resolveDeviceSenders maps a host-level schedule onto concrete sender

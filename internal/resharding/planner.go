@@ -3,7 +3,6 @@ package resharding
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 
 	"alpacomm/internal/mesh"
 	"alpacomm/internal/sharding"
@@ -37,59 +36,19 @@ type Planner struct {
 	// noTrace flips the session's caches to trace-free simulation at
 	// construction; see WithTraceFreeSim.
 	noTrace bool
-	// replans counts how the session's replan steps were served; see
-	// ReplanStats.
-	replans replanCounters
 }
 
-// ReplanStats reports how a session's replan-on-churn steps were served:
-// target-key cache hits (including empty fault deltas and heals back to an
-// overlay already planned), each mode of WarmReplanContext, and cold
-// replans that found no incumbent. Whatever the mode, the plan served is the
-// cold plan of its key.
+// ReplanStats is the replan block of a server's /v2/stats. Every replan is
+// the cold plan of its key and is counted by the plan cache like any other
+// fill, so nothing writes these fields: they read 0, and stay only because
+// bench/'s layer ladder reads them until ROADMAP 7(a) drops that probe.
 type ReplanStats struct {
-	// CacheHits is replan steps whose target overlay was already cached.
-	CacheHits int64 `json:"cache_hits"`
-	// WarmIdentity is replans that proved the host-level instance unchanged
-	// and returned the rebound incumbent without searching.
+	CacheHits    int64 `json:"cache_hits"`
 	WarmIdentity int64 `json:"warm_identity"`
-	// WarmSearch is replans whose host-level instance changed, so the cold
-	// ensemble planned it.
-	WarmSearch int64 `json:"warm_search"`
-	// WarmRejected is never incremented; it stays because bench/ reads it.
+	WarmSearch   int64 `json:"warm_search"`
 	WarmRejected int64 `json:"warm_rejected"`
-	// WarmInvalid is identity replans whose incumbent rebound as invalid,
-	// falling back to a cold plan.
-	WarmInvalid int64 `json:"warm_invalid"`
-	// Cold is replan steps with no cached incumbent.
-	Cold int64 `json:"cold"`
-}
-
-// replanCounters is the atomic backing store of ReplanStats.
-type replanCounters struct {
-	hits, identity, search, invalid, cold atomic.Int64
-}
-
-func (c *replanCounters) note(info WarmInfo) {
-	switch info.Mode {
-	case WarmIdentity:
-		c.identity.Add(1)
-	case WarmSearch:
-		c.search.Add(1)
-	default:
-		c.invalid.Add(1)
-	}
-}
-
-// ReplanStats snapshots the session's replan counters.
-func (p *Planner) ReplanStats() ReplanStats {
-	return ReplanStats{
-		CacheHits:    p.replans.hits.Load(),
-		WarmIdentity: p.replans.identity.Load(),
-		WarmSearch:   p.replans.search.Load(),
-		WarmInvalid:  p.replans.invalid.Load(),
-		Cold:         p.replans.cold.Load(),
-	}
+	WarmInvalid  int64 `json:"warm_invalid"`
+	Cold         int64 `json:"cold"`
 }
 
 // PlannerOption configures a Planner at construction.
@@ -283,69 +242,18 @@ func (p *Planner) Plan(ctx context.Context, task *sharding.Task, opts Options) (
 // overlay twice is a cache hit, and healing back to an earlier FaultSet
 // (including the empty one) hits that earlier entry byte-identically. The
 // given fault set applies instead of any session-wide WithFaults overlay;
-// an empty fault set degrades nothing and is byte-identical to Plan.
-//
-// The session's healthy plan, when cached, is the replan's incumbent:
-// ReplanDegraded is ReplanDegradedFrom with an empty "from" overlay.
+// an empty fault set degrades nothing and is byte-identical to Plan. A miss
+// plans cold from the degraded task alone: whatever the session holds for
+// other overlays, the plan is the cold plan of its key.
 func (p *Planner) ReplanDegraded(ctx context.Context, task *sharding.Task, opts Options, fs mesh.FaultSet) (*Plan, *SimResult, error) {
-	return p.ReplanDegradedFrom(ctx, task, opts, mesh.FaultSet{}, fs)
-}
-
-// ReplanDegradedFrom is the churn-timeline step: re-plan the boundary onto
-// overlay "to", given the session's cached plan for overlay "from"
-// (typically the timeline's previous step). When the target overlay's plan
-// is already cached it is returned as-is — so an empty fault delta costs
-// one lookup and returns the cached plan byte-identical, with no search at
-// all. On a miss with a cached "from"-incumbent, the fill runs
-// WarmReplanContext (impact diff: reuse the incumbent when nothing the
-// scheduler scores moved, otherwise the cold ensemble); without one it
-// plans cold. Either way the result is the cold plan of the target
-// overlay's key and lands in the session cache under it.
-func (p *Planner) ReplanDegradedFrom(ctx context.Context, task *sharding.Task, opts Options, from, to mesh.FaultSet) (*Plan, *SimResult, error) {
 	opts, err := p.resolve(task, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	toTask, err := degradeTask(task, to)
-	if err != nil {
+	if task, err = degradeTask(task, fs); err != nil {
 		return nil, nil, err
 	}
-	fromTask, err := degradeTask(task, from)
-	if err != nil {
-		return nil, nil, err
-	}
-	return p.replanKeyed(ctx, CacheKey(toTask, opts), toTask, opts, nil, CacheKey(fromTask, opts), fromTask)
-}
-
-// replanKeyed serves one replan step given both canonical keys: target
-// fast path first, then a warm or cold fill under the target key, which
-// finishes d — the caller's draft of (task, opts) — or, given nil, its own.
-func (p *Planner) replanKeyed(ctx context.Context, key string, task *sharding.Task, opts Options, d *Draft, fromKey string, fromTask *sharding.Task) (*Plan, *SimResult, error) {
-	if plan, sim, ok := p.cache.LookupKeyed(key); ok {
-		p.replans.hits.Add(1)
-		return plan, sim, nil
-	}
-	var incumbent *Plan
-	if fromKey != key {
-		incumbent, _, _ = p.cache.LookupKeyed(fromKey)
-	}
-	if incumbent == nil {
-		p.replans.cold.Add(1)
-	}
-	return p.cache.PlanAndSimulateKeyedFillContext(ctx, key, task, opts, func(ctx context.Context) (*Plan, error) {
-		if d == nil {
-			own, err := NewDraft(task, opts)
-			if err != nil {
-				return nil, err
-			}
-			d = &own
-		}
-		plan, info, err := d.replan(ctx, fromTask, incumbent)
-		if err == nil && incumbent != nil {
-			p.replans.note(info)
-		}
-		return plan, err
-	})
+	return p.cache.PlanAndSimulateKeyedContext(ctx, CacheKey(task, opts), task, opts)
 }
 
 // TaskKey returns the canonical cache key a session call plans the task
@@ -383,19 +291,13 @@ func (p *Planner) PlanKeyed(ctx context.Context, key string, task *sharding.Task
 
 // PlanDraft is PlanKeyed for a caller that holds the problem's draft (NewDraft
 // on the task and defaulted options the key was rendered from): a miss
-// finishes d instead of drafting again. A non-nil fromTask, with its key
-// fromKey, names the same boundary on the overlay being replanned away from
-// (serving a degraded request: its fault-free parse), and a plan cached under
-// fromKey is the fill's incumbent exactly as in ReplanDegradedFrom. Sessions
-// with their own WithFaults overlay fall back to PlanKeyed, which owns keying.
-func (p *Planner) PlanDraft(ctx context.Context, key string, d *Draft, fromKey string, fromTask *sharding.Task) (*Plan, *SimResult, error) {
+// finishes d instead of drafting again. Sessions with their own WithFaults
+// overlay fall back to PlanKeyed, which owns keying.
+func (p *Planner) PlanDraft(ctx context.Context, key string, d *Draft) (*Plan, *SimResult, error) {
 	if !p.faults.Empty() {
 		return p.PlanKeyed(ctx, key, d.task, d.opts)
 	}
-	if fromTask == nil || fromKey == "" {
-		return p.cache.PlanAndSimulateKeyedFillContext(ctx, key, d.task, d.opts, d.Plan)
-	}
-	return p.replanKeyed(ctx, key, d.task, d.opts, d, fromKey, fromTask)
+	return p.cache.PlanAndSimulateKeyedFillContext(ctx, key, d.task, d.opts, d.Plan)
 }
 
 // Simulate returns the simulated timing of the task under the options,

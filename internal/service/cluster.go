@@ -120,7 +120,7 @@ func (s *Server) Replay(ctx context.Context, req *PlanRequest) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	_, _, err = s.computePlan(ctx, key, task, opts, nil, req, true, "", nil)
+	_, _, err = s.computePlan(ctx, key, task, opts, nil, req, true)
 	return key, err
 }
 

@@ -273,8 +273,7 @@ const maxMemoBody = 2048
 
 // parseMemo memoizes request parses under two names. fields is keyed by
 // the raw wire fields (appendMemoKey): a repeated request, however it was
-// spelled or wrapped — batch item, ParsePlanRequest, a degraded request's
-// fault-free twin — skips topology resolution, task decomposition and
+// spelled or wrapped — batch item, ParsePlanRequest, Replay — skips topology resolution, task decomposition and
 // cache-key rendering. bodies is keyed by a /v2/plan request body itself,
 // every byte of it (never a digest: a memo-served answer must be the
 // answer a fresh server gives): a repeated body skips encoding/json as

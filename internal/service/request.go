@@ -214,12 +214,10 @@ type StatsResponse struct {
 	Autotune      EndpointStats `json:"autotune"`
 	Batch         EndpointStats `json:"batch"`
 	Topologies    []string      `json:"topologies"`
-	// Replan counts how faulted-request fills that had to search were
-	// served by the session planner: identity reuse of a cached fault-free
-	// twin, cold-ensemble replans of a changed instance (warm_search),
-	// invalid rebinds, and cold fills with no incumbent; warm_rejected stays
-	// 0. (A fill the draft proves gets no twin, and a repeat request for an
-	// already-cached overlay is a plan-cache hit: neither shows up here.)
+	// Replan is always zero: a faulted miss is a cold plan of its own
+	// request, counted under Cache and Plan like any other. The block stays
+	// only because bench/'s layer ladder reads it, until ROADMAP 7(a) drops
+	// that probe.
 	Replan resharding.ReplanStats `json:"replan"`
 	// Exits counts the ensemble plans this server computed by how the
 	// ensemble ended.

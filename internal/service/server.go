@@ -470,14 +470,7 @@ const maxBodyBytes = 1 << 20
 // searches here: availability beats ownership, and the verified-fill gate has
 // kept any bad peer plan out of the cache. On a tier node the entry keeps
 // wireReq, the request a snapshot persists and Replay plans again.
-//
-// A non-nil fromTask (with its key fromKey) names the same boundary on the
-// overlay being replanned away from — for a degraded request, its fault-free
-// twin. A miss whose twin is cached under fromKey reuses the twin's plan when
-// the overlay changed nothing the scheduler scores, and plans cold otherwise
-// (Planner.PlanDraft); the plan served is the cold plan of cacheKey either
-// way, and fromTask nil plans cold.
-func (s *Server) computePlan(ctx context.Context, cacheKey string, task *sharding.Task, opts resharding.Options, d *resharding.Draft, wireReq *PlanRequest, forwarded bool, fromKey string, fromTask *sharding.Task) (*encodedPlan, bool, error) {
+func (s *Server) computePlan(ctx context.Context, cacheKey string, task *sharding.Task, opts resharding.Options, d *resharding.Draft, wireReq *PlanRequest, forwarded bool) (*encodedPlan, bool, error) {
 	if enc, err := s.cachedPlan(cacheKey, opts); enc != nil || err != nil {
 		return enc, false, err
 	}
@@ -517,7 +510,7 @@ func (s *Server) computePlan(ctx context.Context, cacheKey string, task *shardin
 				}
 				defer s.plan.release()
 			}
-			if plan, sim, err = s.planner.PlanDraft(ctx, cacheKey, d, fromKey, fromTask); err != nil {
+			if plan, sim, err = s.planner.PlanDraft(ctx, cacheKey, d); err != nil {
 				return nil, err
 			}
 			s.exitC.count(&plan.Report)
@@ -659,7 +652,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Autotune:      s.autotuneC.snapshot(),
 		Batch:         s.batchC.snapshot(),
 		Topologies:    s.reg.Names(),
-		Replan:        s.planner.ReplanStats(),
 		Exits:         s.exitC.snapshot(),
 	}
 	if s.router != nil {
@@ -692,8 +684,7 @@ func (e *badRequestError) Unwrap() error { return e.err }
 // Fault-free requests are memoized on their raw wire fields: a repeated
 // request returns the stored (task, options, key) without touching the
 // gate — the memo hit does no bounded work for the gate to bound. This is
-// the name batch items, ParsePlanRequest and a degraded request's
-// fault-free twin find a parse under.
+// the name batch items, ParsePlanRequest and Replay find a parse under.
 func (s *Server) parseTask(ctx context.Context, gate *admission,
 	ref TopologyRef, faults *FaultsRef, shape []int, dtype string, src, dst Endpoint, po PlanOptions) (task *sharding.Task, opts resharding.Options, key string, err error) {
 

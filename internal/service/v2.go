@@ -339,17 +339,14 @@ func (s *Server) serveMemoized(w http.ResponseWriter, r *http.Request, c *endpoi
 // parse (a fault-free body both accept enters the memo), the cache check,
 // the draft and, for a draft the closed-form candidates prove, the fill.
 // A proven miss is served at full quality in every admission mode: it
-// takes no plan-pool token, is never routed to a peer, gets no fault-free
-// twin, and degrading it would not make it cheaper. Only a draft that
+// takes no plan-pool token, is never routed to a peer, and degrading it
+// would not make it cheaper. Only a draft that
 // must search gives the token back and meets the controller's verdict
 // (phase two):
 //
 //   - full: a plan-pool token, then the fetch or the search. A faulted
-//     request hands its fault-free twin to the fill: the healthy parse is
-//     memoized, so under churn it costs a memo lookup, and a cached twin's
-//     plan is reused wherever the overlay left the scheduler's instance
-//     unchanged. A twin parse failure just plans cold; the twin never
-//     changes the answer.
+//     request plans from its own draft like any other: whatever the cache
+//     holds for other overlays of its boundary, neither is looked up.
 //   - degraded: re-keyed to the search-free scheduler (degradeOptions),
 //     whose draft is proven, so it finishes like phase one.
 //   - shed: the degraded twin if it is cached, else the structured
@@ -429,17 +426,10 @@ func (s *Server) handlePlanV2(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case enc != nil || err != nil: // a hit, or a draft that failed
 	case d.Proven():
-		enc, shared, err = s.computePlan(ctx, cacheKey, task, opts, &d, &req, false, "", nil)
+		enc, shared, err = s.computePlan(ctx, cacheKey, task, opts, &d, &req, false)
 	case mode == AdmitFull:
-		var fromKey string
-		var fromTask *sharding.Task
-		if req.Faults != nil {
-			if t0, _, k0, err := s.parseTask(ctx, nil, req.Topology, nil, req.Shape, req.DType, req.Src, req.Dst, req.Options); err == nil && k0 != cacheKey {
-				fromKey, fromTask = k0, t0
-			}
-		}
 		release()
-		enc, shared, err = s.computePlan(ctx, cacheKey, task, opts, &d, &req, isPeerRequest(r), fromKey, fromTask)
+		enc, shared, err = s.computePlan(ctx, cacheKey, task, opts, &d, &req, isPeerRequest(r))
 	case fullOnly:
 		err = errSLOShed
 	default:
@@ -448,7 +438,7 @@ func (s *Server) handlePlanV2(w http.ResponseWriter, r *http.Request) {
 		dOpts := degradeOptions(opts)
 		dKey := resharding.CacheKey(task, dOpts)
 		if mode == AdmitDegraded {
-			enc, shared, err = s.computePlan(ctx, dKey, task, dOpts, nil, nil, false, "", nil)
+			enc, shared, err = s.computePlan(ctx, dKey, task, dOpts, nil, nil, false)
 		} else if enc, err = s.cachedPlan(dKey, dOpts); enc == nil && err == nil {
 			err = errSLOShed
 		}
@@ -653,7 +643,7 @@ func (s *Server) handlePlanBatch(w http.ResponseWriter, r *http.Request) {
 				Shape: it.Shape, DType: it.DType,
 				Src: it.Src, Dst: it.Dst, Options: it.Options,
 			}
-			enc, shared, err := s.computePlan(ctx, key, items[li].task, items[li].opts, nil, itemReq, forwarded, "", nil)
+			enc, shared, err := s.computePlan(ctx, key, items[li].task, items[li].opts, nil, itemReq, forwarded)
 			mu.Lock()
 			defer mu.Unlock()
 			switch {

@@ -243,7 +243,7 @@ func TestServedBodiesMatchPerRequestEncoding(t *testing.T) {
 	}
 
 	s := New(Config{})
-	enc, shared, err := s.computePlan(context.Background(), key, task, opts, nil, nil, false, "", nil)
+	enc, shared, err := s.computePlan(context.Background(), key, task, opts, nil, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -561,7 +561,7 @@ func TestServedMissAllocationsIgnoreOwnership(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, _, err := srv.computePlan(ctx, key, task, opts, nil, req, false, "", nil); err != nil {
+			if _, _, err := srv.computePlan(ctx, key, task, opts, nil, req, false); err != nil {
 				t.Fatal(err)
 			}
 		}
