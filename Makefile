@@ -80,6 +80,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzPlanResponseJSON -fuzztime 10s ./internal/service
 	$(GO) test -run xxx -fuzz FuzzPlanRequestJSON -fuzztime 10s ./internal/service
 	$(GO) test -run xxx -fuzz FuzzParsePlanResponse -fuzztime 10s ./internal/service
+	$(GO) test -run xxx -fuzz FuzzDecodePlanRequest -fuzztime 10s ./internal/service
 	# A snapshot input is ~1.4 KB and each run builds two servers, so the
 	# default 60 s minimization of each new input would eat the whole window.
 	$(GO) test -run xxx -fuzz FuzzRestore -fuzztime 10s -fuzzminimizetime 200x ./internal/cluster

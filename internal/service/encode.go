@@ -272,18 +272,20 @@ const maxMemoEntries = 4096
 const maxMemoBody = 2048
 
 // parseMemo memoizes request parses under two names. fields is keyed by
-// the raw wire fields (appendMemoKey): a repeated request, however it was
-// spelled or wrapped — batch item, ParsePlanRequest, Replay — skips topology resolution, task decomposition and
-// cache-key rendering. bodies is keyed by a /v2/plan request body itself,
-// every byte of it (never a digest: a memo-served answer must be the
-// answer a fresh server gives): a repeated body skips encoding/json as
-// well, which is most of what a cache hit used to cost. Two spellings of
-// one request are two body entries holding the same task and key.
+// the raw wire fields (appendMemoKey): a repeated fault-free request that
+// /v2/autotune, ParsePlanRequest or Replay parses, or that arrives at
+// /v2/plan in a body not seen before, skips topology resolution, task
+// decomposition and cache-key rendering. Its key holds no faults block, so
+// a faulted request never enters it. bodies is keyed by a /v2/plan request
+// body itself, every byte of it (never a digest: a memo-served answer must
+// be the answer a fresh server gives): a repeated body skips the decode as
+// well, which is most of what a cache hit used to cost. A body carries its
+// fault overlay and its parse is a function of its bytes, so faulted
+// bodies are admitted like fault-free ones. Two spellings of one request
+// are two body entries holding the same task and key.
 //
-// Both admit fault-free requests only (a fault overlay re-derives its
-// topology on every request), and a body is admitted only once the strict
-// decoder and parseTask have both accepted it, so a rejected request can
-// never be answered from here.
+// A body is admitted only once the decoder and parseTask have both
+// accepted it, so a rejected request can never be answered from here.
 //
 // Lookups take a per-processor read lock (percpu.RWMutex), so hits from
 // different cores do not write one lock word; admissions lock it all.
@@ -322,8 +324,8 @@ func (pm *parseMemo) getBody(body []byte) (parsedReq, bool) {
 	return pr, ok
 }
 
-// putBody admits a body the decoder and parseTask accepted, unless it is
-// too long to be worth pinning.
+// putBody admits a body the decoder and parseTask accepted, faulted or
+// not, unless it is too long to be worth pinning.
 func (pm *parseMemo) putBody(body []byte, pr parsedReq) {
 	if len(body) > maxMemoBody {
 		return
@@ -335,13 +337,15 @@ func (pm *parseMemo) putBody(body []byte, pr parsedReq) {
 
 // appendMemoKey renders the raw request fields into b. Strings are
 // NUL-separated (none of the wire fields may contain NUL and still parse)
-// so distinct field splits never collide.
+// and numbers comma-separated, so distinct field splits never collide:
+// hosts 21 and hosts 2 with oversubscription 10 are two keys.
 //
 //alpacomm:hotpath
 func appendMemoKey(b []byte, ref TopologyRef, shape []int, dtype string, src, dst Endpoint, po PlanOptions) []byte {
 	b = append(b, ref.Name...)
 	b = append(b, 0)
 	b = strconv.AppendInt(b, int64(ref.Hosts), 10)
+	b = append(b, ',')
 	b = strconv.AppendFloat(b, ref.Oversubscription, 'g', -1, 64)
 	b = append(b, 0)
 	for _, d := range shape {

@@ -13,16 +13,18 @@ import (
 )
 
 // The JSON form of the /v2/plan message pair, written by hand. The Go
-// client renders its PlanRequest and parses the PlanResponse here, and the
-// server renders a plan's fill-time body with the same appenders, so the
-// served round trip never enters encoding/json's reflection. encoding/json
-// is the reference, byte for byte: the appenders write exactly what
-// json.Marshal (and json.Encoder.Encode, for the request) writes, and
-// parsePlanResponse returns exactly what json.Unmarshal returns, failing
-// wherever it fails (FuzzPlanResponseJSON, FuzzPlanRequestJSON,
-// FuzzParsePlanResponse). Every other body — autotune, batch, stats, error
-// envelopes and the server's strict request decode — stays with
-// encoding/json.
+// client renders its PlanRequest and parses the PlanResponse here, the
+// server parses a request body it has not seen here, and it renders a
+// plan's fill-time body with the same appenders, so the served round trip
+// never enters encoding/json's reflection. encoding/json is the reference,
+// byte for byte: the appenders write exactly what json.Marshal (and
+// json.Encoder.Encode, for the request) writes, parsePlanResponse returns
+// exactly what json.Unmarshal returns, failing wherever it fails, and
+// parsePlanRequest returns exactly what the server's strict decode
+// (decodeStrict) returns or declines the body, which then goes to that
+// decode (FuzzPlanResponseJSON, FuzzPlanRequestJSON, FuzzParsePlanResponse,
+// FuzzDecodePlanRequest). Every other body — autotune, batch, stats and
+// error envelopes — and every declined request stays with encoding/json.
 
 // appendJSONString appends s quoted as encoding/json renders a string with
 // HTML escaping on: <, > and & as backslash-u003c, -u003e and -u0026; control bytes
@@ -297,7 +299,7 @@ type jsonScan struct {
 }
 
 func (s *jsonScan) fail(what string) error {
-	return fmt.Errorf("service: plan response JSON: %s at offset %d", what, s.off)
+	return fmt.Errorf("service: plan JSON: %s at offset %d", what, s.off)
 }
 
 func (s *jsonScan) ws() {
@@ -712,27 +714,68 @@ func (s *jsonScan) intsField(backing []int, hint int) (v, newBacking []int, err 
 	}
 }
 
-// planResponseFields are PlanResponse's JSON names, in declaration order;
-// planField matches a member name to one as encoding/json does: exactly,
-// else under Unicode simple case folding (so "Key" and "\u212aey", a
-// Kelvin sign escaped, both name "key").
-var planResponseFields = [...]string{
-	"strategy", "scheduler", "num_units", "senders", "order",
-	"makespan_seconds", "effective_gbps", "num_ops", "key", "degraded", "coalesced",
-}
+// The JSON names of each message struct's fields, in declaration order.
+var (
+	planResponseFields = []string{
+		"strategy", "scheduler", "num_units", "senders", "order",
+		"makespan_seconds", "effective_gbps", "num_ops", "key", "degraded", "coalesced",
+	}
+	planRequestFields = []string{"topology", "shape", "dtype", "src", "dst", "options", "faults"}
+	topologyFields    = []string{"name", "hosts", "oversubscription"}
+	endpointFields    = []string{"mesh", "spec"}
+	planOptionsFields = []string{"strategy", "scheduler", "chunks", "dfs_nodes", "trials", "seed", "quality"}
+	faultsFields      = []string{"scenario", "links", "hosts"}
+	linkFaultFields   = []string{"a", "b", "down", "bandwidth_scale", "extra_latency_seconds"}
+	hostFaultFields   = []string{"host", "nic_scale", "intra_scale"}
+)
 
-func planField(name string) int {
-	for i, f := range planResponseFields {
+// fieldIndex matches a member name to one of fields as encoding/json does:
+// exactly, else under Unicode simple case folding (so "Key" and
+// "\u212aey", a Kelvin sign escaped, both name "key"); -1 for none.
+func fieldIndex(fields []string, name string) int {
+	for i, f := range fields {
 		if name == f {
 			return i
 		}
 	}
-	for i, f := range planResponseFields {
+	for i, f := range fields {
 		if strings.EqualFold(name, f) {
 			return i
 		}
 	}
 	return -1
+}
+
+// memberName scans one member's name and its colon and matches the name
+// to one of fields (fieldIndex).
+func (s *jsonScan) memberName(fields []string) (int, error) {
+	if s.next() != '"' {
+		return -1, s.fail("object key is not a string")
+	}
+	raw, plain, err := s.str()
+	if err != nil {
+		return -1, err
+	}
+	if !plain {
+		return fieldIndex(fields, unquote(raw)), s.colon()
+	}
+	return fieldIndex(fields, string(raw)), s.colon()
+}
+
+// afterMember consumes what follows a member's value and reports whether
+// that closed the object.
+func (s *jsonScan) afterMember() (closed bool, err error) {
+	s.ws()
+	switch s.next() {
+	case ',':
+		s.off++
+		s.ws()
+		return false, nil
+	case '}':
+		s.off++
+		return true, nil
+	}
+	return false, s.fail("expected , or }")
 }
 
 // parsePlanResponse parses one JSON document into p, a zero PlanResponse,
@@ -771,20 +814,8 @@ func (s *jsonScan) planResponse(p *PlanResponse) error {
 	}
 	var senders, order []int
 	for {
-		if s.next() != '"' {
-			return s.fail("object key is not a string")
-		}
-		raw, plain, err := s.str()
+		field, err := s.memberName(planResponseFields)
 		if err != nil {
-			return err
-		}
-		field := -1
-		if plain {
-			field = planField(string(raw))
-		} else {
-			field = planField(unquote(raw))
-		}
-		if err := s.colon(); err != nil {
 			return err
 		}
 		switch field {
@@ -816,16 +847,204 @@ func (s *jsonScan) planResponse(p *PlanResponse) error {
 		if err != nil {
 			return err
 		}
+		if closed, err := s.afterMember(); closed || err != nil {
+			return err
+		}
+	}
+}
+
+// parsePlanRequest parses a /v2/plan body into req, a zero PlanRequest,
+// exactly as decodeStrict does — the first JSON value, unknown members
+// refused, whatever follows that value ignored — or declines it with an
+// error, leaving req in any state. It declines every body decodeStrict
+// refuses and a few it accepts: a top-level value other than an object, a
+// member named twice in one object (encoding/json merges repeats, in place
+// and through shared backing arrays). A declined body goes to decodeStrict,
+// so every refusal keeps encoding/json's error text (FuzzDecodePlanRequest
+// holds an accepted body to decodeStrict's value). Every string is copied
+// out, so req never aliases data.
+func parsePlanRequest(data []byte, req *PlanRequest) error {
+	s := jsonScan{data: data}
+	s.ws()
+	return s.object(planRequestFields, func(field int) (err error) {
+		switch field {
+		case 0:
+			return s.object(topologyFields, func(field int) error {
+				switch field {
+				case 0:
+					return s.stringField(&req.Topology.Name)
+				case 1:
+					return s.intField(&req.Topology.Hosts)
+				}
+				return s.floatField(&req.Topology.Oversubscription)
+			})
+		case 1:
+			req.Shape, _, err = s.intsField(nil, 4)
+			return err
+		case 2:
+			return s.stringField(&req.DType)
+		case 3:
+			return s.endpoint(&req.Src)
+		case 4:
+			return s.endpoint(&req.Dst)
+		case 5:
+			return s.planOptions(&req.Options)
+		}
+		req.Faults = new(FaultsRef)
+		return s.faults(req.Faults)
+	})
+}
+
+// object scans the object at the cursor into a zero struct whose JSON
+// names are fields: value stores the value of the member matched to
+// fields[field]. Since the struct starts zero and no member may repeat, a
+// null member leaves its field as it is, whatever the field's type, and
+// value never sees one. An unknown or repeated member fails.
+func (s *jsonScan) object(fields []string, value func(field int) error) error {
+	if s.next() != '{' {
+		return s.fail("want an object")
+	}
+	s.off++
+	s.ws()
+	if s.next() == '}' {
+		s.off++
+		return nil
+	}
+	var seen uint
+	for {
+		field, err := s.memberName(fields)
+		if err != nil {
+			return err
+		}
+		if field < 0 {
+			return s.fail("unknown member")
+		}
+		if seen&(1<<field) != 0 {
+			return s.fail("repeated member")
+		}
+		seen |= 1 << field
+		if s.next() == 'n' {
+			err = s.literal("null")
+		} else {
+			err = value(field)
+		}
+		if err != nil {
+			return err
+		}
+		if closed, err := s.afterMember(); closed || err != nil {
+			return err
+		}
+	}
+}
+
+// array scans the array at the cursor, calling elem once per element with
+// the cursor on it.
+func (s *jsonScan) array(elem func() error) error {
+	if s.next() != '[' {
+		return s.fail("want an array")
+	}
+	s.off++
+	s.ws()
+	if s.next() == ']' {
+		s.off++
+		return nil
+	}
+	for {
+		if err := elem(); err != nil {
+			return err
+		}
 		s.ws()
 		switch s.next() {
 		case ',':
 			s.off++
 			s.ws()
-		case '}':
+		case ']':
 			s.off++
 			return nil
 		default:
-			return s.fail("expected , or }")
+			return s.fail("expected , or ]")
 		}
 	}
+}
+
+func (s *jsonScan) endpoint(e *Endpoint) error {
+	return s.object(endpointFields, func(field int) error {
+		if field == 0 {
+			return s.stringField(&e.Mesh)
+		}
+		return s.stringField(&e.Spec)
+	})
+}
+
+func (s *jsonScan) planOptions(o *PlanOptions) error {
+	return s.object(planOptionsFields, func(field int) error {
+		switch field {
+		case 0:
+			return s.stringField(&o.Strategy)
+		case 1:
+			return s.stringField(&o.Scheduler)
+		case 2:
+			return s.intField(&o.Chunks)
+		case 3:
+			return s.intField(&o.DFSNodes)
+		case 4:
+			return s.intField(&o.Trials)
+		case 5:
+			seed, err := s.intValue()
+			o.Seed = int64(seed)
+			return err
+		}
+		return s.stringField(&o.Quality)
+	})
+}
+
+// faults scans a faults block. An element of either list is an object or
+// null, which leaves it zero; an empty list is a non-nil empty slice, as
+// encoding/json decodes [].
+func (s *jsonScan) faults(f *FaultsRef) error {
+	return s.object(faultsFields, func(field int) error {
+		switch field {
+		case 0:
+			return s.stringField(&f.Scenario)
+		case 1:
+			f.Links = []LinkFaultRef{}
+			return s.array(func() error {
+				f.Links = append(f.Links, LinkFaultRef{})
+				l := &f.Links[len(f.Links)-1]
+				if s.next() == 'n' {
+					return s.literal("null")
+				}
+				return s.object(linkFaultFields, func(field int) error {
+					switch field {
+					case 0:
+						return s.intField(&l.A)
+					case 1:
+						return s.intField(&l.B)
+					case 2:
+						return s.boolField(&l.Down)
+					case 3:
+						return s.floatField(&l.BandwidthScale)
+					}
+					return s.floatField(&l.ExtraLatencySeconds)
+				})
+			})
+		}
+		f.Hosts = []HostFaultRef{}
+		return s.array(func() error {
+			f.Hosts = append(f.Hosts, HostFaultRef{})
+			h := &f.Hosts[len(f.Hosts)-1]
+			if s.next() == 'n' {
+				return s.literal("null")
+			}
+			return s.object(hostFaultFields, func(field int) error {
+				switch field {
+				case 0:
+					return s.intField(&h.Host)
+				case 1:
+					return s.floatField(&h.NICScale)
+				}
+				return s.floatField(&h.IntraScale)
+			})
+		})
+	})
 }

@@ -182,6 +182,113 @@ func checkParseMatchesUnmarshal(t *testing.T, data []byte) {
 	}
 }
 
+// scannedSeeds are /v2/plan bodies the request scanner must parse as
+// decodeStrict does: every member, both fault lists, case-folded and
+// escaped names, escaped and invalid strings, nulls everywhere.
+var scannedSeeds = []string{
+	`{"topology":{"name":"mixed","hosts":3,"oversubscription":1.5},"shape":[384,48],"dtype":"fp32","src":{"mesh":"2x4@0","spec":"S01R"},"dst":{"mesh":"2x4@12","spec":"S1R"},"options":{"seed":9},"faults":{"scenario":"straggler"}}`,
+	`{"topology":{"name":"p3","hosts":2},"shape":[64,96],"src":{"mesh":"2x2@0","spec":"S01R"},"dst":{"mesh":"2x2@4","spec":"S0R"},"options":{},"faults":{"links":[{"a":0,"b":1,"down":true},null,{"a":1,"b":2,"bandwidth_scale":0.5,"extra_latency_seconds":1e-6}],"hosts":[{"host":1,"nic_scale":0.5,"intra_scale":0.25},null]}}`,
+	` { "Topology" : { "NAME" : "p3" , "Hosts":2 } , "SHAPE":[4,4], "ſrc":{"Mesh":"1x2@0","\u0073pec":"S0"}, "dst":{"mesh":"1x2@4","spec":"R"}, "options":{"chun\u212as":1} } `,
+	`{"options":{"strategy":"broadcast","scheduler":"ensemble","chunks":8,"dfs_nodes":200,"trials":4,"seed":-7,"quality":"full"},"dtype":"fp16"}`,
+	`{"topology":{"name":"esc \" \\ \/ \b \f \n \r \t é 🚀 \ud800 \udc00x \udbff\udfff"}}`,
+	"{\"dtype\":\"bad \xff\xfe utf8 \xc3\"}",
+	`{"topology":null,"shape":null,"dtype":null,"src":null,"dst":null,"options":null,"faults":null}`,
+	`{"shape":[1,null,3],"options":{"seed":null,"chunks":null},"faults":{"links":[],"hosts":null}}`,
+	`{"faults":{}}`, `{"faults":{"links":[null]}}`, `{"faults":{"hosts":[{}]}}`,
+}
+
+// requestSeeds are bodies on the edge: repeated members, floats in int
+// fields, numbers out of range, unknown members, trailing bytes, bad
+// syntax and other top-level values. The scanner declines most of them,
+// and decodeStrict refuses most of those.
+var requestSeeds = []string{
+	`{"shape":[1,2],"shape":[3]}`, `{"topology":{"name":"p3"},"topology":{"hosts":2}}`,
+	`{"faults":{"links":[{"a":1}]},"faults":{"scenario":"brownout"}}`, `{"dtype":"fp16","DType":"fp32"}`,
+	`{"faults":null,"faults":{}}`, `{"topology":{"hosts":2,"Hosts":null}}`,
+	`{"topology":{"hosts":2.0}}`, `{"topology":{"hosts":1e2}}`, `{"options":{"seed":1.5}}`, `{"shape":[1.0]}`,
+	`{"options":{"seed":9223372036854775808}}`, `{"options":{"seed":-9223372036854775808}}`,
+	`{"topology":{"oversubscription":1e400}}`, `{"topology":{"oversubscription":-0}}`, `{"faults":{"links":[{"bandwidth_scale":2}]}}`,
+	`{"preset":"p3"}`, `{"topology":{"name":"p3","preset":1}}`, `{"faults":{"links":[{"c":1}]}}`, `{"options":{"x":null}}`,
+	`{"shape":[4,4]} trailing`, `{"shape":[4,4]}}`, `{"shape":[4,4]}{"shape":[1]}`, `{"shape":[4,4]` + "\n",
+	`null`, ` null x`, `[]`, `"s"`, `1`, `true`, ``, ` `, `{`, `{"shape":[4,4]`, `{"shape":[4,,4]}`,
+	`{"shape":"4"}`, `{"topology":"p3"}`, `{"faults":[]}`, `{"faults":{"links":{}}}`, `{"faults":{"hosts":[1]}}`,
+	`{"faults":{"links":[{"down":"true"}]}}`, `{"faults":{"links":[{"down":nul}]}}`, `{"dtype":"\x"}`, `{key:"a"}`,
+	"ï»¿{}", `{"unknown":[[[[]]]]}`,
+}
+
+// FuzzDecodePlanRequest holds the server's request scanner to its
+// reference: whenever parsePlanRequest accepts a body, decodeStrict
+// accepts it too and decodes the same request. A declined body is
+// decodeStrict's alone, so it needs no property.
+func FuzzDecodePlanRequest(f *testing.F) {
+	for _, r := range clientRequests() {
+		b, err := appendPlanRequestJSON(nil, r)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	for _, s := range append(scannedSeeds, requestSeeds...) {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkRequestMatchesDecodeStrict(t, data)
+	})
+}
+
+func checkRequestMatchesDecodeStrict(t *testing.T, data []byte) (accepted bool) {
+	t.Helper()
+	var got PlanRequest
+	if parsePlanRequest(data, &got) != nil {
+		return false
+	}
+	var want PlanRequest
+	if err := decodeStrict(bytes.NewReader(data), &want); err != nil {
+		t.Fatalf("%q: the scanner accepts what decodeStrict refuses: %v\nscanned %#v", data, err, got)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%q: scanned\n %#v\ndecodeStrict\n %#v", data, got, want)
+	}
+	return true
+}
+
+// clientRequests are requests as clients send them: every field the wire
+// carries, with and without each kind of fault overlay.
+func clientRequests() []*PlanRequest {
+	full := testReq(3)
+	full.Topology = TopologyRef{Name: "mixed", Hosts: 3, Oversubscription: 1.5}
+	full.DType = "fp16"
+	full.Options = PlanOptions{Strategy: "broadcast", Scheduler: "ensemble", Chunks: 8, DFSNodes: 200, Trials: 4, Seed: -7, Quality: "full"}
+	return []*PlanRequest{
+		testReq(1), full,
+		faultyReq(2, stragglerFaults), faultyReq(2, brownoutFaults), faultyReq(2, &FaultsRef{}),
+		faultyReq(2, &FaultsRef{Scenario: "link-down", Links: []LinkFaultRef{{A: 0, B: 1, Down: true}, {A: 1, B: 2, ExtraLatencySeconds: 1e-7}},
+			Hosts: []HostFaultRef{{Host: 2, NICScale: 0.5, IntraScale: 0.25}}}),
+	}
+}
+
+// TestParsePlanRequestTakesClientBodies: the scanner parses every body a
+// client renders and every scannedSeeds spelling, so a miss in ordinary
+// traffic never falls through to decodeStrict.
+func TestParsePlanRequestTakesClientBodies(t *testing.T) {
+	var bodies [][]byte
+	for _, r := range clientRequests() {
+		b, err := appendPlanRequestJSON(nil, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies = append(bodies, b, mustJSON(t, r))
+	}
+	for _, s := range scannedSeeds {
+		bodies = append(bodies, []byte(s))
+	}
+	for _, b := range bodies {
+		if !checkRequestMatchesDecodeStrict(t, b) {
+			t.Errorf("the scanner declines %s", b)
+		}
+	}
+}
+
 // TestParsePlanResponseDepth: encoding/json refuses a document nested past
 // 10 000 containers, skipped or not, and so does the parser.
 func TestParsePlanResponseDepth(t *testing.T) {
@@ -239,7 +346,8 @@ func TestServedBodiesParse(t *testing.T) {
 }
 
 // BenchmarkPlanResponseJSON times the client's two halves of a plan round
-// trip on a 16-unit served body, by hand and by encoding/json.
+// trip on a 16-unit served body, and the server's decode of the request,
+// by hand and by encoding/json.
 func BenchmarkPlanResponseJSON(b *testing.B) {
 	s := New(Config{})
 	req := &PlanRequest{
@@ -268,6 +376,26 @@ func BenchmarkPlanResponseJSON(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			var p PlanResponse
 			if err := json.NewDecoder(bytes.NewReader(body)).Decode(&p); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	reqBody, err := appendPlanRequestJSON(nil, req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("parse_request", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := parsePlanRequest(reqBody, new(PlanRequest)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("decodeStrict", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := decodeStrict(bytes.NewReader(reqBody), new(PlanRequest)); err != nil {
 				b.Fatal(err)
 			}
 		}

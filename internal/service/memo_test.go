@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -72,7 +73,8 @@ func padTo(b []byte, n int) []byte {
 // rejected, faulted, oversized — a long-lived server's first, second and
 // third answer equal, byte for byte and in both wire formats, the answer of
 // a server that has never seen a request; and the memo grows by exactly the
-// bodies it may hold.
+// bodies it may hold: every accepted body up to the admission size, faulted
+// or not, admitted once.
 func TestMemoServedMatchesFreshServer(t *testing.T) {
 	long := New(Config{})
 	for _, preset := range mesh.DefaultRegistry().Names() {
@@ -107,8 +109,8 @@ func TestMemoServedMatchesFreshServer(t *testing.T) {
 			{"reordered", reordered, 200, true},
 			{"trailing newline", append(append([]byte(nil), compact...), '\n'), 200, true},
 			{"trailing garbage", append(append([]byte(nil), compact...), "]]nonsense"...), 200, true},
-			{"empty faults", withField(`,"faults":{}`), 200, false},
-			{"faulted", mustJSON(t, &faulted), 200, false},
+			{"empty faults", withField(`,"faults":{}`), 200, true},
+			{"faulted", mustJSON(t, &faulted), 200, true},
 			{"unknown field", withField(`,"preset":"p3"`), 400, false},
 			{"truncated", compact[:len(compact)/2], 400, false},
 			{"bad spec", bytes.Replace(compact, []byte("S01R"), []byte("S01Q"), 1), 400, false},
@@ -283,5 +285,109 @@ func TestMemoHitKeepsControllerAndHeaderParity(t *testing.T) {
 	}
 	if st := s.slo.Snapshot(); st.Mode != "full" || st.Degrades != 0 {
 		t.Errorf("controller mode %s after %d concurrent memoized hits (%d degrades), want full", st.Mode, concurrent, st.Degrades)
+	}
+}
+
+// TestMemoServesRepeatedFaultedBody: a faulted body is admitted like any
+// other, so its repeat is served without decoding — plan.decoded does not
+// move — and with the bytes a fresh server answers, in both wire formats,
+// under every kind of overlay. Two bodies that differ only in their
+// scenario are two parses with two keys.
+func TestMemoServesRepeatedFaultedBody(t *testing.T) {
+	base := &PlanRequest{
+		Topology: TopologyRef{Name: "mixed", Hosts: 3, Oversubscription: 1.5},
+		Shape:    []int{384, 48},
+		Src:      Endpoint{Mesh: "2x4@0", Spec: "S01R"},
+		Dst:      Endpoint{Mesh: "2x4@12", Spec: "S1R"},
+		Options:  PlanOptions{Seed: 9},
+	}
+	keys := map[string]string{}
+	for _, faults := range []*FaultsRef{
+		{Scenario: "brownout"}, {Scenario: "straggler"}, {Scenario: "link-down"},
+		brownoutFaults, stragglerFaults,
+	} {
+		req := *base
+		req.Faults = faults
+		body := mustJSON(t, &req)
+		name := string(mustJSON(t, faults))
+		for _, accept := range []string{"", ContentTypeBinary} {
+			want := send(New(Config{}), body, accept)
+			if want.status != http.StatusOK {
+				t.Fatalf("%s: a fresh server answers %d: %s", name, want.status, want.body)
+			}
+			s := New(Config{})
+			if first := send(s, body, accept); first != want {
+				t.Fatalf("%s (accept %q): first answer diverges from a fresh server", name, accept)
+			}
+			decoded := s.planC.snapshot().Decoded
+			for n := 2; n <= 3; n++ {
+				if got := send(s, body, accept); got != want {
+					t.Errorf("%s (accept %q): send %d diverges from a fresh server\n got %+v\nwant %+v", name, accept, n, got, want)
+				}
+			}
+			if got := s.planC.snapshot().Decoded; got != decoded {
+				t.Errorf("%s (accept %q): two repeats of a faulted body ran the decoder (decoded %d -> %d)", name, accept, decoded, got)
+			}
+			pr, ok := s.reqMemo.getBody(body)
+			if !ok {
+				t.Fatalf("%s: the faulted body is not in the memo", name)
+			}
+			if faults.Scenario != "" {
+				keys[faults.Scenario] = pr.key
+			}
+		}
+	}
+	if keys["brownout"] == keys["straggler"] || keys["straggler"] == keys["link-down"] || keys["brownout"] == keys["link-down"] {
+		t.Errorf("bodies differing only in scenario share a key: %q", keys)
+	}
+}
+
+// TestMemoKeySeparatesHostsFromOversubscription: the fields memo's key
+// keeps hosts and oversubscription apart, so {mixed, hosts 21} is not
+// answered with the parse of {mixed, hosts 2, oversubscription 10} — through
+// ParsePlanRequest or through a /v2/plan body the body memo does not know —
+// and every answer equals a fresh server's.
+func TestMemoKeySeparatesHostsFromOversubscription(t *testing.T) {
+	req := func(hosts int, oversub float64) *PlanRequest {
+		return &PlanRequest{
+			Topology: TopologyRef{Name: "mixed", Hosts: hosts, Oversubscription: oversub},
+			Shape:    []int{64, 96},
+			Src:      Endpoint{Mesh: "2x2@0", Spec: "S01R"},
+			Dst:      Endpoint{Mesh: "2x2@4", Spec: "S0R"},
+			Options:  PlanOptions{Seed: 1},
+		}
+	}
+	first, second := req(2, 10), req(21, 0)
+	ctx := context.Background()
+	freshKey := func(r *PlanRequest) string {
+		_, _, key, err := New(Config{}).ParsePlanRequest(ctx, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return key
+	}
+
+	s := New(Config{})
+	if _, _, _, err := s.ParsePlanRequest(ctx, first); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []*PlanRequest{second, first} {
+		_, _, key, err := s.ParsePlanRequest(ctx, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := freshKey(r); key != want {
+			t.Errorf("ParsePlanRequest(hosts %d, oversubscription %g) after the other: key %q, a fresh server's %q",
+				r.Topology.Hosts, r.Topology.Oversubscription, key, want)
+		}
+	}
+
+	s = New(Config{})
+	for _, r := range []*PlanRequest{first, second, first} {
+		body := mustJSON(t, r)
+		if got, want := send(s, body, ""), send(New(Config{}), body, ""); got != want {
+			t.Errorf("/v2/plan (hosts %d, oversubscription %g): long-lived server\n got %+v\nfresh server\n %+v",
+				r.Topology.Hosts, r.Topology.Oversubscription, got, want)
+		}
 	}
 }

@@ -38,6 +38,13 @@ func FuzzPlanRequestV2(f *testing.F) {
 	f.Add(marshal(full))
 	f.Add([]byte(`{"topology":{"name":"mixed","hosts":3,"oversubscription":1.5},"shape":[8,8],` +
 		`"src":{"mesh":"1x4@0","spec":"RS1"},"dst":{"mesh":"2x2@4","spec":"S0S1"},"options":{"dfs_nodes":50}}`))
+	// One fields-memo key before hosts and oversubscription were kept
+	// apart: sent one after the other, the second was served the first's
+	// parse.
+	f.Add([]byte(`{"topology":{"name":"mixed","hosts":2,"oversubscription":10},"shape":[64,96],` +
+		`"src":{"mesh":"2x2@0","spec":"S01R"},"dst":{"mesh":"2x2@4","spec":"S0R"},"options":{"seed":1}}`))
+	f.Add([]byte(`{"topology":{"name":"mixed","hosts":21},"shape":[64,96],` +
+		`"src":{"mesh":"2x2@0","spec":"S01R"},"dst":{"mesh":"2x2@4","spec":"S0R"},"options":{"seed":1}}`))
 	f.Add([]byte(`{"topology":{"name":"p3","hosts":2},"shape":[4,4],"preset":"p3"}`))
 	f.Add([]byte(`{"topology":{"name":"p3","hosts":2},"shape":[-1,0],"src":{"mesh":"2x2","spec":"Q"}}`))
 	f.Add([]byte(`{"topology":`))

@@ -128,10 +128,11 @@ type Server struct {
 	cache         *resharding.PlanCache
 	autotuneCache *resharding.PlanCache
 	topos         topologyCache
-	// reqMemo memoizes fault-free request parses — by wire fields, and for
-	// /v2/plan by the request body itself — so a repeated request does no
-	// decoding, task decomposition or cache-key rendering: the dominant
-	// per-request cost once the plan itself is a pre-serialized cache hit.
+	// reqMemo memoizes request parses — fault-free ones by wire fields, and
+	// for /v2/plan every accepted body, faulted or not, by its bytes — so a
+	// repeated request does no decoding, task decomposition or cache-key
+	// rendering: the dominant per-request cost once the plan itself is a
+	// pre-serialized cache hit.
 	reqMemo parseMemo
 	flight  flightGroup
 	// intake bounds the work a miss does outside the worker pools: for
@@ -684,7 +685,9 @@ func (e *badRequestError) Unwrap() error { return e.err }
 // Fault-free requests are memoized on their raw wire fields: a repeated
 // request returns the stored (task, options, key) without touching the
 // gate — the memo hit does no bounded work for the gate to bound. This is
-// the name batch items, ParsePlanRequest and Replay find a parse under.
+// the name /v2/autotune, ParsePlanRequest, Replay and a /v2/plan body the
+// body memo does not know find a parse under; batch items build their
+// tasks directly and never consult it.
 func (s *Server) parseTask(ctx context.Context, gate *admission,
 	ref TopologyRef, faults *FaultsRef, shape []int, dtype string, src, dst Endpoint, po PlanOptions) (task *sharding.Task, opts resharding.Options, key string, err error) {
 

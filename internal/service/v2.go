@@ -294,7 +294,7 @@ func getBody(w http.ResponseWriter, r *http.Request, buf *[]byte) ([]byte, error
 // pre-serialized bytes with the bookkeeping every hit gets — deadline
 // header validated, in-flight gauge, one SLO Admit and one Observe (a
 // cached full-quality hit is served in every admission mode) — and
-// without a json.Decoder, a PlanRequest or a memo-key rendering. It
+// without a decode, a PlanRequest or a memo-key rendering. It
 // reports whether it answered; false means nothing was written, and the
 // caller decodes the same bytes: the memo holds parses, never decoded
 // requests, because a body whose plan is gone is about to pay for a fill
@@ -333,10 +333,11 @@ func (s *Server) serveMemoized(w http.ResponseWriter, r *http.Request, c *endpoi
 //
 // The body is read whole (bounded by maxBodyBytes) and the parse memo is
 // asked for those bytes first: a hit is a lookup by what the client sent
-// (serveMemoized). Every other request — a body not seen before, one
-// whose plan was evicted, a faulted one — is a miss in two phases. Phase
-// one holds one intake token, taken before the body is decoded: decode,
-// parse (a fault-free body both accept enters the memo), the cache check,
+// (serveMemoized), faulted or not. Every other request — a body not seen
+// before, one whose plan was evicted — is a miss in two phases. Phase one
+// holds one intake token, taken before the body is decoded: decode
+// (parsePlanRequest, or decodeStrict for a body the scanner declines),
+// parse (a body both accept enters the memo), the cache check,
 // the draft and, for a draft the closed-form candidates prove, the fill.
 // A proven miss is served at full quality in every admission mode: it
 // takes no plan-pool token, is never routed to a peer, and degrading it
@@ -395,9 +396,12 @@ func (s *Server) handlePlanV2(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	c.decoded.Add(1)
 	var req PlanRequest
-	if err := decodeStrict(bytes.NewReader(body), &req); err != nil {
-		s.failV2(ctx, w, c, err, bin)
-		return
+	if parsePlanRequest(body, &req) != nil {
+		req = PlanRequest{}
+		if err := decodeStrict(bytes.NewReader(body), &req); err != nil {
+			s.failV2(ctx, w, c, err, bin)
+			return
+		}
 	}
 	fullOnly := req.Options.Quality == "full"
 	task, opts, cacheKey, err := s.parseTask(ctx, nil, req.Topology, req.Faults, req.Shape, req.DType, req.Src, req.Dst, req.Options)
@@ -405,9 +409,7 @@ func (s *Server) handlePlanV2(w http.ResponseWriter, r *http.Request) {
 		s.failPlan(ctx, w, err, fullOnly, bin)
 		return
 	}
-	if req.Faults == nil {
-		s.reqMemo.putBody(body, parsedReq{task: task, opts: opts, key: cacheKey})
-	}
+	s.reqMemo.putBody(body, parsedReq{task: task, opts: opts, key: cacheKey})
 
 	c.inFlight.Add(1)
 	defer c.inFlight.Add(-1)

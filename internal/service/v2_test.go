@@ -264,14 +264,17 @@ func TestV2DeadlineHeader(t *testing.T) {
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
 
+	// searchedReq's 256-unit boundary, whose draft no closed-form
+	// candidate proves (~10 ms a plan), with the maximum DFS budget: far
+	// more search than a 1ms deadline allows. A boundary the closed form
+	// proves finishes the grid inside the deadline.
+	sr := searchedReq(t, 1)
 	req := &AutotuneRequest{
-		Topology: TopologyRef{Name: "p3", Hosts: 4},
-		Shape:    []int{64, 96},
-		Src:      Endpoint{Mesh: "2x4@0", Spec: "S01R"},
-		Dst:      Endpoint{Mesh: "2x4@8", Spec: "RS0"},
-		// A 16-unit boundary with the maximum DFS budget: far more search
-		// than a 1ms deadline allows.
-		Options: PlanOptions{Seed: 1, DFSNodes: MaxDFSNodes},
+		Topology: sr.Topology,
+		Shape:    sr.Shape,
+		Src:      sr.Src,
+		Dst:      sr.Dst,
+		Options:  PlanOptions{Seed: 1, DFSNodes: MaxDFSNodes, Chunks: sr.Options.Chunks},
 	}
 	body, err := json.Marshal(req)
 	if err != nil {
