@@ -390,14 +390,14 @@ var DeriveAgentSeed = loadmodel.DeriveSeed
 var ArrivalOffsets = loadmodel.Offsets
 
 // Distributed plan-serving tier (internal/cluster): N plan servers as one
-// logical plan cache — consistent-hash key ownership, cross-node
-// singleflight, verified peer fills, snapshot warm restarts.
+// tier — consistent-hash key ownership for client routing, membership,
+// snapshot warm restarts. Every node plans its own misses.
 type (
 	// ClusterNode makes one PlanServer a member of a plan-serving tier.
 	ClusterNode = cluster.Node
 	// ClusterNodeConfig configures a tier node.
 	ClusterNodeConfig = cluster.Config
-	// ClusterRing is the consistent-hash ring the tier routes on.
+	// ClusterRing is the consistent-hash ring clients route on.
 	ClusterRing = cluster.Ring
 	// ClusterNodeStats is the per-node tier block of ServiceStats.
 	ClusterNodeStats = service.ClusterNodeStats
@@ -412,17 +412,6 @@ var NewClusterNode = cluster.New
 // NewClusterRing builds a consistent-hash ring with the given virtual-node
 // count per member (<= 0 = cluster.DefaultVNodes).
 var NewClusterRing = cluster.NewRing
-
-// VerifyPlanFill re-simulates a peer-supplied plan against a local task
-// and rejects it on any mismatch — the tier's prove-don't-trust gate.
-var VerifyPlanFill = cluster.VerifyFill
-
-// AsPeerPlanClient marks a plan client's requests as tier-internal: the
-// receiving node resolves them locally instead of re-routing.
-var AsPeerPlanClient = service.AsPeer
-
-// PlanPeerHeader is the header marking tier-internal peer requests.
-const PlanPeerHeader = service.PeerHeader
 
 // Pipeline schedules (§4).
 type (

@@ -2,16 +2,17 @@
 // tiers of 1/2/4/8 nodes over loopback HTTP, drives a working set that
 // overflows any single node's plan cache, and measures how aggregate
 // throughput scales as the tier absorbs the cache-miss load — one node
-// thrashes its LRU and pays a full DFS per miss, eight nodes keep the
-// whole working set resident and serve hits or one-hop proxied hits. The
-// run fails itself below minClusterSpeedup, and when any plan the tier
-// computed ended proven (checkSearched): the scaling figure means something
-// only while every miss pays a full search.
+// thrashes its LRU and pays a full search per miss; eight nodes keep each
+// owner's share of the working set resident, and the sprayed traffic that
+// lands on a non-owner is planned there. The run fails itself below
+// minClusterSpeedup, and when any plan the tier computed ended proven
+// (checkSearched): the scaling figure means something only while every
+// miss pays a full search.
 //
 // The tier's correctness contracts are go tests, not part of this run:
 // byte-identical plans from every node (TestTierByteIdenticalAcrossNodes,
-// TestGoldenClusterByteIdentity), cross-node singleflight — a cold herd
-// costs one computation tier-wide (TestTierCrossNodeSingleflight) — and a
+// TestGoldenClusterByteIdentity), one computation per node for a cold herd
+// and no peer traffic from a miss (TestTierCrossNodeSingleflight), and a
 // warm restart that recomputes nothing (TestSnapshotRoundTrip,
 // TestGoldenClusterSnapshotRoundTrip).
 package main
@@ -40,10 +41,6 @@ type clusterRunReport struct {
 	// tier ran during the measured window (Σ cache misses across nodes):
 	// the figure the tier exists to shrink.
 	TierComputations int `json:"tier_computations"`
-	// RoutedProxied / ProxyFallbacks aggregate the tier's routing counters
-	// over the whole run (fill + measurement).
-	RoutedProxied  int64 `json:"routed_proxied"`
-	ProxyFallbacks int64 `json:"proxy_fallbacks"`
 }
 
 // clusterReport is the -cluster run's -json report.
@@ -140,9 +137,9 @@ func startBenchTier(n, capacity int) *benchTier {
 // 2x4 -> 2x4 boundary over 4 p3 hosts whose 16 units can each be sent from
 // either source host. No search proves it: the target search spends its
 // 8 192 nodes, the DFS its 20 000 and greedy its 256 trials (~3.5 ms), so
-// a cache-resident tier is decisively cheaper than recomputation, and a
-// non-owned miss is fetched from its owner rather than planned where it
-// lands. Distinct seeds give distinct canonical cache keys.
+// a cache-resident tier is decisively cheaper than recomputation; a miss
+// runs that search on whichever node it lands on. Distinct seeds give
+// distinct canonical cache keys.
 func clusterKeyReq(seed int64) *service.PlanRequest {
 	return &service.PlanRequest{
 		Topology: service.TopologyRef{Name: "p3", Hosts: 4},
@@ -159,9 +156,9 @@ func clusterKeyReq(seed int64) *service.PlanRequest {
 // keyOwners precomputes, for each working-set key, which tier node owns
 // it: the canonical cache key from a scratch parse, routed on a ring
 // built exactly like the tier's. This is what a smart client does in a
-// consistent-hash serving tier — route to the owner, let the tier handle
-// the rest — and the bench sends most traffic that way, keeping a random
-// slice to exercise the proxy path under load.
+// consistent-hash serving tier — route to the owner, whose cache holds the
+// key — and the bench sends most traffic that way, keeping a random slice
+// that lands on non-owners, which plan what they do not hold.
 func keyOwners(n, workingSet int) []int {
 	scratch := service.New(service.Config{})
 	ring := alpacomm.NewClusterRing(0)
@@ -187,8 +184,8 @@ func keyOwners(n, workingSet int) []int {
 }
 
 // affinityFraction is the share of measured traffic a smart client routes
-// straight to the key's owner; the rest lands on a random node and takes
-// the proxy / cache-aside path.
+// straight to the key's owner; the rest lands on a random node, which
+// serves it from its own cache or plans it there.
 const affinityFraction = 0.9
 
 // The scaling run's shape. Constants, not flags: each had one value in use.
@@ -240,13 +237,6 @@ func runScaling(n int, seed uint64) clusterRunReport {
 
 	stats := bt.stats(ctx)
 	checkSearched(n, stats)
-	var proxied, fallbacks int64
-	for _, st := range stats {
-		if st.Cluster != nil {
-			proxied += st.Cluster.RoutedProxied
-			fallbacks += st.Cluster.ProxyFallbacks
-		}
-	}
 	// Closed arrivals: latency from the due time and from dispatch are the
 	// same series.
 	return clusterRunReport{
@@ -257,14 +247,12 @@ func runScaling(n int, seed uint64) clusterRunReport {
 		LatencyP50Millis: percentileMillis(row.due, 50),
 		LatencyP99Millis: percentileMillis(row.due, 99),
 		TierComputations: tierComputations(stats) - warmComputations,
-		RoutedProxied:    proxied,
-		ProxyFallbacks:   fallbacks,
 	}
 }
 
 // checkSearched fails the run unless every plan the tier computed ended
 // unproven (/v2/stats exits). A proven miss costs a fraction of a
-// millisecond, so a working set that ends proven measures the proxy hop,
+// millisecond, so a working set that ends proven measures HTTP serving,
 // not the tier absorbing searches. clusterKeyReq searches only because the
 // target search's dominance table misses states that differ by swapping
 // interchangeable sender hosts; mending that would prove it.
@@ -293,9 +281,8 @@ func runClusterBench(jsonPath string, seed uint64) {
 		fmt.Printf("cluster: measuring %d-node tier (capacity %d, working set %d keys, %s window)\n",
 			n, clusterCapacity, clusterWorkingSet, clusterWindow)
 		run := runScaling(n, seed)
-		fmt.Printf("cluster: %d node(s): %.0f rps, p50 %.2fms p99 %.2fms, %d computations, %d proxied\n",
-			n, run.ThroughputRPS, run.LatencyP50Millis, run.LatencyP99Millis,
-			run.TierComputations, run.RoutedProxied)
+		fmt.Printf("cluster: %d node(s): %.0f rps, p50 %.2fms p99 %.2fms, %d computations\n",
+			n, run.ThroughputRPS, run.LatencyP50Millis, run.LatencyP99Millis, run.TierComputations)
 		rep.Runs = append(rep.Runs, run)
 	}
 	rep.Speedup8xVs1 = rep.Runs[len(rep.Runs)-1].ThroughputRPS / rep.Runs[0].ThroughputRPS

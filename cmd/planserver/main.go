@@ -27,13 +27,12 @@
 // available as a compact binary frame: send
 // "Accept: application/x-alpacomm-plan".
 //
-// Cluster mode (-node-id + -peers) makes N planservers one logical plan
-// cache: a consistent-hash ring gives each canonical cache key an owner
-// node, non-owners fetch cold keys that must search from the owner
-// (re-simulating every received plan before caching it — see
-// internal/cluster; a key proven without a search is planned where it
-// lands), and the owner's request coalescing gives the tier cluster-wide
-// singleflight.
+// Cluster mode (-node-id + -peers) makes N planservers one tier: a
+// consistent-hash ring gives each canonical cache key an owner node, which
+// clients use to send a key where it is cached (membership over
+// /cluster/join|leave|members, see internal/cluster). A plan is a pure
+// function of its request, so every node plans the misses that land on it
+// and serves the bytes any other node would; no node asks a peer for a plan.
 // With -snapshot the requests that filled the cache are periodically
 // persisted and replayed on start (each planned again on this node, so a
 // snapshot can never install a wrong plan), and a bounced node rejoins warm:
@@ -42,8 +41,8 @@
 //	    -self http://127.0.0.1:8101 -snapshot /var/tmp/plans-a.snap
 //
 // Shutdown is graceful on SIGINT/SIGTERM: the node leaves the ring first
-// (peers stop routing new keys to it), drains in-flight requests under
-// -drain-timeout, then writes a final snapshot.
+// (clients routing by a peer's ring stop sending keys to it), drains
+// in-flight requests under -drain-timeout, then writes a final snapshot.
 package main
 
 import (
@@ -192,9 +191,10 @@ func main() {
 	}
 	stop()
 
-	// Graceful shutdown, leave-the-ring first: peers stop routing new keys
-	// here while in-flight requests drain (the node keeps serving hits and
-	// proxies until Shutdown returns), then the drained cache is persisted.
+	// Graceful shutdown, leave-the-ring first: peers' rings stop assigning
+	// keys here while in-flight requests drain (the node keeps serving hits
+	// and planning misses until Shutdown returns), then the drained cache is
+	// persisted.
 	fmt.Println("planserver: shutting down")
 	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()

@@ -1,8 +1,9 @@
 // Distributed serving parity against the golden fixtures: a 3-node tier
 // (built through the public facade, like a deployment would) serves every
 // reshard of testdata/golden_netsim.json from EVERY node, and each response
-// must be byte-identical to a standalone server's — ownership, proxying and
-// cache-aside fills change where a plan is computed, never the plan. A
+// must be byte-identical to a standalone server's — every node plans the
+// misses that land on it, so the node that computes never shows in the
+// plan. A
 // snapshot/restore round trip over the same fixtures must preserve that
 // byte identity through a warm restart.
 package alpacomm_test
@@ -98,20 +99,41 @@ func goldenFixtureRequests(t *testing.T) []*service.PlanRequest {
 }
 
 // TestGoldenClusterByteIdentity: every golden reshard served from every
-// node of a 3-node tier is byte-identical to the standalone answer, and
-// the tier computed each fixture exactly once.
+// node of a 3-node tier, twice, is byte-identical to the standalone answer,
+// and each node computed each distinct fixture key exactly once: the first
+// round's misses are planned where they land, the second round hits.
 func TestGoldenClusterByteIdentity(t *testing.T) {
 	reqs := goldenFixtureRequests(t)
 	standalone := httptest.NewServer(alpacomm.NewPlanServer(alpacomm.PlanServerConfig{}))
 	defer standalone.Close()
 	_, servers := goldenTier(t, []string{"a", "b", "c"})
-	for _, req := range reqs {
-		want := goldenRawPlan(t, standalone.URL, req)
-		for ni, ts := range servers {
-			if got := goldenRawPlan(t, ts.URL, req); !bytes.Equal(got, want) {
-				t.Fatalf("node %d serves different bytes for %s/%s:\n got %s\nwant %s",
-					ni, req.Topology.Name, req.Options.Strategy, got, want)
+	want := make([][]byte, len(reqs))
+	keys := map[string]bool{}
+	for i, req := range reqs {
+		want[i] = goldenRawPlan(t, standalone.URL, req)
+		var resp service.PlanResponse
+		if err := json.Unmarshal(want[i], &resp); err != nil {
+			t.Fatal(err)
+		}
+		keys[resp.Key] = true
+	}
+	for round := 0; round < 2; round++ {
+		for i, req := range reqs {
+			for ni, ts := range servers {
+				if got := goldenRawPlan(t, ts.URL, req); !bytes.Equal(got, want[i]) {
+					t.Fatalf("round %d node %d serves different bytes for %s/%s:\n got %s\nwant %s",
+						round, ni, req.Topology.Name, req.Options.Strategy, got, want[i])
+				}
 			}
+		}
+	}
+	for ni, ts := range servers {
+		st, err := alpacomm.NewPlanClient(ts.URL, nil).Stats(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Cache.Misses != len(keys) {
+			t.Errorf("node %d computed %d plans for %d distinct fixture keys, want one each", ni, st.Cache.Misses, len(keys))
 		}
 	}
 }
@@ -126,8 +148,8 @@ func TestGoldenClusterSnapshotRoundTrip(t *testing.T) {
 	warmNodes, warmServers := goldenTier(t, ids)
 	want := make([][]byte, len(reqs))
 	for i, req := range reqs {
-		// Serve through every node so each holds its share (owned or
-		// cache-aside) with the request that filled it.
+		// Serve through every node so each holds every fixture with the
+		// request that filled it.
 		for _, ts := range warmServers {
 			want[i] = goldenRawPlan(t, ts.URL, req)
 		}

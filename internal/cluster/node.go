@@ -15,8 +15,8 @@ import (
 	"alpacomm/internal/sharding"
 )
 
-// fetchBound caps one peer fetch beneath the request's own context: ~40x the
-// costliest default-budget search (12 ms), past which the requester plans itself.
+// fetchBound caps one Node.Fetch beneath the caller's own context: ~40x the
+// costliest default-budget search (12 ms).
 const fetchBound = 500 * time.Millisecond
 
 // Config configures one tier node.
@@ -36,14 +36,16 @@ type Config struct {
 	// Must be identical on every member or nodes would disagree on
 	// ownership.
 	VNodes int
-	// HTTPClient is used for peer traffic; nil = a service.NewClient
-	// default per peer.
+	// HTTPClient is used for peer traffic (membership, Node.Fetch); nil =
+	// a service.NewClient default per peer.
 	HTTPClient *http.Client
 }
 
 // Node makes one service.Server a member of a plan-serving tier. It
-// implements service.Router (install with server.SetRouter — New does it)
-// and serves the membership endpoints under /cluster/ (mount via Handler).
+// implements service.Router (install with server.SetRouter — New does it),
+// so the server reports the node's block in /v2/stats and keeps each fill's
+// request for Snapshot, and it serves the membership endpoints under
+// /cluster/ (mount via Handler).
 type Node struct {
 	cfg  Config
 	srv  *service.Server
@@ -114,9 +116,8 @@ func (n *Node) removeMember(id string) {
 	n.mu.Unlock()
 }
 
-// client returns (building if needed) the peer client for a member: binary
-// wire (the frames are what verification consumes) and the peer header so
-// the owner resolves locally.
+// client returns (building if needed) Fetch's client for a member: binary
+// wire, the frames verification consumes.
 func (n *Node) client(id string) *service.Client {
 	n.mu.RLock()
 	cl, ok := n.clients[id]
@@ -133,28 +134,15 @@ func (n *Node) client(id string) *service.Client {
 	if cl, ok = n.clients[id]; ok {
 		return cl
 	}
-	cl = service.NewClient(addr, n.cfg.HTTPClient, service.WithBinary(), service.AsPeer(n.cfg.NodeID))
+	cl = service.NewClient(addr, n.cfg.HTTPClient, service.WithBinary())
 	n.clients[id] = cl
 	return cl
 }
 
-// Route implements service.Router: consistent-hash ownership of the
-// canonical cache key.
-func (n *Node) Route(key string) (owner string, local bool) {
-	owner, ok := n.ring.Owner(key)
-	if !ok {
-		// Ring drained (this node left and peers are gone): serve locally.
-		return n.cfg.NodeID, true
-	}
-	return owner, owner == n.cfg.NodeID
-}
-
-// Fetch implements service.Router: ask the owning peer for the plan over
-// /v2 (binary wire, peer-marked so the owner never re-routes), within ctx
-// and fetchBound, then gate it through VerifyFill before the server caches
-// it. The owner's own request coalescing merges concurrent fetches of one
-// cold key from every node in the tier — cluster-wide singleflight — while
-// the caller's in-process flight already merged local duplicates.
+// Fetch asks a peer for the plan of key over /v2 (binary wire), within ctx
+// and fetchBound, and gates the answer through VerifyFill, counting accepts
+// and rejects. No served path calls it — every miss is planned where it
+// lands — and it installs nothing; it stays for the benchmark's probes.
 func (n *Node) Fetch(ctx context.Context, owner, key string, req *service.PlanRequest, task *sharding.Task, opts resharding.Options) (*resharding.Plan, *resharding.SimResult, error) {
 	cl := n.client(owner)
 	if cl == nil {
@@ -292,9 +280,9 @@ func (n *Node) Join(ctx context.Context) error {
 
 // Leave removes this node from its own ring and announces the departure
 // to every peer — the leave-the-ring-first half of a graceful shutdown:
-// once it returns, peers stop routing new keys here while this node
-// drains in-flight requests (still serving hits and proxying, since its
-// own ring now routes everything to peers).
+// once it returns, clients that route by a peer's ring stop sending keys
+// here while this node drains in-flight requests, still serving hits and
+// planning its own misses as before.
 func (n *Node) Leave(ctx context.Context) {
 	n.ring.Remove(n.cfg.NodeID)
 	for _, id := range n.ring.Members() {

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -61,11 +62,11 @@ func startTier(t testing.TB, ids []string, mkCfg func() service.Config) []*testN
 // fixtureParser parses fixtures for classed; it serves nothing.
 var fixtureParser = service.New(service.Config{})
 
-// The tier routes a miss by what is left of it after the closed-form
-// candidates (Server.computePlan), so its tests come in two classes, and
-// classed holds each fixture to its own: tierReq is proven at Naive and is
-// planned wherever it lands; searchReq must search and is fetched from its
-// ring owner. Distinct seeds give distinct cache keys.
+// Every miss is planned on the node it lands on (Server.computePlan), but
+// the two classes of miss cost differently, so the tier's tests cover both
+// and classed holds each fixture to its own: tierReq is proven at Naive
+// without a plan-pool token; searchReq must search and holds a token for
+// the whole search. Distinct seeds give distinct cache keys.
 func classed(t testing.TB, req *service.PlanRequest, proven bool) *service.PlanRequest {
 	t.Helper()
 	task, opts, _, err := fixtureParser.ParsePlanRequest(context.Background(), req)
@@ -202,19 +203,18 @@ func tierURLs(nodes []*testNode) []string {
 }
 
 // TestTierByteIdenticalAcrossNodes: the same request served by every node
-// of a 3-node tier — owner, proxier, cache-aside — returns byte-identical
-// bodies, identical to a standalone server's, whichever class it is: who
-// computes a plan never shows in its bytes.
+// of a 3-node tier — owner or not — returns byte-identical bodies, identical
+// to a standalone server's, whichever class it is: who computes a plan never
+// shows in its bytes.
 func TestTierByteIdenticalAcrossNodes(t *testing.T) {
 	for _, class := range []struct {
 		name string
 		req  func(testing.TB, int64) *service.PlanRequest
-		// computations is what 5 keys cost the tier: a searched key is
-		// computed once, by its owner, however many nodes serve it; a proven
-		// one once on every node it lands on.
+		// computations is what 5 keys cost the tier: every key, searched or
+		// proven, once on every node it lands on.
 		computations int
 	}{
-		{"searched", searchReq, 5},
+		{"searched", searchReq, 15},
 		{"proven", tierReq, 15},
 	} {
 		t.Run(class.name, func(t *testing.T) {
@@ -242,14 +242,26 @@ func TestTierByteIdenticalAcrossNodes(t *testing.T) {
 
 // TestTierCrossNodeSingleflight: a thundering herd on one cold key that must
 // search, spread across every node of the tier, costs exactly one planner
-// computation tier-wide — the owner's in-process coalescing merges the
-// proxied fetches, and each non-owner's local flight merges its own herd.
+// computation per node — each node's in-process flight merges its own share
+// of the herd — and no node asks another: each receives exactly its share of
+// /v2/plan requests, none from a peer.
 func TestTierCrossNodeSingleflight(t *testing.T) {
 	nodes := startTier(t, []string{"a", "b", "c"}, func() service.Config { return service.Config{} })
 	req := searchReq(t, 99)
-	herd(t, 24, tierURLs(nodes), req)
-	if m := tierMisses(nodes); m != 1 {
-		t.Errorf("cold key cost %d computations tier-wide, want exactly 1", m)
+	const n = 24
+	herd(t, n, tierURLs(nodes), req)
+	for _, tn := range nodes {
+		st, err := service.NewClient(tn.url, nil).Stats(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		id := tn.node.NodeID()
+		if st.Cache.Misses != 1 {
+			t.Errorf("node %s computed the key %d times, want exactly 1", id, st.Cache.Misses)
+		}
+		if want := int64(n / len(nodes)); st.Plan.Requests != want {
+			t.Errorf("node %s received %d /v2/plan requests, want its %d of the herd", id, st.Plan.Requests, want)
+		}
 	}
 }
 
@@ -285,36 +297,16 @@ func TestTierProvenHerdStaysLocal(t *testing.T) {
 	}
 }
 
-// TestTierVerifiedFill: a non-owner's fetch is verified before it is
-// cached (accept counter), and a tampered peer response — a byzantine
-// owner claiming a makespan its plan does not achieve — is rejected, with
-// the node falling back to a correct local computation.
-func TestTierVerifiedFill(t *testing.T) {
-	// Honest 2-node tier first: a key that must search, owned by b, requested
-	// via a.
-	nodes := startTier(t, []string{"a", "b"}, func() service.Config { return service.Config{} })
-	a, b := nodes[0], nodes[1]
-	req := searchReq(t, seedOwnedBy(t, a, searchReq, "b"))
-	want := rawPlan(t, b.url, req) // owner computes
-	if got := rawPlan(t, a.url, req); !bytes.Equal(got, want) {
-		t.Fatalf("proxied fill differs from owner's plan")
-	}
-	if acc := a.node.Info().VerifiedFillAccepts; acc != 1 {
-		t.Errorf("accepts = %d, want 1", acc)
-	}
-	if m := b.srv.Cache().Stats().Misses; m != 1 {
-		t.Errorf("owner misses = %d, want 1", m)
-	}
-	// a now serves the cache-aside copy without touching b.
-	if got := rawPlan(t, a.url, req); !bytes.Equal(got, want) {
-		t.Fatalf("cache-aside serve differs")
-	}
-
-	// Byzantine tier: node a2's address for its peer points through a
-	// proxy that corrupts the claimed makespan in every binary plan frame.
-	tamperTarget := ""
-	tamper := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		out, err := http.NewRequest(r.Method, tamperTarget+r.URL.Path, r.Body)
+// tamperProxy forwards every request to target and hands each 200 /v2/plan
+// body to mutate before answering; it counts the /v2/plan requests it saw.
+func tamperProxy(t *testing.T, target string, mutate func([]byte)) (*httptest.Server, *atomic.Int64) {
+	t.Helper()
+	var plans atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v2/plan" {
+			plans.Add(1)
+		}
+		out, err := http.NewRequest(r.Method, target+r.URL.Path, r.Body)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadGateway)
 			return
@@ -327,40 +319,125 @@ func TestTierVerifiedFill(t *testing.T) {
 		}
 		defer resp.Body.Close()
 		body, _ := io.ReadAll(resp.Body)
-		if resp.StatusCode == http.StatusOK && r.URL.Path == "/v2/plan" && len(body) > 22 {
-			body[14] ^= 0xff // one makespan byte of the APB1 plan frame
+		if resp.StatusCode == http.StatusOK && r.URL.Path == "/v2/plan" {
+			mutate(body)
 		}
 		w.Header().Set("Content-Type", resp.Header.Get("Content-Type"))
 		w.WriteHeader(resp.StatusCode)
 		_, _ = w.Write(body)
 	}))
-	defer tamper.Close()
+	t.Cleanup(ts.Close)
+	return ts, &plans
+}
 
+// TestTierVerifiedFill: a non-owner serves its own plan even when the owner's
+// link lies in a way VerifyFill cannot see. The peer link swaps two entries
+// of the launch order in every binary plan frame, a pair whose swap
+// re-simulates to the claimed numbers. The non-owner serves a fresh server's
+// bytes and the peer sees no request; a direct Node.Fetch over the same link
+// accepts the swapped order, so a node that installed fetched plans would
+// serve it. A fill that does not re-simulate — one makespan byte flipped —
+// is rejected by Node.Fetch.
+func TestTierVerifiedFill(t *testing.T) {
+	ctx := context.Background()
 	honest := service.New(service.Config{})
-	honestTS := httptest.NewServer(honest)
-	defer honestTS.Close()
-	honestNode, err := New(Config{NodeID: "b2", Peers: map[string]string{}}, honest)
-	if err != nil {
+	if _, err := New(Config{NodeID: "b2"}, honest); err != nil {
 		t.Fatal(err)
 	}
-	_ = honestNode
-	tamperTarget = honestTS.URL
+	honestTS := httptest.NewServer(honest)
+	defer honestTS.Close()
 
+	// Which order swap passes VerifyFill depends on the request, so the
+	// proxy's swap is picked against the victim's own parse of it.
+	var swapI, swapJ int
+	var orderOff int
+	swapProxy, swapped := tamperProxy(t, honestTS.URL, func(body []byte) {
+		b := body[orderOff:]
+		for k := 0; k < 4; k++ {
+			b[4*swapI+k], b[4*swapJ+k] = b[4*swapJ+k], b[4*swapI+k]
+		}
+	})
 	victim := service.New(service.Config{})
-	victimNode, err := New(Config{NodeID: "a2", Peers: map[string]string{"b2": tamper.URL}}, victim)
+	victimNode, err := New(Config{NodeID: "a2", Peers: map[string]string{"b2": swapProxy.URL}}, victim)
 	if err != nil {
 		t.Fatal(err)
 	}
 	victimTS := httptest.NewServer(victimNode.Handler())
 	defer victimTS.Close()
 
-	req = searchReq(t, seedOwnedBy(t, &testNode{node: victimNode, srv: victim}, searchReq, "b2"))
-	direct := rawPlan(t, honestTS.URL, req)
-	got := rawPlan(t, victimTS.URL, req)
-	if !bytes.Equal(got, direct) {
-		t.Fatalf("fallback plan differs from direct computation:\n %s\n vs %s", got, direct)
+	req := searchReq(t, seedOwnedBy(t, &testNode{node: victimNode, srv: victim}, searchReq, "b2"))
+	task, opts, key, err := victim.ParsePlanRequest(ctx, req)
+	if err != nil {
+		t.Fatal(err)
 	}
-	info := victimNode.Info()
+	standalone := httptest.NewServer(service.New(service.Config{}))
+	defer standalone.Close()
+	fresh, err := service.NewClient(standalone.URL, nil).PlanV2(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	passing := 0
+	for i := range fresh.Order {
+		for j := i + 1; j < len(fresh.Order); j++ {
+			r := *fresh
+			r.Order = append([]int(nil), fresh.Order...)
+			r.Order[i], r.Order[j] = r.Order[j], r.Order[i]
+			if _, _, err := VerifyFill(task, opts, &r); err == nil {
+				if passing == 0 {
+					swapI, swapJ = i, j
+				}
+				passing++
+			}
+		}
+	}
+	if passing == 0 {
+		t.Fatal("no order swap passes VerifyFill: the fixture no longer shows what a fetch could install")
+	}
+	t.Logf("%d of %d order swaps pass VerifyFill; the proxy swaps %d and %d",
+		passing, len(fresh.Order)*(len(fresh.Order)-1)/2, swapI, swapJ)
+	// The plan frame: magic, kind, flags, two u32s, two f64s, then the
+	// senders and the order, each a u32 count and one u32 per unit.
+	orderOff = 30 + 4 + 4*len(fresh.Senders) + 4
+
+	want := rawPlan(t, standalone.URL, req)
+	for round := 0; round < 2; round++ { // cold then cached
+		if got := rawPlan(t, victimTS.URL, req); !bytes.Equal(got, want) {
+			t.Fatalf("round %d: non-owner served a plan a fresh server does not:\n %s\n vs %s", round, got, want)
+		}
+	}
+	if n := swapped.Load(); n != 0 {
+		t.Errorf("the peer received %d /v2/plan requests from a node's misses, want 0", n)
+	}
+	if m := victim.Cache().Stats().Misses; m != 1 {
+		t.Errorf("non-owner computed the key %d times, want 1", m)
+	}
+
+	// Node.Fetch over the swapping link accepts the swapped order.
+	plan, _, err := victimNode.Fetch(ctx, "b2", key, req, task, opts)
+	if err != nil {
+		t.Fatalf("direct fetch over the swapping link: %v", err)
+	}
+	if plan.Order[swapI] != fresh.Order[swapJ] || plan.Order[swapJ] != fresh.Order[swapI] {
+		t.Errorf("fetched order %v is not the fresh order %v with %d and %d swapped", plan.Order, fresh.Order, swapI, swapJ)
+	}
+	if info := victimNode.Info(); info.VerifiedFillAccepts != 1 || info.VerifiedFillRejects != 0 {
+		t.Errorf("accepts %d, rejects %d after the swapped fetch, want 1 and 0", info.VerifiedFillAccepts, info.VerifiedFillRejects)
+	}
+
+	// A link that corrupts the claimed makespan: the fetch is rejected.
+	flipProxy, _ := tamperProxy(t, honestTS.URL, func(body []byte) {
+		if len(body) > 22 {
+			body[14] ^= 0xff // one makespan byte of the APB1 plan frame
+		}
+	})
+	flipNode, err := New(Config{NodeID: "a3", Peers: map[string]string{"b2": flipProxy.URL}}, service.New(service.Config{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := flipNode.Fetch(ctx, "b2", key, req, task, opts); err == nil {
+		t.Error("a fill with a corrupted makespan was accepted")
+	}
+	info := flipNode.Info()
 	if info.VerifiedFillRejects != 1 {
 		t.Errorf("rejects = %d, want 1 (tampered fill must not be trusted)", info.VerifiedFillRejects)
 	}
@@ -370,13 +447,17 @@ func TestTierVerifiedFill(t *testing.T) {
 }
 
 // TestTierHungOwnerFallsBack: an owner that accepts the connection and never
-// answers costs a fetched miss fetchBound, not the request: the fetch expires
-// under the request's still-live context, the same flight finishes its own
-// draft — one fallback for the whole herd, no waiter stranded — and the bytes
-// are a standalone server's.
+// answers costs a node's misses nothing: the herd on a key the hung peer owns
+// is planned where it lands, served a standalone server's bytes well inside
+// fetchBound, and the hung peer receives no request. A direct Node.Fetch
+// against the hung peer is what waits out fetchBound.
 func TestTierHungOwnerFallsBack(t *testing.T) {
 	release := make(chan struct{})
+	var hungPlans atomic.Int64
 	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v2/plan" {
+			hungPlans.Add(1)
+		}
 		select {
 		case <-release:
 		case <-r.Context().Done():
@@ -399,19 +480,38 @@ func TestTierHungOwnerFallsBack(t *testing.T) {
 	want := string(rawPlan(t, standalone.URL, req))
 	start := time.Now()
 	if got := herd(t, 6, []string{ts.URL}, req)[0]; got != want {
-		t.Fatalf("fallback plan differs from a standalone server's:\n %s\n vs %s", got, want)
+		t.Fatalf("herd plan differs from a standalone server's:\n %s\n vs %s", got, want)
 	}
-	// Generous on the far side: the bound, a 10 ms search and a loaded CI box.
-	if took := time.Since(start); took < fetchBound || took > fetchBound+5*time.Second {
-		t.Errorf("served after %v, want shortly after the %v fetch bound", took, fetchBound)
+	if took := time.Since(start); took >= fetchBound {
+		t.Errorf("herd served after %v, want well inside the %v fetch bound", took, fetchBound)
+	}
+	if n := hungPlans.Load(); n != 0 {
+		t.Errorf("the hung peer received %d /v2/plan requests from the herd, want 0", n)
 	}
 	st, err := service.NewClient(ts.URL, nil).Stats(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cs := st.Cluster; cs.RoutedProxied != 1 || cs.ProxyFallbacks != 1 || cs.VerifiedFillAccepts != 0 || st.Cache.Misses != 1 {
-		t.Errorf("proxied %d, fallbacks %d, accepts %d, computations %d: want one fetch, one fallback, one computation",
-			cs.RoutedProxied, cs.ProxyFallbacks, cs.VerifiedFillAccepts, st.Cache.Misses)
+	if cs := st.Cluster; cs.RoutedLocal != 1 || cs.RoutedProxied != 0 || cs.ProxyFallbacks != 0 || st.Cache.Misses != 1 {
+		t.Errorf("local %d, proxied %d, fallbacks %d, computations %d: want one local computation and nothing else",
+			cs.RoutedLocal, cs.RoutedProxied, cs.ProxyFallbacks, st.Cache.Misses)
+	}
+
+	// The fetch bound itself, on a direct fetch from the hung peer.
+	task, opts, key, err := srv.ParsePlanRequest(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start = time.Now()
+	if _, _, err := node.Fetch(context.Background(), "hung", key, req, task, opts); err == nil {
+		t.Error("a fetch from a hung peer succeeded")
+	}
+	// Generous on the far side: the bound and a loaded CI box.
+	if took := time.Since(start); took < fetchBound || took > fetchBound+5*time.Second {
+		t.Errorf("fetch returned after %v, want shortly after the %v fetch bound", took, fetchBound)
+	}
+	if n := hungPlans.Load(); n != 1 {
+		t.Errorf("the hung peer received %d /v2/plan requests, want the fetch's 1", n)
 	}
 }
 
@@ -421,13 +521,13 @@ func TestTierHungOwnerFallsBack(t *testing.T) {
 // -race in CI.
 func TestTierMembershipChangeDuringMiss(t *testing.T) {
 	nodes := startTier(t, []string{"a", "b", "c"}, func() service.Config { return service.Config{} })
-	// A cold key that must search: the miss is fetched, and stays in flight
-	// for milliseconds, while membership churns.
+	// A cold key that must search: the miss is planned where it lands, and
+	// stays in flight for milliseconds, while membership churns.
 	req := searchReq(t, 7)
 
 	// Membership churn: a ghost member joins and leaves every node's ring
-	// while the miss is in flight. Its address points at a real node so a
-	// rerouted fetch still resolves (and is then verified like any fill).
+	// while the miss is in flight. Its address points at a real node, so a
+	// node that did ask its peers would reach one.
 	churnDone := make(chan struct{})
 	defer func() { <-churnDone }()
 	go func() {
@@ -469,12 +569,12 @@ func TestTierMembershipChangeDuringMiss(t *testing.T) {
 }
 
 // TestTierStats: /v2/stats exposes the per-node cluster block — identity,
-// members, ownership share, routing and verification counters — and a
-// standalone server omits it.
+// members, ownership share, the miss count and the always-zero fetch
+// counters — and a standalone server omits it.
 func TestTierStats(t *testing.T) {
 	nodes := startTier(t, []string{"a", "b"}, func() service.Config { return service.Config{} })
-	// Six misses of each class through a: the proven ones stay, the searched
-	// ones split by ownership.
+	// Six misses of each class through a, whoever owns them: all planned
+	// on a.
 	for seed := int64(1); seed <= 6; seed++ {
 		rawPlan(t, nodes[0].url, tierReq(t, seed))
 		rawPlan(t, nodes[0].url, searchReq(t, seed))
@@ -500,18 +600,14 @@ func TestTierStats(t *testing.T) {
 	if st.Plan.MissesProven != 6 || st.Plan.MissesSearched != 6 {
 		t.Errorf("misses proven %d, searched %d, want 6 and 6", st.Plan.MissesProven, st.Plan.MissesSearched)
 	}
-	// Every miss led here was routed one way or the other, only searched
-	// ones to the peer, and every fetch ended verified or in a fallback.
-	if cs.RoutedLocal+cs.RoutedProxied != st.Plan.MissesProven+st.Plan.MissesSearched {
-		t.Errorf("routed local %d + proxied %d, want the %d misses led here",
-			cs.RoutedLocal, cs.RoutedProxied, st.Plan.MissesProven+st.Plan.MissesSearched)
+	// Every miss led here was planned here; nothing was fetched.
+	if cs.RoutedLocal != st.Plan.MissesProven+st.Plan.MissesSearched {
+		t.Errorf("routed local %d, want the %d misses led here",
+			cs.RoutedLocal, st.Plan.MissesProven+st.Plan.MissesSearched)
 	}
-	if cs.RoutedProxied < 1 || cs.RoutedProxied > st.Plan.MissesSearched {
-		t.Errorf("proxied %d of %d searched misses, want some and no more", cs.RoutedProxied, st.Plan.MissesSearched)
-	}
-	if cs.RoutedProxied != cs.VerifiedFillAccepts+cs.ProxyFallbacks || cs.ProxyFallbacks != 0 || cs.VerifiedFillRejects != 0 {
-		t.Errorf("proxied %d, accepts %d, fallbacks %d, rejects %d: every proxied fill should verify",
-			cs.RoutedProxied, cs.VerifiedFillAccepts, cs.ProxyFallbacks, cs.VerifiedFillRejects)
+	if cs.RoutedProxied != 0 || cs.ProxyFallbacks != 0 || cs.VerifiedFillAccepts != 0 || cs.VerifiedFillRejects != 0 {
+		t.Errorf("proxied %d, fallbacks %d, accepts %d, rejects %d: want all 0",
+			cs.RoutedProxied, cs.ProxyFallbacks, cs.VerifiedFillAccepts, cs.VerifiedFillRejects)
 	}
 
 	// /v2/stats serves the same payload.
@@ -537,8 +633,9 @@ func TestTierStats(t *testing.T) {
 }
 
 // TestNodeLeaveRoutesAway: after Leave, the departing node's own ring
-// routes every key to the survivors (it drains by proxying), and the
-// survivors no longer own... route to it.
+// assigns every key to the survivors, and the survivors' rings no longer
+// assign any key to it. The left node still plans its own misses and serves
+// a fresh server's bytes, asking no survivor.
 func TestNodeLeaveRoutesAway(t *testing.T) {
 	nodes := startTier(t, []string{"a", "b", "c"}, func() service.Config { return service.Config{} })
 	a := nodes[0]
@@ -548,8 +645,8 @@ func TestNodeLeaveRoutesAway(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if owner, local := a.node.Route(key); local {
-			t.Fatalf("left node still owns key (owner %q)", owner)
+		if owner, _ := a.node.Ring().Owner(key); owner == "a" {
+			t.Fatalf("left node still owns key %q", key)
 		}
 		for _, tn := range nodes[1:] {
 			if owner, _ := tn.node.Ring().Owner(key); owner == "a" {
@@ -557,10 +654,23 @@ func TestNodeLeaveRoutesAway(t *testing.T) {
 			}
 		}
 	}
-	// The drained node still serves correctly by proxying.
 	req := searchReq(t, 3)
-	want := rawPlan(t, nodes[1].url, req)
+	standalone := httptest.NewServer(service.New(service.Config{}))
+	defer standalone.Close()
+	want := rawPlan(t, standalone.URL, req)
 	if got := rawPlan(t, a.url, req); !bytes.Equal(got, want) {
-		t.Fatal("draining node served a different plan")
+		t.Fatal("left node served a plan a fresh server does not")
+	}
+	if m := a.srv.Cache().Stats().Misses; m != 1 {
+		t.Errorf("left node computed the key %d times, want 1", m)
+	}
+	for _, tn := range nodes[1:] {
+		st, err := service.NewClient(tn.url, nil).Stats(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Plan.Requests != 0 {
+			t.Errorf("survivor %s received %d /v2/plan requests, want 0", tn.node.NodeID(), st.Plan.Requests)
+		}
 	}
 }

@@ -1,16 +1,15 @@
-// Package cluster turns N plan servers into one logical plan cache: a
-// consistent-hash ring gives every canonical resharding.CacheKey an owner
-// node; a cold key that must search is fetched from its owner (non-owners keep
-// verified cache-aside copies; a key proven without a search is planned where
-// it lands), whose in-process request coalescing gives the tier cluster-wide
-// singleflight; and periodic snapshots of the plan frames make restarts warm.
+// Package cluster turns N plan servers into one tier: a consistent-hash ring
+// gives every canonical resharding.CacheKey an owner node, which clients use
+// to send each key where it is most likely cached; membership changes over
+// /cluster/join|leave|members; and periodic snapshots of the requests behind
+// the resident entries make restarts warm.
 //
-// The tier trusts no peer: every plan received over the wire — from a
-// peer fill or a snapshot file — is re-simulated locally
-// (resharding.Plan.SimulateNoTrace, trace-free and allocation-free) and
-// rejected if the claimed makespan, op count or throughput do not
-// reproduce exactly. Plans are deterministic, so honest peers always pass
-// and a buggy or byzantine peer cannot poison the tier; see VerifyFill.
+// A plan is a pure function of its request, so every node computes the bytes
+// the owner would: a miss is planned on the node it lands on, and no served
+// plan is fetched from a peer. A snapshot file holds requests, not plans, and
+// Restore plans each again. Node.Fetch and VerifyFill — asking an owner for a
+// plan and re-simulating it before installing it — remain for the
+// benchmark's probes only.
 package cluster
 
 import (

@@ -9,7 +9,11 @@ import (
 )
 
 // VerifyFill turns a peer's wire response into a locally trusted
-// (plan, simulation) pair, or rejects it. The receiving node rebuilds the
+// (plan, simulation) pair, or rejects it. No served path calls it: a tier
+// node plans its own misses, and only Node.Fetch (kept for the benchmark's
+// probes) verifies through it. It does not catch every wrong plan: a launch
+// order swapped between units whose swap leaves the simulation unchanged
+// passes, so a fill it accepts need not be the bytes the node would compute. The receiving node rebuilds the
 // plan against its OWN decomposition of the problem — the peer only
 // contributes the sender choice and launch order — validates that every
 // choice is one the planner could legally have made, re-simulates the plan

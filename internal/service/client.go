@@ -47,10 +47,6 @@ type Client struct {
 	hc   *http.Client
 	// binary negotiates the binary wire format; see WithBinary.
 	binary bool
-	// peer, when non-empty, stamps every request with PeerHeader so the
-	// receiving tier node resolves it locally instead of re-routing; see
-	// AsPeer.
-	peer string
 }
 
 // ClientOption configures a Client at construction.
@@ -166,9 +162,6 @@ func (c *Client) postBody(ctx context.Context, path string, body []byte, out int
 		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	if c.peer != "" {
-		req.Header.Set(PeerHeader, c.peer)
-	}
 	if c.binary {
 		req.Header.Set("Accept", ContentTypeBinary)
 	}

@@ -13,40 +13,29 @@ import (
 var errNotPlanFrame = errors.New("service: binary frame is not a plan frame")
 
 // Cluster integration. The service knows nothing about rings, peers or
-// snapshots — it exposes a Router seam that internal/cluster plugs into:
-// the router says which node owns a canonical cache key and fetches the plan
-// of a miss that must search from that peer (see computePlan); with a router
-// set, the server keeps the request of each fill so snapshots can replay it
-// (Replay). Keeping the dependency in this direction (cluster imports
-// service, never the reverse) lets a standalone server run with zero cluster
-// overhead: a nil router skips every hook.
+// snapshots — it exposes a Router seam that internal/cluster plugs into. A
+// plan is a pure function of its request, so every miss is planned on the
+// node it lands on and the served path never calls a peer; ring ownership
+// only steers clients (see internal/cluster). With a router set, the server
+// reports the router's block in /v2/stats and keeps the request of each fill
+// so snapshots can replay it (Replay). Keeping the dependency in this
+// direction (cluster imports service, never the reverse) lets a standalone
+// server run with zero cluster overhead: a nil router skips every hook.
 
-// PeerHeader marks a request as originating from another tier node rather
-// than a client; its value is the sending node's id. A server receiving it
-// always resolves the plan locally — owner-side compute or cache — and
-// never re-proxies, so routing disagreement during a membership change
-// costs at most one extra computation, never a forwarding loop.
-const PeerHeader = "X-Alpacomm-Peer"
-
-// Router is the cluster tier's routing seam; see internal/cluster for the
+// Router is the cluster tier's seam; see internal/cluster for the
 // consistent-hash implementation. Implementations must be safe for
 // concurrent use. Install a router with SetRouter before serving.
 type Router interface {
-	// Route reports the owner of a canonical cache key and whether that
-	// owner is this node. Asked only about misses that must search.
-	Route(key string) (owner string, local bool)
-	// Fetch obtains the plan for key from the owning peer, within ctx and a
-	// bound of its own, already verified against this node's own task (the
-	// fetcher re-simulates it); an error falls the caller back to computing.
-	Fetch(ctx context.Context, owner, key string, req *PlanRequest, task *sharding.Task, opts resharding.Options) (*resharding.Plan, *resharding.SimResult, error)
 	// Info snapshots the router's identity and counters for /v2/stats;
-	// the server overlays its own routing counters on the result.
+	// the server overlays its own miss count on the result.
 	Info() ClusterNodeStats
 }
 
 // ClusterNodeStats is the per-node cluster block of a stats response; nil
-// when the server runs standalone. Ownership and verification counters
-// come from the router, routing counters from the server.
+// when the server runs standalone. Ownership, verification and snapshot
+// counters come from the router, RoutedLocal from the server. The fields
+// marked "bench only" stay for the benchmark's probes: no served request
+// moves them.
 type ClusterNodeStats struct {
 	// NodeID is this node's tier-unique identity.
 	NodeID string `json:"node_id"`
@@ -56,18 +45,16 @@ type ClusterNodeStats struct {
 	// OwnershipShare is the fraction of the hash space this node owns —
 	// ~1/N with virtual-node smoothing.
 	OwnershipShare float64 `json:"ownership_share"`
-	// RoutedLocal counts misses planned on this node: owned here, or proven
-	// by the closed-form candidates without a search.
+	// RoutedLocal counts the misses planned on this node: every miss.
 	RoutedLocal int64 `json:"routed_local"`
-	// RoutedProxied counts misses fetched from the owner: all the others.
-	RoutedProxied int64 `json:"routed_proxied"`
-	// ProxyFallbacks counts proxied misses that fell back to computing here
-	// (peer unreachable or slow, fill rejected); the rest are VerifiedFillAccepts.
+	// RoutedProxied and ProxyFallbacks are bench only and always read 0:
+	// no miss is fetched from a peer.
+	RoutedProxied  int64 `json:"routed_proxied"`
 	ProxyFallbacks int64 `json:"proxy_fallbacks"`
-	// VerifiedFillAccepts counts peer plans accepted after re-simulation.
+	// VerifiedFillAccepts / VerifiedFillRejects are bench only: they count
+	// the plans a direct cluster Node.Fetch accepted / rejected after
+	// re-simulation, and read 0 on a node that only serves.
 	VerifiedFillAccepts int64 `json:"verified_fill_accepts"`
-	// VerifiedFillRejects counts peer plans rejected by re-simulation —
-	// a buggy or byzantine peer's plans never enter this node's cache.
 	VerifiedFillRejects int64 `json:"verified_fill_rejects"`
 	// SnapshotRestored / SnapshotRejected count warm-restart records that
 	// were replayed into the cache / rejected (a record that does not
@@ -81,18 +68,12 @@ type ClusterNodeStats struct {
 // a nil router (the default) serves standalone.
 func (s *Server) SetRouter(r Router) { s.router = r }
 
-// AsPeer marks every request from this client as tier-internal traffic
-// from the named node: the receiving server resolves it locally instead of
-// re-routing (see PeerHeader).
-func AsPeer(nodeID string) ClientOption {
-	return func(c *Client) { c.peer = nodeID }
-}
-
 // InstallPlan inserts an externally obtained, already-verified plan into
 // the serving cache as a completed entry, pre-serializing the wire bodies
 // exactly like a local fill so later hits are byte-identical to locally
 // computed ones. It reports false when the key is already resident or the
-// plan cannot be serialized (and so could never be served).
+// plan cannot be serialized (and so could never be served). No served path
+// calls it; the benchmark's probes do.
 func (s *Server) InstallPlan(key string, plan *resharding.Plan, sim *resharding.SimResult, opts resharding.Options) bool {
 	enc, err := newEncodedPlan(plan, sim, opts, key)
 	if err != nil || !s.cache.Install(key, plan, sim) {
@@ -104,23 +85,22 @@ func (s *Server) InstallPlan(key string, plan *resharding.Plan, sim *resharding.
 
 // ParsePlanRequest resolves a wire request into its task, normalized
 // options and canonical cache key — the same bounded parse the handlers
-// run, exposed for snapshot replay and cluster routing.
+// run, exposed for snapshot replay and ring-ownership lookups.
 func (s *Server) ParsePlanRequest(ctx context.Context, req *PlanRequest) (*sharding.Task, resharding.Options, string, error) {
 	return s.parseTask(ctx, s.intake, req.Topology, req.Faults, req.Shape, req.DType, req.Src, req.Dst, req.Options)
 }
 
 // Replay plans one snapshot record on this node: the bounded parse of
-// ParsePlanRequest, then the miss path of a peer-marked request, so the plan
-// is made here and never fetched. Plans are a pure function of the
-// request, so a replayed entry serves the bytes any node would, and a record
-// edited into another valid request fills that request's own entry. It
-// returns the request's canonical cache key.
+// ParsePlanRequest, then the plain miss path. Plans are a pure function of
+// the request, so a replayed entry serves the bytes any node would, and a
+// record edited into another valid request fills that request's own entry.
+// It returns the request's canonical cache key.
 func (s *Server) Replay(ctx context.Context, req *PlanRequest) (string, error) {
 	task, opts, key, err := s.ParsePlanRequest(ctx, req)
 	if err != nil {
 		return "", err
 	}
-	_, _, err = s.computePlan(ctx, key, task, opts, nil, req, true)
+	_, _, err = s.computePlan(ctx, key, task, opts, nil, req)
 	return key, err
 }
 

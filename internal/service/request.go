@@ -194,7 +194,7 @@ type EndpointStats struct {
 	// or coalesced onto another request's in-flight computation.
 	InFlight int64 `json:"in_flight"`
 	// MissesProven / MissesSearched (plan block only, batch items included)
-	// split the misses led here: closed-form proven, or searched (ring-routed).
+	// split the misses planned here: closed-form proven, or searched.
 	MissesProven   int64 `json:"misses_proven,omitempty"`
 	MissesSearched int64 `json:"misses_searched,omitempty"`
 	// Decoded (plan block only) counts /v2/plan requests that ran the JSON
@@ -222,8 +222,8 @@ type StatsResponse struct {
 	// Exits counts the ensemble plans this server computed by how the
 	// ensemble ended.
 	Exits ExitStats `json:"exits"`
-	// Cluster is the per-node tier block — identity, ring share, routing
-	// and verified-fill counters; nil on a standalone server.
+	// Cluster is the per-node tier block — identity, ring share, miss and
+	// snapshot counters; nil on a standalone server.
 	Cluster *ClusterNodeStats `json:"cluster,omitempty"`
 	// Admission is the SLO admission controller's block — mode, windowed
 	// p99 estimate, transition counters; nil when SLO admission is off.
@@ -231,7 +231,7 @@ type StatsResponse struct {
 }
 
 // ExitStats count the ensemble plans a server computed — misses finished
-// here, not hits, not plans fetched from a peer — by the candidate each
+// here, not hits, not installed plans — by the candidate each
 // plan came from (resharding.Plan.Report): Naive, LoadBalanceOnly, the
 // witness, the target search, GreedyRandomized or the improvement DFS.
 // Unproven counts those that ended above the makespan floor; TargetNodes,

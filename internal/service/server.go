@@ -153,13 +153,10 @@ type Server struct {
 	batchC     stripedCounters
 	retryAfter time.Duration
 	mux        *http.ServeMux
-	// router, when set, makes this server one node of a cluster tier: see
-	// computePlan for what is fetched from a peer. Nil = standalone.
+	// router, when set, makes this server one node of a cluster tier: its
+	// fills keep their requests for snapshots, and /v2/stats reports the
+	// router's block. Nil = standalone.
 	router Router
-	// routedProxyC / proxyFallbackC count miss routing outcomes; see
-	// ClusterNodeStats (RoutedLocal is every other miss led here).
-	routedProxyC   atomic.Int64
-	proxyFallbackC atomic.Int64
 	// exitC counts the plans computed here by how their ensemble ended.
 	exitC exitCounters
 }
@@ -460,22 +457,17 @@ const maxBodyBytes = 1 << 20
 // The leader finishes d, the caller's draft of (task, opts) — or, when d is
 // nil, drafts first (resharding.NewDraft: microseconds, no search). A draft
 // the closed-form candidates prove — nine misses in ten, every degraded one —
-// is finished here whoever owns the key and takes no plan-pool token: a peer
-// hop or a queue slot costs several times what is left to do. Only one that
-// must search is worth sharing: in cluster mode (router set, wireReq non-nil,
-// not forwarded by a peer — see PeerHeader) it is fetched from the key's ring
-// owner, whose coalescing makes a tier-wide herd on one cold key cost one
-// search; plans are a pure function of the key, so who computes never shows
-// in the bytes. The fetch runs outside the plan pool (holding a worker across
-// a peer call can deadlock two nodes), and when it fails the same leader
-// searches here: availability beats ownership, and the verified-fill gate has
-// kept any bad peer plan out of the cache. On a tier node the entry keeps
-// wireReq, the request a snapshot persists and Replay plans again.
-func (s *Server) computePlan(ctx context.Context, cacheKey string, task *sharding.Task, opts resharding.Options, d *resharding.Draft, wireReq *PlanRequest, forwarded bool) (*encodedPlan, bool, error) {
+// is finished without a plan-pool token; one that must search takes a token
+// first. Either way the plan is made here, whoever owns the key on the ring:
+// plans are a pure function of the key, so the node that computes never
+// shows in the bytes, and no served plan comes from a peer. On a tier node
+// the entry keeps wireReq, the request a snapshot persists and Replay plans
+// again.
+func (s *Server) computePlan(ctx context.Context, cacheKey string, task *sharding.Task, opts resharding.Options, d *resharding.Draft, wireReq *PlanRequest) (*encodedPlan, bool, error) {
 	if enc, err := s.cachedPlan(cacheKey, opts); enc != nil || err != nil {
 		return enc, false, err
 	}
-	v, err, shared := s.flight.do(ctx, "plan|"+cacheKey, func() (_ interface{}, err error) {
+	v, err, shared := s.flight.do(ctx, "plan|"+cacheKey, func() (interface{}, error) {
 		if d == nil {
 			own, err := resharding.NewDraft(task, opts)
 			if err != nil {
@@ -483,39 +475,20 @@ func (s *Server) computePlan(ctx context.Context, cacheKey string, task *shardin
 			}
 			d = &own
 		}
-		owner, local, proven := "", true, d.Proven()
-		if proven {
+		if d.Proven() {
 			s.planC.pick().missesProven.Add(1)
 		} else {
 			s.planC.pick().missesSearched.Add(1)
-			if s.router != nil && wireReq != nil && !forwarded {
-				owner, local = s.router.Route(cacheKey)
-			}
-		}
-		var plan *resharding.Plan
-		var sim *resharding.SimResult
-		if !local {
-			s.routedProxyC.Add(1)
-			if plan, sim, err = s.router.Fetch(ctx, owner, cacheKey, wireReq, task, opts); err == nil {
-				s.cache.Install(cacheKey, plan, sim)
-			} else if ctx.Err() != nil {
-				return nil, err
-			} else {
-				s.proxyFallbackC.Add(1)
-			}
-		}
-		if local || err != nil { // owned, proven, or the fetch failed: finish the draft here
-			if !proven {
-				if err := s.plan.acquire(ctx); err != nil {
-					return nil, err
-				}
-				defer s.plan.release()
-			}
-			if plan, sim, err = s.planner.PlanDraft(ctx, cacheKey, d); err != nil {
+			if err := s.plan.acquire(ctx); err != nil {
 				return nil, err
 			}
-			s.exitC.count(&plan.Report)
+			defer s.plan.release()
 		}
+		plan, sim, err := s.planner.PlanDraft(ctx, cacheKey, d)
+		if err != nil {
+			return nil, err
+		}
+		s.exitC.count(&plan.Report)
 		enc, err := newEncodedPlan(plan, sim, opts, cacheKey)
 		if err != nil {
 			return nil, err
@@ -551,10 +524,6 @@ func (s *Server) cachedPlan(cacheKey string, opts resharding.Options) (*encodedP
 	s.cache.Attach(cacheKey, enc)
 	return enc, nil
 }
-
-// isPeerRequest reports whether the request came from another tier node
-// (see PeerHeader); such requests always resolve locally.
-func isPeerRequest(r *http.Request) bool { return r.Header.Get(PeerHeader) != "" }
 
 // servePlan writes one plan response from the entry's pre-serialized
 // bodies: a pooled buffer, the fill-time bytes, and at most the coalesced
@@ -657,9 +626,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.router != nil {
 		cs := s.router.Info()
-		cs.RoutedProxied = s.routedProxyC.Load()
-		cs.RoutedLocal = resp.Plan.MissesProven + resp.Plan.MissesSearched - cs.RoutedProxied
-		cs.ProxyFallbacks = s.proxyFallbackC.Load()
+		cs.RoutedLocal = resp.Plan.MissesProven + resp.Plan.MissesSearched
 		resp.Cluster = &cs
 	}
 	if s.slo != nil {

@@ -340,14 +340,13 @@ func (s *Server) serveMemoized(w http.ResponseWriter, r *http.Request, c *endpoi
 // parse (a body both accept enters the memo), the cache check,
 // the draft and, for a draft the closed-form candidates prove, the fill.
 // A proven miss is served at full quality in every admission mode: it
-// takes no plan-pool token, is never routed to a peer, and degrading it
-// would not make it cheaper. Only a draft that
-// must search gives the token back and meets the controller's verdict
-// (phase two):
+// takes no plan-pool token, and degrading it would not make it cheaper.
+// Only a draft that must search gives the token back and meets the
+// controller's verdict (phase two):
 //
-//   - full: a plan-pool token, then the fetch or the search. A faulted
-//     request plans from its own draft like any other: whatever the cache
-//     holds for other overlays of its boundary, neither is looked up.
+//   - full: a plan-pool token, then the search. A faulted request plans
+//     from its own draft like any other: whatever the cache holds for
+//     other overlays of its boundary, neither is looked up.
 //   - degraded: re-keyed to the search-free scheduler (degradeOptions),
 //     whose draft is proven, so it finishes like phase one.
 //   - shed: the degraded twin if it is cached, else the structured
@@ -428,10 +427,10 @@ func (s *Server) handlePlanV2(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case enc != nil || err != nil: // a hit, or a draft that failed
 	case d.Proven():
-		enc, shared, err = s.computePlan(ctx, cacheKey, task, opts, &d, &req, false)
+		enc, shared, err = s.computePlan(ctx, cacheKey, task, opts, &d, &req)
 	case mode == AdmitFull:
 		release()
-		enc, shared, err = s.computePlan(ctx, cacheKey, task, opts, &d, &req, isPeerRequest(r))
+		enc, shared, err = s.computePlan(ctx, cacheKey, task, opts, &d, &req)
 	case fullOnly:
 		err = errSLOShed
 	default:
@@ -440,7 +439,7 @@ func (s *Server) handlePlanV2(w http.ResponseWriter, r *http.Request) {
 		dOpts := degradeOptions(opts)
 		dKey := resharding.CacheKey(task, dOpts)
 		if mode == AdmitDegraded {
-			enc, shared, err = s.computePlan(ctx, dKey, task, dOpts, nil, nil, false)
+			enc, shared, err = s.computePlan(ctx, dKey, task, dOpts, nil, nil)
 		} else if enc, err = s.cachedPlan(dKey, dOpts); enc == nil && err == nil {
 			err = errSLOShed
 		}
@@ -628,24 +627,22 @@ func (s *Server) handlePlanBatch(w http.ResponseWriter, r *http.Request) {
 	var mu sync.Mutex
 	gate := make(chan struct{}, cap(s.plan.slots))
 	var wg sync.WaitGroup
-	forwarded := isPeerRequest(r)
 	for _, key := range order {
 		wg.Add(1)
 		go func(key string, li int) {
 			defer wg.Done()
 			gate <- struct{}{}
 			defer func() { <-gate }()
-			// Each class resolves through the cluster router like an
-			// individual plan request would, so batch misses also land on
-			// (and fill) their owning node; the per-item wire request is
-			// built only on this miss path.
+			// Each class is planned here like an individual plan request
+			// would be; the per-item wire request, built only on this
+			// miss path, is what a tier node's snapshot replays.
 			it := &req.Items[li]
 			itemReq := &PlanRequest{
 				Topology: req.Topology, Faults: req.Faults,
 				Shape: it.Shape, DType: it.DType,
 				Src: it.Src, Dst: it.Dst, Options: it.Options,
 			}
-			enc, shared, err := s.computePlan(ctx, key, items[li].task, items[li].opts, nil, itemReq, forwarded)
+			enc, shared, err := s.computePlan(ctx, key, items[li].task, items[li].opts, nil, itemReq)
 			mu.Lock()
 			defer mu.Unlock()
 			switch {

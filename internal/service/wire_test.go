@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"io"
 	"math"
 	"net/http"
@@ -243,7 +242,7 @@ func TestServedBodiesMatchPerRequestEncoding(t *testing.T) {
 	}
 
 	s := New(Config{})
-	enc, shared, err := s.computePlan(context.Background(), key, task, opts, nil, nil, false)
+	enc, shared, err := s.computePlan(context.Background(), key, task, opts, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -526,23 +525,18 @@ func TestColdParseAllocations(t *testing.T) {
 	}
 }
 
-// peerOwnsEverything is the Router of a tier node that owns no key and whose
-// peer must not be asked: what a miss the closed-form candidates prove should
-// see of the tier.
-type peerOwnsEverything struct{ t *testing.T }
+// peerOwnsEverything is the Router of a tier node that owns no key. The
+// Router seam carries no ownership, so all a miss sees of the tier is that a
+// router is set.
+type peerOwnsEverything struct{}
 
-func (peerOwnsEverything) Route(string) (string, bool) { return "peer", false }
-func (r peerOwnsEverything) Fetch(context.Context, string, string, *PlanRequest, *sharding.Task, resharding.Options) (*resharding.Plan, *resharding.SimResult, error) {
-	r.t.Error("a proven miss was fetched from its owner")
-	return nil, nil, errors.New("no peer")
-}
 func (peerOwnsEverything) Info() ClusterNodeStats { return ClusterNodeStats{} }
 
-// TestServedMissAllocationsIgnoreOwnership: a proven miss on a tier node that
-// does not own the key allocates no more than the same miss on a node that
-// does — the draft that decided the route is the draft the fill finishes, so
-// nothing of phase one runs twice, and no fetch is made. Two keys alternate
-// through a one-entry cache, so every call is a miss.
+// TestServedMissAllocationsIgnoreOwnership: a proven miss on a tier node
+// that owns no key allocates no more than the same miss on a standalone
+// server — it is planned where it lands, keeping its request for snapshots
+// costs no allocation, and nothing of phase one runs twice. Two keys
+// alternate through a one-entry cache, so every call is a miss.
 func TestServedMissAllocationsIgnoreOwnership(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is inflated under the race detector")
@@ -561,7 +555,7 @@ func TestServedMissAllocationsIgnoreOwnership(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, _, err := srv.computePlan(ctx, key, task, opts, nil, req, false); err != nil {
+			if _, _, err := srv.computePlan(ctx, key, task, opts, nil, req); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -574,9 +568,9 @@ func TestServedMissAllocationsIgnoreOwnership(t *testing.T) {
 		}
 		return allocs
 	}
-	owned, nonOwned := missAllocs(nil), missAllocs(peerOwnsEverything{t})
-	if nonOwned > owned {
-		t.Errorf("a non-owned proven miss allocates %.0f objects, an owned one %.0f", nonOwned, owned)
+	standalone, nonOwned := missAllocs(nil), missAllocs(peerOwnsEverything{})
+	if nonOwned > standalone {
+		t.Errorf("a non-owned proven miss allocates %.0f objects, a standalone one %.0f", nonOwned, standalone)
 	}
 }
 
