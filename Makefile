@@ -28,8 +28,10 @@ lint-fix:
 fmt:
 	gofmt -w .
 
+# bench-smoke runs every benchmark of the root package and of the simulator
+# (internal/netsim) once, so that none of them rots.
 bench-smoke:
-	$(GO) test -run xxx -bench . -benchtime 1x .
+	$(GO) test -run xxx -bench . -benchtime 1x . ./internal/netsim
 
 # bench-test runs the benchmark module's own tests (unit tests, the smoke
 # pass held to BENCHMARK.json, the seed-1 golden).

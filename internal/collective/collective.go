@@ -110,8 +110,8 @@ func P2P(net *netsim.ClusterNet, label string, src, dst int, bytes int64, seq in
 // described by two numbers rather than a Result: the id of its first op and
 // the chunk count k actually used (1 for a message of fewer bytes than
 // chunks). Chunk i crosses hop j in op first + i·hops + j; see ChainDone for
-// the completion ops. Chains issued back to back with the same deps and seq
-// over views of the same net (a unit task's NIC lanes) are timed together.
+// the completion ops. A unit task's NIC lanes are registered together by
+// netsim.ClusterNet.PipelinedLanes instead, which keeps them as one record.
 func BroadcastChain(net *netsim.ClusterNet, label string, chain []int, bytes int64, chunks, seq int, deps ...netsim.OpID) (first netsim.OpID, k int, err error) {
 	if chunks < 1 {
 		return 0, 0, fmt.Errorf("collective: chunk count %d < 1", chunks)

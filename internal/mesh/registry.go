@@ -260,8 +260,8 @@ func DefaultRegistry() *Registry {
 		if oversub == 0 {
 			oversub = 1
 		}
-		if oversub < 1 {
-			return nil, fmt.Errorf("mesh: oversubscription %g < 1", oversub)
+		if !finite(oversub) || oversub < 1 {
+			return nil, fmt.Errorf("mesh: oversubscription %g is not a finite number >= 1", oversub)
 		}
 		p3 := hosts / 2
 		return MixedP3DGXCluster(p3, hosts-p3, oversub), nil

@@ -8,6 +8,7 @@ package mesh
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"sort"
@@ -133,10 +134,15 @@ type HeteroCluster struct {
 	firstDev []int
 }
 
-// NewHeteroCluster validates per-host specs and builds the cluster.
+// NewHeteroCluster validates per-host specs and builds the cluster. Every
+// latency, bandwidth and the oversubscription must be finite: a NaN or an
+// infinity would time every transfer over it as NaN or infinite.
 func NewHeteroCluster(hosts []HostSpec, interLatency, oversubscription float64) (*HeteroCluster, error) {
 	if len(hosts) == 0 {
 		return nil, fmt.Errorf("mesh: heterogeneous cluster needs at least one host")
+	}
+	if !finite(interLatency) || !finite(oversubscription) {
+		return nil, fmt.Errorf("mesh: inter-host latency %g and oversubscription %g must be finite", interLatency, oversubscription)
 	}
 	if interLatency < 0 {
 		return nil, fmt.Errorf("mesh: negative inter-host latency %g", interLatency)
@@ -157,6 +163,9 @@ func NewHeteroCluster(hosts []HostSpec, interLatency, oversubscription float64) 
 		switch {
 		case s.Devices <= 0:
 			return nil, fmt.Errorf("mesh: host %d has non-positive device count %d", h, s.Devices)
+		case !finite(s.IntraBandwidth) || !finite(s.NICBandwidth) || !finite(s.IntraLatency):
+			return nil, fmt.Errorf("mesh: host %d bandwidths and latency must be finite (intra=%g nic=%g latency=%g)",
+				h, s.IntraBandwidth, s.NICBandwidth, s.IntraLatency)
 		case s.IntraBandwidth <= 0 || s.NICBandwidth <= 0:
 			return nil, fmt.Errorf("mesh: host %d bandwidths must be positive (intra=%g nic=%g)", h, s.IntraBandwidth, s.NICBandwidth)
 		case s.IntraLatency < 0:
@@ -166,6 +175,9 @@ func NewHeteroCluster(hosts []HostSpec, interLatency, oversubscription float64) 
 	}
 	return hc, nil
 }
+
+// finite reports whether x is neither NaN nor an infinity.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // MustHeteroCluster is NewHeteroCluster that panics on error; for presets
 // whose parameters are valid by construction.

@@ -1,6 +1,7 @@
 package mesh
 
 import (
+	"math"
 	"reflect"
 	"testing"
 )
@@ -30,6 +31,30 @@ func TestNewHeteroClusterValidation(t *testing.T) {
 	}
 	if _, err := NewHeteroCluster(ok, 0, 0.5); err == nil {
 		t.Error("oversubscription < 1 should fail")
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for name, spec := range map[string]HostSpec{
+		"NaN intra latency":      {Devices: 2, IntraBandwidth: 1, NICBandwidth: 1, IntraLatency: nan},
+		"infinite intra latency": {Devices: 2, IntraBandwidth: 1, NICBandwidth: 1, IntraLatency: inf},
+		"NaN intra bandwidth":    {Devices: 2, IntraBandwidth: nan, NICBandwidth: 1},
+		"infinite NIC bandwidth": {Devices: 2, IntraBandwidth: 1, NICBandwidth: inf},
+	} {
+		if _, err := NewHeteroCluster([]HostSpec{spec}, 0, 1); err == nil {
+			t.Errorf("%s should fail", name)
+		}
+	}
+	for _, lat := range []float64{nan, inf} {
+		if _, err := NewHeteroCluster(ok, lat, 1); err == nil {
+			t.Errorf("inter latency %g should fail", lat)
+		}
+	}
+	for _, over := range []float64{nan, inf} {
+		if _, err := NewHeteroCluster(ok, 0, over); err == nil {
+			t.Errorf("oversubscription %g should fail", over)
+		}
+		if _, err := DefaultRegistry().Build(TopologyMixed, TopologyParams{Hosts: 3, Oversubscription: over}); err == nil {
+			t.Errorf("the mixed preset with oversubscription %g should fail", over)
+		}
 	}
 	hc, err := NewHeteroCluster(ok, 0, 0) // 0 defaults to 1
 	if err != nil {

@@ -69,9 +69,13 @@ type resourceTable struct {
 	mark  []uint32
 	stamp uint32
 	hops  []hop
-	// hopHosts[j] is hops[j]'s (source, destination) host.
-	hopHosts [][2]int32
+	// cross lists the chain's cross-host hops, in hop order.
+	cross []crossHop
 }
+
+// crossHop is a cross-host hop of a resolved chain: its index and its
+// (source, destination) host.
+type crossHop struct{ j, hs, hd int32 }
 
 // nicNames are one host index's NIC-direction names, by direction
 // (send, recv): plain is "host<h>:<dir>", the name on a single-NIC host, and
@@ -229,10 +233,11 @@ func (n *ClusterNet) DeviceRecv(dev int) ResourceID {
 	return n.intern(&n.ids.devRecv[dev], nameDevRecv, dev, 0, 0)
 }
 
-// nicIndex resolves this net view's NIC selector on a concrete host.
-func (n *ClusterNet) nicIndex(host int) int {
-	nics := n.Topo.NICCount(host)
-	return ((n.nic % nics) + nics) % nics
+// nicIndex resolves this net view's NIC selector on a concrete host: its
+// NIC index and the host's NIC count, read off the intern table's layout.
+func (n *ClusterNet) nicIndex(host int) (k, nics int) {
+	nics = int(n.ids.hostOff[host+1] - n.ids.hostOff[host])
+	return ((n.nic % nics) + nics) % nics, nics
 }
 
 // hostName renders the NIC-direction resource name exactly as the
@@ -246,15 +251,13 @@ func hostName(host int, dir string, nic, nics int) string {
 
 // HostSend returns the send side of the host NIC this net view uses.
 func (n *ClusterNet) HostSend(host int) ResourceID {
-	nics := n.Topo.NICCount(host)
-	k := n.nicIndex(host)
+	k, nics := n.nicIndex(host)
 	return n.intern(&n.ids.hostSend[n.ids.hostOff[host]+int32(k)], nameHostSend, host, k, nics)
 }
 
 // HostRecv returns the receive side of the host NIC this net view uses.
 func (n *ClusterNet) HostRecv(host int) ResourceID {
-	nics := n.Topo.NICCount(host)
-	k := n.nicIndex(host)
+	k, nics := n.nicIndex(host)
 	return n.intern(&n.ids.hostRecv[n.ids.hostOff[host]+int32(k)], nameHostRecv, host, k, nics)
 }
 
@@ -343,10 +346,11 @@ func (n *ClusterNet) transfer(label Label, src, dst int, bytes int64, seq int, w
 // (so no hop is a self-transfer), the size is not negative, deps name
 // earlier ops — and the resources and the (latency, bandwidth) of each hop
 // are resolved once per hop instead of once per chunk. The chain is kept as
-// one lattice record, not chunks x hops ops (see Sim.addLattice); chains
-// issued back to back with the same deps, hop count and seq — the NIC lanes
-// of one unit task, each through its own OnNIC view, or all of them through
-// one PipelinedLanes call — are timed together.
+// a one-lane lattice record, not chunks x hops ops (see Sim.addLane), and
+// Run times it hop by hop, each hop's chunks as one run. Each call is a
+// record of its own: NIC lanes that share device hops are registered
+// together by PipelinedLanes, which times them as one record; one call per
+// lane, through OnNIC views, leaves the heap to time the shared hops.
 //
 //alpacomm:hotpath
 func (n *ClusterNet) PipelinedChain(prefix string, chain []int, bytes int64, chunks, seq int, deps []OpID) (OpID, error) {
@@ -356,7 +360,7 @@ func (n *ClusterNet) PipelinedChain(prefix string, chain []int, bytes int64, chu
 	if err := n.checkChain(prefix, chain, deps); err != nil {
 		return 0, err
 	}
-	return n.Sim.addLattice(prefix, n.resolveHops(chain), bytes, chunks, seq, deps)
+	return n.Sim.addLane(true, prefix, n.resolveHops(chain), bytes, chunks, seq, deps)
 }
 
 // Lane is one NIC lane of PipelinedLanes: the label prefix of its ops, its
@@ -368,14 +372,20 @@ type Lane struct {
 }
 
 // PipelinedLanes registers the NIC lanes of one unit task — the paper's
-// multi-NIC extension — and returns the id of the first op of lane 0: it is
-// OnNIC(k).PipelinedChain(lanes[k].Prefix, chain, lanes[k].Bytes,
-// lanes[k].Chunks, seq, deps) for k = 0, 1, ... in one call, with the same
-// ids, labels, resources (interned in the same order), durations and errors;
-// lane k's ops follow lane k-1's. The chain is validated and its hops
-// resolved once, for lane 0; lane k takes lane 0's hops with NIC k's
-// resources on the cross-host ones. A lane that fails leaves the lanes
-// before it registered, as the calls would.
+// multi-NIC extension — and returns the id of the first op of lane 0: it
+// registers the ops OnNIC(k).PipelinedChain(lanes[k].Prefix, chain,
+// lanes[k].Bytes, lanes[k].Chunks, seq, deps) would for k = 0, 1, ..., with
+// the same ids, labels, resources (interned in the same order), durations
+// and errors; lane k's ops follow lane k-1's. The chain is validated and its
+// hops resolved once, for lane 0; lane k takes lane 0's hops with NIC k's
+// resources on the cross-host ones. The lanes are one lattice record with a
+// lane axis (see Sim.addLane), which Run times hop by hop: a hop no two
+// lanes share, as every cross-host hop is while there are no more lanes
+// than NICs, lane by lane; a hop all lanes share, as every device hop is,
+// as one server taking the lanes' chunks in (ready, lane) order. A hop only
+// some lanes share — a lane past a host's NIC count wraps onto NIC 0 —
+// leaves the graph to the heap. A lane that fails leaves the lanes before
+// it registered, as the calls would.
 //
 //alpacomm:hotpath
 func (n *ClusterNet) PipelinedLanes(chain []int, lanes []Lane, seq int, deps []OpID) (OpID, error) {
@@ -396,7 +406,7 @@ func (n *ClusterNet) PipelinedLanes(chain []int, lanes []Lane, seq int, deps []O
 		} else {
 			hops = view.laneHops()
 		}
-		id, err := n.Sim.addLattice(l.Prefix, hops, l.Bytes, l.Chunks, seq, deps)
+		id, err := n.Sim.addLane(k == 0, l.Prefix, hops, l.Bytes, l.Chunks, seq, deps)
 		if err != nil {
 			return 0, err
 		}
@@ -454,19 +464,21 @@ func (n *ClusterNet) checkChain(prefix string, chain []int, deps []OpID) error {
 }
 
 // resolveHops resolves the hops of a validated chain into the table's
-// scratch, interning each hop's resources in order, and records each hop's
-// hosts for laneHops.
+// scratch, interning each hop's resources in order, and records the
+// cross-host hops for laneHops.
 func (n *ClusterNet) resolveHops(chain []int) []hop {
 	t, tab := n.Topo, n.ids
-	hops, hosts := tab.hops[:0], tab.hopHosts[:0]
+	hops, cross := tab.hops[:0], tab.cross[:0]
 	src, hs := chain[0], t.HostOf(chain[0])
 	for _, dst := range chain[1:] {
 		hd := t.HostOf(dst)
+		if hs != hd {
+			cross = append(cross, crossHop{j: int32(len(hops)), hs: int32(hs), hd: int32(hd)})
+		}
 		hops = append(hops, n.hopBetween(src, hs, dst, hd))
-		hosts = append(hosts, [2]int32{int32(hs), int32(hd)})
 		src, hs = dst, hd
 	}
-	tab.hops, tab.hopHosts = hops, hosts
+	tab.hops, tab.cross = hops, cross
 	return hops
 }
 
@@ -475,10 +487,8 @@ func (n *ClusterNet) resolveHops(chain []int) []hop {
 // the intra-host ones and every route stay.
 func (n *ClusterNet) laneHops() []hop {
 	tab := n.ids
-	for j, hh := range tab.hopHosts {
-		if hs, hd := int(hh[0]), int(hh[1]); hs != hd {
-			tab.hops[j].res[0], tab.hops[j].res[1] = n.HostSend(hs), n.HostRecv(hd)
-		}
+	for _, c := range tab.cross {
+		tab.hops[c.j].res[0], tab.hops[c.j].res[1] = n.HostSend(int(c.hs)), n.HostRecv(int(c.hd))
 	}
 	return tab.hops
 }

@@ -3,7 +3,6 @@ package netsim
 import (
 	"math"
 	"reflect"
-	"strconv"
 	"testing"
 
 	"alpacomm/internal/mesh"
@@ -482,32 +481,6 @@ func BenchmarkPipelinedChain(b *testing.B) {
 		n.Reset()
 		if _, err := n.PipelinedChain("u0/bc", chain, 64<<20, 16, 0, nil); err != nil {
 			b.Fatal(err)
-		}
-		if _, err := n.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEightLaneUnit registers and runs one dgx-a100 unit task split
-// over eight NIC lanes with one seq: each lane crosses from host 0 to host 1
-// and then down seven device hops there, which all eight lanes share.
-func BenchmarkEightLaneUnit(b *testing.B) {
-	n := NewClusterNet(mesh.DGXA100Cluster(2))
-	chain := []int{0, 8, 9, 10, 11, 12, 13, 14, 15}
-	const bytes, lanes = 64 << 20, 8
-	labels := make([]string, lanes)
-	for k := range labels {
-		labels[k] = "u0/bc.nic" + strconv.Itoa(k)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		n.Reset()
-		for k := 0; k < lanes; k++ {
-			part := int64(k+1)*bytes/lanes - int64(k)*bytes/lanes
-			if _, err := n.OnNIC(k).PipelinedChain(labels[k], chain, part, 2, 0, nil); err != nil {
-				b.Fatal(err)
-			}
 		}
 		if _, err := n.Run(); err != nil {
 			b.Fatal(err)

@@ -163,9 +163,10 @@ func crossHost(s *Sim) {
 }
 
 // eightLanes is a dgx-a100-like unit on a uniform cluster: one message in
-// eight equal parts, one per NIC, each crossing from host 0 to host 1 and
-// down seven device hops there with one seq. The lanes reach every device
-// hop at the same moment, so the merge serves ties.
+// eight equal parts, one PipelinedLanes call, each lane crossing from host
+// 0 to host 1 on its own NIC and down seven device hops there, which all
+// eight share. The lanes reach every device hop at the same moment, so the
+// hop's server takes tied chunks.
 func eightLanes(s *Sim) {
 	c, err := mesh.NewCluster(2, 8, 100, 10, 0, 0)
 	if err != nil {
@@ -173,27 +174,52 @@ func eightLanes(s *Sim) {
 	}
 	topo := withNICs(c, 8)
 	n := &ClusterNet{Sim: s, Topo: topo, ids: newResourceTable(topo)}
-	for k := 0; k < 8; k++ {
-		if _, err := n.OnNIC(k).PipelinedChain("lane", []int{0, 8, 9, 10, 11, 12, 13, 14, 15}, 800, 4, 0, nil); err != nil {
+	if _, err := n.PipelinedLanes([]int{0, 8, 9, 10, 11, 12, 13, 14, 15}, lanesOf(8, 800, 4), 0, nil); err != nil {
+		panic(err)
+	}
+}
+
+// dgxRelay is a broadcast unit on dgx-a100 over eight NIC lanes whose chain
+// crosses two host boundaries: host 1 receives each lane on NIC k, forwards
+// it over one device hop and sends it on to host 2 over NIC k again.
+func dgxRelay(s *Sim) {
+	topo := mesh.DGXA100Cluster(3)
+	n := &ClusterNet{Sim: s, Topo: topo, ids: newResourceTable(topo)}
+	if _, err := n.PipelinedLanes([]int{3, 8, 9, 16, 17}, lanesOf(8, 64<<20, 2), 0, nil); err != nil {
+		panic(err)
+	}
+}
+
+// fiveLanesFourNICs is one PipelinedLanes call of five lanes over four
+// NICs: the fifth lane wraps onto NIC 0, so the cross-host hop is shared by
+// lanes 0 and 4 alone.
+func fiveLanesFourNICs(s *Sim) {
+	topo := latticeCluster(true)
+	n := &ClusterNet{Sim: s, Topo: topo, ids: newResourceTable(topo)}
+	if _, err := n.PipelinedLanes([]int{0, 4, 5}, lanesOf(5, 1000, 3), 0, nil); err != nil {
+		panic(err)
+	}
+}
+
+// twoHops returns a chain that leaves host 0 twice, so host 0's NIC send
+// side serves two hops of it, in the given number of chunks. With several,
+// chunk 0 reaches the third hop before the last chunk has left on the first.
+func twoHops(chunks int) func(*Sim) {
+	return func(s *Sim) {
+		topo := testCluster(2)
+		n := &ClusterNet{Sim: s, Topo: topo, ids: newResourceTable(topo)}
+		if _, err := n.PipelinedChain("chain", []int{0, 2, 1, 3}, 800, chunks, 0, nil); err != nil {
 			panic(err)
 		}
 	}
 }
 
-// twoHops is a chain that leaves host 0 twice, so host 0's NIC send side
-// serves two hops of it.
-func twoHops(s *Sim) {
-	topo := testCluster(2)
-	n := &ClusterNet{Sim: s, Topo: topo, ids: newResourceTable(topo)}
-	if _, err := n.PipelinedChain("chain", []int{0, 2, 1, 3}, 800, 8, 0, nil); err != nil {
-		panic(err)
-	}
-}
-
 // TestWhichPathRuns pins the path: a seq tie, two NIC lanes with a seq each
-// sharing a device hop and a resource on two hops of a group fall back to
-// the heap; a single cross-host chain and eight NIC lanes with one seq are
-// timed by the pass; and either way Run gives the heap's schedule.
+// sharing a device hop, a resource on two hops of a record that overlap in
+// time and five lanes on four NICs fall back to the heap; a single
+// cross-host chain, eight NIC lanes with one seq, a dgx-a100 relay of eight
+// lanes and a resource on two hops of a one-chunk chain are timed by the
+// pass; and either way Run gives the heap's schedule.
 func TestWhichPathRuns(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -204,7 +230,10 @@ func TestWhichPathRuns(t *testing.T) {
 		{"two NIC lanes", twoLanes, false},
 		{"one cross-host chain", crossHost, true},
 		{"eight NIC lanes, one seq", eightLanes, true},
-		{"a resource on two hops of a group", twoHops, false},
+		{"dgx-a100 two-host relay, eight lanes", dgxRelay, true},
+		{"a resource on two overlapping hops of a record", twoHops(8), false},
+		{"a resource on two hops of a one-chunk chain", twoHops(1), true},
+		{"five lanes on four NICs", fiveLanesFourNICs, false},
 	} {
 		if got := checkRunMatchesHeap(t, tc.build); got != tc.inOrder {
 			t.Errorf("%s: in-order pass finished = %v, want %v", tc.name, got, tc.inOrder)

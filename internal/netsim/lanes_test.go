@@ -162,8 +162,10 @@ func TestPipelinedLanesMatchesChains(t *testing.T) {
 	}
 }
 
-// BenchmarkEightLanesOneCall is BenchmarkEightLaneUnit through one
-// PipelinedLanes call.
+// BenchmarkEightLanesOneCall registers and runs one dgx-a100 unit task
+// split over eight NIC lanes in one PipelinedLanes call: each lane crosses
+// from host 0 to host 1 on its own NIC and then down seven device hops
+// there, which all eight lanes share.
 func BenchmarkEightLanesOneCall(b *testing.B) {
 	n := NewClusterNet(mesh.DGXA100Cluster(2))
 	chain := []int{0, 8, 9, 10, 11, 12, 13, 14, 15}

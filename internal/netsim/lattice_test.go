@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -44,10 +45,13 @@ func latticeCluster(latency bool) mesh.Topology {
 // byte, then four bytes per step. A step adds a plain op (a duration, a
 // seq, one device or NIC resource or none, and up to two dependencies on
 // any earlier op, lattice interiors included), one pipelined chain, or a
-// group of two to five NIC lanes over one route that share the gate deps
-// and either one seq or a seq each, as the broadcast of a multi-NIC unit
-// does — a fifth lane shares the first one's NIC, and a lane with fewer
-// bytes than chunks may be sent as one chunk, as BroadcastChain sends it.
+// group of two to five NIC lanes over one route that share the gate deps.
+// A group with one seq is one PipelinedLanes call, as the broadcast of a
+// multi-NIC unit issues it; a group with a seq per lane is one
+// OnNIC(k).PipelinedChain call per lane. A fifth lane wraps onto the first
+// one's NIC 0, lanes may each take their own chunk count, and a lane with
+// fewer bytes than chunks may be sent as one chunk, as BroadcastChain sends
+// it.
 func fuzzLattices(s *Sim, data []byte) {
 	latency := len(data) > 0 && data[0]&1 != 0
 	if len(data) > 0 {
@@ -85,18 +89,27 @@ func fuzzLattices(s *Sim, data []byte) {
 				panic(err)
 			}
 		default:
-			lanes := 2 + int(c%4)
+			lanes := make([]Lane, 2+int(c%4))
 			gate := append([]OpID(nil), pickDeps(c>>3)...)
-			for k := 0; k < lanes; k++ {
-				part := int64(k+1)*bytes/int64(lanes) - int64(k)*bytes/int64(lanes)
-				laneSeq, laneChunks := seq, chunks
-				if kind%4 == 3 {
-					laneSeq += k
+			for k := range lanes {
+				part := int64(k+1)*bytes/int64(len(lanes)) - int64(k)*bytes/int64(len(lanes))
+				laneChunks := chunks
+				if kind&8 != 0 {
+					laneChunks = 1 + (int(b)+k)%5
 				}
-				if kind&4 != 0 && part < int64(chunks) {
+				if kind&4 != 0 && part < int64(laneChunks) {
 					laneChunks = 1
 				}
-				if _, err := n.OnNIC(k).PipelinedChain("lane", route, part, laneChunks, laneSeq, gate); err != nil {
+				lanes[k] = Lane{Prefix: "lane" + itoa(int32(k)), Bytes: part, Chunks: laneChunks}
+			}
+			if kind%4 == 2 {
+				if _, err := n.PipelinedLanes(route, lanes, seq, gate); err != nil {
+					panic(err)
+				}
+				continue
+			}
+			for k, l := range lanes {
+				if _, err := n.OnNIC(k).PipelinedChain(l.Prefix, route, l.Bytes, l.Chunks, seq+k, gate); err != nil {
 					panic(err)
 				}
 			}
@@ -113,6 +126,7 @@ func FuzzLatticesMatchHeap(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 1, 0, 2, 0, 2, 0, 0, 3, 1, 10})   // zero-byte chains, a plain op on interiors
 	f.Add([]byte{1, 1, 58, 4, 0, 2, 59, 4, 1})              // a relay and another unit on its NIC
 	f.Add([]byte{1, 1, 54, 3, 0, 6, 46, 3, 1, 2, 20, 7, 3}) // a resource on two hops, one-byte remainders
+	f.Add([]byte{1, 10, 57, 3, 3})                          // five lanes, a chunk count each, the fifth on NIC 0
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkRunMatchesHeap(t, func(s *Sim) { fuzzLattices(s, data) })
 	})
@@ -131,5 +145,30 @@ func TestLatticesMatchHeapOnRandomGraphs(t *testing.T) {
 	}
 	if paths[true] < 100 || paths[false] < 100 {
 		t.Fatalf("the pass finished %d times and gave up %d times of 2000", paths[true], paths[false])
+	}
+}
+
+// nanLatency is a cluster whose cross-host latency is NaN, a topology
+// mesh.NewHeteroCluster refuses to build.
+type nanLatency struct{ *mesh.HeteroCluster }
+
+func (nanLatency) InterLatency(int, int) float64 { return math.NaN() }
+
+// TestLatticeRefusesNaNDuration: a chain whose chunks would take NaN is
+// refused at registration, as AddOp refuses a NaN duration, through every
+// builder, and leaves no op registered.
+func TestLatticeRefusesNaNDuration(t *testing.T) {
+	n := NewClusterNet(nanLatency{testCluster(2)})
+	if _, err := n.PipelinedChain("chain", []int{0, 2, 3}, 800, 4, 0, nil); err == nil {
+		t.Error("a chain over a NaN latency must be refused")
+	}
+	if _, err := n.PipelinedLanes([]int{0, 2, 3}, lanesOf(2, 800, 4), 0, nil); err == nil {
+		t.Error("lanes over a NaN latency must be refused")
+	}
+	if _, err := n.Transfer(Plain("t"), 0, 2, 800, 0); err == nil {
+		t.Error("a transfer over a NaN latency must be refused")
+	}
+	if n.Sim.NumOps() != 0 {
+		t.Errorf("refusals left %d ops", n.Sim.NumOps())
 	}
 }

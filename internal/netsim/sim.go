@@ -13,11 +13,13 @@
 // simulated time. The simulator is fully deterministic. Run times a graph in
 // one O(N) pass without a heap wherever it can show that every resource
 // serves its users in the order the ready heap would pop them: plain ops in
-// id order, each pipelined chain hop by hop, and the NIC lanes of one unit
-// task together, their chunks merged per hop in (ready, id) order. Where it
-// cannot — a resource whose previous user was not ready strictly earlier, a
-// resource on two hops of one lane group, a NaN — Run falls back to the
-// ready heap, O(N log N), the reference the pass agrees with bit for bit.
+// id order, and each lattice record hop by hop. A record's NIC lanes are
+// timed lane by lane on a hop where no two of them share a resource, and
+// their chunks merged as one server, in (ready, id) order, on a hop where
+// all of them share both. Where it cannot — a resource whose previous user
+// was not ready strictly earlier, or a hop that only some of a record's
+// lanes share — Run falls back to the ready heap, O(N log N), the reference
+// the pass agrees with bit for bit.
 //
 // The core is allocation-free on the hot path: resources are addressed by
 // typed integer ResourceID handles into a flat slice, ops live in a flat
@@ -28,9 +30,11 @@
 // autotune grid cells, serving-cache misses — with near-zero steady-state
 // allocation. The arenas belong to the Sim, not to a topology:
 // ClusterNet.Rebind carries them from one topology to the next. Regular op
-// graphs skip AddOp altogether: ClusterNet.PipelinedChain keeps a whole
-// chunks x hops lattice as one record — its gate deps, and per hop two
-// resources and three durations — that the pass times directly. Its ops are
+// graphs skip AddOp altogether: ClusterNet.PipelinedLanes keeps the NIC
+// lanes of a unit task — ClusterNet.PipelinedChain its one lane — as one
+// lattice record: the shared gate deps, and per lane its chunks x hops
+// lattice as per hop two resources and three durations, which the pass
+// times directly. Its ops are
 // written out only when the heap or a per-op reader (Events, OpStart,
 // OpFinish, OpLabel) needs them; they have the same ids, labels and times
 // either way.
@@ -164,20 +168,35 @@ type segment struct {
 	off int32
 }
 
-// lattice is a pipelined chain (ClusterNet.PipelinedChain) kept as one
-// record instead of chunks x hops ops; expand writes the ops out when a
-// reader or the heap needs them.
+// lattice is the pipelined chains of a unit's NIC lanes
+// (ClusterNet.PipelinedLanes; ClusterNet.PipelinedChain is one lane) kept as
+// one record instead of lanes x chunks x hops ops: the lanes share the
+// chain's hop count, the gate deps and the seq, and lane k's ops follow lane
+// k-1's. expand writes the ops out when a reader or the heap needs them.
 type lattice struct {
-	prefix string
-	bytes  int64
-	chunks int32
-	nh     int32
-	seq    int
+	nh  int32
+	seq int
 	// depOff, depN window the caller's deps in the dependency arena; they
-	// gate op (0, 0) alone.
+	// gate each lane's op (0, 0) alone.
 	depOff, depN int32
-	// hopOff indexes the lattice's first hop in Sim.latHops.
+	// laneOff, laneN window the record's lanes in Sim.lanes.
+	laneOff, laneN int32
+}
+
+// lane is one lane of a lattice record — its label prefix, its chunks of q
+// or q+1 bytes (rem of them the larger), the id of its op (0, 0) and its
+// first hop in Sim.latHops — and the pass's cursor on the hop being timed.
+type lane struct {
+	prefix string
+	q, rem int64
+	chunks int32
+	first  int32
 	hopOff int32
+	// i is the next chunk to serve on the hop, id its op id, ready its
+	// ready time and sizes the walk of the chunk sizes.
+	i, id int32
+	sizes chunkSizes
+	ready float64
 }
 
 // latHop is one hop of a lattice record: the two resources every chunk
@@ -198,10 +217,11 @@ type Sim struct {
 	ops      []op
 	resArena []ResourceID
 	depArena []OpID
-	// segs lists every op id in order; lats and latHops are the lattice
-	// records not yet expanded.
+	// segs lists every op id in order; lats, lanes and latHops are the
+	// lattice records not yet expanded.
 	segs    []segment
 	lats    []lattice
+	lanes   []lane
 	latHops []latHop
 	// nOps, nRes and nDeps count ops, resource entries and dependency
 	// entries as if every lattice were expanded.
@@ -213,16 +233,16 @@ type Sim struct {
 	makespan float64
 
 	// Run scratch, reused across Reset: each op's start and finish, each
-	// resource's latest user and its ready time and the group hop that
-	// claimed it for the pass, per-lane cursors, and CSR dependents and the
-	// ready heap for the DES.
+	// resource's latest user's ready time and the mark of the last record
+	// hop that listed it (mark counts the hops the pass has classified),
+	// the queue of lanes on a hop, and CSR dependents and the ready heap
+	// for the DES.
 	start     []float64
 	finish    []float64
 	lastReady []float64
-	lastUser  []int32
 	hopMark   []int64
-	markBase  int64
-	lanes     []lane
+	mark      int64
+	queue     []int32
 	depHead   []int32
 	depList   []int32
 	heap      []int32
@@ -246,6 +266,7 @@ func (s *Sim) Reset() {
 	s.depArena = s.depArena[:0]
 	s.segs = s.segs[:0]
 	s.lats = s.lats[:0]
+	s.lanes = s.lanes[:0]
 	s.latHops = s.latHops[:0]
 	s.nOps, s.nRes, s.nDeps = 0, 0, 0
 	s.ran, s.timed = false, false
@@ -305,15 +326,16 @@ func (s *Sim) ResourceState(id ResourceID) Resource { return s.resources[id] }
 // AddOp registers an op under a lazily rendered label. seq controls
 // per-resource FIFO order among ops that become ready simultaneously; pass
 // the op's position in the intended schedule (or 0 to order by insertion).
-// Duration must be non-negative, deps must refer to already-added ops, and
+// Duration must be non-negative (a NaN is refused too), deps must refer to
+// already-added ops, and
 // resources must be valid handles. The resource and dep slices are copied
 // into the Sim's arenas, so callers may reuse their buffers.
 func (s *Sim) AddOp(label Label, duration float64, seq int, resources []ResourceID, deps ...OpID) (OpID, error) {
 	if s.ran {
 		return 0, errAfterRun
 	}
-	if duration < 0 {
-		return 0, fmt.Errorf("netsim: op %q has negative duration %g", label.String(), duration)
+	if !(duration >= 0) {
+		return 0, durationError(label, duration)
 	}
 	id := OpID(s.nOps)
 	for _, d := range deps {
@@ -371,6 +393,14 @@ func (s *Sim) MustAddOp(label Label, duration float64, seq int, resources []Reso
 
 var errAfterRun = errors.New("netsim: cannot add ops after Run")
 
+// durationError is AddOp's refusal of an op's negative or NaN duration.
+func durationError(label Label, d float64) error {
+	if d != d {
+		return fmt.Errorf("netsim: op %q has NaN duration", label.String())
+	}
+	return fmt.Errorf("netsim: op %q has negative duration %g", label.String(), d)
+}
+
 // reserve checks that that many more ops, resource-list entries and
 // dependency entries fit. Ops address the arenas through int32 windows, and
 // expand writes every lattice out into them; reserve fails, instead of
@@ -404,25 +434,28 @@ func chunkDur(h *hop, size int64, first bool) float64 {
 	return dur
 }
 
-// addLattice registers the chunks x len(hops) ops of a pipelined chain
-// (ClusterNet.PipelinedChain) and returns the id of the first. Op (i, j) —
-// chunk i crossing hop j — has id first + i*len(hops) + j, depends on op
-// id-1 (the chunk reaching this hop) past the first hop and on op
-// id-len(hops) (chunk i-1 leaving this hop) past the first chunk, and
-// occupies the hop's two resources. The caller's deps gate op (0, 0) alone:
-// every later chunk's hop-0 op waits on its predecessor, which waited on
-// them, so listing them again could neither delay it nor make it ready at
-// another point of the run.
+// addLane registers the chunks x len(hops) ops of one lane of a lattice
+// record and returns the id of the first. With open set the lane opens a new
+// record gated by deps under seq (ClusterNet.PipelinedChain, or a unit's
+// first NIC lane); otherwise it is the next lane of the last record, over
+// the same chain, whose deps and seq it shares (a unit's later NIC lanes,
+// ClusterNet.PipelinedLanes). Op (i, j) of a lane — chunk i crossing hop j —
+// has id first + i*len(hops) + j, depends on op id-1 (the chunk reaching
+// this hop) past the first hop and on op id-len(hops) (chunk i-1 leaving
+// this hop) past the first chunk, and occupies the hop's two resources. The
+// record's deps gate each lane's op (0, 0) alone: every later chunk's hop-0
+// op waits on its predecessor, which waited on them, so listing them again
+// could neither delay it nor make it ready at another point of the run.
 //
-// The lattice is completely regular, so it is kept as one record: the
-// caller's deps, and per hop its resources and the three durations a chunk
-// can take. No op, resource entry or in-lattice dependency is written until
+// The lattice is completely regular, so it is kept as the lane's entry in
+// the record: per hop its resources and the three durations a chunk can
+// take. No op, resource entry or in-lattice dependency is written until
 // expand needs them; the pass times the record directly. The caller has
-// validated deps and hops; a negative duration is refused as AddOp refuses
-// it, leaving nothing registered.
+// validated deps and hops; a negative or NaN duration is refused as AddOp
+// refuses it, leaving nothing of the lane registered.
 //
 //alpacomm:hotpath
-func (s *Sim) addLattice(prefix string, hops []hop, bytes int64, chunks, seq int, deps []OpID) (OpID, error) {
+func (s *Sim) addLane(open bool, prefix string, hops []hop, bytes int64, chunks, seq int, deps []OpID) (OpID, error) {
 	nh := len(hops)
 	if chunks > math.MaxInt32/nh {
 		return 0, fmt.Errorf("netsim: chain %q: %d chunks x %d hops overflow the int32 op arena", prefix, chunks, nh)
@@ -438,46 +471,65 @@ func (s *Sim) addLattice(prefix string, hops []hop, bytes int64, chunks, seq int
 		return 0, err
 	}
 	// Chunk i is bytes [i*bytes/k, (i+1)*bytes/k): chunk 0 and every later
-	// chunk are q or q+1 bytes.
+	// chunk are q or q+1 bytes. A lane whose chunks are the size of the
+	// lane before's takes that lane's durations: the route is the same.
 	q := bytes / int64(chunks)
+	var same []latHop
+	if !open {
+		if p := &s.lanes[len(s.lanes)-1]; p.q == q {
+			same = s.latHops[p.hopOff : p.hopOff+int32(nh)]
+		}
+	}
 	hopOff := len(s.latHops)
-	negative := false
+	bad := false
 	for j := range hops {
 		h := &hops[j]
-		lh := latHop{res: h.res, d0: chunkDur(h, q, true), dq: chunkDur(h, q, false), dq1: chunkDur(h, q+1, false)}
-		negative = negative || lh.d0 < 0 || lh.dq < 0 || lh.dq1 < 0
+		lh := latHop{res: h.res}
+		if same != nil {
+			lh.d0, lh.dq, lh.dq1 = same[j].d0, same[j].dq, same[j].dq1
+		} else {
+			lh.d0, lh.dq, lh.dq1 = chunkDur(h, q, true), chunkDur(h, q, false), chunkDur(h, q+1, false)
+			bad = bad || !(lh.d0 >= 0) || !(lh.dq >= 0) || !(lh.dq1 >= 0)
+		}
 		s.latHops = append(s.latHops, lh)
 	}
-	if negative {
-		if err := negativeChunk(prefix, s.latHops[hopOff:], bytes, chunks); err != nil {
+	if bad {
+		if err := badChunk(prefix, s.latHops[hopOff:], bytes, chunks); err != nil {
 			s.latHops = s.latHops[:hopOff]
 			return 0, err
 		}
 	}
 	first := s.nOps
-	depOff := len(s.depArena)
-	s.depArena = append(s.depArena, deps...)
-	s.segs = append(s.segs, segment{first: int32(first), n: int32(nOps), lat: int32(len(s.lats))})
-	s.lats = append(s.lats, lattice{
-		prefix: prefix, bytes: bytes, chunks: int32(chunks), nh: int32(nh), seq: seq,
-		depOff: int32(depOff), depN: int32(len(deps)), hopOff: int32(hopOff),
-	})
+	if open {
+		depOff := len(s.depArena)
+		s.depArena = append(s.depArena, deps...)
+		s.segs = append(s.segs, segment{first: int32(first), lat: int32(len(s.lats))})
+		s.lats = append(s.lats, lattice{
+			nh: int32(nh), seq: seq, depOff: int32(depOff), depN: int32(len(deps)), laneOff: int32(len(s.lanes)),
+		})
+	}
+	// The lane is written in place: the pass sets its cursor.
+	s.lanes = slices.Grow(s.lanes, 1)[:len(s.lanes)+1]
+	ln := &s.lanes[len(s.lanes)-1]
+	ln.prefix, ln.q, ln.rem = prefix, q, bytes%int64(chunks)
+	ln.chunks, ln.first, ln.hopOff = int32(chunks), int32(first), int32(hopOff)
+	s.lats[len(s.lats)-1].laneN++
+	s.segs[len(s.segs)-1].n += int32(nOps)
 	s.nOps += nOps
 	s.nRes += 2 * nOps
 	s.nDeps += int(nDeps)
 	return OpID(first), nil
 }
 
-// negativeChunk returns AddOp's error for the first op of a lattice, in id
-// order, whose duration is negative, or nil if no chunk's is.
-func negativeChunk(prefix string, hops []latHop, bytes int64, chunks int) error {
+// badChunk returns AddOp's error for the first op of a lattice, in id
+// order, whose duration is negative or NaN, or nil if no chunk's is.
+func badChunk(prefix string, hops []latHop, bytes int64, chunks int) error {
 	sizes := chunkSizes{rem: bytes % int64(chunks), k: int64(chunks)}
 	for i := int32(0); i < int32(chunks); i++ {
 		big := sizes.next()
 		for j := range hops {
-			if dur := hops[j].dur(i, big); dur < 0 {
-				l := Label{Prefix: prefix, Kind: LabelChunkHop, A: i, B: int32(j)}
-				return fmt.Errorf("netsim: op %q has negative duration %g", l.String(), dur)
+			if dur := hops[j].dur(i, big); !(dur >= 0) {
+				return durationError(Label{Prefix: prefix, Kind: LabelChunkHop, A: i, B: int32(j)}, dur)
 			}
 		}
 	}
@@ -512,7 +564,7 @@ func (h *latHop) dur(i int32, big bool) float64 {
 	}
 }
 
-// expand writes every lattice record out as the ops addLattice describes,
+// expand writes every lattice record out as the ops addLane describes,
 // each at its id, so that the op table holds every op, and copies the
 // pass's times into it. The heap and the per-op readers call it; once done
 // it is a no-op until more lattices are added.
@@ -528,9 +580,10 @@ func (s *Sim) expand() {
 	}
 }
 
-// writeLattices moves the plain ops to their ids and writes each lattice's
-// ops into the gaps, last segment first: a plain op only ever moves up, and
-// every plain op below a segment sits below its first id.
+// writeLattices moves the plain ops to their ids and writes each lattice
+// record's ops into the gaps, lane by lane, last segment first: a plain op
+// only ever moves up, and every plain op below a segment sits below its
+// first id.
 func (s *Sim) writeLattices() {
 	s.ops = slices.Grow(s.ops, s.nOps-len(s.ops))[:s.nOps]
 	s.resArena = slices.Grow(s.resArena, s.nRes-len(s.resArena))
@@ -542,33 +595,36 @@ func (s *Sim) writeLattices() {
 			continue
 		}
 		l := &s.lats[sg.lat]
-		hops := s.latHops[l.hopOff : l.hopOff+l.nh]
 		nh := l.nh
-		sizes := chunkSizes{rem: l.bytes % int64(l.chunks), k: int64(l.chunks)}
-		id := sg.first
-		for i := int32(0); i < l.chunks; i++ {
-			big := sizes.next()
-			for j := range hops {
-				h := &hops[j]
-				o := &s.ops[id]
-				o.label = Label{Prefix: l.prefix, Kind: LabelChunkHop, A: i, B: int32(j)}
-				o.duration, o.seq = h.dur(i, big), l.seq
-				o.resOff, o.resN = int32(len(s.resArena)), 2
-				s.resArena = append(s.resArena, h.res[0], h.res[1])
-				if id == sg.first {
-					o.depOff, o.depN = l.depOff, l.depN
-				} else {
-					o.depOff = int32(len(s.depArena))
-					if j > 0 {
-						s.depArena = append(s.depArena, OpID(id-1))
+		for k := l.laneOff; k < l.laneOff+l.laneN; k++ {
+			ln := &s.lanes[k]
+			hops := s.latHops[ln.hopOff : ln.hopOff+nh]
+			sizes := chunkSizes{rem: ln.rem, k: int64(ln.chunks)}
+			id := ln.first
+			for i := int32(0); i < ln.chunks; i++ {
+				big := sizes.next()
+				for j := range hops {
+					h := &hops[j]
+					o := &s.ops[id]
+					o.label = Label{Prefix: ln.prefix, Kind: LabelChunkHop, A: i, B: int32(j)}
+					o.duration, o.seq = h.dur(i, big), l.seq
+					o.resOff, o.resN = int32(len(s.resArena)), 2
+					s.resArena = append(s.resArena, h.res[0], h.res[1])
+					if id == ln.first {
+						o.depOff, o.depN = l.depOff, l.depN
+					} else {
+						o.depOff = int32(len(s.depArena))
+						if j > 0 {
+							s.depArena = append(s.depArena, OpID(id-1))
+						}
+						if i > 0 {
+							s.depArena = append(s.depArena, OpID(id-nh))
+						}
+						o.depN = int32(len(s.depArena)) - o.depOff
 					}
-					if i > 0 {
-						s.depArena = append(s.depArena, OpID(id-nh))
-					}
-					o.depN = int32(len(s.depArena)) - o.depOff
+					o.ndeps, o.readyTime, o.start, o.finish = 0, 0, 0, 0
+					id++
 				}
-				o.ndeps, o.readyTime, o.start, o.finish = 0, 0, 0, 0
-				id++
 			}
 		}
 	}
@@ -577,6 +633,7 @@ func (s *Sim) writeLattices() {
 		s.segs = append(s.segs, segment{n: int32(s.nOps), lat: -1})
 	}
 	s.lats = s.lats[:0]
+	s.lanes = s.lanes[:0]
 	s.latHops = s.latHops[:0]
 }
 
@@ -642,9 +699,13 @@ func (s *Sim) heapPop() int32 {
 // Events.
 //
 // Most graphs are timed in one pass (runInOrder) that serves each
-// resource's users in the order the ready heap would pop them, lattices and
-// whole groups of NIC lanes included. Where the pass cannot show that order,
-// the heap (runHeap) times the graph; the two agree bit for bit.
+// resource's users in the order the ready heap would pop them: plain ops in
+// id order, and each lattice record hop by hop, a hop its lanes do not
+// share lane by lane and a hop they all share as one server. Where the pass
+// cannot show that order — a resource whose previous user was not ready
+// strictly earlier, or a hop only some lanes share, as a lane past the NIC
+// count wrapping onto NIC 0 makes — the heap (runHeap) times the graph; the
+// two agree bit for bit.
 func (s *Sim) Run() (float64, error) {
 	if s.ran {
 		return s.makespan, nil
@@ -659,20 +720,21 @@ func (s *Sim) Run() (float64, error) {
 }
 
 // runInOrder times the ops without the heap, in a topological order: plain
-// ops in id order, lattices hop by hop. Consecutive lattices with the same
-// gate deps, hop count and seq — the NIC lanes of one unit task — form a
-// group, timed together hop by hop: on each hop the lanes' next chunks are
-// served in (ready, id) order, the order the heap pops them.
-// A single lattice is the one-lane group.
+// ops in id order, lattice records hop by hop (passLattice), each hop by one
+// or more servers (serve) that take the chunks on their resources in
+// (ready, id) order.
 //
 // The rule: an op starts at the latest of its ready time and its resources'
 // BusyUntil, provided each resource's previous user, in the order the pass
 // serves them, pops before it in the heap. The heap pops ops in
 // non-decreasing ready time (an op becomes ready no earlier than the finish
 // of the op whose pop readied it), so that holds when the previous user was
-// ready strictly earlier. Within a group it also holds on a tie, for the
-// merge serves the tied op P of lower id first. Suppose the heap popped the
-// other, X, first. Every ancestor of X, the shared gates included, had
+// ready strictly earlier, which the pass checks for a plain op and for the
+// first chunk a server takes; it then holds for every user before that one
+// too, for each resource's users are served in non-decreasing ready time. A
+// server's later chunks are ready no earlier than the one before, and on a
+// tie it takes the op P of lower id first. Suppose the heap popped another
+// tied op X before P. Every ancestor of X, the shared gates included, had
 // popped by then, so P waited on an ancestor in its own lane; the earliest
 // such one was in the heap with ready time no later than P's, so no later
 // than X's, and a lower id under the same seq — it would have popped before
@@ -681,8 +743,7 @@ func (s *Sim) Run() (float64, error) {
 // same order) and the makespan come out bit for bit the same.
 //
 // The pass gives up, reporting false, when a resource's previous user fails
-// that rule, when a resource serves two hops of a group (hop-by-hop order
-// would then not be its users' order), or when a finish is NaN.
+// that rule, or when some but not all of a record's lanes share a hop.
 //
 //alpacomm:hotpath
 func (s *Sim) runInOrder() bool {
@@ -691,33 +752,23 @@ func (s *Sim) runInOrder() bool {
 	s.finish = slices.Grow(s.finish[:0], n)[:n]
 	if cap(s.lastReady) < nr {
 		s.lastReady = make([]float64, nr)
-		s.lastUser = make([]int32, nr)
 		s.hopMark = make([]int64, nr)
 	}
-	s.lastReady, s.lastUser, s.hopMark = s.lastReady[:nr], s.lastUser[:nr], s.hopMark[:nr]
-	// Ready times are never negative, and no op has id -1.
+	s.lastReady, s.hopMark = s.lastReady[:nr], s.hopMark[:nr]
+	// Ready times are never negative.
 	for i := range s.lastReady {
-		s.lastReady[i], s.lastUser[i] = -1, -1
+		s.lastReady[i] = -1
 	}
-	clear(s.hopMark)
-	s.markBase = 0
-	segs := s.segs
-	for si := 0; si < len(segs); {
-		if segs[si].lat < 0 {
-			if !s.passPlain(segs[si]) {
-				return false
-			}
-			si++
-			continue
+	for _, sg := range s.segs {
+		ok := false
+		if sg.lat < 0 {
+			ok = s.passPlain(sg)
+		} else {
+			ok = s.passLattice(sg)
 		}
-		sj := si + 1
-		for sj < len(segs) && segs[sj].lat >= 0 && s.sameGroup(&s.lats[segs[si].lat], &s.lats[segs[sj].lat]) {
-			sj++
-		}
-		if !s.passGroup(segs[si:sj]) {
+		if !ok {
 			return false
 		}
-		si = sj
 	}
 	s.timed = true
 	return true
@@ -747,100 +798,68 @@ func (s *Sim) passPlain(sg segment) bool {
 				start = b
 			}
 		}
-		if !s.occupy(sg.first+t, ready, start, o.duration, ids) {
-			return false
-		}
+		s.start[sg.first+t], finish[sg.first+t] = start, s.occupy(ready, start, o.duration, ids)
 	}
 	return true
 }
 
-// occupy records op id, ready at ready, as running from start for dur on
-// its resources. It reports false on a NaN finish.
-func (s *Sim) occupy(id int32, ready, start, dur float64, ids []ResourceID) bool {
+// occupy records an op ready at ready as running from start for dur on its
+// resources, and returns its finish.
+func (s *Sim) occupy(ready, start, dur float64, ids []ResourceID) float64 {
 	finish := start + dur
-	if finish != finish {
-		return false
-	}
-	s.start[id], s.finish[id] = start, finish
 	for _, r := range ids {
 		rs := &s.resources[r]
 		rs.BusyUntil = finish
 		rs.BusyTime += dur
-		s.lastReady[r], s.lastUser[r] = ready, id
+		s.lastReady[r] = ready
 	}
 	if finish > s.makespan {
 		s.makespan = finish
 	}
-	return true
+	return finish
 }
 
-// sameGroup reports whether lattice b joins a's group: the same hop count,
-// seq and gate deps.
-func (s *Sim) sameGroup(a, b *lattice) bool {
-	return a.nh == b.nh && a.seq == b.seq &&
-		slices.Equal(s.depArena[a.depOff:a.depOff+a.depN], s.depArena[b.depOff:b.depOff+b.depN])
-}
-
-// lane is one lattice of a group being timed: its record, and its cursor on
-// the hop being timed.
-type lane struct {
-	first, chunks int32
-	hops          []latHop
-	rem           int64
-	// i is the next chunk to serve on the hop, id its op id, ready its
-	// ready time and sizes the walk of the chunk sizes.
-	i, id int32
-	sizes chunkSizes
-	ready float64
-}
-
-// group is what passGroup knows of the group it times.
-type group struct {
-	first, nh int32
-	gateReady float64
-}
-
-// passGroup times a group of lattices hop by hop (see runInOrder).
+// passLattice times a lattice record hop by hop (see runInOrder), each hop
+// by how its lanes share the hop's resources: a hop no two lanes share (a
+// one-lane record's every hop, and every cross-host hop of a unit's NIC
+// lanes) lane by lane, each lane's chunks as one run; a hop every lane
+// shares both resources of (a device hop of NIC lanes) as one server. Any
+// other hop ends the pass.
 //
 //alpacomm:hotpath
-func (s *Sim) passGroup(segs []segment) bool {
-	l0 := &s.lats[segs[0].lat]
-	g := group{first: segs[0].first, nh: l0.nh}
-	gates := s.depArena[l0.depOff : l0.depOff+l0.depN]
-	for _, d := range gates {
-		if f := s.finish[d]; f > g.gateReady {
-			g.gateReady = f
+func (s *Sim) passLattice(sg segment) bool {
+	l := &s.lats[sg.lat]
+	gateReady := 0.0
+	for _, d := range s.depArena[l.depOff : l.depOff+l.depN] {
+		if f := s.finish[d]; f > gateReady {
+			gateReady = f
 		}
 	}
-	lanes := s.lanes[:0]
-	for _, sg := range segs {
-		l := &s.lats[sg.lat]
-		lanes = append(lanes, lane{
-			first: sg.first, chunks: l.chunks, hops: s.latHops[l.hopOff : l.hopOff+l.nh],
-			rem: l.bytes % int64(l.chunks),
-		})
+	lanes := s.lanes[l.laneOff : l.laneOff+l.laneN]
+	// A hop's queue starts with every lane and takes a lane back at most
+	// once per chunk it serves but the lane's last.
+	chunks := 0
+	for k := range lanes {
+		chunks += int(lanes[k].chunks)
 	}
-	s.lanes = lanes
-	base := s.markBase
-	s.markBase += int64(g.nh)
-	for j := int32(0); j < g.nh; j++ {
-		// Claim the hop's resources; one claimed on an earlier hop ends
-		// the pass. One already claimed on this hop is shared by lanes,
-		// which the merge serves in the heap's order.
-		mark := base + int64(j) + 1
+	s.queue = slices.Grow(s.queue[:0], chunks)
+	for j := int32(0); j < l.nh; j++ {
+		s.mark++
+		res0 := s.latHops[lanes[0].hopOff+j].res
+		shared, disjoint := true, true
 		for k := range lanes {
 			ln := &lanes[k]
-			for _, r := range ln.hops[j].res {
-				if m := s.hopMark[r]; m != mark && m > base {
-					return false
-				}
-				s.hopMark[r] = mark
+			res := s.latHops[ln.hopOff+j].res
+			shared = shared && res == res0
+			for _, r := range res {
+				disjoint = disjoint && s.hopMark[r] != s.mark
+				s.hopMark[r] = s.mark
 			}
 			ln.i, ln.id = 0, ln.first+j
 			ln.sizes = chunkSizes{rem: ln.rem, k: int64(ln.chunks)}
 			// Chunk 0 waits on its chunk on hop j-1, or on hop 0 on the
 			// gates.
-			ln.ready = g.gateReady
+			ln.ready = gateReady
 			if j > 0 {
 				ln.ready = 0
 				if f := s.finish[ln.id-1]; f > 0 {
@@ -848,79 +867,92 @@ func (s *Sim) passGroup(segs []segment) bool {
 				}
 			}
 		}
-		for {
-			// The next chunk in (ready, id) order is lane best's (lanes are
-			// in id order). It keeps the turn while its chunks come before
-			// lane next's next chunk, whose ready time its own cannot move.
-			best, next := -1, -1
+		switch {
+		case disjoint:
 			for k := range lanes {
-				switch ln := &lanes[k]; {
-				case ln.i == ln.chunks:
-				case best < 0 || ln.ready < lanes[best].ready:
-					best, next = k, best
-				case next < 0 || ln.ready < lanes[next].ready:
-					next = k
+				if !s.serve(lanes, append(s.queue[:0], int32(k)), j, l.nh) {
+					return false
 				}
 			}
-			if best < 0 {
-				break
+		case shared:
+			queue := s.queue[:0]
+			for k := range lanes {
+				queue = enqueue(lanes, queue, 0, int32(k))
 			}
-			limit, tie := math.Inf(1), false
-			if next >= 0 {
-				limit, tie = lanes[next].ready, best < next
-			}
-			if !s.serveRun(&lanes[best], j, &g, limit, tie) {
+			if !s.serve(lanes, queue, j, l.nh) {
 				return false
 			}
+		default:
+			return false
 		}
 	}
 	return true
 }
 
-// serveRun times the lane's chunks on hop j under runInOrder's rule, from
-// its next one, ready at ln.ready, while each is ready before limit, or at
-// limit when tie is set. Once the run's first chunk is served, each of the
-// hop's resources was last used by the chunk before, so the previous user
-// and BusyUntil are kept in locals until the run ends.
+// enqueue appends lane k to the queue of lanes from index from on, kept in
+// (ready, lane) order, and moves it forward past every lane it comes before.
+// A lane that has just been served usually stays at the back.
+func enqueue(lanes []lane, queue []int32, from int, k int32) []int32 {
+	queue = append(queue, k)
+	r := lanes[k].ready
+	for p := len(queue) - 1; p > from; p-- {
+		m := queue[p-1]
+		if rm := lanes[m].ready; rm < r || rm == r && m < k {
+			break
+		}
+		queue[p-1], queue[p] = k, m
+	}
+	return queue
+}
+
+// serve times hop j of the queued lanes, which all occupy the same two
+// resources there, as one server: it takes the lanes' next chunks in
+// (ready, lane) order, the order the heap pops them. The lane at the front
+// keeps the turn, its cursor in locals, while its next chunk comes before
+// the next queued lane's; otherwise it goes back into the queue. Every
+// chunk is ready no earlier than the one served before it, so only the
+// first needs each resource's previous user to have been ready strictly
+// earlier. A queue of one lane times its chunks as one run.
 //
 //alpacomm:hotpath
-func (s *Sim) serveRun(ln *lane, j int32, g *group, limit float64, tie bool) bool {
-	h := &ln.hops[j]
+func (s *Sim) serve(lanes []lane, queue []int32, j, nh int32) bool {
+	h := &s.latHops[lanes[queue[0]].hopOff+j]
 	a, b := h.res[0], h.res[1]
 	ra, rb := &s.resources[a], &s.resources[b]
-	lastA, lastB := s.lastReady[a], s.lastReady[b]
-	// A tie is served in merge order when the previous user is in the
-	// group: it is on this hop, and has the lower id.
-	inA, inB := s.lastUser[a] >= g.first, s.lastUser[b] >= g.first
+	ready := lanes[queue[0]].ready
+	if !(s.lastReady[a] < ready) || !(s.lastReady[b] < ready) {
+		return false
+	}
 	busy := ra.BusyUntil
 	if rb.BusyUntil > busy {
 		busy = rb.BusyUntil
 	}
-	starts, finish := s.start, s.finish
-	i, id, ready, sizes := ln.i, ln.id, ln.ready, ln.sizes
-	for {
-		if !(lastA < ready || lastA == ready && inA) || !(lastB < ready || lastB == ready && inB) {
-			return false
-		}
-		start := ready
-		if busy > start {
-			start = busy
-		}
-		dur := h.dur(i, sizes.next())
-		fin := start + dur
-		if fin != fin {
-			return false
-		}
-		starts[id], finish[id] = start, fin
-		ra.BusyTime += dur
-		rb.BusyTime += dur
-		if fin > s.makespan {
-			s.makespan = fin
-		}
-		lastA, lastB, inA, inB, busy = ready, ready, true, true, fin
-		i++
-		id += g.nh
-		if i < ln.chunks {
+	starts, finish, span := s.start, s.finish, s.makespan
+	for q := 0; q < len(queue); q++ {
+		k := queue[q]
+		ln := &lanes[k]
+		h := &s.latHops[ln.hopOff+j]
+		i, id, sizes := ln.i, ln.id, ln.sizes
+		ready = ln.ready
+		for {
+			start := ready
+			if busy > start {
+				start = busy
+			}
+			dur := h.dur(i, sizes.next())
+			fin := start + dur
+			starts[id], finish[id] = start, fin
+			ra.BusyTime += dur
+			rb.BusyTime += dur
+			if fin > span {
+				span = fin
+			}
+			busy = fin
+			i++
+			id += nh
+			if i == ln.chunks {
+				break
+			}
 			// The next chunk waits on its own chunk on hop j-1 and on
 			// this one.
 			next := 0.0
@@ -932,18 +964,20 @@ func (s *Sim) serveRun(ln *lane, j int32, g *group, limit float64, tie bool) boo
 			if fin > next {
 				next = fin
 			}
-			if next < limit || next == limit && tie {
-				ready = next
-				continue
+			if q+1 < len(queue) {
+				if m := queue[q+1]; !(next < lanes[m].ready || next == lanes[m].ready && k < m) {
+					ln.i, ln.id, ln.ready, ln.sizes = i, id, next, sizes
+					queue = enqueue(lanes, queue, q+1, k)
+					break
+				}
 			}
-			ln.ready = next
+			ready = next
 		}
-		ra.BusyUntil, rb.BusyUntil = fin, fin
-		s.lastReady[a], s.lastUser[a] = ready, id-g.nh
-		s.lastReady[b], s.lastUser[b] = ready, id-g.nh
-		ln.i, ln.id, ln.sizes = i, id, sizes
-		return true
 	}
+	ra.BusyUntil, rb.BusyUntil = busy, busy
+	s.lastReady[a], s.lastReady[b] = ready, ready
+	s.makespan = span
+	return true
 }
 
 // runHeap is the discrete-event simulation: ops become ready as their last

@@ -108,6 +108,9 @@ func TestAddOpValidation(t *testing.T) {
 	if _, err := s.AddOpS("bad", -1, 0, nil); err == nil {
 		t.Error("negative duration should fail")
 	}
+	if _, err := s.AddOpS("bad", math.NaN(), 0, nil); err == nil {
+		t.Error("NaN duration should fail")
+	}
 	if _, err := s.AddOpS("bad", 1, 0, nil, OpID(5)); err == nil {
 		t.Error("unknown dependency should fail")
 	}

@@ -135,7 +135,9 @@ func buildGlobalAllGather(net *netsim.ClusterNet, label string, sender int, rece
 // sub-task per NIC (the §3.1 future-work extension): each part travels its
 // own chain — a lane — over a distinct NIC, multiplying cross-host bandwidth;
 // the lanes share the chain and are registered in one
-// netsim.ClusterNet.PipelinedLanes call, which resolves its hops once.
+// netsim.ClusterNet.PipelinedLanes call, which resolves its hops once and
+// keeps the lanes as one record. chainNICs keeps the lane count at or below
+// every chain host's NIC count, so no two lanes share a cross-host hop.
 // The completion run holds one op per lane, lane by lane: its last chunk
 // crossing the last hop. That op waits, through the lattice, on the last
 // chunk's arrival at every other receiver, so a later unit task that waits
