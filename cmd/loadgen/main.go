@@ -38,8 +38,9 @@
 // package's wire.go) on every response, after first proving one response
 // decodes identically over both formats.
 //
-// -cluster exits non-zero unless the 8-node tier reaches
-// minClusterSpeedup times the single node's throughput (cluster.go).
+// -cluster exits non-zero unless the single node plans at least
+// minClusterScaling times the 8-node tier's computations per request
+// (cluster.go).
 package main
 
 import (

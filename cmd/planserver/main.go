@@ -28,21 +28,21 @@
 // "Accept: application/x-alpacomm-plan".
 //
 // Cluster mode (-node-id + -peers) makes N planservers one tier: a
-// consistent-hash ring gives each canonical cache key an owner node, which
-// clients use to send a key where it is cached (membership over
-// /cluster/join|leave|members, see internal/cluster). A plan is a pure
-// function of its request, so every node plans the misses that land on it
-// and serves the bytes any other node would; no node asks a peer for a plan.
-// With -snapshot the requests that filled the cache are periodically
-// persisted and replayed on start (each planned again on this node, so a
-// snapshot can never install a wrong plan), and a bounced node rejoins warm:
+// consistent-hash ring over the configured members gives each canonical
+// cache key an owner node, which clients use to send a key where it is
+// cached (see internal/cluster). Membership is fixed by -node-id and
+// -peers. A plan is a pure function of its request, so every node plans the
+// misses that land on it and serves the bytes any other node would; no node
+// asks a peer for a plan. With -snapshot the requests that filled the cache
+// are periodically persisted and replayed on start (each planned again on
+// this node, so a snapshot can never install a wrong plan), so a bounced
+// node restarts warm:
 //
 //	planserver -addr :8101 -node-id a -peers 'b=http://127.0.0.1:8102' \
-//	    -self http://127.0.0.1:8101 -snapshot /var/tmp/plans-a.snap
+//	    -snapshot /var/tmp/plans-a.snap
 //
-// Shutdown is graceful on SIGINT/SIGTERM: the node leaves the ring first
-// (clients routing by a peer's ring stop sending keys to it), drains
-// in-flight requests under -drain-timeout, then writes a final snapshot.
+// Shutdown is graceful on SIGINT/SIGTERM: the server drains in-flight
+// requests under -drain-timeout, then writes a final snapshot.
 package main
 
 import (
@@ -92,7 +92,6 @@ func main() {
 		"corrected p99 latency budget for SLO-aware /v2/plan admission (0 = fixed worker-pool gate only)")
 	nodeID := flag.String("node-id", "", "cluster node identity (empty = standalone)")
 	peersFlag := flag.String("peers", "", "cluster peers as id=url,id=url")
-	selfAddr := flag.String("self", "", "this node's advertised base URL for peer announcements")
 	snapshotPath := flag.String("snapshot", "", "plan-cache snapshot file (cluster mode; empty = no persistence)")
 	snapshotEvery := flag.Duration("snapshot-interval", time.Minute, "periodic snapshot interval")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain budget")
@@ -121,18 +120,12 @@ func main() {
 	}
 	srv := alpacomm.NewPlanServer(cfg)
 
-	var handler http.Handler = srv
 	var node *alpacomm.ClusterNode
 	if *nodeID != "" {
-		node, err = alpacomm.NewClusterNode(alpacomm.ClusterNodeConfig{
-			NodeID:   *nodeID,
-			SelfAddr: *selfAddr,
-			Peers:    peers,
-		}, srv)
+		node, err = alpacomm.NewClusterNode(alpacomm.ClusterNodeConfig{NodeID: *nodeID, Peers: peers}, srv)
 		if err != nil {
 			log.Fatalf("planserver: %v", err)
 		}
-		handler = node.Handler()
 	}
 
 	fmt.Printf("planserver: listening on %s (API: /v2/plan, /v2/autotune, /v2/plan:batch, /v2/stats)\n", *addr)
@@ -156,12 +149,6 @@ func main() {
 				fmt.Printf("planserver: warm restart: %d/%d snapshot entries replayed\n",
 					st.Restored, st.Entries)
 			}
-		}
-		if err := node.Join(ctx); err != nil {
-			// Best-effort: static -peers already seeded the ring.
-			log.Printf("planserver: join announcement incomplete: %v", err)
-		}
-		if *snapshotPath != "" {
 			// The loop's final snapshot runs on ctx end — before Shutdown
 			// completes the drain — so the post-drain snapshot below is the
 			// authoritative last write.
@@ -176,7 +163,7 @@ func main() {
 	// goroutines before a request ever reaches the intake gate.
 	httpSrv := &http.Server{
 		Addr:              *addr,
-		Handler:           handler,
+		Handler:           srv,
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       30 * time.Second,
 		WriteTimeout:      5 * time.Minute,
@@ -191,16 +178,11 @@ func main() {
 	}
 	stop()
 
-	// Graceful shutdown, leave-the-ring first: peers' rings stop assigning
-	// keys here while in-flight requests drain (the node keeps serving hits
-	// and planning misses until Shutdown returns), then the drained cache is
-	// persisted.
+	// Graceful shutdown: drain in-flight requests, then persist the drained
+	// cache.
 	fmt.Println("planserver: shutting down")
 	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
-	if node != nil {
-		node.Leave(drainCtx)
-	}
 	if err := httpSrv.Shutdown(drainCtx); err != nil {
 		log.Printf("planserver: drain incomplete: %v", err)
 	}

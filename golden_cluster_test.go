@@ -49,7 +49,7 @@ func goldenTier(t *testing.T, ids []string) ([]*alpacomm.ClusterNode, []*httptes
 			t.Fatal(err)
 		}
 		nodes[i] = node
-		handlers[i] = node.Handler()
+		handlers[i] = srv
 	}
 	return nodes, servers
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -49,12 +50,12 @@ func startTier(t testing.TB, ids []string, mkCfg func() service.Config) []*testN
 			}
 		}
 		srv := service.New(mkCfg())
-		node, err := New(Config{NodeID: id, SelfAddr: nodes[i].url, Peers: peers}, srv)
+		node, err := New(Config{NodeID: id, Peers: peers}, srv)
 		if err != nil {
 			t.Fatal(err)
 		}
 		nodes[i].srv, nodes[i].node = srv, node
-		handlers[i] = node.Handler()
+		handlers[i] = srv
 	}
 	return nodes
 }
@@ -362,7 +363,7 @@ func TestTierVerifiedFill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	victimTS := httptest.NewServer(victimNode.Handler())
+	victimTS := httptest.NewServer(victim)
 	defer victimTS.Close()
 
 	req := searchReq(t, seedOwnedBy(t, &testNode{node: victimNode, srv: victim}, searchReq, "b2"))
@@ -471,7 +472,7 @@ func TestTierHungOwnerFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(node.Handler())
+	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	standalone := httptest.NewServer(service.New(service.Config{}))
 	defer standalone.Close()
@@ -515,41 +516,78 @@ func TestTierHungOwnerFallsBack(t *testing.T) {
 	}
 }
 
-// TestTierMembershipChangeDuringMiss: joins and leaves racing a coalesced
-// cold miss never double-compute on any single node and never strand a
-// waiter — every request completes with the same correct plan. Run under
-// -race in CI.
+// rawCall sends one request and returns its status and body.
+func rawCall(baseURL, method, path, body string) (int, []byte, error) {
+	req, err := http.NewRequest(method, baseURL+path, bytes.NewReader([]byte(body)))
+	if err != nil {
+		return 0, nil, err
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return 0, nil, err
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	return resp.StatusCode, b, err
+}
+
+// TestTierMembershipChangeDuringMiss: a node's membership is its
+// configuration. Membership calls racing a coalesced cold miss get the 404
+// a standalone server gives, never double-compute on any single node and
+// never strand a waiter — every request completes with the same plan — and
+// every node still reports the configured members. Run under -race in CI.
 func TestTierMembershipChangeDuringMiss(t *testing.T) {
 	nodes := startTier(t, []string{"a", "b", "c"}, func() service.Config { return service.Config{} })
 	// A cold key that must search: the miss is planned where it lands, and
-	// stays in flight for milliseconds, while membership churns.
+	// stays in flight for milliseconds, while the membership calls arrive.
 	req := searchReq(t, 7)
+	// The joins, leaves and member listings a tier node once served.
+	membershipCalls := []struct{ method, path, body string }{
+		{http.MethodPost, "/cluster/join", `{"node":"ghost","addr":"http://127.0.0.1:1"}`},
+		{http.MethodPost, "/cluster/leave", `{"node":"ghost"}`},
+		{http.MethodGet, "/cluster/members", ""},
+	}
 
-	// Membership churn: a ghost member joins and leaves every node's ring
-	// while the miss is in flight. Its address points at a real node, so a
-	// node that did ask its peers would reach one.
-	churnDone := make(chan struct{})
-	defer func() { <-churnDone }()
+	standalone := httptest.NewServer(service.New(service.Config{}))
+	defer standalone.Close()
+	wantStatus := make([]int, len(membershipCalls))
+	wantBody := make([][]byte, len(membershipCalls))
+	for i, c := range membershipCalls {
+		status, body, err := rawCall(standalone.URL, c.method, c.path, c.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if status != http.StatusNotFound {
+			t.Fatalf("standalone %s %s: status %d, want 404", c.method, c.path, status)
+		}
+		wantStatus[i], wantBody[i] = status, body
+	}
+
+	// Every membership call on every node, 50 rounds, while the herd runs.
+	churnErr := make(chan error, 1)
 	go func() {
-		defer close(churnDone)
-		for i := 0; i < 50; i++ {
+		defer close(churnErr)
+		for round := 0; round < 50; round++ {
 			for _, tn := range nodes {
-				body := `{"node":"ghost","addr":"` + nodes[0].url + `"}`
-				resp, err := http.Post(tn.url+"/cluster/join", "application/json", bytes.NewReader([]byte(body)))
-				if err == nil {
-					io.Copy(io.Discard, resp.Body)
-					resp.Body.Close()
-				}
-				resp, err = http.Post(tn.url+"/cluster/leave", "application/json", bytes.NewReader([]byte(`{"node":"ghost"}`)))
-				if err == nil {
-					io.Copy(io.Discard, resp.Body)
-					resp.Body.Close()
+				for i, c := range membershipCalls {
+					status, body, err := rawCall(tn.url, c.method, c.path, c.body)
+					if err != nil {
+						churnErr <- err
+						return
+					}
+					if status != wantStatus[i] || !bytes.Equal(body, wantBody[i]) {
+						churnErr <- fmt.Errorf("node %s %s %s: %d %q, want a standalone server's %d %q",
+							tn.node.NodeID(), c.method, c.path, status, body, wantStatus[i], wantBody[i])
+						return
+					}
 				}
 			}
 		}
 	}()
 	herd(t, 12, tierURLs(nodes), req)
-	<-churnDone
+	if err := <-churnErr; err != nil {
+		t.Error(err)
+	}
 	// No node may have computed the key more than once (and herd has seen
 	// every waiter answered with the same plan).
 	for _, tn := range nodes {
@@ -560,10 +598,13 @@ func TestTierMembershipChangeDuringMiss(t *testing.T) {
 	if total := tierMisses(nodes); total < 1 {
 		t.Errorf("no node computed the key at all")
 	}
-	// Rings converged back to the static membership.
 	for _, tn := range nodes {
-		if tn.node.Ring().Has("ghost") {
-			t.Errorf("node %s still has the ghost member", tn.node.NodeID())
+		st, err := service.NewClient(tn.url, nil).Stats(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Join(st.Cluster.Members, ","); got != "a,b,c" {
+			t.Errorf("node %s reports members %s, want the configured a,b,c", tn.node.NodeID(), got)
 		}
 	}
 }
@@ -632,26 +673,23 @@ func TestTierStats(t *testing.T) {
 	}
 }
 
-// TestNodeLeaveRoutesAway: after Leave, the departing node's own ring
-// assigns every key to the survivors, and the survivors' rings no longer
-// assign any key to it. The left node still plans its own misses and serves
-// a fresh server's bytes, asking no survivor.
+// TestNodeLeaveRoutesAway: a node leaves a tier by leaving the member list
+// its clients route on. A client ring built from the list without a owns no
+// key by a, so a receives nothing from a routing client. A still plans what
+// it does receive, serving a fresh server's bytes and asking no survivor.
 func TestNodeLeaveRoutesAway(t *testing.T) {
 	nodes := startTier(t, []string{"a", "b", "c"}, func() service.Config { return service.Config{} })
 	a := nodes[0]
-	a.node.Leave(context.Background())
+	client := NewRing()
+	client.Add("b")
+	client.Add("c")
 	for seed := int64(1); seed <= 20; seed++ {
 		_, _, key, err := a.srv.ParsePlanRequest(context.Background(), tierReq(t, seed))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if owner, _ := a.node.Ring().Owner(key); owner == "a" {
-			t.Fatalf("left node still owns key %q", key)
-		}
-		for _, tn := range nodes[1:] {
-			if owner, _ := tn.node.Ring().Owner(key); owner == "a" {
-				t.Fatalf("survivor %s still routes to the departed node", tn.node.NodeID())
-			}
+		if owner, ok := client.Owner(key); !ok || owner == "a" {
+			t.Fatalf("a client ring without a routes key %q to %q", key, owner)
 		}
 	}
 	req := searchReq(t, 3)
@@ -659,10 +697,10 @@ func TestNodeLeaveRoutesAway(t *testing.T) {
 	defer standalone.Close()
 	want := rawPlan(t, standalone.URL, req)
 	if got := rawPlan(t, a.url, req); !bytes.Equal(got, want) {
-		t.Fatal("left node served a plan a fresh server does not")
+		t.Fatal("the node left out of the list served a plan a fresh server does not")
 	}
 	if m := a.srv.Cache().Stats().Misses; m != 1 {
-		t.Errorf("left node computed the key %d times, want 1", m)
+		t.Errorf("the node left out of the list computed the key %d times, want 1", m)
 	}
 	for _, tn := range nodes[1:] {
 		st, err := service.NewClient(tn.url, nil).Stats(context.Background())

@@ -1,8 +1,9 @@
 // Package cluster turns N plan servers into one tier: a consistent-hash ring
 // gives every canonical resharding.CacheKey an owner node, which clients use
-// to send each key where it is most likely cached; membership changes over
-// /cluster/join|leave|members; and periodic snapshots of the requests behind
-// the resident entries make restarts warm.
+// to send each key where it is most likely cached, and periodic snapshots of
+// the requests behind the resident entries make restarts warm. A node's
+// membership is its configuration (Config.NodeID plus Config.Peers) and
+// does not change while it runs.
 //
 // A plan is a pure function of its request, so every node computes the bytes
 // the owner would: a miss is planned on the node it lands on, and no served
@@ -21,7 +22,7 @@ import (
 
 // DefaultVNodes is the virtual-node count per member: enough to keep
 // per-node ownership within a few percent of 1/N for single-digit N
-// without making membership changes expensive.
+// without making Add and Remove expensive.
 const DefaultVNodes = 128
 
 // ringPoint is one virtual node: a position on the 64-bit hash circle and
@@ -32,25 +33,20 @@ type ringPoint struct {
 }
 
 // Ring is a consistent-hash ring with virtual nodes. A key is owned by the
-// member whose first virtual node follows the key's hash clockwise.
-// Membership changes move only the arcs adjacent to the changed member's
-// virtual nodes — ≤ 1/N of keys plus a vnode-smoothing epsilon — and
-// never reassign a key between two surviving members. Safe for concurrent
-// use.
+// member whose first virtual node follows the key's hash clockwise; clients
+// route on it. Add and Remove move only the arcs adjacent to the changed
+// member's virtual nodes — ≤ 1/N of keys plus a vnode-smoothing epsilon —
+// and never reassign a key between two surviving members. Safe for
+// concurrent use.
 type Ring struct {
 	mu     sync.RWMutex
-	vnodes int
 	points []ringPoint // sorted by hash
 	member map[string]bool
 }
 
-// NewRing returns an empty ring with the given virtual-node count per
-// member (<= 0 means DefaultVNodes).
-func NewRing(vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
-	}
-	return &Ring{vnodes: vnodes, member: map[string]bool{}}
+// NewRing returns an empty ring with DefaultVNodes virtual nodes per member.
+func NewRing() *Ring {
+	return &Ring{member: map[string]bool{}}
 }
 
 // hashKey positions a key (or virtual node label) on the circle: FNV-1a
@@ -82,7 +78,7 @@ func (r *Ring) Add(node string) bool {
 		return false
 	}
 	r.member[node] = true
-	for i := 0; i < r.vnodes; i++ {
+	for i := 0; i < DefaultVNodes; i++ {
 		r.points = append(r.points, ringPoint{hash: hashKey(node + "#" + strconv.Itoa(i)), node: node})
 	}
 	sort.Slice(r.points, func(a, b int) bool { return r.points[a].hash < r.points[b].hash })
@@ -120,13 +116,6 @@ func (r *Ring) Owner(key string) (node string, ok bool) {
 		i = 0 // wrap: the first point owns the arc past the last one
 	}
 	return r.points[i].node, true
-}
-
-// Has reports membership.
-func (r *Ring) Has(node string) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.member[node]
 }
 
 // Members returns the sorted member list.

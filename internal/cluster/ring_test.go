@@ -17,7 +17,7 @@ func ringKeys(n int) []string {
 }
 
 func ringWithNodes(n int) *Ring {
-	r := NewRing(0)
+	r := NewRing()
 	for i := 0; i < n; i++ {
 		r.Add(fmt.Sprintf("node%d", i))
 	}
@@ -127,7 +127,7 @@ func TestRingShare(t *testing.T) {
 			t.Errorf("n=%d: shares sum to %v, want 1", n, sum)
 		}
 	}
-	if s := NewRing(0).Share("ghost"); s != 0 {
+	if s := NewRing().Share("ghost"); s != 0 {
 		t.Errorf("non-member share = %v, want 0", s)
 	}
 }
@@ -137,8 +137,8 @@ func TestRingShare(t *testing.T) {
 // the property that keeps tier routing loop-free.
 func TestRingDeterministicAcrossInstances(t *testing.T) {
 	keys := ringKeys(2000)
-	a := NewRing(0)
-	b := NewRing(0)
+	a := NewRing()
+	b := NewRing()
 	for i := 0; i < 5; i++ {
 		a.Add(fmt.Sprintf("node%d", i))
 	}
@@ -155,7 +155,7 @@ func TestRingDeterministicAcrossInstances(t *testing.T) {
 }
 
 func TestRingEdgeCases(t *testing.T) {
-	r := NewRing(0)
+	r := NewRing()
 	if _, ok := r.Owner("k"); ok {
 		t.Error("empty ring reported an owner")
 	}

@@ -111,7 +111,7 @@ func TestSnapshotKeepsEveryResidentEntry(t *testing.T) {
 	tn := startTier(t, []string{"solo"}, func() service.Config {
 		return service.Config{Cache: resharding.NewLRUPlanCache(1)}
 	})[0]
-	h := tn.node.Handler()
+	h := tn.srv
 	var last []byte
 	for seed := int64(1); seed <= n; seed++ {
 		w := httptest.NewRecorder()

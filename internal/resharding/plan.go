@@ -178,12 +178,14 @@ func buildHostTasks(task *sharding.Task, opts Options) []schedule.Task {
 	cluster := task.Src.Mesh.Topo
 	// Every unit's sender and receiver hosts share one array, counted first.
 	n := 0
-	for _, u := range task.Units {
+	for i := range task.Units {
+		u := &task.Units[i]
 		n += sharding.CountHosts(cluster, u.Senders) + sharding.CountHosts(cluster, u.Receivers)
 	}
 	hosts := make([]int, 0, n)
 	hostTasks := make([]schedule.Task, len(task.Units))
-	for i, u := range task.Units {
+	for i := range task.Units {
+		u := &task.Units[i]
 		// Each unit's host lists are windows of hosts: senders, then receivers.
 		from := len(hosts)
 		hosts = sharding.AppendHosts(hosts, cluster, u.Senders)
@@ -217,7 +219,7 @@ func resolveDeviceSenders(task *sharding.Task, hostPlan schedule.Plan) (map[int]
 	senderOf := make(map[int]int, len(hostPlan.Order))
 	perHostCount := make([]int, cluster.HostCount())
 	for _, idx := range hostPlan.Order {
-		u := task.Units[idx]
+		u := &task.Units[idx]
 		host := hostPlan.Sender[idx]
 		// The unit's senders are ascending, so those on the host are the run
 		// of them inside the host's device run.

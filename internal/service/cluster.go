@@ -39,7 +39,7 @@ type Router interface {
 type ClusterNodeStats struct {
 	// NodeID is this node's tier-unique identity.
 	NodeID string `json:"node_id"`
-	// Members lists the ring members this node currently sees (self
+	// Members lists the tier members this node was configured with (self
 	// included), sorted.
 	Members []string `json:"members"`
 	// OwnershipShare is the fraction of the hash space this node owns —
